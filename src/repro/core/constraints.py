@@ -18,6 +18,7 @@ studies.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 from repro.utils.fingerprint import stable_hash
 
@@ -77,8 +78,13 @@ class SearchConstraints:
 
         Different constraints explore different plan spaces and therefore
         produce different compiled programs; the serving plan cache includes
-        this in its key.
+        this in its key.  Memoized per instance, like
+        :meth:`ChipSpec.fingerprint <repro.hw.spec.ChipSpec.fingerprint>`.
         """
+        return self._fingerprint
+
+    @cached_property
+    def _fingerprint(self) -> str:
         return stable_hash(("search-constraints", self))
 
 

@@ -11,6 +11,7 @@ pipeline simulator price transfers against.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.hw.spec import ChipSpec
 from repro.utils.fingerprint import stable_hash
@@ -32,7 +33,11 @@ class InterconnectConfig:
             raise ValueError("interconnect latency must be non-negative")
 
     def fingerprint(self) -> str:
-        """Stable content hash of the link configuration."""
+        """Stable content hash of the link configuration (memoized per instance)."""
+        return self._fingerprint
+
+    @cached_property
+    def _fingerprint(self) -> str:
         return stable_hash(("interconnect", self))
 
 

@@ -11,6 +11,7 @@ used by the scalability study (§6.5).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 from repro.utils.fingerprint import stable_hash
 
@@ -101,7 +102,17 @@ class ChipSpec:
         identical resources, so the fingerprint covers all fields (including
         the display name, which disambiguates presets that happen to share
         numbers).  Used by the serving plan cache as part of its key.
+
+        The spec is frozen, so the hash is computed on the first call and
+        memoized on the instance: the serving loop asks for it on every
+        pricing lookup.  ``replace()``/``with_cores()`` copies hash afresh,
+        and the memo is not a field, so ``==``, ``hash()``, ``repr`` and
+        ``canonicalize`` never see it.
         """
+        return self._fingerprint
+
+    @cached_property
+    def _fingerprint(self) -> str:
         return stable_hash(("chip-spec", self))
 
 

@@ -89,10 +89,8 @@ def bucket_for(batch_size: int, max_batch_size: int) -> int:
             f"batch of {batch_size} exceeds max_batch_size={max_batch_size}: "
             f"no compiled bucket can hold it"
         )
-    for bucket in batch_buckets(max_batch_size):
-        if bucket >= batch_size:
-            return bucket
-    raise AssertionError("unreachable: the last bucket equals max_batch_size")
+    # The next power of two, capped at the last bucket (max_batch_size).
+    return min(1 << (batch_size - 1).bit_length(), max_batch_size)
 
 
 @dataclass(frozen=True)

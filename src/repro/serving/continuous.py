@@ -586,6 +586,10 @@ class _DecodeEngineBase:
             peak_active_chips=peak_active * self.model.num_stages,
             migrations=counters.get("migrations", 0),
             faults=faults if faults is not None else FaultStats(),
+            # Neither engine has a provisioning scaler: what was active is
+            # exactly what was provisioned.
+            provisioned_chip_seconds=active_chip_seconds,
+            peak_provisioned_chips=peak_active * self.model.num_stages,
         )
 
 

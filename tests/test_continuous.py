@@ -618,6 +618,26 @@ class TestAccountingFixes:
             for r in workload
         )
 
+    @pytest.mark.parametrize("engine_cls", [ContinuousEngine, StaticEngine])
+    def test_chip_seconds_are_ordered(
+        self, cache, small_chip, fast_constraints, engine_cls
+    ):
+        """busy <= active <= provisioned; without a provisioning scaler the
+        engines provision on demand, so provisioned equals active."""
+        engine = engine_cls(
+            make_model(),
+            chip=small_chip,
+            constraints=fast_constraints,
+            plan_cache=cache,
+            num_chips=2,
+        )
+        report = engine.run(
+            decode_workload("tiny", num_requests=12, rate=2000.0, seed=4)
+        )
+        assert 0.0 < report.busy_chip_seconds <= report.active_chip_seconds + 1e-12
+        assert report.provisioned_chip_seconds == report.active_chip_seconds
+        assert report.peak_provisioned_chips == report.peak_active_chips > 0
+
     def test_pool_utilization_is_raw_and_bounded(
         self, cache, small_chip, fast_constraints
     ):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import os
+import pickle
 import subprocess
 import sys
 import textwrap
@@ -18,6 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.constraints import SearchConstraints
+from repro.hw.interconnect import InterconnectConfig
 from repro.hw.spec import ChipSpec, KiB
 from repro.ir import OperatorGraph, elementwise, matmul
 from repro.ir.dtype import DType
@@ -147,6 +149,105 @@ def test_constraints_fingerprint_sensitive_to_fields():
     assert base.fingerprint() == SearchConstraints().fingerprint()
     assert base.fingerprint() != base.relaxed(max_plans=77).fingerprint()
     assert base.fingerprint() != base.relaxed(padding_threshold=0.5).fingerprint()
+
+
+# --------------------------------------------------------------------------- #
+# Memoized spec fingerprints
+# --------------------------------------------------------------------------- #
+def make_chip() -> ChipSpec:
+    return ChipSpec(
+        name="chip",
+        num_cores=64,
+        sram_per_core=256 * KiB,
+        core_flops=1e9,
+        link_bandwidth=1e9,
+        link_latency=1e-6,
+        offchip_bandwidth=1e9,
+    )
+
+
+#: (fresh-instance factory, module whose ``stable_hash`` it calls, hash tag,
+#: a field change that must change the fingerprint)
+MEMOIZED_SPECS = [
+    pytest.param(make_chip, "repro.hw.spec", "chip-spec", {"num_cores": 65}, id="chip"),
+    pytest.param(
+        SearchConstraints,
+        "repro.core.constraints",
+        "search-constraints",
+        {"max_plans": 77},
+        id="constraints",
+    ),
+    pytest.param(
+        lambda: InterconnectConfig(bandwidth=1e9),
+        "repro.hw.interconnect",
+        "interconnect",
+        {"latency": 2e-6},
+        id="interconnect",
+    ),
+]
+
+
+@pytest.mark.parametrize("make, module, tag, change", MEMOIZED_SPECS)
+def test_fingerprint_hashes_once_per_instance(monkeypatch, make, module, tag, change):
+    calls = []
+
+    def counting_hash(obj):
+        calls.append(obj)
+        return stable_hash(obj)
+
+    monkeypatch.setattr(f"{module}.stable_hash", counting_hash)
+    spec = make()
+    first = spec.fingerprint()
+    assert first == stable_hash((tag, spec))
+    assert [spec.fingerprint() for _ in range(3)] == [first] * 3
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("make, module, tag, change", MEMOIZED_SPECS)
+def test_copies_get_their_own_fingerprint(make, module, tag, change):
+    spec = make()
+    spec.fingerprint()
+    same = dataclasses.replace(spec)
+    assert same.fingerprint() == spec.fingerprint()
+    changed = dataclasses.replace(spec, **change)
+    assert changed.fingerprint() == stable_hash((tag, changed))
+    assert changed.fingerprint() != spec.fingerprint()
+
+
+def test_with_cores_and_relaxed_get_fresh_fingerprints():
+    chip = make_chip()
+    chip.fingerprint()
+    smaller = chip.with_cores(32)
+    assert smaller.fingerprint() == stable_hash(("chip-spec", smaller))
+    assert smaller.fingerprint() != chip.fingerprint()
+
+    constraints = SearchConstraints()
+    constraints.fingerprint()
+    relaxed = constraints.relaxed(min_core_utilization=0.5)
+    assert relaxed.fingerprint() == stable_hash(("search-constraints", relaxed))
+    assert relaxed.fingerprint() != constraints.fingerprint()
+
+
+@pytest.mark.parametrize("memoized", [False, True], ids=["cold", "memoized"])
+@pytest.mark.parametrize("make, module, tag, change", MEMOIZED_SPECS)
+def test_pickle_round_trip_keeps_identity(make, module, tag, change, memoized):
+    spec = make()
+    if memoized:
+        spec.fingerprint()
+    restored = pickle.loads(pickle.dumps(spec))
+    assert restored == spec
+    assert hash(restored) == hash(spec)
+    assert restored.fingerprint() == spec.fingerprint() == stable_hash((tag, spec))
+
+
+@pytest.mark.parametrize("make, module, tag, change", MEMOIZED_SPECS)
+def test_memo_does_not_leak_into_field_views(make, module, tag, change):
+    spec = make()
+    before = (repr(spec), dataclasses.asdict(spec), canonicalize(spec))
+    spec.fingerprint()
+    assert (repr(spec), dataclasses.asdict(spec), canonicalize(spec)) == before
+    assert spec == make()
+    assert hash(spec) == hash(make())
 
 
 # --------------------------------------------------------------------------- #

@@ -21,6 +21,7 @@ from repro.serving import (
     decode_workload,
     merge_decode_workloads,
 )
+from repro.utils.fingerprint import stable_hash
 
 
 def tiny_builder(name: str, width: int):
@@ -325,6 +326,56 @@ class TestFleetServing:
             decode_workload("alpha", num_requests=10, rate=2000.0, seed=3)
         )
         assert report.cache.misses == 0
+
+    def test_spec_hashing_does_not_scale_with_traffic(
+        self, cache, small_chip, fast_constraints, fat_chip, monkeypatch
+    ):
+        """Content hashes are per spec, never per event: after ``warm()`` a
+        run hashes the same number of specs whatever its length."""
+        deployments = [
+            make_model("alpha"),
+            make_model("beta", width=96),
+            make_model("gamma", width=32),
+        ]
+        tenants = [TenantSpec("chat"), TenantSpec("search"), TenantSpec("vision")]
+        calls = []
+
+        def counting_hash(obj, **kwargs):
+            calls.append(obj)
+            return stable_hash(obj, **kwargs)
+
+        def hashes_during_run(requests_per_tenant: int) -> int:
+            engine = make_engine(
+                cache,
+                small_chip,
+                fast_constraints,
+                deployments=deployments,
+                num_chips=4,
+                chip_classes={2: fat_chip, 3: fat_chip},
+                tenants=tenants,
+            )
+            engine.warm()
+            workload = merge_decode_workloads(
+                *(
+                    decode_workload(
+                        model.name,
+                        num_requests=requests_per_tenant,
+                        rate=1500.0,
+                        seed=seed,
+                        tenant=tenant.name,
+                    )
+                    for seed, (model, tenant) in enumerate(zip(deployments, tenants))
+                )
+            )
+            calls.clear()
+            report = engine.run(workload)
+            assert report.total_completed + report.shed == len(workload)
+            assert report.iterations > 0
+            return len(calls)
+
+        monkeypatch.setattr("repro.hw.spec.stable_hash", counting_hash)
+        monkeypatch.setattr("repro.core.constraints.stable_hash", counting_hash)
+        assert hashes_during_run(10) == hashes_during_run(20)
 
     def test_static_partition_respects_ownership(
         self, cache, small_chip, fast_constraints

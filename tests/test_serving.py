@@ -218,6 +218,14 @@ class TestDynamicBatcher:
         with pytest.raises(ValueError, match="max_batch_size=4"):
             bucket_for(5, 4)
 
+    @given(data=st.data(), max_batch=st.integers(min_value=1, max_value=4096))
+    @settings(deadline=None, max_examples=300)
+    def test_bucket_for_is_smallest_covering_bucket(self, data, max_batch):
+        """The closed form agrees with a scan of the compiled buckets."""
+        batch = data.draw(st.integers(min_value=1, max_value=max_batch))
+        expected = min(b for b in batch_buckets(max_batch) if b >= batch)
+        assert bucket_for(batch, max_batch) == expected
+
     def test_batch_buckets_rejects_non_positive_max(self):
         with pytest.raises(ValueError):
             batch_buckets(0)
