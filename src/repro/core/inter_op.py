@@ -12,10 +12,14 @@ setup-time-saved per idle-byte-added ratio, re-evaluating the end-to-end time
 estimate at each step and keeping the best configuration seen.
 
 Identical operators (e.g. the repeated layers of a transformer) share the same
-Pareto frontier, so the search groups them and promotes whole groups at once —
-this keeps the reconciliation pass fast even for models with hundreds of
-operators, mirroring the paper's observation that the policy explores only
-``sum(num idle plans)`` promising combinations instead of their product.
+Pareto frontier, so the search groups them and promotes whole groups at once.
+Like the paper's policy, it explores only ``sum(num idle plans)`` promising
+combinations instead of their product.  Each step re-examines every group,
+so the work per step is kept small: a group reads its frontier's idle bytes,
+memory and time once, and prices the setup time of each (idle, active) plan
+pair at most once per reconcile, the first time the search needs it.  The
+pass therefore costs at most ``sum(|frontier|^2)`` cost-model calls, however
+many steps it takes.
 """
 
 from __future__ import annotations
@@ -69,11 +73,28 @@ class ModelSchedule:
 
 @dataclass
 class _OpGroup:
-    """Operators that share one Pareto frontier (identical signature)."""
+    """Operators that share one Pareto frontier (identical signature).
+
+    The search compares the same few per-plan quantities on every step, so
+    they are read off the frontier once.  ``setup_times[i]``, once filled,
+    holds the setup time of activating every frontier plan from idle plan
+    ``i``; rows are priced the first time the search looks at idle index
+    ``i``, so each (idle, active) pair is priced at most once per reconcile.
+    """
 
     names: list[str]
     frontier: list[OperatorPlan]
     idle_index: int = 0
+    idle_bytes: list[int] = field(init=False)
+    memory_bytes: list[int] = field(init=False)
+    time_est: list[float] = field(init=False)
+    setup_times: list[list[float] | None] = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.idle_bytes = [plan.idle_bytes for plan in self.frontier]
+        self.memory_bytes = [plan.memory_bytes for plan in self.frontier]
+        self.time_est = [plan.time_est for plan in self.frontier]
+        self.setup_times = [None] * len(self.frontier)
 
     @property
     def count(self) -> int:
@@ -116,12 +137,13 @@ class InterOpScheduler:
             idle_total = self._idle_total(groups)
             if idle_total > capacity:
                 break
-            total_time = self._estimate_total_time(groups, idle_total)
+            actives = [self._select_active(group, idle_total) for group in groups]
+            total_time = self._estimate_total_time(groups, actives)
             history.append((idle_total, total_time))
             if total_time < best_time:
                 best_time = total_time
                 best_state = [group.idle_index for group in groups]
-            promotion = self._best_promotion(groups, idle_total, capacity)
+            promotion = self._best_promotion(groups, actives, idle_total, capacity)
             if promotion is None:
                 break
             groups[promotion].idle_index += 1
@@ -158,76 +180,79 @@ class InterOpScheduler:
 
     @staticmethod
     def _idle_total(groups: Sequence[_OpGroup]) -> int:
-        return sum(group.idle_plan.idle_bytes * group.count for group in groups)
+        return sum(group.idle_bytes[group.idle_index] * group.count for group in groups)
 
-    def _available_active(self, idle_total: int, idle_plan: OperatorPlan) -> int:
-        """Per-core memory available to one operator's active plan.
+    def _setup_row(self, group: _OpGroup, idle: int) -> list[float]:
+        """Setup time of every frontier plan activated from idle plan ``idle``."""
+        row = group.setup_times[idle]
+        if row is None:
+            idle_plan = group.frontier[idle]
+            row = [
+                self.cost_model.setup_time(plan.setup_bytes_from(idle_plan))
+                for plan in group.frontier
+            ]
+            group.setup_times[idle] = row
+        return row
+
+    def _select_active(self, group: _OpGroup, idle_total: int) -> int | None:
+        """Frontier index of the best-fitting active plan for one group.
 
         While an operator executes, its own idle (weight) footprint is
-        subsumed by the active plan; every other operator keeps its idle
-        footprint resident.
-        """
-        return self.chip.sram_per_core - idle_total + idle_plan.idle_bytes
-
-    def _select_active(
-        self,
-        frontier: Sequence[OperatorPlan],
-        idle_plan: OperatorPlan,
-        available: int,
-    ) -> OperatorPlan | None:
-        """Best-fitting active plan for one operator.
-
-        Among the plans whose active footprint fits in ``available`` bytes,
+        subsumed by the active plan and every other operator keeps its idle
+        footprint resident.  Among the plans whose active footprint fits,
         pick the one minimising setup-plus-execution time: a slightly slower
         plan whose weight layout matches the idle plan can beat the raw
         fastest plan once the idle→active transition is accounted for.
         """
-        best: OperatorPlan | None = None
+        idle = group.idle_index
+        available = self.chip.sram_per_core - idle_total + group.idle_bytes[idle]
+        setup = self._setup_row(group, idle)
+        best: int | None = None
         best_cost = float("inf")
-        for plan in frontier:
-            if plan.memory_bytes > available:
+        for index, memory in enumerate(group.memory_bytes):
+            if memory > available:
                 continue
-            cost = plan.time_est + self.cost_model.setup_time(plan.setup_bytes_from(idle_plan))
+            cost = group.time_est[index] + setup[index]
             if cost < best_cost:
-                best = plan
+                best = index
                 best_cost = cost
-        if best is None and idle_plan.memory_bytes <= available:
-            best = idle_plan
+        if best is None and group.memory_bytes[idle] <= available:
+            best = idle
         return best
 
-    def _estimate_total_time(self, groups: Sequence[_OpGroup], idle_total: int) -> float:
+    def _estimate_total_time(
+        self, groups: Sequence[_OpGroup], actives: Sequence[int | None]
+    ) -> float:
         total = 0.0
-        for group in groups:
-            idle_plan = group.idle_plan
-            available = self._available_active(idle_total, idle_plan)
-            active = self._select_active(group.frontier, idle_plan, available)
+        for group, active in zip(groups, actives):
             if active is None:
                 return float("inf")
-            setup_bytes = active.setup_bytes_from(idle_plan)
-            per_op = self.cost_model.setup_time(setup_bytes) + active.time_est
+            setup = self._setup_row(group, group.idle_index)
+            per_op = setup[active] + group.time_est[active]
             total += per_op * group.count
         return total
 
     def _best_promotion(
-        self, groups: Sequence[_OpGroup], idle_total: int, capacity: int
+        self,
+        groups: Sequence[_OpGroup],
+        actives: Sequence[int | None],
+        idle_total: int,
+        capacity: int,
     ) -> int | None:
         """Group whose idle-plan promotion saves the most setup time per byte."""
         best_index: int | None = None
         best_ratio = 0.0
-        for index, group in enumerate(groups):
-            if group.idle_index + 1 >= len(group.frontier):
+        for index, (group, active) in enumerate(zip(groups, actives)):
+            idle = group.idle_index
+            if idle + 1 >= len(group.frontier):
                 continue
-            current_idle = group.frontier[group.idle_index]
-            next_idle = group.frontier[group.idle_index + 1]
-            delta_mem = (next_idle.idle_bytes - current_idle.idle_bytes) * group.count
+            delta_mem = (group.idle_bytes[idle + 1] - group.idle_bytes[idle]) * group.count
             if idle_total + max(delta_mem, 0) > capacity:
                 continue
-            available = self._available_active(idle_total, current_idle)
-            active = self._select_active(group.frontier, current_idle, available)
             if active is None:
                 continue
-            current_setup = self.cost_model.setup_time(active.setup_bytes_from(current_idle))
-            next_setup = self.cost_model.setup_time(active.setup_bytes_from(next_idle))
+            current_setup = self._setup_row(group, idle)[active]
+            next_setup = self._setup_row(group, idle + 1)[active]
             saved = (current_setup - next_setup) * group.count
             if delta_mem <= 0:
                 if saved >= 0:
@@ -248,14 +273,14 @@ class InterOpScheduler:
         total_time = 0.0
         for group in groups:
             idle_plan = group.idle_plan
-            available = self._available_active(idle_total, idle_plan)
-            active = self._select_active(group.frontier, idle_plan, available)
-            if active is None:
+            active_index = self._select_active(group, idle_total)
+            if active_index is None:
                 raise OutOfChipMemoryError(
                     idle_total, self.chip.sram_per_core, group.names[0]
                 )
+            active = group.frontier[active_index]
             setup_bytes = active.setup_bytes_from(idle_plan)
-            setup_time = self.cost_model.setup_time(setup_bytes)
+            setup_time = self._setup_row(group, group.idle_index)[active_index]
             for name in group.names:
                 per_op[name] = OperatorSchedule(
                     op_name=name,

@@ -7,7 +7,9 @@ one operator it:
    padding constraints (:mod:`repro.core.partition`),
 2. enumerates temporal-factor combinations per tensor,
 3. **sketches** every candidate — exact memory footprint and step structure
-   from divisor arithmetic alone (:func:`repro.core.plan.sketch_plan`),
+   from divisor arithmetic alone (:func:`repro.core.plan.sketch_plan`), on
+   sub-extents, sharing degrees and sub-shapes derived once per ``F_op``
+   (:func:`repro.core.plan.fop_geometry`),
 4. drops SRAM-infeasible sketches, costs the survivors with one batched
    cost-model call per bounded batch, and drops every sketch whose
    compute-time lower bound is already dominated by the incremental Pareto
@@ -39,10 +41,12 @@ from repro.core.partition import (
     temporal_factor_choices,
 )
 from repro.core.plan import (
+    FopGeometry,
     OperatorPlan,
     PlanSketch,
     build_library_plan,
     build_plan,
+    fop_geometry,
     sketch_plan,
 )
 from repro.hw.spec import ChipSpec
@@ -263,9 +267,9 @@ class IntraOpOptimizer:
                     span.set(materialized=built, pruned=len(batch) - built)
                     batch.clear()
 
-            for fop, temporal in self._enumerate_candidates(expr):
+            for fop, geometry, temporal in self._enumerate_candidates(expr):
                 sketched += 1
-                sketch = sketch_plan(expr, self.chip, fop, temporal)
+                sketch = sketch_plan(expr, self.chip, fop, temporal, geometry)
                 if sketch is None:
                     continue
                 evaluated += 1
@@ -315,9 +319,9 @@ class IntraOpOptimizer:
             sketched = 1
             candidates.append(build_library_plan(expr, self.chip, self.cost_model))
         else:
-            for fop, temporal in self._enumerate_candidates(expr):
+            for fop, geometry, temporal in self._enumerate_candidates(expr):
                 sketched += 1
-                plan = build_plan(expr, self.chip, self.cost_model, fop, temporal)
+                plan = build_plan(expr, self.chip, self.cost_model, fop, temporal, geometry)
                 if plan is None:
                     continue
                 candidates.append(plan)
@@ -346,8 +350,8 @@ class IntraOpOptimizer:
             return
 
         produced = 0
-        for fop, temporal in self._enumerate_candidates(expr):
-            plan = build_plan(expr, self.chip, self.cost_model, fop, temporal)
+        for fop, geometry, temporal in self._enumerate_candidates(expr):
+            plan = build_plan(expr, self.chip, self.cost_model, fop, temporal, geometry)
             if plan is None:
                 continue
             produced += 1
@@ -357,20 +361,25 @@ class IntraOpOptimizer:
 
     def _enumerate_candidates(
         self, expr
-    ) -> Iterable[tuple[dict[str, int], dict[str, int]]]:
-        """Yield every ``(F_op, temporal)`` candidate in canonical order.
+    ) -> Iterable[tuple[dict[str, int], FopGeometry, dict[str, int]]]:
+        """Yield every ``(F_op, geometry, temporal)`` candidate in canonical order.
 
         The single source of the enumeration order: the streaming search, the
         eager reference and the plan-space studies all consume this, so the
         "bit-identical frontiers" invariant cannot be broken by the loops
-        drifting apart.  Feasibility capping (``max_plans``) stays with the
+        drifting apart.  ``geometry`` is :func:`~repro.core.plan.fop_geometry`
+        of the ``F_op``, derived once and shared by all its temporal
+        combinations.  Feasibility capping (``max_plans``) stays with the
         callers — it counts *feasible* candidates, which only they know.
         """
         fops = enumerate_operator_partitions(expr, self.chip.num_cores, self.constraints)
         per_tensor_choices = self._per_tensor_choice_budget(len(expr.all_tensors))
         for fop in fops:
-            for temporal in self._temporal_combinations(expr, fop, per_tensor_choices):
-                yield fop, temporal
+            geometry = fop_geometry(expr, fop)
+            for temporal in self._temporal_combinations(
+                expr, fop, geometry, per_tensor_choices
+            ):
+                yield fop, geometry, temporal
 
     def _per_tensor_choice_budget(self, num_tensors: int) -> int:
         """How many temporal factors to consider per tensor."""
@@ -382,12 +391,20 @@ class IntraOpOptimizer:
         self,
         expr,
         fop: Mapping[str, int],
+        geometry: FopGeometry,
         per_tensor_choices: int,
     ) -> Iterable[dict[str, int]]:
-        names = [spec.name for spec in expr.all_tensors]
+        names = [tensor.spec.name for tensor in geometry.tensors]
         choices = [
-            temporal_factor_choices(expr, spec, fop, max_choices=per_tensor_choices)
-            for spec in expr.all_tensors
+            temporal_factor_choices(
+                expr,
+                tensor.spec,
+                fop,
+                max_choices=per_tensor_choices,
+                sharing=tensor.sharing,
+                sub_shape=tensor.sub_shape,
+            )
+            for tensor in geometry.tensors
         ]
         combos = itertools.product(*choices)
         for combo in itertools.islice(combos, self.constraints.max_temporal_combos):

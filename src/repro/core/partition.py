@@ -113,6 +113,8 @@ def temporal_factor_choices(
     fop: Mapping[str, int],
     *,
     max_choices: int = 6,
+    sharing: int | None = None,
+    sub_shape: tuple[int, ...] | None = None,
 ) -> list[int]:
     """Feasible temporal factors for ``spec`` under ``F_op``.
 
@@ -120,12 +122,15 @@ def temporal_factor_choices(
     is an integer, §4.2) and must not exceed the longest sub-tensor dimension
     (otherwise some partition would be empty).  The list is thinned to at most
     ``max_choices`` values spanning the full replicate-to-fully-split range so
-    the cross-product over tensors stays tractable.
+    the cross-product over tensors stays tractable.  ``sharing`` and
+    ``sub_shape`` may pass a precomputed :func:`tensor_sharing_degree` and
+    :func:`tensor_sub_shape` (the plan search derives both once per ``F_op``).
     """
-    sharing = tensor_sharing_degree(expr, spec, fop)
+    if sharing is None:
+        sharing = tensor_sharing_degree(expr, spec, fop)
     if sharing <= 1:
         return [1]
-    shape = tensor_sub_shape(expr, spec, fop)
+    shape = tensor_sub_shape(expr, spec, fop) if sub_shape is None else sub_shape
     longest = max(shape) if shape else 1
     return list(_thinned_temporal_choices(sharing, longest, max_choices))
 

@@ -13,7 +13,7 @@ inter-operator scheduler later picks an (idle, active) pair per operator.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from repro.core.cost_model import CostModel
 from repro.core.partition import (
@@ -26,6 +26,7 @@ from repro.core.partition import (
 from repro.core.rtensor import RTensorConfig
 from repro.hw.spec import ChipSpec
 from repro.ir.expr import TensorExpression
+from repro.ir.tensor import TensorRole, TensorSpec
 from repro.utils import ceil_div, prod
 
 
@@ -77,13 +78,28 @@ class OperatorPlan:
         activations are produced and consumed by neighbouring operators and
         their memory is reclaimed by liveness analysis (paper §4.4).
         """
-        from repro.ir.tensor import TensorRole
+        return sum(self._weight_partition_bytes.values())
 
-        return sum(
-            config.partition_bytes
-            for config in self.rtensors.values()
-            if config.spec.role is TensorRole.WEIGHT
-        )
+    @property
+    def _weight_partition_bytes(self) -> dict[str, int]:
+        """Per-core bytes of each weight tensor, computed once per plan.
+
+        Reconciliation reads these sizes for every (idle, active) pair it
+        prices.  The memo is an instance attribute, not a field, so ``==``,
+        ``repr`` and ``canonicalize`` never see it.  It is set with
+        ``object.__setattr__`` rather than ``functools.cached_property``:
+        the latter writes through ``__dict__``, which on CPython 3.11+ gives
+        every plan its own garbage-collected dict object.
+        """
+        sizes = getattr(self, "_weight_sizes", None)
+        if sizes is None:
+            sizes = {
+                name: config.partition_bytes
+                for name, config in self.rtensors.items()
+                if config.spec.role is TensorRole.WEIGHT
+            }
+            object.__setattr__(self, "_weight_sizes", sizes)
+        return sizes
 
     @property
     def total_shift_bytes(self) -> int:
@@ -96,10 +112,6 @@ class OperatorPlan:
         total = self.time_est
         return self.comm_time_est / total if total > 0 else 0.0
 
-    def tensor_partition_bytes(self) -> dict[str, int]:
-        """Per-tensor per-core footprint (used for setup-cost estimation)."""
-        return {name: config.partition_bytes for name, config in self.rtensors.items()}
-
     def setup_bytes_from(self, idle: "OperatorPlan | None") -> int:
         """Per-core bytes that must move to transition ``idle`` → this plan.
 
@@ -110,16 +122,10 @@ class OperatorPlan:
         growth counts.  Activations are laid out by their producer operator
         (or an explicit inter-operator transition), not by the setup phase.
         """
-        from repro.ir.tensor import TensorRole
-
-        mine = {
-            name: config.partition_bytes
-            for name, config in self.rtensors.items()
-            if config.spec.role is TensorRole.WEIGHT
-        }
+        mine = self._weight_partition_bytes
         if idle is None:
             return sum(mine.values())
-        theirs = idle.tensor_partition_bytes()
+        theirs = idle._weight_partition_bytes
         return sum(max(0, size - theirs.get(name, 0)) for name, size in mine.items())
 
     def describe(self) -> str:
@@ -257,11 +263,54 @@ class PlanSketch:
         )
 
 
+class TensorGeometry(NamedTuple):
+    """One tensor's slice of an :class:`FopGeometry`."""
+
+    spec: TensorSpec
+    sharing: int
+    """Cores sharing one sub-tensor (:func:`~repro.core.partition.tensor_sharing_degree`)."""
+    sub_shape: tuple[int, ...]
+    """One sub-tensor's shape, halo included
+    (:func:`~repro.core.partition.tensor_sub_shape`)."""
+    elements: int
+    """``prod(sub_shape)``."""
+
+
+class FopGeometry(NamedTuple):
+    """Everything a sketch needs that depends only on ``(expr, F_op)``.
+
+    All temporal combinations of one ``F_op`` share it, so the search derives
+    it once per ``F_op`` (:func:`fop_geometry`) and hands it to every
+    :func:`sketch_plan` call of that ``F_op``.
+    """
+
+    cores_used: int
+    extents: dict[str, int]
+    """Per-axis sub-operator extents (:func:`~repro.core.partition.sub_extents`)."""
+    tensors: tuple[TensorGeometry, ...]
+    """One entry per tensor, in ``expr.all_tensors`` order."""
+
+
+def fop_geometry(expr: TensorExpression, fop: Mapping[str, int]) -> FopGeometry:
+    """Derive the temporal-independent geometry of one operator partition."""
+    extents = sub_extents(expr, fop)
+    tensors = []
+    for spec in expr.all_tensors:
+        sub_shape = expr.tensor_shape(spec, extents)
+        tensors.append(
+            TensorGeometry(
+                spec, tensor_sharing_degree(expr, spec, fop), sub_shape, prod(sub_shape)
+            )
+        )
+    return FopGeometry(prod(fop.values()), extents, tuple(tensors))
+
+
 def sketch_plan(
     expr: TensorExpression,
     chip: ChipSpec,
     fop: Mapping[str, int],
     temporal_factors: Mapping[str, int],
+    geometry: FopGeometry | None = None,
 ) -> PlanSketch | None:
     """Sketch one plan candidate without deriving rTensors or shift schedules.
 
@@ -269,29 +318,31 @@ def sketch_plan(
     that no dimension can host, a factor that does not divide its tensor's
     sharing degree, or more sub-operators than cores); a non-``None`` sketch
     carries the candidate's exact memory footprint and step structure.
+    ``geometry`` is ``fop_geometry(expr, fop)``, derived here when omitted.
     """
-    used = prod(fop.values())
+    if geometry is None:
+        geometry = fop_geometry(expr, fop)
+    used = geometry.cores_used
     if used > chip.num_cores:
         return None
 
     dtype_bytes = expr.dtype.bytes
     memory = chip.shift_buffer_bytes
-    extents = sub_extents(expr, fop)
+    extents = geometry.extents
+    output = expr.output
     pace_per_axis: dict[str, int] = {}
     rotating: list[tuple[str, int, int]] = []  # (axis, rotated dim length, sub-tensor bytes)
     output_sharing = 1
     output_sub_bytes = 0
-    for spec in expr.all_tensors:
+    for spec, sharing, sub_shape, elements in geometry.tensors:
         factor = temporal_factors.get(spec.name, 1)
-        sharing = tensor_sharing_degree(expr, spec, fop)
         if factor > sharing or sharing % factor != 0:
             return None
-        sub_shape = expr.tensor_shape(spec, extents)
-        sub_bytes = prod(sub_shape) * dtype_bytes
-        if spec is expr.output:
+        sub_bytes = elements * dtype_bytes
+        if spec is output:
             output_sharing = sharing
             output_sub_bytes = sub_bytes
-        partition_elems = prod(sub_shape)
+        partition_elems = elements
         if factor > 1:
             dim = choose_rotation_dim(expr, spec, fop, factor, sub_shape=sub_shape)
             if dim is None:
@@ -369,6 +420,7 @@ def build_plan(
     cost_model: CostModel,
     fop: Mapping[str, int],
     temporal_factors: Mapping[str, int],
+    geometry: FopGeometry | None = None,
 ) -> OperatorPlan | None:
     """Build and cost one execution plan candidate.
 
@@ -376,9 +428,10 @@ def build_plan(
     factor.  Returns ``None`` when the combination is infeasible (a temporal
     factor that no dimension can host, or more sub-operators than cores).
     Implemented as sketch-then-materialize so the eager and streaming search
-    paths share one construction path.
+    paths share one construction path; ``geometry`` is passed through to
+    :func:`sketch_plan`.
     """
-    sketch = sketch_plan(expr, chip, fop, temporal_factors)
+    sketch = sketch_plan(expr, chip, fop, temporal_factors, geometry)
     if sketch is None:
         return None
     return sketch.materialize(expr, chip, cost_model)

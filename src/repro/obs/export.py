@@ -287,9 +287,15 @@ def read_jsonl(path: str | Path) -> tuple[list[TraceEvent], dict[str, Any]]:
 # Text summary
 # --------------------------------------------------------------------- #
 def summarize(events: Iterable[TraceEvent], metrics: Mapping[str, Any] | None = None) -> str:
-    """A terminal-friendly digest: per-track span totals, then metrics."""
+    """A terminal-friendly digest: per-track then per-span-name totals, then metrics.
+
+    The span-name table sums every span of one name across tracks, so a
+    phase such as ``reconcile`` or ``sketch-flush`` reads as one row however
+    many graphs or operators it ran for.
+    """
     events = list(events)
     by_track: dict[tuple[str, str], dict[str, Any]] = {}
+    by_name: dict[tuple[str, str], list] = {}  # (domain, name) -> [count, busy]
     for event in events:
         key = (event.domain, event.track)
         row = by_track.setdefault(
@@ -298,6 +304,9 @@ def summarize(events: Iterable[TraceEvent], metrics: Mapping[str, Any] | None = 
         if event.kind in (KIND_SPAN, KIND_ASYNC):
             row["spans"] += 1
             row["busy"] += event.dur
+            named = by_name.setdefault((event.domain, event.name), [0, 0.0])
+            named[0] += 1
+            named[1] += event.dur
             row["end"] = max(row["end"], event.ts + event.dur)
         elif event.kind == KIND_INSTANT:
             row["instants"] += 1
@@ -314,6 +323,11 @@ def summarize(events: Iterable[TraceEvent], metrics: Mapping[str, Any] | None = 
             f"  {label:<44} {row['spans']:>6d} {row['busy']:>10.4f}"
             f" {row['instants']:>8d} {row['flows']:>6d}"
         )
+    if by_name:
+        lines.append(f"  {'span':<44} {'count':>6} {'busy_s':>10}")
+        for (domain, name), (count, busy) in sorted(by_name.items()):
+            label = f"[{domain}] {name}"
+            lines.append(f"  {label:<44} {count:>6d} {busy:>10.4f}")
     if metrics:
         lines.append("metrics:")
         for name in sorted(metrics):

@@ -351,6 +351,23 @@ class TestJsonlExport:
         assert "cache.hits" in text
         assert "metrics:" in text
 
+    def test_summary_totals_spans_by_name(self):
+        tracer = sample_tracer()
+        tracer.span("iter", ts=1.0, dur=0.25, track="eng/chip1")
+        lines = summarize(tracer.events()).splitlines()
+        header = next(i for i, line in enumerate(lines) if line.split()[0] == "span")
+        rows = {
+            " ".join(line.split()[:2]): line.split()[2:] for line in lines[header + 1 :]
+        }
+        # Spans of one name add up across tracks; async spans count as spans.
+        assert rows["[virtual] iter"] == ["3", "1.2500"]
+        assert rows["[virtual] request"] == ["1", "1.0000"]
+        assert rows["[wall] compile"] == ["1", "0.1000"]
+        assert rows["[sim] mb0"] == ["1", "0.2000"]
+        assert set(rows) == {
+            "[virtual] iter", "[virtual] request", "[wall] compile", "[sim] mb0"
+        }
+
 
 # --------------------------------------------------------------------------- #
 # trace_session plumbing (--trace)

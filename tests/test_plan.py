@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import pickle
+from dataclasses import asdict
+
 import pytest
 
-from repro.core.plan import build_library_plan, build_plan, sketch_plan
+from repro.core.partition import sub_extents, tensor_sharing_degree, tensor_sub_shape
+from repro.core.plan import build_library_plan, build_plan, fop_geometry, sketch_plan
 from repro.ir import conv2d, library_op, matmul
 from repro.ir.tensor import TensorRole
+from repro.utils import prod
+from repro.utils.fingerprint import canonicalize
 
 
 @pytest.fixture()
@@ -153,6 +159,25 @@ class TestSetupBytes:
         )
         assert active.setup_bytes_from(None) == weight_partition
 
+    def test_cached_weight_sizes_stay_out_of_plan_identity(
+        self, mm_expr, small_chip, small_cost_model
+    ):
+        """The per-plan weight sizes are a cache, not part of the plan."""
+        fop = {"m": 64, "k": 1, "n": 1}
+        temporal = {"A": 1, "B": 8, "C": 1}
+        plan = plan_for(mm_expr, small_chip, small_cost_model, fop, temporal)
+        fresh = plan_for(mm_expr, small_chip, small_cost_model, fop, temporal)
+        before = (repr(plan), asdict(plan), canonicalize(plan))
+        assert plan.idle_bytes == plan.setup_bytes_from(None) > 0
+        assert plan._weight_partition_bytes is plan._weight_partition_bytes
+        assert (repr(plan), asdict(plan), canonicalize(plan)) == before
+        assert plan == fresh and fresh == plan
+        clone = pickle.loads(pickle.dumps(plan))
+        assert clone == plan
+        assert repr(clone) == repr(plan)
+        assert clone.idle_bytes == plan.idle_bytes
+        assert clone.setup_bytes_from(fresh) == plan.setup_bytes_from(fresh) == 0
+
 
 class TestConvPlans:
     def test_conv_plan_builds_with_halo(self, small_chip, small_cost_model):
@@ -237,7 +262,17 @@ class TestPlanSketch:
         expr = operator.expr
         feasible = infeasible = 0
         for fop, temporal in self._all_candidates(operator, small_chip, fast_constraints):
-            sketch = sketch_plan(expr, small_chip, fop, temporal)
+            # The per-F_op geometry the search hoists out of its sketch loop.
+            geometry = fop_geometry(expr, fop)
+            assert geometry.cores_used == prod(fop.values())
+            assert geometry.extents == sub_extents(expr, fop)
+            assert [tensor.spec for tensor in geometry.tensors] == list(expr.all_tensors)
+            for tensor in geometry.tensors:
+                assert tensor.sharing == tensor_sharing_degree(expr, tensor.spec, fop)
+                assert tensor.sub_shape == tensor_sub_shape(expr, tensor.spec, fop)
+                assert tensor.elements == prod(tensor.sub_shape)
+            sketch = sketch_plan(expr, small_chip, fop, temporal, geometry)
+            assert sketch == sketch_plan(expr, small_chip, fop, temporal)
             oracle = self._rtensor_oracle(expr, small_chip, fop, temporal)
             if oracle is None:
                 infeasible += 1
@@ -250,6 +285,7 @@ class TestPlanSketch:
             assert sketch.rotation_paces == oracle_paces
             plan = build_plan(expr, small_chip, small_cost_model, fop, temporal)
             assert plan is not None
+            assert build_plan(expr, small_chip, small_cost_model, fop, temporal, geometry) == plan
             # Exact structural agreement, computed without rTensors.
             assert sketch.memory_bytes == plan.memory_bytes
             assert sketch.num_steps == plan.num_steps
