@@ -5,9 +5,10 @@ the fleet-specific robustness layer: health-aware routing around dead
 replicas, cross-model failover of requeued requests, per-tenant retry
 budgets with deadline-aware honest drops, brownout admission control, and
 per-chip-group link degradation.  A seeded Hypothesis harness replays
-randomized fault schedules and asserts the structural invariants — the
-books balance, nothing is stranded, retry budgets bound per-tenant spend,
-and every replay is deterministic.
+randomized fault schedules through both FleetEngine and ContinuousEngine
+and asserts the structural invariants — the books balance, nothing is
+stranded, chip-seconds are ordered busy <= active <= provisioned, retry
+budgets bound per-tenant spend, and every replay is deterministic.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from repro.serving import (
     DECODE_SHED,
     SLO_BEST_EFFORT,
     SLO_INTERACTIVE,
+    ContinuousEngine,
     DecodeModel,
     DecodeRequest,
     FaultSchedule,
@@ -454,52 +456,19 @@ def build_schedule(plan, unit: float) -> FaultSchedule:
     return FaultSchedule.of(events)
 
 
-@settings(max_examples=12, deadline=None)
-@given(plan=fault_plans())
-def test_chaos_invariants_hold_for_any_schedule(
-    plan, cache, small_chip, fast_constraints
-):
-    """Structural invariants of the fleet under arbitrary fault schedules:
-    the books balance, nothing is stranded, per-tenant requeues respect the
-    retry budget, and the replay is deterministic."""
-    probe = make_engine(cache, small_chip, fast_constraints, num_chips=2)
-    probe.warm()
-    unit = probe.iteration_latency("alpha")
-    schedule = build_schedule(plan, unit)
-    budget = plan[2]
-    watchdog = Watchdog(
-        detection_delay=0.5 * unit,
-        degraded_shed_queue=2,
-        retry_budget=budget,
-        brownout_watermark=0.75,
-    )
-    workload = [
-        request(
-            i,
-            (i % 8) * 0.75 * unit,
-            model="alpha" if i % 3 else "beta",
-            tokens=3 + (i % 4) * 4,
-            slo_class=SLO_BEST_EFFORT if i % 4 == 3 else SLO_INTERACTIVE,
-            deadline=None if i % 4 == 3 else (i % 8) * 0.75 * unit + 30 * unit,
-            tenant="acme" if i % 2 == 0 else "globex",
-        )
-        for i in range(12)
-    ]
-
-    def run():
-        return make_engine(cache, small_chip, fast_constraints, num_chips=2).run(
-            workload, faults=schedule, watchdog=watchdog
-        )
-
+def check_chaos_invariants(run, workload, plan) -> None:
+    """Structural invariants of one engine under one fault schedule: the
+    books balance, nothing is stranded, chip-seconds are ordered busy <=
+    active <= provisioned, fault counts agree with the schedule, and the
+    replay is deterministic.  ``run`` replays the workload on a fresh engine."""
     report = run()
     # Books balance and nothing is stranded: one record per request.
     assert_books_balance(report, workload)
-    # Retry budgets bound per-tenant spend: a record's requeue count only
-    # grows when the tenant's budget paid for the retry.
-    if budget is not None:
-        for tenant_slice in report.per_tenant().values():
-            spent = sum(rec.requeues for rec in tenant_slice.completed)
-            assert spent <= budget
+    # A chip can only be busy while active, and only active while
+    # provisioned (the rounding slack covers the busy-time refunds).
+    slack = 1e-9 * max(1.0, report.provisioned_chip_seconds)
+    assert 0.0 <= report.busy_chip_seconds <= report.active_chip_seconds + slack
+    assert report.active_chip_seconds <= report.provisioned_chip_seconds + slack
     # Fault books agree with the schedule: a kill of an already-dead chip is
     # idempotent, so counted deaths never exceed the scheduled kill events
     # (a restarted chip can legitimately die a second time).
@@ -514,3 +483,96 @@ def test_chaos_invariants_hold_for_any_schedule(
     )
     assert report.migrations == again.migrations
     assert report.makespan == again.makespan
+    assert report.busy_chip_seconds == again.busy_chip_seconds
+    assert report.active_chip_seconds == again.active_chip_seconds
+
+
+def chaos_watchdog(unit: float, budget: int | None) -> Watchdog:
+    return Watchdog(
+        detection_delay=0.5 * unit,
+        degraded_shed_queue=2,
+        retry_budget=budget,
+        brownout_watermark=0.75,
+    )
+
+
+def chaos_workload(unit: float, models: tuple[str, ...]) -> list[DecodeRequest]:
+    return [
+        request(
+            i,
+            (i % 8) * 0.75 * unit,
+            model=models[0] if i % 3 else models[-1],
+            tokens=3 + (i % 4) * 4,
+            slo_class=SLO_BEST_EFFORT if i % 4 == 3 else SLO_INTERACTIVE,
+            deadline=None if i % 4 == 3 else (i % 8) * 0.75 * unit + 30 * unit,
+            tenant="acme" if i % 2 == 0 else "globex",
+        )
+        for i in range(12)
+    ]
+
+
+@settings(max_examples=12, deadline=None)
+@given(plan=fault_plans())
+def test_chaos_invariants_hold_for_any_schedule(
+    plan, cache, small_chip, fast_constraints
+):
+    """The fleet under arbitrary fault schedules: the shared invariants, plus
+    per-tenant requeues respecting the retry budget."""
+    probe = make_engine(cache, small_chip, fast_constraints, num_chips=2)
+    probe.warm()
+    unit = probe.iteration_latency("alpha")
+    schedule = build_schedule(plan, unit)
+    budget = plan[2]
+    watchdog = chaos_watchdog(unit, budget)
+    workload = chaos_workload(unit, ("alpha", "beta"))
+    reports = []
+
+    def run():
+        reports.append(
+            make_engine(cache, small_chip, fast_constraints, num_chips=2).run(
+                workload, faults=schedule, watchdog=watchdog
+            )
+        )
+        return reports[-1]
+
+    check_chaos_invariants(run, workload, plan)
+    # Retry budgets bound per-tenant spend: a record's requeue count only
+    # grows when the tenant's budget paid for the retry.
+    if budget is not None:
+        for tenant_slice in reports[0].per_tenant().values():
+            spent = sum(rec.requeues for rec in tenant_slice.completed)
+            assert spent <= budget
+
+
+@pytest.mark.parametrize("num_stages", [1, 2])
+@settings(max_examples=12, deadline=None)
+@given(plan=fault_plans())
+def test_continuous_chaos_invariants_hold_for_any_schedule(
+    num_stages, plan, cache, small_chip, fast_constraints
+):
+    """The same harness over ContinuousEngine on a single-model workload.
+
+    Two stages put replica 0 on chips 0-1 with chip 2 spare, so deaths fail
+    over a whole pipeline group and link windows re-price the degraded
+    pipeline; one stage gives two single-chip replicas."""
+    model = replace(make_model("alpha"), num_stages=num_stages)
+    num_chips = 2 if num_stages == 1 else 3
+
+    def engine() -> ContinuousEngine:
+        return ContinuousEngine(
+            model,
+            chip=small_chip,
+            constraints=fast_constraints,
+            plan_cache=cache,
+            num_chips=num_chips,
+        )
+
+    unit = engine().iteration_latency()
+    schedule = build_schedule(plan, unit)
+    watchdog = chaos_watchdog(unit, plan[2])
+    workload = chaos_workload(unit, ("alpha",))
+    check_chaos_invariants(
+        lambda: engine().run(workload, faults=schedule, watchdog=watchdog),
+        workload,
+        plan,
+    )
