@@ -10,7 +10,11 @@ simulator via :meth:`~repro.serving.worker.WorkerPool.profile` (pipeline
 sharding included) — entirely in virtual time, so every run is bit-for-bit
 reproducible.
 
-Two engines share the runtime:
+It also holds the decode-engine core every engine shares:
+:class:`_DecodeEngineBase` (programs and cost tables, request validation,
+tracing, retirement, report assembly) and :class:`_ChipFaults` (the chip
+and fault state an event loop drives).  Two single-model engines sit on it
+here, and :class:`~repro.serving.fleet.FleetEngine` is the third:
 
 * :class:`ContinuousEngine` — iteration-level admission with an SLO-aware
   policy: earliest-deadline-first admission of interactive requests,
@@ -179,6 +183,8 @@ class _Replica:
     chips: tuple[int, ...] = ()
     """The physical chips currently backing this replica (``num_stages`` of
     them; empty while the replica is dead and awaiting re-placement)."""
+    chip_class: ChipSpec | None = None
+    """Hardware class of the backing chips (programs are priced per class)."""
     dead: bool = False
     epoch: int = 0
     """Bumped on every death and re-placement; in-flight iteration-end events
@@ -205,26 +211,54 @@ _EV_SCALE = 3
 
 
 class _DecodeEngineBase:
-    """Shared runtime: per-bucket compiled programs and iteration costing."""
+    """The machinery every decode engine shares.
+
+    Construction and plan-cache ownership, per-bucket programs with their
+    steady-state cost tables (per model and hardware class), request
+    validation, the trace helpers, retirement and report assembly.  Each
+    engine adds only its scheduling policy — its ``run`` event loop — and
+    drives the shared fault mechanism through :class:`_ChipFaults`.
+    """
 
     policy = "base"
+    #: FaultStats fields the ``faults`` counter track samples, after the
+    #: dead-replica and spare counts.
+    fault_counters: tuple[str, ...] = ("requeued", "degraded_sheds")
 
     def __init__(
         self,
-        model: DecodeModel,
+        deployments: Sequence[DecodeModel],
         *,
-        chip: ChipSpec = IPU_MK2,
-        num_chips: int = 1,
-        constraints: SearchConstraints = DEFAULT_CONSTRAINTS,
-        plan_cache: PlanCache | None = None,
-        cache_dir: str | Path | None = None,
-        jobs: int | None = None,
+        chip: ChipSpec,
+        num_chips: int,
+        constraints: SearchConstraints,
+        plan_cache: PlanCache | None,
+        cache_dir: str | Path | None,
+        jobs: int | None,
+        chip_classes: dict[int, ChipSpec] | None = None,
     ) -> None:
+        if not deployments:
+            raise ValueError(f"{type(self).__name__} needs at least one deployment")
+        names = [deployment.name for deployment in deployments]
+        if len(set(names)) != len(names):
+            raise ValueError(f"duplicate deployment names: {sorted(names)}")
+        stages = {deployment.num_stages for deployment in deployments}
+        if len(stages) != 1:
+            raise ValueError(
+                "fleet deployments must share one num_stages (chip groups are "
+                f"re-bound across models), got {sorted(stages)}"
+            )
+        self.num_stages = stages.pop()
+        if chip_classes and self.num_stages > 1:
+            raise ValueError(
+                "heterogeneous chip_classes require num_stages == 1 "
+                "(sharded groups stay on the default class)"
+            )
         if num_chips < 1:
             raise ValueError(f"num_chips must be >= 1, got {num_chips}")
-        if model.num_stages > num_chips:
+        if self.num_stages > num_chips:
             raise ValueError(
-                f"model {model.name!r} needs a group of {model.num_stages} "
+                f"model {names[0]!r} needs a group of {self.num_stages} "
                 f"chips but the fleet has only {num_chips}"
             )
         if plan_cache is not None and cache_dir is not None:
@@ -234,23 +268,25 @@ class _DecodeEngineBase:
                 "jobs has no effect on a caller-supplied plan_cache; set jobs "
                 "when building the cache instead"
             )
-        self.model = model
+        self._deployments = {deployment.name: deployment for deployment in deployments}
         self.num_chips = num_chips
         self._owns_cache = plan_cache is None
         cache = plan_cache if plan_cache is not None else PlanCache(cache_dir, jobs=jobs)
         self.pool = WorkerPool(
-            chip, num_chips=num_chips, plan_cache=cache, constraints=constraints
+            chip,
+            num_chips=num_chips,
+            plan_cache=cache,
+            constraints=constraints,
+            chip_classes=chip_classes,
         )
         #: Replicas the fleet can host: chip groups for sharded models.
-        self.num_replicas = num_chips // model.num_stages
-        self._graphs: dict[int, OperatorGraph] = {}
-        self._costs: dict[int, IterationCost] = {}
-        #: Per-bucket sharded models (num_stages > 1 only): the fault layer
-        #: re-prices iterations through their pipeline simulator when the
-        #: inter-chip links run degraded.
-        self._sharded_models: dict[int, object] = {}
-        self._degraded_costs: dict[tuple[int, float], float] = {}
+        self.num_replicas = num_chips // self.num_stages
         self.warm_compile_seconds = 0.0
+        self._graphs: dict[tuple[str, int], OperatorGraph] = {}
+        #: Steady-state IterationCost per bucket, per (model, chip-class
+        #: fingerprint) — the pricing every scheduling decision reads.
+        self._costs: dict[tuple[str, str], dict[int, IterationCost]] = {}
+        self._tenant_touched: set[tuple[str, str, str]] = set()
 
     # ------------------------------------------------------------------ #
     @property
@@ -260,110 +296,133 @@ class _DecodeEngineBase:
 
     @property
     def chip(self) -> ChipSpec:
-        """The fleet's chip specification."""
+        """The fleet's default chip specification."""
         return self.pool.chip
+
+    @property
+    def deployments(self) -> tuple[DecodeModel, ...]:
+        """The served models, in declaration order."""
+        return tuple(self._deployments.values())
 
     def close(self) -> None:
         """Release compiler worker pools held by the engine's own cache."""
         if self._owns_cache:
             self.plan_cache.close()
 
-    def _graph(self, bucket: int) -> OperatorGraph:
-        graph = self._graphs.get(bucket)
+    def _graph(self, model: str, bucket: int) -> OperatorGraph:
+        key = (model, bucket)
+        graph = self._graphs.get(key)
         if graph is None:
-            graph = self._graphs[bucket] = self.model.decode_builder(bucket)
+            graph = self._graphs[key] = self._deployments[model].decode_builder(bucket)
         return graph
 
-    def warm(self) -> list[IterationCost]:
-        """Compile and measure every batch bucket once (idempotent).
+    def _bucket_costs(
+        self, model: str, chip_class: ChipSpec, tenant: str = ""
+    ) -> dict[int, IterationCost]:
+        """Every bucket's steady-state cost of ``model`` on ``chip_class``,
+        compiling (or warm-touching) the programs on first use.
 
-        Compile time is wall-clock and therefore kept *out* of virtual time
-        (it is reported as ``warm_compile_seconds``); iteration latencies come
-        from the simulator, which is what keeps runs bit-for-bit
-        reproducible at any compilation parallelism.
+        The first call compiles for real — wall-clock only, accumulated into
+        ``warm_compile_seconds``, which keeps runs bit-for-bit reproducible
+        at any compilation parallelism — with the plan-cache misses
+        *attributed* to the tenant whose traffic triggered them.  Each later
+        tenant's first touch re-looks the buckets up (pure memory hits,
+        attributed to that tenant), which is how "compile once, second
+        tenant gets the warm hit" stays visible per tenant without ever
+        forking the plans.
         """
-        costs = []
-        for bucket in batch_buckets(self.model.max_batch_size):
-            if bucket in self._costs:
-                costs.append(self._costs[bucket])
-                continue
-            cost = self.pool.profile(self._graph(bucket), num_stages=self.model.num_stages)
+        fingerprint = chip_class.fingerprint()
+        key = (model, fingerprint)
+        touch_key = (tenant, model, fingerprint)
+        table = self._costs.get(key)
+        if table is not None and (not tenant or touch_key in self._tenant_touched):
+            return table
+        deployment = self._deployments[model]
+        default_class = fingerprint == self.pool.chip.fingerprint()
+        fresh: dict[int, IterationCost] = {}
+        for bucket in batch_buckets(deployment.max_batch_size):
+            cost = self.pool.profile(
+                self._graph(model, bucket),
+                num_stages=deployment.num_stages,
+                chip=None if default_class else chip_class,
+                tenant=tenant,
+            )
             if not cost.ok:
                 raise RuntimeError(
-                    f"{self.model.name} does not serve at batch {bucket} on "
-                    f"{self.chip.name}: {cost.status} ({cost.error})"
+                    f"{model} does not serve at batch {bucket} on "
+                    f"{chip_class.name}: {cost.status} ({cost.error})"
                 )
-            self.warm_compile_seconds += cost.compile_seconds
-            # Steady state: later lookups of this bucket are pure latency.
-            self._costs[bucket] = IterationCost(
-                cost.status, cost.error, cost.latency, 0.0, cost.cache_outcome
-            )
-            if self.model.num_stages > 1:
-                # Memoised by the pool: no extra compile, just the handle the
-                # link-degradation pricing needs.
-                self._sharded_models[bucket] = self.pool.sharded_model(
-                    self._graph(bucket), self.model.num_stages
+            if table is None:
+                self.warm_compile_seconds += cost.compile_seconds
+                # Steady state: later lookups of this bucket are pure latency.
+                fresh[bucket] = IterationCost(
+                    cost.status, cost.error, cost.latency, 0.0, cost.cache_outcome
                 )
-            costs.append(self._costs[bucket])
-        return costs
+        if table is None:
+            table = self._costs[key] = fresh
+        if tenant:
+            self._tenant_touched.add(touch_key)
+        return table
 
-    def _degraded_latency(self, bucket: int, link_factor: float) -> float:
-        """Iteration latency of ``bucket`` with stage links ``link_factor``x
-        slower (memoised; only meaningful for sharded models)."""
-        key = (bucket, link_factor)
-        latency = self._degraded_costs.get(key)
-        if latency is None:
-            model = self._sharded_models[bucket]
-            result = model.degraded_simulator(link_factor).run(1)
-            latency = self._degraded_costs[key] = result.total_latency
-        return latency
+    def warm(self) -> None:
+        """Compile and measure every bucket of every deployment on every
+        hardware class once (idempotent), so compile cost is paid up front
+        and ``recompiles`` during a run is exactly zero."""
+        for model in self._deployments:
+            for chip_class in self.pool.hardware_classes():
+                self._bucket_costs(model, chip_class)
 
-    def _make_replicas(self, *, active: bool) -> list["_Replica"]:
+    def _make_replicas(
+        self, replica_type: type[_Replica] = _Replica, model: str = ""
+    ) -> list:
         """The fleet's replicas with their static chip-group assignment:
         replica ``i`` owns chips ``[i * num_stages, (i + 1) * num_stages)``.
         Chips beyond ``num_replicas * num_stages`` start as spares."""
-        stages = self.model.num_stages
+        stages = self.num_stages
         return [
-            _Replica(
+            replica_type(
                 index=i,
-                model=self.model.name,
-                active=active,
+                model=model,
                 chips=tuple(range(i * stages, (i + 1) * stages)),
+                chip_class=self.pool.chip_for(i * stages),
             )
             for i in range(self.num_replicas)
         ]
 
-    def iteration_latency(self, batch_size: int = 1) -> float:
-        """Simulated latency of one decode iteration at ``batch_size``.
-
-        The batch-1 value is the natural unit for offered load and SLO
-        scales in experiments.  Compiles the bucket on first use.
-        """
-        return self._cost_for_bucket(bucket_for(batch_size, self.model.max_batch_size)).latency
-
-    @staticmethod
-    def _seed_arrivals(
-        ordered: Sequence[DecodeRequest],
-        seq: "itertools.count[int]",
-        events: list,
-    ) -> None:
-        """Push every request's arrival onto the event heap."""
-        for request in ordered:
-            heapq.heappush(
-                events, (request.arrival_time, _EV_ARRIVAL, next(seq), request)
+    def _check_requests(self, requests: Sequence[DecodeRequest]) -> list[DecodeRequest]:
+        """Requests in arrival order, after rejecting unserved models and
+        duplicate ids (requeue accounting and trace flows key on the id)."""
+        unknown = sorted({req.model for req in requests} - set(self._deployments))
+        if unknown:
+            raise ValueError(
+                f"requests for unserved models {unknown}; served: "
+                f"{sorted(self._deployments)}"
             )
+        ids = [req.request_id for req in requests]
+        if len(set(ids)) != len(ids):
+            raise ValueError(
+                "duplicate request ids in workload; compose per-tenant "
+                "streams with merge_decode_workloads, which renumbers them"
+            )
+        return sorted(requests, key=lambda req: (req.arrival_time, req.request_id))
 
     # ------------------------------------------------------------------ #
     # Tracing (see docs/observability.md for the span taxonomy).  All
     # serving events are virtual-domain and emitted from the single-threaded
     # event loop, which is what makes traces bit-identical at any ``jobs``.
+    # ``tags`` are engine-specific extra args (the fleet names models and
+    # tenants).
     # ------------------------------------------------------------------ #
     @property
     def trace_group(self) -> str:
         """Track-group (Perfetto process) of this engine's trace events."""
         return f"{self.policy}@{self.num_chips}chips"
 
-    def _chip_tracks(self, replica: "_Replica") -> tuple[str, ...]:
+    def _request_lane(self, request: DecodeRequest) -> str:
+        """Track carrying ``request``'s enqueue and lifecycle span."""
+        return f"{self.trace_group}/requests"
+
+    def _chip_tracks(self, replica: _Replica) -> tuple[str, ...]:
         """Occupancy tracks of the chips currently backing ``replica`` (one
         per chip: pipeline-sharded models occupy a whole chip group).  After
         a failover the replica's spans land on its *new* chips' tracks."""
@@ -374,11 +433,20 @@ class _DecodeEngineBase:
         """Per-trace-unique flow id for one request's lifecycle arrows."""
         return f"{self.trace_group}/r{request_id}"
 
-    def _trace_enqueue(self, tracer: Tracer, request: DecodeRequest) -> None:
-        track = f"{self.trace_group}/requests"
-        args = {"request": request.request_id, "class": request.slo_class}
+    def _failover_args(self, replica: _Replica) -> dict:
+        return {"replica": replica.index, "chips": ",".join(str(c) for c in replica.chips)}
+
+    def _link_args(self, fault: FaultEvent) -> dict:
+        return {"factor": fault.factor, "until": fault.until}
+
+    def _trace_enqueue(self, tracer: Tracer, request: DecodeRequest, **tags) -> None:
+        track = self._request_lane(request)
         tracer.instant(
-            "enqueue", ts=request.arrival_time, track=track, cat="lifecycle", args=args
+            "enqueue",
+            ts=request.arrival_time,
+            track=track,
+            cat="lifecycle",
+            args={"request": request.request_id, "class": request.slo_class, **tags},
         )
         tracer.flow(
             KIND_FLOW_START,
@@ -389,7 +457,7 @@ class _DecodeEngineBase:
         )
 
     def _trace_admit(
-        self, tracer: Tracer, request: DecodeRequest, replica: "_Replica", now: float
+        self, tracer: Tracer, request: DecodeRequest, replica: _Replica, now: float, **tags
     ) -> None:
         track = self._chip_tracks(replica)[0]
         tracer.instant(
@@ -397,7 +465,7 @@ class _DecodeEngineBase:
             ts=now,
             track=track,
             cat="lifecycle",
-            args={"request": request.request_id},
+            args={"request": request.request_id, **tags},
         )
         tracer.flow(
             KIND_FLOW_STEP,
@@ -408,12 +476,15 @@ class _DecodeEngineBase:
         )
 
     def _trace_iteration(
-        self, tracer: Tracer, replica: "_Replica", now: float, latency: float
+        self, tracer: Tracer, replica: _Replica, now: float, latency: float, **tags
     ) -> None:
         args = {
             "batch": len(replica.running),
-            "bucket": bucket_for(len(replica.running), self.model.max_batch_size),
+            "bucket": bucket_for(
+                len(replica.running), self._deployments[replica.model].max_batch_size
+            ),
             "requests": ",".join(str(r.request.request_id) for r in replica.running),
+            **tags,
         }
         for track in self._chip_tracks(replica):
             tracer.span(
@@ -424,24 +495,20 @@ class _DecodeEngineBase:
         self,
         tracer: Tracer,
         record: CompletedDecode,
-        replica: "_Replica | None",
+        replica: _Replica | None,
         now: float,
+        **tags,
     ) -> None:
         """Lifecycle close-out shared by retirement and shedding: the flow
         arrow lands on the serving chip (or the request lane for shed
         requests, which never held a chip) and one async lifecycle span
         covers arrival → completion on the request lane (exactly one per
         request — the invariant the determinism tests count)."""
-        group = self.trace_group
         request = record.request
-        name = "retire" if record.ok else "shed"
-        end_track = (
-            self._chip_tracks(replica)[0]
-            if replica is not None
-            else f"{group}/requests"
-        )
+        lane = self._request_lane(request)
+        end_track = self._chip_tracks(replica)[0] if replica is not None else lane
         tracer.instant(
-            name,
+            "retire" if record.ok else "shed",
             ts=now,
             track=end_track,
             cat="lifecycle",
@@ -458,7 +525,7 @@ class _DecodeEngineBase:
             "request",
             ts=request.arrival_time,
             dur=now - request.arrival_time,
-            track=f"{group}/requests",
+            track=lane,
             flow_id=self._flow_id(request.request_id),
             cat="lifecycle",
             args={
@@ -467,6 +534,7 @@ class _DecodeEngineBase:
                 "tokens": record.tokens_generated,
                 "preemptions": record.preemptions,
                 "replica": record.replica,
+                **tags,
             },
         )
 
@@ -491,16 +559,19 @@ class _DecodeEngineBase:
                 latency.observe(record.latency)
                 ttft.observe(record.time_to_first_token)
 
+    # ------------------------------------------------------------------ #
     def _retire_finished(
         self,
-        replica: "_Replica",
+        replica: _Replica,
         now: float,
         records: list[CompletedDecode],
         tracer: Tracer | None = None,
+        on_retire: Callable[[CompletedDecode, float], None] | None = None,
     ) -> None:
         """Advance every resident request one finished iteration and retire
-        the done ones — the accounting both engines must share exactly, or
-        their reports stop being comparable."""
+        the done ones — the accounting every engine must share exactly, or
+        their reports stop being comparable.  ``on_retire`` sees each record
+        after it is traced."""
         for running in list(replica.running):
             running.advance(now)
             if running.done:
@@ -521,79 +592,337 @@ class _DecodeEngineBase:
                 records.append(record)
                 if tracer is not None:
                     self._trace_done(tracer, record, replica, now)
-
-    def _cost_for_bucket(self, bucket: int) -> IterationCost:
-        cost = self._costs.get(bucket)
-        if cost is None:
-            self.warm()
-            cost = self._costs[bucket]
-        return cost
-
-    def _cost(self, batch_len: int) -> IterationCost:
-        return self._cost_for_bucket(bucket_for(batch_len, self.model.max_batch_size))
-
-    def _check_requests(self, requests: Sequence[DecodeRequest]) -> list[DecodeRequest]:
-        unknown = sorted({req.model for req in requests} - {self.model.name})
-        if unknown:
-            raise ValueError(
-                f"requests for unserved models {unknown}; served: [{self.model.name!r}]"
-            )
-        return sorted(requests, key=lambda req: (req.arrival_time, req.request_id))
+                if on_retire is not None:
+                    on_retire(record, now)
 
     def _report(
         self,
         records: list[CompletedDecode],
+        ordered: Sequence[DecodeRequest],
+        tracer: Tracer,
         *,
         counters: dict[str, int],
         busy_chip_seconds: float,
         active_chip_seconds: float,
-        active_span: float,
+        end_time: float,
         peak_active: int,
-        cache: CacheStats,
+        stats_before: CacheStats,
         faults: FaultStats | None = None,
+        provisioned_chip_seconds: float | None = None,
+        peak_provisioned: int | None = None,
     ) -> ContinuousReport:
-        """Assemble the run report shared by both engines.
+        """Assemble the run report and publish its metrics when traced.
 
         ``makespan`` spans the *served* requests (the throughput window);
         ``active_span`` is the whole event window ``active_chip_seconds``
         integrates over, which may be longer when leading/trailing requests
-        were shed.
+        were shed.  Without a provisioning scaler what was active is exactly
+        what was provisioned.
         """
+        records.sort(key=lambda record: record.request.request_id)
+        first_arrival = ordered[0].arrival_time if ordered else 0.0
         served = [record for record in records if record.ok]
         makespan = 0.0
         if served:
             makespan = max(r.completion_time for r in served) - min(
                 r.request.arrival_time for r in served
             )
-        return ContinuousReport(
+        stages = self.num_stages
+        report = ContinuousReport(
             policy=self.policy,
-            model=self.model.name,
+            model="+".join(sorted(self._deployments)),
             num_chips=self.num_chips,
-            num_stages=self.model.num_stages,
-            max_batch_size=self.model.max_batch_size,
+            num_stages=stages,
+            max_batch_size=max(
+                deployment.max_batch_size for deployment in self._deployments.values()
+            ),
             completed=tuple(records),
             makespan=makespan,
             busy_chip_seconds=busy_chip_seconds,
             active_chip_seconds=active_chip_seconds,
-            active_span=active_span,
+            active_span=end_time - first_arrival,
             iterations=counters["iterations"],
-            cache=cache,
+            cache=self.plan_cache.stats.since(stats_before),
             warm_compile_seconds=self.warm_compile_seconds,
             preemptions=counters["preemptions"],
             shed=counters["shed"],
             scale_ups=counters["scale_ups"],
             scale_downs=counters["scale_downs"],
-            peak_active_chips=peak_active * self.model.num_stages,
+            peak_active_chips=peak_active * stages,
+            rebinds=counters.get("rebinds", 0),
             migrations=counters.get("migrations", 0),
             faults=faults if faults is not None else FaultStats(),
-            # Neither engine has a provisioning scaler: what was active is
-            # exactly what was provisioned.
-            provisioned_chip_seconds=active_chip_seconds,
-            peak_provisioned_chips=peak_active * self.model.num_stages,
+            provisioned_chip_seconds=(
+                active_chip_seconds
+                if provisioned_chip_seconds is None
+                else provisioned_chip_seconds
+            ),
+            peak_provisioned_chips=(
+                peak_active if peak_provisioned is None else peak_provisioned
+            )
+            * stages,
+            provision_ups=counters.get("provision_ups", 0),
+            provision_downs=counters.get("provision_downs", 0),
         )
+        if tracer.enabled:
+            self._publish_run_metrics(tracer, report, counters)
+        return report
 
 
-class ContinuousEngine(_DecodeEngineBase):
+class _ChipFaults:
+    """Chip and fault state of one run, driven by an engine's event loop.
+
+    Holds the chip sets — spares, dead, cold (back from a restart with an
+    empty program store) and warming (between restart and chip-online) —
+    and the run's :class:`FaultStats`, and performs every fault transition
+    the engines share: seeding the schedule, chip death (busy-time refund,
+    cache-scope eviction, detection timer), restart and chip-online,
+    spare-group failover with a cold rewarm, and the ``faults`` counter
+    sample.  What happens to a dead replica's requests once the watchdog
+    notices, and to a replica once it is re-placed, is engine policy: the
+    ``detect`` and ``placed`` callbacks (``online`` runs after a chip came
+    back and failover was tried).  ``refund`` takes back busy chip-seconds
+    of an iteration a death cut short.
+    """
+
+    def __init__(
+        self,
+        engine: _DecodeEngineBase,
+        replicas: list,
+        schedule: FaultSchedule,
+        watchdog: Watchdog,
+        events: list,
+        seq: "itertools.count[int]",
+        tracer: Tracer,
+        *,
+        refund: Callable[[float], None],
+        detect: Callable[[_Replica, float], None],
+        placed: Callable[[_Replica, float], None],
+        online: Callable[[float], None] | None = None,
+    ) -> None:
+        self.engine = engine
+        self.replicas = replicas
+        self.watchdog = watchdog
+        self.events = events
+        self.seq = seq
+        self.tracer = tracer
+        self.traced = tracer.enabled
+        self.track = f"{engine.trace_group}/fleet"
+        self.stats = FaultStats()
+        #: Chips not backing any replica (the fleet remainder when num_chips
+        #: is not a multiple of num_stages) start life as failover capacity.
+        self.spares: list[int] = list(
+            range(len(replicas) * engine.num_stages, engine.num_chips)
+        )
+        self.dead_chips: set[int] = set()
+        #: The next replica re-placed over a cold chip re-warms its buckets
+        #: under a fresh plan-cache namespace.
+        self.cold_chips: set[int] = set()
+        #: Chips between restart and chip-online.
+        self.warming: set[int] = set()
+        self._refund = refund
+        self._detect = detect
+        self._placed = placed
+        self._online = online
+        for fault in schedule:
+            self._push(fault.time, fault)
+            if fault.kind == FAULT_LINK_DEGRADATION and math.isfinite(fault.until):
+                self._push(fault.until, _LinkRestored(fault.factor))
+
+    def _push(self, when: float, payload: object) -> None:
+        heapq.heappush(self.events, (when, _EV_FAULT, next(self.seq), payload))
+
+    def _instant(self, name: str, now: float, **args) -> None:
+        self.tracer.instant(name, ts=now, track=self.track, cat="fault", args=args)
+
+    @property
+    def degraded(self) -> bool:
+        """Whether any replica is dead."""
+        return any(replica.dead for replica in self.replicas)
+
+    def sample(self, now: float) -> None:
+        """Degraded-mode counter track: fleet health at a glance."""
+        values = {
+            "dead_replicas": sum(1 for replica in self.replicas if replica.dead),
+            "spares": len(self.spares),
+        }
+        for name in self.engine.fault_counters:
+            values[name] = getattr(self.stats, name)
+        self.tracer.counter("faults", ts=now, track=self.track, values=values)
+
+    def handle(self, payload: object, now: float) -> None:
+        """Apply one ``_EV_FAULT`` event."""
+        if isinstance(payload, FaultEvent):
+            if payload.kind == FAULT_CHIP_DEATH:
+                self._chip_death(payload.chip, now)
+            elif payload.kind == FAULT_RESTART:
+                self._restart(payload, now)
+            elif self.traced:
+                # Link degradation needs no state: the engine prices
+                # iterations started inside the window when they start.
+                self._instant("link-degraded", now, **self.engine._link_args(payload))
+        elif isinstance(payload, _Detect):
+            replica = self.replicas[payload.replica]
+            if replica.dead and replica.epoch == payload.epoch:
+                self._detect(replica, now)
+        elif isinstance(payload, _ChipOnline):
+            self._chip_online(payload, now)
+        elif isinstance(payload, _LinkRestored) and self.traced:
+            self._instant("link-restored", now, factor=payload.factor)
+
+    def _chip_death(self, chip: int, now: float) -> None:
+        if chip in self.dead_chips:
+            return
+        self.dead_chips.add(chip)
+        self.stats.chip_deaths += 1
+        if self.traced:
+            self._instant("chip-death", now, chip=chip)
+        if chip in self.spares:
+            self.spares.remove(chip)
+            if self.traced:
+                self.sample(now)
+            return
+        owner = next(
+            (r for r in self.replicas if chip in r.chips and not r.dead), None
+        )
+        if owner is None:
+            return
+        if owner.busy:
+            # The in-flight iteration dies with the chip: refund the part of
+            # its busy time that never executed; its iteration-end event is
+            # dropped by the epoch bump below.
+            end = owner.iter_start + owner.iter_latency
+            self._refund(max(0.0, end - now) * self.engine.num_stages)
+            self.stats.lost_iterations += 1
+            owner.busy = False
+        owner.active = False
+        owner.epoch += 1
+        owner.dead = True
+        # Surviving chips of the group become spares immediately; the
+        # replica's requests stay in limbo until the watchdog notices.
+        for other in owner.chips:
+            if other != chip and other not in self.dead_chips:
+                self.spares.append(other)
+        owner.chips = ()
+        if owner.cache_scope:
+            # The replica's private program store dies with it.
+            self.engine.plan_cache.evict_scope(owner.cache_scope)
+            owner.cache_scope = ""
+        self._push(now + self.watchdog.detection_delay, _Detect(owner.index, owner.epoch))
+        if self.traced:
+            self.sample(now)
+
+    def _restart(self, fault: FaultEvent, now: float) -> None:
+        self.stats.restarts += 1
+        if fault.chip in self.dead_chips:
+            self.warming.add(fault.chip)
+        if self.traced:
+            self._instant("restart", now, chip=fault.chip, warmup=fault.warmup_delay)
+        self._push(now + fault.warmup_delay, _ChipOnline(fault.chip, fault.cold_cache))
+
+    def _chip_online(self, online: _ChipOnline, now: float) -> None:
+        self.warming.discard(online.chip)
+        if online.chip not in self.dead_chips:
+            return  # restart of a chip that never died: nothing to do
+        self.dead_chips.discard(online.chip)
+        if online.cold_cache:
+            self.cold_chips.add(online.chip)
+        self.spares.append(online.chip)
+        if self.traced:
+            self._instant("chip-online", now, chip=online.chip, cold=online.cold_cache)
+        self.try_place(now)
+        if self._online is not None:
+            self._online(now)
+        if self.traced:
+            self.sample(now)
+
+    def try_place(self, now: float) -> None:
+        """Re-place dead, drained replicas onto surviving spare chips
+        (pipeline-stage failover for sharded models).
+
+        The spare group may belong to a *different* chip class than the
+        chips that died (heterogeneous fleets are single-stage, so any spare
+        is compatible), in which case the binding's programs are compiled
+        for the new class before it serves again."""
+        engine = self.engine
+        stages = engine.num_stages
+        spares = self.spares
+        for replica in self.replicas:
+            if not replica.dead or replica.running or len(spares) < stages:
+                continue
+            spares.sort()
+            group = spares[:stages]
+            del spares[:stages]
+            replica.chips = tuple(group)
+            replica.chip_class = engine.pool.chip_for(group[0])
+            replica.dead = False
+            replica.epoch += 1
+            self.stats.failovers += 1
+            if replica.model:
+                engine._bucket_costs(replica.model, replica.chip_class)
+            if any(chip in self.cold_chips for chip in group):
+                self.cold_chips.difference_update(group)
+                if replica.model:
+                    self._rewarm(replica)
+            if self.traced:
+                self._instant("failover", now, **engine._failover_args(replica))
+            self._placed(replica, now)
+
+    def _rewarm(self, replica: _Replica) -> None:
+        """Re-fetch every bucket program of the replica's bound model under
+        a fresh per-replica namespace: a revived chip's program store is
+        cold, so the compiles are real (visible in the cache counters) but —
+        being wall-clock — never touch virtual time."""
+        engine = self.engine
+        replica.generation += 1
+        replica.cache_scope = f"replica{replica.index}-gen{replica.generation}"
+        default_class = replica.chip_class.fingerprint() == engine.pool.chip.fingerprint()
+        for bucket in batch_buckets(engine._deployments[replica.model].max_batch_size):
+            cost = engine.pool.profile(
+                engine._graph(replica.model, bucket),
+                num_stages=engine.num_stages,
+                chip=None if default_class else replica.chip_class,
+                scope=replica.cache_scope,
+            )
+            self.stats.restart_compile_seconds += cost.compile_seconds
+
+
+class _SingleModelEngine(_DecodeEngineBase):
+    """A decode engine whose every replica serves one model."""
+
+    def __init__(
+        self,
+        model: DecodeModel,
+        *,
+        chip: ChipSpec = IPU_MK2,
+        num_chips: int = 1,
+        constraints: SearchConstraints = DEFAULT_CONSTRAINTS,
+        plan_cache: PlanCache | None = None,
+        cache_dir: str | Path | None = None,
+        jobs: int | None = None,
+    ) -> None:
+        super().__init__(
+            [model],
+            chip=chip,
+            num_chips=num_chips,
+            constraints=constraints,
+            plan_cache=plan_cache,
+            cache_dir=cache_dir,
+            jobs=jobs,
+        )
+        self.model = model
+
+    def iteration_latency(self, batch_size: int = 1) -> float:
+        """Simulated latency of one decode iteration at ``batch_size``.
+
+        The batch-1 value is the natural unit for offered load and SLO
+        scales in experiments.  Compiles the buckets on first use.
+        """
+        costs = self._bucket_costs(self.model.name, self.chip)
+        return costs[bucket_for(batch_size, self.model.max_batch_size)].latency
+
+
+class ContinuousEngine(_SingleModelEngine):
     """Event-driven continuous batching with an SLO-aware scheduling policy.
 
     At every decode-iteration boundary the engine retires finished requests
@@ -645,6 +974,24 @@ class ContinuousEngine(_DecodeEngineBase):
             scale_up_queue if scale_up_queue is not None else model.max_batch_size
         )
         self.shed_enabled = shed
+        #: Iteration latency per (bucket, link factor) through the degraded
+        #: pipeline simulator (sharded models only).
+        self._degraded_costs: dict[tuple[int, float], float] = {}
+
+    def _degraded_latency(self, bucket: int, link_factor: float) -> float:
+        """Iteration latency of ``bucket`` with stage links ``link_factor``x
+        slower: the sharded pipeline re-simulated with stretched
+        stage-boundary transfers (memoised)."""
+        key = (bucket, link_factor)
+        latency = self._degraded_costs.get(key)
+        if latency is None:
+            # Memoised by the pool: no extra compile, just the handle.
+            sharded = self.pool.sharded_model(
+                self._graph(self.model.name, bucket), self.num_stages
+            )
+            result = sharded.degraded_simulator(link_factor).run(1)
+            latency = self._degraded_costs[key] = result.total_latency
+        return latency
 
     # ------------------------------------------------------------------ #
     def run(
@@ -674,7 +1021,9 @@ class ContinuousEngine(_DecodeEngineBase):
         tracer = get_tracer()
         traced = tracer.enabled
         fleet_track = f"{self.trace_group}/fleet"
-        stages = self.model.num_stages
+        stages = self.num_stages
+        max_batch = self.model.max_batch_size
+        costs = self._bucket_costs(self.model.name, self.chip)
 
         # EDF queue of interactive requests: (deadline, arrival, id, request).
         # Deadline-free interactive requests sort after any deadline but
@@ -682,17 +1031,9 @@ class ContinuousEngine(_DecodeEngineBase):
         iq: list[tuple[float, float, int, DecodeRequest]] = []
         bq: deque[DecodeRequest] = deque()
         preempted: deque[_Running] = deque()
-        replicas = self._make_replicas(active=False)
+        replicas = self._make_replicas(model=self.model.name)
         for replica in replicas[: self.min_replicas]:
             replica.active = True
-        # Chips not backing any replica (the fleet remainder when num_chips
-        # is not a multiple of num_stages) are failover capacity.
-        spares: list[int] = list(range(self.num_replicas * stages, self.num_chips))
-        dead_chips: set[int] = set()
-        # Chips that came back cold: the next replica formed over one of
-        # them re-warms its buckets under a fresh plan-cache namespace.
-        cold_chips: set[int] = set()
-        fault_stats = FaultStats()
         # Requeue counts, loss accounting and original admission times of
         # requests pulled off dead replicas, restored on re-admission (or shed).
         requeue_counts: dict[int, int] = {}
@@ -702,14 +1043,8 @@ class ContinuousEngine(_DecodeEngineBase):
         records: list[CompletedDecode] = []
         seq = itertools.count()
         events: list[tuple[float, int, int, object]] = []
-        self._seed_arrivals(ordered, seq, events)
-        for fault in schedule:
-            heapq.heappush(events, (fault.time, _EV_FAULT, next(seq), fault))
-            if fault.kind == FAULT_LINK_DEGRADATION and math.isfinite(fault.until):
-                heapq.heappush(
-                    events,
-                    (fault.until, _EV_FAULT, next(seq), _LinkRestored(fault.factor)),
-                )
+        for request in ordered:
+            heapq.heappush(events, (request.arrival_time, _EV_ARRIVAL, next(seq), request))
 
         stats_before = self.plan_cache.stats.snapshot()
         counters = {
@@ -726,16 +1061,13 @@ class ContinuousEngine(_DecodeEngineBase):
         last_time = ordered[0].arrival_time if ordered else 0.0
         # The full-batch iteration latency prices shedding projections: it is
         # the per-iteration cost a request experiences once the fleet is busy.
-        est_iteration = self._cost(self.model.max_batch_size).latency
+        est_iteration = costs[bucket_for(max_batch, max_batch)].latency
 
         def active_count() -> int:
             return sum(1 for replica in replicas if replica.active)
 
         def queued_total() -> int:
             return len(iq) + len(bq) + len(preempted)
-
-        def degraded() -> bool:
-            return any(replica.dead for replica in replicas)
 
         def integrate(now: float) -> None:
             nonlocal active_chip_seconds, last_time
@@ -816,7 +1148,7 @@ class ContinuousEngine(_DecodeEngineBase):
         def admit(replica: _Replica, now: float) -> None:
             running = replica.running
             # Interactive first, earliest deadline first.
-            while iq and len(running) < self.model.max_batch_size:
+            while iq and len(running) < max_batch:
                 _, _, _, request = heapq.heappop(iq)
                 if shed_check(request, now):
                     shed(request, now)
@@ -825,7 +1157,7 @@ class ContinuousEngine(_DecodeEngineBase):
             # Priority preemption: interactive requests still waiting evict
             # the most recently admitted best-effort resident (its progress
             # is kept; it resumes from the preempted queue).
-            while iq and len(running) >= self.model.max_batch_size:
+            while iq and len(running) >= max_batch:
                 victim_index = None
                 for position in range(len(running) - 1, -1, -1):
                     if not running[position].request.interactive:
@@ -859,7 +1191,7 @@ class ContinuousEngine(_DecodeEngineBase):
             # resuming anywhere else must re-prefill from scratch (the KV
             # cache never crossed chips, so a free migration would be
             # physically impossible).
-            while preempted and len(running) < self.model.max_batch_size:
+            while preempted and len(running) < max_batch:
                 resumed = preempted.popleft()
                 migrated = resumed.origin != replica.index
                 if migrated:
@@ -882,147 +1214,35 @@ class ContinuousEngine(_DecodeEngineBase):
                         args={"request": resumed.request.request_id},
                     )
                 running.append(resumed)
-            while bq and len(running) < self.model.max_batch_size:
+            while bq and len(running) < max_batch:
                 running.append(admit_one(bq.popleft(), replica, now))
 
         # ----------------------------- faults ------------------------- #
-        def fault_sample(now: float) -> None:
-            """Degraded-mode counter track: fleet health at a glance."""
-            tracer.counter(
-                "faults",
-                ts=now,
-                track=fleet_track,
-                values={
-                    "dead_replicas": sum(1 for r in replicas if r.dead),
-                    "spares": len(spares),
-                    "requeued": fault_stats.requeued,
-                    "degraded_sheds": fault_stats.degraded_sheds,
-                },
-            )
-
         def degraded_shed(now: float) -> None:
             """Degraded-mode admission: while any replica is dead, cap the
             best-effort backlog at ``degraded_shed_queue`` per surviving
             active replica, shedding newest-first (oldest backlog keeps its
             slot; interactive traffic is governed by its own deadline
             check)."""
-            if wd.degraded_shed_queue is None or not degraded():
+            if wd.degraded_shed_queue is None or not chips.degraded:
                 return
             cap = wd.degraded_shed_queue * max(1, active_count())
             dropped = False
             while len(bq) > cap:
-                fault_stats.degraded_sheds += 1
+                chips.stats.degraded_sheds += 1
                 shed(bq.pop(), now)
                 dropped = True
             if dropped and traced:
-                fault_sample(now)
+                chips.sample(now)
 
-        def rewarm(replica: _Replica) -> None:
-            """Re-fetch every bucket program under a fresh per-replica
-            namespace: a revived chip's program store is cold, so the
-            compiles are real (and visible in the cache counters) but —
-            being wall-clock — never touch virtual time."""
-            replica.generation += 1
-            replica.cache_scope = f"replica{replica.index}-gen{replica.generation}"
-            for bucket in batch_buckets(self.model.max_batch_size):
-                cost = self.pool.profile(
-                    self._graph(bucket), num_stages=stages, scope=replica.cache_scope
-                )
-                fault_stats.restart_compile_seconds += cost.compile_seconds
-
-        def try_place(now: float) -> None:
-            """Re-place dead, drained replicas onto surviving spare chips
-            (pipeline-stage failover for sharded models)."""
+        def placed(replica: _Replica, now: float) -> None:
             nonlocal peak_active
-            for replica in replicas:
-                if not replica.dead or replica.running or len(spares) < stages:
-                    continue
-                spares.sort()
-                replica.chips = tuple(spares[:stages])
-                del spares[:stages]
-                replica.dead = False
-                replica.epoch += 1
-                replica.active = True
-                fault_stats.failovers += 1
-                if any(chip in cold_chips for chip in replica.chips):
-                    cold_chips.difference_update(replica.chips)
-                    rewarm(replica)
-                peak_active = max(peak_active, active_count())
-                if traced:
-                    tracer.instant(
-                        "failover",
-                        ts=now,
-                        track=fleet_track,
-                        cat="fault",
-                        args={
-                            "replica": replica.index,
-                            "chips": ",".join(str(c) for c in replica.chips),
-                        },
-                    )
-                start_iteration(replica, now)
+            replica.active = True
+            peak_active = max(peak_active, active_count())
+            start_iteration(replica, now)
 
-        def on_chip_death(fault: FaultEvent, now: float) -> None:
-            nonlocal busy_chip_seconds
-            if fault.chip in dead_chips:
-                return
-            dead_chips.add(fault.chip)
-            fault_stats.chip_deaths += 1
-            if traced:
-                tracer.instant(
-                    "chip-death",
-                    ts=now,
-                    track=fleet_track,
-                    cat="fault",
-                    args={"chip": fault.chip},
-                )
-            if fault.chip in spares:
-                spares.remove(fault.chip)
-                if traced:
-                    fault_sample(now)
-                return
-            owner = next(
-                (r for r in replicas if fault.chip in r.chips and not r.dead), None
-            )
-            if owner is None:
-                return
-            if owner.busy:
-                # The in-flight iteration dies with the chip: refund the
-                # part of its busy time that never executed; its
-                # iteration-end event is dropped by the epoch bump below.
-                end = owner.iter_start + owner.iter_latency
-                busy_chip_seconds -= max(0.0, end - now) * stages
-                fault_stats.lost_iterations += 1
-                owner.busy = False
-            integrate(now)
-            owner.epoch += 1
-            owner.dead = True
-            owner.active = False
-            # Surviving chips of the group become spares immediately; the
-            # in-flight requests stay in limbo until the watchdog notices.
-            for chip in owner.chips:
-                if chip != fault.chip and chip not in dead_chips:
-                    spares.append(chip)
-            owner.chips = ()
-            if owner.cache_scope:
-                # The replica's private program store dies with it.
-                self.plan_cache.evict_scope(owner.cache_scope)
-                owner.cache_scope = ""
-            heapq.heappush(
-                events,
-                (
-                    now + wd.detection_delay,
-                    _EV_FAULT,
-                    next(seq),
-                    _Detect(owner.index, owner.epoch),
-                ),
-            )
-            if traced:
-                fault_sample(now)
-
-        def on_detect(detect: _Detect, now: float) -> None:
-            replica = replicas[detect.replica]
-            if not replica.dead or replica.epoch != detect.epoch:
-                return
+        def on_detect(replica: _Replica, now: float) -> None:
+            stats = chips.stats
             if traced:
                 tracer.instant(
                     "detect",
@@ -1035,8 +1255,8 @@ class ContinuousEngine(_DecodeEngineBase):
             # with the chips — and go back to their queues for re-admission
             # (full re-prefill).
             for running in replica.running:
-                fault_stats.requeued += 1
-                fault_stats.lost_tokens += running.tokens_done
+                stats.requeued += 1
+                stats.lost_tokens += running.tokens_done
                 requeue_counts[running.request.request_id] = running.requeues + 1
                 first_admits[running.request.request_id] = running.admitted_time
                 migration_counts[running.request.request_id] = running.migrations
@@ -1066,8 +1286,8 @@ class ContinuousEngine(_DecodeEngineBase):
             for entry in preempted:
                 if entry.origin != replica.index:
                     continue
-                fault_stats.requeued += 1
-                fault_stats.lost_tokens += entry.tokens_done
+                stats.requeued += 1
+                stats.lost_tokens += entry.tokens_done
                 entry.requeues += 1
                 entry.lost_tokens += entry.tokens_done
                 entry.prefill_remaining = self.model.prefill_iterations(
@@ -1076,83 +1296,14 @@ class ContinuousEngine(_DecodeEngineBase):
                 entry.tokens_done = 0
                 entry.first_token_time = float("nan")
                 entry.origin = -1
-            try_place(now)
+            chips.try_place(now)
             degraded_shed(now)
             autoscale_up(now)
             for survivor in replicas:
                 if survivor.active and not survivor.busy:
                     start_iteration(survivor, now)
             if traced:
-                fault_sample(now)
-
-        def on_restart(fault: FaultEvent, now: float) -> None:
-            fault_stats.restarts += 1
-            if traced:
-                tracer.instant(
-                    "restart",
-                    ts=now,
-                    track=fleet_track,
-                    cat="fault",
-                    args={"chip": fault.chip, "warmup": fault.warmup_delay},
-                )
-            heapq.heappush(
-                events,
-                (
-                    now + fault.warmup_delay,
-                    _EV_FAULT,
-                    next(seq),
-                    _ChipOnline(fault.chip, fault.cold_cache),
-                ),
-            )
-
-        def on_chip_online(online: _ChipOnline, now: float) -> None:
-            if online.chip not in dead_chips:
-                return  # restart of a chip that never died: nothing to do
-            dead_chips.discard(online.chip)
-            if online.cold_cache:
-                cold_chips.add(online.chip)
-            spares.append(online.chip)
-            if traced:
-                tracer.instant(
-                    "chip-online",
-                    ts=now,
-                    track=fleet_track,
-                    cat="fault",
-                    args={"chip": online.chip, "cold": online.cold_cache},
-                )
-            try_place(now)
-            if traced:
-                fault_sample(now)
-
-        def handle_fault(payload: object, now: float) -> None:
-            if isinstance(payload, FaultEvent):
-                if payload.kind == FAULT_CHIP_DEATH:
-                    on_chip_death(payload, now)
-                elif payload.kind == FAULT_RESTART:
-                    on_restart(payload, now)
-                elif traced:
-                    # Link degradation needs no state: iterations started
-                    # inside the window are priced through the degraded
-                    # pipeline lazily (see start_iteration).
-                    tracer.instant(
-                        "link-degraded",
-                        ts=now,
-                        track=fleet_track,
-                        cat="fault",
-                        args={"factor": payload.factor, "until": payload.until},
-                    )
-            elif isinstance(payload, _Detect):
-                on_detect(payload, now)
-            elif isinstance(payload, _ChipOnline):
-                on_chip_online(payload, now)
-            elif isinstance(payload, _LinkRestored) and traced:
-                tracer.instant(
-                    "link-restored",
-                    ts=now,
-                    track=fleet_track,
-                    cat="fault",
-                    args={"factor": payload.factor},
-                )
+                chips.sample(now)
 
         def start_iteration(replica: _Replica, now: float) -> None:
             nonlocal busy_chip_seconds
@@ -1174,8 +1325,7 @@ class ContinuousEngine(_DecodeEngineBase):
                             args={"replica": replica.index},
                         )
                 return
-            cost = self._cost(len(replica.running))
-            latency = cost.latency
+            latency = costs[bucket_for(len(replica.running), max_batch)].latency
             if stages > 1:
                 # Iterations started inside a link-degradation window pay
                 # the stretched stage-boundary transfers (wider pipeline
@@ -1185,8 +1335,7 @@ class ContinuousEngine(_DecodeEngineBase):
                 factor = schedule.link_factor(now, replica.chips)
                 if factor > 1.0:
                     latency = self._degraded_latency(
-                        bucket_for(len(replica.running), self.model.max_batch_size),
-                        factor,
+                        bucket_for(len(replica.running), max_batch), factor
                     )
             replica.busy = True
             replica.iter_start = now
@@ -1234,6 +1383,22 @@ class ContinuousEngine(_DecodeEngineBase):
                 peak_active = max(peak_active, active_count())
                 start_iteration(replica, now)
 
+        def refund(chip_seconds: float) -> None:
+            nonlocal busy_chip_seconds
+            busy_chip_seconds -= chip_seconds
+
+        chips = _ChipFaults(
+            self,
+            replicas,
+            schedule,
+            wd,
+            events,
+            seq,
+            tracer,
+            refund=refund,
+            detect=on_detect,
+            placed=placed,
+        )
         while events:
             now, kind, _, payload = heapq.heappop(events)
             integrate(now)
@@ -1261,7 +1426,7 @@ class ContinuousEngine(_DecodeEngineBase):
                 )
                 start_iteration(replica, now)
             else:
-                handle_fault(payload, now)
+                chips.handle(payload, now)
             if traced:
                 queue_sample(now)
 
@@ -1276,24 +1441,21 @@ class ContinuousEngine(_DecodeEngineBase):
         while preempted:
             shed(preempted.popleft().request, last_time)
 
-        records.sort(key=lambda record: record.request.request_id)
-        first_arrival = ordered[0].arrival_time if ordered else 0.0
-        report = self._report(
+        return self._report(
             records,
+            ordered,
+            tracer,
             counters=counters,
             busy_chip_seconds=busy_chip_seconds,
             active_chip_seconds=active_chip_seconds,
-            active_span=last_time - first_arrival,
+            end_time=last_time,
             peak_active=peak_active,
-            cache=self.plan_cache.stats.since(stats_before),
-            faults=fault_stats,
+            stats_before=stats_before,
+            faults=chips.stats,
         )
-        if traced:
-            self._publish_run_metrics(tracer, report, counters)
-        return report
 
 
-class StaticEngine(_DecodeEngineBase):
+class StaticEngine(_SingleModelEngine):
     """Static batching baseline: FIFO batches that run until *all* members
     finish.
 
@@ -1312,16 +1474,25 @@ class StaticEngine(_DecodeEngineBase):
         self.warm()
         tracer = get_tracer()
         traced = tracer.enabled
+        max_batch = self.model.max_batch_size
+        costs = self._bucket_costs(self.model.name, self.chip)
 
         queue: deque[DecodeRequest] = deque()
-        replicas = self._make_replicas(active=True)
+        replicas = self._make_replicas(model=self.model.name)
         records: list[CompletedDecode] = []
         seq = itertools.count()
         events: list[tuple[float, int, int, object]] = []
-        self._seed_arrivals(ordered, seq, events)
+        for request in ordered:
+            heapq.heappush(events, (request.arrival_time, _EV_ARRIVAL, next(seq), request))
 
         stats_before = self.plan_cache.stats.snapshot()
-        iterations = 0
+        counters = {
+            "iterations": 0,
+            "preemptions": 0,
+            "shed": 0,
+            "scale_ups": 0,
+            "scale_downs": 0,
+        }
         busy_chip_seconds = 0.0
         first_arrival = ordered[0].arrival_time if ordered else 0.0
         last_event = first_arrival
@@ -1329,10 +1500,7 @@ class StaticEngine(_DecodeEngineBase):
         def start_batch(replica: _Replica, now: float) -> None:
             if replica.busy or not queue:
                 return
-            batch = [
-                queue.popleft()
-                for _ in range(min(len(queue), self.model.max_batch_size))
-            ]
+            batch = [queue.popleft() for _ in range(min(len(queue), max_batch))]
             if traced:
                 for request in batch:
                     self._trace_admit(tracer, request, replica, now)
@@ -1348,19 +1516,19 @@ class StaticEngine(_DecodeEngineBase):
             ]
             # The program is fixed for the whole batch lifetime: the bucket
             # holding the batch as formed, padding included as members retire.
-            replica.bucket = bucket_for(len(batch), self.model.max_batch_size)
+            replica.bucket = bucket_for(len(batch), max_batch)
             schedule_iteration(replica, now)
 
         def schedule_iteration(replica: _Replica, now: float) -> None:
-            nonlocal iterations, busy_chip_seconds
-            cost = self._cost_for_bucket(replica.bucket)
+            nonlocal busy_chip_seconds
+            latency = costs[replica.bucket].latency
             replica.busy = True
-            iterations += 1
-            busy_chip_seconds += cost.latency * self.model.num_stages
+            counters["iterations"] += 1
+            busy_chip_seconds += latency * self.num_stages
             if traced:
-                self._trace_iteration(tracer, replica, now, cost.latency)
+                self._trace_iteration(tracer, replica, now, latency)
             heapq.heappush(
-                events, (now + cost.latency, _EV_ITER_END, next(seq), replica.index)
+                events, (now + latency, _EV_ITER_END, next(seq), replica.index)
             )
 
         while events:
@@ -1383,34 +1551,15 @@ class StaticEngine(_DecodeEngineBase):
                 else:
                     start_batch(replica, now)
 
-        records.sort(key=lambda record: record.request.request_id)
-        span = last_event - first_arrival
-        active_replica_chips = self.num_replicas * self.model.num_stages
-        report = self._report(
+        return self._report(
             records,
-            counters={
-                "iterations": iterations,
-                "preemptions": 0,
-                "shed": 0,
-                "scale_ups": 0,
-                "scale_downs": 0,
-            },
+            ordered,
+            tracer,
+            counters=counters,
             busy_chip_seconds=busy_chip_seconds,
-            active_chip_seconds=span * active_replica_chips,
-            active_span=span,
+            active_chip_seconds=(last_event - first_arrival)
+            * (self.num_replicas * self.num_stages),
+            end_time=last_event,
             peak_active=self.num_replicas,
-            cache=self.plan_cache.stats.since(stats_before),
+            stats_before=stats_before,
         )
-        if traced:
-            self._publish_run_metrics(
-                tracer,
-                report,
-                {
-                    "iterations": iterations,
-                    "preemptions": 0,
-                    "shed": 0,
-                    "scale_ups": 0,
-                    "scale_downs": 0,
-                },
-            )
-        return report

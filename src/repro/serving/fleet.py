@@ -1,11 +1,13 @@
 """Multi-model, multi-tenant serving fleet over one shared worker pool.
 
-:class:`FleetEngine` generalises :class:`~repro.serving.continuous.
-ContinuousEngine` from "one model owns the fleet" to "N model deployments
-share it": every replica is a *(model, chip-group, generation)* binding
-(:class:`~repro.serving.continuous._Replica`), a pluggable
-:class:`~repro.serving.router.Router` picks the replica each request queues
-on, and idle replicas **re-bind** across models as traffic shifts — cheap
+:class:`FleetEngine` serves N model deployments from one fleet.  It shares
+the decode-engine core with :class:`~repro.serving.continuous.
+ContinuousEngine` (programs, tracing, retirement, reports and the chip/fault
+mechanism of :mod:`repro.serving.continuous`) but not its scheduling
+policy: every replica is a *(model, chip-group, generation)* binding
+(:class:`~repro.serving.continuous._Replica`) with its own routed queues, a
+pluggable :class:`~repro.serving.router.Router` picks the replica each
+request queues on, and idle replicas **re-bind** across models as traffic shifts — cheap
 precisely because the compiler's per-bucket programs live in the shared
 :class:`~repro.serving.plan_cache.PlanCache` and are shared across tenants
 by fingerprint.
@@ -69,40 +71,25 @@ from typing import Sequence
 
 from repro.core.constraints import DEFAULT_CONSTRAINTS, SearchConstraints
 from repro.hw.spec import IPU_MK2, ChipSpec
-from repro.obs.trace import (
-    KIND_FLOW_END,
-    KIND_FLOW_START,
-    KIND_FLOW_STEP,
-    Tracer,
-    get_tracer,
-)
 from repro.obs.registry import publish_stats
-from repro.serving.batcher import batch_buckets, bucket_for
+from repro.obs.trace import Tracer, get_tracer
+from repro.serving.batcher import bucket_for
 from repro.serving.continuous import (
     _EV_ARRIVAL,
     _EV_FAULT,
     _EV_ITER_END,
     _EV_SCALE,
     DecodeModel,
+    _ChipFaults,
+    _DecodeEngineBase,
     _Replica,
     _Running,
 )
-from repro.serving.faults import (
-    FAULT_CHIP_DEATH,
-    FAULT_LINK_DEGRADATION,
-    FAULT_RESTART,
-    FaultEvent,
-    FaultSchedule,
-    Watchdog,
-    _ChipOnline,
-    _Detect,
-    _LinkRestored,
-)
-from repro.serving.metrics import ContinuousReport, FaultStats
+from repro.serving.faults import FaultEvent, FaultSchedule, Watchdog
+from repro.serving.metrics import ContinuousReport
 from repro.serving.plan_cache import PlanCache
 from repro.serving.planner import FleetScaler, ScalerObservation
 from repro.serving.request import (
-    DECODE_OK,
     DECODE_SHED,
     CompletedDecode,
     DecodeRequest,
@@ -118,7 +105,7 @@ from repro.serving.router import (
     ReplicaView,
     Router,
 )
-from repro.serving.worker import IterationCost, WorkerPool
+from repro.serving.worker import IterationCost
 
 #: Policy prefix of fleet reports; the router name is appended.
 POLICY_FLEET = "fleet"
@@ -148,7 +135,6 @@ class _FleetReplica(_Replica):
     migration, so KV locality is trivially preserved).
     """
 
-    chip_class: ChipSpec | None = None
     iq: list = field(default_factory=list)
     """EDF heap of routed interactive requests: (deadline, arrival, id, req)."""
     bq: deque = field(default_factory=deque)
@@ -161,7 +147,7 @@ class _FleetReplica(_Replica):
         return len(self.iq) + len(self.bq) + len(self.preempted)
 
 
-class FleetEngine:
+class FleetEngine(_DecodeEngineBase):
     """Continuous batching for a heterogeneous mix of models and tenants.
 
     ``deployments`` are the models the fleet serves (unique names, uniform
@@ -173,6 +159,8 @@ class FleetEngine:
     only).  ``router`` defaults to :class:`~repro.serving.router.
     CostAwareRouter`.
     """
+
+    fault_counters = ("requeued", "degraded_sheds", "brownout_sheds", "retry_drops")
 
     def __init__(
         self,
@@ -189,150 +177,40 @@ class FleetEngine:
         jobs: int | None = None,
         shed: bool = True,
     ) -> None:
-        if not deployments:
-            raise ValueError("FleetEngine needs at least one deployment")
-        names = [deployment.name for deployment in deployments]
-        if len(set(names)) != len(names):
-            raise ValueError(f"duplicate deployment names: {sorted(names)}")
-        stages = {deployment.num_stages for deployment in deployments}
-        if len(stages) != 1:
-            raise ValueError(
-                "fleet deployments must share one num_stages (chip groups are "
-                f"re-bound across models), got {sorted(stages)}"
-            )
-        self.num_stages = stages.pop()
-        if chip_classes and self.num_stages > 1:
-            raise ValueError(
-                "heterogeneous chip_classes require num_stages == 1 "
-                "(sharded groups stay on the default class)"
-            )
-        if num_chips < self.num_stages:
-            raise ValueError(
-                f"fleet of {num_chips} chips cannot host {self.num_stages}-stage groups"
-            )
-        if plan_cache is not None and cache_dir is not None:
-            raise ValueError("pass either plan_cache or cache_dir, not both")
-        if plan_cache is not None and jobs is not None:
-            raise ValueError(
-                "jobs has no effect on a caller-supplied plan_cache; set jobs "
-                "when building the cache instead"
-            )
-        self._deployments = {deployment.name: deployment for deployment in deployments}
         tenants = tenants or ()
         tenant_names = [tenant.name for tenant in tenants]
         if len(set(tenant_names)) != len(tenant_names):
             raise ValueError(f"duplicate tenant names: {sorted(tenant_names)}")
-        self.tenants = {tenant.name: tenant for tenant in tenants}
-        self.num_chips = num_chips
-        self._owns_cache = plan_cache is None
-        cache = plan_cache if plan_cache is not None else PlanCache(cache_dir, jobs=jobs)
-        self.pool = WorkerPool(
-            chip,
+        super().__init__(
+            deployments,
+            chip=chip,
             num_chips=num_chips,
-            plan_cache=cache,
             constraints=constraints,
+            plan_cache=plan_cache,
+            cache_dir=cache_dir,
+            jobs=jobs,
             chip_classes=chip_classes,
         )
+        self.tenants = {tenant.name: tenant for tenant in tenants}
         self.router = router if router is not None else CostAwareRouter()
         self.shed_enabled = shed
-        self.num_replicas = num_chips // self.num_stages
-        self.warm_compile_seconds = 0.0
-        self._graphs: dict[tuple[str, int], object] = {}
-        #: IterationCost per (model, chip-class fingerprint, bucket) — the
-        #: steady-state pricing every scheduling decision reads.
-        self._costs: dict[tuple[str, str, int], IterationCost] = {}
-        self._ready: set[tuple[str, str]] = set()
-        self._tenant_touched: set[tuple[str, str, str]] = set()
 
     # ------------------------------------------------------------------ #
-    @property
-    def plan_cache(self) -> PlanCache:
-        """The cache holding every deployment's per-bucket programs."""
-        return self.pool.plan_cache
-
     @property
     def policy(self) -> str:
         """Reported policy string: ``fleet-<router name>``."""
         return f"{POLICY_FLEET}-{self.router.name}"
 
-    @property
-    def deployments(self) -> tuple[DecodeModel, ...]:
-        """The served models, in declaration order."""
-        return tuple(self._deployments.values())
-
-    def close(self) -> None:
-        """Release compiler worker pools held by the engine's own cache."""
-        if self._owns_cache:
-            self.plan_cache.close()
-
-    def _graph(self, model: str, bucket: int):
-        key = (model, bucket)
-        graph = self._graphs.get(key)
-        if graph is None:
-            graph = self._graphs[key] = self._deployments[model].decode_builder(bucket)
-        return graph
-
-    def _ensure_programs(self, model: str, chip_class: ChipSpec, tenant: str) -> None:
-        """Compile (or warm-touch) every bucket of ``model`` on ``chip_class``.
-
-        The first call compiles for real — wall-clock only, accumulated into
-        ``warm_compile_seconds`` — with the plan-cache misses *attributed* to
-        the tenant whose traffic triggered them.  Each later tenant's first
-        touch re-looks the buckets up (pure memory hits, attributed to that
-        tenant), which is how "compile once, second tenant gets the warm
-        hit" stays visible per tenant without ever forking the plans.
-        """
-        deployment = self._deployments[model]
-        fingerprint = chip_class.fingerprint()
-        ready_key = (model, fingerprint)
-        touch_key = (tenant, model, fingerprint)
-        if ready_key in self._ready and (not tenant or touch_key in self._tenant_touched):
-            return
-        default_class = fingerprint == self.pool.chip.fingerprint()
-        for bucket in batch_buckets(deployment.max_batch_size):
-            cost = self.pool.profile(
-                self._graph(model, bucket),
-                num_stages=deployment.num_stages,
-                chip=None if default_class else chip_class,
-                tenant=tenant,
-            )
-            if not cost.ok:
-                raise RuntimeError(
-                    f"{model} does not serve at batch {bucket} on "
-                    f"{chip_class.name}: {cost.status} ({cost.error})"
-                )
-            if ready_key not in self._ready:
-                self.warm_compile_seconds += cost.compile_seconds
-                # Steady state: later iterations of this bucket are pure latency.
-                self._costs[(model, fingerprint, bucket)] = IterationCost(
-                    cost.status, cost.error, cost.latency, 0.0, cost.cache_outcome
-                )
-        self._ready.add(ready_key)
-        if tenant:
-            self._tenant_touched.add(touch_key)
-
-    def warm(self) -> None:
-        """Precompile every deployment on every hardware class (idempotent).
-
-        Optional — the engine also warms lazily as traffic first touches a
-        (model, class) pair — but experiments call it to pay all compile
-        cost up front, so ``recompiles`` during the run is exactly zero.
-        """
-        for model in self._deployments:
-            for chip_class in self.pool.hardware_classes():
-                self._ensure_programs(model, chip_class, "")
-
     def _cost(
         self, model: str, chip_class: ChipSpec, batch_len: int, tenant: str = ""
     ) -> IterationCost:
-        deployment = self._deployments[model]
-        bucket = bucket_for(batch_len, deployment.max_batch_size)
-        key = (model, chip_class.fingerprint(), bucket)
-        cost = self._costs.get(key)
-        if cost is None:
-            self._ensure_programs(model, chip_class, tenant)
-            cost = self._costs[key]
-        return cost
+        """Steady-state cost of a ``batch_len`` iteration of ``model`` on
+        ``chip_class``; the first touch of a (model, class) pair compiles,
+        attributed to ``tenant``."""
+        table = self._costs.get((model, chip_class.fingerprint()))
+        if table is None:
+            table = self._bucket_costs(model, chip_class, tenant)
+        return table[bucket_for(batch_len, self._deployments[model].max_batch_size)]
 
     def iteration_latency(
         self, model: str, batch_size: int = 1, *, chip_class: ChipSpec | None = None
@@ -342,42 +220,6 @@ class FleetEngine:
         value on the default class is the natural offered-load unit."""
         target = chip_class if chip_class is not None else self.pool.chip
         return self._cost(model, target, batch_size).latency
-
-    # ------------------------------------------------------------------ #
-    def _make_replicas(self) -> list[_FleetReplica]:
-        """Carve the fleet into replicas: groups of ``num_stages`` chips of
-        one hardware class each.  Chips are grouped in index order; a run of
-        same-class chips shorter than a group is left idle (only possible
-        with heterogeneous multi-stage fleets, which are rejected above)."""
-        replicas: list[_FleetReplica] = []
-        chips = list(range(self.num_chips))
-        index = 0
-        while len(chips) >= self.num_stages:
-            group, chips = chips[: self.num_stages], chips[self.num_stages :]
-            replicas.append(
-                _FleetReplica(
-                    index=index,
-                    chips=tuple(group),
-                    chip_class=self.pool.chip_for(group[0]),
-                )
-            )
-            index += 1
-        return replicas
-
-    def _check_requests(self, requests: Sequence[DecodeRequest]) -> list[DecodeRequest]:
-        unknown = sorted({req.model for req in requests} - set(self._deployments))
-        if unknown:
-            raise ValueError(
-                f"requests for unserved models {unknown}; served: "
-                f"{sorted(self._deployments)}"
-            )
-        ids = [req.request_id for req in requests]
-        if len(set(ids)) != len(ids):
-            raise ValueError(
-                "duplicate request ids in fleet workload; compose per-tenant "
-                "streams with merge_decode_workloads, which renumbers them"
-            )
-        return sorted(requests, key=lambda req: (req.arrival_time, req.request_id))
 
     def _view(
         self,
@@ -425,127 +267,54 @@ class FleetEngine:
         )
 
     # ------------------------------------------------------------------ #
-    # Tracing: same span taxonomy as the single-model engines, with one
-    # request lane *per tenant* so Perfetto shows per-tenant activity side
-    # by side (docs/observability.md).
+    # Tracing: the shared span taxonomy with one request lane *per tenant*,
+    # so Perfetto shows per-tenant activity side by side, and models named
+    # on lifecycle events (docs/observability.md).
     # ------------------------------------------------------------------ #
-    @property
-    def trace_group(self) -> str:
-        """Track-group (Perfetto process) of this engine's trace events."""
-        return f"{self.policy}@{self.num_chips}chips"
-
     def _tenant_track(self, tenant: str) -> str:
         return f"{self.trace_group}/tenant/{tenant or 'default'}"
 
-    def _flow_id(self, request_id: int) -> str:
-        return f"{self.trace_group}/r{request_id}"
+    def _request_lane(self, request: DecodeRequest) -> str:
+        return self._tenant_track(request.tenant)
 
-    def _trace_enqueue(self, tracer: Tracer, request: DecodeRequest) -> None:
-        track = self._tenant_track(request.tenant)
-        tracer.instant(
-            "enqueue",
-            ts=request.arrival_time,
-            track=track,
-            cat="lifecycle",
-            args={
-                "request": request.request_id,
-                "class": request.slo_class,
-                "model": request.model,
-            },
-        )
-        tracer.flow(
-            KIND_FLOW_START,
-            self._flow_id(request.request_id),
-            ts=request.arrival_time,
-            track=track,
-            name="request",
-        )
-
-    def _chip_tracks(self, replica: _FleetReplica) -> tuple[str, ...]:
-        group = self.trace_group
-        return tuple(f"{group}/chip{chip}" for chip in replica.chips)
-
-    def _trace_admit(
-        self, tracer: Tracer, request: DecodeRequest, replica: _FleetReplica, now: float
-    ) -> None:
-        track = self._chip_tracks(replica)[0]
-        tracer.instant(
-            "admit",
-            ts=now,
-            track=track,
-            cat="lifecycle",
-            args={"request": request.request_id, "tenant": request.tenant},
-        )
-        tracer.flow(
-            KIND_FLOW_STEP,
-            self._flow_id(request.request_id),
-            ts=now,
-            track=track,
-            name="request",
-        )
-
-    def _trace_iteration(
-        self, tracer: Tracer, replica: _FleetReplica, now: float, latency: float
-    ) -> None:
-        args = {
+    def _failover_args(self, replica: _FleetReplica) -> dict:
+        return {
+            **super()._failover_args(replica),
             "model": replica.model,
-            "batch": len(replica.running),
-            "bucket": bucket_for(
-                len(replica.running), self._deployments[replica.model].max_batch_size
-            ),
-            "requests": ",".join(str(r.request.request_id) for r in replica.running),
+            "class": replica.chip_class.name,
         }
-        for track in self._chip_tracks(replica):
-            tracer.span(
-                "iteration", ts=now, dur=latency, track=track, cat="decode", args=args
-            )
 
-    def _trace_done(
-        self,
-        tracer: Tracer,
-        record: CompletedDecode,
-        replica: _FleetReplica | None,
-        now: float,
+    def _link_args(self, fault: FaultEvent) -> dict:
+        chips = ",".join(str(chip) for chip in fault.chips) or "fleet"
+        return {**super()._link_args(fault), "chips": chips}
+
+    def _trace_done(self, tracer, record, replica, now) -> None:
+        super()._trace_done(tracer, record, replica, now, model=record.request.model)
+
+    def _publish_run_metrics(
+        self, tracer: Tracer, report: ContinuousReport, counters: dict[str, int]
     ) -> None:
-        """Lifecycle close-out: the flow arrow lands on the serving chip (or
-        the tenant lane for shed requests) and exactly one async lifecycle
-        span per request covers arrival → completion on the *tenant's* lane —
-        the per-tenant Perfetto lanes the observability satellite asks for."""
-        request = record.request
-        tenant_track = self._tenant_track(request.tenant)
-        end_track = (
-            self._chip_tracks(replica)[0] if replica is not None else tenant_track
+        """The shared run metrics plus the fairness index and one
+        goodput/attainment block per tenant (the per-tenant lanes' numeric
+        counterpart)."""
+        super()._publish_run_metrics(tracer, report, counters)
+        prefix = f"serving.{self.trace_group}"
+        fairness = report.fairness
+        publish_stats(
+            tracer.metrics,
+            prefix,
+            {"fairness_x1000": -1 if math.isnan(fairness) else int(round(fairness * 1000))},
         )
-        tracer.instant(
-            "retire" if record.ok else "shed",
-            ts=now,
-            track=end_track,
-            cat="lifecycle",
-            args={"request": request.request_id, "tokens": record.tokens_generated},
-        )
-        tracer.flow(
-            KIND_FLOW_END,
-            self._flow_id(request.request_id),
-            ts=now,
-            track=end_track,
-            name="request",
-        )
-        tracer.async_span(
-            "request",
-            ts=request.arrival_time,
-            dur=now - request.arrival_time,
-            track=tenant_track,
-            flow_id=self._flow_id(request.request_id),
-            cat="lifecycle",
-            args={
-                "request": request.request_id,
-                "status": record.status,
-                "tokens": record.tokens_generated,
-                "preemptions": record.preemptions,
-                "replica": record.replica,
-                "model": request.model,
-            },
-        )
+        for tenant, slice_report in report.per_tenant().items():
+            publish_stats(
+                tracer.metrics,
+                f"{prefix}.tenant.{tenant or 'default'}",
+                {
+                    "completed": slice_report.total_completed,
+                    "shed": slice_report.shed,
+                    "slo_met": slice_report.slo_met,
+                },
+            )
 
     # ------------------------------------------------------------------ #
     def run(
@@ -607,18 +376,7 @@ class FleetEngine:
         fleet_track = f"{self.trace_group}/fleet"
         stages = self.num_stages
 
-        replicas = self._make_replicas()
-        #: Chips not backing any replica (the fleet remainder when num_chips
-        #: is not a multiple of num_stages) start life as failover capacity.
-        spares: list[int] = list(range(self.num_replicas * stages, self.num_chips))
-        dead_chips: set[int] = set()
-        #: Chips that came back cold: the next replica re-placed over one of
-        #: them re-warms its buckets under a fresh plan-cache namespace.
-        cold_chips: set[int] = set()
-        #: Chips between restart and chip-online: while any replacement is
-        #: booting, dead replicas report ``restarting`` instead of ``dead``.
-        warming: set[int] = set()
-        fault_stats = FaultStats()
+        replicas: list[_FleetReplica] = self._make_replicas(_FleetReplica)
         # Accounting of requests pulled off dead replicas, restored on
         # re-admission (or shed): requeue/migration/loss counts, original
         # admission time, preemption count, and the replica whose death
@@ -643,13 +401,6 @@ class FleetEngine:
             heapq.heappush(
                 events, (request.arrival_time, _EV_ARRIVAL, next(seq), request)
             )
-        for fault in schedule:
-            heapq.heappush(events, (fault.time, _EV_FAULT, next(seq), fault))
-            if fault.kind == FAULT_LINK_DEGRADATION and math.isfinite(fault.until):
-                heapq.heappush(
-                    events,
-                    (fault.until, _EV_FAULT, next(seq), _LinkRestored(fault.factor)),
-                )
         if scaling and ordered:
             # First capacity decision one interval after traffic starts (the
             # first window of arrivals is its observation).
@@ -742,26 +493,11 @@ class FleetEngine:
                 values={"active": active_count(), "rebinds": counters["rebinds"]},
             )
 
-        def fault_sample(now: float) -> None:
-            """Degraded-mode counter track: fleet health at a glance."""
-            tracer.counter(
-                "faults",
-                ts=now,
-                track=fleet_track,
-                values={
-                    "dead_replicas": sum(1 for r in replicas if r.dead),
-                    "spares": len(spares),
-                    "requeued": fault_stats.requeued,
-                    "degraded_sheds": fault_stats.degraded_sheds,
-                    "brownout_sheds": fault_stats.brownout_sheds,
-                    "retry_drops": fault_stats.retry_drops,
-                },
-            )
-
         def describe(replica: _FleetReplica, now: float) -> tuple[str, float]:
-            """Per-replica health as the router's view reports it."""
+            """Per-replica health as the router's view reports it: while any
+            replacement chip is booting, dead replicas read ``restarting``."""
             if replica.dead:
-                return (HEALTH_RESTARTING if warming else HEALTH_DEAD), 1.0
+                return (HEALTH_RESTARTING if chips.warming else HEALTH_DEAD), 1.0
             factor = schedule.link_factor(now, replica.chips)
             if factor > 1.0:
                 return HEALTH_DEGRADED, factor
@@ -780,9 +516,9 @@ class FleetEngine:
 
         def brownout() -> bool:
             """Whether surviving capacity is below the brownout watermark."""
-            if wd.brownout_watermark is None or not dead_chips:
+            if wd.brownout_watermark is None or not chips.dead_chips:
                 return False
-            surviving = (self.num_chips - len(dead_chips)) / self.num_chips
+            surviving = (self.num_chips - len(chips.dead_chips)) / self.num_chips
             return surviving < wd.brownout_watermark
 
         def note_outcome(request: DecodeRequest, met: bool) -> None:
@@ -868,7 +604,7 @@ class FleetEngine:
             request: DecodeRequest, replica: _FleetReplica, now: float
         ) -> _Running:
             if traced:
-                self._trace_admit(tracer, request, replica, now)
+                self._trace_admit(tracer, request, replica, now, tenant=request.tenant)
             deployment = self._deployments[replica.model]
             migrations = migration_counts.pop(request.request_id, 0)
             origin = requeue_origins.pop(request.request_id, None)
@@ -905,7 +641,7 @@ class FleetEngine:
         def admit(replica: _FleetReplica, now: float) -> None:
             """Replica-local admission: EDF interactive (cross-tenant), then
             preemption of best-effort residents, then resumed preemptions,
-            then best-effort FIFO — the exact policy of ContinuousEngine over
+            then best-effort FIFO — ContinuousEngine's admission order over
             this replica's own routed queues."""
             running = replica.running
             max_batch = self._deployments[replica.model].max_batch_size
@@ -959,34 +695,15 @@ class FleetEngine:
             while replica.bq and len(running) < max_batch:
                 running.append(admit_one(replica.bq.popleft(), replica, now))
 
-        def retire_finished(replica: _FleetReplica, now: float) -> None:
-            for running in list(replica.running):
-                running.advance(now)
-                if running.done:
-                    replica.running.remove(running)
-                    record = CompletedDecode(
-                        request=running.request,
-                        status=DECODE_OK,
-                        admitted_time=running.admitted_time,
-                        first_token_time=running.first_token_time,
-                        completion_time=now,
-                        tokens_generated=running.tokens_done,
-                        preemptions=running.preemptions,
-                        replica=replica.index,
-                        requeues=running.requeues,
-                        migrations=running.migrations,
-                        lost_tokens=running.lost_tokens,
-                    )
-                    records.append(record)
-                    note_outcome(running.request, record.met_slo)
-                    tenant = running.request.tenant
-                    served_by_tenant[tenant] = served_by_tenant.get(tenant, 0) + 1
-                    if traced:
-                        self._trace_done(tracer, record, replica, now)
-                        tenant_sample(tenant, now)
+        def retired(record: CompletedDecode, now: float) -> None:
+            note_outcome(record.request, record.met_slo)
+            tenant = record.request.tenant
+            served_by_tenant[tenant] = served_by_tenant.get(tenant, 0) + 1
+            if traced:
+                tenant_sample(tenant, now)
 
         def start_iteration(replica: _FleetReplica, now: float) -> None:
-            nonlocal busy_chip_seconds, peak_active
+            nonlocal busy_chip_seconds
             if replica.busy or not replica.active or replica.dead:
                 return
             if scaling and replica.index not in provisioned:
@@ -1022,7 +739,7 @@ class FleetEngine:
             counters["iterations"] += 1
             busy_chip_seconds += latency * stages
             if traced:
-                self._trace_iteration(tracer, replica, now, latency)
+                self._trace_iteration(tracer, replica, now, latency, model=replica.model)
             heapq.heappush(
                 events,
                 (
@@ -1097,7 +814,7 @@ class FleetEngine:
             replica = replicas[index]
             if replica.model != request.model:
                 bind(replica, request.model, now)
-            self._ensure_programs(request.model, replica.chip_class, request.tenant)
+            self._bucket_costs(request.model, replica.chip_class, request.tenant)
             if request.interactive:
                 deadline = request.deadline if request.deadline is not None else math.inf
                 heapq.heappush(
@@ -1133,7 +850,7 @@ class FleetEngine:
             surviving active replica, shedding newest-first across all
             replica-local queues (oldest backlog keeps its slot;
             interactive traffic is governed by its own deadline check)."""
-            if wd.degraded_shed_queue is None or not any(r.dead for r in replicas):
+            if wd.degraded_shed_queue is None or not chips.degraded:
                 return
             cap = wd.degraded_shed_queue * max(1, active_count())
             total = sum(len(replica.bq) for replica in replicas) + sum(
@@ -1176,79 +893,22 @@ class FleetEngine:
                         == newest_parked
                     )
                     unrouted.remove(parked)
-                    fault_stats.degraded_sheds += 1
+                    chips.stats.degraded_sheds += 1
                     shed(parked, now)
                 elif victim is not None:
-                    fault_stats.degraded_sheds += 1
+                    chips.stats.degraded_sheds += 1
                     shed(victim.bq.pop(), now)
                 else:
                     break
                 total -= 1
                 dropped = True
             if dropped and traced:
-                fault_sample(now)
+                chips.sample(now)
 
-        def rewarm(replica: _FleetReplica) -> None:
-            """Re-fetch every bucket program of the replica's bound model
-            under a fresh per-replica namespace: a revived chip's program
-            store is cold, so the compiles are real (visible in the cache
-            counters) but — being wall-clock — never touch virtual time."""
-            replica.generation += 1
-            replica.cache_scope = f"replica{replica.index}-gen{replica.generation}"
-            deployment = self._deployments[replica.model]
-            default_class = (
-                replica.chip_class.fingerprint() == self.pool.chip.fingerprint()
-            )
-            for bucket in batch_buckets(deployment.max_batch_size):
-                cost = self.pool.profile(
-                    self._graph(replica.model, bucket),
-                    num_stages=stages,
-                    chip=None if default_class else replica.chip_class,
-                    scope=replica.cache_scope,
-                )
-                fault_stats.restart_compile_seconds += cost.compile_seconds
-
-        def try_place(now: float) -> None:
-            """Re-place dead, drained replicas onto surviving spare chips.
-
-            This is where the watchdog re-binds capacity across hardware:
-            the spare group may belong to a *different* chip class than the
-            chips that died (heterogeneous fleets are single-stage, so any
-            spare is compatible), in which case the binding's programs are
-            compiled for the new class before it serves again."""
-            for replica in replicas:
-                if not replica.dead or replica.running or len(spares) < stages:
-                    continue
-                spares.sort()
-                group = spares[:stages]
-                del spares[:stages]
-                replica.chips = tuple(group)
-                replica.chip_class = self.pool.chip_for(group[0])
-                replica.dead = False
-                replica.epoch += 1
-                fault_stats.failovers += 1
-                if replica.model:
-                    self._ensure_programs(replica.model, replica.chip_class, "")
-                if any(chip in cold_chips for chip in group):
-                    cold_chips.difference_update(group)
-                    if replica.model:
-                        rewarm(replica)
-                if traced:
-                    tracer.instant(
-                        "failover",
-                        ts=now,
-                        track=fleet_track,
-                        cat="fault",
-                        args={
-                            "replica": replica.index,
-                            "model": replica.model,
-                            "class": replica.chip_class.name,
-                            "chips": ",".join(str(chip) for chip in group),
-                        },
-                    )
-                if replica.queued:
-                    activate(replica, now)
-                    start_iteration(replica, now)
+        def placed(replica: _FleetReplica, now: float) -> None:
+            if replica.queued:
+                activate(replica, now)
+                start_iteration(replica, now)
 
         def requeue_shed_check(
             request: DecodeRequest, chip_class: ChipSpec, now: float
@@ -1273,7 +933,8 @@ class FleetEngine:
             the router may pick any compatible or rebindable replica."""
             request = running.request
             rid = request.request_id
-            fault_stats.lost_tokens += running.tokens_done
+            stats = chips.stats
+            stats.lost_tokens += running.tokens_done
             first_admits[rid] = running.admitted_time
             migration_counts[rid] = running.migrations
             lost_token_counts[rid] = running.lost_tokens + running.tokens_done
@@ -1285,7 +946,7 @@ class FleetEngine:
                 # Dropped, not retried: the record keeps only the requeues
                 # that actually bought another attempt.
                 requeue_counts[rid] = running.requeues
-                fault_stats.retry_drops += 1
+                stats.retry_drops += 1
                 if traced:
                     tracer.instant(
                         "retry-drop",
@@ -1302,7 +963,7 @@ class FleetEngine:
             retry_spend[tenant] = spent + 1
             requeue_counts[rid] = running.requeues + 1
             requeue_origins[rid] = origin.index
-            fault_stats.requeued += 1
+            stats.requeued += 1
             if traced:
                 tracer.instant(
                     "requeue",
@@ -1314,69 +975,7 @@ class FleetEngine:
             if not place(request, now):
                 unrouted.append(request)
 
-        def on_chip_death(fault: FaultEvent, now: float) -> None:
-            nonlocal busy_chip_seconds
-            if fault.chip in dead_chips:
-                return
-            dead_chips.add(fault.chip)
-            fault_stats.chip_deaths += 1
-            if traced:
-                tracer.instant(
-                    "chip-death",
-                    ts=now,
-                    track=fleet_track,
-                    cat="fault",
-                    args={"chip": fault.chip},
-                )
-            if fault.chip in spares:
-                spares.remove(fault.chip)
-                if traced:
-                    fault_sample(now)
-                return
-            owner = next(
-                (r for r in replicas if fault.chip in r.chips and not r.dead), None
-            )
-            if owner is None:
-                return
-            if owner.busy:
-                # The in-flight iteration dies with the chip: refund the
-                # part of its busy time that never executed; its
-                # iteration-end event is dropped by the epoch bump below.
-                end = owner.iter_start + owner.iter_latency
-                busy_chip_seconds -= max(0.0, end - now) * stages
-                fault_stats.lost_iterations += 1
-                owner.busy = False
-            if owner.active:
-                integrate(now)
-                owner.active = False
-            owner.epoch += 1
-            owner.dead = True
-            # Surviving chips of the group become spares immediately; the
-            # replica's requests stay in limbo until the watchdog notices.
-            for chip in owner.chips:
-                if chip != fault.chip and chip not in dead_chips:
-                    spares.append(chip)
-            owner.chips = ()
-            if owner.cache_scope:
-                # The replica's private program store dies with it.
-                self.plan_cache.evict_scope(owner.cache_scope)
-                owner.cache_scope = ""
-            heapq.heappush(
-                events,
-                (
-                    now + wd.detection_delay,
-                    _EV_FAULT,
-                    next(seq),
-                    _Detect(owner.index, owner.epoch),
-                ),
-            )
-            if traced:
-                fault_sample(now)
-
-        def on_detect(detect: _Detect, now: float) -> None:
-            replica = replicas[detect.replica]
-            if not replica.dead or replica.epoch != detect.epoch:
-                return
+        def on_detect(replica: _FleetReplica, now: float) -> None:
             if traced:
                 tracer.instant(
                     "detect",
@@ -1407,102 +1006,23 @@ class FleetEngine:
             for request in parked:
                 if not place(request, now):
                     unrouted.append(request)
-            try_place(now)
+            chips.try_place(now)
             degraded_shed(now)
             drain_unrouted(now)
             for survivor in replicas:
                 if survivor.active and not survivor.busy:
                     start_iteration(survivor, now)
             if traced:
-                fault_sample(now)
-
-        def on_restart(fault: FaultEvent, now: float) -> None:
-            fault_stats.restarts += 1
-            if fault.chip in dead_chips:
-                warming.add(fault.chip)
-            if traced:
-                tracer.instant(
-                    "restart",
-                    ts=now,
-                    track=fleet_track,
-                    cat="fault",
-                    args={"chip": fault.chip, "warmup": fault.warmup_delay},
-                )
-            heapq.heappush(
-                events,
-                (
-                    now + fault.warmup_delay,
-                    _EV_FAULT,
-                    next(seq),
-                    _ChipOnline(fault.chip, fault.cold_cache),
-                ),
-            )
-
-        def on_chip_online(online: _ChipOnline, now: float) -> None:
-            warming.discard(online.chip)
-            if online.chip not in dead_chips:
-                return  # restart of a chip that never died: nothing to do
-            dead_chips.discard(online.chip)
-            if online.cold_cache:
-                cold_chips.add(online.chip)
-            spares.append(online.chip)
-            if traced:
-                tracer.instant(
-                    "chip-online",
-                    ts=now,
-                    track=fleet_track,
-                    cat="fault",
-                    args={"chip": online.chip, "cold": online.cold_cache},
-                )
-            try_place(now)
-            drain_unrouted(now)
-            if traced:
-                fault_sample(now)
-
-        def handle_fault(payload: object, now: float) -> None:
-            if isinstance(payload, FaultEvent):
-                if payload.kind == FAULT_CHIP_DEATH:
-                    on_chip_death(payload, now)
-                elif payload.kind == FAULT_RESTART:
-                    on_restart(payload, now)
-                elif traced:
-                    # Link degradation needs no state transition: iterations
-                    # started inside the window pay the factor lazily (see
-                    # start_iteration) and the router's view prices it
-                    # through each replica's health.
-                    tracer.instant(
-                        "link-degraded",
-                        ts=now,
-                        track=fleet_track,
-                        cat="fault",
-                        args={
-                            "factor": payload.factor,
-                            "until": payload.until,
-                            "chips": ",".join(str(chip) for chip in payload.chips)
-                            or "fleet",
-                        },
-                    )
-            elif isinstance(payload, _Detect):
-                on_detect(payload, now)
-            elif isinstance(payload, _ChipOnline):
-                on_chip_online(payload, now)
-            elif isinstance(payload, _LinkRestored) and traced:
-                tracer.instant(
-                    "link-restored",
-                    ts=now,
-                    track=fleet_track,
-                    cat="fault",
-                    args={"factor": payload.factor},
-                )
+                chips.sample(now)
 
         def on_arrival(request: DecodeRequest, now: float) -> None:
             if traced:
-                self._trace_enqueue(tracer, request)
+                self._trace_enqueue(tracer, request, model=request.model)
             if brownout() and not request.interactive:
                 # Brownout admission control: below the surviving-capacity
                 # watermark, best-effort traffic is shed at the door so the
                 # remaining chips serve deadline traffic.
-                fault_stats.brownout_sheds += 1
+                chips.stats.brownout_sheds += 1
                 if traced:
                     tracer.instant(
                         "brownout-shed",
@@ -1659,11 +1179,28 @@ class FleetEngine:
             if unrouted:
                 drain_unrouted(now)
 
+        def refund(chip_seconds: float) -> None:
+            nonlocal busy_chip_seconds
+            busy_chip_seconds -= chip_seconds
+
+        chips = _ChipFaults(
+            self,
+            replicas,
+            schedule,
+            wd,
+            events,
+            seq,
+            tracer,
+            refund=refund,
+            detect=on_detect,
+            placed=placed,
+            online=drain_unrouted,
+        )
         while events:
             now, kind, _, payload = heapq.heappop(events)
             integrate(now)
             if kind == _EV_FAULT:
-                handle_fault(payload, now)
+                chips.handle(payload, now)
             elif kind == _EV_SCALE:
                 if isinstance(payload, _ProvisionReady):
                     on_provision_ready(payload, now)
@@ -1681,18 +1218,23 @@ class FleetEngine:
                 if replica.epoch != epoch:
                     continue  # the iteration was aborted by a chip death
                 replica.busy = False
-                retire_finished(replica, now)
+                self._retire_finished(
+                    replica, now, records, tracer if traced else None, retired
+                )
                 start_iteration(replica, now)
                 if unrouted:
                     drain_unrouted(now)
                 if traced:
                     fleet_sample(now)
 
-        # Defensive: never strand anything — the books must always balance
-        # (completed + shed == requests), even when the run ends with
-        # replicas dead and their queues full (e.g. the whole fleet killed
-        # after the last arrival and never restarted).
+        # The books must balance (completed + shed == requests) even when the
+        # run ends with replicas dead and their queues full (e.g. the whole
+        # fleet killed after the last arrival and never restarted): whatever
+        # is still queued or parked is shed.  Nothing can still be resident —
+        # detection clears a dead replica, failover skips replicas holding
+        # residents, and live replicas iterate until they drain.
         for replica in replicas:
+            assert not replica.running, f"replica {replica.index} stranded residents"
             while replica.iq:
                 _, _, _, request = heapq.heappop(replica.iq)
                 shed(request, last_time)
@@ -1700,125 +1242,20 @@ class FleetEngine:
                 shed(replica.bq.popleft(), last_time)
             while replica.preempted:
                 shed(replica.preempted.popleft().request, last_time)
-            for running in replica.running:
-                shed(running.request, last_time)
-            replica.running = []
         while unrouted:
             shed(unrouted.popleft(), last_time)
 
-        records.sort(key=lambda record: record.request.request_id)
-        first_arrival = ordered[0].arrival_time if ordered else 0.0
-        report = self._report(
+        return self._report(
             records,
+            ordered,
+            tracer,
             counters=counters,
             busy_chip_seconds=busy_chip_seconds,
             active_chip_seconds=active_chip_seconds,
-            active_span=last_time - first_arrival,
+            end_time=last_time,
             peak_active=peak_active,
             stats_before=stats_before,
-            faults=fault_stats,
-            # Without a scaler provisioning is on demand and free: what was
-            # active is exactly what was provisioned.
-            provisioned_chip_seconds=provisioned_chip_seconds
-            if scaling
-            else active_chip_seconds,
-            peak_provisioned_chips=(
-                peak_provisioned * self.num_stages
-                if scaling
-                else peak_active * self.num_stages
-            ),
+            faults=chips.stats,
+            provisioned_chip_seconds=provisioned_chip_seconds if scaling else None,
+            peak_provisioned=peak_provisioned if scaling else None,
         )
-        if traced:
-            self._publish_run_metrics(tracer, report, counters)
-        return report
-
-    # ------------------------------------------------------------------ #
-    def _report(
-        self,
-        records: list[CompletedDecode],
-        *,
-        counters: dict[str, int],
-        busy_chip_seconds: float,
-        active_chip_seconds: float,
-        active_span: float,
-        peak_active: int,
-        stats_before,
-        faults: FaultStats | None = None,
-        provisioned_chip_seconds: float = 0.0,
-        peak_provisioned_chips: int = 0,
-    ) -> ContinuousReport:
-        served = [record for record in records if record.ok]
-        makespan = 0.0
-        if served:
-            makespan = max(r.completion_time for r in served) - min(
-                r.request.arrival_time for r in served
-            )
-        return ContinuousReport(
-            policy=self.policy,
-            model="+".join(sorted(self._deployments)),
-            num_chips=self.num_chips,
-            num_stages=self.num_stages,
-            max_batch_size=max(
-                deployment.max_batch_size for deployment in self._deployments.values()
-            ),
-            completed=tuple(records),
-            makespan=makespan,
-            busy_chip_seconds=busy_chip_seconds,
-            active_chip_seconds=active_chip_seconds,
-            active_span=active_span,
-            iterations=counters["iterations"],
-            cache=self.plan_cache.stats.since(stats_before),
-            warm_compile_seconds=self.warm_compile_seconds,
-            preemptions=counters["preemptions"],
-            shed=counters["shed"],
-            scale_ups=counters["scale_ups"],
-            scale_downs=counters["scale_downs"],
-            peak_active_chips=peak_active * self.num_stages,
-            rebinds=counters["rebinds"],
-            migrations=counters.get("migrations", 0),
-            faults=faults if faults is not None else FaultStats(),
-            provisioned_chip_seconds=provisioned_chip_seconds,
-            peak_provisioned_chips=peak_provisioned_chips,
-            provision_ups=counters.get("provision_ups", 0),
-            provision_downs=counters.get("provision_downs", 0),
-        )
-
-    def _publish_run_metrics(
-        self, tracer: Tracer, report: ContinuousReport, counters: dict[str, int]
-    ) -> None:
-        """Fold the run's scalars into the metrics registry, plus one
-        goodput/attainment block per tenant (the per-tenant lanes' numeric
-        counterpart)."""
-        prefix = f"serving.{self.trace_group}"
-        publish_stats(tracer.metrics, prefix, counters)
-        publish_stats(
-            tracer.metrics,
-            prefix,
-            {
-                "completed": report.total_completed,
-                "tokens": report.total_tokens,
-                "fairness_x1000": int(round(report.fairness * 1000))
-                if not math.isnan(report.fairness)
-                else -1,
-            },
-        )
-        publish_stats(tracer.metrics, f"{prefix}.cache", report.cache.as_dict())
-        if report.faults.any:
-            publish_stats(tracer.metrics, f"{prefix}.faults", report.faults)
-        for tenant, slice_report in report.per_tenant().items():
-            label = tenant or "default"
-            publish_stats(
-                tracer.metrics,
-                f"{prefix}.tenant.{label}",
-                {
-                    "completed": slice_report.total_completed,
-                    "shed": slice_report.shed,
-                    "slo_met": slice_report.slo_met,
-                },
-            )
-        latency = tracer.metrics.histogram(f"{prefix}.latency_s")
-        ttft = tracer.metrics.histogram(f"{prefix}.ttft_s")
-        for record in report.completed:
-            if record.ok:
-                latency.observe(record.latency)
-                ttft.observe(record.time_to_first_token)

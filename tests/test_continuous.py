@@ -17,10 +17,12 @@ from repro.serving import (
     DecodeModel,
     DecodeRequest,
     DynamicBatcher,
+    FaultSchedule,
     PlanCache,
     StaticEngine,
     TenantSpec,
     WorkerPool,
+    chip_death,
     decode_workload,
     merge_decode_workloads,
     uniform_workload,
@@ -399,6 +401,15 @@ class TestContinuousEngine:
         with pytest.raises(ValueError, match="min_replicas"):
             make_engine(cache, small_chip, fast_constraints, min_replicas=5)
 
+    def test_duplicate_request_ids_rejected(self, cache, small_chip, fast_constraints):
+        # Requeue bookkeeping and trace flows key on the request id: three
+        # id-7 requests through a chip death used to cross their admission
+        # and requeue accounting instead of failing.
+        engine = make_engine(cache, small_chip, fast_constraints, num_chips=2)
+        workload = [request(7, 0.0), request(7, 0.0, tokens=9), request(7, 1e-6)]
+        with pytest.raises(ValueError, match="duplicate request ids"):
+            engine.run(workload, faults=FaultSchedule.of([chip_death(1e-6, 0)]))
+
     def test_mean_active_chips_bounded_with_shed_leading_request(
         self, cache, small_chip, fast_constraints
     ):
@@ -436,6 +447,13 @@ class TestContinuousEngine:
 # Static baseline
 # --------------------------------------------------------------------------- #
 class TestStaticEngine:
+    def test_duplicate_request_ids_rejected(self, cache, small_chip, fast_constraints):
+        engine = StaticEngine(
+            make_model(), chip=small_chip, constraints=fast_constraints, plan_cache=cache
+        )
+        with pytest.raises(ValueError, match="duplicate request ids"):
+            engine.run([request(7, 0.0), request(7, 1.0)])
+
     def test_head_of_line_blocking(self, cache, small_chip, fast_constraints):
         model = make_model(max_batch_size=2)
         engine = StaticEngine(
