@@ -22,7 +22,9 @@ from repro.models import build_model, get_entry
 from repro.obs import (
     NULL_TRACER,
     Tracer,
+    to_chrome_trace,
     use_tracer,
+    validate_chrome_trace,
     write_chrome_trace,
     write_jsonl,
 )
@@ -42,8 +44,10 @@ def trace_session(path: str | Path | None = None) -> Iterator[Tracer]:
     With ``path=None`` this is a no-op yielding the disabled tracer, so
     callers can wrap their run unconditionally (``--trace`` off costs
     nothing).  A ``.jsonl`` path writes the raw event log; any other path
-    writes Chrome-trace JSON loadable in Perfetto.  The export happens even
-    when the block raises, so a failed run still leaves its partial trace.
+    writes Chrome-trace JSON loadable in Perfetto, after a schema check that
+    refuses (``ValueError``) to write a malformed export.  The export
+    happens even when the block raises, so a failed run still leaves its
+    partial trace.
     """
     if path is None:
         yield NULL_TRACER
@@ -57,6 +61,12 @@ def trace_session(path: str | Path | None = None) -> Iterator[Tracer]:
         if out.suffix == ".jsonl":
             write_jsonl(tracer, out)
         else:
+            problems = validate_chrome_trace(to_chrome_trace(tracer))
+            if problems:
+                raise ValueError(
+                    f"refusing to write an invalid Chrome trace to {out}:\n"
+                    + "\n".join(problems[:20])
+                )
             write_chrome_trace(tracer, out)
         print(f"trace: wrote {out} ({len(tracer)} events)")
 

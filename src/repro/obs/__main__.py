@@ -1,133 +1,25 @@
-"""CLI: run a traced experiment and export it, or inspect existing traces.
+"""CLI: inspect existing traces and gate the disabled tracer's cost.
 
 Subcommands::
 
-    python -m repro.obs fig27 --quick --out trace.json     # traced fig27 run
-    python -m repro.obs fig29 --quick --out trace.json     # traced chaos replay
-    python -m repro.obs fig30 --quick --out trace.json     # traced multi-tenant fleet
-    python -m repro.obs fig31 --quick --out trace.json     # traced fleet-chaos replay
-    python -m repro.obs fig32 --quick --out trace.json     # traced forecast provisioning
-    python -m repro.obs bench --quick --out trace.json     # traced quick bench
     python -m repro.obs summary trace.jsonl                # digest a JSONL log
     python -m repro.obs overhead                           # disabled-tracer cost
 
-``fig27``/``fig29``/``bench`` install an ambient tracer, run the experiment, then
-write the Chrome-trace JSON (``--out``, Perfetto-loadable), optionally the
-raw JSONL event log (``--jsonl``), and print the text summary.
+Traces are recorded by the commands that run things, through one
+``--trace OUT`` flag (Chrome-trace JSON for Perfetto, or the raw event log
+when OUT ends in ``.jsonl``)::
+
+    python -m repro.experiments fig27 --quick --trace trace.json
+    python -m repro.bench --quick --no-reference --trace trace.jsonl
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
-from repro.obs.export import (
-    read_jsonl,
-    summarize,
-    to_chrome_trace,
-    validate_chrome_trace,
-    write_chrome_trace,
-    write_jsonl,
-)
-from repro.obs.trace import Tracer, disabled_overhead_ns, use_tracer
-
-
-def _export(tracer: Tracer, args: argparse.Namespace) -> None:
-    if args.out:
-        data = to_chrome_trace(tracer)
-        problems = validate_chrome_trace(data)
-        if problems:  # pragma: no cover - defends the CLI against regressions
-            raise SystemExit("invalid chrome trace:\n" + "\n".join(problems[:20]))
-        path = write_chrome_trace(tracer, args.out)
-        print(f"wrote {path} ({len(data['traceEvents'])} trace events)")
-    if args.jsonl:
-        path = write_jsonl(tracer, args.jsonl)
-        print(f"wrote {path} ({len(tracer)} events)")
-    if args.summary:
-        print(summarize(tracer.events(), tracer.metrics.as_dict()))
-
-
-def _cmd_fig27(args: argparse.Namespace) -> int:
-    from repro.experiments import fig27_continuous
-    from repro.experiments.common import print_table
-
-    tracer = Tracer()
-    with use_tracer(tracer):
-        rows = fig27_continuous.run(quick=args.quick, jobs=args.jobs)
-    if not args.summary:
-        print_table(rows, title="Figure 27: continuous vs static batching")
-    _export(tracer, args)
-    return 0
-
-
-def _cmd_fig29(args: argparse.Namespace) -> int:
-    from repro.experiments import fig29_chaos
-    from repro.experiments.common import print_table
-
-    tracer = Tracer()
-    with use_tracer(tracer):
-        rows = fig29_chaos.run(quick=args.quick, jobs=args.jobs)
-    if not args.summary:
-        print_table(rows, title="Figure 29: goodput under chip failure (chaos replay)")
-    _export(tracer, args)
-    return 0
-
-
-def _cmd_fig30(args: argparse.Namespace) -> int:
-    from repro.experiments import fig30_multitenant
-    from repro.experiments.common import print_table
-
-    tracer = Tracer()
-    with use_tracer(tracer):
-        rows = fig30_multitenant.run(quick=args.quick, jobs=args.jobs)
-    if not args.summary:
-        print_table(rows, title="Figure 30: multi-tenant fleet vs static partition")
-    _export(tracer, args)
-    return 0
-
-
-def _cmd_fig31(args: argparse.Namespace) -> int:
-    from repro.experiments import fig31_fleet_chaos
-    from repro.experiments.common import print_table
-
-    tracer = Tracer()
-    with use_tracer(tracer):
-        rows = fig31_fleet_chaos.run(quick=args.quick, jobs=args.jobs)
-    if not args.summary:
-        print_table(
-            rows, title="Figure 31: fleet chaos — health-aware vs watchdog-only"
-        )
-    _export(tracer, args)
-    return 0
-
-
-def _cmd_fig32(args: argparse.Namespace) -> int:
-    from repro.experiments import fig32_forecast
-    from repro.experiments.common import print_table
-
-    tracer = Tracer()
-    with use_tracer(tracer):
-        rows = fig32_forecast.run(quick=args.quick, jobs=args.jobs)
-    if not args.summary:
-        print_table(
-            rows, title="Figure 32: forecast-ahead provisioning vs reactive autoscaling"
-        )
-    _export(tracer, args)
-    return 0
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.bench.runner import BenchConfig, run_bench
-
-    tracer = Tracer()
-    with use_tracer(tracer):
-        report = run_bench(
-            BenchConfig(quick=args.quick, jobs=args.jobs, reference=False, output=None)
-        )
-    print(json.dumps(report.totals, indent=2))
-    _export(tracer, args)
-    return 0
+from repro.obs.export import read_jsonl, summarize
+from repro.obs.trace import disabled_overhead_ns
 
 
 def _cmd_summary(args: argparse.Namespace) -> int:
@@ -152,64 +44,12 @@ def _cmd_overhead(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_export_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--out", default=None, help="write Chrome-trace JSON (Perfetto)")
-    parser.add_argument("--jsonl", default=None, help="write the raw JSONL event log")
-    parser.add_argument(
-        "--summary", action="store_true", help="print the per-track text summary"
-    )
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="python -m repro.obs", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    fig27 = sub.add_parser("fig27", help="run a traced fig27 continuous-batching sweep")
-    fig27.add_argument("--quick", action="store_true", help="small model / short workload")
-    fig27.add_argument("--jobs", type=int, default=1, help="compilation parallelism")
-    _add_export_flags(fig27)
-    fig27.set_defaults(fn=_cmd_fig27)
-
-    fig29 = sub.add_parser(
-        "fig29", help="run a traced fig29 chaos replay (fault injection)"
-    )
-    fig29.add_argument("--quick", action="store_true", help="small model / short workload")
-    fig29.add_argument("--jobs", type=int, default=1, help="compilation parallelism")
-    _add_export_flags(fig29)
-    fig29.set_defaults(fn=_cmd_fig29)
-
-    fig30 = sub.add_parser(
-        "fig30", help="run a traced fig30 multi-tenant fleet comparison"
-    )
-    fig30.add_argument("--quick", action="store_true", help="small model / short workload")
-    fig30.add_argument("--jobs", type=int, default=1, help="compilation parallelism")
-    _add_export_flags(fig30)
-    fig30.set_defaults(fn=_cmd_fig30)
-
-    fig31 = sub.add_parser(
-        "fig31", help="run a traced fig31 fleet-chaos comparison"
-    )
-    fig31.add_argument("--quick", action="store_true", help="small model / short workload")
-    fig31.add_argument("--jobs", type=int, default=1, help="compilation parallelism")
-    _add_export_flags(fig31)
-    fig31.set_defaults(fn=_cmd_fig31)
-
-    fig32 = sub.add_parser(
-        "fig32", help="run a traced fig32 forecast-provisioning comparison"
-    )
-    fig32.add_argument("--quick", action="store_true", help="small model / short workload")
-    fig32.add_argument("--jobs", type=int, default=1, help="compilation parallelism")
-    _add_export_flags(fig32)
-    fig32.set_defaults(fn=_cmd_fig32)
-
-    bench = sub.add_parser("bench", help="run a traced compile benchmark")
-    bench.add_argument("--quick", action="store_true", help="truncated models, fast search")
-    bench.add_argument("--jobs", type=int, default=1, help="compilation parallelism")
-    _add_export_flags(bench)
-    bench.set_defaults(fn=_cmd_bench)
-
     summary = sub.add_parser("summary", help="summarize a JSONL event log")
-    summary.add_argument("path", help="JSONL file written by --jsonl")
+    summary.add_argument("path", help="JSONL event log written by --trace OUT.jsonl")
     summary.set_defaults(fn=_cmd_summary)
 
     overhead = sub.add_parser("overhead", help="measure disabled-tracer per-call cost")

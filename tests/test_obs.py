@@ -387,6 +387,13 @@ class TestTraceSession:
         assert validate_chrome_trace(data) == []
         assert "trace: wrote" in capsys.readouterr().out
 
+    def test_malformed_chrome_trace_is_refused(self, tmp_path):
+        out = tmp_path / "bad.json"
+        with pytest.raises(ValueError, match="bad ts"):
+            with trace_session(out) as tracer:
+                tracer.instant("i", ts=-1.0, track="g/t")
+        assert not out.exists()
+
     def test_jsonl_path_writes_event_log(self, tmp_path):
         out = tmp_path / "trace.jsonl"
         with trace_session(out) as tracer:
