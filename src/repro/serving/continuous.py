@@ -795,6 +795,8 @@ class _ChipFaults:
             self._refund(max(0.0, end - now) * self.engine.num_stages)
             self.stats.lost_iterations += 1
             owner.busy = False
+        # The loop integrated active chip-seconds up to ``now`` before
+        # dispatching this event, so the replica can leave the active set.
         owner.active = False
         owner.epoch += 1
         owner.dead = True
