@@ -44,11 +44,6 @@ class OperatorSchedule:
     setup_time_est: float
     active_time_est: float
 
-    @property
-    def total_time_est(self) -> float:
-        """Setup plus active execution time estimate."""
-        return self.setup_time_est + self.active_time_est
-
 
 @dataclass
 class ModelSchedule:

@@ -10,12 +10,13 @@ one operator it:
    from divisor arithmetic alone (:func:`repro.core.plan.sketch_plan`), on
    sub-extents, sharing degrees and sub-shapes derived once per ``F_op``
    (:func:`repro.core.plan.fop_geometry`),
-4. drops SRAM-infeasible sketches, costs the survivors with one batched
-   cost-model call per bounded batch, and drops every sketch whose
-   compute-time lower bound is already dominated by the incremental Pareto
-   frontier (:class:`repro.core.pareto.ParetoAccumulator`), and
+4. drops SRAM-infeasible sketches, prices the survivors' exact execution
+   time with one batched cost-model call per bounded batch, and keeps the
+   Pareto frontier *of sketches* (:class:`repro.core.pareto.ParetoAccumulator`)
+   — a sketch's priced bound is its plan's ``time_est`` bit for bit and its
+   memory is exact, so this is the plan frontier — and
 5. **materializes** a full :class:`~repro.core.plan.OperatorPlan` (rTensors,
-   shift schedule, communication cost) only for the sketches that survive.
+   shift schedule, communication cost) only for the final frontier members.
 
 The streaming pipeline holds at most one batch of sketches plus the frontier
 in memory and produces a frontier bit-for-bit identical to the eager
@@ -65,10 +66,10 @@ class SearchSpaceStats:
     ``sketched`` counts every ``(F_op, temporal)`` combination examined,
     ``evaluated`` the feasible candidates among them, ``filtered`` the ones
     that also fit a core's SRAM, ``materialized`` the candidates that were
-    fully built (rTensors + shift schedule) after lower-bound pruning, and
-    ``optimized`` the Pareto frontier.  ``truncated`` is set when the
-    ``max_plans`` constraint capped the enumeration before the space was
-    exhausted.
+    fully built (rTensors + shift schedule) — the final frontier only, or
+    the one library plan — and ``optimized`` the Pareto frontier.
+    ``truncated`` is set when the ``max_plans`` constraint capped the
+    enumeration before the space was exhausted.
     """
 
     complete: float
@@ -98,6 +99,14 @@ def _plan_memory(plan: OperatorPlan) -> float:
 
 def _plan_time(plan: OperatorPlan) -> float:
     return plan.time_est
+
+
+def _sketch_memory(item: tuple[PlanSketch, float]) -> int:
+    return item[0].memory_bytes
+
+
+def _sketch_time(item: tuple[PlanSketch, float]) -> float:
+    return item[1]
 
 
 class IntraOpOptimizer:
@@ -214,25 +223,25 @@ class IntraOpOptimizer:
     ) -> tuple[list[OperatorPlan], SearchSpaceStats]:
         expr = operator.expr
         sram = self.chip.sram_per_core
-        accumulator: ParetoAccumulator[OperatorPlan] = ParetoAccumulator(
-            memory=_plan_memory, time=_plan_time
-        )
         sketched = evaluated = fitting = 0
-        materialized = 0
         truncated = False
 
         if expr.library_fallback:
             plan = build_library_plan(expr, self.chip, self.cost_model)
-            sketched = evaluated = materialized = 1
-            if plan.memory_bytes <= sram:
-                fitting = 1
-                accumulator.insert(plan)
+            sketched = evaluated = 1
+            frontier = [plan] if plan.memory_bytes <= sram else []
+            fitting = len(frontier)
+            materialized = 1
         else:
+            # (sketch, priced time bound) pairs: the bound is the built plan's
+            # ``time_est`` bit for bit, so this is the plan frontier.
+            accumulator: ParetoAccumulator[tuple[PlanSketch, float]] = (
+                ParetoAccumulator(memory=_sketch_memory, time=_sketch_time)
+            )
             batch: list[PlanSketch] = []
             tracer = get_tracer()
 
             def flush() -> None:
-                nonlocal materialized
                 if not batch:
                     return
                 with tracer.wall_span(
@@ -249,22 +258,18 @@ class IntraOpOptimizer:
                             for s in batch
                         ],
                     )
-                    built = 0
+                    pruned = 0
                     for sketch, per_step in zip(batch, per_step_times):
                         sketch.compute_time = sketch.num_steps * per_step
-                        # A sketch whose execution-time lower bound (exact compute
-                        # plus guaranteed minimum shift time) is matched by a
-                        # no-larger frontier member can never improve the
-                        # frontier: skip building it.
-                        if accumulator.dominates(
-                            sketch.memory_bytes, sketch.time_lower_bound(self.cost_model)
-                        ):
+                        bound = sketch.time_lower_bound(self.cost_model)
+                        # A sketch matched by a no-larger frontier member can
+                        # never join the frontier; the check keeps it out of
+                        # ``insert`` altogether.
+                        if accumulator.dominates(sketch.memory_bytes, bound):
+                            pruned += 1
                             continue
-                        plan = sketch.materialize(expr, self.chip, self.cost_model)
-                        materialized += 1
-                        built += 1
-                        accumulator.insert(plan)
-                    span.set(materialized=built, pruned=len(batch) - built)
+                        accumulator.insert((sketch, bound))
+                    span.set(pruned=pruned, frontier=len(accumulator))
                     batch.clear()
 
             for fop, geometry, temporal in self._enumerate_candidates(expr):
@@ -282,8 +287,12 @@ class IntraOpOptimizer:
                     truncated = True
                     break
             flush()
+            frontier = [
+                sketch.materialize(expr, self.chip, self.cost_model)
+                for sketch, _ in accumulator.items()
+            ]
+            materialized = len(frontier)
 
-        frontier = accumulator.items()
         stats = SearchSpaceStats(
             complete=complete_space_size(expr, self.chip.num_cores),
             filtered=float(fitting),
@@ -309,7 +318,11 @@ class IntraOpOptimizer:
         ``complete``/``filtered``/``evaluated``/``optimized``/``truncated``
         accounting; only ``materialized`` may (and should) be smaller.  Used
         by the determinism tests and the ``repro.bench`` before/after
-        search-space accounting; results are deliberately not cached.
+        search-space accounting; results are deliberately not cached.  It
+        also keeps :meth:`~repro.core.plan.PlanSketch.materialize`'s sketch
+        consistency checks running on *every* feasible candidate (through
+        :func:`~repro.core.plan.build_plan`), where the streaming search runs
+        them on frontier members only.
         """
         expr = operator.expr
         sketched = 0

@@ -102,11 +102,6 @@ class OperatorPlan:
         return sizes
 
     @property
-    def total_shift_bytes(self) -> int:
-        """Per-core inter-core traffic over the whole operator."""
-        return sum(op.bytes_per_step * op.num_steps for op in self.shift_ops)
-
-    @property
     def comm_fraction_est(self) -> float:
         """Estimated fraction of time spent shifting."""
         total = self.time_est
@@ -150,9 +145,9 @@ class PlanSketch:
     operator partition factor and the temporal factors alone: feasibility, the
     exact per-core memory footprint and the exact step structure all follow
     from divisor arithmetic, without deriving rTensor configurations or a
-    shift schedule.  Only candidates that survive the SRAM filter and the
-    frontier lower-bound test pay :meth:`materialize`, which builds the full
-    (bit-identical to :func:`build_plan`) :class:`OperatorPlan`.
+    shift schedule.  Only the members of the final Pareto frontier pay
+    :meth:`materialize`, which builds the full (bit-identical to
+    :func:`build_plan`) :class:`OperatorPlan`.
 
     ``compute_time`` is filled in by the optimizer's batched cost-model pass;
     together with the priced ``shift_bound_terms`` it yields
@@ -206,6 +201,13 @@ class PlanSketch:
         Derives the rTensor configurations and the shift schedule the sketch
         skipped; the result is exactly what :func:`build_plan` returns for the
         same ``(fop, temporal_factors)``.
+
+        Raises :class:`RuntimeError` when the built plan's paces, shift
+        pricing or memory diverge from the sketch's: the streaming search
+        builds its frontier from sketches, so any drift would silently
+        change it.  The streaming search materializes frontier members only;
+        :meth:`~repro.core.intra_op.IntraOpOptimizer.search_reference` sends
+        every feasible candidate through these checks via :func:`build_plan`.
         """
         configs: dict[str, RTensorConfig] = {}
         for spec in expr.all_tensors:
@@ -366,6 +368,19 @@ def sketch_plan(
         axis: (pace_per_axis[axis] if axis in pace_per_axis else extents[axis])
         for axis in expr.axes
     }
+    # One step's slice of a tensor differs from its F_op sub-tensor only in
+    # the dims that touch a rotated axis (whose step extent is the pace), so
+    # only those are re-derived.  Exact integers: equal to summing
+    # ``expr.tensor_bytes(spec, subtask_shape)`` over the tensors.
+    step_elements = 0
+    for spec, _, sub_shape, elements in geometry.tensors:
+        if pace_per_axis:
+            for index, dim in enumerate(spec.dims):
+                if not pace_per_axis.keys().isdisjoint(dim.axes):
+                    elements = (
+                        elements // sub_shape[index] * expr.dim_length(dim, subtask_shape)
+                    )
+        step_elements += elements
     # Price the shift schedule the materialized plan will have, without
     # building it: T10's loop ordering (largest rotating tensor outermost,
     # §4.4) depends only on per-axis rotated-tensor sizes, and each rotating
@@ -407,9 +422,7 @@ def sketch_plan(
         rotation_paces=pace_per_axis,
         subtask_shape=subtask_shape,
         flops_per_step=expr.flops(subtask_shape),
-        bytes_per_step=sum(
-            expr.tensor_bytes(spec, subtask_shape) for spec in expr.all_tensors
-        ),
+        bytes_per_step=step_elements * dtype_bytes,
         shift_bound_terms=tuple(shift_bound_terms),
     )
 

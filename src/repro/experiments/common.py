@@ -133,17 +133,6 @@ def shared_t10_compiler(
     return _T10_CACHE[key]
 
 
-def close_shared_compilers() -> None:
-    """Close and forget the cached compilers (releases jobs>1 worker pools).
-
-    Long interactive sessions that swept parallel widths can call this to
-    stop idle pool workers from outliving the sweep.
-    """
-    while _T10_CACHE:
-        _, compiler = _T10_CACHE.popitem()
-        compiler.close()
-
-
 def make_compilers(
     chip: ChipSpec,
     *,

@@ -86,19 +86,10 @@ class TensorExpression:
         return tuple(self.inputs) + (self.output,)
 
     @property
-    def axis_names(self) -> tuple[str, ...]:
-        """All iteration axes in declaration order."""
-        return tuple(self.axes.keys())
-
-    @property
     def reduction_axes(self) -> frozenset[str]:
         """Axes that do not appear in the output tensor (reduced away)."""
         output_axes = set(self.output.axes)
         return frozenset(axis for axis in self.axes if axis not in output_axes)
-
-    def tensors_with_axis(self, axis: str) -> tuple[TensorSpec, ...]:
-        """All tensors whose dimensions reference ``axis``."""
-        return tuple(spec for spec in self.all_tensors if spec.has_axis(axis))
 
     # ------------------------------------------------------------------ #
     # Shapes, sizes and FLOPs

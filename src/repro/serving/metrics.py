@@ -343,11 +343,6 @@ class ContinuousReport:
         return [record for record in self.completed if record.ok]
 
     @property
-    def shed_requests(self) -> list[CompletedDecode]:
-        """Requests rejected by load shedding."""
-        return [record for record in self.completed if not record.ok]
-
-    @property
     def total_completed(self) -> int:
         """Served request count."""
         return len(self.ok_requests)

@@ -255,11 +255,6 @@ class PlanCache:
         path = self._disk_path(key)
         return path is not None and path.exists()
 
-    def reset_stats(self) -> None:
-        """Zero the counters (e.g. after warmup, before measuring steady state)."""
-        with self._lock:
-            self._stats = CacheStats()
-
     def close(self) -> None:
         """Release the worker pools of memoised compilers (idempotent)."""
         with self._lock:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import MISSING, fields
 
 import pytest
 
@@ -196,6 +197,39 @@ class TestMergeDecodeWorkloads:
         forward = merge_decode_workloads(*self.streams())
         backward = merge_decode_workloads(*reversed(self.streams()))
         assert forward == backward
+
+    def test_keeps_every_field_but_the_id(self):
+        """Each renumbered request equals its source in every other field.
+
+        The streams set every field away from its default somewhere, so a
+        field added to ``DecodeRequest`` but not copied by the merge fails
+        here instead of silently taking its default.
+        """
+        streams = [
+            decode_workload(
+                "tiny", num_requests=12, rate=200.0, seed=1, tenant="acme",
+                slo_seconds=0.5,
+            ),
+            decode_workload(
+                "other", num_requests=8, rate=150.0, seed=2, tenant="globex",
+                interactive_fraction=0.5, slo_seconds=0.25,
+            ),
+        ]
+        sources = sorted(
+            (req for stream in streams for req in stream),
+            key=lambda req: (req.arrival_time, req.tenant, req.model, req.request_id),
+        )
+        merged = merge_decode_workloads(*streams)
+        names = [f.name for f in fields(DecodeRequest) if f.name != "request_id"]
+        for field in fields(DecodeRequest):
+            if field.default is not MISSING:
+                assert any(
+                    getattr(req, field.name) != field.default for req in sources
+                ), f"no test request sets {field.name!r} away from its default"
+        for source, copy in zip(sources, merged, strict=True):
+            assert [getattr(copy, name) for name in names] == [
+                getattr(source, name) for name in names
+            ]
 
     def test_rejects_indistinguishable_requests(self):
         stream = decode_workload(

@@ -7,10 +7,14 @@ from dataclasses import asdict
 
 import pytest
 
+from repro.core.constraints import DEFAULT_CONSTRAINTS
+from repro.core.intra_op import IntraOpOptimizer
 from repro.core.partition import sub_extents, tensor_sharing_degree, tensor_sub_shape
 from repro.core.plan import build_library_plan, build_plan, fop_geometry, sketch_plan
+from repro.experiments.common import build_workload
 from repro.ir import conv2d, library_op, matmul
 from repro.ir.tensor import TensorRole
+from repro.models import list_models
 from repro.utils import prod
 from repro.utils.fingerprint import canonicalize
 
@@ -310,3 +314,45 @@ class TestPlanSketch:
         assert sketch.compute_time is None
         plan = sketch.materialize(mm_expr, small_chip, small_cost_model)
         assert plan == build_plan(mm_expr, small_chip, small_cost_model, fop, temporal)
+
+
+class TestBytesPerStepOracle:
+    """``sketch_plan`` derives ``bytes_per_step`` from the ``F_op`` geometry,
+    re-deriving only the dims that touch a rotated axis.  The oracle is the
+    direct definition: every tensor's bytes at the per-step sub-task shape."""
+
+    @pytest.mark.parametrize("model_name", list_models())
+    def test_registry_models_match_tensor_bytes(
+        self, ipu_chip, ipu_cost_model, model_name
+    ):
+        optimizer = IntraOpOptimizer(ipu_chip, ipu_cost_model, DEFAULT_CONSTRAINTS)
+        graph = build_workload(model_name, 1, quick=True)
+        seen: set[tuple] = set()
+        checked = compound = compound_rotated = 0
+        for operator in graph.operators:
+            expr = operator.expr
+            if expr.library_fallback or operator.signature() in seen:
+                continue
+            seen.add(operator.signature())
+            # Conv inputs index ``h + kh``: rotating either axis changes that
+            # dim's per-step length, so those candidates must be covered.
+            compound_dims = [
+                dim for spec in expr.all_tensors for dim in spec.dims if dim.is_compound
+            ]
+            for fop, geometry, temporal in optimizer._enumerate_candidates(expr):
+                sketch = sketch_plan(expr, ipu_chip, fop, temporal, geometry)
+                if sketch is None:
+                    continue
+                checked += 1
+                assert sketch.bytes_per_step == sum(
+                    expr.tensor_bytes(spec, sketch.subtask_shape)
+                    for spec in expr.all_tensors
+                )
+                compound += bool(compound_dims)
+                compound_rotated += any(
+                    not sketch.rotation_paces.keys().isdisjoint(dim.axes)
+                    for dim in compound_dims
+                )
+        assert checked > 0
+        if compound:
+            assert compound_rotated > 0
