@@ -60,19 +60,19 @@ class LinearKernelModel:
         c0, c1, c2 = self.coefficients
         return float(max(c0 + c1 * flops + c2 * nbytes, 1e-9))
 
-    def predict_batch(self, flops: Sequence[float], nbytes: Sequence[float]) -> list[float]:
+    def predict_batch(self, flops: np.ndarray, nbytes: np.ndarray) -> np.ndarray:
         """Vectorised :meth:`predict` over many sub-tasks at once.
 
         The arithmetic is element-wise float64 in the same association order
         as the scalar path, so each result is bit-identical to calling
-        :meth:`predict` per sample — the streaming plan search relies on that
+        :meth:`predict` per sample — the block plan search relies on that
         to stay exactly equal to the one-plan-at-a-time implementation.
         """
         c0, c1, c2 = self.coefficients
         times = c0 + c1 * np.asarray(flops, dtype=np.float64) + c2 * np.asarray(
             nbytes, dtype=np.float64
         )
-        return [float(t) for t in np.maximum(times, 1e-9)]
+        return np.maximum(times, 1e-9)
 
     def accuracy(self, samples: Sequence[KernelSample] | None = None) -> dict[str, float]:
         """Mean absolute percentage error and R² against ``samples``."""
@@ -102,6 +102,12 @@ class CommModel:
     def predict(self, nbytes: float) -> float:
         """Predicted time of one shift of ``nbytes`` per core (seconds)."""
         return float(max(self.latency + self.per_byte * nbytes, 0.0))
+
+    def predict_batch(self, nbytes: np.ndarray) -> np.ndarray:
+        """Element-wise :meth:`predict`, bit-identical to it per volume."""
+        times = self.latency + self.per_byte * np.asarray(nbytes, dtype=np.float64)
+        # ``max(x, 0.0)`` keeps ``x`` unless ``0.0 > x``; so does this.
+        return np.where(0.0 > times, 0.0, times)
 
 
 #: Operator types the cost model is fitted for by default.
@@ -179,34 +185,47 @@ class CostModel:
     def compute_time_batch(
         self,
         op_type: str,
-        subtasks: Sequence[tuple[Mapping[str, int], float, float]],
-    ) -> list[float]:
+        subtask_shape: Mapping[str, np.ndarray],
+        flops: np.ndarray,
+        nbytes: np.ndarray,
+    ) -> np.ndarray:
         """Per-step compute times of many sub-tasks of one operator type.
 
-        Each element of ``subtasks`` is ``(subtask_shape, flops, nbytes)``.
-        For fitted kernel models the prediction is one vectorised least-squares
-        evaluation (the streaming plan search costs whole batches of surviving
-        sketches this way); custom and fallback cost functions are evaluated
-        per sample.  Results are bit-identical to calling :meth:`compute_time`
-        on each sub-task.
+        The sub-tasks are columns: ``subtask_shape`` maps each axis to its
+        extents, and ``flops`` and ``nbytes`` hold one value per sub-task.
+        Fitted kernel models and the analytic default are evaluated as
+        float64 arrays in the association order of their scalar forms.  A
+        custom cost function is called once per sub-task, with a shape dict
+        of Python ints built from the columns.  Every element is
+        bit-identical to calling :meth:`compute_time` on its sub-task.
         """
-        if not subtasks:
-            return []
-        if op_type not in self._custom:
-            model = self._lookup(op_type)
-            if model is not None:
-                return model.predict_batch(
-                    [flops for _, flops, _ in subtasks],
-                    [nbytes for _, _, nbytes in subtasks],
-                )
-        return [
-            self.compute_time(op_type, shape, flops, nbytes)
-            for shape, flops, nbytes in subtasks
-        ]
+        if op_type in self._custom:
+            fn = self._custom[op_type]
+            axes = list(subtask_shape)
+            shapes = zip(*(np.asarray(column).tolist() for column in subtask_shape.values()))
+            return np.array(
+                [
+                    fn(dict(zip(axes, shape)), flop, nbyte)
+                    for shape, flop, nbyte in zip(
+                        shapes, np.asarray(flops).tolist(), np.asarray(nbytes).tolist()
+                    )
+                ],
+                dtype=np.float64,
+            )
+        model = self._lookup(op_type)
+        if model is not None:
+            return model.predict_batch(flops, nbytes)
+        return self._default_compute_time(
+            np.asarray(flops, dtype=np.float64), np.asarray(nbytes, dtype=np.float64)
+        )
 
     def shift_time(self, nbytes: float) -> float:
         """Predicted time of one inter-core shift of ``nbytes``."""
         return self.comm_model.predict(nbytes)
+
+    def shift_time_batch(self, nbytes: np.ndarray) -> np.ndarray:
+        """Element-wise :meth:`shift_time`, bit-identical to it per volume."""
+        return self.comm_model.predict_batch(nbytes)
 
     def setup_time(self, nbytes: float) -> float:
         """Predicted time of an idle→active transition moving ``nbytes`` per core."""
@@ -242,8 +261,13 @@ class CostModel:
             return self.kernel_models.get("elementwise_add")
         return None
 
-    def _default_compute_time(self, flops: float, nbytes: float) -> float:
-        """Analytic fallback for operator types without a fitted model."""
+    def _default_compute_time(
+        self, flops: float | np.ndarray, nbytes: float | np.ndarray
+    ) -> float | np.ndarray:
+        """Analytic fallback for operator types without a fitted model.
+
+        Element-wise on float64 arrays, with the scalar path's operations.
+        """
         effective = 0.45 * self.chip.core_flops
         return (
             self.chip.compute_launch_overhead

@@ -4,24 +4,27 @@ This is the first stage of T10's two-level optimisation (paper §4.3.1).  For
 one operator it:
 
 1. enumerates candidate operator partition factors under the parallelism and
-   padding constraints (:mod:`repro.core.partition`),
-2. enumerates temporal-factor combinations per tensor,
-3. **sketches** every candidate — exact memory footprint and step structure
-   from divisor arithmetic alone (:func:`repro.core.plan.sketch_plan`), on
-   sub-extents, sharing degrees and sub-shapes derived once per ``F_op``
-   (:func:`repro.core.plan.fop_geometry`),
-4. drops SRAM-infeasible sketches, prices the survivors' exact execution
-   time with one batched cost-model call per bounded batch, and keeps the
-   Pareto frontier *of sketches* (:class:`repro.core.pareto.ParetoAccumulator`)
-   — a sketch's priced bound is its plan's ``time_est`` bit for bit and its
-   memory is exact, so this is the plan frontier — and
-5. **materializes** a full :class:`~repro.core.plan.OperatorPlan` (rTensors,
-   shift schedule, communication cost) only for the final frontier members.
+   padding constraints (:mod:`repro.core.partition`), with the per-tensor
+   temporal-factor choices of each,
+2. **sketches** every temporal combination of a run of operator partitions
+   at once as numpy columns (:func:`repro.core.plan.sketch_block`) — exact
+   feasibility, memory footprint, step structure and shift schedule from
+   divisor arithmetic alone — on sub-extents, sharing degrees and
+   sub-shapes derived once per ``F_op`` (:func:`repro.core.plan.fop_geometry`),
+3. drops SRAM-infeasible candidates, prices the survivors' exact execution
+   time as arrays, and keeps the Pareto frontier of ``(memory, bound)``
+   pairs (:class:`repro.core.pareto.ParetoAccumulator`) — a candidate's
+   priced bound is its plan's ``time_est`` bit for bit and its memory is
+   exact, so this is the plan frontier — and
+4. **materializes** a full :class:`~repro.core.plan.OperatorPlan` (rTensors,
+   shift schedule, communication cost) only for the final frontier members,
+   each re-sketched first by the scalar :func:`~repro.core.plan.sketch_plan`
+   and checked against its block values.
 
-The streaming pipeline holds at most one batch of sketches plus the frontier
-in memory and produces a frontier bit-for-bit identical to the eager
-implementation it replaced (kept as :meth:`IntraOpOptimizer.search_reference`,
-the executable specification the determinism tests compare against).
+The search holds one block of candidates plus the frontier in memory and
+produces a frontier bit-for-bit identical to the eager implementation it
+replaced (kept as :meth:`IntraOpOptimizer.search_reference`, the executable
+specification the determinism tests compare against).
 
 Results are cached per operator signature: identical operators (the repeated
 layers of a transformer, say) are searched once.
@@ -29,9 +32,10 @@ layers of a transformer, say) are searched once.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator
+
+import numpy as np
 
 from repro.core.constraints import DEFAULT_CONSTRAINTS, SearchConstraints
 from repro.core.cost_model import CostModel
@@ -42,21 +46,29 @@ from repro.core.partition import (
     temporal_factor_choices,
 )
 from repro.core.plan import (
+    FopCandidates,
     FopGeometry,
     OperatorPlan,
-    PlanSketch,
     build_library_plan,
     build_plan,
     fop_geometry,
+    sketch_block,
     sketch_plan,
+    temporal_combos,
 )
 from repro.hw.spec import ChipSpec
 from repro.ir.operator import Operator
 from repro.obs.trace import get_tracer
+from repro.utils import prod
 
-#: Surviving sketches are costed and pruned in bounded batches: one vectorised
-#: cost-model call per batch, and never the whole candidate list in memory.
-SKETCH_BATCH = 128
+#: Candidates per block: whole operator partitions join a block until it holds
+#: at least this many temporal combinations, and each block is sketched,
+#: priced and filtered as numpy columns in one go.  Chosen by a block-size
+#: sweep (docs/performance.md, "Block sketching").
+SKETCH_BLOCK = 1024
+
+#: ``(memory, priced time bound, fop, geometry, temporal)`` of one candidate.
+_Candidate = tuple[int, float, dict[str, int], FopGeometry, dict[str, int]]
 
 
 @dataclass(frozen=True)
@@ -68,8 +80,9 @@ class SearchSpaceStats:
     that also fit a core's SRAM, ``materialized`` the candidates that were
     fully built (rTensors + shift schedule) — the final frontier only, or
     the one library plan — and ``optimized`` the Pareto frontier.
-    ``truncated`` is set when the ``max_plans`` constraint capped the
-    enumeration before the space was exhausted.
+    ``truncated`` is set when the ``max_plans`` constraint cut off a
+    further feasible candidate (not when the space held exactly
+    ``max_plans`` of them).
     """
 
     complete: float
@@ -101,11 +114,11 @@ def _plan_time(plan: OperatorPlan) -> float:
     return plan.time_est
 
 
-def _sketch_memory(item: tuple[PlanSketch, float]) -> int:
-    return item[0].memory_bytes
+def _candidate_memory(item: _Candidate) -> int:
+    return item[0]
 
 
-def _sketch_time(item: tuple[PlanSketch, float]) -> float:
+def _candidate_time(item: _Candidate) -> float:
     return item[1]
 
 
@@ -233,63 +246,56 @@ class IntraOpOptimizer:
             fitting = len(frontier)
             materialized = 1
         else:
-            # (sketch, priced time bound) pairs: the bound is the built plan's
-            # ``time_est`` bit for bit, so this is the plan frontier.
-            accumulator: ParetoAccumulator[tuple[PlanSketch, float]] = (
-                ParetoAccumulator(memory=_sketch_memory, time=_sketch_time)
+            # (memory, priced time bound, fop, geometry, temporal) per
+            # candidate: the bound is the built plan's ``time_est`` bit for
+            # bit, so this is the plan frontier.
+            accumulator: ParetoAccumulator[_Candidate] = ParetoAccumulator(
+                memory=_candidate_memory, time=_candidate_time
             )
-            batch: list[PlanSketch] = []
             tracer = get_tracer()
-
-            def flush() -> None:
-                if not batch:
-                    return
+            limit = self.constraints.max_temporal_combos
+            remaining = self.constraints.max_plans  # feasible candidates still allowed
+            for run in self._fop_runs(expr):
                 with tracer.wall_span(
                     "sketch-flush",
                     track="compiler/intra-op",
                     cat="compile",
                     op=operator.name,
-                    batch=len(batch),
                 ) as span:
-                    per_step_times = self.cost_model.compute_time_batch(
-                        expr.op_type,
-                        [
-                            (s.subtask_shape, s.flops_per_step, s.bytes_per_step)
-                            for s in batch
-                        ],
-                    )
+                    block = sketch_block(expr, self.chip, run, limit)
+                    feasible = block.feasible
+                    taken = np.cumsum(feasible)
+                    end = len(block)
+                    if end and taken[-1] >= remaining:
+                        # The ``max_plans`` cut falls in this block (or fell
+                        # before it); it truncates the search only if a
+                        # further feasible candidate exists.
+                        end = int(np.searchsorted(taken, remaining)) + 1 if remaining else 0
+                        truncated = bool(feasible[end:].any())
+                    sketched += end
+                    if end:
+                        evaluated += int(taken[end - 1])
+                        remaining -= int(taken[end - 1])
+                    index = np.flatnonzero(feasible[:end] & (block.memory_bytes[:end] <= sram))
+                    fitting += len(index)
                     pruned = 0
-                    for sketch, per_step in zip(batch, per_step_times):
-                        sketch.compute_time = sketch.num_steps * per_step
-                        bound = sketch.time_lower_bound(self.cost_model)
-                        # A sketch matched by a no-larger frontier member can
-                        # never join the frontier; the check keeps it out of
-                        # ``insert`` altogether.
-                        if accumulator.dominates(sketch.memory_bytes, bound):
-                            pruned += 1
-                            continue
-                        accumulator.insert((sketch, bound))
-                    span.set(pruned=pruned, frontier=len(accumulator))
-                    batch.clear()
-
-            for fop, geometry, temporal in self._enumerate_candidates(expr):
-                sketched += 1
-                sketch = sketch_plan(expr, self.chip, fop, temporal, geometry)
-                if sketch is None:
-                    continue
-                evaluated += 1
-                if sketch.memory_bytes <= sram:
-                    fitting += 1
-                    batch.append(sketch)
-                    if len(batch) >= SKETCH_BATCH:
-                        flush()
-                if evaluated >= self.constraints.max_plans:
-                    truncated = True
+                    if len(index):
+                        bounds = block.time_bound(self.cost_model, expr.op_type, index)
+                        for position, memory, bound in zip(
+                            index.tolist(), block.memory_bytes[index].tolist(), bounds.tolist()
+                        ):
+                            # A candidate matched by a no-larger frontier
+                            # member can never join the frontier; the check
+                            # keeps it out of ``insert`` altogether.
+                            if accumulator.dominates(memory, bound):
+                                pruned += 1
+                                continue
+                            accumulator.insert((memory, bound, *block.candidate(position)))
+                    span.set(candidates=end, pruned=pruned, frontier=len(accumulator))
+                if truncated:
                     break
-            flush()
             frontier = [
-                sketch.materialize(expr, self.chip, self.cost_model)
-                for sketch, _ in accumulator.items()
+                self._materialize(expr, *candidate) for candidate in accumulator.items()
             ]
             materialized = len(frontier)
 
@@ -304,6 +310,31 @@ class IntraOpOptimizer:
         )
         return frontier, stats
 
+    def _materialize(
+        self,
+        expr,
+        memory: int,
+        bound: float,
+        fop: dict[str, int],
+        geometry: FopGeometry,
+        temporal: dict[str, int],
+    ) -> OperatorPlan:
+        """Re-sketch one frontier member with :func:`sketch_plan` and build it.
+
+        Raises :class:`RuntimeError` when the scalar sketch disagrees with
+        the block's feasibility, memory or priced bound: the frontier was
+        chosen on the block's values, so any drift would silently change it.
+        """
+        sketch = sketch_plan(expr, self.chip, fop, temporal, geometry)
+        if sketch is None:
+            raise RuntimeError("block sketch accepted a candidate sketch_plan rejects")
+        sketch.compute_time = sketch.num_steps * self.cost_model.compute_time(
+            expr.op_type, sketch.subtask_shape, sketch.flops_per_step, sketch.bytes_per_step
+        )
+        if sketch.memory_bytes != memory or sketch.time_lower_bound(self.cost_model) != bound:
+            raise RuntimeError("block sketch diverged from sketch_plan")
+        return sketch.materialize(expr, self.chip, self.cost_model)
+
     # ------------------------------------------------------------------ #
     # Reference (eager) search — the executable specification
     # ------------------------------------------------------------------ #
@@ -313,7 +344,9 @@ class IntraOpOptimizer:
         """The eager search the streaming pipeline replaced.
 
         Materializes every feasible candidate, filters on SRAM and applies one
-        batch :func:`pareto_front` — exactly the seed implementation.  The
+        batch :func:`pareto_front` — exactly the seed implementation, apart
+        from ``truncated``, which is set only when the ``max_plans`` cut drops
+        a further feasible candidate.  The
         streaming search must return a bit-identical frontier and identical
         ``complete``/``filtered``/``evaluated``/``optimized``/``truncated``
         accounting; only ``materialized`` may (and should) be smaller.  Used
@@ -332,15 +365,17 @@ class IntraOpOptimizer:
             sketched = 1
             candidates.append(build_library_plan(expr, self.chip, self.cost_model))
         else:
-            for fop, geometry, temporal in self._enumerate_candidates(expr):
+            for fop, geometry, temporal in self._scalar_candidates(expr):
+                if len(candidates) >= self.constraints.max_plans:
+                    # Truncated only if the cut dropped a feasible candidate.
+                    if sketch_plan(expr, self.chip, fop, temporal, geometry) is not None:
+                        truncated = True
+                        break
+                    continue
                 sketched += 1
                 plan = build_plan(expr, self.chip, self.cost_model, fop, temporal, geometry)
-                if plan is None:
-                    continue
-                candidates.append(plan)
-                if len(candidates) >= self.constraints.max_plans:
-                    truncated = True
-                    break
+                if plan is not None:
+                    candidates.append(plan)
         fitting = [
             plan for plan in candidates if plan.memory_bytes <= self.chip.sram_per_core
         ]
@@ -363,7 +398,7 @@ class IntraOpOptimizer:
             return
 
         produced = 0
-        for fop, geometry, temporal in self._enumerate_candidates(expr):
+        for fop, geometry, temporal in self._scalar_candidates(expr):
             plan = build_plan(expr, self.chip, self.cost_model, fop, temporal, geometry)
             if plan is None:
                 continue
@@ -372,53 +407,62 @@ class IntraOpOptimizer:
             if produced >= self.constraints.max_plans:
                 return
 
-    def _enumerate_candidates(
-        self, expr
-    ) -> Iterable[tuple[dict[str, int], FopGeometry, dict[str, int]]]:
-        """Yield every ``(F_op, geometry, temporal)`` candidate in canonical order.
+    def _enumerate_candidates(self, expr) -> Iterator[FopCandidates]:
+        """Yield every ``F_op`` with its geometry and temporal-factor choices.
 
-        The single source of the enumeration order: the streaming search, the
-        eager reference and the plan-space studies all consume this, so the
-        "bit-identical frontiers" invariant cannot be broken by the loops
-        drifting apart.  ``geometry`` is :func:`~repro.core.plan.fop_geometry`
-        of the ``F_op``, derived once and shared by all its temporal
-        combinations.  Feasibility capping (``max_plans``) stays with the
-        callers — it counts *feasible* candidates, which only they know.
+        The single source of the enumeration order: the block search, the
+        eager reference and the plan-space studies all consume this and
+        expand each ``F_op``'s choice lists with
+        :func:`~repro.core.plan.temporal_combos`, so the "bit-identical
+        frontiers" invariant cannot be broken by the loops drifting apart.
+        ``geometry`` is :func:`~repro.core.plan.fop_geometry` of the
+        ``F_op``, derived once and shared by all its temporal combinations.
+        Feasibility capping (``max_plans``) stays with the callers — it
+        counts *feasible* candidates, which only they know.
         """
         fops = enumerate_operator_partitions(expr, self.chip.num_cores, self.constraints)
         per_tensor_choices = self._per_tensor_choice_budget(len(expr.all_tensors))
         for fop in fops:
             geometry = fop_geometry(expr, fop)
-            for temporal in self._temporal_combinations(
-                expr, fop, geometry, per_tensor_choices
-            ):
-                yield fop, geometry, temporal
+            choices = tuple(
+                temporal_factor_choices(
+                    expr,
+                    tensor.spec,
+                    fop,
+                    max_choices=per_tensor_choices,
+                    sharing=tensor.sharing,
+                    sub_shape=tensor.sub_shape,
+                )
+                for tensor in geometry.tensors
+            )
+            yield FopCandidates(fop, geometry, choices)
+
+    def _scalar_candidates(
+        self, expr
+    ) -> Iterator[tuple[dict[str, int], FopGeometry, dict[str, int]]]:
+        """Every ``(F_op, geometry, temporal)`` candidate, one at a time."""
+        names = [spec.name for spec in expr.all_tensors]
+        limit = self.constraints.max_temporal_combos
+        for fop, geometry, choices in self._enumerate_candidates(expr):
+            for combo in temporal_combos(choices, limit):
+                yield fop, geometry, dict(zip(names, combo))
+
+    def _fop_runs(self, expr) -> Iterator[list[FopCandidates]]:
+        """Group the operator partitions into runs of about :data:`SKETCH_BLOCK` candidates."""
+        limit = self.constraints.max_temporal_combos
+        run: list[FopCandidates] = []
+        size = 0
+        for entry in self._enumerate_candidates(expr):
+            run.append(entry)
+            size += min(prod(len(factors) for factors in entry.choices), limit)
+            if size >= SKETCH_BLOCK:
+                yield run
+                run, size = [], 0
+        if run:
+            yield run
 
     def _per_tensor_choice_budget(self, num_tensors: int) -> int:
         """How many temporal factors to consider per tensor."""
         budget = self.constraints.max_temporal_combos
         per_tensor = max(2, int(round(budget ** (1.0 / max(num_tensors, 1)))))
         return per_tensor
-
-    def _temporal_combinations(
-        self,
-        expr,
-        fop: Mapping[str, int],
-        geometry: FopGeometry,
-        per_tensor_choices: int,
-    ) -> Iterable[dict[str, int]]:
-        names = [tensor.spec.name for tensor in geometry.tensors]
-        choices = [
-            temporal_factor_choices(
-                expr,
-                tensor.spec,
-                fop,
-                max_choices=per_tensor_choices,
-                sharing=tensor.sharing,
-                sub_shape=tensor.sub_shape,
-            )
-            for tensor in geometry.tensors
-        ]
-        combos = itertools.product(*choices)
-        for combo in itertools.islice(combos, self.constraints.max_temporal_combos):
-            yield dict(zip(names, combo))

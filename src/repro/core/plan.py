@@ -12,8 +12,11 @@ inter-operator scheduler later picks an (idle, active) pair per operator.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple
+from typing import Iterator, Mapping, NamedTuple, Sequence, TypeVar
+
+import numpy as np
 
 from repro.core.cost_model import CostModel
 from repro.core.partition import (
@@ -138,20 +141,22 @@ class OperatorPlan:
 # --------------------------------------------------------------------------- #
 @dataclass
 class PlanSketch:
-    """Cheap integer-math précis of one plan candidate (streaming search).
+    """Cheap integer-math précis of one plan candidate.
 
-    A sketch answers the two questions the search asks about ~every candidate
+    A sketch answers the two questions the search asks about every candidate
     — does it fit SRAM, and can it possibly beat the frontier? — from the
     operator partition factor and the temporal factors alone: feasibility, the
     exact per-core memory footprint and the exact step structure all follow
     from divisor arithmetic, without deriving rTensor configurations or a
-    shift schedule.  Only the members of the final Pareto frontier pay
-    :meth:`materialize`, which builds the full (bit-identical to
-    :func:`build_plan`) :class:`OperatorPlan`.
+    shift schedule.  The search computes the same values for whole blocks of
+    candidates (:func:`sketch_block`); :func:`sketch_plan` is the one-candidate
+    specification it is checked against.  Only the members of the final
+    Pareto frontier pay :meth:`materialize`, which builds the full
+    (bit-identical to :func:`build_plan`) :class:`OperatorPlan`.
 
-    ``compute_time`` is filled in by the optimizer's batched cost-model pass;
-    together with the priced ``shift_bound_terms`` it yields
-    :meth:`time_lower_bound`, the execution time the full plan can never beat.
+    ``compute_time`` is filled in by whoever prices the sketch; together with
+    the priced ``shift_bound_terms`` it yields :meth:`time_lower_bound`, the
+    execution time the full plan can never beat.
     """
 
     fop: dict[str, int]
@@ -183,7 +188,7 @@ class PlanSketch:
     def time_lower_bound(self, cost_model: CostModel) -> float:
         """The materialized plan's ``time_est``, priced without materializing.
 
-        Exact compute time (set by the optimizer's batched costing pass) plus
+        Exact compute time (set by whoever priced the sketch) plus
         the exactly-replicated shift-schedule cost; the terms are summed in
         schedule order so the float result matches ``time_est`` bit-for-bit.
         """
@@ -424,6 +429,287 @@ def sketch_plan(
         flops_per_step=expr.flops(subtask_shape),
         bytes_per_step=step_elements * dtype_bytes,
         shift_bound_terms=tuple(shift_bound_terms),
+    )
+
+
+# --------------------------------------------------------------------------- #
+# Block sketches: every temporal combination of a run of F_ops as arrays
+# --------------------------------------------------------------------------- #
+_T = TypeVar("_T")
+
+#: Integers below this convert to float64 exactly.  The block sketcher keeps
+#: int64 columns when every quantity of an operator stays below it, and falls
+#: back to exact Python-int (object) columns otherwise.
+_EXACT_FLOAT_INT = 2**53
+
+
+def temporal_combos(
+    choices: Sequence[Sequence[_T]], limit: int
+) -> Iterator[tuple[_T, ...]]:
+    """The temporal combinations of one ``F_op``, in canonical order.
+
+    ``choices`` holds one choice list per tensor (``expr.all_tensors``
+    order); the combinations are their Cartesian product, last tensor
+    fastest, cut at ``limit``.  The scalar search paths expand the factor
+    lists with it and :func:`sketch_block` expands row-index ranges of the
+    same lengths with it, so both see the candidates in one order.
+    """
+    return itertools.islice(itertools.product(*choices), limit)
+
+
+class FopCandidates(NamedTuple):
+    """One ``F_op`` with its geometry and per-tensor temporal-factor choices."""
+
+    fop: dict[str, int]
+    geometry: FopGeometry
+    choices: tuple[Sequence[int], ...]
+    """One factor list per tensor, in ``expr.all_tensors`` order."""
+
+
+@dataclass(frozen=True)
+class SketchBlock:
+    """The sketches of every temporal combination of a run of ``F_op`` values.
+
+    Candidate ``i`` is the ``i``-th combination in :func:`temporal_combos`
+    order, ``F_op`` after ``F_op``.  Its columns hold exactly the values
+    :func:`sketch_plan` gives that candidate — feasibility, memory, step
+    count, sub-task shape, FLOPs and bytes per step, shift terms — and are
+    meaningful only where ``feasible`` is set.  Integer columns are int64,
+    or Python ints (object) for operators too large for float64 to hold
+    their integers exactly.
+    """
+
+    entries: list[FopCandidates]
+    tensor_names: tuple[str, ...]
+    fop_index: np.ndarray
+    """Entry of each candidate."""
+    factors: np.ndarray
+    """``(candidates, tensors)`` temporal factor of every tensor."""
+    feasible: np.ndarray
+    memory_bytes: np.ndarray
+    num_steps: np.ndarray
+    subtask_shape: dict[str, np.ndarray]
+    flops_per_step: np.ndarray
+    bytes_per_step: np.ndarray
+    shift_terms: tuple[tuple[np.ndarray, np.ndarray], ...]
+    """``(num_shift_steps, bytes_per_step)`` columns in schedule order: one
+    per tensor (its rotation shift), then the reduction merge.  A term the
+    candidate's schedule does not have has zero steps."""
+
+    def __len__(self) -> int:
+        return len(self.fop_index)
+
+    def candidate(self, index: int) -> tuple[dict[str, int], FopGeometry, dict[str, int]]:
+        """``(fop, geometry, temporal_factors)`` of candidate ``index``."""
+        entry = self.entries[int(self.fop_index[index])]
+        temporal = dict(zip(self.tensor_names, self.factors[index].tolist()))
+        return entry.fop, entry.geometry, temporal
+
+    def time_bound(
+        self, cost_model: CostModel, op_type: str, index: np.ndarray
+    ) -> np.ndarray:
+        """:meth:`PlanSketch.time_lower_bound` of the candidates at ``index``.
+
+        The float operations are the scalar path's, in its order: compute
+        time is ``num_steps * per_step``, communication time sums the shift
+        terms in schedule order from zero, and the bound is their sum.
+        Adding an absent term's exact ``0.0`` leaves a partial sum
+        unchanged, so every element equals the scalar bound bit for bit.
+        """
+        per_step = cost_model.compute_time_batch(
+            op_type,
+            {axis: column[index] for axis, column in self.subtask_shape.items()},
+            self.flops_per_step[index],
+            self.bytes_per_step[index],
+        )
+        compute = _as_float(self.num_steps[index]) * per_step
+        comm = np.zeros(len(index))
+        for steps, nbytes in self.shift_terms:
+            steps = steps[index]
+            term = _as_float(steps) * cost_model.shift_time_batch(nbytes[index])
+            comm = comm + np.where(steps > 0, term, 0.0)
+        return compute + comm
+
+
+def _as_float(column: np.ndarray) -> np.ndarray:
+    return np.asarray(column, dtype=np.float64)
+
+
+def _ceil_div(numerator: np.ndarray, denominator: np.ndarray) -> np.ndarray:
+    return -(-numerator // denominator)
+
+
+def sketch_block(
+    expr: TensorExpression,
+    chip: ChipSpec,
+    entries: Sequence[FopCandidates],
+    limit: int,
+) -> SketchBlock:
+    """Sketch every temporal combination of ``entries`` at once.
+
+    The array counterpart of :func:`sketch_plan`: each ``entry`` contributes
+    its first ``limit`` combinations (:func:`temporal_combos`), and the
+    block's columns equal ``sketch_plan`` on each of them, bit for bit.
+
+    The work is split by what it depends on.  A *rotation row* per
+    ``(F_op, tensor, factor)`` holds the factor's feasibility, the tensor's
+    partition bytes, its rotated axis, pace and rotated-dim length — the
+    rotation dim is the sub-tensor's longest (first on ties), whatever the
+    factor, as in :func:`~repro.core.partition.choose_rotation_dim`.  Each
+    candidate then picks one row per tensor, and the per-axis paces, step
+    counts, sub-task shape and shift schedule follow as array arithmetic.
+    """
+    tensors = expr.all_tensors
+    num_tensors = len(tensors)
+    axes = list(expr.axes)
+    axis_index = {axis: index for index, axis in enumerate(axes)}
+    dtype_bytes = expr.dtype.bytes
+    bound = max(
+        prod(expr.axes.values()), expr.total_bytes + chip.shift_buffer_bytes, chip.num_cores
+    )
+    ints = np.int64 if bound < _EXACT_FLOAT_INT else object
+    big = max(2**62, bound + 1)  # larger than any pace, byte count or step count
+
+    # Per (F_op, tensor) quantities, flattened as ``entry * num_tensors + tensor``.
+    sharing: list[int] = []
+    elements: list[int] = []
+    longest: list[int] = []
+    longest_axis: list[int] = []
+    # Rotation rows: one per (F_op, tensor, factor).
+    row_factor: list[int] = []
+    row_owner: list[int] = []
+    combos: list[tuple[int, ...]] = []
+    fop_ok: list[bool] = []
+    extents: list[list[int]] = []
+    for entry in entries:
+        geometry = entry.geometry
+        fop_ok.append(geometry.cores_used <= chip.num_cores)
+        extents.append([geometry.extents[axis] for axis in axes])
+        ranges = []
+        for tensor, factors in zip(geometry.tensors, entry.choices):
+            length = max(tensor.sub_shape, default=0)
+            dim = tensor.sub_shape.index(length) if tensor.sub_shape else None
+            owner = len(sharing)
+            sharing.append(tensor.sharing)
+            elements.append(tensor.elements)
+            longest.append(length)
+            longest_axis.append(0 if dim is None else axis_index[tensor.spec.dims[dim].primary])
+            start = len(row_factor)
+            row_factor.extend(factors)
+            row_owner.extend([owner] * len(factors))
+            ranges.append(range(start, len(row_factor)))
+        combos.extend(temporal_combos(ranges, limit))
+
+    rows = np.array(combos, dtype=np.intp).reshape(-1, num_tensors)
+    count = len(rows)
+    owner = np.array(row_owner, dtype=np.intp)
+    factor = np.array(row_factor, dtype=ints)
+    sharing_col = np.array(sharing, dtype=ints)
+    elements_col = np.array(elements, dtype=ints)
+    sub_bytes_col = elements_col * dtype_bytes
+    longest_col = np.array(longest, dtype=ints)
+
+    # Rotation rows.
+    row_sharing = sharing_col[owner]
+    row_longest = longest_col[owner]
+    rotates = factor > 1
+    row_ok = (factor <= row_sharing) & (row_sharing % factor == 0) & (
+        ~rotates | (row_longest >= factor)
+    )
+    partition_len = _ceil_div(row_longest, factor)
+    row_elements = elements_col[owner]
+    row_bytes = np.where(
+        rotates, row_elements // np.maximum(row_longest, 1) * partition_len, row_elements
+    ) * dtype_bytes
+    row_pace = np.maximum(partition_len, 1)
+    row_axis = np.where(rotates, np.array(longest_axis, dtype=np.intp)[owner], -1)
+
+    # Per candidate: the rows it picks and what they add up to.
+    fop_index = owner[rows[:, 0]] // num_tensors
+    feasible = np.array(fop_ok, dtype=bool)[fop_index]
+    memory = np.full(count, chip.shift_buffer_bytes, dtype=ints)
+    axis_ids = np.arange(len(axes))[:, None]
+    pace = np.full((len(axes), count), big, dtype=ints)  # min pace per axis
+    axis_bytes = np.full((len(axes), count), big, dtype=ints)  # min sub-tensor bytes
+    first = np.full((len(axes), count), num_tensors)  # first tensor rotating on it
+    rotated: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    for position in range(num_tensors):
+        picked = rows[:, position]
+        feasible &= row_ok[picked]
+        memory += row_bytes[picked]
+        tensor_axis = row_axis[picked]
+        tensor_owner = owner[picked]
+        hit = tensor_axis[None, :] == axis_ids
+        pace = np.where(hit, np.minimum(pace, row_pace[picked]), pace)
+        axis_bytes = np.where(hit, np.minimum(axis_bytes, sub_bytes_col[tensor_owner]), axis_bytes)
+        first = np.where(hit, np.minimum(first, position), first)
+        rotated.append((tensor_axis, longest_col[tensor_owner], sub_bytes_col[tensor_owner]))
+
+    fop_extents = np.array(extents, dtype=ints).reshape(-1, len(axes))[fop_index].T
+    rotating = pace != big
+    safe_pace = np.where(rotating, pace, 1)
+    steps = np.where(rotating, np.maximum(_ceil_div(fop_extents, safe_pace), 1), 1)
+    subtask = np.where(rotating, pace, fop_extents)
+
+    flops_axes = expr.flops_axes if expr.flops_axes is not None else frozenset(axes)
+    flops_rows = [axis_index[axis] for axis in axes if axis in flops_axes]
+    flops_count = (
+        subtask[flops_rows].prod(axis=0) if flops_rows else np.ones(count, dtype=ints)
+    )
+    step_elements = np.zeros(count, dtype=ints)
+    for spec in tensors:
+        tensor_elements = np.ones(count, dtype=ints)
+        for dim in spec.dims:
+            length = subtask[axis_index[dim.axes[0]]]
+            for axis in dim.axes[1:]:
+                length = length + subtask[axis_index[axis]]
+            tensor_elements = tensor_elements * (length - (len(dim.axes) - 1))
+        step_elements += tensor_elements
+
+    # Shift schedule: axis ``b`` is looped outside axis ``a`` when its
+    # rotating tensors are larger, or equally large and rotating earlier in
+    # tensor order (the stable sort of ``sketch_plan``).  Axes that do not
+    # rotate have one step, so they never change a product.
+    outside = (axis_bytes[:, None] > axis_bytes[None, :]) | (
+        (axis_bytes[:, None] == axis_bytes[None, :]) & (first[:, None] < first[None, :])
+    )
+    outer_iters = np.where(outside, steps[:, None], 1).prod(axis=0)
+    columns = np.arange(count)
+    shift_terms = []
+    for tensor_axis, dim_len, sub_bytes in rotated:
+        at = np.maximum(tensor_axis, 0), columns
+        steps_k = steps[at]
+        present = (tensor_axis >= 0) & (steps_k > 1)
+        rotation_steps = np.maximum(_ceil_div(dim_len, safe_pace[at]), 1)
+        shift_terms.append(
+            (
+                np.where(present, (steps_k - 1) * outer_iters[at], 0),
+                _ceil_div(sub_bytes, rotation_steps),
+            )
+        )
+    # The reduction merge of a replicated, spatially split output.
+    output = rows[:, num_tensors - 1]
+    output_sharing = row_sharing[output]
+    merge = (output_sharing > 1) & (factor[output] <= 1)
+    shift_terms.append(
+        (
+            np.where(merge, output_sharing - 1, 0),
+            _ceil_div(sub_bytes_col[owner[output]], output_sharing),
+        )
+    )
+
+    return SketchBlock(
+        entries=list(entries),
+        tensor_names=tuple(spec.name for spec in tensors),
+        fop_index=fop_index,
+        factors=factor[rows],
+        feasible=feasible,
+        memory_bytes=memory,
+        num_steps=steps.prod(axis=0),
+        subtask_shape={axis: subtask[index] for index, axis in enumerate(axes)},
+        flops_per_step=flops_count * expr.flops_per_point,
+        bytes_per_step=step_elements * dtype_bytes,
+        shift_terms=tuple(shift_terms),
     )
 
 

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core import IntraOpOptimizer
-from repro.core.constraints import SearchConstraints
+from repro.core.constraints import FAST_CONSTRAINTS, SearchConstraints
 from repro.ir import conv2d, library_op, matmul
 
 
@@ -117,6 +119,19 @@ class TestSearchSpaceStats:
         stats = capped.search_space_stats(matmul("mm", m=256, k=256, n=256))
         assert stats.truncated
         assert stats.evaluated == 10
+
+    @pytest.mark.parametrize("max_plans, truncated", [(23, True), (24, False), (25, False)])
+    def test_truncated_only_when_a_feasible_candidate_is_cut(
+        self, ipu_chip, ipu_cost_model, max_plans, truncated
+    ):
+        """matmul 96x48x64 has exactly 24 feasible candidates on IPU-MK2 under
+        ``FAST_CONSTRAINTS``: a cap of 24 cuts nothing."""
+        constraints = replace(FAST_CONSTRAINTS, max_plans=max_plans)
+        optimizer = IntraOpOptimizer(ipu_chip, ipu_cost_model, constraints)
+        op = matmul("mm", m=96, k=48, n=64)
+        for _, stats in (optimizer.search_results(op), optimizer.search_reference(op)):
+            assert stats.evaluated == min(max_plans, 24)
+            assert stats.truncated is truncated
 
 
 class TestStreamingMatchesReference:

@@ -5,12 +5,19 @@ from __future__ import annotations
 import pickle
 from dataclasses import asdict
 
+import numpy as np
 import pytest
 
 from repro.core.constraints import DEFAULT_CONSTRAINTS
 from repro.core.intra_op import IntraOpOptimizer
 from repro.core.partition import sub_extents, tensor_sharing_degree, tensor_sub_shape
-from repro.core.plan import build_library_plan, build_plan, fop_geometry, sketch_plan
+from repro.core.plan import (
+    build_library_plan,
+    build_plan,
+    fop_geometry,
+    sketch_block,
+    sketch_plan,
+)
 from repro.experiments.common import build_workload
 from repro.ir import conv2d, library_op, matmul
 from repro.ir.tensor import TensorRole
@@ -317,15 +324,18 @@ class TestPlanSketch:
 
 
 class TestBytesPerStepOracle:
-    """``sketch_plan`` derives ``bytes_per_step`` from the ``F_op`` geometry,
-    re-deriving only the dims that touch a rotated axis.  The oracle is the
-    direct definition: every tensor's bytes at the per-step sub-task shape."""
+    """The block sketcher derives ``bytes_per_step`` from the ``F_op``
+    geometry, re-deriving only the dims that touch a rotated axis.  The
+    oracle is the direct definition: every tensor's bytes at the per-step
+    sub-task shape.  ``tests/test_sketch_block.py`` ties the block's columns
+    to the scalar ``sketch_plan`` on the same candidates."""
 
     @pytest.mark.parametrize("model_name", list_models())
     def test_registry_models_match_tensor_bytes(
         self, ipu_chip, ipu_cost_model, model_name
     ):
         optimizer = IntraOpOptimizer(ipu_chip, ipu_cost_model, DEFAULT_CONSTRAINTS)
+        limit = optimizer.constraints.max_temporal_combos
         graph = build_workload(model_name, 1, quick=True)
         seen: set[tuple] = set()
         checked = compound = compound_rotated = 0
@@ -336,23 +346,28 @@ class TestBytesPerStepOracle:
             seen.add(operator.signature())
             # Conv inputs index ``h + kh``: rotating either axis changes that
             # dim's per-step length, so those candidates must be covered.
-            compound_dims = [
-                dim for spec in expr.all_tensors for dim in spec.dims if dim.is_compound
+            compound_axes = [
+                dim.axes for spec in expr.all_tensors for dim in spec.dims if dim.is_compound
             ]
-            for fop, geometry, temporal in optimizer._enumerate_candidates(expr):
-                sketch = sketch_plan(expr, ipu_chip, fop, temporal, geometry)
-                if sketch is None:
-                    continue
-                checked += 1
-                assert sketch.bytes_per_step == sum(
-                    expr.tensor_bytes(spec, sketch.subtask_shape)
-                    for spec in expr.all_tensors
-                )
-                compound += bool(compound_dims)
-                compound_rotated += any(
-                    not sketch.rotation_paces.keys().isdisjoint(dim.axes)
-                    for dim in compound_dims
-                )
+            for run in optimizer._fop_runs(expr):
+                block = sketch_block(expr, ipu_chip, run, limit)
+                index = np.flatnonzero(block.feasible)
+                columns = {axis: block.subtask_shape[axis][index].tolist() for axis in expr.axes}
+                for position, nbytes in enumerate(block.bytes_per_step[index].tolist()):
+                    shape = {axis: values[position] for axis, values in columns.items()}
+                    assert nbytes == sum(
+                        expr.tensor_bytes(spec, shape) for spec in expr.all_tensors
+                    )
+                    # An axis whose step extent differs from its
+                    # sub-operator extent rotates.
+                    entry = run[int(block.fop_index[index[position]])]
+                    rotated = {
+                        axis for axis, extent in shape.items()
+                        if extent != entry.geometry.extents[axis]
+                    }
+                    compound += bool(compound_axes)
+                    compound_rotated += any(not rotated.isdisjoint(axes) for axes in compound_axes)
+                checked += len(index)
         assert checked > 0
         if compound:
             assert compound_rotated > 0
