@@ -33,6 +33,7 @@ layers of a transformer, say) are searched once.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -255,7 +256,8 @@ class IntraOpOptimizer:
             tracer = get_tracer()
             limit = self.constraints.max_temporal_combos
             remaining = self.constraints.max_plans  # feasible candidates still allowed
-            for run in self._fop_runs(expr):
+            runs = self._fop_runs(expr)
+            for run in runs:
                 with tracer.wall_span(
                     "sketch-flush",
                     track="compiler/intra-op",
@@ -267,10 +269,10 @@ class IntraOpOptimizer:
                     taken = np.cumsum(feasible)
                     end = len(block)
                     if end and taken[-1] >= remaining:
-                        # The ``max_plans`` cut falls in this block (or fell
-                        # before it); it truncates the search only if a
-                        # further feasible candidate exists.
-                        end = int(np.searchsorted(taken, remaining)) + 1 if remaining else 0
+                        # The ``max_plans`` cut falls in this block; it
+                        # truncates the search only if a further feasible
+                        # candidate exists.
+                        end = int(np.searchsorted(taken, remaining)) + 1
                         truncated = bool(feasible[end:].any())
                     sketched += end
                     if end:
@@ -292,8 +294,18 @@ class IntraOpOptimizer:
                                 continue
                             accumulator.insert((memory, bound, *block.candidate(position)))
                     span.set(candidates=end, pruned=pruned, frontier=len(accumulator))
-                if truncated:
+                if not remaining:
                     break
+            if not remaining and not truncated:
+                # The cut filled ``max_plans`` on a block's last feasible
+                # candidate: look for a further feasible one candidate at a
+                # time, as the reference search does, rather than by blocks.
+                truncated = any(
+                    sketch_plan(expr, self.chip, fop, temporal, geometry) is not None
+                    for fop, geometry, temporal in self._scalar_candidates(
+                        expr, chain.from_iterable(runs)
+                    )
+                )
             frontier = [
                 self._materialize(expr, *candidate) for candidate in accumulator.items()
             ]
@@ -438,12 +450,17 @@ class IntraOpOptimizer:
             yield FopCandidates(fop, geometry, choices)
 
     def _scalar_candidates(
-        self, expr
+        self, expr, entries: Iterable[FopCandidates] | None = None
     ) -> Iterator[tuple[dict[str, int], FopGeometry, dict[str, int]]]:
-        """Every ``(F_op, geometry, temporal)`` candidate, one at a time."""
+        """Every ``(F_op, geometry, temporal)`` candidate of ``entries``, one at a time.
+
+        ``entries`` defaults to all of :meth:`_enumerate_candidates`.
+        """
         names = [spec.name for spec in expr.all_tensors]
         limit = self.constraints.max_temporal_combos
-        for fop, geometry, choices in self._enumerate_candidates(expr):
+        if entries is None:
+            entries = self._enumerate_candidates(expr)
+        for fop, geometry, choices in entries:
             for combo in temporal_combos(choices, limit):
                 yield fop, geometry, dict(zip(names, combo))
 

@@ -203,9 +203,7 @@ class ParallelCompilationEngine:
 
     * ``"process"`` — a fork-based :class:`ProcessPoolExecutor`; true CPU
       parallelism for the pure-Python search (the default where ``fork`` is
-      available).  It starts at most one process per CPU: the searches are
-      CPU-bound, so a further process only adds a fork of the whole
-      compiler and contention;
+      available);
     * ``"thread"`` — a :class:`ThreadPoolExecutor`; no extra processes, used
       as the portable fallback;
     * ``"serial"`` — inline execution regardless of ``jobs`` (debugging aid);
@@ -259,7 +257,7 @@ class ParallelCompilationEngine:
                 self._pool_backend = self._resolve_backend()
                 if self._pool_backend == "process":
                     self._pool = ProcessPoolExecutor(
-                        max_workers=min(self.jobs, os.cpu_count() or 1),
+                        max_workers=self.jobs,
                         mp_context=multiprocessing.get_context("fork"),
                         initializer=_init_worker,
                         initargs=(self.chip, self.cost_model, self.constraints),

@@ -191,6 +191,32 @@ def test_max_plans_cut_matches_reference(
         assert stats.truncated == (max_plans < total)
 
 
+def test_no_block_sketched_after_the_cut(small_chip, small_cost_model, monkeypatch):
+    """Once ``max_plans`` is filled on a block's last feasible candidate, the
+    search looks for a further feasible candidate without sketching blocks."""
+    monkeypatch.setattr(intra_op, "SKETCH_BLOCK", 1)
+    feasible_per_block: list[int] = []
+
+    def counting_sketch_block(*args):
+        block = sketch_block(*args)
+        feasible_per_block.append(int(block.feasible.sum()))
+        return block
+
+    monkeypatch.setattr(intra_op, "sketch_block", counting_sketch_block)
+    operator = matmul("mm", m=256, k=256, n=256)
+    IntraOpOptimizer(small_chip, small_cost_model, FAST_CONSTRAINTS).search_results(operator)
+    per_block = list(feasible_per_block)
+    assert len(per_block) > 2 and all(per_block)
+    for blocks in (1, 2, len(per_block)):
+        feasible_per_block.clear()
+        constraints = replace(FAST_CONSTRAINTS, max_plans=sum(per_block[:blocks]))
+        optimizer = IntraOpOptimizer(small_chip, small_cost_model, constraints)
+        _, stats = optimizer.search_results(operator)
+        _, reference_stats = optimizer.search_reference(operator)
+        assert len(feasible_per_block) == blocks
+        assert stats.truncated is reference_stats.truncated is (blocks < len(per_block))
+
+
 @settings(max_examples=20, deadline=None)
 @given(
     kind=st.sampled_from(["matmul", "conv"]),
