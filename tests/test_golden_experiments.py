@@ -12,6 +12,13 @@ qualitative claim of the corresponding paper figure (e.g. fig18's
 ``complete >= filtered >= optimized`` plan-space reduction, fig16p's zero
 plan divergence).
 
+The serving figures (fig25–fig32) additionally pin their quick run's whole
+virtual-time trace (:meth:`~repro.obs.trace.Tracer.virtual_events`): a
+SHA-256 digest of the stream plus one short hash per block of
+``TRACE_BLOCK`` events, committed as ``tests/golden/<name>.trace.json``.  A
+refactor that moves a single virtual event fails here, and the failure names
+the first block that differs.
+
 After an intentional change to an experiment's output, regenerate with::
 
     pytest tests/test_golden_experiments.py --update-golden
@@ -19,6 +26,7 @@ After an intentional change to an experiment's output, regenerate with::
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -54,8 +62,14 @@ from repro.experiments import (
     tab02_models,
     tab03_hardware,
 )
+from repro.obs import Tracer, use_tracer
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+
+#: Experiments whose virtual trace is pinned next to the golden snapshot.
+TRACED = ("fig25", "fig26", "fig27", "fig29", "fig30", "fig31", "fig32")
+#: Events per short block hash in a trace digest.
+TRACE_BLOCK = 64
 
 
 # --------------------------------------------------------------------------- #
@@ -545,6 +559,59 @@ def golden_path(name: str) -> Path:
     return GOLDEN_DIR / f"{name}.json"
 
 
+def trace_path(name: str) -> Path:
+    return GOLDEN_DIR / f"{name}.trace.json"
+
+
+def trace_digest(events: Sequence) -> dict:
+    """SHA-256 of the event stream plus a 16-hex-digit hash per block of
+    ``TRACE_BLOCK`` events (``repr`` is canonical: args are sorted tuples)."""
+    whole = hashlib.sha256()
+    blocks = []
+    for start in range(0, len(events), TRACE_BLOCK):
+        block = hashlib.sha256()
+        for event in events[start : start + TRACE_BLOCK]:
+            line = repr(event).encode() + b"\n"
+            block.update(line)
+            whole.update(line)
+        blocks.append(block.hexdigest()[:16])
+    return {
+        "events": len(events),
+        "block": TRACE_BLOCK,
+        "sha256": whole.hexdigest(),
+        "blocks": blocks,
+    }
+
+
+def check_trace(name: str, events: Sequence, update: bool) -> None:
+    produced = trace_digest(events)
+    path = trace_path(name)
+    if update:
+        path.write_text(json.dumps(produced, indent=0) + "\n")
+    assert path.exists(), f"missing trace digest {path}; run with --update-golden"
+    golden = json.loads(path.read_text())
+    if produced == golden:
+        return
+    first = next(
+        (
+            index
+            for index, (live, saved) in enumerate(
+                zip(produced["blocks"], golden["blocks"])
+            )
+            if live != saved
+        ),
+        min(len(produced["blocks"]), len(golden["blocks"])),
+    )
+    start = first * TRACE_BLOCK
+    live = events[start] if start < len(events) else "<end of trace>"
+    raise AssertionError(
+        f"{name} virtual trace drifted from {path.name} ({produced['events']} "
+        f"events, golden {golden['events']}): first difference in events "
+        f"[{start}, {start + TRACE_BLOCK}) (block {first}); live event {start} "
+        f"is {live!r} (regen with --update-golden if intentional)"
+    )
+
+
 @pytest.fixture(scope="session")
 def update_golden(request) -> bool:
     return bool(request.config.getoption("--update-golden"))
@@ -553,7 +620,9 @@ def update_golden(request) -> bool:
 @pytest.mark.parametrize("name", sorted(SPECS))
 def test_experiment_matches_golden(name: str, update_golden: bool):
     spec = SPECS[name]
-    rows = spec.runner()
+    tracer = Tracer(enabled=name in TRACED)
+    with use_tracer(tracer):
+        rows = spec.runner()
     assert rows, f"{name} produced no rows"
     produced = snapshot(name, spec, rows)
 
@@ -579,6 +648,8 @@ def test_experiment_matches_golden(name: str, update_golden: bool):
     for index, (live, saved) in enumerate(zip(produced["rows"], golden["rows"])):
         assert live == saved, f"{name} row {index} key values drifted"
 
+    if name in TRACED:
+        check_trace(name, tracer.virtual_events(), update_golden)
     if spec.invariant is not None:
         spec.invariant(rows)
 
@@ -593,4 +664,8 @@ def test_every_experiment_has_a_spec():
 def test_no_orphan_snapshots():
     """Committed snapshots all correspond to a live experiment spec."""
     committed = {path.stem for path in GOLDEN_DIR.glob("*.json")}
-    assert committed <= set(SPECS), f"orphan snapshots: {committed - set(SPECS)}"
+    traces = {name for name in committed if name.endswith(".trace")}
+    assert committed - traces <= set(SPECS), (
+        f"orphan snapshots: {committed - traces - set(SPECS)}"
+    )
+    assert traces == {f"{name}.trace" for name in TRACED}
