@@ -22,10 +22,9 @@ def test_fig29_chaos(benchmark):
     grouped = by_scenario(rows)
     assert set(grouped) == {"flat/baseline", "flat/chaos", "sharded/chaos"}
     baseline = grouped["flat/baseline"]
-    # The healthy fleet is clean and every run balances its books.
+    # The healthy fleet is clean (every run's books are checked by the
+    # experiment itself, through check_report).
     assert baseline["chip_deaths"] == 0 and baseline["shed"] == 0
-    for row in rows:
-        assert row["completed"] + row["shed"] == row["requests"]
     for name in ("flat/chaos", "sharded/chaos"):
         row = grouped[name]
         # The kill schedule fired mid-run, the watchdog requeued the dead

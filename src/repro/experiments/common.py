@@ -29,6 +29,8 @@ from repro.obs import (
     write_jsonl,
 )
 from repro.runtime import EvaluationResult, Executor
+from repro.serving.metrics import ContinuousReport, check_report
+from repro.serving.request import DecodeRequest
 
 #: Compiler display names in the order Figure 12 plots them.
 COMPILER_ORDER: tuple[str, ...] = ("PopART", "Ansor", "Roller", "T10")
@@ -69,6 +71,16 @@ def trace_session(path: str | Path | None = None) -> Iterator[Tracer]:
                 )
             write_chrome_trace(tracer, out)
         print(f"trace: wrote {out} ({len(tracer)} events)")
+
+
+def checked(report: ContinuousReport, requests: Sequence[DecodeRequest]) -> ContinuousReport:
+    """``report``, once :func:`~repro.serving.metrics.check_report` finds it
+    balanced; a decode run that loses a request or mis-slices its books is
+    a bug, so the figure refuses to plot it."""
+    failures = check_report(report, requests)
+    if failures:
+        raise RuntimeError(f"{report.policy} run broke its invariants: {failures}")
+    return report
 
 
 def build_workload(

@@ -40,7 +40,7 @@ from repro.core.constraints import (
     FAST_CONSTRAINTS,
     SearchConstraints,
 )
-from repro.experiments.common import print_table
+from repro.experiments.common import checked, print_table
 from repro.hw.spec import IPU_MK2, ChipSpec
 from repro.models import opt_decode_session
 from repro.serving import (
@@ -138,7 +138,7 @@ def run(
                 ),
             )
             for policy in (POLICY_STATIC, POLICY_CONTINUOUS):
-                report = engines[policy].run(workload)
+                report = checked(engines[policy].run(workload), workload)
                 ttft = report.ttft_percentiles
                 tpot = report.tpot_percentiles
                 tails = report.latency_percentiles

@@ -43,7 +43,7 @@ from repro.core.constraints import (
     FAST_CONSTRAINTS,
     SearchConstraints,
 )
-from repro.experiments.common import print_table
+from repro.experiments.common import checked, print_table
 from repro.hw.spec import IPU_MK2, ChipSpec
 from repro.models import opt_decode_session
 from repro.serving import (
@@ -69,7 +69,7 @@ def _scenario_rows(
     warm_compiles: int,
     dip_window: float,
 ) -> dict:
-    report = engine.run(workload, faults=schedule, watchdog=watchdog)
+    report = checked(engine.run(workload, faults=schedule, watchdog=watchdog), workload)
     fault_time = schedule.first_death_time if schedule is not None else math.inf
     if math.isfinite(fault_time):
         baseline, dip_depth, recovery = dip_and_recovery(

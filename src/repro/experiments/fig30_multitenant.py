@@ -44,7 +44,7 @@ from repro.core.constraints import (
     FAST_CONSTRAINTS,
     SearchConstraints,
 )
-from repro.experiments.common import print_table
+from repro.experiments.common import checked, print_table
 from repro.hw.spec import A100_CHIP, IPU_MK2, ChipSpec
 from repro.obs import Tracer, use_tracer
 from repro.models import build_bert, build_vit, opt_decode_session
@@ -226,7 +226,7 @@ def run(
         digests: dict[str, str] = {}
         reports: dict[str, ContinuousReport] = {}
         for scheme in (SCHEME_PARTITION, SCHEME_FLEET):
-            reports[scheme] = engines[scheme].run(workload)
+            reports[scheme] = checked(engines[scheme].run(workload), workload)
             digests[scheme] = placement_digest(reports[scheme])
         # Bit-identity across compile parallelism: a fresh engine on a cold
         # jobs=2 cache must reproduce every placement of the routed scheme.

@@ -47,7 +47,7 @@ from repro.core.constraints import (
     FAST_CONSTRAINTS,
     SearchConstraints,
 )
-from repro.experiments.common import print_table
+from repro.experiments.common import checked, print_table
 from repro.experiments.fig30_multitenant import _deployments, placement_digest
 from repro.hw.spec import A100_CHIP, IPU_MK2, ChipSpec
 from repro.obs import Tracer, use_tracer
@@ -227,7 +227,9 @@ def run(
         reports: dict[str, ContinuousReport] = {}
         for scheme in SCHEMES:
             faults, wd = plans[scheme]
-            reports[scheme] = engines[scheme].run(workload, faults=faults, watchdog=wd)
+            reports[scheme] = checked(
+                engines[scheme].run(workload, faults=faults, watchdog=wd), workload
+            )
             digests[scheme] = placement_digest(reports[scheme])
         # Bit-identity across compile parallelism: a fresh engine on a cold
         # jobs=2 cache must reproduce every placement of the chaos run.

@@ -48,7 +48,7 @@ from repro.core.constraints import (
     FAST_CONSTRAINTS,
     SearchConstraints,
 )
-from repro.experiments.common import print_table
+from repro.experiments.common import checked, print_table
 from repro.hw.spec import IPU_MK2, ChipSpec
 from repro.obs import Tracer, use_tracer
 from repro.models import opt_decode_session
@@ -255,7 +255,9 @@ def run(
         reports: dict[str, ContinuousReport] = {}
         for scheme in SCHEMES:
             engine = engines[scheme]
-            reports[scheme] = engine.run(workload, scaler=make_scaler(scheme, engine))
+            reports[scheme] = checked(
+                engine.run(workload, scaler=make_scaler(scheme, engine)), workload
+            )
             digests[scheme] = placement_digest(reports[scheme])
         # Bit-identity across compile parallelism: a fresh engine on a cold
         # jobs=2 cache (and a fresh scaler) must reproduce every placement

@@ -85,6 +85,7 @@ from repro.serving.metrics import (
     ModelStats,
     ServingReport,
     build_model_stats,
+    check_report,
     dip_and_recovery,
     goodput_timeline,
     jain_fairness,
@@ -219,6 +220,7 @@ __all__ = [
     "batch_buckets",
     "bucket_for",
     "build_model_stats",
+    "check_report",
     "burstiness",
     "bursty_workload",
     "chip_death",

@@ -13,7 +13,13 @@ from typing import Sequence
 
 from repro.runtime.metrics import goodput_rps, latency_percentiles, throughput_rps
 from repro.serving.plan_cache import CacheStats
-from repro.serving.request import CompletedDecode, CompletedRequest
+from repro.serving.request import (
+    DECODE_OK,
+    DECODE_SHED,
+    CompletedDecode,
+    CompletedRequest,
+    DecodeRequest,
+)
 
 
 def jain_fairness(values: Sequence[float]) -> float:
@@ -549,6 +555,56 @@ class ContinuousReport:
         if self.faults.any:
             text += f"; faults: {self.faults.summary()}"
         return text
+
+
+#: Report totals that per-tenant slices must add up to exactly.
+_SLICED_TOTALS = (
+    "total_completed",
+    "shed",
+    "slo_met",
+    "total_tokens",
+    "preemptions",
+    "migrations",
+)
+
+
+def check_report(
+    report: ContinuousReport, requests: Sequence[DecodeRequest]
+) -> list[str]:
+    """The north-star invariants of one decode run; returns the failures.
+
+    Every request ends exactly once (served or shed, one record per request
+    id); chip-seconds are ordered busy <= active <= provisioned (a 1e-9
+    relative slack absorbs the busy-time refunds of aborted iterations); and
+    the per-tenant slices sum to the fleet totals, preemptions and
+    migrations included.  An empty list means the report balances.
+    """
+    failures: list[str] = []
+    ids = [record.request.request_id for record in report.completed]
+    if len(ids) != len(requests):
+        failures.append(f"{len(ids)} records for {len(requests)} requests")
+    if len(set(ids)) != len(ids):
+        failures.append(f"{len(ids) - len(set(ids))} requests ended more than once")
+    if set(ids) != {request.request_id for request in requests}:
+        failures.append("record ids differ from the workload's request ids")
+    bad = {record.status for record in report.completed} - {DECODE_OK, DECODE_SHED}
+    if bad:
+        failures.append(f"unknown record states {sorted(bad)}")
+    busy, active = report.busy_chip_seconds, report.active_chip_seconds
+    provisioned = report.provisioned_chip_seconds
+    slack = 1e-9 * max(1.0, provisioned)
+    if not 0.0 <= busy <= active + slack or active > provisioned + slack:
+        failures.append(
+            f"chip-seconds out of order: busy {busy!r}, active {active!r}, "
+            f"provisioned {provisioned!r}"
+        )
+    slices = report.per_tenant().values()
+    for name in _SLICED_TOTALS:
+        whole = getattr(report, name)
+        parts = sum(getattr(piece, name) for piece in slices)
+        if parts != whole:
+            failures.append(f"tenant slices sum {name} to {parts}, report has {whole}")
+    return failures
 
 
 def build_model_stats(

@@ -36,6 +36,7 @@ from repro.serving import (
     group_link_degradation,
     link_degradation,
     restart,
+    check_report,
 )
 
 
@@ -117,11 +118,9 @@ def request(
 
 
 def assert_books_balance(report, workload) -> None:
-    """Every request ends as exactly one record: served or honestly shed."""
-    assert report.total_completed + report.shed == len(workload)
-    assert sorted(r.request.request_id for r in report.completed) == sorted(
-        r.request_id for r in workload
-    )
+    """Every request ends as exactly one record (served or honestly shed),
+    chip-seconds are ordered and tenant slices sum to the fleet totals."""
+    assert check_report(report, workload) == []
 
 
 # --------------------------------------------------------------------------- #
@@ -151,7 +150,6 @@ class TestFleetWatchdogEdges:
         slices = report.per_tenant()
         assert sum(s.faults.requeued for s in slices.values()) == stats.requeued
         assert sum(s.faults.lost_tokens for s in slices.values()) == stats.lost_tokens
-        assert sum(s.migrations for s in slices.values()) == report.migrations
         # Fleet-level mechanism counters are zeroed in slices, not divided.
         assert all(s.faults.chip_deaths == 0 for s in slices.values())
 
@@ -462,13 +460,9 @@ def check_chaos_invariants(run, workload, plan) -> None:
     active <= provisioned, fault counts agree with the schedule, and the
     replay is deterministic.  ``run`` replays the workload on a fresh engine."""
     report = run()
-    # Books balance and nothing is stranded: one record per request.
+    # Books balance, nothing is stranded, busy <= active <= provisioned and
+    # the tenant slices sum to the totals.
     assert_books_balance(report, workload)
-    # A chip can only be busy while active, and only active while
-    # provisioned (the rounding slack covers the busy-time refunds).
-    slack = 1e-9 * max(1.0, report.provisioned_chip_seconds)
-    assert 0.0 <= report.busy_chip_seconds <= report.active_chip_seconds + slack
-    assert report.active_chip_seconds <= report.provisioned_chip_seconds + slack
     # Fault books agree with the schedule: a kill of an already-dead chip is
     # idempotent, so counted deaths never exceed the scheduled kill events
     # (a restarted chip can legitimately die a second time).

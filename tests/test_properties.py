@@ -25,6 +25,7 @@ from repro.serving import (
     PlanCache,
     decode_workload,
     merge_decode_workloads,
+    check_report,
 )
 from repro.utils import prod
 
@@ -226,7 +227,7 @@ def test_fleet_routing_is_deterministic(
             router=CostAwareRouter(),
         )
         report = engine.run(workload)
-        assert report.total_completed + report.shed == len(workload)
+        assert check_report(report, workload) == []
         return [
             (
                 record.request.request_id,
