@@ -23,11 +23,11 @@ from repro.serving import (
     StaticEngine,
     TenantSpec,
     WorkerPool,
+    check_report,
     chip_death,
     decode_workload,
     merge_decode_workloads,
     uniform_workload,
-    check_report,
 )
 
 

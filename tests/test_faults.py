@@ -22,11 +22,11 @@ from repro.serving import (
     FaultStats,
     PlanCache,
     Watchdog,
+    check_report,
     chip_death,
     group_link_degradation,
     link_degradation,
     restart,
-    check_report,
 )
 from repro.serving.faults import FAULT_CHIP_DEATH, FAULT_LINK_DEGRADATION
 

@@ -18,9 +18,9 @@ from repro.serving import (
     Router,
     StaticPartitionRouter,
     TenantSpec,
+    check_report,
     decode_workload,
     merge_decode_workloads,
-    check_report,
 )
 from repro.utils.fingerprint import stable_hash
 

@@ -32,11 +32,11 @@ from repro.serving import (
     PlanCache,
     TenantSpec,
     Watchdog,
+    check_report,
     chip_death,
     group_link_degradation,
     link_degradation,
     restart,
-    check_report,
 )
 
 

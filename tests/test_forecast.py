@@ -22,11 +22,11 @@ from repro.serving import (
     ReactiveScaler,
     ScalerObservation,
     TrafficShape,
+    check_report,
     decode_workload,
     diurnal_workload,
     chip_death,
     FaultSchedule,
-    check_report,
 )
 from repro.core import T10Compiler
 

@@ -23,9 +23,9 @@ from repro.serving import (
     DecodeModel,
     FleetEngine,
     PlanCache,
+    check_report,
     decode_workload,
     merge_decode_workloads,
-    check_report,
 )
 from repro.utils import prod
 
