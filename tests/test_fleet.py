@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import T10Compiler
 from repro.hw.spec import ChipSpec, KiB
@@ -10,6 +11,7 @@ from repro.ir import OperatorGraph, elementwise, matmul
 from repro.serving import (
     SLO_BEST_EFFORT,
     SLO_INTERACTIVE,
+    ContinuousEngine,
     CostAwareRouter,
     DecodeModel,
     DecodeRequest,
@@ -443,3 +445,70 @@ class TestFleetServing:
             ]
 
         assert run_fresh(forward) == run_fresh(backward)
+
+
+# --------------------------------------------------------------------------- #
+# Differential oracle: the fleet's admission path against ContinuousEngine's
+# --------------------------------------------------------------------------- #
+@pytest.fixture(scope="module")
+def shared_cache(small_cost_model, fast_constraints):
+    store = PlanCache(
+        compiler_factory=lambda chip, constraints: T10Compiler(
+            chip, cost_model=small_cost_model, constraints=constraints
+        ),
+    )
+    yield store
+    store.close()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    max_batch=st.sampled_from([1, 2, 4]),
+    num_requests=st.integers(1, 24),
+    load=st.floats(0.2, 3.0),
+    seed=st.integers(0, 10_000),
+    interactive=st.sampled_from([0.0, 0.5, 1.0]),
+    slo_factor=st.one_of(st.none(), st.floats(1.0, 6.0)),
+)
+def test_one_chip_fleet_matches_continuous(
+    max_batch,
+    num_requests,
+    load,
+    seed,
+    interactive,
+    slo_factor,
+    shared_cache,
+    small_chip,
+    fast_constraints,
+):
+    """On one chip, with no faults and one tenant, the fleet (default router)
+    and ContinuousEngine run the same admission policy — EDF, preemption,
+    resume, best-effort FIFO, shedding — so every record matches exactly."""
+    model = make_model(max_batch_size=max_batch)
+    continuous = ContinuousEngine(
+        model, chip=small_chip, constraints=fast_constraints, plan_cache=shared_cache
+    )
+    unit = continuous.iteration_latency(1)
+    workload = decode_workload(
+        "alpha",
+        num_requests=num_requests,
+        rate=load * max_batch / (12 * unit),
+        seed=seed,
+        prompt_tokens=(16, 160),
+        output_tokens=(1, 16),
+        interactive_fraction=interactive,
+        slo_seconds=None
+        if slo_factor is None
+        else lambda prompt, output: slo_factor * model.ideal_iterations(prompt, output) * unit,
+    )
+    expected = continuous.run(workload)
+    fleet = make_engine(
+        shared_cache, small_chip, fast_constraints, deployments=[model], num_chips=1
+    )
+    actual = fleet.run(workload)
+    assert repr(actual.completed) == repr(expected.completed)
+    assert (actual.iterations, actual.preemptions, actual.shed) == (
+        expected.iterations,
+        expected.preemptions,
+        expected.shed,
+    )
