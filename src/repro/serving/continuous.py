@@ -1036,12 +1036,14 @@ class ContinuousEngine(_SingleModelEngine):
         replicas = self._make_replicas(model=self.model.name)
         for replica in replicas[: self.min_replicas]:
             replica.active = True
-        # Requeue counts, loss accounting and original admission times of
-        # requests pulled off dead replicas, restored on re-admission (or shed).
+        # Requeue counts, loss accounting, preemption counts and original
+        # admission times of requests pulled off dead replicas, restored on
+        # re-admission (or shed).
         requeue_counts: dict[int, int] = {}
         first_admits: dict[int, float] = {}
         migration_counts: dict[int, int] = {}
         lost_token_counts: dict[int, int] = {}
+        preempt_counts: dict[int, int] = {}
         records: list[CompletedDecode] = []
         seq = itertools.count()
         events: list[tuple[float, int, int, object]] = []
@@ -1110,6 +1112,7 @@ class ContinuousEngine(_SingleModelEngine):
                 completion_time=now,
                 tokens_generated=0,
                 replica=-1,
+                preemptions=preempt_counts.pop(request.request_id, 0),
                 requeues=requeue_counts.pop(request.request_id, 0),
                 migrations=migration_counts.pop(request.request_id, 0),
                 lost_tokens=lost_token_counts.pop(request.request_id, 0),
@@ -1142,6 +1145,7 @@ class ContinuousEngine(_SingleModelEngine):
                 admitted_time=first_admits.pop(request.request_id, now),
                 prefill_remaining=self.model.prefill_iterations(request.prompt_tokens),
                 origin=replica.index,
+                preemptions=preempt_counts.pop(request.request_id, 0),
                 requeues=requeue_counts.pop(request.request_id, 0),
                 migrations=migration_counts.pop(request.request_id, 0),
                 lost_tokens=lost_token_counts.pop(request.request_id, 0),
@@ -1195,7 +1199,10 @@ class ContinuousEngine(_SingleModelEngine):
             # physically impossible).
             while preempted and len(running) < max_batch:
                 resumed = preempted.popleft()
-                migrated = resumed.origin != replica.index
+                # origin -1: the KV state died with its replica, and detection
+                # already charged the requeue and reset the progress.
+                migrated = resumed.origin not in (-1, replica.index)
+                resumed.origin = replica.index
                 if migrated:
                     counters["migrations"] += 1
                     resumed.requeues += 1
@@ -1206,7 +1213,6 @@ class ContinuousEngine(_SingleModelEngine):
                     )
                     resumed.tokens_done = 0
                     resumed.first_token_time = float("nan")
-                    resumed.origin = replica.index
                 if traced:
                     tracer.instant(
                         "migrate" if migrated else "resume",
@@ -1265,6 +1271,7 @@ class ContinuousEngine(_SingleModelEngine):
                 lost_token_counts[running.request.request_id] = (
                     running.lost_tokens + running.tokens_done
                 )
+                preempt_counts[running.request.request_id] = running.preemptions
                 if traced:
                     tracer.instant(
                         "requeue",
@@ -1441,7 +1448,15 @@ class ContinuousEngine(_SingleModelEngine):
         while bq:
             shed(bq.popleft(), last_time)
         while preempted:
-            shed(preempted.popleft().request, last_time)
+            # A preempted request keeps its accounting on the shed record.
+            entry = preempted.popleft()
+            rid = entry.request.request_id
+            first_admits[rid] = entry.admitted_time
+            requeue_counts[rid] = entry.requeues
+            migration_counts[rid] = entry.migrations
+            lost_token_counts[rid] = entry.lost_tokens + entry.tokens_done
+            preempt_counts[rid] = entry.preemptions
+            shed(entry.request, last_time)
 
         return self._report(
             records,

@@ -315,6 +315,75 @@ class TestEngineFaults:
         assert requeued
         assert all(not math.isnan(r.admitted_time) for r in requeued)
 
+    def preempted_then_killed(self, cache, small_chip, fast_constraints, *faults):
+        """One chip, batch 2: best-effort request 0 runs alone for one
+        iteration, then shares the batch with best-effort request 1 from
+        ``start``; interactive request 2 arrives mid-iteration and preempts
+        request 1 at the next boundary (after request 1's prefill emitted a
+        token).  ``faults`` are ``(kind, at)`` pairs, ``at`` in batch-2
+        iterations after ``start``."""
+        engine = make_engine(cache, small_chip, fast_constraints, max_batch_size=2)
+        start, unit = engine.iteration_latency(1), engine.iteration_latency(2)
+        workload = [
+            request(0, 0.0, tokens=20, slo_class=SLO_BEST_EFFORT),
+            request(1, 0.0, tokens=20, slo_class=SLO_BEST_EFFORT),
+            request(2, start + 0.5 * unit, tokens=2),
+        ]
+        schedule = FaultSchedule.of(
+            [
+                (chip_death if kind == "death" else restart)(start + at * unit, 0)
+                for kind, at in faults
+            ]
+        )
+        report = make_engine(cache, small_chip, fast_constraints, max_batch_size=2).run(
+            workload, faults=schedule
+        )
+        assert check_report(report, workload) == []
+        assert report.preemptions == 1
+        return report, {r.request.request_id: r for r in report.completed}
+
+    def test_resumed_preemption_survives_a_requeue(
+        self, cache, small_chip, fast_constraints
+    ):
+        """Request 1 resumes after request 2 retires and then dies in flight:
+        its record still counts the preemption it suffered."""
+        report, records = self.preempted_then_killed(
+            cache, small_chip, fast_constraints, ("death", 5.5), ("restart", 8.0)
+        )
+        assert records[1].ok
+        assert records[1].preemptions == 1
+        assert records[1].requeues == 1
+
+    def test_preempted_entry_on_a_dead_replica_requeues_once(
+        self, cache, small_chip, fast_constraints
+    ):
+        """The chip dies while request 1 sits preempted: detection charges one
+        requeue and its token; resuming on the re-placed replica is not a
+        second requeue, nor a migration."""
+        report, records = self.preempted_then_killed(
+            cache, small_chip, fast_constraints, ("death", 1.5), ("restart", 3.0)
+        )
+        assert records[1].ok
+        assert (records[1].requeues, records[1].migrations) == (1, 0)
+        assert records[1].lost_tokens == 1
+        assert report.migrations == 0
+
+    def test_preempted_entry_shed_at_end_keeps_its_accounting(
+        self, cache, small_chip, fast_constraints
+    ):
+        """The chip dies for good while request 1 sits preempted: the
+        end-of-run sweep sheds it with its preemption, requeue, lost token
+        and first admission intact."""
+        report, records = self.preempted_then_killed(
+            cache, small_chip, fast_constraints, ("death", 1.5)
+        )
+        shed = records[1]
+        assert shed.status == DECODE_SHED
+        assert (shed.preemptions, shed.requeues, shed.lost_tokens) == (1, 1, 1)
+        # Admitted at the first iteration boundary, behind request 0.
+        engine = make_engine(cache, small_chip, fast_constraints, max_batch_size=2)
+        assert shed.admitted_time == engine.iteration_latency(1)
+
     def test_chaos_runs_are_deterministic(self, cache, small_chip, fast_constraints):
         engine = make_engine(cache, small_chip, fast_constraints, num_chips=2)
         unit = engine.iteration_latency(1)
