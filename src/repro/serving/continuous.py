@@ -10,17 +10,22 @@ simulator via :meth:`~repro.serving.worker.WorkerPool.profile` (pipeline
 sharding included) — entirely in virtual time, so every run is bit-for-bit
 reproducible.
 
-It also holds the decode-engine core every engine shares:
+It also holds the decode-engine core every engine shares: one event loop,
+:class:`_DecodeRun`, over an explicit per-run state object (event heap,
+records and counters, chip-second integrals, the iteration-level admission
+scheduler, the requeue carry and the end-of-run sweep), plus
 :class:`_DecodeEngineBase` (programs and cost tables, request validation,
-tracing, retirement, report assembly) and :class:`_ChipFaults` (the chip
-and fault state an event loop drives).  Two single-model engines sit on it
+tracing) and :class:`_ChipFaults` (the chip and fault state the loop
+drives).  Each engine runs the loop through its own subclass, whose hooks
+are the only place policies differ.  Two single-model engines sit on it
 here, and :class:`~repro.serving.fleet.FleetEngine` is the third:
 
 * :class:`ContinuousEngine` — iteration-level admission with an SLO-aware
-  policy: earliest-deadline-first admission of interactive requests,
-  priority preemption of best-effort traffic, load shedding of requests
-  whose projected completion already misses their deadline, and replica
-  autoscaling that grows/shrinks the active fleet with queue depth.
+  policy over one engine-wide queue set: earliest-deadline-first admission
+  of interactive requests, priority preemption of best-effort traffic,
+  load shedding of requests whose projected completion already misses
+  their deadline, and replica autoscaling that grows/shrinks the active
+  fleet with queue depth.
 * :class:`StaticEngine` — the classic baseline: FIFO batches that run to
   the completion of their *longest* member before the replica takes new
   work.  Same fleet, same compiled programs, no iteration-level admission.
@@ -63,7 +68,7 @@ from repro.serving.faults import (
     _LinkRestored,
 )
 from repro.serving.metrics import ContinuousReport, FaultStats
-from repro.serving.plan_cache import CacheStats, PlanCache
+from repro.serving.plan_cache import PlanCache
 from repro.serving.request import (
     DECODE_OK,
     DECODE_SHED,
@@ -160,6 +165,48 @@ class _Running:
             return
         self.tokens_done += 1
 
+    def restart(self, prefill_iterations: int) -> None:
+        """Discard the decode progress (its KV state is gone): the tokens
+        generated so far are lost and the prompt is re-prefilled."""
+        self.lost_tokens += self.tokens_done
+        self.prefill_remaining = prefill_iterations
+        self.tokens_done = 0
+        self.first_token_time = float("nan")
+
+
+#: The requeue carry's stand-in for a request that was never admitted.
+_NEVER_ADMITTED = _Running(request=None, admitted_time=float("nan"), prefill_remaining=0)
+
+
+@dataclass(eq=False)
+class _Queues:
+    """The queues a replica admits from.
+
+    :class:`ContinuousEngine` hands every replica the same queue set (one
+    engine-wide EDF queue); :class:`~repro.serving.fleet.FleetEngine` gives
+    each replica its own, holding the requests the router placed there.
+    """
+
+    iq: list = field(default_factory=list)
+    """EDF heap of interactive requests: (deadline, arrival, id, request).
+    Deadline-free interactive requests sort after any deadline."""
+    bq: deque = field(default_factory=deque)
+    """FIFO of best-effort requests."""
+    preempted: deque = field(default_factory=deque)
+    """Preempted residents (:class:`_Running`) awaiting resumption."""
+
+    def __len__(self) -> int:
+        return len(self.iq) + len(self.bq) + len(self.preempted)
+
+    def push(self, request: DecodeRequest) -> None:
+        if request.interactive:
+            deadline = request.deadline if request.deadline is not None else math.inf
+            heapq.heappush(
+                self.iq, (deadline, request.arrival_time, request.request_id, request)
+            )
+        else:
+            self.bq.append(request)
+
 
 @dataclass
 class _Replica:
@@ -178,6 +225,8 @@ class _Replica:
     active: bool = False
     busy: bool = False
     running: list[_Running] = field(default_factory=list)
+    queues: _Queues | None = None
+    """The queue set this replica admits from (continuous batching only)."""
     bucket: int = 0
     """Static engine only: the bucket the current batch was compiled for."""
     chips: tuple[int, ...] = ()
@@ -185,6 +234,10 @@ class _Replica:
     them; empty while the replica is dead and awaiting re-placement)."""
     chip_class: ChipSpec | None = None
     """Hardware class of the backing chips (programs are priced per class)."""
+    latencies: tuple[float, ...] | None = None
+    """Steady-state iteration latency of ``model`` on ``chip_class``, indexed
+    by batch size (None until first priced, and again whenever either
+    changes)."""
     dead: bool = False
     epoch: int = 0
     """Bumped on every death and re-placement; in-flight iteration-end events
@@ -215,12 +268,14 @@ class _DecodeEngineBase:
 
     Construction and plan-cache ownership, per-bucket programs with their
     steady-state cost tables (per model and hardware class), request
-    validation, the trace helpers, retirement and report assembly.  Each
-    engine adds only its scheduling policy — its ``run`` event loop — and
-    drives the shared fault mechanism through :class:`_ChipFaults`.
+    validation and the trace helpers.  ``run`` validates its arguments and
+    replays the workload through the engine's :class:`_DecodeRun` subclass:
+    one event loop, with the scheduling policy in that subclass's hooks.
     """
 
     policy = "base"
+    #: Whether requests that would miss their deadline are shed at admission.
+    shed_enabled = False
     #: FaultStats fields the ``faults`` counter track samples, after the
     #: dead-replica and spare counts.
     fault_counters: tuple[str, ...] = ("requeued", "degraded_sheds")
@@ -364,6 +419,17 @@ class _DecodeEngineBase:
             self._tenant_touched.add(touch_key)
         return table
 
+    def _cost(
+        self, model: str, chip_class: ChipSpec, batch_len: int, tenant: str = ""
+    ) -> IterationCost:
+        """Steady-state cost of a ``batch_len`` iteration of ``model`` on
+        ``chip_class``; the first touch of a (model, class) pair compiles,
+        attributed to ``tenant``."""
+        table = self._costs.get((model, chip_class.fingerprint()))
+        if table is None:
+            table = self._bucket_costs(model, chip_class, tenant)
+        return table[bucket_for(batch_len, self._deployments[model].max_batch_size)]
+
     def warm(self) -> None:
         """Compile and measure every bucket of every deployment on every
         hardware class once (idempotent), so compile cost is paid up front
@@ -432,6 +498,9 @@ class _DecodeEngineBase:
     def _flow_id(self, request_id: int) -> str:
         """Per-trace-unique flow id for one request's lifecycle arrows."""
         return f"{self.trace_group}/r{request_id}"
+
+    def _replica_args(self, replica: _Replica) -> dict:
+        return {"replica": replica.index}
 
     def _failover_args(self, replica: _Replica) -> dict:
         return {"replica": replica.index, "chips": ",".join(str(c) for c in replica.chips)}
@@ -559,118 +628,9 @@ class _DecodeEngineBase:
                 latency.observe(record.latency)
                 ttft.observe(record.time_to_first_token)
 
-    # ------------------------------------------------------------------ #
-    def _retire_finished(
-        self,
-        replica: _Replica,
-        now: float,
-        records: list[CompletedDecode],
-        tracer: Tracer | None = None,
-        on_retire: Callable[[CompletedDecode, float], None] | None = None,
-    ) -> None:
-        """Advance every resident request one finished iteration and retire
-        the done ones — the accounting every engine must share exactly, or
-        their reports stop being comparable.  ``on_retire`` sees each record
-        after it is traced."""
-        for running in list(replica.running):
-            running.advance(now)
-            if running.done:
-                replica.running.remove(running)
-                record = CompletedDecode(
-                    request=running.request,
-                    status=DECODE_OK,
-                    admitted_time=running.admitted_time,
-                    first_token_time=running.first_token_time,
-                    completion_time=now,
-                    tokens_generated=running.tokens_done,
-                    preemptions=running.preemptions,
-                    replica=replica.index,
-                    requeues=running.requeues,
-                    migrations=running.migrations,
-                    lost_tokens=running.lost_tokens,
-                )
-                records.append(record)
-                if tracer is not None:
-                    self._trace_done(tracer, record, replica, now)
-                if on_retire is not None:
-                    on_retire(record, now)
-
-    def _report(
-        self,
-        records: list[CompletedDecode],
-        ordered: Sequence[DecodeRequest],
-        tracer: Tracer,
-        *,
-        counters: dict[str, int],
-        busy_chip_seconds: float,
-        active_chip_seconds: float,
-        end_time: float,
-        peak_active: int,
-        stats_before: CacheStats,
-        faults: FaultStats | None = None,
-        provisioned_chip_seconds: float | None = None,
-        peak_provisioned: int | None = None,
-    ) -> ContinuousReport:
-        """Assemble the run report and publish its metrics when traced.
-
-        ``makespan`` spans the *served* requests (the throughput window);
-        ``active_span`` is the whole event window ``active_chip_seconds``
-        integrates over, which may be longer when leading/trailing requests
-        were shed.  Without a provisioning scaler what was active is exactly
-        what was provisioned.
-        """
-        records.sort(key=lambda record: record.request.request_id)
-        first_arrival = ordered[0].arrival_time if ordered else 0.0
-        served = [record for record in records if record.ok]
-        makespan = 0.0
-        if served:
-            makespan = max(r.completion_time for r in served) - min(
-                r.request.arrival_time for r in served
-            )
-        stages = self.num_stages
-        report = ContinuousReport(
-            policy=self.policy,
-            model="+".join(sorted(self._deployments)),
-            num_chips=self.num_chips,
-            num_stages=stages,
-            max_batch_size=max(
-                deployment.max_batch_size for deployment in self._deployments.values()
-            ),
-            completed=tuple(records),
-            makespan=makespan,
-            busy_chip_seconds=busy_chip_seconds,
-            active_chip_seconds=active_chip_seconds,
-            active_span=end_time - first_arrival,
-            iterations=counters["iterations"],
-            cache=self.plan_cache.stats.since(stats_before),
-            warm_compile_seconds=self.warm_compile_seconds,
-            preemptions=counters["preemptions"],
-            shed=counters["shed"],
-            scale_ups=counters["scale_ups"],
-            scale_downs=counters["scale_downs"],
-            peak_active_chips=peak_active * stages,
-            rebinds=counters.get("rebinds", 0),
-            migrations=counters.get("migrations", 0),
-            faults=faults if faults is not None else FaultStats(),
-            provisioned_chip_seconds=(
-                active_chip_seconds
-                if provisioned_chip_seconds is None
-                else provisioned_chip_seconds
-            ),
-            peak_provisioned_chips=(
-                peak_active if peak_provisioned is None else peak_provisioned
-            )
-            * stages,
-            provision_ups=counters.get("provision_ups", 0),
-            provision_downs=counters.get("provision_downs", 0),
-        )
-        if tracer.enabled:
-            self._publish_run_metrics(tracer, report, counters)
-        return report
-
 
 class _ChipFaults:
-    """Chip and fault state of one run, driven by an engine's event loop.
+    """Chip and fault state of one run, driven by the run's event loop.
 
     Holds the chip sets — spares, dead, cold (back from a restart with an
     empty program store) and warming (between restart and chip-online) —
@@ -680,39 +640,23 @@ class _ChipFaults:
     spare-group failover with a cold rewarm, and the ``faults`` counter
     sample.  What happens to a dead replica's requests once the watchdog
     notices, and to a replica once it is re-placed, is engine policy: the
-    ``detect`` and ``placed`` callbacks (``online`` runs after a chip came
-    back and failover was tried).  ``refund`` takes back busy chip-seconds
-    of an iteration a death cut short.
+    run's ``detect`` and ``placed`` hooks (``online`` runs after a chip came
+    back and failover was tried).
     """
 
-    def __init__(
-        self,
-        engine: _DecodeEngineBase,
-        replicas: list,
-        schedule: FaultSchedule,
-        watchdog: Watchdog,
-        events: list,
-        seq: "itertools.count[int]",
-        tracer: Tracer,
-        *,
-        refund: Callable[[float], None],
-        detect: Callable[[_Replica, float], None],
-        placed: Callable[[_Replica, float], None],
-        online: Callable[[float], None] | None = None,
-    ) -> None:
+    def __init__(self, run: "_DecodeRun") -> None:
+        engine = run.engine
+        self.run = run
         self.engine = engine
-        self.replicas = replicas
-        self.watchdog = watchdog
-        self.events = events
-        self.seq = seq
-        self.tracer = tracer
-        self.traced = tracer.enabled
+        self.replicas = run.replicas
+        self.tracer = run.tracer
+        self.traced = run.traced
         self.track = f"{engine.trace_group}/fleet"
         self.stats = FaultStats()
         #: Chips not backing any replica (the fleet remainder when num_chips
         #: is not a multiple of num_stages) start life as failover capacity.
         self.spares: list[int] = list(
-            range(len(replicas) * engine.num_stages, engine.num_chips)
+            range(len(self.replicas) * engine.num_stages, engine.num_chips)
         )
         self.dead_chips: set[int] = set()
         #: The next replica re-placed over a cold chip re-warms its buckets
@@ -720,17 +664,13 @@ class _ChipFaults:
         self.cold_chips: set[int] = set()
         #: Chips between restart and chip-online.
         self.warming: set[int] = set()
-        self._refund = refund
-        self._detect = detect
-        self._placed = placed
-        self._online = online
-        for fault in schedule:
+        for fault in run.schedule:
             self._push(fault.time, fault)
             if fault.kind == FAULT_LINK_DEGRADATION and math.isfinite(fault.until):
                 self._push(fault.until, _LinkRestored(fault.factor))
 
     def _push(self, when: float, payload: object) -> None:
-        heapq.heappush(self.events, (when, _EV_FAULT, next(self.seq), payload))
+        heapq.heappush(self.run.events, (when, _EV_FAULT, next(self.run.seq), payload))
 
     def _instant(self, name: str, now: float, **args) -> None:
         self.tracer.instant(name, ts=now, track=self.track, cat="fault", args=args)
@@ -764,7 +704,7 @@ class _ChipFaults:
         elif isinstance(payload, _Detect):
             replica = self.replicas[payload.replica]
             if replica.dead and replica.epoch == payload.epoch:
-                self._detect(replica, now)
+                self.run.detect(replica, now)
         elif isinstance(payload, _ChipOnline):
             self._chip_online(payload, now)
         elif isinstance(payload, _LinkRestored) and self.traced:
@@ -792,12 +732,12 @@ class _ChipFaults:
             # its busy time that never executed; its iteration-end event is
             # dropped by the epoch bump below.
             end = owner.iter_start + owner.iter_latency
-            self._refund(max(0.0, end - now) * self.engine.num_stages)
+            self.run.busy_chip_seconds -= max(0.0, end - now) * self.engine.num_stages
             self.stats.lost_iterations += 1
             owner.busy = False
         # The loop integrated active chip-seconds up to ``now`` before
         # dispatching this event, so the replica can leave the active set.
-        owner.active = False
+        self.run.set_active(owner, False)
         owner.epoch += 1
         owner.dead = True
         # Surviving chips of the group become spares immediately; the
@@ -810,7 +750,9 @@ class _ChipFaults:
             # The replica's private program store dies with it.
             self.engine.plan_cache.evict_scope(owner.cache_scope)
             owner.cache_scope = ""
-        self._push(now + self.watchdog.detection_delay, _Detect(owner.index, owner.epoch))
+        self._push(
+            now + self.run.watchdog.detection_delay, _Detect(owner.index, owner.epoch)
+        )
         if self.traced:
             self.sample(now)
 
@@ -833,8 +775,7 @@ class _ChipFaults:
         if self.traced:
             self._instant("chip-online", now, chip=online.chip, cold=online.cold_cache)
         self.try_place(now)
-        if self._online is not None:
-            self._online(now)
+        self.run.online(now)
         if self.traced:
             self.sample(now)
 
@@ -857,6 +798,7 @@ class _ChipFaults:
             del spares[:stages]
             replica.chips = tuple(group)
             replica.chip_class = engine.pool.chip_for(group[0])
+            replica.latencies = None
             replica.dead = False
             replica.epoch += 1
             self.stats.failovers += 1
@@ -868,7 +810,7 @@ class _ChipFaults:
                     self._rewarm(replica)
             if self.traced:
                 self._instant("failover", now, **engine._failover_args(replica))
-            self._placed(replica, now)
+            self.run.placed(replica, now)
 
     def _rewarm(self, replica: _Replica) -> None:
         """Re-fetch every bucket program of the replica's bound model under
@@ -887,6 +829,584 @@ class _ChipFaults:
                 scope=replica.cache_scope,
             )
             self.stats.restart_compile_seconds += cost.compile_seconds
+
+
+class _DecodeRun:
+    """One replay of a decode workload: the run state and the event loop
+    every decode engine shares.
+
+    The loop owns the event heap, the records and counters, the busy and
+    active chip-second integrals, and the Orca-style iteration scheduler:
+    at each iteration boundary a replica retires its finished requests and
+    admits from its queue set — interactive requests earliest-deadline-first,
+    then priority preemption of best-effort residents, then resumed
+    preemptions, then best-effort FIFO — shedding any request whose
+    projected completion already misses its deadline.  Requests displaced
+    by a chip death keep their accounting in one requeue carry until they
+    are re-admitted or shed, and the end-of-run sweep sheds whatever is
+    still queued, so every request ends exactly once.
+
+    The engines differ only in the hooks a subclass overrides: how an
+    arrival reaches a queue set (``on_arrival``), what detection does with a
+    dead replica's requests (``displace``, then ``refill``), the
+    interactive pop order (``pop_interactive``), the scale-down floor
+    (``min_active``) and how degraded links price an iteration
+    (``links_priced``, ``degraded``).  The static-batching baseline replaces
+    ``admit`` itself.
+    """
+
+    #: Counters the report reads, in publication order.
+    counter_names: tuple[str, ...] = (
+        "iterations",
+        "preemptions",
+        "shed",
+        "scale_ups",
+        "scale_downs",
+        "migrations",
+    )
+    #: A drained replica deactivates only while more than this many are active.
+    min_active = 0
+    #: Whether link-degradation windows re-price the iterations they cover.
+    links_priced = False
+    #: Provisioned chip-seconds and peak (None: provisioned == active).
+    provisioned_chip_seconds: float | None = None
+    peak_provisioned: int | None = None
+
+    def __init__(
+        self,
+        engine: _DecodeEngineBase,
+        requests: list[DecodeRequest],
+        schedule: FaultSchedule,
+        watchdog: Watchdog,
+        replicas: list[_Replica],
+        queue_sets: list[_Queues],
+    ) -> None:
+        self.engine = engine
+        self.requests = requests
+        self.schedule = schedule
+        self.watchdog = watchdog
+        self.replicas = replicas
+        self.queue_sets = queue_sets
+        self.tracer = get_tracer()
+        self.traced = self.tracer.enabled
+        self.fleet_track = f"{engine.trace_group}/fleet"
+        self.stages = engine.num_stages
+        self.shed_enabled = engine.shed_enabled
+        self.deployments = engine._deployments
+        self.seq = itertools.count()
+        self.events: list[tuple[float, int, int, object]] = []
+        for request in requests:
+            heapq.heappush(
+                self.events, (request.arrival_time, _EV_ARRIVAL, next(self.seq), request)
+            )
+        self.records: list[CompletedDecode] = []
+        self.counters = dict.fromkeys(self.counter_names, 0)
+        #: The requeue carry: the progress record of every request displaced
+        #: off a dead replica (or stranded preempted), by request id, until
+        #: it is re-admitted or shed.
+        self.carry: dict[int, _Running] = {}
+        #: Requests no queue set took yet (the fleet's unroutable arrivals).
+        self.unrouted: deque[DecodeRequest] = deque()
+        self.busy_chip_seconds = 0.0
+        self.active_chip_seconds = 0.0
+        #: Replicas currently active (kept in step by :meth:`set_active`).
+        self.num_active = [replica.active for replica in replicas].count(True)
+        self.peak_active = self.num_active
+        self.last_time = requests[0].arrival_time if requests else 0.0
+        self.stats_before = engine.plan_cache.stats.snapshot()
+        self.chips = _ChipFaults(self)
+
+    # ------------------------------------------------------------------ #
+    def execute(self) -> ContinuousReport:
+        """Drain the event heap, sweep the queues and build the report."""
+        events = self.events
+        replicas = self.replicas
+        while events:
+            now, kind, _, payload = heapq.heappop(events)
+            self.integrate(now)
+            if kind == _EV_ARRIVAL:
+                self.on_arrival(payload, now)
+            elif kind == _EV_ITER_END:
+                index, epoch = payload
+                replica = replicas[index]
+                if replica.epoch != epoch:
+                    continue  # the iteration was aborted by a chip death
+                replica.busy = False
+                self.retire(replica, now)
+                self.start_iteration(replica, now)
+                self.after_iteration(now)
+            elif kind == _EV_FAULT:
+                self.chips.handle(payload, now)
+            else:
+                self.on_scale(payload, now)
+            if self.traced:
+                self.sample(now)
+        self.sweep()
+        return self.report()
+
+    def report(self) -> ContinuousReport:
+        """Assemble the run report and publish its metrics when traced.
+
+        ``makespan`` spans the *served* requests (the throughput window);
+        ``active_span`` is the whole event window ``active_chip_seconds``
+        integrates over, which may be longer when leading/trailing requests
+        were shed.  Without a provisioning scaler what was active is exactly
+        what was provisioned.
+        """
+        engine, records, counters = self.engine, self.records, self.counters
+        records.sort(key=lambda record: record.request.request_id)
+        first_arrival = self.requests[0].arrival_time if self.requests else 0.0
+        served = [record for record in records if record.ok]
+        makespan = 0.0
+        if served:
+            makespan = max(r.completion_time for r in served) - min(
+                r.request.arrival_time for r in served
+            )
+        stages = self.stages
+        provisioned, peak = self.provisioned_chip_seconds, self.peak_provisioned
+        report = ContinuousReport(
+            policy=engine.policy,
+            model="+".join(sorted(engine._deployments)),
+            num_chips=engine.num_chips,
+            num_stages=stages,
+            max_batch_size=max(
+                deployment.max_batch_size for deployment in engine._deployments.values()
+            ),
+            completed=tuple(records),
+            makespan=makespan,
+            busy_chip_seconds=self.busy_chip_seconds,
+            active_chip_seconds=self.active_chip_seconds,
+            active_span=self.last_time - first_arrival,
+            iterations=counters["iterations"],
+            cache=engine.plan_cache.stats.since(self.stats_before),
+            warm_compile_seconds=engine.warm_compile_seconds,
+            preemptions=counters["preemptions"],
+            shed=counters["shed"],
+            scale_ups=counters["scale_ups"],
+            scale_downs=counters["scale_downs"],
+            peak_active_chips=self.peak_active * stages,
+            rebinds=counters.get("rebinds", 0),
+            migrations=counters.get("migrations", 0),
+            faults=self.chips.stats,
+            provisioned_chip_seconds=(
+                self.active_chip_seconds if provisioned is None else provisioned
+            ),
+            peak_provisioned_chips=(self.peak_active if peak is None else peak) * stages,
+            provision_ups=counters.get("provision_ups", 0),
+            provision_downs=counters.get("provision_downs", 0),
+        )
+        if self.traced:
+            engine._publish_run_metrics(self.tracer, report, counters)
+        return report
+
+    def set_active(self, replica: _Replica, active: bool) -> None:
+        if replica.active != active:
+            replica.active = active
+            self.num_active += 1 if active else -1
+
+    def integrate(self, now: float) -> None:
+        """Accrue active chip-seconds up to ``now`` (a no-op when no time
+        passed since the last call, as for every same-instant re-check)."""
+        if now != self.last_time:
+            self.active_chip_seconds += (now - self.last_time) * self.num_active * self.stages
+            self.last_time = now
+
+    def retire(self, replica: _Replica, now: float) -> None:
+        """Advance every resident request one finished iteration and retire
+        the done ones."""
+        for running in list(replica.running):
+            running.advance(now)
+            if running.done:
+                replica.running.remove(running)
+                record = CompletedDecode(
+                    request=running.request,
+                    status=DECODE_OK,
+                    admitted_time=running.admitted_time,
+                    first_token_time=running.first_token_time,
+                    completion_time=now,
+                    tokens_generated=running.tokens_done,
+                    preemptions=running.preemptions,
+                    replica=replica.index,
+                    requeues=running.requeues,
+                    migrations=running.migrations,
+                    lost_tokens=running.lost_tokens,
+                )
+                self.records.append(record)
+                if self.traced:
+                    self.engine._trace_done(self.tracer, record, replica, now)
+                self.on_retire(record, now)
+
+    def start_idle(self, now: float) -> None:
+        """Start an iteration on every active replica that has none."""
+        for replica in self.replicas:
+            if replica.active and not replica.busy:
+                self.start_iteration(replica, now)
+
+    # ------------------------------------------------------------------ #
+    # Admission
+    # ------------------------------------------------------------------ #
+    def latencies(self, replica: _Replica) -> tuple[float, ...]:
+        """``replica``'s iteration latency by batch size, priced on first use."""
+        if replica.latencies is None:
+            table = self.engine._bucket_costs(replica.model, replica.chip_class)
+            max_batch = self.deployments[replica.model].max_batch_size
+            replica.latencies = (math.nan,) + tuple(
+                table[bucket_for(size, max_batch)].latency for size in range(1, max_batch + 1)
+            )
+        return replica.latencies
+
+    def hopeless(self, request: DecodeRequest, replica: _Replica, now: float) -> bool:
+        """Whether ``request``, started now on ``replica``, misses its
+        deadline: its full iteration count priced at the replica class's
+        full-batch iteration latency (the per-iteration cost once the fleet
+        is busy).  Queue wait it already suffered is baked into ``now``."""
+        if not self.shed_enabled or request.deadline is None:
+            return False
+        deployment = self.deployments[request.model]
+        unit = (replica.latencies or self.latencies(replica))[deployment.max_batch_size]
+        return now + deployment.total_iterations(request) * unit > request.deadline
+
+    def shed(self, request: DecodeRequest, now: float) -> None:
+        """End ``request`` unserved.  A request that never held a batch slot
+        records NaN / the -1 sentinel (not fabricated values) so TTFT and
+        goodput accounting can never mistake it for a served one; one that
+        was admitted before keeps its first admission time and accounting
+        from the requeue carry."""
+        self.counters["shed"] += 1
+        carried = self.carry.pop(request.request_id, _NEVER_ADMITTED)
+        record = CompletedDecode(
+            request=request,
+            status=DECODE_SHED,
+            admitted_time=carried.admitted_time,
+            first_token_time=float("nan"),
+            completion_time=now,
+            tokens_generated=0,
+            preemptions=carried.preemptions,
+            replica=-1,
+            requeues=carried.requeues,
+            migrations=carried.migrations,
+            lost_tokens=carried.lost_tokens,
+        )
+        self.records.append(record)
+        self.note_outcome(request, False)
+        if self.traced:
+            self.engine._trace_done(self.tracer, record, None, now)
+
+    def admit_one(self, request: DecodeRequest, replica: _Replica, now: float) -> _Running:
+        if self.traced:
+            self.engine._trace_admit(self.tracer, request, replica, now)
+        prefill = self.deployments[replica.model].prefill_iterations(
+            request.prompt_tokens
+        )
+        carried = self.carry.pop(request.request_id, None)
+        if carried is None:
+            return _Running(
+                request=request,
+                admitted_time=now,
+                prefill_remaining=prefill,
+                origin=replica.index,
+            )
+        if carried.origin not in (-1, replica.index):
+            # The requeue landed on a different replica than the one whose
+            # death displaced it: a cross-replica (often cross-model)
+            # failover migration, charged the same full re-prefill as any
+            # requeue.
+            carried.migrations += 1
+            self.counters["migrations"] += 1
+            if self.traced:
+                self.tracer.instant(
+                    "migrate",
+                    ts=now,
+                    track=self.engine._chip_tracks(replica)[0],
+                    cat="fault",
+                    args={
+                        "request": request.request_id,
+                        "from": carried.origin,
+                        "to": replica.index,
+                    },
+                )
+        carried.prefill_remaining = prefill
+        carried.origin = replica.index
+        return carried
+
+    def pop_interactive(self, queues: _Queues) -> tuple:
+        """The next interactive request to admit: earliest deadline first."""
+        return heapq.heappop(queues.iq)
+
+    def admit(self, replica: _Replica, now: float) -> None:
+        """Fill ``replica``'s batch from its queue set at an iteration
+        boundary."""
+        queues = replica.queues
+        iq, bq, preempted = queues.iq, queues.bq, queues.preempted
+        running = replica.running
+        deployment = self.deployments[replica.model]
+        max_batch = deployment.max_batch_size
+        traced = self.traced
+        # Interactive first, earliest deadline first.
+        while iq and len(running) < max_batch:
+            request = self.pop_interactive(queues)[3]
+            if self.hopeless(request, replica, now):
+                self.shed(request, now)
+                continue
+            running.append(self.admit_one(request, replica, now))
+        # Priority preemption: interactive requests still waiting evict the
+        # most recently admitted best-effort resident (its progress is kept;
+        # it resumes from the preempted queue).
+        while iq and len(running) >= max_batch:
+            victim_index = None
+            for position in range(len(running) - 1, -1, -1):
+                if not running[position].request.interactive:
+                    victim_index = position
+                    break
+            if victim_index is None:
+                break
+            request = self.pop_interactive(queues)[3]
+            if self.hopeless(request, replica, now):
+                self.shed(request, now)
+                continue
+            victim = running.pop(victim_index)
+            victim.preemptions += 1
+            self.counters["preemptions"] += 1
+            preempted.appendleft(victim)
+            if traced:
+                self.tracer.instant(
+                    "preempt",
+                    ts=now,
+                    track=self.engine._chip_tracks(replica)[0],
+                    cat="lifecycle",
+                    args={"victim": victim.request.request_id, "for": request.request_id},
+                )
+            running.append(self.admit_one(request, replica, now))
+        # Preempted best-effort work resumes before fresh best-effort
+        # admissions (its progress is sunk cost) — but progress only survives
+        # on the replica whose chips still hold its KV state; resuming
+        # anywhere else must re-prefill from scratch (the KV cache never
+        # crossed chips).  Origin -1: detection already discarded the
+        # progress and charged the requeue.
+        while preempted and len(running) < max_batch:
+            resumed = preempted.popleft()
+            migrated = resumed.origin not in (-1, replica.index)
+            resumed.origin = replica.index
+            if migrated:
+                self.counters["migrations"] += 1
+                resumed.requeues += 1
+                resumed.migrations += 1
+                resumed.restart(deployment.prefill_iterations(resumed.request.prompt_tokens))
+            if traced:
+                self.tracer.instant(
+                    "migrate" if migrated else "resume",
+                    ts=now,
+                    track=self.engine._chip_tracks(replica)[0],
+                    cat="lifecycle",
+                    args={"request": resumed.request.request_id},
+                )
+            running.append(resumed)
+        while bq and len(running) < max_batch:
+            running.append(self.admit_one(bq.popleft(), replica, now))
+
+    def start_iteration(self, replica: _Replica, now: float) -> None:
+        if replica.busy or not replica.active or replica.dead:
+            return
+        self.admit(replica, now)
+        running = replica.running
+        if not running:
+            # Drained: release the chips unless that breaches the floor.
+            if self.num_active > self.min_active:
+                self.integrate(now)
+                self.set_active(replica, False)
+                self.counters["scale_downs"] += 1
+                if self.traced:
+                    self.tracer.instant(
+                        "scale-down",
+                        ts=now,
+                        track=self.fleet_track,
+                        cat="autoscale",
+                        args=self.engine._replica_args(replica),
+                    )
+            return
+        # A static batch keeps the bucket it was formed in (0: none).
+        size = replica.bucket or len(running)
+        latency = (replica.latencies or self.latencies(replica))[size]
+        if self.links_priced:
+            # Iterations started inside a link-degradation window pay the
+            # slowdown; windows scoped to a chip set only tax replicas backed
+            # by those chips.
+            factor = self.schedule.link_factor(now, replica.chips)
+            if factor > 1.0:
+                latency = self.degraded(replica, latency, factor)
+        replica.busy = True
+        replica.iter_start = now
+        replica.iter_latency = latency
+        self.counters["iterations"] += 1
+        self.busy_chip_seconds += latency * self.stages
+        if self.traced:
+            self.engine._trace_iteration(self.tracer, replica, now, latency)
+        heapq.heappush(
+            self.events,
+            (now + latency, _EV_ITER_END, next(self.seq), (replica.index, replica.epoch)),
+        )
+
+    def activate(self, replica: _Replica, now: float) -> None:
+        if replica.active:
+            return
+        self.integrate(now)
+        self.set_active(replica, True)
+        self.counters["scale_ups"] += 1
+        self.peak_active = max(self.peak_active, self.num_active)
+        if self.traced:
+            self.tracer.instant(
+                "scale-up",
+                ts=now,
+                track=self.fleet_track,
+                cat="autoscale",
+                args=self.engine._replica_args(replica),
+            )
+
+    # ------------------------------------------------------------------ #
+    # Faults
+    # ------------------------------------------------------------------ #
+    def detect(self, replica: _Replica, now: float) -> None:
+        """The watchdog noticed ``replica`` died: displace its requests, try
+        failover, and restart admission on the survivors."""
+        self.displace(replica, now)
+        self.chips.try_place(now)
+        self.degraded_shed(now)
+        self.refill(now)
+        self.start_idle(now)
+        if self.traced:
+            self.chips.sample(now)
+
+    def carry_off(self, running: _Running, origin: int) -> int:
+        """Discard a displaced request's decode progress (its KV state died
+        with the chips) and park its accounting in the requeue carry;
+        returns the tokens lost.  A later admission on a replica other than
+        ``origin`` (-1: none) counts as a migration."""
+        lost = running.tokens_done
+        self.chips.stats.lost_tokens += lost
+        running.restart(0)  # admission re-prices the prefill
+        running.origin = origin
+        self.carry[running.request.request_id] = running
+        return lost
+
+    def trace_requeue(self, request: DecodeRequest, lost: int, now: float) -> None:
+        self.tracer.instant(
+            "requeue",
+            ts=now,
+            track=self.engine._request_lane(request),
+            cat="fault",
+            args={"request": request.request_id, "lost_tokens": lost},
+        )
+
+    def degraded_shed(self, now: float) -> None:
+        """Degraded-mode admission: while any replica is dead, cap the
+        best-effort backlog at ``degraded_shed_queue`` per surviving active
+        replica, shedding newest-first across every queue set and parked
+        request (the oldest backlog keeps its slot; interactive traffic is
+        governed by its own deadline check)."""
+        watchdog = self.watchdog
+        if watchdog.degraded_shed_queue is None or not self.chips.degraded:
+            return
+        cap = watchdog.degraded_shed_queue * max(1, self.num_active)
+        unrouted = self.unrouted
+        total = sum(len(queues.bq) for queues in self.queue_sets) + sum(
+            1 for request in unrouted if not request.interactive
+        )
+        dropped = False
+        while total > cap:
+            newest_queued = max(
+                (queues for queues in self.queue_sets if queues.bq),
+                key=lambda queues: _arrival_key(queues.bq[-1]),
+                default=None,
+            )
+            newest_parked = max(
+                (request for request in unrouted if not request.interactive),
+                key=_arrival_key,
+                default=None,
+            )
+            if newest_parked is not None and (
+                newest_queued is None
+                or _arrival_key(newest_parked) > _arrival_key(newest_queued.bq[-1])
+            ):
+                unrouted.remove(newest_parked)
+                victim = newest_parked
+            elif newest_queued is not None:
+                victim = newest_queued.bq.pop()
+            else:
+                break
+            self.chips.stats.degraded_sheds += 1
+            self.shed(victim, now)
+            total -= 1
+            dropped = True
+        if dropped and self.traced:
+            self.chips.sample(now)
+
+    def sweep(self) -> None:
+        """Shed whatever is still queued, preempted or parked.
+
+        A run can end with replicas dead and their queues full (e.g. the
+        whole fleet killed and never restarted); the books must balance all
+        the same (completed + shed == requests).  Nothing can still be
+        resident: detection clears a dead replica, failover skips replicas
+        holding residents, and live replicas iterate until they drain.
+        """
+        now = self.last_time
+        for replica in self.replicas:
+            assert not replica.running, f"replica {replica.index} stranded residents"
+        for queues in self.queue_sets:
+            while queues.iq:
+                self.shed(heapq.heappop(queues.iq)[3], now)
+            while queues.bq:
+                self.shed(queues.bq.popleft(), now)
+            while queues.preempted:
+                entry = queues.preempted.popleft()
+                entry.lost_tokens += entry.tokens_done
+                self.carry[entry.request.request_id] = entry
+                self.shed(entry.request, now)
+        while self.unrouted:
+            self.shed(self.unrouted.popleft(), now)
+
+    # ------------------------------------------------------------------ #
+    # Policy hooks
+    # ------------------------------------------------------------------ #
+    def on_arrival(self, request: DecodeRequest, now: float) -> None:
+        raise NotImplementedError
+
+    def displace(self, replica: _Replica, now: float) -> None:
+        """Move a detected-dead replica's requests off it."""
+        raise NotImplementedError
+
+    def refill(self, now: float) -> None:
+        """Put capacity back to work after a detection."""
+
+    def placed(self, replica: _Replica, now: float) -> None:
+        """A dead replica was re-placed onto spare chips."""
+        raise NotImplementedError
+
+    def online(self, now: float) -> None:
+        """A restarted chip came back (after failover was tried)."""
+
+    def on_scale(self, payload: object, now: float) -> None:
+        """An ``_EV_SCALE`` event (provisioning runs only)."""
+
+    def after_iteration(self, now: float) -> None:
+        """After an iteration end retired, admitted and restarted a replica."""
+
+    def sample(self, now: float) -> None:
+        """Counter samples after each event (traced runs only)."""
+
+    def note_outcome(self, request: DecodeRequest, met: bool) -> None:
+        """A request ended, meeting its SLO or not."""
+
+    def on_retire(self, record: CompletedDecode, now: float) -> None:
+        """A request was served (called after its record is traced)."""
+
+    def degraded(self, replica: _Replica, latency: float, factor: float) -> float:
+        """``latency`` of an iteration whose links run ``factor``x slower."""
+        return latency * factor
+
+
+def _arrival_key(request: DecodeRequest) -> tuple[float, int]:
+    return request.arrival_time, request.request_id
 
 
 class _SingleModelEngine(_DecodeEngineBase):
@@ -920,8 +1440,7 @@ class _SingleModelEngine(_DecodeEngineBase):
         The batch-1 value is the natural unit for offered load and SLO
         scales in experiments.  Compiles the buckets on first use.
         """
-        costs = self._bucket_costs(self.model.name, self.chip)
-        return costs[bucket_for(batch_size, self.model.max_batch_size)].latency
+        return self._cost(self.model.name, self.chip, batch_size).latency
 
 
 class ContinuousEngine(_SingleModelEngine):
@@ -980,21 +1499,6 @@ class ContinuousEngine(_SingleModelEngine):
         #: pipeline simulator (sharded models only).
         self._degraded_costs: dict[tuple[int, float], float] = {}
 
-    def _degraded_latency(self, bucket: int, link_factor: float) -> float:
-        """Iteration latency of ``bucket`` with stage links ``link_factor``x
-        slower: the sharded pipeline re-simulated with stretched
-        stage-boundary transfers (memoised)."""
-        key = (bucket, link_factor)
-        latency = self._degraded_costs.get(key)
-        if latency is None:
-            # Memoised by the pool: no extra compile, just the handle.
-            sharded = self.pool.sharded_model(
-                self._graph(self.model.name, bucket), self.num_stages
-            )
-            result = sharded.degraded_simulator(link_factor).run(1)
-            latency = self._degraded_costs[key] = result.total_latency
-        return latency
-
     # ------------------------------------------------------------------ #
     def run(
         self,
@@ -1018,457 +1522,142 @@ class ContinuousEngine(_SingleModelEngine):
         schedule = (faults if faults is not None else FaultSchedule()).for_fleet(
             self.num_chips
         )
-        wd = watchdog if watchdog is not None else Watchdog()
         self.warm()
-        tracer = get_tracer()
-        traced = tracer.enabled
-        fleet_track = f"{self.trace_group}/fleet"
-        stages = self.num_stages
-        max_batch = self.model.max_batch_size
-        costs = self._bucket_costs(self.model.name, self.chip)
+        return _ContinuousRun(
+            self, ordered, schedule, watchdog if watchdog is not None else Watchdog()
+        ).execute()
 
-        # EDF queue of interactive requests: (deadline, arrival, id, request).
-        # Deadline-free interactive requests sort after any deadline but
-        # before best-effort traffic.
-        iq: list[tuple[float, float, int, DecodeRequest]] = []
-        bq: deque[DecodeRequest] = deque()
-        preempted: deque[_Running] = deque()
-        replicas = self._make_replicas(model=self.model.name)
-        for replica in replicas[: self.min_replicas]:
+
+class _ContinuousRun(_DecodeRun):
+    """ContinuousEngine's policy: every replica admits from one shared queue
+    set, a queue-depth autoscaler grows the active fleet, at least
+    ``min_replicas`` stay active, and degraded stage links re-simulate the
+    sharded pipeline."""
+
+    def __init__(
+        self,
+        engine: "ContinuousEngine",
+        requests: list[DecodeRequest],
+        schedule: FaultSchedule,
+        watchdog: Watchdog,
+    ) -> None:
+        self.queues = _Queues()
+        replicas = engine._make_replicas(model=engine.model.name)
+        for replica in replicas:
+            replica.queues = self.queues
+        for replica in replicas[: engine.min_replicas]:
             replica.active = True
-        # Requeue counts, loss accounting, preemption counts and original
-        # admission times of requests pulled off dead replicas, restored on
-        # re-admission (or shed).
-        requeue_counts: dict[int, int] = {}
-        first_admits: dict[int, float] = {}
-        migration_counts: dict[int, int] = {}
-        lost_token_counts: dict[int, int] = {}
-        preempt_counts: dict[int, int] = {}
-        records: list[CompletedDecode] = []
-        seq = itertools.count()
-        events: list[tuple[float, int, int, object]] = []
-        for request in ordered:
-            heapq.heappush(events, (request.arrival_time, _EV_ARRIVAL, next(seq), request))
+        self.min_active = engine.min_replicas
+        # Single-chip replicas have no stage links to degrade.
+        self.links_priced = engine.num_stages > 1
+        super().__init__(engine, requests, schedule, watchdog, replicas, [self.queues])
 
-        stats_before = self.plan_cache.stats.snapshot()
-        counters = {
-            "iterations": 0,
-            "preemptions": 0,
-            "shed": 0,
-            "scale_ups": 0,
-            "scale_downs": 0,
-            "migrations": 0,
-        }
-        busy_chip_seconds = 0.0
-        active_chip_seconds = 0.0
-        peak_active = self.min_replicas
-        last_time = ordered[0].arrival_time if ordered else 0.0
-        # The full-batch iteration latency prices shedding projections: it is
-        # the per-iteration cost a request experiences once the fleet is busy.
-        est_iteration = costs[bucket_for(max_batch, max_batch)].latency
+    def on_arrival(self, request: DecodeRequest, now: float) -> None:
+        if self.traced:
+            self.engine._trace_enqueue(self.tracer, request)
+        self.queues.push(request)
+        self.degraded_shed(now)
+        self.autoscale_up(now)
+        self.start_idle(now)
 
-        def active_count() -> int:
-            return sum(1 for replica in replicas if replica.active)
-
-        def queued_total() -> int:
-            return len(iq) + len(bq) + len(preempted)
-
-        def integrate(now: float) -> None:
-            nonlocal active_chip_seconds, last_time
-            active_chip_seconds += (now - last_time) * active_count() * stages
-            last_time = now
-
-        def enqueue_interactive(request: DecodeRequest) -> None:
-            deadline = request.deadline if request.deadline is not None else math.inf
-            heapq.heappush(
-                iq, (deadline, request.arrival_time, request.request_id, request)
+    def autoscale_up(self, now: float) -> None:
+        """Activate replicas while the backlog exceeds ``scale_up_queue``
+        pending requests per active replica."""
+        replicas = self.replicas
+        while True:
+            active = self.num_active
+            if active >= len(replicas):
+                return
+            if len(self.queues) <= active * self.engine.scale_up_queue:
+                return
+            # Dead (or chipless, awaiting failover) replicas can't serve.
+            replica = next(
+                (r for r in replicas if not r.active and not r.dead and r.chips), None
             )
+            if replica is None:
+                return
+            self.activate(replica, now)
+            self.start_iteration(replica, now)
 
-        def shed_check(request: DecodeRequest, now: float) -> bool:
-            """True when the request's projected completion misses its deadline.
+    def refill(self, now: float) -> None:
+        self.autoscale_up(now)
 
-            Checked at the admission boundary, where the request would start
-            immediately — the projection is its full remaining iteration
-            count priced at the full-batch iteration latency.  Queue wait it
-            already suffered is baked into ``now``.
-            """
-            if not self.shed_enabled or request.deadline is None:
-                return False
-            projected = now + self.model.total_iterations(request) * est_iteration
-            return projected > request.deadline
+    def placed(self, replica: _Replica, now: float) -> None:
+        self.set_active(replica, True)
+        self.peak_active = max(self.peak_active, self.num_active)
+        self.start_iteration(replica, now)
 
-        def shed(request: DecodeRequest, now: float) -> None:
-            # A shed request never joined a batch or held a replica: record
-            # NaN / the -1 sentinel (not fabricated values) so TTFT/goodput
-            # accounting can never mistake it for a served request.  A
-            # request requeued off a dead replica and shed afterwards keeps
-            # its real first admission time.
-            counters["shed"] += 1
-            record = CompletedDecode(
-                request=request,
-                status=DECODE_SHED,
-                admitted_time=first_admits.pop(request.request_id, float("nan")),
-                first_token_time=float("nan"),
-                completion_time=now,
-                tokens_generated=0,
-                replica=-1,
-                preemptions=preempt_counts.pop(request.request_id, 0),
-                requeues=requeue_counts.pop(request.request_id, 0),
-                migrations=migration_counts.pop(request.request_id, 0),
-                lost_tokens=lost_token_counts.pop(request.request_id, 0),
-            )
-            records.append(record)
-            if traced:
-                self._trace_done(tracer, record, None, now)
-
-        def queue_sample(now: float) -> None:
-            """Fleet-level counter tracks: queue depths and active replicas."""
-            tracer.counter(
-                "queues",
+    def displace(self, replica: _Replica, now: float) -> None:
+        """In-flight requests lose all progress — their KV state died with
+        the chips — and go back to the shared queues for a full re-prefill;
+        preempted requests whose KV state lived there resume from scratch."""
+        stats = self.chips.stats
+        if self.traced:
+            self.tracer.instant(
+                "detect",
                 ts=now,
-                track=fleet_track,
-                values={
-                    "interactive": len(iq),
-                    "best_effort": len(bq),
-                    "preempted": len(preempted),
-                },
+                track=self.fleet_track,
+                cat="fault",
+                args={"replica": replica.index, "requeued": len(replica.running)},
             )
-            tracer.counter(
-                "active_replicas", ts=now, track=fleet_track, values={"active": active_count()}
-            )
-
-        def admit_one(request: DecodeRequest, replica: _Replica, now: float) -> _Running:
-            if traced:
-                self._trace_admit(tracer, request, replica, now)
-            return _Running(
-                request=request,
-                admitted_time=first_admits.pop(request.request_id, now),
-                prefill_remaining=self.model.prefill_iterations(request.prompt_tokens),
-                origin=replica.index,
-                preemptions=preempt_counts.pop(request.request_id, 0),
-                requeues=requeue_counts.pop(request.request_id, 0),
-                migrations=migration_counts.pop(request.request_id, 0),
-                lost_tokens=lost_token_counts.pop(request.request_id, 0),
-            )
-
-        def admit(replica: _Replica, now: float) -> None:
-            running = replica.running
-            # Interactive first, earliest deadline first.
-            while iq and len(running) < max_batch:
-                _, _, _, request = heapq.heappop(iq)
-                if shed_check(request, now):
-                    shed(request, now)
-                    continue
-                running.append(admit_one(request, replica, now))
-            # Priority preemption: interactive requests still waiting evict
-            # the most recently admitted best-effort resident (its progress
-            # is kept; it resumes from the preempted queue).
-            while iq and len(running) >= max_batch:
-                victim_index = None
-                for position in range(len(running) - 1, -1, -1):
-                    if not running[position].request.interactive:
-                        victim_index = position
-                        break
-                if victim_index is None:
-                    break
-                _, _, _, request = heapq.heappop(iq)
-                if shed_check(request, now):
-                    shed(request, now)
-                    continue
-                victim = running.pop(victim_index)
-                victim.preemptions += 1
-                counters["preemptions"] += 1
-                preempted.appendleft(victim)
-                if traced:
-                    tracer.instant(
-                        "preempt",
-                        ts=now,
-                        track=self._chip_tracks(replica)[0],
-                        cat="lifecycle",
-                        args={
-                            "victim": victim.request.request_id,
-                            "for": request.request_id,
-                        },
-                    )
-                running.append(admit_one(request, replica, now))
-            # Preempted best-effort work resumes before fresh best-effort
-            # admissions (its progress is sunk cost) — but progress only
-            # survives on the replica whose chips still hold its KV state;
-            # resuming anywhere else must re-prefill from scratch (the KV
-            # cache never crossed chips, so a free migration would be
-            # physically impossible).
-            while preempted and len(running) < max_batch:
-                resumed = preempted.popleft()
-                # origin -1: the KV state died with its replica, and detection
-                # already charged the requeue and reset the progress.
-                migrated = resumed.origin not in (-1, replica.index)
-                resumed.origin = replica.index
-                if migrated:
-                    counters["migrations"] += 1
-                    resumed.requeues += 1
-                    resumed.migrations += 1
-                    resumed.lost_tokens += resumed.tokens_done
-                    resumed.prefill_remaining = self.model.prefill_iterations(
-                        resumed.request.prompt_tokens
-                    )
-                    resumed.tokens_done = 0
-                    resumed.first_token_time = float("nan")
-                if traced:
-                    tracer.instant(
-                        "migrate" if migrated else "resume",
-                        ts=now,
-                        track=self._chip_tracks(replica)[0],
-                        cat="lifecycle",
-                        args={"request": resumed.request.request_id},
-                    )
-                running.append(resumed)
-            while bq and len(running) < max_batch:
-                running.append(admit_one(bq.popleft(), replica, now))
-
-        # ----------------------------- faults ------------------------- #
-        def degraded_shed(now: float) -> None:
-            """Degraded-mode admission: while any replica is dead, cap the
-            best-effort backlog at ``degraded_shed_queue`` per surviving
-            active replica, shedding newest-first (oldest backlog keeps its
-            slot; interactive traffic is governed by its own deadline
-            check)."""
-            if wd.degraded_shed_queue is None or not chips.degraded:
-                return
-            cap = wd.degraded_shed_queue * max(1, active_count())
-            dropped = False
-            while len(bq) > cap:
-                chips.stats.degraded_sheds += 1
-                shed(bq.pop(), now)
-                dropped = True
-            if dropped and traced:
-                chips.sample(now)
-
-        def placed(replica: _Replica, now: float) -> None:
-            nonlocal peak_active
-            replica.active = True
-            peak_active = max(peak_active, active_count())
-            start_iteration(replica, now)
-
-        def on_detect(replica: _Replica, now: float) -> None:
-            stats = chips.stats
-            if traced:
-                tracer.instant(
-                    "detect",
-                    ts=now,
-                    track=fleet_track,
-                    cat="fault",
-                    args={"replica": replica.index, "requeued": len(replica.running)},
-                )
-            # In-flight requests lose all progress — their KV state died
-            # with the chips — and go back to their queues for re-admission
-            # (full re-prefill).
-            for running in replica.running:
-                stats.requeued += 1
-                stats.lost_tokens += running.tokens_done
-                requeue_counts[running.request.request_id] = running.requeues + 1
-                first_admits[running.request.request_id] = running.admitted_time
-                migration_counts[running.request.request_id] = running.migrations
-                lost_token_counts[running.request.request_id] = (
-                    running.lost_tokens + running.tokens_done
-                )
-                preempt_counts[running.request.request_id] = running.preemptions
-                if traced:
-                    tracer.instant(
-                        "requeue",
-                        ts=now,
-                        track=f"{self.trace_group}/requests",
-                        cat="fault",
-                        args={
-                            "request": running.request.request_id,
-                            "lost_tokens": running.tokens_done,
-                        },
-                    )
-            for running in replica.running:
-                if running.request.interactive:
-                    enqueue_interactive(running.request)
-            for running in reversed(replica.running):
-                if not running.request.interactive:
-                    bq.appendleft(running.request)
-            replica.running = []
-            # Preempted requests whose KV state lived on the dead replica
-            # lose their progress too — they resume as fresh admissions.
-            for entry in preempted:
-                if entry.origin != replica.index:
-                    continue
-                stats.requeued += 1
-                stats.lost_tokens += entry.tokens_done
-                entry.requeues += 1
-                entry.lost_tokens += entry.tokens_done
-                entry.prefill_remaining = self.model.prefill_iterations(
-                    entry.request.prompt_tokens
-                )
-                entry.tokens_done = 0
-                entry.first_token_time = float("nan")
-                entry.origin = -1
-            chips.try_place(now)
-            degraded_shed(now)
-            autoscale_up(now)
-            for survivor in replicas:
-                if survivor.active and not survivor.busy:
-                    start_iteration(survivor, now)
-            if traced:
-                chips.sample(now)
-
-        def start_iteration(replica: _Replica, now: float) -> None:
-            nonlocal busy_chip_seconds
-            if replica.busy or not replica.active or replica.dead:
-                return
-            admit(replica, now)
-            if not replica.running:
-                # Nothing to do: shrink the fleet if the floor allows it.
-                if active_count() > self.min_replicas:
-                    integrate(now)
-                    replica.active = False
-                    counters["scale_downs"] += 1
-                    if traced:
-                        tracer.instant(
-                            "scale-down",
-                            ts=now,
-                            track=fleet_track,
-                            cat="autoscale",
-                            args={"replica": replica.index},
-                        )
-                return
-            latency = costs[bucket_for(len(replica.running), max_batch)].latency
-            if stages > 1:
-                # Iterations started inside a link-degradation window pay
-                # the stretched stage-boundary transfers (wider pipeline
-                # bottleneck); single-chip replicas have no links.  Windows
-                # scoped to a chip set only tax replicas backed by those
-                # chips (fleet-wide windows tax everyone, as before).
-                factor = schedule.link_factor(now, replica.chips)
-                if factor > 1.0:
-                    latency = self._degraded_latency(
-                        bucket_for(len(replica.running), max_batch), factor
-                    )
-            replica.busy = True
-            replica.iter_start = now
-            replica.iter_latency = latency
-            counters["iterations"] += 1
-            busy_chip_seconds += latency * stages
-            if traced:
-                self._trace_iteration(tracer, replica, now, latency)
-            heapq.heappush(
-                events,
-                (
-                    now + latency,
-                    _EV_ITER_END,
-                    next(seq),
-                    (replica.index, replica.epoch),
-                ),
-            )
-
-        def autoscale_up(now: float) -> None:
-            nonlocal peak_active
-            while True:
-                active = active_count()
-                if active >= self.num_replicas:
-                    return
-                if queued_total() <= active * self.scale_up_queue:
-                    return
-                # Dead (or chipless, awaiting failover) replicas can't serve.
-                replica = next(
-                    (r for r in replicas if not r.active and not r.dead and r.chips),
-                    None,
-                )
-                if replica is None:
-                    return
-                integrate(now)
-                replica.active = True
-                counters["scale_ups"] += 1
-                if traced:
-                    tracer.instant(
-                        "scale-up",
-                        ts=now,
-                        track=fleet_track,
-                        cat="autoscale",
-                        args={"replica": replica.index},
-                    )
-                peak_active = max(peak_active, active_count())
-                start_iteration(replica, now)
-
-        def refund(chip_seconds: float) -> None:
-            nonlocal busy_chip_seconds
-            busy_chip_seconds -= chip_seconds
-
-        chips = _ChipFaults(
-            self,
-            replicas,
-            schedule,
-            wd,
-            events,
-            seq,
-            tracer,
-            refund=refund,
-            detect=on_detect,
-            placed=placed,
+        inflight = replica.running
+        replica.running = []
+        for running in inflight:
+            stats.requeued += 1
+            running.requeues += 1
+            lost = self.carry_off(running, -1)
+            if self.traced:
+                self.trace_requeue(running.request, lost, now)
+        for running in inflight:
+            if running.request.interactive:
+                self.queues.push(running.request)
+        self.queues.bq.extendleft(
+            running.request for running in reversed(inflight) if not running.request.interactive
         )
-        while events:
-            now, kind, _, payload = heapq.heappop(events)
-            integrate(now)
-            if kind == _EV_ARRIVAL:
-                request = payload
-                if traced:
-                    self._trace_enqueue(tracer, request)
-                if request.interactive:
-                    enqueue_interactive(request)
-                else:
-                    bq.append(request)
-                degraded_shed(now)
-                autoscale_up(now)
-                for replica in replicas:
-                    if replica.active and not replica.busy:
-                        start_iteration(replica, now)
-            elif kind == _EV_ITER_END:
-                index, epoch = payload
-                replica = replicas[index]
-                if replica.epoch != epoch:
-                    continue  # the iteration was aborted by a chip death
-                replica.busy = False
-                self._retire_finished(
-                    replica, now, records, tracer if traced else None
-                )
-                start_iteration(replica, now)
-            else:
-                chips.handle(payload, now)
-            if traced:
-                queue_sample(now)
+        prefill = self.engine.model.prefill_iterations
+        for entry in self.queues.preempted:
+            if entry.origin != replica.index:
+                continue
+            stats.requeued += 1
+            stats.lost_tokens += entry.tokens_done
+            entry.requeues += 1
+            entry.restart(prefill(entry.request.prompt_tokens))
+            entry.origin = -1
 
-        # A run can end with the whole fleet dead and never restarted:
-        # strand nothing — whatever is still queued is reported as shed so
-        # the books always balance (completed + shed == requests).
-        while iq:
-            _, _, _, request = heapq.heappop(iq)
-            shed(request, last_time)
-        while bq:
-            shed(bq.popleft(), last_time)
-        while preempted:
-            # A preempted request keeps its accounting on the shed record.
-            entry = preempted.popleft()
-            rid = entry.request.request_id
-            first_admits[rid] = entry.admitted_time
-            requeue_counts[rid] = entry.requeues
-            migration_counts[rid] = entry.migrations
-            lost_token_counts[rid] = entry.lost_tokens + entry.tokens_done
-            preempt_counts[rid] = entry.preemptions
-            shed(entry.request, last_time)
+    def degraded(self, replica: _Replica, latency: float, factor: float) -> float:
+        """Iteration latency with stage links ``factor``x slower: the sharded
+        pipeline re-simulated with stretched stage-boundary transfers (a
+        wider bottleneck), memoised per (bucket, factor)."""
+        engine = self.engine
+        bucket = bucket_for(len(replica.running), engine.model.max_batch_size)
+        latency = engine._degraded_costs.get((bucket, factor))
+        if latency is None:
+            # Memoised by the pool: no extra compile, just the handle.
+            sharded = engine.pool.sharded_model(
+                engine._graph(engine.model.name, bucket), engine.num_stages
+            )
+            latency = sharded.degraded_simulator(factor).run(1).total_latency
+            engine._degraded_costs[(bucket, factor)] = latency
+        return latency
 
-        return self._report(
-            records,
-            ordered,
-            tracer,
-            counters=counters,
-            busy_chip_seconds=busy_chip_seconds,
-            active_chip_seconds=active_chip_seconds,
-            end_time=last_time,
-            peak_active=peak_active,
-            stats_before=stats_before,
-            faults=chips.stats,
+    def sample(self, now: float) -> None:
+        """Fleet-level counter tracks: queue depths and active replicas."""
+        queues = self.queues
+        self.tracer.counter(
+            "queues",
+            ts=now,
+            track=self.fleet_track,
+            values={
+                "interactive": len(queues.iq),
+                "best_effort": len(queues.bq),
+                "preempted": len(queues.preempted),
+            },
+        )
+        self.tracer.counter(
+            "active_replicas",
+            ts=now,
+            track=self.fleet_track,
+            values={"active": self.num_active},
         )
 
 
@@ -1489,94 +1678,47 @@ class StaticEngine(_SingleModelEngine):
         """Replay one decode workload through static batches."""
         ordered = self._check_requests(requests)
         self.warm()
-        tracer = get_tracer()
-        traced = tracer.enabled
-        max_batch = self.model.max_batch_size
-        costs = self._bucket_costs(self.model.name, self.chip)
+        return _StaticRun(self, ordered).execute()
 
-        queue: deque[DecodeRequest] = deque()
-        replicas = self._make_replicas(model=self.model.name)
-        records: list[CompletedDecode] = []
-        seq = itertools.count()
-        events: list[tuple[float, int, int, object]] = []
-        for request in ordered:
-            heapq.heappush(events, (request.arrival_time, _EV_ARRIVAL, next(seq), request))
 
-        stats_before = self.plan_cache.stats.snapshot()
-        counters = {
-            "iterations": 0,
-            "preemptions": 0,
-            "shed": 0,
-            "scale_ups": 0,
-            "scale_downs": 0,
-        }
-        busy_chip_seconds = 0.0
-        first_arrival = ordered[0].arrival_time if ordered else 0.0
-        last_event = first_arrival
+class _StaticRun(_DecodeRun):
+    """StaticEngine's policy: every replica is active from the start and
+    takes a FIFO batch only once its previous batch fully retired."""
 
-        def start_batch(replica: _Replica, now: float) -> None:
-            if replica.busy or not queue:
-                return
-            batch = [queue.popleft() for _ in range(min(len(queue), max_batch))]
-            if traced:
-                for request in batch:
-                    self._trace_admit(tracer, request, replica, now)
-            replica.running = [
-                _Running(
-                    request=request,
-                    admitted_time=now,
-                    prefill_remaining=self.model.prefill_iterations(
-                        request.prompt_tokens
-                    ),
-                )
-                for request in batch
-            ]
-            # The program is fixed for the whole batch lifetime: the bucket
-            # holding the batch as formed, padding included as members retire.
-            replica.bucket = bucket_for(len(batch), max_batch)
-            schedule_iteration(replica, now)
+    counter_names = ("iterations", "preemptions", "shed", "scale_ups", "scale_downs")
 
-        def schedule_iteration(replica: _Replica, now: float) -> None:
-            nonlocal busy_chip_seconds
-            latency = costs[replica.bucket].latency
-            replica.busy = True
-            counters["iterations"] += 1
-            busy_chip_seconds += latency * self.num_stages
-            if traced:
-                self._trace_iteration(tracer, replica, now, latency)
-            heapq.heappush(
-                events, (now + latency, _EV_ITER_END, next(seq), replica.index)
-            )
-
-        while events:
-            now, kind, _, payload = heapq.heappop(events)
-            last_event = now
-            if kind == _EV_ARRIVAL:
-                if traced:
-                    self._trace_enqueue(tracer, payload)
-                queue.append(payload)
-                for replica in replicas:
-                    start_batch(replica, now)
-            else:
-                replica = replicas[payload]
-                replica.busy = False
-                self._retire_finished(
-                    replica, now, records, tracer if traced else None
-                )
-                if replica.running:
-                    schedule_iteration(replica, now)
-                else:
-                    start_batch(replica, now)
-
-        return self._report(
-            records,
-            ordered,
-            tracer,
-            counters=counters,
-            busy_chip_seconds=busy_chip_seconds,
-            active_chip_seconds=(last_event - first_arrival)
-            * (self.num_replicas * self.num_stages),
-            end_time=last_event,
-            peak_active=self.num_replicas,
-            stats_before=stats_before,
+    def __init__(self, engine: StaticEngine, requests: list[DecodeRequest]) -> None:
+        self.queues = _Queues()
+        replicas = engine._make_replicas(model=engine.model.name)
+        for replica in replicas:
+            replica.queues = self.queues
+            replica.active = True
+        self.min_active = len(replicas)
+        super().__init__(
+            engine, requests, FaultSchedule(), Watchdog(), replicas, [self.queues]
         )
+
+    def integrate(self, now: float) -> None:
+        # The whole fleet is active over the whole event window.
+        first_arrival = self.requests[0].arrival_time
+        self.active_chip_seconds = (now - first_arrival) * (self.num_active * self.stages)
+        self.last_time = now
+
+    def on_arrival(self, request: DecodeRequest, now: float) -> None:
+        if self.traced:
+            self.engine._trace_enqueue(self.tracer, request)
+        self.queues.bq.append(request)  # arrival order, deadline-unaware
+        self.start_idle(now)
+
+    def admit(self, replica: _Replica, now: float) -> None:
+        queue = self.queues.bq
+        if replica.running or not queue:
+            return
+        max_batch = self.engine.model.max_batch_size
+        replica.running = [
+            self.admit_one(queue.popleft(), replica, now)
+            for _ in range(min(len(queue), max_batch))
+        ]
+        # The program is fixed for the whole batch lifetime: the bucket
+        # holding the batch as formed, padding included as members retire.
+        replica.bucket = bucket_for(len(replica.running), max_batch)

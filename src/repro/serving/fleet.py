@@ -1,14 +1,15 @@
 """Multi-model, multi-tenant serving fleet over one shared worker pool.
 
-:class:`FleetEngine` serves N model deployments from one fleet.  It shares
-the decode-engine core with :class:`~repro.serving.continuous.
-ContinuousEngine` (programs, tracing, retirement, reports and the chip/fault
-mechanism of :mod:`repro.serving.continuous`) but not its scheduling
-policy: every replica is a *(model, chip-group, generation)* binding
-(:class:`~repro.serving.continuous._Replica`) with its own routed queues, a
-pluggable :class:`~repro.serving.router.Router` picks the replica each
-request queues on, and idle replicas **re-bind** across models as traffic shifts — cheap
-precisely because the compiler's per-bucket programs live in the shared
+:class:`FleetEngine` serves N model deployments from one fleet.  It runs the
+decode event loop of :mod:`repro.serving.continuous` — admission,
+preemption, shedding, iteration pricing, retirement, the requeue carry and
+the chip/fault mechanism are the same code :class:`~repro.serving.
+continuous.ContinuousEngine` runs — through :class:`_FleetRun`, whose policy
+hooks differ: every replica is a *(model, chip-group, generation)* binding
+with its *own* queue set, a pluggable :class:`~repro.serving.router.Router`
+picks the replica each request queues on, and idle replicas **re-bind**
+across models as traffic shifts — cheap precisely because the compiler's
+per-bucket programs live in the shared
 :class:`~repro.serving.plan_cache.PlanCache` and are shared across tenants
 by fingerprint.
 
@@ -62,26 +63,24 @@ with :func:`~repro.serving.request.merge_decode_workloads`).
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 from repro.core.constraints import DEFAULT_CONSTRAINTS, SearchConstraints
 from repro.hw.spec import IPU_MK2, ChipSpec
 from repro.obs.registry import publish_stats
-from repro.obs.trace import Tracer, get_tracer
-from repro.serving.batcher import bucket_for
+from repro.obs.trace import Tracer
+# Kept importable from this module: per-layer profilers wrap it by name.
+from repro.serving.batcher import bucket_for  # noqa: F401
 from repro.serving.continuous import (
-    _EV_ARRIVAL,
-    _EV_FAULT,
-    _EV_ITER_END,
     _EV_SCALE,
     DecodeModel,
-    _ChipFaults,
     _DecodeEngineBase,
+    _DecodeRun,
+    _Queues,
     _Replica,
     _Running,
 )
@@ -89,12 +88,7 @@ from repro.serving.faults import FaultEvent, FaultSchedule, Watchdog
 from repro.serving.metrics import ContinuousReport
 from repro.serving.plan_cache import PlanCache
 from repro.serving.planner import FleetScaler, ScalerObservation
-from repro.serving.request import (
-    DECODE_SHED,
-    CompletedDecode,
-    DecodeRequest,
-    TenantSpec,
-)
+from repro.serving.request import CompletedDecode, DecodeRequest, TenantSpec
 from repro.serving.router import (
     HEALTH_DEAD,
     HEALTH_DEGRADED,
@@ -105,7 +99,6 @@ from repro.serving.router import (
     ReplicaView,
     Router,
 )
-from repro.serving.worker import IterationCost
 
 #: Policy prefix of fleet reports; the router name is appended.
 POLICY_FLEET = "fleet"
@@ -122,29 +115,6 @@ class _ProvisionReady:
 
     index: int
     ready: float
-
-
-@dataclass
-class _FleetReplica(_Replica):
-    """A fleet replica: the shared binding plus its own routed queues.
-
-    Unlike the single-model engines, whose replicas admit from engine-wide
-    queues, a fleet replica owns the queues of the requests routed to it —
-    which is what makes a request's placement well-defined the moment the
-    router decides, and keeps admission replica-local (no cross-replica
-    migration, so KV locality is trivially preserved).
-    """
-
-    iq: list = field(default_factory=list)
-    """EDF heap of routed interactive requests: (deadline, arrival, id, req)."""
-    bq: deque = field(default_factory=deque)
-    """FIFO of routed best-effort requests."""
-    preempted: deque = field(default_factory=deque)
-    """Preempted residents awaiting resumption on this replica."""
-
-    @property
-    def queued(self) -> int:
-        return len(self.iq) + len(self.bq) + len(self.preempted)
 
 
 class FleetEngine(_DecodeEngineBase):
@@ -201,17 +171,6 @@ class FleetEngine(_DecodeEngineBase):
         """Reported policy string: ``fleet-<router name>``."""
         return f"{POLICY_FLEET}-{self.router.name}"
 
-    def _cost(
-        self, model: str, chip_class: ChipSpec, batch_len: int, tenant: str = ""
-    ) -> IterationCost:
-        """Steady-state cost of a ``batch_len`` iteration of ``model`` on
-        ``chip_class``; the first touch of a (model, class) pair compiles,
-        attributed to ``tenant``."""
-        table = self._costs.get((model, chip_class.fingerprint()))
-        if table is None:
-            table = self._bucket_costs(model, chip_class, tenant)
-        return table[bucket_for(batch_len, self._deployments[model].max_batch_size)]
-
     def iteration_latency(
         self, model: str, batch_size: int = 1, *, chip_class: ChipSpec | None = None
     ) -> float:
@@ -224,7 +183,7 @@ class FleetEngine(_DecodeEngineBase):
     def _view(
         self,
         now: float,
-        replicas: list[_FleetReplica],
+        replicas: list[_Replica],
         tenant: str = "",
         health=None,
     ) -> FleetView:
@@ -244,7 +203,7 @@ class FleetEngine(_DecodeEngineBase):
                     index=replica.index,
                     model=replica.model,
                     chip_class=replica.chip_class.name,
-                    queued=replica.queued,
+                    queued=len(replica.queues),
                     resident=len(replica.running),
                     busy=replica.busy,
                     health=health_state,
@@ -277,7 +236,10 @@ class FleetEngine(_DecodeEngineBase):
     def _request_lane(self, request: DecodeRequest) -> str:
         return self._tenant_track(request.tenant)
 
-    def _failover_args(self, replica: _FleetReplica) -> dict:
+    def _replica_args(self, replica: _Replica) -> dict:
+        return {"replica": replica.index, "model": replica.model}
+
+    def _failover_args(self, replica: _Replica) -> dict:
         return {
             **super()._failover_args(replica),
             "model": replica.model,
@@ -287,6 +249,15 @@ class FleetEngine(_DecodeEngineBase):
     def _link_args(self, fault: FaultEvent) -> dict:
         chips = ",".join(str(chip) for chip in fault.chips) or "fleet"
         return {**super()._link_args(fault), "chips": chips}
+
+    def _trace_enqueue(self, tracer, request) -> None:
+        super()._trace_enqueue(tracer, request, model=request.model)
+
+    def _trace_admit(self, tracer, request, replica, now) -> None:
+        super()._trace_admit(tracer, request, replica, now, tenant=request.tenant)
+
+    def _trace_iteration(self, tracer, replica, now, latency) -> None:
+        super()._trace_iteration(tracer, replica, now, latency, model=replica.model)
 
     def _trace_done(self, tracer, record, replica, now) -> None:
         super()._trace_done(tracer, record, replica, now, model=record.request.model)
@@ -357,905 +328,513 @@ class FleetEngine(_DecodeEngineBase):
         schedule = (faults if faults is not None else FaultSchedule()).for_fleet(
             self.num_chips
         )
-        wd = watchdog if watchdog is not None else Watchdog()
-        chaos = bool(schedule.events)
-        scaling = scaler is not None
-        if scaling and chaos:
+        if scaler is not None and schedule.events:
             raise ValueError(
                 "scaler and faults are not yet composable: provisioning and "
                 "failover both re-assign replicas; run them separately"
             )
-        if scaling and not getattr(self.router, "health_aware", False):
+        if scaler is not None and not getattr(self.router, "health_aware", False):
             raise ValueError(
                 "a scaler needs a health-aware router (unprovisioned replicas "
                 "are hidden from routing as 'restarting'); use e.g. "
                 "CostAwareRouter(health_aware=True)"
             )
-        tracer = get_tracer()
-        traced = tracer.enabled
-        fleet_track = f"{self.trace_group}/fleet"
-        stages = self.num_stages
+        wd = watchdog if watchdog is not None else Watchdog()
+        return _FleetRun(self, ordered, schedule, wd, scaler).execute()
 
-        replicas: list[_FleetReplica] = self._make_replicas(_FleetReplica)
-        # Accounting of requests pulled off dead replicas, restored on
-        # re-admission (or shed): requeue/migration/loss counts, original
-        # admission time, preemption count, and the replica whose death
-        # displaced them (to recognise a cross-replica migration on
-        # re-admission).
-        requeue_counts: dict[int, int] = {}
-        first_admits: dict[int, float] = {}
-        migration_counts: dict[int, int] = {}
-        lost_token_counts: dict[int, int] = {}
-        preempt_counts: dict[int, int] = {}
-        requeue_origins: dict[int, int] = {}
+
+class _FleetRun(_DecodeRun):
+    """FleetEngine's policy over the shared event loop.
+
+    Every replica admits from its own queue set, filled by the router at
+    arrival (re-binding idle replicas across models); requests no replica
+    can take yet park in ``unrouted`` until capacity frees.  Replicas
+    activate when routed work arrives and deactivate as soon as they drain.
+    Detection re-routes a dead replica's requests (cross-model failover)
+    under per-tenant retry budgets; brownout sheds best-effort arrivals and
+    orders interactive admission by fairness floor; degraded links multiply
+    the iteration latency.  An optional scaler provisions replicas ahead of
+    routing.
+    """
+
+    counter_names = (
+        "iterations",
+        "preemptions",
+        "shed",
+        "scale_ups",
+        "scale_downs",
+        "rebinds",
+        "migrations",
+        "provision_ups",
+        "provision_downs",
+    )
+
+    def __init__(
+        self,
+        engine: FleetEngine,
+        requests: list[DecodeRequest],
+        schedule: FaultSchedule,
+        watchdog: Watchdog,
+        scaler: FleetScaler | None,
+    ) -> None:
+        replicas = engine._make_replicas()
+        for replica in replicas:
+            replica.queues = _Queues()
+        self.chaos = self.links_priced = bool(schedule.events)
+        self.scaler = scaler
+        super().__init__(
+            engine,
+            requests,
+            schedule,
+            watchdog,
+            replicas,
+            [replica.queues for replica in replicas],
+        )
         #: Progress-losing requeues charged so far, per tenant.
-        retry_spend: dict[str, int] = {}
+        self.retry_spend: dict[str, int] = {}
         #: Deadline-carrying outcomes per tenant (met / total), feeding the
         #: brownout fairness-floor ordering.
-        deadlined_total: dict[str, int] = {}
-        deadlined_met: dict[str, int] = {}
-        records: list[CompletedDecode] = []
-        seq = itertools.count()
-        events: list[tuple[float, int, int, object]] = []
-        for request in ordered:
-            heapq.heappush(
-                events, (request.arrival_time, _EV_ARRIVAL, next(seq), request)
-            )
-        if scaling and ordered:
-            # First capacity decision one interval after traffic starts (the
-            # first window of arrivals is its observation).
-            heapq.heappush(
-                events,
-                (
-                    ordered[0].arrival_time + scaler.interval,
-                    _EV_SCALE,
-                    next(seq),
-                    _SCALE_TICK,
-                ),
-            )
-
-        stats_before = self.plan_cache.stats.snapshot()
-        counters = {
-            "iterations": 0,
-            "preemptions": 0,
-            "shed": 0,
-            "scale_ups": 0,
-            "scale_downs": 0,
-            "rebinds": 0,
-            "migrations": 0,
-            "provision_ups": 0,
-            "provision_downs": 0,
-        }
-        served_by_tenant: dict[str, int] = {}
-        #: Requests the router had no candidate for (every replica busy on
-        #: other models); re-offered in arrival order as capacity frees.
-        unrouted: deque[DecodeRequest] = deque()
-        busy_chip_seconds = 0.0
-        active_chip_seconds = 0.0
-        peak_active = 0
-        last_time = ordered[0].arrival_time if ordered else 0.0
+        self.deadlined_total: dict[str, int] = {}
+        self.deadlined_met: dict[str, int] = {}
+        self.served_by_tenant: dict[str, int] = {}
         # Scaler state: routable replicas, boots in flight (index -> ready
         # time), per-model arrivals since the last tick, arrivals still in
         # the event heap (the tick-rescheduling fuel gauge), and the
         # provisioned-capacity integral the report charges.
-        provisioned: set[int] = set(range(len(replicas)))
-        booting: dict[int, float] = {}
-        window_counts: dict[str, int] = {}
-        arrivals_remaining = len(ordered)
-        provisioned_chip_seconds = 0.0
-        peak_provisioned = len(replicas)
-        if scaling:
-            provisioned = set(range(min(max(1, scaler.min_replicas), len(replicas))))
-            peak_provisioned = len(provisioned)
+        self.provisioned: set[int] = set(range(len(replicas)))
+        self.booting: dict[int, float] = {}
+        self.window_counts: dict[str, int] = {}
+        self.arrivals_remaining = len(requests)
+        self.health = self.describe if self.chaos else None
+        if scaler is not None:
+            self.provisioned = set(range(min(max(1, scaler.min_replicas), len(replicas))))
+            self.provisioned_chip_seconds = 0.0
+            self.peak_provisioned = len(self.provisioned)
+            self.health = self.provision_describe
+            if requests:
+                # First capacity decision one interval after traffic starts
+                # (the first window of arrivals is its observation).
+                self.push_scale(requests[0].arrival_time + scaler.interval, _SCALE_TICK)
 
-        def active_count() -> int:
-            return sum(1 for replica in replicas if replica.active)
+    def push_scale(self, when: float, payload: object) -> None:
+        heapq.heappush(self.events, (when, _EV_SCALE, next(self.seq), payload))
 
-        def integrate(now: float) -> None:
-            nonlocal active_chip_seconds, provisioned_chip_seconds, last_time
-            span = now - last_time
-            active_chip_seconds += span * active_count() * stages
-            if scaling:
-                provisioned_chip_seconds += (
-                    span * (len(provisioned) + len(booting)) * stages
-                )
-            last_time = now
+    def integrate(self, now: float) -> None:
+        if self.scaler is not None and now != self.last_time:
+            held = len(self.provisioned) + len(self.booting)
+            self.provisioned_chip_seconds += (now - self.last_time) * held * self.stages
+        super().integrate(now)
 
-        def tenant_sample(tenant: str, now: float) -> None:
-            """Per-tenant queue/goodput counters on the tenant's own track."""
-            queued = (
-                sum(
-                    1
-                    for replica in replicas
-                    for _, _, _, req in replica.iq
-                    if req.tenant == tenant
-                )
-                + sum(
-                    1
-                    for replica in replicas
-                    for req in replica.bq
-                    if req.tenant == tenant
-                )
-                + sum(1 for req in unrouted if req.tenant == tenant)
-            )
-            tracer.counter(
-                "tenant",
-                ts=now,
-                track=self._tenant_track(tenant),
-                values={"queued": queued, "served": served_by_tenant.get(tenant, 0)},
-            )
+    # ------------------------------------------------------------------ #
+    # Tracing
+    # ------------------------------------------------------------------ #
+    def tenant_sample(self, tenant: str, now: float) -> None:
+        """Per-tenant queue/goodput counters on the tenant's own track."""
+        waiting = [entry[3] for queues in self.queue_sets for entry in queues.iq]
+        waiting += [request for queues in self.queue_sets for request in queues.bq]
+        waiting += self.unrouted
+        queued = sum(1 for request in waiting if request.tenant == tenant)
+        self.tracer.counter(
+            "tenant",
+            ts=now,
+            track=self.engine._tenant_track(tenant),
+            values={"queued": queued, "served": self.served_by_tenant.get(tenant, 0)},
+        )
 
-        def fleet_sample(now: float) -> None:
-            tracer.counter(
-                "fleet",
-                ts=now,
-                track=fleet_track,
-                values={"active": active_count(), "rebinds": counters["rebinds"]},
-            )
+    def fleet_sample(self, now: float) -> None:
+        self.tracer.counter(
+            "fleet",
+            ts=now,
+            track=self.fleet_track,
+            values={"active": self.num_active, "rebinds": self.counters["rebinds"]},
+        )
 
-        def describe(replica: _FleetReplica, now: float) -> tuple[str, float]:
-            """Per-replica health as the router's view reports it: while any
-            replacement chip is booting, dead replicas read ``restarting``."""
-            if replica.dead:
-                return (HEALTH_RESTARTING if chips.warming else HEALTH_DEAD), 1.0
-            factor = schedule.link_factor(now, replica.chips)
-            if factor > 1.0:
-                return HEALTH_DEGRADED, factor
-            return HEALTH_HEALTHY, 1.0
+    def fleet_instant(self, name: str, now: float, cat: str, **args) -> None:
+        self.tracer.instant(name, ts=now, track=self.fleet_track, cat=cat, args=args)
 
-        def provision_describe(
-            replica: _FleetReplica, now: float
-        ) -> tuple[str, float]:
-            """Routing view under a scaler: unprovisioned replicas read as
-            restarting — not routable, not rebindable — until provisioned."""
-            if replica.index not in provisioned:
-                return HEALTH_RESTARTING, 1.0
-            return HEALTH_HEALTHY, 1.0
+    # ------------------------------------------------------------------ #
+    # Health, brownout and fairness
+    # ------------------------------------------------------------------ #
+    def describe(self, replica: _Replica, now: float) -> tuple[str, float]:
+        """Per-replica health as the router's view reports it: while any
+        replacement chip is booting, dead replicas read ``restarting``."""
+        if replica.dead:
+            return (HEALTH_RESTARTING if self.chips.warming else HEALTH_DEAD), 1.0
+        factor = self.schedule.link_factor(now, replica.chips)
+        if factor > 1.0:
+            return HEALTH_DEGRADED, factor
+        return HEALTH_HEALTHY, 1.0
 
-        health_cb = describe if chaos else (provision_describe if scaling else None)
+    def provision_describe(self, replica: _Replica, now: float) -> tuple[str, float]:
+        """Routing view under a scaler: unprovisioned replicas read as
+        restarting — not routable, not rebindable — until provisioned."""
+        if replica.index not in self.provisioned:
+            return HEALTH_RESTARTING, 1.0
+        return HEALTH_HEALTHY, 1.0
 
-        def brownout() -> bool:
-            """Whether surviving capacity is below the brownout watermark."""
-            if wd.brownout_watermark is None or not chips.dead_chips:
-                return False
-            surviving = (self.num_chips - len(chips.dead_chips)) / self.num_chips
-            return surviving < wd.brownout_watermark
+    def brownout(self) -> bool:
+        """Whether surviving capacity is below the brownout watermark."""
+        watermark = self.watchdog.brownout_watermark
+        dead = self.chips.dead_chips
+        if watermark is None or not dead:
+            return False
+        num_chips = self.engine.num_chips
+        return (num_chips - len(dead)) / num_chips < watermark
 
-        def note_outcome(request: DecodeRequest, met: bool) -> None:
-            """Track per-tenant deadline attainment (drives brownout order)."""
-            if request.deadline is None:
-                return
-            tenant = request.tenant
-            deadlined_total[tenant] = deadlined_total.get(tenant, 0) + 1
-            if met:
-                deadlined_met[tenant] = deadlined_met.get(tenant, 0) + 1
+    def note_outcome(self, request: DecodeRequest, met: bool) -> None:
+        """Track per-tenant deadline attainment (drives brownout order)."""
+        if request.deadline is None:
+            return
+        tenant = request.tenant
+        self.deadlined_total[tenant] = self.deadlined_total.get(tenant, 0) + 1
+        if met:
+            self.deadlined_met[tenant] = self.deadlined_met.get(tenant, 0) + 1
 
-        def below_floor(tenant: str) -> bool:
-            """Whether ``tenant`` is currently under its promised fairness
-            floor (tenants without a floor, or with no deadline-carrying
-            outcome yet, are never "below")."""
-            spec = self.tenants.get(tenant)
-            if spec is None or spec.fairness_floor <= 0.0:
-                return False
-            total = deadlined_total.get(tenant, 0)
-            if total == 0:
-                return False
-            return deadlined_met.get(tenant, 0) / total < spec.fairness_floor
+    def below_floor(self, tenant: str) -> bool:
+        """Whether ``tenant`` is currently under its promised fairness floor
+        (tenants without a floor, or with no deadline-carrying outcome yet,
+        are never "below")."""
+        spec = self.engine.tenants.get(tenant)
+        if spec is None or spec.fairness_floor <= 0.0:
+            return False
+        total = self.deadlined_total.get(tenant, 0)
+        if total == 0:
+            return False
+        return self.deadlined_met.get(tenant, 0) / total < spec.fairness_floor
 
-        def pop_interactive(replica: _FleetReplica) -> tuple:
-            """EDF pop — except under brownout, where interactive admission
-            serves tenants still below their fairness floor first (then EDF):
-            the scarce surviving capacity goes to restoring broken promises
-            before improving already-met ones."""
-            if not brownout() or len(replica.iq) <= 1:
-                return heapq.heappop(replica.iq)
-            best = min(
-                range(len(replica.iq)),
-                key=lambda position: (
-                    0 if below_floor(replica.iq[position][3].tenant) else 1,
-                    replica.iq[position][0],
-                    replica.iq[position][1],
-                    replica.iq[position][2],
-                ),
-            )
-            entry = replica.iq[best]
-            replica.iq[best] = replica.iq[-1]
-            replica.iq.pop()
-            heapq.heapify(replica.iq)
-            return entry
+    def pop_interactive(self, queues: _Queues) -> tuple:
+        """EDF pop — except under brownout, where interactive admission
+        serves tenants still below their fairness floor first (then EDF):
+        the scarce surviving capacity goes to restoring broken promises
+        before improving already-met ones."""
+        iq = queues.iq
+        if not self.brownout() or len(iq) <= 1:
+            return heapq.heappop(iq)
+        best = min(
+            range(len(iq)),
+            key=lambda position: (
+                0 if self.below_floor(iq[position][3].tenant) else 1,
+                iq[position][0],
+                iq[position][1],
+                iq[position][2],
+            ),
+        )
+        entry = iq[best]
+        iq[best] = iq[-1]
+        iq.pop()
+        heapq.heapify(iq)
+        return entry
 
-        def shed_check(request: DecodeRequest, replica: _FleetReplica, now: float) -> bool:
-            """Projected completion vs deadline, priced at this replica
-            class's full-batch iteration latency."""
-            if not self.shed_enabled or request.deadline is None:
-                return False
-            deployment = self._deployments[replica.model]
-            unit = self._cost(
-                replica.model, replica.chip_class, deployment.max_batch_size
-            ).latency
-            projected = now + deployment.total_iterations(request) * unit
-            return projected > request.deadline
-
-        def shed(request: DecodeRequest, now: float) -> None:
-            # A request requeued off a dead replica and shed afterwards
-            # keeps its real first admission time and loss accounting; a
-            # never-admitted shed records NaN / the -1 sentinel as always.
-            counters["shed"] += 1
-            requeue_origins.pop(request.request_id, None)
-            record = CompletedDecode(
-                request=request,
-                status=DECODE_SHED,
-                admitted_time=first_admits.pop(request.request_id, float("nan")),
-                first_token_time=float("nan"),
-                completion_time=now,
-                tokens_generated=0,
-                replica=-1,
-                preemptions=preempt_counts.pop(request.request_id, 0),
-                requeues=requeue_counts.pop(request.request_id, 0),
-                migrations=migration_counts.pop(request.request_id, 0),
-                lost_tokens=lost_token_counts.pop(request.request_id, 0),
-            )
-            records.append(record)
-            note_outcome(request, False)
+    # ------------------------------------------------------------------ #
+    # Routing
+    # ------------------------------------------------------------------ #
+    def on_arrival(self, request: DecodeRequest, now: float) -> None:
+        self.arrivals_remaining -= 1
+        if self.scaler is not None:
+            self.window_counts[request.model] = self.window_counts.get(request.model, 0) + 1
+        traced = self.traced
+        if traced:
+            self.engine._trace_enqueue(self.tracer, request)
+        if self.brownout() and not request.interactive:
+            # Brownout admission control: below the surviving-capacity
+            # watermark, best-effort traffic is shed at the door so the
+            # remaining chips serve deadline traffic.
+            self.chips.stats.brownout_sheds += 1
             if traced:
-                self._trace_done(tracer, record, None, now)
-
-        def admit_one(
-            request: DecodeRequest, replica: _FleetReplica, now: float
-        ) -> _Running:
-            if traced:
-                self._trace_admit(tracer, request, replica, now, tenant=request.tenant)
-            deployment = self._deployments[replica.model]
-            migrations = migration_counts.pop(request.request_id, 0)
-            origin = requeue_origins.pop(request.request_id, None)
-            if origin is not None and origin != replica.index:
-                # The requeue landed on a different replica than the one
-                # whose death displaced it: that is a cross-replica (often
-                # cross-model) failover migration, charged the same full
-                # re-prefill as any requeue.
-                migrations += 1
-                counters["migrations"] += 1
-                if traced:
-                    tracer.instant(
-                        "migrate",
-                        ts=now,
-                        track=self._chip_tracks(replica)[0],
-                        cat="fault",
-                        args={
-                            "request": request.request_id,
-                            "from": origin,
-                            "to": replica.index,
-                        },
-                    )
-            return _Running(
-                request=request,
-                admitted_time=first_admits.pop(request.request_id, now),
-                prefill_remaining=deployment.prefill_iterations(request.prompt_tokens),
-                origin=replica.index,
-                preemptions=preempt_counts.pop(request.request_id, 0),
-                requeues=requeue_counts.pop(request.request_id, 0),
-                migrations=migrations,
-                lost_tokens=lost_token_counts.pop(request.request_id, 0),
-            )
-
-        def admit(replica: _FleetReplica, now: float) -> None:
-            """Replica-local admission: EDF interactive (cross-tenant), then
-            preemption of best-effort residents, then resumed preemptions,
-            then best-effort FIFO — ContinuousEngine's admission order over
-            this replica's own routed queues."""
-            running = replica.running
-            max_batch = self._deployments[replica.model].max_batch_size
-            while replica.iq and len(running) < max_batch:
-                _, _, _, request = pop_interactive(replica)
-                if shed_check(request, replica, now):
-                    shed(request, now)
-                    continue
-                running.append(admit_one(request, replica, now))
-            while replica.iq and len(running) >= max_batch:
-                victim_index = None
-                for position in range(len(running) - 1, -1, -1):
-                    if not running[position].request.interactive:
-                        victim_index = position
-                        break
-                if victim_index is None:
-                    break
-                _, _, _, request = pop_interactive(replica)
-                if shed_check(request, replica, now):
-                    shed(request, now)
-                    continue
-                victim = running.pop(victim_index)
-                victim.preemptions += 1
-                counters["preemptions"] += 1
-                replica.preempted.appendleft(victim)
-                if traced:
-                    tracer.instant(
-                        "preempt",
-                        ts=now,
-                        track=self._chip_tracks(replica)[0],
-                        cat="lifecycle",
-                        args={
-                            "victim": victim.request.request_id,
-                            "for": request.request_id,
-                        },
-                    )
-                running.append(admit_one(request, replica, now))
-            # Preempted work resumes on its own replica only (its KV state
-            # never left these chips), before fresh best-effort admissions.
-            while replica.preempted and len(running) < max_batch:
-                resumed = replica.preempted.popleft()
-                if traced:
-                    tracer.instant(
-                        "resume",
-                        ts=now,
-                        track=self._chip_tracks(replica)[0],
-                        cat="lifecycle",
-                        args={"request": resumed.request.request_id},
-                    )
-                running.append(resumed)
-            while replica.bq and len(running) < max_batch:
-                running.append(admit_one(replica.bq.popleft(), replica, now))
-
-        def retired(record: CompletedDecode, now: float) -> None:
-            note_outcome(record.request, record.met_slo)
-            tenant = record.request.tenant
-            served_by_tenant[tenant] = served_by_tenant.get(tenant, 0) + 1
-            if traced:
-                tenant_sample(tenant, now)
-
-        def start_iteration(replica: _FleetReplica, now: float) -> None:
-            nonlocal busy_chip_seconds
-            if replica.busy or not replica.active or replica.dead:
-                return
-            if scaling and replica.index not in provisioned:
-                return  # deprovisioned mid-flight; routing never re-feeds it
-            admit(replica, now)
-            if not replica.running:
-                # Drained: release the chips (demand-driven autoscaling).
-                integrate(now)
-                replica.active = False
-                counters["scale_downs"] += 1
-                if traced:
-                    tracer.instant(
-                        "scale-down",
-                        ts=now,
-                        track=fleet_track,
-                        cat="autoscale",
-                        args={"replica": replica.index, "model": replica.model},
-                    )
-                return
-            cost = self._cost(replica.model, replica.chip_class, len(replica.running))
-            latency = cost.latency
-            if chaos:
-                # Iterations started inside a link-degradation window pay
-                # the slowdown (host/NIC links for single-chip groups,
-                # stage-boundary transfers for sharded ones); windows scoped
-                # to a chip set only tax replicas backed by those chips.
-                factor = schedule.link_factor(now, replica.chips)
-                if factor > 1.0:
-                    latency *= factor
-            replica.busy = True
-            replica.iter_start = now
-            replica.iter_latency = latency
-            counters["iterations"] += 1
-            busy_chip_seconds += latency * stages
-            if traced:
-                self._trace_iteration(tracer, replica, now, latency, model=replica.model)
-            heapq.heappush(
-                events,
-                (
-                    now + latency,
-                    _EV_ITER_END,
-                    next(seq),
-                    (replica.index, replica.epoch),
-                ),
-            )
-
-        def activate(replica: _FleetReplica, now: float) -> None:
-            nonlocal peak_active
-            if replica.active:
-                return
-            integrate(now)
-            replica.active = True
-            counters["scale_ups"] += 1
-            peak_active = max(peak_active, active_count())
-            if traced:
-                tracer.instant(
-                    "scale-up",
+                self.tracer.instant(
+                    "brownout-shed",
                     ts=now,
-                    track=fleet_track,
-                    cat="autoscale",
-                    args={"replica": replica.index, "model": replica.model},
-                )
-
-        def bind(replica: _FleetReplica, model: str, now: float) -> None:
-            """Bind (or re-bind) an idle replica to ``model``.  A re-bind
-            bumps the binding generation — its compiled programs are already
-            shared in the plan cache, so the switch costs no virtual time."""
-            if replica.busy or replica.running or replica.queued or replica.dead:
-                raise RuntimeError(
-                    f"router bound busy or dead replica {replica.index} to "
-                    f"{model!r} (bound to {replica.model!r}); only idle live "
-                    "replicas re-bind"
-                )
-            previous = replica.model
-            replica.model = model
-            if previous:
-                replica.generation += 1
-                counters["rebinds"] += 1
-                if traced:
-                    tracer.instant(
-                        "rebind",
-                        ts=now,
-                        track=fleet_track,
-                        cat="routing",
-                        args={
-                            "replica": replica.index,
-                            "from": previous,
-                            "to": model,
-                            "generation": replica.generation,
-                        },
-                    )
-
-        def place(request: DecodeRequest, now: float) -> bool:
-            """Offer ``request`` to the router; queue it on the chosen
-            replica.  False = no compatible or idle replica right now (the
-            caller parks the request until capacity frees).  A health-blind
-            router may queue onto a dead replica — the request then waits
-            for failover, exactly the limbo health-aware routing avoids."""
-            view = self._view(now, replicas, request.tenant, health=health_cb)
-            index = self.router.route(request, view)
-            if index is None:
-                return False
-            if not 0 <= index < len(replicas):
-                raise RuntimeError(
-                    f"router {self.router.name!r} returned replica {index}; "
-                    f"fleet has {len(replicas)}"
-                )
-            replica = replicas[index]
-            if replica.model != request.model:
-                bind(replica, request.model, now)
-            self._bucket_costs(request.model, replica.chip_class, request.tenant)
-            if request.interactive:
-                deadline = request.deadline if request.deadline is not None else math.inf
-                heapq.heappush(
-                    replica.iq,
-                    (deadline, request.arrival_time, request.request_id, request),
-                )
-            else:
-                replica.bq.append(request)
-            if not replica.dead:
-                activate(replica, now)
-                start_iteration(replica, now)
-            return True
-
-        def drain_unrouted(now: float) -> None:
-            """Re-offer parked requests in arrival order whenever capacity
-            may have freed (a replica drained and became rebindable)."""
-            placed_any = False
-            remaining: deque[DecodeRequest] = deque()
-            while unrouted:
-                request = unrouted.popleft()
-                if place(request, now):
-                    placed_any = True
-                else:
-                    remaining.append(request)
-            unrouted.extend(remaining)
-            if placed_any and traced:
-                fleet_sample(now)
-
-        # ----------------------------- faults ------------------------- #
-        def degraded_shed(now: float) -> None:
-            """Degraded-mode admission: while any replica is dead, cap the
-            fleet's total best-effort backlog at ``degraded_shed_queue`` per
-            surviving active replica, shedding newest-first across all
-            replica-local queues (oldest backlog keeps its slot;
-            interactive traffic is governed by its own deadline check)."""
-            if wd.degraded_shed_queue is None or not chips.degraded:
-                return
-            cap = wd.degraded_shed_queue * max(1, active_count())
-            total = sum(len(replica.bq) for replica in replicas) + sum(
-                1 for request in unrouted if not request.interactive
-            )
-            dropped = False
-            while total > cap:
-                backlogged = [replica for replica in replicas if replica.bq]
-                newest_parked = max(
-                    (
-                        (request.arrival_time, request.request_id)
-                        for request in unrouted
-                        if not request.interactive
-                    ),
-                    default=None,
-                )
-                if backlogged:
-                    victim = max(
-                        backlogged,
-                        key=lambda replica: (
-                            replica.bq[-1].arrival_time,
-                            replica.bq[-1].request_id,
-                        ),
-                    )
-                    newest_queued = (
-                        victim.bq[-1].arrival_time,
-                        victim.bq[-1].request_id,
-                    )
-                else:
-                    victim = None
-                    newest_queued = None
-                if newest_parked is not None and (
-                    newest_queued is None or newest_parked > newest_queued
-                ):
-                    parked = next(
-                        request
-                        for request in reversed(unrouted)
-                        if not request.interactive
-                        and (request.arrival_time, request.request_id)
-                        == newest_parked
-                    )
-                    unrouted.remove(parked)
-                    chips.stats.degraded_sheds += 1
-                    shed(parked, now)
-                elif victim is not None:
-                    chips.stats.degraded_sheds += 1
-                    shed(victim.bq.pop(), now)
-                else:
-                    break
-                total -= 1
-                dropped = True
-            if dropped and traced:
-                chips.sample(now)
-
-        def placed(replica: _FleetReplica, now: float) -> None:
-            if replica.queued:
-                activate(replica, now)
-                start_iteration(replica, now)
-
-        def requeue_shed_check(
-            request: DecodeRequest, chip_class: ChipSpec, now: float
-        ) -> bool:
-            """Honest deadline check at requeue time: the full re-prefill is
-            priced at the dead replica's class; when even an immediate
-            restart misses the deadline, the retry would only waste
-            surviving capacity."""
-            if not self.shed_enabled or request.deadline is None:
-                return False
-            deployment = self._deployments[request.model]
-            unit = self._cost(
-                request.model, chip_class, deployment.max_batch_size
-            ).latency
-            return now + deployment.total_iterations(request) * unit > request.deadline
-
-        def requeue_one(running: _Running, origin: _FleetReplica, now: float) -> None:
-            """One progress-losing requeue off a dead replica: charge the
-            tenant's retry budget, drop honestly when the budget is spent or
-            the deadline is already unreachable, otherwise re-offer through
-            the router — cross-model failover happens right here, because
-            the router may pick any compatible or rebindable replica."""
-            request = running.request
-            rid = request.request_id
-            stats = chips.stats
-            stats.lost_tokens += running.tokens_done
-            first_admits[rid] = running.admitted_time
-            migration_counts[rid] = running.migrations
-            lost_token_counts[rid] = running.lost_tokens + running.tokens_done
-            preempt_counts[rid] = running.preemptions
-            tenant = request.tenant
-            spent = retry_spend.get(tenant, 0)
-            exhausted = wd.retry_budget is not None and spent >= wd.retry_budget
-            if exhausted or requeue_shed_check(request, origin.chip_class, now):
-                # Dropped, not retried: the record keeps only the requeues
-                # that actually bought another attempt.
-                requeue_counts[rid] = running.requeues
-                stats.retry_drops += 1
-                if traced:
-                    tracer.instant(
-                        "retry-drop",
-                        ts=now,
-                        track=self._tenant_track(tenant),
-                        cat="fault",
-                        args={
-                            "request": rid,
-                            "reason": "budget" if exhausted else "deadline",
-                        },
-                    )
-                shed(request, now)
-                return
-            retry_spend[tenant] = spent + 1
-            requeue_counts[rid] = running.requeues + 1
-            requeue_origins[rid] = origin.index
-            stats.requeued += 1
-            if traced:
-                tracer.instant(
-                    "requeue",
-                    ts=now,
-                    track=self._tenant_track(tenant),
+                    track=self.engine._tenant_track(request.tenant),
                     cat="fault",
-                    args={"request": rid, "lost_tokens": running.tokens_done},
+                    args={"request": request.request_id},
                 )
-            if not place(request, now):
-                unrouted.append(request)
+            self.shed(request, now)
+        elif not self.place(request, now):
+            # Every replica is busy serving other models: park until a
+            # replica drains and becomes rebindable.
+            self.unrouted.append(request)
+        if self.chaos:
+            self.degraded_shed(now)
+        if traced:
+            self.tenant_sample(request.tenant, now)
+            self.fleet_sample(now)
 
-        def on_detect(replica: _FleetReplica, now: float) -> None:
-            if traced:
-                tracer.instant(
-                    "detect",
+    def place(self, request: DecodeRequest, now: float) -> bool:
+        """Offer ``request`` to the router; queue it on the chosen replica.
+        False = no compatible or idle replica right now (the caller parks
+        the request until capacity frees).  A health-blind router may queue
+        onto a dead replica — the request then waits for failover, exactly
+        the limbo health-aware routing avoids."""
+        engine = self.engine
+        replicas = self.replicas
+        view = engine._view(now, replicas, request.tenant, health=self.health)
+        index = engine.router.route(request, view)
+        if index is None:
+            return False
+        if not 0 <= index < len(replicas):
+            raise RuntimeError(
+                f"router {engine.router.name!r} returned replica {index}; "
+                f"fleet has {len(replicas)}"
+            )
+        replica = replicas[index]
+        if replica.model != request.model:
+            self.bind(replica, request.model, now)
+        engine._bucket_costs(request.model, replica.chip_class, request.tenant)
+        replica.queues.push(request)
+        if not replica.dead:
+            self.activate(replica, now)
+            self.start_iteration(replica, now)
+        return True
+
+    def bind(self, replica: _Replica, model: str, now: float) -> None:
+        """Bind (or re-bind) an idle replica to ``model``.  A re-bind bumps
+        the binding generation — its compiled programs are already shared in
+        the plan cache, so the switch costs no virtual time."""
+        if replica.busy or replica.running or len(replica.queues) or replica.dead:
+            raise RuntimeError(
+                f"router bound busy or dead replica {replica.index} to "
+                f"{model!r} (bound to {replica.model!r}); only idle live "
+                "replicas re-bind"
+            )
+        previous = replica.model
+        replica.model = model
+        replica.latencies = None
+        if previous:
+            replica.generation += 1
+            self.counters["rebinds"] += 1
+            if self.traced:
+                self.fleet_instant(
+                    "rebind",
+                    now,
+                    "routing",
+                    replica=replica.index,
+                    generation=replica.generation,
+                    **{"from": previous, "to": model},
+                )
+
+    def drain_unrouted(self, now: float) -> None:
+        """Re-offer parked requests in arrival order whenever capacity may
+        have freed (a replica drained and became rebindable)."""
+        placed_any = False
+        remaining: deque[DecodeRequest] = deque()
+        while self.unrouted:
+            request = self.unrouted.popleft()
+            if self.place(request, now):
+                placed_any = True
+            else:
+                remaining.append(request)
+        self.unrouted.extend(remaining)
+        if placed_any and self.traced:
+            self.fleet_sample(now)
+
+    def on_retire(self, record: CompletedDecode, now: float) -> None:
+        self.note_outcome(record.request, record.met_slo)
+        tenant = record.request.tenant
+        self.served_by_tenant[tenant] = self.served_by_tenant.get(tenant, 0) + 1
+        if self.traced:
+            self.tenant_sample(tenant, now)
+
+    def after_iteration(self, now: float) -> None:
+        if self.unrouted:
+            self.drain_unrouted(now)
+        if self.traced:
+            self.fleet_sample(now)
+
+    def start_iteration(self, replica: _Replica, now: float) -> None:
+        if self.scaler is not None and replica.index not in self.provisioned:
+            return  # deprovisioned mid-flight; routing never re-feeds it
+        super().start_iteration(replica, now)
+
+    # ------------------------------------------------------------------ #
+    # Faults
+    # ------------------------------------------------------------------ #
+    def placed(self, replica: _Replica, now: float) -> None:
+        if len(replica.queues):
+            self.activate(replica, now)
+            self.start_iteration(replica, now)
+
+    def online(self, now: float) -> None:
+        self.drain_unrouted(now)
+
+    def refill(self, now: float) -> None:
+        self.drain_unrouted(now)
+
+    def requeue(self, running: _Running, origin: _Replica, now: float) -> None:
+        """One progress-losing requeue off a dead replica: charge the
+        tenant's retry budget, drop honestly when the budget is spent or the
+        deadline is unreachable even after an immediate full re-prefill
+        (priced at the dead replica's class), otherwise re-offer through the
+        router — cross-model failover happens right here, because the router
+        may pick any compatible or rebindable replica."""
+        request = running.request
+        tenant = request.tenant
+        stats = self.chips.stats
+        lost = self.carry_off(running, origin.index)
+        spent = self.retry_spend.get(tenant, 0)
+        budget = self.watchdog.retry_budget
+        exhausted = budget is not None and spent >= budget
+        if exhausted or self.hopeless(request, origin, now):
+            # Dropped, not retried: the record keeps only the requeues that
+            # actually bought another attempt.
+            stats.retry_drops += 1
+            if self.traced:
+                self.tracer.instant(
+                    "retry-drop",
                     ts=now,
-                    track=fleet_track,
+                    track=self.engine._tenant_track(tenant),
                     cat="fault",
                     args={
-                        "replica": replica.index,
-                        "requeued": len(replica.running) + len(replica.preempted),
+                        "request": request.request_id,
+                        "reason": "budget" if exhausted else "deadline",
                     },
                 )
-            # In-flight and preempted requests lose all progress — their KV
-            # state died with the chips — and re-enter the router for
-            # re-admission (full re-prefill), budget and deadline allowing.
-            inflight = list(replica.running)
-            replica.running = []
-            displaced = list(replica.preempted)
-            replica.preempted.clear()
-            for running in inflight:
-                requeue_one(running, replica, now)
-            for entry in displaced:
-                requeue_one(entry, replica, now)
-            # Queued-but-never-admitted requests held no progress: they
-            # re-route for free (no budget charge, no requeue count).
-            parked = [entry[3] for entry in sorted(replica.iq)] + list(replica.bq)
-            replica.iq = []
-            replica.bq.clear()
-            for request in parked:
-                if not place(request, now):
-                    unrouted.append(request)
-            chips.try_place(now)
-            degraded_shed(now)
-            drain_unrouted(now)
-            for survivor in replicas:
-                if survivor.active and not survivor.busy:
-                    start_iteration(survivor, now)
-            if traced:
-                chips.sample(now)
+            self.shed(request, now)
+            return
+        self.retry_spend[tenant] = spent + 1
+        running.requeues += 1
+        stats.requeued += 1
+        if self.traced:
+            self.trace_requeue(request, lost, now)
+        if not self.place(request, now):
+            self.unrouted.append(request)
 
-        def on_arrival(request: DecodeRequest, now: float) -> None:
-            if traced:
-                self._trace_enqueue(tracer, request, model=request.model)
-            if brownout() and not request.interactive:
-                # Brownout admission control: below the surviving-capacity
-                # watermark, best-effort traffic is shed at the door so the
-                # remaining chips serve deadline traffic.
-                chips.stats.brownout_sheds += 1
-                if traced:
-                    tracer.instant(
-                        "brownout-shed",
-                        ts=now,
-                        track=self._tenant_track(request.tenant),
-                        cat="fault",
-                        args={"request": request.request_id},
-                    )
-                shed(request, now)
-            elif not place(request, now):
-                # Every replica is busy serving other models: park until a
-                # replica drains and becomes rebindable.
-                unrouted.append(request)
-            if chaos:
-                degraded_shed(now)
-            if traced:
-                tenant_sample(request.tenant, now)
-                fleet_sample(now)
-
-        def provision_sample(now: float) -> None:
-            tracer.counter(
-                "provisioning",
-                ts=now,
-                track=fleet_track,
-                values={"provisioned": len(provisioned), "booting": len(booting)},
+    def displace(self, replica: _Replica, now: float) -> None:
+        """In-flight and preempted requests lose all progress — their KV
+        state died with the chips — and re-enter the router for a full
+        re-prefill, budget and deadline allowing.  Queued-but-never-admitted
+        requests held no progress: they re-route for free."""
+        queues = replica.queues
+        if self.traced:
+            self.fleet_instant(
+                "detect",
+                now,
+                "fault",
+                replica=replica.index,
+                requeued=len(replica.running) + len(queues.preempted),
             )
+        displaced = replica.running + list(queues.preempted)
+        replica.running = []
+        queues.preempted.clear()
+        for running in displaced:
+            self.requeue(running, replica, now)
+        parked = [entry[3] for entry in sorted(queues.iq)] + list(queues.bq)
+        queues.iq.clear()
+        queues.bq.clear()
+        for request in parked:
+            if not self.place(request, now):
+                self.unrouted.append(request)
 
-        def apply_target(target: int, now: float) -> None:
-            """Move provisioned+booting toward ``target`` replicas.  Up:
-            lowest-index spares start booting (routable after the delay).
-            Down: cancel the newest boots first (most lead time wasted
-            otherwise), then release idle provisioned replicas highest
-            index first; replicas holding work are never released."""
-            nonlocal peak_provisioned
-            current = len(provisioned) + len(booting)
-            for replica in replicas:
-                if current >= target:
-                    break
-                index = replica.index
-                if index in provisioned or index in booting or replica.dead:
-                    continue
-                counters["provision_ups"] += 1
-                ready = now + scaler.provision_delay
-                if scaler.provision_delay <= 0:
-                    provisioned.add(index)
-                else:
-                    booting[index] = ready
-                    heapq.heappush(
-                        events,
-                        (ready, _EV_SCALE, next(seq), _ProvisionReady(index, ready)),
-                    )
-                current += 1
-                if traced:
-                    tracer.instant(
-                        "provision",
-                        ts=now,
-                        track=fleet_track,
-                        cat="provisioning",
-                        args={"replica": index, "ready": ready},
-                    )
-            while booting and current > target:
-                index = max(booting, key=lambda idx: (booting[idx], idx))
-                del booting[index]
-                counters["provision_downs"] += 1
-                current -= 1
-                if traced:
-                    tracer.instant(
-                        "boot-cancelled",
-                        ts=now,
-                        track=fleet_track,
-                        cat="provisioning",
-                        args={"replica": index},
-                    )
-            if current > target:
-                for replica in sorted(replicas, key=lambda r: r.index, reverse=True):
-                    if current <= target or len(provisioned) <= 1:
-                        break
-                    index = replica.index
-                    if index not in provisioned:
-                        continue
-                    if (
-                        replica.busy
-                        or replica.running
-                        or replica.queued
-                        or replica.active
-                        or replica.dead
-                    ):
-                        continue
-                    provisioned.discard(index)
-                    counters["provision_downs"] += 1
-                    current -= 1
-                    if traced:
-                        tracer.instant(
-                            "deprovision",
-                            ts=now,
-                            track=fleet_track,
-                            cat="provisioning",
-                            args={"replica": index},
-                        )
-            peak_provisioned = max(peak_provisioned, len(provisioned) + len(booting))
+    # ------------------------------------------------------------------ #
+    # Provisioning
+    # ------------------------------------------------------------------ #
+    def on_scale(self, payload: object, now: float) -> None:
+        if isinstance(payload, _ProvisionReady):
+            self.provision_ready(payload, now)
+        else:
+            self.scale_tick(now)
 
-        def on_scale_tick(now: float) -> None:
-            queued_total = sum(replica.queued for replica in replicas) + len(unrouted)
-            resident_total = sum(len(replica.running) for replica in replicas)
-            busy_replicas = sum(
-                1
-                for replica in replicas
-                if replica.index in provisioned
-                and (replica.busy or replica.running or replica.queued)
-            )
-            observation = ScalerObservation(
-                now=now,
-                provisioned=len(provisioned),
-                booting=len(booting),
-                num_replicas=len(replicas),
-                queued=queued_total,
-                resident=resident_total,
-                busy=busy_replicas,
-                arrivals=dict(window_counts),
-                interval=scaler.interval,
-            )
-            window_counts.clear()
-            target = max(1, min(scaler.plan(observation), len(replicas)))
-            apply_target(target, now)
-            if traced:
-                provision_sample(now)
-            if unrouted:
-                drain_unrouted(now)
-            # Keep ticking while anything can still need a decision; once
-            # arrivals, queues, residents and boots are all drained the
-            # clock stops advancing and the run can end.
-            if arrivals_remaining or queued_total or resident_total or booting:
-                heapq.heappush(
-                    events,
-                    (now + scaler.interval, _EV_SCALE, next(seq), _SCALE_TICK),
-                )
-
-        def on_provision_ready(payload: _ProvisionReady, now: float) -> None:
-            if booting.get(payload.index) != payload.ready:
-                return  # the boot was cancelled after this event was queued
-            del booting[payload.index]
-            if replicas[payload.index].dead:
-                return
-            provisioned.add(payload.index)
-            if traced:
-                tracer.instant(
-                    "provision-ready",
-                    ts=now,
-                    track=fleet_track,
-                    cat="provisioning",
-                    args={"replica": payload.index},
-                )
-                provision_sample(now)
-            if unrouted:
-                drain_unrouted(now)
-
-        def refund(chip_seconds: float) -> None:
-            nonlocal busy_chip_seconds
-            busy_chip_seconds -= chip_seconds
-
-        chips = _ChipFaults(
-            self,
-            replicas,
-            schedule,
-            wd,
-            events,
-            seq,
-            tracer,
-            refund=refund,
-            detect=on_detect,
-            placed=placed,
-            online=drain_unrouted,
+    def provision_sample(self, now: float) -> None:
+        self.tracer.counter(
+            "provisioning",
+            ts=now,
+            track=self.fleet_track,
+            values={"provisioned": len(self.provisioned), "booting": len(self.booting)},
         )
-        while events:
-            now, kind, _, payload = heapq.heappop(events)
-            integrate(now)
-            if kind == _EV_FAULT:
-                chips.handle(payload, now)
-            elif kind == _EV_SCALE:
-                if isinstance(payload, _ProvisionReady):
-                    on_provision_ready(payload, now)
-                else:
-                    on_scale_tick(now)
-            elif kind == _EV_ARRIVAL:
-                arrivals_remaining -= 1
-                if scaling:
-                    model = payload.model
-                    window_counts[model] = window_counts.get(model, 0) + 1
-                on_arrival(payload, now)
+
+    def apply_target(self, target: int, now: float) -> None:
+        """Move provisioned+booting toward ``target`` replicas.  Up:
+        lowest-index spares start booting (routable after the delay).
+        Down: cancel the newest boots first (most lead time wasted
+        otherwise), then release idle provisioned replicas highest index
+        first; replicas holding work are never released."""
+        provisioned, booting = self.provisioned, self.booting
+        delay = self.scaler.provision_delay
+        current = len(provisioned) + len(booting)
+        for replica in self.replicas:
+            if current >= target:
+                break
+            index = replica.index
+            if index in provisioned or index in booting or replica.dead:
+                continue
+            self.counters["provision_ups"] += 1
+            ready = now + delay
+            if delay <= 0:
+                provisioned.add(index)
             else:
-                index, epoch = payload
-                replica = replicas[index]
-                if replica.epoch != epoch:
-                    continue  # the iteration was aborted by a chip death
-                replica.busy = False
-                self._retire_finished(
-                    replica, now, records, tracer if traced else None, retired
-                )
-                start_iteration(replica, now)
-                if unrouted:
-                    drain_unrouted(now)
-                if traced:
-                    fleet_sample(now)
+                booting[index] = ready
+                self.push_scale(ready, _ProvisionReady(index, ready))
+            current += 1
+            if self.traced:
+                self.fleet_instant("provision", now, "provisioning", replica=index, ready=ready)
+        while booting and current > target:
+            index = max(booting, key=lambda idx: (booting[idx], idx))
+            del booting[index]
+            self.counters["provision_downs"] += 1
+            current -= 1
+            if self.traced:
+                self.fleet_instant("boot-cancelled", now, "provisioning", replica=index)
+        for replica in reversed(self.replicas):
+            if current <= target or len(provisioned) <= 1:
+                break
+            index = replica.index
+            if index not in provisioned or (
+                replica.busy
+                or replica.running
+                or len(replica.queues)
+                or replica.active
+                or replica.dead
+            ):
+                continue
+            provisioned.discard(index)
+            self.counters["provision_downs"] += 1
+            current -= 1
+            if self.traced:
+                self.fleet_instant("deprovision", now, "provisioning", replica=index)
+        self.peak_provisioned = max(self.peak_provisioned, len(provisioned) + len(booting))
 
-        # The books must balance (completed + shed == requests) even when the
-        # run ends with replicas dead and their queues full (e.g. the whole
-        # fleet killed after the last arrival and never restarted): whatever
-        # is still queued or parked is shed.  Nothing can still be resident —
-        # detection clears a dead replica, failover skips replicas holding
-        # residents, and live replicas iterate until they drain.
-        for replica in replicas:
-            assert not replica.running, f"replica {replica.index} stranded residents"
-            while replica.iq:
-                _, _, _, request = heapq.heappop(replica.iq)
-                shed(request, last_time)
-            while replica.bq:
-                shed(replica.bq.popleft(), last_time)
-            while replica.preempted:
-                shed(replica.preempted.popleft().request, last_time)
-        while unrouted:
-            shed(unrouted.popleft(), last_time)
-
-        return self._report(
-            records,
-            ordered,
-            tracer,
-            counters=counters,
-            busy_chip_seconds=busy_chip_seconds,
-            active_chip_seconds=active_chip_seconds,
-            end_time=last_time,
-            peak_active=peak_active,
-            stats_before=stats_before,
-            faults=chips.stats,
-            provisioned_chip_seconds=provisioned_chip_seconds if scaling else None,
-            peak_provisioned=peak_provisioned if scaling else None,
+    def scale_tick(self, now: float) -> None:
+        scaler = self.scaler
+        replicas = self.replicas
+        queued_total = sum(len(replica.queues) for replica in replicas) + len(self.unrouted)
+        resident_total = sum(len(replica.running) for replica in replicas)
+        busy_replicas = sum(
+            1
+            for replica in replicas
+            if replica.index in self.provisioned
+            and (replica.busy or replica.running or len(replica.queues))
         )
+        observation = ScalerObservation(
+            now=now,
+            provisioned=len(self.provisioned),
+            booting=len(self.booting),
+            num_replicas=len(replicas),
+            queued=queued_total,
+            resident=resident_total,
+            busy=busy_replicas,
+            arrivals=dict(self.window_counts),
+            interval=scaler.interval,
+        )
+        self.window_counts.clear()
+        self.apply_target(max(1, min(scaler.plan(observation), len(replicas))), now)
+        if self.traced:
+            self.provision_sample(now)
+        if self.unrouted:
+            self.drain_unrouted(now)
+        # Keep ticking while anything can still need a decision; once
+        # arrivals, queues, residents and boots are all drained the clock
+        # stops advancing and the run can end.
+        if self.arrivals_remaining or queued_total or resident_total or self.booting:
+            self.push_scale(now + scaler.interval, _SCALE_TICK)
+
+    def provision_ready(self, payload: _ProvisionReady, now: float) -> None:
+        if self.booting.get(payload.index) != payload.ready:
+            return  # the boot was cancelled after this event was queued
+        del self.booting[payload.index]
+        if self.replicas[payload.index].dead:
+            return
+        self.provisioned.add(payload.index)
+        if self.traced:
+            self.fleet_instant("provision-ready", now, "provisioning", replica=payload.index)
+            self.provision_sample(now)
+        if self.unrouted:
+            self.drain_unrouted(now)
