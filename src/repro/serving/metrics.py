@@ -558,7 +558,14 @@ class ContinuousReport:
 
 
 #: Report totals that per-tenant slices must add up to exactly.
-_SLICED_TOTALS = ("total_completed", "shed", "slo_met", "total_tokens", "preemptions", "migrations")
+_SLICED_TOTALS = (
+    "total_completed",
+    "shed",
+    "slo_met",
+    "total_tokens",
+    "preemptions",
+    "migrations",
+)
 
 
 def check_report(
