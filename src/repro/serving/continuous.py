@@ -1369,6 +1369,7 @@ class _DecodeRun:
     # Policy hooks
     # ------------------------------------------------------------------ #
     def on_arrival(self, request: DecodeRequest, now: float) -> None:
+        """Put an arriving request on a queue set (or shed it)."""
         raise NotImplementedError
 
     def displace(self, replica: _Replica, now: float) -> None:
