@@ -42,7 +42,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from repro.core.constraints import DEFAULT_CONSTRAINTS, SearchConstraints
 from repro.hw.spec import IPU_MK2, ChipSpec
@@ -392,16 +392,8 @@ class _DecodeEngineBase:
         table = self._costs.get(key)
         if table is not None and (not tenant or touch_key in self._tenant_touched):
             return table
-        deployment = self._deployments[model]
-        default_class = fingerprint == self.pool.chip.fingerprint()
         fresh: dict[int, IterationCost] = {}
-        for bucket in batch_buckets(deployment.max_batch_size):
-            cost = self.pool.profile(
-                self._graph(model, bucket),
-                num_stages=deployment.num_stages,
-                chip=None if default_class else chip_class,
-                tenant=tenant,
-            )
+        for bucket, cost in self._profile_buckets(model, chip_class, tenant=tenant):
             if not cost.ok:
                 raise RuntimeError(
                     f"{model} does not serve at batch {bucket} on "
@@ -418,6 +410,20 @@ class _DecodeEngineBase:
         if tenant:
             self._tenant_touched.add(touch_key)
         return table
+
+    def _profile_buckets(
+        self, model: str, chip_class: ChipSpec, **where: str
+    ) -> Iterator[tuple[int, IterationCost]]:
+        """Look up (compiling on a miss) every bucket program of ``model`` on
+        ``chip_class``; ``where`` names the pool ``tenant`` or cache ``scope``."""
+        default_class = chip_class.fingerprint() == self.pool.chip.fingerprint()
+        for bucket in batch_buckets(self._deployments[model].max_batch_size):
+            yield bucket, self.pool.profile(
+                self._graph(model, bucket),
+                num_stages=self.num_stages,
+                chip=None if default_class else chip_class,
+                **where,
+            )
 
     def _cost(
         self, model: str, chip_class: ChipSpec, batch_len: int, tenant: str = ""
@@ -438,19 +444,19 @@ class _DecodeEngineBase:
             for chip_class in self.pool.hardware_classes():
                 self._bucket_costs(model, chip_class)
 
-    def _make_replicas(
-        self, replica_type: type[_Replica] = _Replica, model: str = ""
-    ) -> list:
+    def _make_replicas(self, model: str = "", queues: _Queues | None = None) -> list[_Replica]:
         """The fleet's replicas with their static chip-group assignment:
         replica ``i`` owns chips ``[i * num_stages, (i + 1) * num_stages)``.
-        Chips beyond ``num_replicas * num_stages`` start as spares."""
+        Chips beyond ``num_replicas * num_stages`` start as spares.  Every
+        replica admits from ``queues`` when given, else from its own set."""
         stages = self.num_stages
         return [
-            replica_type(
+            _Replica(
                 index=i,
                 model=model,
                 chips=tuple(range(i * stages, (i + 1) * stages)),
                 chip_class=self.pool.chip_for(i * stages),
+                queues=queues if queues is not None else _Queues(),
             )
             for i in range(self.num_replicas)
         ]
@@ -820,14 +826,9 @@ class _ChipFaults:
         engine = self.engine
         replica.generation += 1
         replica.cache_scope = f"replica{replica.index}-gen{replica.generation}"
-        default_class = replica.chip_class.fingerprint() == engine.pool.chip.fingerprint()
-        for bucket in batch_buckets(engine._deployments[replica.model].max_batch_size):
-            cost = engine.pool.profile(
-                engine._graph(replica.model, bucket),
-                num_stages=engine.num_stages,
-                chip=None if default_class else replica.chip_class,
-                scope=replica.cache_scope,
-            )
+        for _, cost in engine._profile_buckets(
+            replica.model, replica.chip_class, scope=replica.cache_scope
+        ):
             self.stats.restart_compile_seconds += cost.compile_seconds
 
 
@@ -879,14 +880,14 @@ class _DecodeRun:
         schedule: FaultSchedule,
         watchdog: Watchdog,
         replicas: list[_Replica],
-        queue_sets: list[_Queues],
     ) -> None:
         self.engine = engine
         self.requests = requests
         self.schedule = schedule
         self.watchdog = watchdog
         self.replicas = replicas
-        self.queue_sets = queue_sets
+        #: The distinct queue sets, in replica order.
+        self.queue_sets = list(dict.fromkeys(replica.queues for replica in replicas))
         self.tracer = get_tracer()
         self.traced = self.tracer.enabled
         self.fleet_track = f"{engine.trace_group}/fleet"
@@ -1543,15 +1544,13 @@ class _ContinuousRun(_DecodeRun):
         watchdog: Watchdog,
     ) -> None:
         self.queues = _Queues()
-        replicas = engine._make_replicas(model=engine.model.name)
-        for replica in replicas:
-            replica.queues = self.queues
+        replicas = engine._make_replicas(engine.model.name, self.queues)
         for replica in replicas[: engine.min_replicas]:
             replica.active = True
         self.min_active = engine.min_replicas
         # Single-chip replicas have no stage links to degrade.
         self.links_priced = engine.num_stages > 1
-        super().__init__(engine, requests, schedule, watchdog, replicas, [self.queues])
+        super().__init__(engine, requests, schedule, watchdog, replicas)
 
     def on_arrival(self, request: DecodeRequest, now: float) -> None:
         if self.traced:
@@ -1690,14 +1689,11 @@ class _StaticRun(_DecodeRun):
 
     def __init__(self, engine: StaticEngine, requests: list[DecodeRequest]) -> None:
         self.queues = _Queues()
-        replicas = engine._make_replicas(model=engine.model.name)
+        replicas = engine._make_replicas(engine.model.name, self.queues)
         for replica in replicas:
-            replica.queues = self.queues
             replica.active = True
         self.min_active = len(replicas)
-        super().__init__(
-            engine, requests, FaultSchedule(), Watchdog(), replicas, [self.queues]
-        )
+        super().__init__(engine, requests, FaultSchedule(), Watchdog(), replicas)
 
     def integrate(self, now: float) -> None:
         # The whole fleet is active over the whole event window.

@@ -377,19 +377,10 @@ class _FleetRun(_DecodeRun):
         watchdog: Watchdog,
         scaler: FleetScaler | None,
     ) -> None:
-        replicas = engine._make_replicas()
-        for replica in replicas:
-            replica.queues = _Queues()
         self.chaos = self.links_priced = bool(schedule.events)
         self.scaler = scaler
-        super().__init__(
-            engine,
-            requests,
-            schedule,
-            watchdog,
-            replicas,
-            [replica.queues for replica in replicas],
-        )
+        replicas = engine._make_replicas()
+        super().__init__(engine, requests, schedule, watchdog, replicas)
         #: Progress-losing requeues charged so far, per tenant.
         self.retry_spend: dict[str, int] = {}
         #: Deadline-carrying outcomes per tenant (met / total), feeding the
