@@ -17,7 +17,7 @@ import networkx as nx
 
 from repro.ir.operator import Operator
 from repro.ir.tensor import TensorRole
-from repro.utils.fingerprint import stable_hash
+from repro.utils.fingerprint import canonicalize, stable_digest
 
 
 @dataclass
@@ -26,6 +26,7 @@ class OperatorGraph:
 
     name: str = "model"
     _graph: nx.DiGraph = field(default_factory=nx.DiGraph, repr=False)
+    _fingerprint: str | None = field(default=None, init=False, repr=False, compare=False)
 
     # ------------------------------------------------------------------ #
     # Construction
@@ -34,21 +35,28 @@ class OperatorGraph:
         """Add ``operator`` to the graph, depending on the named producers.
 
         ``inputs`` lists the operators whose outputs feed this one; they must
-        already be in the graph.  Returns the operator for chaining.
+        already be in the graph.  Returns the operator for chaining.  Every
+        producer is checked before the graph changes, so a rejected add
+        leaves it as it was.  The new node's edges all come from existing
+        nodes into a node with no successors, so no add can close a cycle.
         """
-        if operator.name in self._graph:
-            raise ValueError(f"duplicate operator name {operator.name!r}")
-        self._graph.add_node(operator.name, op=operator)
-        for producer in inputs:
-            producer_name = producer.name if isinstance(producer, Operator) else producer
-            if producer_name not in self._graph:
+        name = operator.name
+        if name in self._graph:
+            raise ValueError(f"duplicate operator name {name!r}")
+        producers = [
+            producer.name if isinstance(producer, Operator) else producer
+            for producer in inputs
+        ]
+        for producer in producers:
+            if producer == name:
+                raise ValueError(f"operator {name!r} cannot depend on itself")
+            if producer not in self._graph:
                 raise ValueError(
-                    f"operator {operator.name!r} depends on unknown producer {producer_name!r}"
+                    f"operator {name!r} depends on unknown producer {producer!r}"
                 )
-            self._graph.add_edge(producer_name, operator.name)
-        if not nx.is_directed_acyclic_graph(self._graph):
-            self._graph.remove_node(operator.name)
-            raise ValueError(f"adding operator {operator.name!r} would create a cycle")
+        self._graph.add_node(name, op=operator)
+        self._graph.add_edges_from((producer, name) for producer in producers)
+        self._fingerprint = None
         return operator
 
     def extend(self, operators: Iterable[tuple[Operator, Sequence[str]]]) -> None:
@@ -107,12 +115,39 @@ class OperatorGraph:
         the order they were built in.  The model's display ``name`` is
         deliberately excluded: the plan cache should share compiled programs
         between structurally identical graphs.
+
+        The digest is ``stable_hash(("operator-graph", nodes, edges))`` over
+        the sorted ``(name, signature)`` nodes and ``(producer, consumer)``
+        edges.  It is memoized on the instance until the next :meth:`add`,
+        because every warm plan-cache lookup asks for it.
         """
-        nodes = sorted(
-            (name, self._graph.nodes[name]["op"].signature()) for name in self._graph
+        if self._fingerprint is None:
+            self._fingerprint = self._digest()
+        return self._fingerprint
+
+    def _digest(self) -> str:
+        """The fingerprint, with each distinct signature canonicalized once.
+
+        ``canonicalize`` is compositional over tuples, so joining the pieces
+        gives the very text ``canonicalize`` makes of the whole structure.
+        Signatures are shared by ``repr``, not ``==``: ``2 == 2.0``, but the
+        two canonicalize apart.
+        """
+        canonical: dict[str, str] = {}
+        nodes = []
+        for name in sorted(self._graph):
+            signature = self._graph.nodes[name]["op"].signature()
+            key = repr(signature)
+            text = canonical.get(key)
+            if text is None:
+                text = canonical[key] = canonicalize(signature)
+            nodes.append(f"({canonicalize(name)},{text})")
+        edges = ",".join(
+            f"({canonicalize(u)},{canonicalize(v)})" for u, v in sorted(self._graph.edges())
         )
-        edges = sorted(self._graph.edges())
-        return stable_hash(("operator-graph", tuple(nodes), tuple(edges)))
+        return stable_digest(
+            f"({canonicalize('operator-graph')},({','.join(nodes)}),({edges}))"
+        )
 
     # ------------------------------------------------------------------ #
     # Aggregate statistics

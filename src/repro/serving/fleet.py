@@ -117,6 +117,22 @@ class _ProvisionReady:
     ready: float
 
 
+class _ViewMemo:
+    """One run's router snapshot, kept from route to route.
+
+    ``states[i]`` is the routing-visible state of replica ``i`` — bound
+    model, chip class, queued and resident counts, busy, health and link
+    factor — when its ``views[i]`` was built; ``snapshot`` is the tuple of
+    those views.  ``callbacks`` holds each tenant's view callbacks.
+    """
+
+    def __init__(self, size: int) -> None:
+        self.states: list[tuple | None] = [None] * size
+        self.views: list[ReplicaView | None] = [None] * size
+        self.snapshot: tuple[ReplicaView, ...] = ()
+        self.callbacks: dict[str, tuple] = {}
+
+
 class FleetEngine(_DecodeEngineBase):
     """Continuous batching for a heterogeneous mix of models and tenants.
 
@@ -184,46 +200,70 @@ class FleetEngine(_DecodeEngineBase):
         self,
         now: float,
         replicas: list[_Replica],
+        memo: _ViewMemo,
         tenant: str = "",
         health=None,
     ) -> FleetView:
         """Immutable router snapshot.  ``health`` is an optional
         ``(replica, now) -> (state, link_factor)`` callback supplied by a
-        chaos run; without it every replica reports healthy (fault-free runs
-        build the exact view they always did)."""
-        if health is None:
-            state = lambda replica, when: (HEALTH_HEALTHY, 1.0)  # noqa: E731
-        else:
-            state = health
-        views = []
-        for replica in replicas:
-            health_state, link_factor = state(replica, now)
-            views.append(
-                ReplicaView(
-                    index=replica.index,
-                    model=replica.model,
-                    chip_class=replica.chip_class.name,
-                    queued=len(replica.queues),
-                    resident=len(replica.running),
-                    busy=replica.busy,
-                    health=health_state,
-                    link_factor=link_factor,
-                )
+        chaos or scaler run; without it every replica reports healthy.
+
+        ``memo`` carries the run's previous snapshot: a replica's
+        :class:`ReplicaView` is rebuilt only when its routing-visible state
+        changed since the last route, and each tenant's callbacks are built
+        once per run."""
+        states, views = memo.states, memo.views
+        changed = False
+        for position, replica in enumerate(replicas):
+            health_state, link_factor = (
+                (HEALTH_HEALTHY, 1.0) if health is None else health(replica, now)
             )
+            # ReplicaView's fields after ``index``, in declaration order.
+            state = (
+                replica.model,
+                replica.chip_class.name,
+                len(replica.queues),
+                len(replica.running),
+                replica.busy,
+                health_state,
+                link_factor,
+            )
+            if state != states[position]:
+                states[position] = state
+                views[position] = ReplicaView(replica.index, *state)
+                changed = True
+        if changed:
+            memo.snapshot = tuple(views)
+        callbacks = memo.callbacks.get(tenant)
+        if callbacks is None:
+            callbacks = memo.callbacks[tenant] = self._view_callbacks(replicas, tenant)
+        latency, ideal_iterations, max_batch = callbacks
         return FleetView(
             now=now,
-            replicas=tuple(views),
-            iteration_latency=lambda model, index: self._cost(
-                model,
-                replicas[index].chip_class,
-                self._deployments[model].max_batch_size,
-                tenant,
-            ).latency,
-            ideal_iterations=lambda model, prompt, output: self._deployments[
-                model
-            ].ideal_iterations(prompt, output),
-            max_batch=lambda model: self._deployments[model].max_batch_size,
+            replicas=memo.snapshot,
+            iteration_latency=latency,
+            ideal_iterations=ideal_iterations,
+            max_batch=max_batch,
         )
+
+    def _view_callbacks(self, replicas: list[_Replica], tenant: str) -> tuple:
+        """A run's ``(iteration_latency, ideal_iterations, max_batch)`` view
+        callbacks for ``tenant``, who is charged any first-touch compile the
+        latency lookup triggers."""
+        deployments = self._deployments
+
+        def iteration_latency(model: str, index: int) -> float:
+            return self._cost(
+                model, replicas[index].chip_class, deployments[model].max_batch_size, tenant
+            ).latency
+
+        def ideal_iterations(model: str, prompt: int, output: int) -> int:
+            return deployments[model].ideal_iterations(prompt, output)
+
+        def max_batch(model: str) -> int:
+            return deployments[model].max_batch_size
+
+        return iteration_latency, ideal_iterations, max_batch
 
     # ------------------------------------------------------------------ #
     # Tracing: the shared span taxonomy with one request lane *per tenant*,
@@ -397,6 +437,7 @@ class _FleetRun(_DecodeRun):
         self.window_counts: dict[str, int] = {}
         self.arrivals_remaining = len(requests)
         self.health = self.describe if self.chaos else None
+        self.view_memo = _ViewMemo(len(replicas))
         if scaler is not None:
             self.provisioned = set(range(min(max(1, scaler.min_replicas), len(replicas))))
             self.provisioned_chip_seconds = 0.0
@@ -558,7 +599,7 @@ class _FleetRun(_DecodeRun):
         the limbo health-aware routing avoids."""
         engine = self.engine
         replicas = self.replicas
-        view = engine._view(now, replicas, request.tenant, health=self.health)
+        view = engine._view(now, replicas, self.view_memo, request.tenant, health=self.health)
         index = engine.router.route(request, view)
         if index is None:
             return False

@@ -174,15 +174,22 @@ class LeastLoadedRouter(Router):
         self.spill_load = spill_load
 
     def route(self, request: DecodeRequest, view: FleetView) -> int | None:
-        bound = view.compatible(request.model)
-        idle = [replica for replica in view.rebindable() if replica.model != request.model]
-        if not bound:
-            return idle[0].index if idle else None
-        best = min(bound, key=lambda replica: (replica.load, replica.index))
-        spill = self.spill_load if self.spill_load is not None else view.max_batch(request.model)
-        if idle and best.load >= spill:
-            return idle[0].index
-        return best.index
+        model = request.model
+        best: tuple[int, int] | None = None  # (load, index) of the lightest bound replica
+        first_idle: int | None = None
+        for replica in view.replicas:
+            if replica.model == model:
+                key = (replica.load, replica.index)
+                if best is None or key < best:
+                    best = key
+            elif first_idle is None and replica.rebindable:
+                first_idle = replica.index
+        if best is None:
+            return first_idle
+        spill = self.spill_load if self.spill_load is not None else view.max_batch(model)
+        if first_idle is not None and best[0] >= spill:
+            return first_idle
+        return best[1]
 
 
 class CostAwareRouter(Router):
@@ -230,50 +237,59 @@ class CostAwareRouter(Router):
         return "cost-aware" if self.health_aware else "cost-aware-blind"
 
     def _projection(
-        self, request: DecodeRequest, view: FleetView, replica: ReplicaView
+        self, view: FleetView, model: str, replica: ReplicaView, work: int, max_batch: int
     ) -> float:
-        latency = view.iteration_latency(request.model, replica.index)
+        """Projected finish of ``work`` ideal iterations of ``model`` queued
+        on ``replica``, whose deployment batches ``max_batch`` requests."""
+        latency = view.iteration_latency(model, replica.index)
         if self.health_aware and replica.link_factor > 1.0:
             # A degraded replica's iterations really run this much slower;
             # pricing it in is what steers deadline traffic off the sick
             # group while still letting it soak best-effort overflow.
             latency *= replica.link_factor
-        work = view.ideal_iterations(
-            request.model, request.prompt_tokens, request.max_new_tokens
-        )
-        rounds = math.ceil(replica.load / view.max_batch(request.model))
+        rounds = math.ceil(replica.load / max_batch)
         projected = (rounds + work) * latency
-        if replica.model != request.model:
+        if replica.model != model:
             projected += self.rebind_cost_iterations * latency
         return projected
 
     def route(self, request: DecodeRequest, view: FleetView) -> int | None:
-        bound = view.compatible(request.model)
-        if self.health_aware:
-            # Route around dying capacity: a dead or restarting replica's
-            # queue sits in limbo until failover re-places it, so nothing
-            # new should land there while live candidates exist.
-            bound = [replica for replica in bound if replica.alive]
-        idle = [replica for replica in view.rebindable() if replica.model != request.model]
-        candidates = bound + idle
-        if not candidates:
+        model = request.model
+        # One pass splits the candidates.  Health-aware routing skips dead
+        # and restarting bound replicas: their queue sits in limbo until
+        # failover re-places it, so nothing new should land there while
+        # live candidates exist.
+        bound: list[ReplicaView] = []
+        idle: list[ReplicaView] = []
+        for replica in view.replicas:
+            if replica.model == model:
+                if replica.alive or not self.health_aware:
+                    bound.append(replica)
+            elif replica.rebindable:
+                idle.append(replica)
+        if not bound and not idle:
             return None
+        work = view.ideal_iterations(model, request.prompt_tokens, request.max_new_tokens)
+        max_batch = view.max_batch(model)
 
-        def scored(replicas: Sequence[ReplicaView]) -> list[tuple[float, int]]:
+        def scored(replicas: list[ReplicaView]) -> list[tuple[float, int]]:
             return [
-                (self._projection(request, view, replica), replica.index)
+                (self._projection(view, model, replica, work, max_batch), replica.index)
                 for replica in replicas
             ]
 
-        if request.deadline is not None and bound:
+        # Each candidate is priced once: the bound scores serve both the
+        # deadline check and the fall-through.
+        bound_scores = scored(bound)
+        if request.deadline is not None and bound_scores:
             in_time = [
                 (score, index)
-                for score, index in scored(bound)
+                for score, index in bound_scores
                 if view.now + score <= request.deadline
             ]
             if in_time:
                 return _cheapest(in_time)
-        return _cheapest(scored(candidates))
+        return _cheapest(bound_scores + scored(idle))
 
 
 class StaticPartitionRouter(Router):

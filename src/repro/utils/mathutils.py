@@ -9,13 +9,14 @@ invariants directly.
 
 from __future__ import annotations
 
-from functools import lru_cache, reduce
+import math
+from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 
 def prod(values: Iterable[int]) -> int:
     """Return the product of ``values`` (1 for an empty iterable)."""
-    return reduce(lambda a, b: a * b, values, 1)
+    return math.prod(values)
 
 
 def ceil_div(numerator: int, denominator: int) -> int:

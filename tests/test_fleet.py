@@ -9,20 +9,30 @@ from repro.core import T10Compiler
 from repro.hw.spec import ChipSpec, KiB
 from repro.ir import OperatorGraph, elementwise, matmul
 from repro.serving import (
+    HEALTH_DEGRADED,
+    HEALTH_HEALTHY,
+    HEALTH_RESTARTING,
     SLO_BEST_EFFORT,
     SLO_INTERACTIVE,
     ContinuousEngine,
     CostAwareRouter,
     DecodeModel,
     DecodeRequest,
+    FaultSchedule,
     FleetEngine,
     PlanCache,
+    ReactiveScaler,
+    ReplicaView,
     Router,
     StaticPartitionRouter,
     TenantSpec,
+    Watchdog,
     check_report,
+    chip_death,
     decode_workload,
+    link_degradation,
     merge_decode_workloads,
+    restart,
 )
 from repro.utils.fingerprint import stable_hash
 
@@ -512,3 +522,114 @@ def test_one_chip_fleet_matches_continuous(
         expected.preemptions,
         expected.shed,
     )
+
+
+# --------------------------------------------------------------------------- #
+# The incremental router view against a from-scratch rebuild
+# --------------------------------------------------------------------------- #
+def rebuilt_view(replicas, now: float, health) -> tuple[ReplicaView, ...]:
+    """The router snapshot built afresh from the live replicas."""
+    views = []
+    for replica in replicas:
+        state, factor = (HEALTH_HEALTHY, 1.0) if health is None else health(replica, now)
+        views.append(
+            ReplicaView(
+                index=replica.index,
+                model=replica.model,
+                chip_class=replica.chip_class.name,
+                queued=len(replica.queues),
+                resident=len(replica.running),
+                busy=replica.busy,
+                health=state,
+                link_factor=factor,
+            )
+        )
+    return tuple(views)
+
+
+@pytest.mark.parametrize("scenario", ["fault-free", "chaos", "scaler"])
+def test_every_route_view_matches_a_rebuild(
+    scenario, cache, small_chip, fast_constraints, fat_chip, monkeypatch
+):
+    """The view a route sees — reused replica views included — equals one
+    rebuilt from scratch, in a fault-free run, a chaos run (a link window
+    plus a chip death and restart) and a scaler run."""
+    deployments = [make_model("alpha"), make_model("beta", width=96)]
+    engine = make_engine(
+        cache,
+        small_chip,
+        fast_constraints,
+        deployments=deployments + [make_model("gamma", width=32)],
+        num_chips=4,
+        chip_classes={2: fat_chip, 3: fat_chip},
+        tenants=[TenantSpec("chat"), TenantSpec("search")],
+    )
+    engine.warm()
+    unit = engine.iteration_latency("alpha")
+    workload = merge_decode_workloads(
+        *(
+            decode_workload(
+                model.name,
+                num_requests=16,
+                rate=0.6 / unit,
+                seed=seed,
+                tenant=tenant,
+                slo_seconds=40 * unit,
+            )
+            for seed, (model, tenant) in enumerate(zip(deployments, ("chat", "search")))
+        )
+    )
+    # A late burst of a third model, after the fleet drained, re-binds
+    # replicas bound to the first two.
+    workload += [
+        request(1000 + i, 200 * unit, model="gamma", tenant="chat") for i in range(8)
+    ]
+    run_kwargs = {}
+    if scenario == "chaos":
+        run_kwargs["faults"] = FaultSchedule.of(
+            [
+                link_degradation(2 * unit, 12 * unit, 4.0),
+                chip_death(6 * unit, 1),
+                restart(10 * unit, 1, warmup_delay=4 * unit),
+            ]
+        )
+        run_kwargs["watchdog"] = Watchdog(detection_delay=unit)
+    elif scenario == "scaler":
+        run_kwargs["scaler"] = ReactiveScaler(
+            interval=3 * unit, provision_delay=2 * unit, scale_up_queue=2
+        )
+
+    original = FleetEngine._view
+    seen = {"routes": 0, "reused": 0, "health": set()}
+
+    def checked(self, now, replicas, memo, tenant="", health=None):
+        previous = list(memo.views)
+        snapshot = original(self, now, replicas, memo, tenant, health)
+        assert snapshot.now == now
+        assert snapshot.replicas == rebuilt_view(replicas, now, health)
+        for model, deployment in self._deployments.items():
+            assert snapshot.max_batch(model) == deployment.max_batch_size
+            assert snapshot.ideal_iterations(model, 16, 4) == deployment.ideal_iterations(
+                16, 4
+            )
+            for replica in replicas:
+                assert snapshot.iteration_latency(model, replica.index) == self._cost(
+                    model, replica.chip_class, deployment.max_batch_size
+                ).latency
+        seen["routes"] += 1
+        seen["reused"] += sum(a is b for a, b in zip(previous, snapshot.replicas))
+        seen["health"].update(view.health for view in snapshot.replicas)
+        return snapshot
+
+    monkeypatch.setattr(FleetEngine, "_view", checked)
+    report = engine.run(workload, **run_kwargs)
+    assert check_report(report, workload) == []
+    assert seen["routes"] >= len(workload)
+    assert seen["reused"] > 0  # unchanged replicas really were reused
+    assert report.rebinds > 0
+    if scenario == "chaos":
+        assert report.faults.chip_deaths == 1
+        assert {HEALTH_DEGRADED, HEALTH_RESTARTING} <= seen["health"]
+    elif scenario == "scaler":
+        assert HEALTH_RESTARTING in seen["health"]
+        assert report.provision_ups > 0

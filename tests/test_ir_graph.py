@@ -5,6 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.ir import OperatorGraph, elementwise, matmul
+from repro.models.registry import build_model, list_models
+from repro.utils.fingerprint import stable_hash
 
 
 def build_chain() -> OperatorGraph:
@@ -47,6 +49,24 @@ class TestConstruction:
         with pytest.raises(ValueError):
             graph.add(matmul("x", m=2, k=2, n=2), ["missing"])
 
+    @pytest.mark.parametrize(
+        ("inputs", "error"),
+        [(["a", "d"], "itself"), (["a", "missing"], "unknown"), (["missing", "a"], "unknown")],
+        ids=str,
+    )
+    def test_rejected_add_leaves_graph_unchanged(self, inputs, error):
+        """Every producer is checked before the graph changes: a rejected
+        add (self-dependency or unknown producer) leaves no node, no
+        partial edge and the same fingerprint."""
+        graph = build_chain()
+        digest = graph.fingerprint()
+        edges = sorted((u.name, v.name) for u, v in graph.edges())
+        with pytest.raises(ValueError, match=error):
+            graph.add(matmul("d", m=8, k=8, n=8), inputs)
+        assert "d" not in graph and len(graph) == 3
+        assert sorted((u.name, v.name) for u, v in graph.edges()) == edges
+        assert graph.fingerprint() == digest == build_chain().fingerprint()
+
     def test_extend(self):
         graph = OperatorGraph()
         a = matmul("a", m=2, k=2, n=2)
@@ -88,3 +108,40 @@ class TestStatistics:
 
     def test_summary_mentions_name(self):
         assert "chain" in build_chain().summary()
+
+
+def full_fingerprint(graph: OperatorGraph) -> str:
+    """The graph digest hashed in one piece: the fingerprint's definition."""
+    nodes = sorted((op.name, op.signature()) for op in graph.operators)
+    edges = sorted((u.name, v.name) for u, v in graph.edges())
+    return stable_hash(("operator-graph", tuple(nodes), tuple(edges)))
+
+
+class TestFingerprint:
+    @pytest.mark.parametrize("name", list_models())
+    def test_matches_full_hash_on_registry_models(self, name):
+        graph = build_model(name, 1)
+        assert graph.fingerprint() == full_fingerprint(graph)
+        # Memoized: the second call returns the very same digest object.
+        assert graph.fingerprint() is graph.fingerprint()
+        # An identically built second graph gets the same digest.
+        assert build_model(name, 1).fingerprint() == graph.fingerprint()
+
+    def test_add_invalidates_memo(self):
+        graph = build_chain()
+        before = graph.fingerprint()
+        graph.add(elementwise("d", {"r": 8, "c": 8}), ["c"])
+        assert graph.fingerprint() != before
+        assert graph.fingerprint() == full_fingerprint(graph)
+
+    def test_empty_graph(self):
+        assert OperatorGraph().fingerprint() == full_fingerprint(OperatorGraph())
+
+    def test_equal_signatures_of_different_types_hash_apart(self):
+        """``2 == 2.0``, but the two canonicalize apart, so signatures that
+        differ only so must not share a canonical form."""
+        graph = OperatorGraph()
+        graph.add(elementwise("x", {"r": 4}, flops_per_point=2))
+        graph.add(elementwise("y", {"r": 4}, flops_per_point=2.0))
+        assert graph.get("x").signature() == graph.get("y").signature()
+        assert graph.fingerprint() == full_fingerprint(graph)

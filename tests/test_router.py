@@ -6,7 +6,12 @@ against hand-built :class:`FleetView` snapshots — no compilation, no engine.
 
 from __future__ import annotations
 
+import math
+from collections import Counter
+from dataclasses import replace
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.serving import (
     HEALTH_DEAD,
@@ -281,3 +286,129 @@ class TestPluggableRouter:
         router = PinEverything()
         assert isinstance(router, Router)
         assert router.route(request(), view(replica(0, "m"), replica(1, "m"))) == 1
+
+
+# --------------------------------------------------------------------------- #
+# Differential oracle: the single-pass routers against the two-pass originals
+# --------------------------------------------------------------------------- #
+def reference_least_loaded(
+    router: LeastLoadedRouter, req: DecodeRequest, snapshot: FleetView
+) -> int | None:
+    """``LeastLoadedRouter.route`` as first written: filtered lists, then min."""
+    bound = snapshot.compatible(req.model)
+    idle = [r for r in snapshot.rebindable() if r.model != req.model]
+    if not bound:
+        return idle[0].index if idle else None
+    best = min(bound, key=lambda r: (r.load, r.index))
+    spill = router.spill_load if router.spill_load is not None else snapshot.max_batch(req.model)
+    if idle and best.load >= spill:
+        return idle[0].index
+    return best.index
+
+
+def reference_cost_aware(
+    router: CostAwareRouter, req: DecodeRequest, snapshot: FleetView
+) -> int | None:
+    """``CostAwareRouter.route`` as first written: every bound replica is
+    priced again for the fall-through, with the pricing callbacks per
+    candidate."""
+
+    def projection(r: ReplicaView) -> float:
+        latency = snapshot.iteration_latency(req.model, r.index)
+        if router.health_aware and r.link_factor > 1.0:
+            latency *= r.link_factor
+        work = snapshot.ideal_iterations(req.model, req.prompt_tokens, req.max_new_tokens)
+        rounds = math.ceil(r.load / snapshot.max_batch(req.model))
+        projected = (rounds + work) * latency
+        if r.model != req.model:
+            projected += router.rebind_cost_iterations * latency
+        return projected
+
+    bound = snapshot.compatible(req.model)
+    if router.health_aware:
+        bound = [r for r in bound if r.alive]
+    idle = [r for r in snapshot.rebindable() if r.model != req.model]
+    candidates = bound + idle
+    if not candidates:
+        return None
+    if req.deadline is not None and bound:
+        in_time = [
+            (projection(r), r.index)
+            for r in bound
+            if snapshot.now + projection(r) <= req.deadline
+        ]
+        if in_time:
+            return min(in_time)[1]
+    return min((projection(r), r.index) for r in candidates)[1]
+
+
+HEALTH_STATES = (HEALTH_HEALTHY, HEALTH_DEGRADED, HEALTH_RESTARTING, HEALTH_DEAD)
+
+
+@st.composite
+def replica_views(draw, index: int) -> ReplicaView:
+    health = draw(st.sampled_from(HEALTH_STATES))
+    # Idle replicas (the re-bind candidates) are drawn on purpose: random
+    # loads would almost never leave one fully empty.
+    idle = draw(st.booleans())
+    return replica(
+        index,
+        draw(st.sampled_from(("m", "other", ""))),
+        chip_class=draw(st.sampled_from(("ipu", "gpu"))),
+        queued=0 if idle else draw(st.integers(0, 9)),
+        resident=0 if idle else draw(st.integers(0, 4)),
+        busy=False if idle else draw(st.booleans()),
+        health=health,
+        link_factor=(
+            draw(st.sampled_from((1.0, 1.5, 2.0, 8.0))) if health == HEALTH_DEGRADED else 1.0
+        ),
+    )
+
+
+@st.composite
+def fleet_views(draw) -> FleetView:
+    """Small fleets with dead, restarting, degraded and unbound replicas,
+    priced on a coarse grid so that score ties are common."""
+    size = draw(st.integers(0, 6))
+    return view(
+        *(draw(replica_views(index)) for index in range(size)),
+        latencies={"ipu": draw(st.sampled_from((0.5, 1.0))), "gpu": 1.0},
+        now=draw(st.sampled_from((0.0, 2.0))),
+        work=draw(st.integers(1, 8)),
+        max_batch=draw(st.integers(1, 4)),
+    )
+
+
+def counted(snapshot: FleetView) -> tuple[FleetView, Counter]:
+    """``snapshot`` with its latency callback counting calls per replica."""
+    priced: Counter = Counter()
+
+    def latency(model: str, index: int) -> float:
+        priced[index] += 1
+        return snapshot.iteration_latency(model, index)
+
+    return replace(snapshot, iteration_latency=latency), priced
+
+
+class TestRouterDifferential:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        snapshot=fleet_views(),
+        deadline=st.sampled_from((None, 2.0, 4.0, 6.0, 8.0, 10.0, 12.0)),
+        health_aware=st.booleans(),
+        rebind=st.sampled_from((0.0, 2.5, 4.0)),
+    )
+    def test_cost_aware_matches_reference(self, snapshot, deadline, health_aware, rebind):
+        router = CostAwareRouter(rebind_cost_iterations=rebind, health_aware=health_aware)
+        req = request(deadline=deadline)
+        tracked, priced = counted(snapshot)
+        assert router.route(req, tracked) == reference_cost_aware(router, req, snapshot)
+        # Each candidate is priced at most once per route.
+        assert all(calls == 1 for calls in priced.values())
+
+    @settings(max_examples=300, deadline=None)
+    @given(snapshot=fleet_views(), spill=st.sampled_from((None, 1, 2, 4)))
+    def test_least_loaded_matches_reference(self, snapshot, spill):
+        router = LeastLoadedRouter(spill_load=spill)
+        req = request()
+        assert router.route(req, snapshot) == reference_least_loaded(router, req, snapshot)
