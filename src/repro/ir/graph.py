@@ -17,7 +17,7 @@ import networkx as nx
 
 from repro.ir.operator import Operator
 from repro.ir.tensor import TensorRole
-from repro.utils.fingerprint import canonicalize, stable_digest
+from repro.utils.fingerprint import stable_hash
 
 
 @dataclass
@@ -116,38 +116,16 @@ class OperatorGraph:
         deliberately excluded: the plan cache should share compiled programs
         between structurally identical graphs.
 
-        The digest is ``stable_hash(("operator-graph", nodes, edges))`` over
-        the sorted ``(name, signature)`` nodes and ``(producer, consumer)``
-        edges.  It is memoized on the instance until the next :meth:`add`,
-        because every warm plan-cache lookup asks for it.
+        Memoized on the instance until the next :meth:`add`, because every
+        warm plan-cache lookup asks for it.
         """
         if self._fingerprint is None:
-            self._fingerprint = self._digest()
+            nodes = sorted(
+                (name, self._graph.nodes[name]["op"].signature()) for name in self._graph
+            )
+            edges = sorted(self._graph.edges())
+            self._fingerprint = stable_hash(("operator-graph", tuple(nodes), tuple(edges)))
         return self._fingerprint
-
-    def _digest(self) -> str:
-        """The fingerprint, with each distinct signature canonicalized once.
-
-        ``canonicalize`` is compositional over tuples, so joining the pieces
-        gives the very text ``canonicalize`` makes of the whole structure.
-        Signatures are shared by ``repr``, not ``==``: ``2 == 2.0``, but the
-        two canonicalize apart.
-        """
-        canonical: dict[str, str] = {}
-        nodes = []
-        for name in sorted(self._graph):
-            signature = self._graph.nodes[name]["op"].signature()
-            key = repr(signature)
-            text = canonical.get(key)
-            if text is None:
-                text = canonical[key] = canonicalize(signature)
-            nodes.append(f"({canonicalize(name)},{text})")
-        edges = ",".join(
-            f"({canonicalize(u)},{canonicalize(v)})" for u, v in sorted(self._graph.edges())
-        )
-        return stable_digest(
-            f"({canonicalize('operator-graph')},({','.join(nodes)}),({edges}))"
-        )
 
     # ------------------------------------------------------------------ #
     # Aggregate statistics

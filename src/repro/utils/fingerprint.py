@@ -53,13 +53,5 @@ def canonicalize(obj: object) -> str:
 
 def stable_hash(obj: object, *, length: int = 16) -> str:
     """Hex SHA-256 digest (truncated to ``length`` chars) of ``obj``'s canonical form."""
-    return stable_digest(canonicalize(obj), length=length)
-
-
-def stable_digest(canonical: str, *, length: int = 16) -> str:
-    """:func:`stable_hash` of the object whose canonical form is ``canonical``.
-
-    For callers that assemble a canonical form from pieces canonicalized
-    once each (``canonicalize`` is compositional over tuples).
-    """
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:length]
+    digest = hashlib.sha256(canonicalize(obj).encode("utf-8")).hexdigest()
+    return digest[:length]
