@@ -574,7 +574,10 @@ def check_report(
     """The north-star invariants of one decode run; returns the failures.
 
     Every request ends exactly once (served or shed, one record per request
-    id); chip-seconds are ordered busy <= active <= provisioned (a 1e-9
+    id); a served record carries all ``max_new_tokens`` tokens and is
+    ordered admitted <= first token <= completed, a shed one carries no
+    tokens and a NaN first-token time; chip-seconds are ordered busy <=
+    active <= provisioned (a 1e-9
     relative slack absorbs the busy-time refunds of aborted iterations); and
     the per-tenant slices sum to the fleet totals, preemptions and
     migrations included.  An empty list means the report balances.
@@ -590,6 +593,27 @@ def check_report(
     bad = {record.status for record in report.completed} - {DECODE_OK, DECODE_SHED}
     if bad:
         failures.append(f"unknown record states {sorted(bad)}")
+    for record in report.completed:
+        rid = record.request.request_id
+        if record.ok:
+            if record.tokens_generated != record.request.max_new_tokens:
+                failures.append(
+                    f"request {rid} served {record.tokens_generated} of "
+                    f"{record.request.max_new_tokens} tokens"
+                )
+            if not (
+                record.admitted_time <= record.first_token_time <= record.completion_time
+            ):
+                failures.append(
+                    f"request {rid} out of order: admitted {record.admitted_time!r}, "
+                    f"first token {record.first_token_time!r}, "
+                    f"completed {record.completion_time!r}"
+                )
+        elif record.tokens_generated or not math.isnan(record.first_token_time):
+            failures.append(
+                f"shed request {rid} has {record.tokens_generated} tokens and "
+                f"first token {record.first_token_time!r}"
+            )
     busy, active = report.busy_chip_seconds, report.active_chip_seconds
     provisioned = report.provisioned_chip_seconds
     slack = 1e-9 * max(1.0, provisioned)

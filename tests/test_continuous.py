@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import MISSING, fields
+from dataclasses import MISSING, fields, replace
 
 import pytest
 
@@ -475,6 +475,35 @@ class TestContinuousEngine:
         assert report.goodput <= report.throughput
         assert 0.0 <= report.utilization <= 1.0
         assert report.summary()  # renders without raising
+
+    def test_check_report_flags_broken_token_books(
+        self, cache, small_chip, fast_constraints
+    ):
+        """A served record carries every token, ordered admitted <= first
+        token <= completed; a shed one carries no token and no first-token
+        time.  Tampering with any of them is named by request id."""
+        engine = make_engine(cache, small_chip, fast_constraints)
+        unit = engine.iteration_latency(1)
+        workload = [request(0, 0.0, tokens=3), request(1, 0.0, tokens=50, deadline=unit * 0.5)]
+        report = engine.run(workload)
+        assert check_report(report, workload) == []
+        served, shed = report.completed
+        assert served.ok and not shed.ok
+        for broken in (
+            replace(served, tokens_generated=2),
+            replace(served, first_token_time=served.completion_time + unit),
+            replace(served, first_token_time=served.admitted_time - unit),
+            replace(served, first_token_time=math.nan),
+            replace(shed, tokens_generated=1),
+            replace(shed, first_token_time=0.0),
+        ):
+            records = tuple(
+                broken if record.request is broken.request else record
+                for record in report.completed
+            )
+            failures = check_report(replace(report, completed=records), workload)
+            assert len(failures) == 1
+            assert f"request {broken.request.request_id} " in failures[0]
 
 
 # --------------------------------------------------------------------------- #
