@@ -1007,8 +1007,10 @@ class _DecodeRun:
 
     def integrate(self, now: float) -> None:
         """Accrue active chip-seconds up to ``now`` (a no-op when no time
-        passed since the last call, as for every same-instant re-check)."""
-        if now != self.last_time:
+        passed since the last call, as for every same-instant re-check, and
+        before the first arrival: the window opens there, so a fault
+        scheduled ahead of the traffic changes state but accrues nothing)."""
+        if now > self.last_time:
             self.active_chip_seconds += (now - self.last_time) * self.num_active * self.stages
             self.last_time = now
 

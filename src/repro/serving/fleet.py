@@ -452,7 +452,7 @@ class _FleetRun(_DecodeRun):
         heapq.heappush(self.events, (when, _EV_SCALE, next(self.seq), payload))
 
     def integrate(self, now: float) -> None:
-        if self.scaler is not None and now != self.last_time:
+        if self.scaler is not None and now > self.last_time:
             held = len(self.provisioned) + len(self.booting)
             self.provisioned_chip_seconds += (now - self.last_time) * held * self.stages
         super().integrate(now)

@@ -22,11 +22,13 @@ from repro.serving import (
     PlanCache,
     StaticEngine,
     TenantSpec,
+    Watchdog,
     WorkerPool,
     check_report,
     chip_death,
     decode_workload,
     merge_decode_workloads,
+    restart,
     uniform_workload,
 )
 
@@ -768,3 +770,22 @@ class TestAccountingFixes:
         assert over_boundary.peak_active_chips == 2
         for report in (at_boundary, over_boundary):
             assert report.peak_active_chips <= report.num_chips
+
+    def test_fault_before_first_arrival_accrues_no_chip_seconds(
+        self, cache, small_chip, fast_constraints
+    ):
+        """Active chip-seconds integrate from the first arrival on: a chip
+        death and restart scheduled ahead of the traffic change the fleet's
+        state but must not integrate backwards (which drove active below
+        busy)."""
+        engine = make_engine(cache, small_chip, fast_constraints)
+        unit = engine.iteration_latency(1)
+        workload = [request(0, 20 * unit)]
+        faults = FaultSchedule.of(
+            [chip_death(5 * unit, 0), restart(10 * unit, 0, cold_cache=False, warmup_delay=unit)]
+        )
+        report = engine.run(workload, faults=faults, watchdog=Watchdog(detection_delay=unit))
+        assert check_report(report, workload) == []
+        assert report.faults.failovers == 1
+        assert report.active_span == pytest.approx(4 * unit)
+        assert report.active_chip_seconds == pytest.approx(4 * unit)
