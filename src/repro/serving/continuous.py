@@ -39,6 +39,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import sys
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -128,15 +129,26 @@ class DecodeModel:
         return self.prefill_iterations(prompt_tokens) + output_tokens - 1
 
 
-@dataclass
+@dataclass(eq=False)
 class _Running:
-    """Per-request progress while resident in a replica's batch."""
+    """Per-request progress while resident in a replica's batch.
+
+    ``prefill_remaining`` and ``tokens_done`` are current only while the
+    request is off a batch.  Joining one stamps the replica ticks whose
+    iterations emit its first and last token; :meth:`sync` catches the two
+    fields up when it leaves (retired, preempted or displaced)."""
 
     request: DecodeRequest
     admitted_time: float
     prefill_remaining: int
     tokens_done: int = 0
     first_token_time: float = float("nan")
+    joined: int = 0
+    """Replica tick at which the request last joined a batch (or synced)."""
+    first_tick: int = -1
+    """Replica tick whose iteration emits token one (-1: already emitted)."""
+    finish_tick: int = 0
+    """Replica tick whose iteration emits the last token."""
     preemptions: int = 0
     origin: int = -1
     """Replica whose chips hold this request's KV state.  Progress only
@@ -149,21 +161,20 @@ class _Running:
     lost_tokens: int = 0
     """Output tokens generated and then discarded across all requeues."""
 
-    @property
-    def done(self) -> bool:
-        return self.tokens_done >= self.request.max_new_tokens
-
-    def advance(self, now: float) -> None:
-        """Account one finished iteration this request participated in."""
-        if self.prefill_remaining > 1:
-            self.prefill_remaining -= 1
-            return
-        if self.prefill_remaining == 1:
+    def sync(self, tick: int) -> None:
+        """Catch the progress fields up to replica tick ``tick``: each
+        iteration since ``joined`` ingested one prefill chunk, the last of
+        which emitted token one, or decoded one more token."""
+        elapsed = tick - self.joined
+        prefill = self.prefill_remaining
+        if elapsed < prefill:
+            self.prefill_remaining = prefill - elapsed
+        elif prefill:
             self.prefill_remaining = 0
-            self.tokens_done = 1
-            self.first_token_time = now
-            return
-        self.tokens_done += 1
+            self.tokens_done = elapsed - prefill + 1
+        else:
+            self.tokens_done += elapsed
+        self.joined = tick
 
     def restart(self, prefill_iterations: int) -> None:
         """Discard the decode progress (its KV state is gone): the tokens
@@ -176,6 +187,9 @@ class _Running:
 
 #: The requeue carry's stand-in for a request that was never admitted.
 _NEVER_ADMITTED = _Running(request=None, admitted_time=float("nan"), prefill_remaining=0)
+
+#: ``_Replica.wake`` of a batch with no token due.
+_NEVER = sys.maxsize
 
 
 @dataclass(eq=False)
@@ -250,6 +264,46 @@ class _Replica:
     generation: int = 0
     """Generation of the binding: bumped on cold restarts (names the cache
     scope) and on fleet re-binds to a different model."""
+    tick: int = 0
+    """Iterations completed (one aborted by a chip death never counts)."""
+    wake: int = _NEVER
+    """No resident's first or last token is due before this tick, so the
+    batch is scanned only once ``tick`` reaches it."""
+    best_effort: int = 0
+    """Best-effort requests in ``running``."""
+
+    def join(self, entry: _Running) -> None:
+        """Add ``entry`` to the batch, stamping its first- and last-token
+        ticks."""
+        tick = entry.joined = self.tick
+        prefill = entry.prefill_remaining
+        if prefill:
+            entry.first_tick = due = tick + prefill
+            entry.finish_tick = due + entry.request.max_new_tokens - 1
+        else:
+            entry.first_tick = -1
+            entry.finish_tick = due = tick + entry.request.max_new_tokens - entry.tokens_done
+        if due < self.wake:
+            self.wake = due
+        if not entry.request.interactive:
+            self.best_effort += 1
+        self.running.append(entry)
+
+    def leave(self, entry: _Running) -> None:
+        """Take ``entry`` out of the batch with its progress synced."""
+        self.running.remove(entry)
+        entry.sync(self.tick)
+        if not entry.request.interactive:
+            self.best_effort -= 1
+
+    def clear(self) -> list[_Running]:
+        """Empty the batch; returns its members with their progress synced."""
+        members, self.running = self.running, []
+        for entry in members:
+            entry.sync(self.tick)
+        self.best_effort = 0
+        self.wake = _NEVER
+        return members
 
 
 #: Event kinds, ordered so same-timestamp faults strike before arrivals and
@@ -1015,29 +1069,41 @@ class _DecodeRun:
             self.last_time = now
 
     def retire(self, replica: _Replica, now: float) -> None:
-        """Advance every resident request one finished iteration and retire
-        the done ones."""
+        """Count one finished iteration on ``replica``; once its tick reaches
+        ``wake``, stamp the first tokens and retire the done requests, in
+        batch order."""
+        tick = replica.tick = replica.tick + 1
+        if tick < replica.wake:
+            return
+        wake = replica.wake = _NEVER
         for running in list(replica.running):
-            running.advance(now)
-            if running.done:
-                replica.running.remove(running)
-                record = CompletedDecode(
-                    request=running.request,
-                    status=DECODE_OK,
-                    admitted_time=running.admitted_time,
-                    first_token_time=running.first_token_time,
-                    completion_time=now,
-                    tokens_generated=running.tokens_done,
-                    preemptions=running.preemptions,
-                    replica=replica.index,
-                    requeues=running.requeues,
-                    migrations=running.migrations,
-                    lost_tokens=running.lost_tokens,
-                )
-                self.records.append(record)
-                if self.traced:
-                    self.engine._trace_done(self.tracer, record, replica, now)
-                self.on_retire(record, now)
+            first, finish = running.first_tick, running.finish_tick
+            if first == tick:
+                running.first_token_time = now
+            if finish != tick:
+                due = first if first > tick else finish
+                if due < wake:
+                    wake = due
+                continue
+            replica.leave(running)
+            record = CompletedDecode(
+                request=running.request,
+                status=DECODE_OK,
+                admitted_time=running.admitted_time,
+                first_token_time=running.first_token_time,
+                completion_time=now,
+                tokens_generated=running.tokens_done,
+                preemptions=running.preemptions,
+                replica=replica.index,
+                requeues=running.requeues,
+                migrations=running.migrations,
+                lost_tokens=running.lost_tokens,
+            )
+            self.records.append(record)
+            if self.traced:
+                self.engine._trace_done(self.tracer, record, replica, now)
+            self.on_retire(record, now)
+        replica.wake = min(replica.wake, wake)
 
     def start_idle(self, now: float) -> None:
         """Start an iteration on every active replica that has none."""
@@ -1132,6 +1198,17 @@ class _DecodeRun:
         carried.origin = replica.index
         return carried
 
+    def victim(self, replica: _Replica) -> _Running | None:
+        """The resident a waiting interactive request preempts: the most
+        recently admitted best-effort one (None: all are interactive)."""
+        if not replica.best_effort:
+            return None
+        running = replica.running
+        position = len(running) - 1
+        while running[position].request.interactive:
+            position -= 1
+        return running[position]
+
     def pop_interactive(self, queues: _Queues) -> tuple:
         """The next interactive request to admit: earliest deadline first."""
         return heapq.heappop(queues.iq)
@@ -1151,23 +1228,19 @@ class _DecodeRun:
             if self.hopeless(request, replica, now):
                 self.shed(request, now)
                 continue
-            running.append(self.admit_one(request, replica, now))
+            replica.join(self.admit_one(request, replica, now))
         # Priority preemption: interactive requests still waiting evict the
         # most recently admitted best-effort resident (its progress is kept;
         # it resumes from the preempted queue).
         while iq and len(running) >= max_batch:
-            victim_index = None
-            for position in range(len(running) - 1, -1, -1):
-                if not running[position].request.interactive:
-                    victim_index = position
-                    break
-            if victim_index is None:
+            victim = self.victim(replica)
+            if victim is None:
                 break
             request = self.pop_interactive(queues)[3]
             if self.hopeless(request, replica, now):
                 self.shed(request, now)
                 continue
-            victim = running.pop(victim_index)
+            replica.leave(victim)
             victim.preemptions += 1
             self.counters["preemptions"] += 1
             preempted.appendleft(victim)
@@ -1179,7 +1252,7 @@ class _DecodeRun:
                     cat="lifecycle",
                     args={"victim": victim.request.request_id, "for": request.request_id},
                 )
-            running.append(self.admit_one(request, replica, now))
+            replica.join(self.admit_one(request, replica, now))
         # Preempted best-effort work resumes before fresh best-effort
         # admissions (its progress is sunk cost) — but progress only survives
         # on the replica whose chips still hold its KV state; resuming
@@ -1203,9 +1276,9 @@ class _DecodeRun:
                     cat="lifecycle",
                     args={"request": resumed.request.request_id},
                 )
-            running.append(resumed)
+            replica.join(resumed)
         while bq and len(running) < max_batch:
-            running.append(self.admit_one(bq.popleft(), replica, now))
+            replica.join(self.admit_one(bq.popleft(), replica, now))
 
     def start_iteration(self, replica: _Replica, now: float) -> None:
         if replica.busy or not replica.active or replica.dead:
@@ -1602,8 +1675,7 @@ class _ContinuousRun(_DecodeRun):
                 cat="fault",
                 args={"replica": replica.index, "requeued": len(replica.running)},
             )
-        inflight = replica.running
-        replica.running = []
+        inflight = replica.clear()
         for running in inflight:
             stats.requeued += 1
             running.requeues += 1
@@ -1714,10 +1786,8 @@ class _StaticRun(_DecodeRun):
         if replica.running or not queue:
             return
         max_batch = self.engine.model.max_batch_size
-        replica.running = [
-            self.admit_one(queue.popleft(), replica, now)
-            for _ in range(min(len(queue), max_batch))
-        ]
+        for _ in range(min(len(queue), max_batch)):
+            replica.join(self.admit_one(queue.popleft(), replica, now))
         # The program is fixed for the whole batch lifetime: the bucket
         # holding the batch as formed, padding included as members retire.
         replica.bucket = bucket_for(len(replica.running), max_batch)

@@ -744,8 +744,7 @@ class _FleetRun(_DecodeRun):
                 replica=replica.index,
                 requeued=len(replica.running) + len(queues.preempted),
             )
-        displaced = replica.running + list(queues.preempted)
-        replica.running = []
+        displaced = replica.clear() + list(queues.preempted)
         queues.preempted.clear()
         for running in displaced:
             self.requeue(running, replica, now)

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import MISSING, fields, replace
+from unittest import mock
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.core import T10Compiler
 from repro.ir import OperatorGraph, elementwise, matmul
@@ -14,11 +16,14 @@ from repro.serving import (
     DECODE_SHED,
     SLO_BEST_EFFORT,
     SLO_INTERACTIVE,
+    CompletedDecode,
     ContinuousEngine,
+    ContinuousReport,
     DecodeModel,
     DecodeRequest,
     DynamicBatcher,
     FaultSchedule,
+    FleetEngine,
     PlanCache,
     StaticEngine,
     TenantSpec,
@@ -27,10 +32,12 @@ from repro.serving import (
     check_report,
     chip_death,
     decode_workload,
+    link_degradation,
     merge_decode_workloads,
     restart,
     uniform_workload,
 )
+from repro.serving.continuous import _DecodeRun, _Replica, _Running
 
 
 def tiny_decode_builder(batch_size: int, *, width: int = 64) -> OperatorGraph:
@@ -771,6 +778,7 @@ class TestAccountingFixes:
         for report in (at_boundary, over_boundary):
             assert report.peak_active_chips <= report.num_chips
 
+
     def test_fault_before_first_arrival_accrues_no_chip_seconds(
         self, cache, small_chip, fast_constraints
     ):
@@ -789,3 +797,369 @@ class TestAccountingFixes:
         assert report.faults.failovers == 1
         assert report.active_span == pytest.approx(4 * unit)
         assert report.active_chip_seconds == pytest.approx(4 * unit)
+
+
+# --------------------------------------------------------------------------- #
+# The iteration-tick decode loop against the per-iteration reference
+# --------------------------------------------------------------------------- #
+def reference_advance(running: _Running, now: float) -> None:
+    """One finished iteration, accounted eagerly on every resident."""
+    if running.prefill_remaining > 1:
+        running.prefill_remaining -= 1
+        return
+    if running.prefill_remaining == 1:
+        running.prefill_remaining = 0
+        running.tokens_done = 1
+        running.first_token_time = now
+        return
+    running.tokens_done += 1
+
+
+def reference_retire(self, replica: _Replica, now: float) -> None:
+    """Advance every resident request one finished iteration and retire
+    the done ones.  The replica's tick never moves, so every ``sync`` at a
+    batch exit sees no elapsed iterations and leaves the eager fields be."""
+    for running in list(replica.running):
+        reference_advance(running, now)
+        if running.tokens_done >= running.request.max_new_tokens:
+            replica.running.remove(running)
+            record = CompletedDecode(
+                request=running.request,
+                status=DECODE_OK,
+                admitted_time=running.admitted_time,
+                first_token_time=running.first_token_time,
+                completion_time=now,
+                tokens_generated=running.tokens_done,
+                preemptions=running.preemptions,
+                replica=replica.index,
+                requeues=running.requeues,
+                migrations=running.migrations,
+                lost_tokens=running.lost_tokens,
+            )
+            self.records.append(record)
+            if self.traced:
+                self.engine._trace_done(self.tracer, record, replica, now)
+            self.on_retire(record, now)
+
+
+def reference_victim(self, replica: _Replica) -> _Running | None:
+    """The batch scanned from the newest resident for a best-effort one."""
+    running = replica.running
+    for position in range(len(running) - 1, -1, -1):
+        if not running[position].request.interactive:
+            return running[position]
+    return None
+
+
+def assert_matches_reference(run) -> ContinuousReport:
+    """``run()`` under the tick loop equals ``run()`` under the reference
+    loop, record for record and counter for counter."""
+    actual = run()
+    with mock.patch.object(_DecodeRun, "retire", reference_retire), mock.patch.object(
+        _DecodeRun, "victim", reference_victim
+    ):
+        expected = run()
+    assert repr(actual.completed) == repr(expected.completed)
+    assert (
+        actual.iterations,
+        actual.preemptions,
+        actual.shed,
+        actual.migrations,
+        actual.faults.requeued,
+        actual.faults.lost_tokens,
+    ) == (
+        expected.iterations,
+        expected.preemptions,
+        expected.shed,
+        expected.migrations,
+        expected.faults.requeued,
+        expected.faults.lost_tokens,
+    )
+    return actual
+
+
+@pytest.fixture(scope="module")
+def shared_cache(small_cost_model, fast_constraints):
+    store = PlanCache(
+        compiler_factory=lambda chip, constraints: T10Compiler(
+            chip, cost_model=small_cost_model, constraints=constraints
+        ),
+    )
+    yield store
+    store.close()
+
+
+def mixed_workload(model: DecodeModel, unit: float, *, num_requests, load, seed, interactive):
+    """A preemption-heavy interactive/best-effort stream whose prompts span
+    several ``prefill_chunk`` iterations."""
+    return decode_workload(
+        "tiny",
+        num_requests=num_requests,
+        rate=load * model.max_batch_size / (12 * unit),
+        seed=seed,
+        prompt_tokens=(4, 48),
+        output_tokens=(1, 16),
+        interactive_fraction=interactive,
+        slo_seconds=lambda prompt, output: 4 * model.ideal_iterations(prompt, output) * unit,
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    num_chips=st.integers(1, 3),
+    num_stages=st.integers(1, 2),
+    max_batch=st.sampled_from([1, 2, 4]),
+    prefill_chunk=st.sampled_from([4, 8, 16]),
+    num_requests=st.integers(1, 30),
+    load=st.floats(0.5, 4.0),
+    seed=st.integers(0, 10_000),
+    interactive=st.sampled_from([0.3, 0.5, 0.7]),
+    death=st.one_of(st.none(), st.floats(0.1, 0.9)),
+)
+def test_continuous_loop_matches_reference(
+    num_chips,
+    num_stages,
+    max_batch,
+    prefill_chunk,
+    num_requests,
+    load,
+    seed,
+    interactive,
+    death,
+    shared_cache,
+    small_chip,
+    fast_constraints,
+):
+    """ContinuousEngine, sharded or not, with or without a chip death (and
+    its restart) mid-run, replays identically under the reference loop."""
+    assume(num_chips >= num_stages)
+    model = DecodeModel(
+        name="tiny",
+        decode_builder=tiny_decode_builder,
+        max_batch_size=max_batch,
+        num_stages=num_stages,
+        prefill_chunk=prefill_chunk,
+    )
+    engine = ContinuousEngine(
+        model,
+        chip=small_chip,
+        constraints=fast_constraints,
+        plan_cache=shared_cache,
+        num_chips=num_chips,
+    )
+    unit = engine.iteration_latency(1)
+    workload = mixed_workload(
+        model, unit, num_requests=num_requests, load=load, seed=seed, interactive=interactive
+    )
+    faults = FaultSchedule()
+    if death is not None:
+        span = workload[-1].arrival_time + 10 * unit
+        faults = FaultSchedule.of(
+            [
+                link_degradation(0.0, death * span, 3.0),
+                chip_death(death * span, 0),
+                restart(death * span + 5 * unit, 0, cold_cache=False, warmup_delay=unit),
+            ]
+        )
+    report = assert_matches_reference(
+        lambda: engine.run(workload, faults=faults, watchdog=Watchdog(detection_delay=unit))
+    )
+    assert check_report(report, workload) == []
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    num_chips=st.integers(1, 2),
+    max_batch=st.sampled_from([1, 2, 4]),
+    num_requests=st.integers(1, 30),
+    load=st.floats(0.5, 4.0),
+    seed=st.integers(0, 10_000),
+)
+def test_static_loop_matches_reference(
+    num_chips, max_batch, num_requests, load, seed, shared_cache, small_chip, fast_constraints
+):
+    """StaticEngine batches retire member by member on their own ticks."""
+    model = make_model(max_batch_size=max_batch, prefill_chunk=8)
+    engine = StaticEngine(
+        model,
+        chip=small_chip,
+        constraints=fast_constraints,
+        plan_cache=shared_cache,
+        num_chips=num_chips,
+    )
+    workload = mixed_workload(
+        model,
+        engine.iteration_latency(1),
+        num_requests=num_requests,
+        load=load,
+        seed=seed,
+        interactive=0.5,
+    )
+    report = assert_matches_reference(lambda: engine.run(workload))
+    assert check_report(report, workload) == []
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    max_batch=st.sampled_from([1, 2, 4]),
+    num_requests=st.integers(1, 30),
+    load=st.floats(0.5, 4.0),
+    seed=st.integers(0, 10_000),
+    interactive=st.sampled_from([0.3, 0.5, 0.7]),
+    death=st.floats(0.1, 0.9),
+    victim=st.integers(0, 2),
+)
+def test_fleet_loop_matches_reference(
+    max_batch,
+    num_requests,
+    load,
+    seed,
+    interactive,
+    death,
+    victim,
+    shared_cache,
+    small_chip,
+    fast_constraints,
+):
+    """FleetEngine over three chips, through a link window, a chip death
+    and its restart, replays identically under the reference loop."""
+    model = make_model(max_batch_size=max_batch, prefill_chunk=8)
+    engine = FleetEngine(
+        [model],
+        chip=small_chip,
+        constraints=fast_constraints,
+        plan_cache=shared_cache,
+        num_chips=3,
+    )
+    unit = engine.iteration_latency("tiny")
+    workload = mixed_workload(
+        model, unit, num_requests=num_requests, load=load, seed=seed, interactive=interactive
+    )
+    span = workload[-1].arrival_time + 10 * unit
+    faults = FaultSchedule.of(
+        [
+            link_degradation(0.0, death * span, 2.0),
+            chip_death(death * span, victim),
+            restart(death * span + 5 * unit, victim, cold_cache=False, warmup_delay=unit),
+        ]
+    )
+    report = assert_matches_reference(
+        lambda: engine.run(workload, faults=faults, watchdog=Watchdog(detection_delay=unit))
+    )
+    assert check_report(report, workload) == []
+
+
+class TestIterationTicks:
+    """A request's progress is counted in its replica's iteration ticks and
+    caught up only when it leaves the batch; these pin that bookkeeping's
+    edges."""
+
+    @pytest.mark.parametrize("prompt, iterations", [(16, 1), (40, 3)])
+    def test_single_token_request_finishes_on_its_first_token_tick(
+        self, cache, small_chip, fast_constraints, prompt, iterations
+    ):
+        engine = make_engine(cache, small_chip, fast_constraints, model=make_model(prefill_chunk=16))
+        unit = engine.iteration_latency(1)
+        report = engine.run([request(0, 0.0, tokens=1, prompt=prompt)])
+        (record,) = report.completed
+        assert report.iterations == iterations
+        assert record.tokens_generated == 1
+        assert record.first_token_time == record.completion_time
+        assert record.completion_time == pytest.approx(iterations * unit)
+
+    def test_multi_iteration_prefill_beside_a_short_request(
+        self, cache, small_chip, fast_constraints
+    ):
+        """A prompt of three chunks emits token one on its third iteration.
+        A one-chunk request joining after the first retires on that same
+        tick, so one tick carries two events of different requests."""
+        engine = make_engine(cache, small_chip, fast_constraints, model=make_model(prefill_chunk=16))
+        one, two = engine.iteration_latency(1), engine.iteration_latency(2)
+        report = engine.run(
+            [request(0, 0.0, prompt=40, tokens=5), request(1, 0.5 * one, prompt=16, tokens=2)]
+        )
+        long, short = report.completed
+        assert report.iterations == 7
+        assert short.first_token_time == pytest.approx(one + two)
+        assert short.completion_time == pytest.approx(one + 2 * two)
+        assert long.first_token_time == short.completion_time
+        assert long.completion_time == pytest.approx(5 * one + 2 * two)
+        assert long.tokens_generated == 5
+
+    @pytest.mark.parametrize("completed, lost", [(2, 0), (6, 3)])
+    def test_chip_death_mid_iteration_loses_only_completed_iterations(
+        self, cache, small_chip, fast_constraints, completed, lost
+    ):
+        """Four prefill iterations, then decode: a death inside iteration
+        ``completed + 1`` discards the tokens of the ``completed`` finished
+        iterations and nothing of the aborted one."""
+        model = make_model(max_batch_size=1, prefill_chunk=16)
+        engine = make_engine(cache, small_chip, fast_constraints, model=model, num_chips=2)
+        unit = engine.iteration_latency(1)
+        workload = [request(0, 0.0, prompt=64, tokens=10)]
+        report = engine.run(
+            workload,
+            faults=FaultSchedule.of([chip_death((completed + 0.5) * unit, 0)]),
+            watchdog=Watchdog(detection_delay=unit),
+        )
+        (record,) = report.completed
+        assert check_report(report, workload) == []
+        assert record.tokens_generated == 10
+        assert record.requeues == 1
+        assert record.lost_tokens == report.faults.lost_tokens == lost
+        assert report.faults.lost_iterations == 1
+        # The aborted iteration was started (and counted); the request then
+        # re-runs all 13 of its iterations on replica 1 from detection on.
+        assert report.iterations == completed + 1 + 13
+        assert record.replica == 1
+        assert record.completion_time == pytest.approx((completed + 1.5 + 13) * unit)
+
+    @pytest.mark.parametrize("arrival, first_token", [(4.5, 3), (1.5, 6)])
+    def test_preempted_request_resumes_with_exact_progress_on_its_replica(
+        self, cache, small_chip, fast_constraints, arrival, first_token
+    ):
+        """Preempted after five decode-phase ticks (or mid-prefill, after
+        two), a best-effort request resumes on its own replica exactly where
+        it stopped: nothing is redone."""
+        model = make_model(max_batch_size=1, prefill_chunk=8)
+        engine = make_engine(cache, small_chip, fast_constraints, model=model)
+        unit = engine.iteration_latency(1)
+        workload = [
+            request(0, 0.0, prompt=24, tokens=6, slo_class=SLO_BEST_EFFORT),
+            request(1, arrival * unit, prompt=8, tokens=3),
+        ]
+        report = engine.run(workload)
+        resumed, urgent = report.completed
+        assert (report.preemptions, report.migrations) == (1, 0)
+        assert report.iterations == 8 + 3
+        assert resumed.preemptions == 1
+        assert (resumed.requeues, resumed.lost_tokens) == (0, 0)
+        assert resumed.first_token_time == pytest.approx(first_token * unit)
+        assert resumed.completion_time == pytest.approx(11 * unit)
+        assert urgent.completion_time == pytest.approx((math.ceil(arrival) + 3) * unit)
+
+    def test_preempted_request_resumed_elsewhere_restarts(
+        self, cache, small_chip, fast_constraints
+    ):
+        """Preempted on replica 0 with two tokens out, a best-effort request
+        resumes on replica 1, which frees first: it loses both tokens and
+        re-prefills from scratch there."""
+        engine = make_engine(
+            cache, small_chip, fast_constraints,
+            model=make_model(max_batch_size=1), num_chips=2, min_replicas=2,
+        )
+        unit = engine.iteration_latency(1)
+        workload = [
+            request(0, 0.0, tokens=10, slo_class=SLO_BEST_EFFORT),
+            request(1, 0.5 * unit, tokens=2),
+            request(2, 1.7 * unit, tokens=20),
+        ]
+        report = engine.run(workload)
+        migrated = report.completed[0]
+        assert check_report(report, workload) == []
+        assert (report.preemptions, report.migrations) == (1, 1)
+        assert migrated.replica == 1
+        assert (migrated.requeues, migrated.migrations, migrated.lost_tokens) == (1, 1, 2)
+        assert migrated.first_token_time == pytest.approx(3.5 * unit)
+        assert migrated.completion_time == pytest.approx(12.5 * unit)
+        assert migrated.tokens_generated == 10
