@@ -143,8 +143,6 @@ class _Running:
     prefill_remaining: int
     tokens_done: int = 0
     first_token_time: float = float("nan")
-    joined: int = 0
-    """Replica tick at which the request last joined a batch (or synced)."""
     first_tick: int = -1
     """Replica tick whose iteration emits token one (-1: already emitted)."""
     finish_tick: int = 0
@@ -162,19 +160,14 @@ class _Running:
     """Output tokens generated and then discarded across all requeues."""
 
     def sync(self, tick: int) -> None:
-        """Catch the progress fields up to replica tick ``tick``: each
-        iteration since ``joined`` ingested one prefill chunk, the last of
-        which emitted token one, or decoded one more token."""
-        elapsed = tick - self.joined
-        prefill = self.prefill_remaining
-        if elapsed < prefill:
-            self.prefill_remaining = prefill - elapsed
-        elif prefill:
-            self.prefill_remaining = 0
-            self.tokens_done = elapsed - prefill + 1
+        """Catch the progress fields up to tick ``tick`` of the batch being
+        left: one prefill chunk per iteration up to ``first_tick``, then one
+        token per iteration up to ``finish_tick``."""
+        if tick < self.first_tick:
+            self.prefill_remaining = self.first_tick - tick
         else:
-            self.tokens_done += elapsed
-        self.joined = tick
+            self.prefill_remaining = 0
+            self.tokens_done = self.request.max_new_tokens - (self.finish_tick - tick)
 
     def restart(self, prefill_iterations: int) -> None:
         """Discard the decode progress (its KV state is gone): the tokens
@@ -275,7 +268,7 @@ class _Replica:
     def join(self, entry: _Running) -> None:
         """Add ``entry`` to the batch, stamping its first- and last-token
         ticks."""
-        tick = entry.joined = self.tick
+        tick = self.tick
         prefill = entry.prefill_remaining
         if prefill:
             entry.first_tick = due = tick + prefill
@@ -1075,7 +1068,7 @@ class _DecodeRun:
         tick = replica.tick = replica.tick + 1
         if tick < replica.wake:
             return
-        wake = replica.wake = _NEVER
+        wake = _NEVER
         for running in list(replica.running):
             first, finish = running.first_tick, running.finish_tick
             if first == tick:
@@ -1103,7 +1096,7 @@ class _DecodeRun:
             if self.traced:
                 self.engine._trace_done(self.tracer, record, replica, now)
             self.on_retire(record, now)
-        replica.wake = min(replica.wake, wake)
+        replica.wake = wake
 
     def start_idle(self, now: float) -> None:
         """Start an iteration on every active replica that has none."""
