@@ -131,7 +131,8 @@ class DecodeModel:
 
 @dataclass(eq=False)
 class _Running:
-    """Per-request progress while resident in a replica's batch.
+    """A request's progress from its first admission on: in a batch,
+    preempted, or in the requeue carry.
 
     ``prefill_remaining`` and ``tokens_done`` are current only while the
     request is off a batch.  Joining one stamps the replica ticks whose

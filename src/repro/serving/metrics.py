@@ -577,10 +577,10 @@ def check_report(
     id); a served record carries all ``max_new_tokens`` tokens and is
     ordered admitted <= first token <= completed, a shed one carries no
     tokens and a NaN first-token time; chip-seconds are ordered busy <=
-    active <= provisioned (a 1e-9
-    relative slack absorbs the busy-time refunds of aborted iterations); and
-    the per-tenant slices sum to the fleet totals, preemptions and
-    migrations included.  An empty list means the report balances.
+    active <= provisioned (a 1e-9 relative slack absorbs the busy-time
+    refunds of aborted iterations); and the per-tenant slices sum to the
+    fleet totals, preemptions and migrations included.  An empty list means
+    the report balances.
     """
     failures: list[str] = []
     ids = [record.request.request_id for record in report.completed]

@@ -1059,7 +1059,8 @@ class TestIterationTicks:
     def test_single_token_request_finishes_on_its_first_token_tick(
         self, cache, small_chip, fast_constraints, prompt, iterations
     ):
-        engine = make_engine(cache, small_chip, fast_constraints, model=make_model(prefill_chunk=16))
+        model = make_model(prefill_chunk=16)
+        engine = make_engine(cache, small_chip, fast_constraints, model=model)
         unit = engine.iteration_latency(1)
         report = engine.run([request(0, 0.0, tokens=1, prompt=prompt)])
         (record,) = report.completed
@@ -1074,7 +1075,8 @@ class TestIterationTicks:
         """A prompt of three chunks emits token one on its third iteration.
         A one-chunk request joining after the first retires on that same
         tick, so one tick carries two events of different requests."""
-        engine = make_engine(cache, small_chip, fast_constraints, model=make_model(prefill_chunk=16))
+        model = make_model(prefill_chunk=16)
+        engine = make_engine(cache, small_chip, fast_constraints, model=model)
         one, two = engine.iteration_latency(1), engine.iteration_latency(2)
         report = engine.run(
             [request(0, 0.0, prompt=40, tokens=5), request(1, 0.5 * one, prompt=16, tokens=2)]
