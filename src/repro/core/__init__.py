@@ -25,6 +25,7 @@ from repro.core.pareto import ParetoAccumulator, pareto_front
 from repro.core.placement import PlacementPlan
 from repro.core.plan import (
     OperatorPlan,
+    PlanFrontier,
     PlanSketch,
     ShiftOp,
     build_library_plan,
@@ -50,6 +51,7 @@ __all__ = [
     "ParallelCompilationEngine",
     "ParetoAccumulator",
     "PlacementPlan",
+    "PlanFrontier",
     "PlanSketch",
     "RTensorConfig",
     "SearchConstraints",

@@ -25,7 +25,7 @@ from repro.core.cost_model import CostModel
 from repro.core.inter_op import InterOpScheduler, ModelSchedule
 from repro.core.intra_op import IntraOpOptimizer, SearchSpaceStats
 from repro.core.parallel import ParallelCompilationEngine
-from repro.core.plan import OperatorPlan
+from repro.core.plan import OperatorPlan, PlanFrontier
 from repro.hw.memory import OutOfChipMemoryError
 from repro.hw.program import DeviceProgram
 from repro.hw.spec import IPU_MK2, ChipSpec
@@ -63,7 +63,11 @@ class CompiledModel:
     status: str
     program: DeviceProgram | None = None
     schedule: ModelSchedule | None = None
-    pareto_plans: dict[str, list[OperatorPlan]] = field(default_factory=dict)
+    frontiers: dict[str, PlanFrontier] = field(
+        default_factory=dict, repr=False, compare=False
+    )
+    """Per-operator Pareto frontiers as reconciliation read them: sketches,
+    of which only the scheduled members are built (see :attr:`pareto_plans`)."""
     search_stats: dict[str, SearchSpaceStats] = field(default_factory=dict)
     compile_time_seconds: float = 0.0
     error: str = ""
@@ -76,7 +80,18 @@ class CompiledModel:
     evaluated_candidates: int = 0
     """Feasible candidates sketched (the eager search would build them all)."""
     materialized_plans: int = 0
-    """Candidates fully built after SRAM and frontier lower-bound pruning."""
+    """Plans this compile built: the idle and active plans its schedule picks
+    that no earlier compile had built, plus eagerly built library plans."""
+
+    @property
+    def pareto_plans(self) -> dict[str, list[OperatorPlan]]:
+        """Per-operator Pareto plans in graph order, built on first access.
+
+        Operators of one signature share one list.  Building every frontier
+        member costs far more than the compile's schedule-only builds, so
+        the compiler itself never reads this.
+        """
+        return {name: frontier.plans() for name, frontier in self.frontiers.items()}
 
     @property
     def ok(self) -> bool:
@@ -167,24 +182,25 @@ class T10Compiler:
             dispatched_searches=search.dispatched,
             sketched_candidates=search.sketched_candidates,
             evaluated_candidates=search.evaluated_candidates,
-            materialized_plans=search.materialized_plans,
         )
         if not search.ok:
             return CompiledModel(
                 graph=graph,
                 chip=self.chip,
                 status="oom",
-                pareto_plans=search.pareto,
+                frontiers=search.frontiers,
                 search_stats=search.stats,
                 compile_time_seconds=time.perf_counter() - start,
                 error=search.error or "",
+                materialized_plans=search.materialized_plans,
                 **accounting,
             )
         try:
             with tracer.wall_span(
                 "reconcile", track="compiler/graph", cat="compile", graph=graph.name
-            ):
-                schedule = self.inter_op.reconcile(search.pareto)
+            ) as span:
+                schedule = self.inter_op.reconcile(search.frontiers)
+                span.set(materialized=schedule.materialized_plans)
             with tracer.wall_span(
                 "codegen", track="compiler/graph", cat="compile", graph=graph.name
             ):
@@ -194,10 +210,11 @@ class T10Compiler:
                 graph=graph,
                 chip=self.chip,
                 status="oom",
-                pareto_plans=search.pareto,
+                frontiers=search.frontiers,
                 search_stats=search.stats,
                 compile_time_seconds=time.perf_counter() - start,
                 error=str(error),
+                materialized_plans=search.materialized_plans,
                 **accounting,
             )
         elapsed = time.perf_counter() - start
@@ -207,9 +224,10 @@ class T10Compiler:
             status="ok",
             program=program,
             schedule=schedule,
-            pareto_plans=search.pareto,
+            frontiers=search.frontiers,
             search_stats=search.stats,
             compile_time_seconds=elapsed,
+            materialized_plans=search.materialized_plans + schedule.materialized_plans,
             **accounting,
         )
 

@@ -20,6 +20,13 @@ memory and time once, and prices the setup time of each (idle, active) plan
 pair at most once per reconcile, the first time the search needs it.  The
 pass therefore costs at most ``sum(|frontier|^2)`` cost-model calls, however
 many steps it takes.
+
+The search reads only four things of a frontier member: ``memory_bytes``,
+``time_est``, ``idle_bytes`` and ``setup_bytes_from``.  A compile's frontiers
+(:class:`~repro.core.plan.PlanFrontier`) hold priced sketches that answer
+them with the built plans' values, so the search runs on sketches, and only
+the idle and active plan chosen per group is built, when the schedule is
+assembled.
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from repro.core.cost_model import CostModel
-from repro.core.plan import OperatorPlan
+from repro.core.plan import OperatorPlan, PlanFrontier
 from repro.hw.memory import OutOfChipMemoryError
 from repro.hw.spec import ChipSpec
 
@@ -54,6 +61,8 @@ class ModelSchedule:
     est_total_time: float
     search_history: list[tuple[int, float]] = field(default_factory=list)
     """(idle memory per core, estimated end-to-end time) at every search step."""
+    materialized_plans: int = field(default=0, compare=False)
+    """Plans the reconcile built: picked frontier members not built before."""
 
     @property
     def est_setup_time(self) -> float:
@@ -70,15 +79,16 @@ class ModelSchedule:
 class _OpGroup:
     """Operators that share one Pareto frontier (identical signature).
 
-    The search compares the same few per-plan quantities on every step, so
+    The search compares the same few per-member quantities on every step, so
     they are read off the frontier once.  ``setup_times[i]``, once filled,
-    holds the setup time of activating every frontier plan from idle plan
-    ``i``; rows are priced the first time the search looks at idle index
-    ``i``, so each (idle, active) pair is priced at most once per reconcile.
+    holds the setup time of activating every frontier member from idle
+    member ``i``; rows are priced the first time the search looks at idle
+    index ``i``, so each (idle, active) pair is priced at most once per
+    reconcile.
     """
 
     names: list[str]
-    frontier: list[OperatorPlan]
+    frontier: PlanFrontier
     idle_index: int = 0
     idle_bytes: list[int] = field(init=False)
     memory_bytes: list[int] = field(init=False)
@@ -86,18 +96,15 @@ class _OpGroup:
     setup_times: list[list[float] | None] = field(init=False)
 
     def __post_init__(self) -> None:
-        self.idle_bytes = [plan.idle_bytes for plan in self.frontier]
-        self.memory_bytes = [plan.memory_bytes for plan in self.frontier]
-        self.time_est = [plan.time_est for plan in self.frontier]
-        self.setup_times = [None] * len(self.frontier)
+        members = self.frontier.members
+        self.idle_bytes = [member.idle_bytes for member in members]
+        self.memory_bytes = [member.memory_bytes for member in members]
+        self.time_est = [member.time_est for member in members]
+        self.setup_times = [None] * len(members)
 
     @property
     def count(self) -> int:
         return len(self.names)
-
-    @property
-    def idle_plan(self) -> OperatorPlan:
-        return self.frontier[self.idle_index]
 
 
 class InterOpScheduler:
@@ -112,12 +119,13 @@ class InterOpScheduler:
 
     # ------------------------------------------------------------------ #
     def reconcile(
-        self, pareto_plans: Mapping[str, Sequence[OperatorPlan]]
+        self, pareto_plans: Mapping[str, PlanFrontier | Sequence[OperatorPlan]]
     ) -> ModelSchedule:
         """Choose idle/active plans for every operator of a model.
 
         ``pareto_plans`` maps operator names to their Pareto frontier sorted
-        by increasing memory footprint.  Raises
+        by increasing memory footprint: a :class:`PlanFrontier`, whose
+        chosen members are built here, or a sequence of built plans.  Raises
         :class:`~repro.hw.memory.OutOfChipMemoryError` if even the most
         memory-efficient configuration cannot fit on the chip.
         """
@@ -157,20 +165,21 @@ class InterOpScheduler:
     # ------------------------------------------------------------------ #
     @staticmethod
     def _group_operators(
-        pareto_plans: Mapping[str, Sequence[OperatorPlan]]
+        pareto_plans: Mapping[str, PlanFrontier | Sequence[OperatorPlan]]
     ) -> list[_OpGroup]:
         groups: dict[int, _OpGroup] = {}
         for name, frontier in pareto_plans.items():
-            frontier_list = list(frontier)
-            if not frontier_list:
+            if not len(frontier):
                 raise ValueError(f"operator {name!r} has no feasible plan")
             # Frontiers are cached per operator signature, so identical
-            # operators share the same list object; group them by identity.
+            # operators share the same frontier object; group them by identity.
             key = id(frontier)
             if key in groups:
                 groups[key].names.append(name)
+            elif isinstance(frontier, PlanFrontier):
+                groups[key] = _OpGroup(names=[name], frontier=frontier)
             else:
-                groups[key] = _OpGroup(names=[name], frontier=frontier_list)
+                groups[key] = _OpGroup(names=[name], frontier=PlanFrontier(frontier))
         return list(groups.values())
 
     @staticmethod
@@ -181,10 +190,11 @@ class InterOpScheduler:
         """Setup time of every frontier plan activated from idle plan ``idle``."""
         row = group.setup_times[idle]
         if row is None:
-            idle_plan = group.frontier[idle]
+            members = group.frontier.members
+            idle_member = members[idle]
             row = [
-                self.cost_model.setup_time(plan.setup_bytes_from(idle_plan))
-                for plan in group.frontier
+                self.cost_model.setup_time(member.setup_bytes_from(idle_member))
+                for member in members
             ]
             group.setup_times[idle] = row
         return row
@@ -263,17 +273,20 @@ class InterOpScheduler:
     def _build_schedule(
         self, groups: Sequence[_OpGroup], history: list[tuple[int, float]]
     ) -> ModelSchedule:
+        """Build the chosen idle and active plan of every group, and only those."""
         idle_total = self._idle_total(groups)
         per_op: dict[str, OperatorSchedule] = {}
         total_time = 0.0
+        built = 0
         for group in groups:
-            idle_plan = group.idle_plan
             active_index = self._select_active(group, idle_total)
             if active_index is None:
                 raise OutOfChipMemoryError(
                     idle_total, self.chip.sram_per_core, group.names[0]
                 )
-            active = group.frontier[active_index]
+            idle_plan, idle_built = group.frontier.build(group.idle_index)
+            active, active_built = group.frontier.build(active_index)
+            built += idle_built + active_built
             setup_bytes = active.setup_bytes_from(idle_plan)
             setup_time = self._setup_row(group, group.idle_index)[active_index]
             for name in group.names:
@@ -291,4 +304,5 @@ class InterOpScheduler:
             idle_memory_per_core=idle_total,
             est_total_time=total_time,
             search_history=history,
+            materialized_plans=built,
         )

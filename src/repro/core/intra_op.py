@@ -1,4 +1,4 @@
-"""Intra-operator plan search: sketch, prune, materialize, keep the Pareto set.
+"""Intra-operator plan search: sketch, prune, keep the Pareto set as sketches.
 
 This is the first stage of T10's two-level optimisation (paper §4.3.1).  For
 one operator it:
@@ -16,10 +16,14 @@ one operator it:
    pairs (:class:`repro.core.pareto.ParetoAccumulator`) — a candidate's
    priced bound is its plan's ``time_est`` bit for bit and its memory is
    exact, so this is the plan frontier — and
-4. **materializes** a full :class:`~repro.core.plan.OperatorPlan` (rTensors,
-   shift schedule, communication cost) only for the final frontier members,
-   each re-sketched first by the scalar :func:`~repro.core.plan.sketch_plan`
-   and checked against its block values.
+4. **verifies** the final frontier members: each is re-sketched by the
+   scalar :func:`~repro.core.plan.sketch_plan`, priced, and checked
+   against its block values.  The frontier is returned as these sketches
+   (:class:`~repro.core.plan.PlanFrontier`).  A sketch carries everything
+   memory reconciliation reads, so a compile builds a full
+   :class:`~repro.core.plan.OperatorPlan` (rTensors, shift schedule) only
+   for the idle and active plans its schedule picks.  Library-fallback
+   operators still build their one plan eagerly.
 
 The search holds one block of candidates plus the frontier in memory and
 produces a frontier bit-for-bit identical to the eager implementation it
@@ -27,7 +31,7 @@ replaced (kept as :meth:`IntraOpOptimizer.search_reference`, the executable
 specification the determinism tests compare against).
 
 Results are cached per operator signature: identical operators (the repeated
-layers of a transformer, say) are searched once.
+layers of a transformer, say) are searched once and share one frontier.
 """
 
 from __future__ import annotations
@@ -50,6 +54,8 @@ from repro.core.plan import (
     FopCandidates,
     FopGeometry,
     OperatorPlan,
+    PlanFrontier,
+    PlanSketch,
     build_library_plan,
     build_plan,
     fop_geometry,
@@ -78,9 +84,13 @@ class SearchSpaceStats:
 
     ``sketched`` counts every ``(F_op, temporal)`` combination examined,
     ``evaluated`` the feasible candidates among them, ``filtered`` the ones
-    that also fit a core's SRAM, ``materialized`` the candidates that were
-    fully built (rTensors + shift schedule) — the final frontier only, or
-    the one library plan — and ``optimized`` the Pareto frontier.
+    that also fit a core's SRAM, ``materialized`` the candidates made ready
+    to build — the final frontier members, each re-sketched, priced and
+    verified but built only when a schedule picks it or a caller asks for
+    the plans, or the one eagerly built library plan — and ``optimized``
+    the Pareto frontier.  :attr:`CompiledModel.materialized_plans
+    <repro.core.compiler.CompiledModel.materialized_plans>` counts the plans
+    a compile actually built.
     ``truncated`` is set when the ``max_plans`` constraint cut off a
     further feasible candidate (not when the space held exactly
     ``max_plans`` of them).
@@ -140,7 +150,7 @@ class IntraOpOptimizer:
         # cache shares one optimizer across serving threads) never observe a
         # half-written result.  Duplicate concurrent searches of one
         # signature are wasted but harmless — the search is deterministic.
-        self._cache: dict[tuple, tuple[list[OperatorPlan], SearchSpaceStats]] = {}
+        self._cache: dict[tuple, tuple[PlanFrontier, SearchSpaceStats]] = {}
 
     # ------------------------------------------------------------------ #
     # Public API
@@ -162,29 +172,40 @@ class IntraOpOptimizer:
         """Frontier and stats of ``operator`` without raising on infeasibility.
 
         An infeasible operator yields an empty frontier; callers that need the
-        serial error behaviour (``pareto_plans``) raise on it themselves.  This
-        is the entry point the parallel engine's workers use.
+        serial error behaviour (``pareto_plans``) raise on it themselves.
+        Builds every frontier plan not built yet; the compiler reads
+        :meth:`search_frontier` instead and builds only what it picks.
         """
-        signature = operator.signature()
-        cached = self._cache.get(signature)
+        frontier, stats = self.search_frontier(operator)
+        return frontier.plans(), stats
+
+    def search_frontier(self, operator: Operator) -> tuple[PlanFrontier, SearchSpaceStats]:
+        """Frontier of ``operator`` as sketches, and its stats (cached).
+
+        Operators of one signature share the returned frontier object.
+        """
+        cached = self._cache.get(operator.signature())
         if cached is None:
             cached = self._search(operator)
         return cached
 
-    def peek(
-        self, signature: tuple
-    ) -> tuple[list[OperatorPlan], SearchSpaceStats] | None:
+    def peek(self, signature: tuple) -> tuple[PlanFrontier, SearchSpaceStats] | None:
         """Cached search result for ``signature``, or ``None`` if not searched."""
         return self._cache.get(signature)
 
     def seed(
         self,
-        signature: tuple,
-        plans: list[OperatorPlan],
+        operator: Operator,
+        members: list[PlanSketch | OperatorPlan],
         stats: SearchSpaceStats,
     ) -> None:
-        """Install an externally computed search result (parallel engine merge)."""
-        self._cache[signature] = (plans, stats)
+        """Install frontier members searched elsewhere (parallel engine merge)."""
+        self._cache[operator.signature()] = (self._frontier(operator, members), stats)
+
+    def _frontier(
+        self, operator: Operator, members: list[PlanSketch | OperatorPlan]
+    ) -> PlanFrontier:
+        return PlanFrontier(members, operator.expr, self.chip, self.cost_model)
 
     def enumerate_plans(self, operator: Operator) -> list[OperatorPlan]:
         """All costed candidate plans (used by the plan-space studies)."""
@@ -203,9 +224,7 @@ class IntraOpOptimizer:
     # ------------------------------------------------------------------ #
     # Streaming search
     # ------------------------------------------------------------------ #
-    def _search(
-        self, operator: Operator
-    ) -> tuple[list[OperatorPlan], SearchSpaceStats]:
+    def _search(self, operator: Operator) -> tuple[PlanFrontier, SearchSpaceStats]:
         signature = operator.signature()
         # One wall-domain span per fresh search (signature-cache misses only).
         # Worker *processes* see the disabled ambient tracer, so process-pool
@@ -219,8 +238,7 @@ class IntraOpOptimizer:
             op=operator.name,
             op_type=operator.expr.op_type,
         ) as span:
-            result = self._stream_search(operator)
-            stats = result[1]
+            members, stats = self._stream_search(operator)
             span.set(
                 sketched=stats.sketched,
                 evaluated=stats.evaluated,
@@ -229,12 +247,12 @@ class IntraOpOptimizer:
                 optimized=stats.optimized,
                 truncated=stats.truncated,
             )
-        self._cache[signature] = result
+        result = self._cache[signature] = (self._frontier(operator, members), stats)
         return result
 
     def _stream_search(
         self, operator: Operator
-    ) -> tuple[list[OperatorPlan], SearchSpaceStats]:
+    ) -> tuple[list[PlanSketch | OperatorPlan], SearchSpaceStats]:
         expr = operator.expr
         sram = self.chip.sram_per_core
         sketched = evaluated = fitting = 0
@@ -306,9 +324,7 @@ class IntraOpOptimizer:
                         expr, chain.from_iterable(runs)
                     )
                 )
-            frontier = [
-                self._materialize(expr, *candidate) for candidate in accumulator.items()
-            ]
+            frontier = [self._verified(expr, *candidate) for candidate in accumulator.items()]
             materialized = len(frontier)
 
         stats = SearchSpaceStats(
@@ -322,7 +338,7 @@ class IntraOpOptimizer:
         )
         return frontier, stats
 
-    def _materialize(
+    def _verified(
         self,
         expr,
         memory: int,
@@ -330,8 +346,8 @@ class IntraOpOptimizer:
         fop: dict[str, int],
         geometry: FopGeometry,
         temporal: dict[str, int],
-    ) -> OperatorPlan:
-        """Re-sketch one frontier member with :func:`sketch_plan` and build it.
+    ) -> PlanSketch:
+        """Re-sketch one frontier member with :func:`sketch_plan` and price it.
 
         Raises :class:`RuntimeError` when the scalar sketch disagrees with
         the block's feasibility, memory or priced bound: the frontier was
@@ -340,12 +356,10 @@ class IntraOpOptimizer:
         sketch = sketch_plan(expr, self.chip, fop, temporal, geometry)
         if sketch is None:
             raise RuntimeError("block sketch accepted a candidate sketch_plan rejects")
-        sketch.compute_time = sketch.num_steps * self.cost_model.compute_time(
-            expr.op_type, sketch.subtask_shape, sketch.flops_per_step, sketch.bytes_per_step
-        )
-        if sketch.memory_bytes != memory or sketch.time_lower_bound(self.cost_model) != bound:
+        sketch.price(expr.op_type, self.cost_model)
+        if sketch.memory_bytes != memory or sketch.time_est != bound:
             raise RuntimeError("block sketch diverged from sketch_plan")
-        return sketch.materialize(expr, self.chip, self.cost_model)
+        return sketch
 
     # ------------------------------------------------------------------ #
     # Reference (eager) search — the executable specification
@@ -366,8 +380,8 @@ class IntraOpOptimizer:
         search-space accounting; results are deliberately not cached.  It
         also keeps :meth:`~repro.core.plan.PlanSketch.materialize`'s sketch
         consistency checks running on *every* feasible candidate (through
-        :func:`~repro.core.plan.build_plan`), where the streaming search runs
-        them on frontier members only.
+        :func:`~repro.core.plan.build_plan`), where a compile runs them only on
+        the plans its schedule picks.
         """
         expr = operator.expr
         sketched = 0

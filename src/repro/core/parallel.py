@@ -40,7 +40,7 @@ from repro.core.intra_op import (
     SearchSpaceStats,
     infeasible_plan_error,
 )
-from repro.core.plan import OperatorPlan
+from repro.core.plan import OperatorPlan, PlanFrontier, PlanSketch
 from repro.hw.memory import OutOfChipMemoryError
 from repro.hw.spec import ChipSpec
 from repro.ir.graph import OperatorGraph
@@ -141,20 +141,21 @@ def _init_worker(
 
 def _search_task(
     operator: Operator,
-) -> tuple[tuple, list[OperatorPlan], SearchSpaceStats | None, str | None]:
+) -> tuple[list[PlanSketch | OperatorPlan], SearchSpaceStats | None, str | None]:
     """Search one operator in a worker process.
 
-    Returns ``(signature, plans, stats, error)``; search failures that the
-    serial compiler treats as an OOM diagnosis travel back as the error
-    string instead of crossing the process boundary as exceptions.
+    Returns ``(members, stats, error)``: the frontier's members travel back
+    as sketches, unbuilt (library-fallback plans excepted), and the parent
+    builds the ones its schedule picks.  Search failures that the serial
+    compiler treats as an OOM diagnosis travel back as the error string
+    instead of crossing the process boundary as exceptions.
     """
     assert _WORKER_OPTIMIZER is not None, "worker pool not initialised"
-    signature = operator.signature()
     try:
-        plans, stats = _WORKER_OPTIMIZER.search_results(operator)
+        frontier, stats = _WORKER_OPTIMIZER.search_frontier(operator)
     except (OutOfChipMemoryError, ValueError) as error:
-        return signature, [], None, str(error)
-    return signature, plans, stats, None
+        return [], None, str(error)
+    return list(frontier.members), stats, None
 
 
 # --------------------------------------------------------------------------- #
@@ -164,13 +165,14 @@ def _search_task(
 class GraphSearchResult:
     """Outcome of searching every operator of one graph.
 
-    ``pareto``/``stats`` are keyed by operator name in graph order.  When an
-    operator admits no feasible plan (or the search itself diagnoses an OOM),
-    the dicts stop just before that operator — exactly the partial state a
-    serial compile leaves behind — and ``failed_op``/``error`` describe it.
+    ``frontiers``/``stats`` are keyed by operator name in graph order.  When
+    an operator admits no feasible plan (or the search itself diagnoses an
+    OOM), the dicts stop just before that operator — exactly the partial
+    state a serial compile leaves behind — and ``failed_op``/``error``
+    describe it.  Operators of one signature share one frontier object.
     """
 
-    pareto: dict[str, list[OperatorPlan]] = field(default_factory=dict)
+    frontiers: dict[str, PlanFrontier] = field(default_factory=dict)
     stats: dict[str, SearchSpaceStats] = field(default_factory=dict)
     failed_op: str | None = None
     error: str | None = None
@@ -183,12 +185,18 @@ class GraphSearchResult:
     """Feasible candidates across the dispatched searches (what the eager
     search would have materialized)."""
     materialized_plans: int = 0
-    """Full ``build_plan`` materializations across the dispatched searches."""
+    """Plans the dispatched searches built: the eagerly built library plans
+    (every other frontier member stays a sketch until it is picked)."""
 
     @property
     def ok(self) -> bool:
         """Whether every operator produced a feasible frontier."""
         return self.error is None
+
+    @property
+    def pareto(self) -> dict[str, list[OperatorPlan]]:
+        """The frontiers' plans, built on access (one list per frontier)."""
+        return {name: frontier.plans() for name, frontier in self.frontiers.items()}
 
 
 class ParallelCompilationEngine:
@@ -348,19 +356,19 @@ class ParallelCompilationEngine:
                 cached = intra_op.peek(signature)
                 if cached is None:
                     try:
-                        cached = intra_op.search_results(operator)
+                        cached = intra_op.search_frontier(operator)
                     except (OutOfChipMemoryError, ValueError) as exc:
                         result.failed_op = operator.name
                         result.error = str(exc)
                         return result
-                plans, stats = cached
-                if not plans:
+                frontier, stats = cached
+                if not len(frontier):
                     result.failed_op = operator.name
                     result.error = str(
                         infeasible_plan_error(operator.name, self.chip.name)
                     )
                     return result
-                result.pareto[operator.name] = plans
+                result.frontiers[operator.name] = frontier
                 result.stats[operator.name] = stats
             return result
         finally:
@@ -369,14 +377,15 @@ class ParallelCompilationEngine:
             # including failed compiles, reports the work actually done
             # (inline merge searches included).  A signature an early error
             # left unsearched has no cache entry and contributes nothing.
-            for signature in pending:
+            for signature, operator in pending.items():
                 cached = intra_op.peek(signature)
                 if cached is None:
                     continue
                 _, stats = cached
                 result.sketched_candidates += stats.sketched
                 result.evaluated_candidates += stats.evaluated
-                result.materialized_plans += stats.materialized
+                if operator.expr.library_fallback:
+                    result.materialized_plans += stats.materialized
 
     # ------------------------------------------------------------------ #
     def _search_inline(
@@ -387,7 +396,7 @@ class ParallelCompilationEngine:
     ) -> None:
         for signature, operator in pending.items():
             try:
-                intra_op.search_results(operator)
+                intra_op.search_frontier(operator)
             except (OutOfChipMemoryError, ValueError) as error:
                 # Stop at the first failure like the serial compiler did:
                 # the merge discards everything after it anyway.
@@ -410,21 +419,23 @@ class ParallelCompilationEngine:
             futures = [
                 pool.submit(_search_task, operator) for operator in pending.values()
             ]
-            for index, future in enumerate(futures):
-                signature, plans, stats, error = future.result()
+            for index, ((signature, operator), future) in enumerate(
+                zip(pending.items(), futures)
+            ):
+                members, stats, error = future.result()
                 if error is not None:
                     errors[signature] = error
                     for queued in futures[index + 1 :]:
                         queued.cancel()
                     return
                 assert stats is not None
-                intra_op.seed(signature, plans, stats)
+                intra_op.seed(operator, members, stats)
         else:
             # Threads write straight into the shared optimizer cache; each
             # completed search is published as one atomic dict assignment.
             def task(operator: Operator) -> None:
                 try:
-                    intra_op.search_results(operator)
+                    intra_op.search_frontier(operator)
                 except (OutOfChipMemoryError, ValueError) as error:
                     errors[operator.signature()] = str(error)
 

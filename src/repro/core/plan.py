@@ -13,7 +13,7 @@ inter-operator scheduler later picks an (idle, active) pair per operator.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Mapping, NamedTuple, Sequence, TypeVar
 
 import numpy as np
@@ -120,11 +120,10 @@ class OperatorPlan:
         growth counts.  Activations are laid out by their producer operator
         (or an explicit inter-operator transition), not by the setup phase.
         """
-        mine = self._weight_partition_bytes
-        if idle is None:
-            return sum(mine.values())
-        theirs = idle._weight_partition_bytes
-        return sum(max(0, size - theirs.get(name, 0)) for name, size in mine.items())
+        return _setup_bytes(
+            self._weight_partition_bytes,
+            None if idle is None else idle._weight_partition_bytes,
+        )
 
     def describe(self) -> str:
         """Compact human-readable plan summary (used by the examples)."""
@@ -134,6 +133,18 @@ class OperatorPlan:
             f"{self.num_steps} steps, {self.memory_bytes / 1024:.1f} KiB/core, "
             f"est {self.time_est * 1e6:.1f} us ({self.comm_fraction_est:.0%} shift)"
         )
+
+
+def _setup_bytes(active: Mapping[str, int], idle: Mapping[str, int] | None) -> int:
+    """Per-core setup bytes from per-weight partition bytes (active, idle).
+
+    The one formula behind :meth:`OperatorPlan.setup_bytes_from` and
+    :meth:`PlanSketch.setup_bytes_from`: every weight the idle layout holds
+    less of than the active one grows by the difference.
+    """
+    if idle is None:
+        return sum(active.values())
+    return sum(max(0, size - idle.get(name, 0)) for name, size in active.items())
 
 
 # --------------------------------------------------------------------------- #
@@ -150,8 +161,14 @@ class PlanSketch:
     from divisor arithmetic, without deriving rTensor configurations or a
     shift schedule.  The search computes the same values for whole blocks of
     candidates (:func:`sketch_block`); :func:`sketch_plan` is the one-candidate
-    specification it is checked against.  Only the members of the final
-    Pareto frontier pay :meth:`materialize`, which builds the full
+    specification it is checked against.
+
+    The final Pareto frontier is kept as sketches (:class:`PlanFrontier`).
+    Once priced (:meth:`price`), a sketch answers everything memory
+    reconciliation asks of a frontier member — ``memory_bytes``,
+    ``time_est``, ``idle_bytes`` and :meth:`setup_bytes_from` — with the
+    values the built plan would give, bit for bit.  Only the members a
+    schedule picks pay :meth:`materialize`, which builds the full
     (bit-identical to :func:`build_plan`) :class:`OperatorPlan`.
 
     ``compute_time`` is filled in by whoever prices the sketch; together with
@@ -169,6 +186,9 @@ class PlanSketch:
     subtask_shape: dict[str, int]
     flops_per_step: float
     bytes_per_step: int
+    weight_bytes: dict[str, int]
+    """Per-core partition bytes of each weight tensor, in tensor order: the
+    sizes the built plan's setup phase moves (:meth:`setup_bytes_from`)."""
     shift_bound_terms: tuple[tuple[int, int], ...] = ()
     """``(num_shift_steps, bytes_per_step)`` of every shift operation of the
     plan — rotation shifts in tensor order, then the reduction merge — with
@@ -177,6 +197,10 @@ class PlanSketch:
     bit-for-bit, so the sketch's time bound is exact (never optimistic *or*
     pessimistic) and frontier pruning loses no plan the eager search keeps."""
     compute_time: float | None = None
+    comm_time: float | None = None
+    """The built plan's ``comm_time_est``, set by :meth:`price`."""
+    built: OperatorPlan | None = field(default=None, repr=False, compare=False)
+    """The plan :meth:`PlanFrontier.plan` built from this sketch, once built."""
 
     def comm_time_lower_bound(self, cost_model: CostModel) -> float:
         """The materialized plan's communication time (an exact bound)."""
@@ -195,6 +219,31 @@ class PlanSketch:
         assert self.compute_time is not None, "sketch has not been costed yet"
         return self.compute_time + self.comm_time_lower_bound(cost_model)
 
+    def price(self, op_type: str, cost_model: CostModel) -> None:
+        """Set the built plan's compute and communication times."""
+        self.compute_time = self.num_steps * cost_model.compute_time(
+            op_type, self.subtask_shape, self.flops_per_step, self.bytes_per_step
+        )
+        self.comm_time = self.comm_time_lower_bound(cost_model)
+
+    @property
+    def time_est(self) -> float:
+        """The built plan's ``time_est`` (the sketch must be priced)."""
+        assert self.compute_time is not None and self.comm_time is not None, (
+            "sketch has not been priced yet"
+        )
+        return self.compute_time + self.comm_time
+
+    @property
+    def idle_bytes(self) -> int:
+        """The built plan's ``idle_bytes``: its weight partitions."""
+        return sum(self.weight_bytes.values())
+
+    def setup_bytes_from(self, idle: "PlanSketch | None") -> int:
+        """The built plan's setup bytes from ``idle``'s built plan
+        (:meth:`OperatorPlan.setup_bytes_from`)."""
+        return _setup_bytes(self.weight_bytes, None if idle is None else idle.weight_bytes)
+
     def materialize(
         self,
         expr: TensorExpression,
@@ -208,9 +257,12 @@ class PlanSketch:
         same ``(fop, temporal_factors)``.
 
         Raises :class:`RuntimeError` when the built plan's paces, shift
-        pricing or memory diverge from the sketch's: the streaming search
-        builds its frontier from sketches, so any drift would silently
-        change it.  The streaming search materializes frontier members only;
+        pricing, memory or per-weight partition bytes diverge from the
+        sketch's: the streaming search builds its frontier, and
+        reconciliation picks from it, on sketch values, so any drift would
+        silently change either.  A compile materializes only the frontier
+        members its schedule picks (and whatever reads
+        ``CompiledModel.pareto_plans`` builds the rest);
         :meth:`~repro.core.intra_op.IntraOpOptimizer.search_reference` sends
         every feasible candidate through these checks via :func:`build_plan`.
         """
@@ -251,6 +303,13 @@ class PlanSketch:
         memory += chip.shift_buffer_bytes
         if memory != self.memory_bytes:
             raise RuntimeError("sketch memory diverged from the rTensor footprint")
+        weights = {
+            name: config.partition_bytes
+            for name, config in configs.items()
+            if config.spec.role is TensorRole.WEIGHT
+        }
+        if weights != self.weight_bytes:
+            raise RuntimeError("sketch weight partitions diverged from the rTensors")
 
         return OperatorPlan(
             op_type=expr.op_type,
@@ -268,6 +327,72 @@ class PlanSketch:
             memory_bytes=memory,
             dtype_bytes=expr.dtype.bytes,
         )
+
+
+class PlanFrontier:
+    """One operator's Pareto frontier, whose plans are built on demand.
+
+    ``members`` are sorted by increasing memory.  Each is a priced, verified
+    :class:`PlanSketch` — or an :class:`OperatorPlan` where the plan was
+    built eagerly (the library-fallback operators, or a frontier of plans
+    handed to the scheduler directly).  Both kinds answer what memory
+    reconciliation reads with the built plan's values.  :meth:`plan` builds
+    one member the first time it is asked for, through
+    :meth:`PlanSketch.materialize` with the operator's expression, chip and
+    cost model, and memoizes it on the member.
+
+    Building is deterministic, so two threads racing on one member build
+    equal plans; the memo is set with one assignment and either may stay.
+    A pickled frontier carries its built plans instead of the cost model,
+    which need not pickle (custom kernel models are plain callables).
+    """
+
+    def __init__(
+        self,
+        members: Sequence[PlanSketch | OperatorPlan],
+        expr: TensorExpression | None = None,
+        chip: ChipSpec | None = None,
+        cost_model: CostModel | None = None,
+    ) -> None:
+        self.members = tuple(members)
+        self.expr = expr
+        self.chip = chip
+        self.cost_model = cost_model
+        self._plans: list[OperatorPlan] | None = None
+
+    def __len__(self) -> int:
+        return len(self.members)
+
+    def build(self, index: int) -> tuple[OperatorPlan, bool]:
+        """Member ``index``'s plan, and whether this call built it."""
+        member = self.members[index]
+        if isinstance(member, OperatorPlan):
+            return member, False
+        plan = member.built
+        if plan is not None:
+            return plan, False
+        assert self.expr is not None and self.chip is not None and self.cost_model is not None
+        plan = member.materialize(self.expr, self.chip, self.cost_model)
+        member.built = plan
+        return plan, True
+
+    def plan(self, index: int) -> OperatorPlan:
+        """Member ``index``'s plan, built on first request."""
+        return self.build(index)[0]
+
+    def plans(self) -> list[OperatorPlan]:
+        """Every member's plan: one list per frontier, built on first request."""
+        plans = self._plans
+        if plans is None:
+            plans = [self.plan(index) for index in range(len(self.members))]
+            self._plans = plans
+        return plans
+
+    def __getstate__(self) -> dict:
+        return {"members": tuple(self.plans())}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__init__(state["members"])
 
 
 class TensorGeometry(NamedTuple):
@@ -341,6 +466,7 @@ def sketch_plan(
     rotating: list[tuple[str, int, int]] = []  # (axis, rotated dim length, sub-tensor bytes)
     output_sharing = 1
     output_sub_bytes = 0
+    weight_bytes: dict[str, int] = {}
     for spec, sharing, sub_shape, elements in geometry.tensors:
         factor = temporal_factors.get(spec.name, 1)
         if factor > sharing or sharing % factor != 0:
@@ -363,7 +489,10 @@ def sketch_plan(
             pace = max(1, partition_len)
             pace_per_axis[axis] = pace if current is None else min(current, pace)
             rotating.append((axis, sub_shape[dim], sub_bytes))
-        memory += partition_elems * dtype_bytes
+        partition_bytes = partition_elems * dtype_bytes
+        memory += partition_bytes
+        if spec.role is TensorRole.WEIGHT:
+            weight_bytes[spec.name] = partition_bytes
 
     steps_per_axis = {
         axis: max(1, ceil_div(extents[axis], max(pace, 1)))
@@ -428,6 +557,7 @@ def sketch_plan(
         subtask_shape=subtask_shape,
         flops_per_step=expr.flops(subtask_shape),
         bytes_per_step=step_elements * dtype_bytes,
+        weight_bytes=weight_bytes,
         shift_bound_terms=tuple(shift_bound_terms),
     )
 

@@ -12,16 +12,34 @@ schedule picks.  These tests pin that this changes nothing observable:
   search's;
 * a compiled model survives the plan cache's disk tier with equal
   frontiers.
+
+Because a compile builds only the plans its schedule picks, the sketch
+divergence checks of :meth:`PlanSketch.materialize` run on every frontier
+member here instead, together with the check that each priced sketch
+answers reconciliation's questions exactly as its built plan does.
 """
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import pytest
 
-from repro.core import FAST_CONSTRAINTS, CostModel, InterOpScheduler, T10Compiler
+from repro.core import (
+    FAST_CONSTRAINTS,
+    CostModel,
+    InterOpScheduler,
+    IntraOpOptimizer,
+    OperatorPlan,
+    PlanFrontier,
+    PlanSketch,
+    T10Compiler,
+)
 from repro.core.codegen import generate_program
 from repro.experiments.common import build_workload
 from repro.hw.spec import A100_CHIP, IPU_MK2
+from repro.ir import OperatorGraph, matmul
 from repro.models import list_models
 from repro.serving import HIT_DISK, PlanCache
 
@@ -116,3 +134,122 @@ def test_disk_round_trip_keeps_frontiers(tmp_path, ipu_cost_model):
     assert restored.pareto_plans == compiled.pareto_plans
     assert restored.schedule == compiled.schedule
     assert restored.program == compiled.program
+
+
+@pytest.mark.parametrize("model", list_models())
+@pytest.mark.parametrize("chip_name", list(CHIPS))
+def test_every_frontier_member_materializes_as_sketched(chip_name, model, cost_models):
+    """Each member builds through the divergence checks, and its sketch
+    prices memory, time, idle bytes and setup bytes as its plan does."""
+    chip, cost_model = CHIPS[chip_name], cost_models[chip_name]
+    optimizer = IntraOpOptimizer(chip, cost_model, FAST_CONSTRAINTS)
+    seen = set()
+    sketches = 0
+    for operator in build_workload(model, 1, quick=True).operators:
+        if operator.signature() in seen:
+            continue
+        seen.add(operator.signature())
+        frontier, stats = optimizer.search_frontier(operator)
+        assert len(frontier) == stats.optimized == stats.materialized
+        if operator.expr.library_fallback:
+            assert all(isinstance(member, OperatorPlan) for member in frontier.members)
+            continue
+        assert all(isinstance(member, PlanSketch) for member in frontier.members)
+        assert all(member.built is None for member in frontier.members)
+        plans = [
+            member.materialize(operator.expr, chip, cost_model) for member in frontier.members
+        ]
+        for member, plan in zip(frontier.members, plans):
+            assert member.memory_bytes == plan.memory_bytes
+            assert member.time_est == plan.time_est
+            assert member.idle_bytes == plan.idle_bytes
+            assert member.setup_bytes_from(None) == plan.setup_bytes_from(None)
+            for idle_member, idle_plan in zip(frontier.members, plans):
+                assert member.setup_bytes_from(idle_member) == plan.setup_bytes_from(idle_plan)
+        assert frontier.plans() == plans
+        sketches += len(plans)
+    assert sketches > 0
+
+
+def matmul_graph() -> OperatorGraph:
+    graph = OperatorGraph(name="matmuls")
+    for index, (m, k, n) in enumerate([(256, 256, 256), (256, 256, 512), (256, 512, 256)] * 2):
+        graph.add(matmul(f"mm{index}", m=m, k=k, n=n))
+    return graph
+
+
+def test_compile_builds_only_scheduled_plans(ipu_cost_model):
+    compiler = T10Compiler(IPU_MK2, cost_model=ipu_cost_model, constraints=FAST_CONSTRAINTS)
+    graph = matmul_graph()
+    compiled = compiler.compile(graph)
+    assert compiled.ok
+    scheduled = {
+        id(plan)
+        for entry in compiled.schedule.per_op.values()
+        for plan in (entry.idle_plan, entry.active_plan)
+    }
+    members = [
+        member
+        for frontier in {id(f): f for f in compiled.frontiers.values()}.values()
+        for member in frontier.members
+    ]
+    built = [member.built for member in members if member.built is not None]
+    assert {id(plan) for plan in built} == scheduled
+    assert compiled.materialized_plans == compiled.schedule.materialized_plans == len(built)
+    assert len(built) < len(members) == sum(
+        compiled.search_stats[name].optimized for name in ("mm0", "mm1", "mm2")
+    )
+    # A recompile on the warm optimizer picks the same, already built, plans.
+    again = compiler.compile(graph)
+    assert again.materialized_plans == 0
+    assert again.schedule == compiled.schedule
+    # Reading the frontiers builds the rest, once; the scheduled plans are reused.
+    plans = compiled.pareto_plans
+    assert all(member.built is not None for member in members)
+    assert compiled.pareto_plans == plans
+    assert plans["mm0"] is plans["mm3"] is compiled.pareto_plans["mm3"]
+    assert all(
+        plan is member.built
+        for plan, member in zip(plans["mm0"], compiled.frontiers["mm0"].members)
+    )
+
+
+def test_racing_threads_build_equal_plans(ipu_cost_model):
+    """Threads racing on each unbuilt member all get its plan, and the memo
+    keeps one of the racers' equal builds."""
+    operator = matmul("mm", m=512, k=256, n=512)
+    optimizer = IntraOpOptimizer(IPU_MK2, ipu_cost_model, FAST_CONSTRAINTS)
+    frontier, _ = optimizer.search_frontier(operator)
+    expected = [
+        member.materialize(operator.expr, IPU_MK2, ipu_cost_model) for member in frontier.members
+    ]
+    # A fresh frontier over unbuilt copies of the members, raced index by index.
+    fresh = PlanFrontier(
+        [PlanSketch(**{**vars(member), "built": None}) for member in frontier.members],
+        operator.expr,
+        IPU_MK2,
+        ipu_cost_model,
+    )
+    racers = 4  # more threads than the test hosts' cores
+    barrier = threading.Barrier(racers, timeout=30)
+    results: list[list[OperatorPlan]] = [[] for _ in range(racers)]
+
+    def race(slot: int) -> None:
+        for index in range(len(fresh)):
+            barrier.wait()
+            results[slot].append(fresh.plan(index))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=race, args=(slot,)) for slot in range(racers)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert all(result == expected for result in results)
+    assert [member.built for member in fresh.members] == expected
+    assert fresh.plans() == expected
