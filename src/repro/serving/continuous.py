@@ -12,7 +12,9 @@ reproducible.
 
 It also holds the decode-engine core every engine shares: one event loop,
 :class:`_DecodeRun`, over an explicit per-run state object (event heap,
-records and counters, chip-second integrals, the iteration-level admission
+records and counters, the replica lifecycle — one :class:`ReplicaState` per
+replica, changed only through a checked transition table, whose per-state
+counts the chip-second integrals read — the iteration-level admission
 scheduler, the requeue carry and the end-of-run sweep), plus
 :class:`_DecodeEngineBase` (programs and cost tables, request validation,
 tracing) and :class:`_ChipFaults` (the chip and fault state the loop
@@ -36,6 +38,7 @@ batching wins on goodput-under-SLO because head-of-line blocking is gone.
 
 from __future__ import annotations
 
+import enum
 import heapq
 import itertools
 import math
@@ -216,6 +219,31 @@ class _Queues:
             self.bq.append(request)
 
 
+class ReplicaState(enum.IntEnum):
+    """Where a replica is in its lifecycle; ``_DecodeRun.transition`` is the
+    only place it changes.  "Engine structure" in docs/continuous.md gives
+    each state's meaning and what it is charged."""
+
+    UNPROVISIONED = 0
+    BOOTING = 1
+    IDLE = 2
+    ACTIVE = 3
+    DEAD = 4
+
+
+UNPROVISIONED, BOOTING, IDLE, ACTIVE, DEAD = ReplicaState
+
+#: The legal lifecycle transitions, by source state.  Failover leaves DEAD
+#: for whatever the run's ``placed`` hook decides.
+_TRANSITIONS: dict[ReplicaState, frozenset[ReplicaState]] = {
+    UNPROVISIONED: frozenset({BOOTING, IDLE, DEAD}),
+    BOOTING: frozenset({IDLE, UNPROVISIONED, DEAD}),
+    IDLE: frozenset({ACTIVE, UNPROVISIONED, DEAD}),
+    ACTIVE: frozenset({IDLE, DEAD}),
+    DEAD: frozenset({UNPROVISIONED, IDLE, ACTIVE}),
+}
+
+
 @dataclass
 class _Replica:
     """One serving replica: a *(model, chip-group, generation)* binding.
@@ -230,7 +258,8 @@ class _Replica:
     index: int
     model: str = ""
     """Model this replica currently serves (the binding; empty = unbound)."""
-    active: bool = False
+    state: ReplicaState = IDLE
+    """Lifecycle state; set directly only before the run counts states."""
     busy: bool = False
     running: list[_Running] = field(default_factory=list)
     queues: _Queues | None = None
@@ -246,12 +275,13 @@ class _Replica:
     """Steady-state iteration latency of ``model`` on ``chip_class``, indexed
     by batch size (None until first priced, and again whenever either
     changes)."""
-    dead: bool = False
+    ready: float = math.nan
+    """When the replica's latest boot completes (scaler runs only)."""
     epoch: int = 0
     """Bumped on every death and re-placement; in-flight iteration-end events
     carry the epoch they were scheduled under and are dropped when stale."""
-    iter_start: float = 0.0
-    iter_latency: float = 0.0
+    iter_end: float = 0.0
+    """When the iteration in flight (if ``busy``) ends."""
     cache_scope: str = ""
     """Plan-cache namespace of this replica's program store (empty = the
     shared warm namespace; set after a cold restart)."""
@@ -732,14 +762,11 @@ class _ChipFaults:
     @property
     def degraded(self) -> bool:
         """Whether any replica is dead."""
-        return any(replica.dead for replica in self.replicas)
+        return self.run.counts[DEAD] > 0
 
     def sample(self, now: float) -> None:
         """Degraded-mode counter track: fleet health at a glance."""
-        values = {
-            "dead_replicas": sum(1 for replica in self.replicas if replica.dead),
-            "spares": len(self.spares),
-        }
+        values = {"dead_replicas": self.run.counts[DEAD], "spares": len(self.spares)}
         for name in self.engine.fault_counters:
             values[name] = getattr(self.stats, name)
         self.tracer.counter("faults", ts=now, track=self.track, values=values)
@@ -757,7 +784,7 @@ class _ChipFaults:
                 self._instant("link-degraded", now, **self.engine._link_args(payload))
         elif isinstance(payload, _Detect):
             replica = self.replicas[payload.replica]
-            if replica.dead and replica.epoch == payload.epoch:
+            if replica.state is DEAD and replica.epoch == payload.epoch:
                 self.run.detect(replica, now)
         elif isinstance(payload, _ChipOnline):
             self._chip_online(payload, now)
@@ -777,7 +804,7 @@ class _ChipFaults:
                 self.sample(now)
             return
         owner = next(
-            (r for r in self.replicas if chip in r.chips and not r.dead), None
+            (r for r in self.replicas if chip in r.chips and r.state is not DEAD), None
         )
         if owner is None:
             return
@@ -785,15 +812,13 @@ class _ChipFaults:
             # The in-flight iteration dies with the chip: refund the part of
             # its busy time that never executed; its iteration-end event is
             # dropped by the epoch bump below.
-            end = owner.iter_start + owner.iter_latency
-            self.run.busy_chip_seconds -= max(0.0, end - now) * self.engine.num_stages
+            self.run.busy_chip_seconds -= max(0.0, owner.iter_end - now) * self.engine.num_stages
             self.stats.lost_iterations += 1
             owner.busy = False
-        # The loop integrated active chip-seconds up to ``now`` before
-        # dispatching this event, so the replica can leave the active set.
-        self.run.set_active(owner, False)
+        # Any live state dies, a boot in flight included: its ready event
+        # goes stale, and the death is not a provision-down.
+        self.run.transition(owner, DEAD, now)
         owner.epoch += 1
-        owner.dead = True
         # Surviving chips of the group become spares immediately; the
         # replica's requests stay in limbo until the watchdog notices.
         for other in owner.chips:
@@ -835,7 +860,8 @@ class _ChipFaults:
 
     def try_place(self, now: float) -> None:
         """Re-place dead, drained replicas onto surviving spare chips
-        (pipeline-stage failover for sharded models).
+        (pipeline-stage failover for sharded models); the run's ``placed``
+        hook then moves each out of DEAD.
 
         The spare group may belong to a *different* chip class than the
         chips that died (heterogeneous fleets are single-stage, so any spare
@@ -845,7 +871,7 @@ class _ChipFaults:
         stages = engine.num_stages
         spares = self.spares
         for replica in self.replicas:
-            if not replica.dead or replica.running or len(spares) < stages:
+            if replica.state is not DEAD or replica.running or len(spares) < stages:
                 continue
             spares.sort()
             group = spares[:stages]
@@ -853,7 +879,6 @@ class _ChipFaults:
             replica.chips = tuple(group)
             replica.chip_class = engine.pool.chip_for(group[0])
             replica.latencies = None
-            replica.dead = False
             replica.epoch += 1
             self.stats.failovers += 1
             if replica.model:
@@ -884,8 +909,10 @@ class _DecodeRun:
     """One replay of a decode workload: the run state and the event loop
     every decode engine shares.
 
-    The loop owns the event heap, the records and counters, the busy and
-    active chip-second integrals, and the Orca-style iteration scheduler:
+    The loop owns the event heap, the records and counters, the replica
+    lifecycle (:meth:`transition`, with per-state counts that the busy,
+    active and provisioned chip-second integrals read), and the Orca-style
+    iteration scheduler:
     at each iteration boundary a replica retires its finished requests and
     admits from its queue set — interactive requests earliest-deadline-first,
     then priority preemption of best-effort residents, then resumed
@@ -917,9 +944,9 @@ class _DecodeRun:
     min_active = 0
     #: Whether link-degradation windows re-price the iterations they cover.
     links_priced = False
-    #: Provisioned chip-seconds and peak (None: provisioned == active).
-    provisioned_chip_seconds: float | None = None
-    peak_provisioned: int | None = None
+    #: States charged as provisioned chip-seconds.  Without a provisioning
+    #: scaler capacity is free until it serves, so provisioned == active.
+    charged: tuple[ReplicaState, ...] = (ACTIVE,)
 
     def __init__(
         self,
@@ -958,9 +985,12 @@ class _DecodeRun:
         self.unrouted: deque[DecodeRequest] = deque()
         self.busy_chip_seconds = 0.0
         self.active_chip_seconds = 0.0
-        #: Replicas currently active (kept in step by :meth:`set_active`).
-        self.num_active = [replica.active for replica in replicas].count(True)
-        self.peak_active = self.num_active
+        self.provisioned_chip_seconds = 0.0
+        #: Replicas per lifecycle state, and in the charged states (kept in
+        #: step by :meth:`transition`), with their peaks.
+        self.counts = [[r.state for r in replicas].count(state) for state in ReplicaState]
+        self.num_charged = self.peak_charged = sum(self.counts[s] for s in self.charged)
+        self.peak_active = self.counts[ACTIVE]
         self.last_time = requests[0].arrival_time if requests else 0.0
         self.stats_before = engine.plan_cache.stats.snapshot()
         self.chips = _ChipFaults(self)
@@ -999,8 +1029,7 @@ class _DecodeRun:
         ``makespan`` spans the *served* requests (the throughput window);
         ``active_span`` is the whole event window ``active_chip_seconds``
         integrates over, which may be longer when leading/trailing requests
-        were shed.  Without a provisioning scaler what was active is exactly
-        what was provisioned.
+        were shed.
         """
         engine, records, counters = self.engine, self.records, self.counters
         records.sort(key=lambda record: record.request.request_id)
@@ -1012,7 +1041,6 @@ class _DecodeRun:
                 r.request.arrival_time for r in served
             )
         stages = self.stages
-        provisioned, peak = self.provisioned_chip_seconds, self.peak_provisioned
         report = ContinuousReport(
             policy=engine.policy,
             model="+".join(sorted(engine._deployments)),
@@ -1037,10 +1065,8 @@ class _DecodeRun:
             rebinds=counters.get("rebinds", 0),
             migrations=counters.get("migrations", 0),
             faults=self.chips.stats,
-            provisioned_chip_seconds=(
-                self.active_chip_seconds if provisioned is None else provisioned
-            ),
-            peak_provisioned_chips=(self.peak_active if peak is None else peak) * stages,
+            provisioned_chip_seconds=self.provisioned_chip_seconds,
+            peak_provisioned_chips=self.peak_charged * stages,
             provision_ups=counters.get("provision_ups", 0),
             provision_downs=counters.get("provision_downs", 0),
         )
@@ -1048,18 +1074,36 @@ class _DecodeRun:
             engine._publish_run_metrics(self.tracer, report, counters)
         return report
 
-    def set_active(self, replica: _Replica, active: bool) -> None:
-        if replica.active != active:
-            replica.active = active
-            self.num_active += 1 if active else -1
+    def transition(self, replica: _Replica, state: ReplicaState, now: float) -> None:
+        """Move ``replica`` to lifecycle ``state`` at ``now``: the one place
+        a replica changes state.  Integrates the chip-second books up to
+        ``now`` at the old counts, then updates the counts and their peaks.
+        A move the transition table does not list is a bug in the caller."""
+        old = replica.state
+        if state not in _TRANSITIONS[old]:
+            raise RuntimeError(
+                f"replica {replica.index}: illegal lifecycle transition "
+                f"{old.name} -> {state.name}"
+            )
+        self.integrate(now)
+        counts = self.counts
+        counts[old] -= 1
+        counts[state] += 1
+        replica.state = state
+        self.num_charged = sum(counts[s] for s in self.charged)
+        self.peak_charged = max(self.peak_charged, self.num_charged)
+        self.peak_active = max(self.peak_active, counts[ACTIVE])
 
     def integrate(self, now: float) -> None:
-        """Accrue active chip-seconds up to ``now`` (a no-op when no time
-        passed since the last call, as for every same-instant re-check, and
-        before the first arrival: the window opens there, so a fault
-        scheduled ahead of the traffic changes state but accrues nothing)."""
+        """Accrue active and provisioned chip-seconds up to ``now`` (a no-op
+        when no time passed since the last call, as for every same-instant
+        re-check, and before the first arrival: the window opens there, so a
+        fault scheduled ahead of the traffic changes state but accrues
+        nothing)."""
         if now > self.last_time:
-            self.active_chip_seconds += (now - self.last_time) * self.num_active * self.stages
+            elapsed = now - self.last_time
+            self.active_chip_seconds += elapsed * self.counts[ACTIVE] * self.stages
+            self.provisioned_chip_seconds += elapsed * self.num_charged * self.stages
             self.last_time = now
 
     def retire(self, replica: _Replica, now: float) -> None:
@@ -1102,7 +1146,7 @@ class _DecodeRun:
     def start_idle(self, now: float) -> None:
         """Start an iteration on every active replica that has none."""
         for replica in self.replicas:
-            if replica.active and not replica.busy:
+            if replica.state is ACTIVE and not replica.busy:
                 self.start_iteration(replica, now)
 
     # ------------------------------------------------------------------ #
@@ -1275,24 +1319,15 @@ class _DecodeRun:
             replica.join(self.admit_one(bq.popleft(), replica, now))
 
     def start_iteration(self, replica: _Replica, now: float) -> None:
-        if replica.busy or not replica.active or replica.dead:
+        if replica.busy or replica.state is not ACTIVE:
             return
         self.admit(replica, now)
         running = replica.running
         if not running:
             # Drained: release the chips unless that breaches the floor.
-            if self.num_active > self.min_active:
-                self.integrate(now)
-                self.set_active(replica, False)
+            if self.counts[ACTIVE] > self.min_active:
                 self.counters["scale_downs"] += 1
-                if self.traced:
-                    self.tracer.instant(
-                        "scale-down",
-                        ts=now,
-                        track=self.fleet_track,
-                        cat="autoscale",
-                        args=self.engine._replica_args(replica),
-                    )
+                self.scale(replica, IDLE, now, "scale-down", **self.engine._replica_args(replica))
             return
         # A static batch keeps the bucket it was formed in (0: none).
         size = replica.bucket or len(running)
@@ -1305,32 +1340,32 @@ class _DecodeRun:
             if factor > 1.0:
                 latency = self.degraded(replica, latency, factor)
         replica.busy = True
-        replica.iter_start = now
-        replica.iter_latency = latency
+        replica.iter_end = now + latency
         self.counters["iterations"] += 1
         self.busy_chip_seconds += latency * self.stages
         if self.traced:
             self.engine._trace_iteration(self.tracer, replica, now, latency)
         heapq.heappush(
             self.events,
-            (now + latency, _EV_ITER_END, next(self.seq), (replica.index, replica.epoch)),
+            (replica.iter_end, _EV_ITER_END, next(self.seq), (replica.index, replica.epoch)),
         )
 
     def activate(self, replica: _Replica, now: float) -> None:
-        if replica.active:
-            return
-        self.integrate(now)
-        self.set_active(replica, True)
-        self.counters["scale_ups"] += 1
-        self.peak_active = max(self.peak_active, self.num_active)
+        if replica.state is not ACTIVE:
+            self.counters["scale_ups"] += 1
+            self.scale(replica, ACTIVE, now, "scale-up", **self.engine._replica_args(replica))
+
+    def scale(
+        self, replica: _Replica, state: ReplicaState, now: float, event: str, /, **args
+    ) -> None:
+        """A scaling decision: move ``replica`` to ``state`` and trace it as
+        the instant ``event`` on the fleet track (category ``autoscale``, or
+        ``provisioning`` for the scaler's, which never touch ACTIVE)."""
+        old = replica.state
+        self.transition(replica, state, now)
         if self.traced:
-            self.tracer.instant(
-                "scale-up",
-                ts=now,
-                track=self.fleet_track,
-                cat="autoscale",
-                args=self.engine._replica_args(replica),
-            )
+            cat = "autoscale" if ACTIVE in (old, state) else "provisioning"
+            self.tracer.instant(event, ts=now, track=self.fleet_track, cat=cat, args=args)
 
     # ------------------------------------------------------------------ #
     # Faults
@@ -1376,7 +1411,7 @@ class _DecodeRun:
         watchdog = self.watchdog
         if watchdog.degraded_shed_queue is None or not self.chips.degraded:
             return
-        cap = watchdog.degraded_shed_queue * max(1, self.num_active)
+        cap = watchdog.degraded_shed_queue * max(1, self.counts[ACTIVE])
         unrouted = self.unrouted
         total = sum(len(queues.bq) for queues in self.queue_sets) + sum(
             1 for request in unrouted if not request.interactive
@@ -1450,7 +1485,8 @@ class _DecodeRun:
         """Put capacity back to work after a detection."""
 
     def placed(self, replica: _Replica, now: float) -> None:
-        """A dead replica was re-placed onto spare chips."""
+        """A dead replica was re-placed onto spare chips: move it out of
+        DEAD."""
         raise NotImplementedError
 
     def online(self, now: float) -> None:
@@ -1615,7 +1651,7 @@ class _ContinuousRun(_DecodeRun):
         self.queues = _Queues()
         replicas = engine._make_replicas(engine.model.name, self.queues)
         for replica in replicas[: engine.min_replicas]:
-            replica.active = True
+            replica.state = ACTIVE
         self.min_active = engine.min_replicas
         # Single-chip replicas have no stage links to degrade.
         self.links_priced = engine.num_stages > 1
@@ -1626,34 +1662,21 @@ class _ContinuousRun(_DecodeRun):
             self.engine._trace_enqueue(self.tracer, request)
         self.queues.push(request)
         self.degraded_shed(now)
-        self.autoscale_up(now)
+        self.refill(now)
         self.start_idle(now)
 
-    def autoscale_up(self, now: float) -> None:
-        """Activate replicas while the backlog exceeds ``scale_up_queue``
+    def refill(self, now: float) -> None:
+        """The queue-depth autoscaler, run on every arrival and detection:
+        activate idle replicas while the backlog exceeds ``scale_up_queue``
         pending requests per active replica."""
-        replicas = self.replicas
-        while True:
-            active = self.num_active
-            if active >= len(replicas):
-                return
-            if len(self.queues) <= active * self.engine.scale_up_queue:
-                return
-            # Dead (or chipless, awaiting failover) replicas can't serve.
-            replica = next(
-                (r for r in replicas if not r.active and not r.dead and r.chips), None
-            )
-            if replica is None:
-                return
+        counts = self.counts
+        while counts[IDLE] and len(self.queues) > counts[ACTIVE] * self.engine.scale_up_queue:
+            replica = next(r for r in self.replicas if r.state is IDLE)
             self.activate(replica, now)
             self.start_iteration(replica, now)
 
-    def refill(self, now: float) -> None:
-        self.autoscale_up(now)
-
     def placed(self, replica: _Replica, now: float) -> None:
-        self.set_active(replica, True)
-        self.peak_active = max(self.peak_active, self.num_active)
+        self.transition(replica, ACTIVE, now)
         self.start_iteration(replica, now)
 
     def displace(self, replica: _Replica, now: float) -> None:
@@ -1725,7 +1748,7 @@ class _ContinuousRun(_DecodeRun):
             "active_replicas",
             ts=now,
             track=self.fleet_track,
-            values={"active": self.num_active},
+            values={"active": self.counts[ACTIVE]},
         )
 
 
@@ -1759,14 +1782,15 @@ class _StaticRun(_DecodeRun):
         self.queues = _Queues()
         replicas = engine._make_replicas(engine.model.name, self.queues)
         for replica in replicas:
-            replica.active = True
+            replica.state = ACTIVE
         self.min_active = len(replicas)
         super().__init__(engine, requests, FaultSchedule(), Watchdog(), replicas)
 
     def integrate(self, now: float) -> None:
         # The whole fleet is active over the whole event window.
         first_arrival = self.requests[0].arrival_time
-        self.active_chip_seconds = (now - first_arrival) * (self.num_active * self.stages)
+        self.active_chip_seconds = (now - first_arrival) * (self.counts[ACTIVE] * self.stages)
+        self.provisioned_chip_seconds = self.active_chip_seconds
         self.last_time = now
 
     def on_arrival(self, request: DecodeRequest, now: float) -> None:

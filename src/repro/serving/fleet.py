@@ -31,6 +31,8 @@ Per-request policy order (see :mod:`repro.serving.router`)::
   already misses its deadline is rejected.
 * **autoscale** — replicas activate on demand when routed work arrives and
   deactivate when they drain, so an idle deployment consumes no chips.
+  ``run(scaler=...)`` instead makes provisioning a paid decision ahead of
+  routing, and composes with ``faults=`` (see :meth:`FleetEngine.run`).
 
 The pool may be heterogeneous (``chip_classes``: e.g. the fig22 GPU baseline
 joining an IPU fleet); programs are compiled and priced per hardware class,
@@ -65,7 +67,6 @@ from __future__ import annotations
 import heapq
 import math
 from collections import deque
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -77,6 +78,11 @@ from repro.obs.trace import Tracer
 from repro.serving.batcher import bucket_for  # noqa: F401
 from repro.serving.continuous import (
     _EV_SCALE,
+    ACTIVE,
+    BOOTING,
+    DEAD,
+    IDLE,
+    UNPROVISIONED,
     DecodeModel,
     _DecodeEngineBase,
     _DecodeRun,
@@ -103,18 +109,9 @@ from repro.serving.router import (
 #: Policy prefix of fleet reports; the router name is appended.
 POLICY_FLEET = "fleet"
 
-#: Payload of a periodic scaler tick (_EV_SCALE).
+#: Payload of a periodic scaler tick (_EV_SCALE); any other payload is the
+#: index of a replica whose boot completes at the event's time.
 _SCALE_TICK = object()
-
-
-@dataclass(frozen=True)
-class _ProvisionReady:
-    """_EV_SCALE payload: a booting replica finishes provisioning.  The
-    ``ready`` stamp must still match the booting table — a cancelled or
-    re-issued boot leaves a stale event behind, which is simply dropped."""
-
-    index: int
-    ready: float
 
 
 class _ViewMemo:
@@ -351,10 +348,13 @@ class FleetEngine(_DecodeEngineBase):
         replicas are routable, new ones become routable
         ``scaler.provision_delay`` virtual seconds after the scaler asks,
         and the report charges ``provisioned_chip_seconds`` for every
-        chip-second held — booting included.  Requires a health-aware
-        router (unprovisioned replicas are hidden from routing as
-        ``restarting``).  Without a scaler every replica is routable from
-        the start and provisioning is free, exactly as before.
+        chip-second held — booting included, dead time not.  Requires a
+        health-aware router (unprovisioned and booting replicas are hidden
+        from routing as ``restarting``).  Without a scaler every replica is
+        routable from the start and provisioning is free, exactly as
+        before.  Scaler and faults compose: a chip death cancels a boot in
+        flight and lowers the capacity the next tick observes, and a
+        failed-over replica comes back unprovisioned.
 
         Pure virtual time, single-threaded event loop: identical inputs give
         bit-identical reports at any plan-cache ``jobs`` width, and
@@ -368,11 +368,6 @@ class FleetEngine(_DecodeEngineBase):
         schedule = (faults if faults is not None else FaultSchedule()).for_fleet(
             self.num_chips
         )
-        if scaler is not None and schedule.events:
-            raise ValueError(
-                "scaler and faults are not yet composable: provisioning and "
-                "failover both re-assign replicas; run them separately"
-            )
         if scaler is not None and not getattr(self.router, "health_aware", False):
             raise ValueError(
                 "a scaler needs a health-aware router (unprovisioned replicas "
@@ -420,6 +415,12 @@ class _FleetRun(_DecodeRun):
         self.chaos = self.links_priced = bool(schedule.events)
         self.scaler = scaler
         replicas = engine._make_replicas()
+        if scaler is not None:
+            # Paid capacity: the floor starts provisioned, the rest waits for
+            # the scaler, and booting capacity is charged too.
+            self.charged = (IDLE, ACTIVE, BOOTING)
+            for replica in replicas[max(1, scaler.min_replicas) :]:
+                replica.state = UNPROVISIONED
         super().__init__(engine, requests, schedule, watchdog, replicas)
         #: Progress-losing requeues charged so far, per tenant.
         self.retry_spend: dict[str, int] = {}
@@ -428,34 +429,21 @@ class _FleetRun(_DecodeRun):
         self.deadlined_total: dict[str, int] = {}
         self.deadlined_met: dict[str, int] = {}
         self.served_by_tenant: dict[str, int] = {}
-        # Scaler state: routable replicas, boots in flight (index -> ready
-        # time), per-model arrivals since the last tick, arrivals still in
-        # the event heap (the tick-rescheduling fuel gauge), and the
-        # provisioned-capacity integral the report charges.
-        self.provisioned: set[int] = set(range(len(replicas)))
-        self.booting: dict[int, float] = {}
+        # Scaler state: per-model arrivals since the last tick and arrivals
+        # still in the event heap (the tick-rescheduling fuel gauge).
         self.window_counts: dict[str, int] = {}
         self.arrivals_remaining = len(requests)
-        self.health = self.describe if self.chaos else None
+        # Without faults or a scaler every replica reads healthy: skip the
+        # per-replica health call on every route.
+        self.health = self.describe if self.chaos or scaler is not None else None
         self.view_memo = _ViewMemo(len(replicas))
-        if scaler is not None:
-            self.provisioned = set(range(min(max(1, scaler.min_replicas), len(replicas))))
-            self.provisioned_chip_seconds = 0.0
-            self.peak_provisioned = len(self.provisioned)
-            self.health = self.provision_describe
-            if requests:
-                # First capacity decision one interval after traffic starts
-                # (the first window of arrivals is its observation).
-                self.push_scale(requests[0].arrival_time + scaler.interval, _SCALE_TICK)
+        if scaler is not None and requests:
+            # First capacity decision one interval after traffic starts (the
+            # first window of arrivals is its observation).
+            self.push_scale(requests[0].arrival_time + scaler.interval, _SCALE_TICK)
 
     def push_scale(self, when: float, payload: object) -> None:
         heapq.heappush(self.events, (when, _EV_SCALE, next(self.seq), payload))
-
-    def integrate(self, now: float) -> None:
-        if self.scaler is not None and now > self.last_time:
-            held = len(self.provisioned) + len(self.booting)
-            self.provisioned_chip_seconds += (now - self.last_time) * held * self.stages
-        super().integrate(now)
 
     # ------------------------------------------------------------------ #
     # Tracing
@@ -478,7 +466,7 @@ class _FleetRun(_DecodeRun):
             "fleet",
             ts=now,
             track=self.fleet_track,
-            values={"active": self.num_active, "rebinds": self.counters["rebinds"]},
+            values={"active": self.counts[ACTIVE], "rebinds": self.counters["rebinds"]},
         )
 
     def fleet_instant(self, name: str, now: float, cat: str, **args) -> None:
@@ -488,20 +476,20 @@ class _FleetRun(_DecodeRun):
     # Health, brownout and fairness
     # ------------------------------------------------------------------ #
     def describe(self, replica: _Replica, now: float) -> tuple[str, float]:
-        """Per-replica health as the router's view reports it: while any
-        replacement chip is booting, dead replicas read ``restarting``."""
-        if replica.dead:
+        """Per-replica health as the router's view reports it.  Dead
+        replicas read ``restarting`` while any replacement chip is booting,
+        else ``dead``; unprovisioned and booting ones read ``restarting`` —
+        not routable, not rebindable — until provisioned; live ones read
+        their link state."""
+        state = replica.state
+        if state is DEAD:
             return (HEALTH_RESTARTING if self.chips.warming else HEALTH_DEAD), 1.0
-        factor = self.schedule.link_factor(now, replica.chips)
-        if factor > 1.0:
-            return HEALTH_DEGRADED, factor
-        return HEALTH_HEALTHY, 1.0
-
-    def provision_describe(self, replica: _Replica, now: float) -> tuple[str, float]:
-        """Routing view under a scaler: unprovisioned replicas read as
-        restarting — not routable, not rebindable — until provisioned."""
-        if replica.index not in self.provisioned:
+        if state is UNPROVISIONED or state is BOOTING:
             return HEALTH_RESTARTING, 1.0
+        if self.chaos:
+            factor = self.schedule.link_factor(now, replica.chips)
+            if factor > 1.0:
+                return HEALTH_DEGRADED, factor
         return HEALTH_HEALTHY, 1.0
 
     def brownout(self) -> bool:
@@ -613,7 +601,7 @@ class _FleetRun(_DecodeRun):
             self.bind(replica, request.model, now)
         engine._bucket_costs(request.model, replica.chip_class, request.tenant)
         replica.queues.push(request)
-        if not replica.dead:
+        if replica.state is not DEAD:
             self.activate(replica, now)
             self.start_iteration(replica, now)
         return True
@@ -622,7 +610,7 @@ class _FleetRun(_DecodeRun):
         """Bind (or re-bind) an idle replica to ``model``.  A re-bind bumps
         the binding generation — its compiled programs are already shared in
         the plan cache, so the switch costs no virtual time."""
-        if replica.busy or replica.running or len(replica.queues) or replica.dead:
+        if replica.busy or replica.running or len(replica.queues) or replica.state is DEAD:
             raise RuntimeError(
                 f"router bound busy or dead replica {replica.index} to "
                 f"{model!r} (bound to {replica.model!r}); only idle live "
@@ -659,6 +647,10 @@ class _FleetRun(_DecodeRun):
         if placed_any and self.traced:
             self.fleet_sample(now)
 
+    # Capacity back after a detection or a chip coming online: re-offer
+    # the parked requests.
+    refill = online = drain_unrouted
+
     def on_retire(self, record: CompletedDecode, now: float) -> None:
         self.note_outcome(record.request, record.met_slo)
         tenant = record.request.tenant
@@ -672,24 +664,17 @@ class _FleetRun(_DecodeRun):
         if self.traced:
             self.fleet_sample(now)
 
-    def start_iteration(self, replica: _Replica, now: float) -> None:
-        if self.scaler is not None and replica.index not in self.provisioned:
-            return  # deprovisioned mid-flight; routing never re-feeds it
-        super().start_iteration(replica, now)
-
     # ------------------------------------------------------------------ #
     # Faults
     # ------------------------------------------------------------------ #
     def placed(self, replica: _Replica, now: float) -> None:
+        # Under a scaler, which owns paid capacity, a re-placed replica waits
+        # to be provisioned again (its queues are empty: health-aware routing
+        # never queues on a dead replica, and detection emptied them).
+        self.transition(replica, IDLE if self.scaler is None else UNPROVISIONED, now)
         if len(replica.queues):
             self.activate(replica, now)
             self.start_iteration(replica, now)
-
-    def online(self, now: float) -> None:
-        self.drain_unrouted(now)
-
-    def refill(self, now: float) -> None:
-        self.drain_unrouted(now)
 
     def requeue(self, running: _Running, origin: _Replica, now: float) -> None:
         """One progress-losing requeue off a dead replica: charge the
@@ -759,69 +744,69 @@ class _FleetRun(_DecodeRun):
     # Provisioning
     # ------------------------------------------------------------------ #
     def on_scale(self, payload: object, now: float) -> None:
-        if isinstance(payload, _ProvisionReady):
-            self.provision_ready(payload, now)
-        else:
+        if payload is _SCALE_TICK:
             self.scale_tick(now)
+            return
+        # A boot completes, unless it was cancelled, re-issued or killed by a
+        # chip death after this event was queued.
+        replica = self.replicas[payload]
+        if replica.state is not BOOTING or replica.ready != now:
+            return
+        self.scale(replica, IDLE, now, "provision-ready", replica=payload)
+        if self.traced:
+            self.provision_sample(now)
+        if self.unrouted:
+            self.drain_unrouted(now)
+
+    def num_provisioned(self) -> int:
+        """Replicas the scaler holds ready to serve (booting excluded)."""
+        return self.counts[IDLE] + self.counts[ACTIVE]
 
     def provision_sample(self, now: float) -> None:
         self.tracer.counter(
             "provisioning",
             ts=now,
             track=self.fleet_track,
-            values={"provisioned": len(self.provisioned), "booting": len(self.booting)},
+            values={"provisioned": self.num_provisioned(), "booting": self.counts[BOOTING]},
         )
 
     def apply_target(self, target: int, now: float) -> None:
         """Move provisioned+booting toward ``target`` replicas.  Up:
-        lowest-index spares start booting (routable after the delay).
-        Down: cancel the newest boots first (most lead time wasted
-        otherwise), then release idle provisioned replicas highest index
-        first; replicas holding work are never released."""
-        provisioned, booting = self.provisioned, self.booting
+        lowest-index unprovisioned replicas start booting (routable after
+        the delay; dead ones wait for failover).  Down: cancel the newest
+        boots first (most lead time wasted otherwise), then release idle
+        provisioned replicas highest index first; replicas holding work are
+        never released."""
+        replicas, counters = self.replicas, self.counters
         delay = self.scaler.provision_delay
-        current = len(provisioned) + len(booting)
-        for replica in self.replicas:
+        current = self.num_provisioned() + self.counts[BOOTING]
+        for replica in replicas:
             if current >= target:
                 break
-            index = replica.index
-            if index in provisioned or index in booting or replica.dead:
+            if replica.state is not UNPROVISIONED:
                 continue
-            self.counters["provision_ups"] += 1
-            ready = now + delay
-            if delay <= 0:
-                provisioned.add(index)
-            else:
-                booting[index] = ready
-                self.push_scale(ready, _ProvisionReady(index, ready))
+            counters["provision_ups"] += 1
+            ready = replica.ready = now + delay
+            state = BOOTING if delay > 0 else IDLE
+            self.scale(replica, state, now, "provision", replica=replica.index, ready=ready)
+            if delay > 0:
+                self.push_scale(ready, replica.index)
             current += 1
-            if self.traced:
-                self.fleet_instant("provision", now, "provisioning", replica=index, ready=ready)
-        while booting and current > target:
-            index = max(booting, key=lambda idx: (booting[idx], idx))
-            del booting[index]
-            self.counters["provision_downs"] += 1
+        while self.counts[BOOTING] and current > target:
+            replica = max(
+                (r for r in replicas if r.state is BOOTING), key=lambda r: (r.ready, r.index)
+            )
+            counters["provision_downs"] += 1
+            self.scale(replica, UNPROVISIONED, now, "boot-cancelled", replica=replica.index)
             current -= 1
-            if self.traced:
-                self.fleet_instant("boot-cancelled", now, "provisioning", replica=index)
-        for replica in reversed(self.replicas):
-            if current <= target or len(provisioned) <= 1:
+        for replica in reversed(replicas):
+            if current <= target or self.num_provisioned() <= 1:
                 break
-            index = replica.index
-            if index not in provisioned or (
-                replica.busy
-                or replica.running
-                or len(replica.queues)
-                or replica.active
-                or replica.dead
-            ):
+            if replica.state is not IDLE or len(replica.queues):
                 continue
-            provisioned.discard(index)
-            self.counters["provision_downs"] += 1
+            counters["provision_downs"] += 1
+            self.scale(replica, UNPROVISIONED, now, "deprovision", replica=replica.index)
             current -= 1
-            if self.traced:
-                self.fleet_instant("deprovision", now, "provisioning", replica=index)
-        self.peak_provisioned = max(self.peak_provisioned, len(provisioned) + len(booting))
 
     def scale_tick(self, now: float) -> None:
         scaler = self.scaler
@@ -831,13 +816,13 @@ class _FleetRun(_DecodeRun):
         busy_replicas = sum(
             1
             for replica in replicas
-            if replica.index in self.provisioned
+            if (replica.state is IDLE or replica.state is ACTIVE)
             and (replica.busy or replica.running or len(replica.queues))
         )
         observation = ScalerObservation(
             now=now,
-            provisioned=len(self.provisioned),
-            booting=len(self.booting),
+            provisioned=self.num_provisioned(),
+            booting=self.counts[BOOTING],
             num_replicas=len(replicas),
             queued=queued_total,
             resident=resident_total,
@@ -853,19 +838,9 @@ class _FleetRun(_DecodeRun):
             self.drain_unrouted(now)
         # Keep ticking while anything can still need a decision; once
         # arrivals, queues, residents and boots are all drained the clock
-        # stops advancing and the run can end.
-        if self.arrivals_remaining or queued_total or resident_total or self.booting:
+        # stops advancing and the run can end.  So does a fleet dead for
+        # good: no replica lives and no pending event can revive one.
+        waiting = self.arrivals_remaining or queued_total or resident_total
+        revivable = self.events or self.counts[DEAD] < len(replicas)
+        if (waiting or self.counts[BOOTING]) and revivable:
             self.push_scale(now + scaler.interval, _SCALE_TICK)
-
-    def provision_ready(self, payload: _ProvisionReady, now: float) -> None:
-        if self.booting.get(payload.index) != payload.ready:
-            return  # the boot was cancelled after this event was queued
-        del self.booting[payload.index]
-        if self.replicas[payload.index].dead:
-            return
-        self.provisioned.add(payload.index)
-        if self.traced:
-            self.fleet_instant("provision-ready", now, "provisioning", replica=payload.index)
-            self.provision_sample(now)
-        if self.unrouted:
-            self.drain_unrouted(now)

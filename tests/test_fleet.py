@@ -547,13 +547,13 @@ def rebuilt_view(replicas, now: float, health) -> tuple[ReplicaView, ...]:
     return tuple(views)
 
 
-@pytest.mark.parametrize("scenario", ["fault-free", "chaos", "scaler"])
+@pytest.mark.parametrize("scenario", ["fault-free", "chaos", "scaler", "scaler-chaos"])
 def test_every_route_view_matches_a_rebuild(
     scenario, cache, small_chip, fast_constraints, fat_chip, monkeypatch
 ):
     """The view a route sees — reused replica views included — equals one
     rebuilt from scratch, in a fault-free run, a chaos run (a link window
-    plus a chip death and restart) and a scaler run."""
+    plus a chip death and restart), a scaler run and both together."""
     deployments = [make_model("alpha"), make_model("beta", width=96)]
     engine = make_engine(
         cache,
@@ -585,7 +585,7 @@ def test_every_route_view_matches_a_rebuild(
         request(1000 + i, 200 * unit, model="gamma", tenant="chat") for i in range(8)
     ]
     run_kwargs = {}
-    if scenario == "chaos":
+    if "chaos" in scenario:
         run_kwargs["faults"] = FaultSchedule.of(
             [
                 link_degradation(2 * unit, 12 * unit, 4.0),
@@ -594,7 +594,7 @@ def test_every_route_view_matches_a_rebuild(
             ]
         )
         run_kwargs["watchdog"] = Watchdog(detection_delay=unit)
-    elif scenario == "scaler":
+    if "scaler" in scenario:
         run_kwargs["scaler"] = ReactiveScaler(
             interval=3 * unit, provision_delay=2 * unit, scale_up_queue=2
         )
@@ -627,9 +627,9 @@ def test_every_route_view_matches_a_rebuild(
     assert seen["routes"] >= len(workload)
     assert seen["reused"] > 0  # unchanged replicas really were reused
     assert report.rebinds > 0
-    if scenario == "chaos":
+    if "chaos" in scenario:
         assert report.faults.chip_deaths == 1
         assert {HEALTH_DEGRADED, HEALTH_RESTARTING} <= seen["health"]
-    elif scenario == "scaler":
+    if "scaler" in scenario:
         assert HEALTH_RESTARTING in seen["health"]
         assert report.provision_ups > 0

@@ -25,8 +25,6 @@ from repro.serving import (
     check_report,
     decode_workload,
     diurnal_workload,
-    chip_death,
-    FaultSchedule,
 )
 from repro.core import T10Compiler
 
@@ -375,14 +373,6 @@ def steady_workload(num_requests: int = 60, rate: float = 400.0):
 
 
 class TestFleetScaling:
-    def test_scaler_and_faults_do_not_compose(self, cache, small_chip, fast_constraints):
-        engine = scaled_engine(cache, small_chip, fast_constraints)
-        engine.warm()
-        scaler = ReactiveScaler(interval=0.01)
-        faults = FaultSchedule([chip_death(time=0.1, chip=0)])
-        with pytest.raises(ValueError, match="not yet composable"):
-            engine.run(steady_workload(), scaler=scaler, faults=faults)
-
     def test_scaler_needs_health_aware_router(self, cache, small_chip, fast_constraints):
         engine = scaled_engine(
             cache, small_chip, fast_constraints, router=LeastLoadedRouter()
