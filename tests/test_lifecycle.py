@@ -22,6 +22,10 @@ from repro.serving import (
     BlueprintPlanner,
     ContinuousEngine,
     CostAwareRouter,
+    HEALTH_DEAD,
+    HEALTH_DEGRADED,
+    HEALTH_HEALTHY,
+    HEALTH_RESTARTING,
     FaultSchedule,
     FleetScaler,
     ForecastScaler,
@@ -31,6 +35,7 @@ from repro.serving import (
     Watchdog,
     check_report,
     chip_death,
+    link_degradation,
     restart,
 )
 from repro.serving.continuous import (
@@ -160,6 +165,35 @@ def test_transition_table(source, target, cache, small_chip, fast_constraints):
         assert run.counts == before
     assert run.counts == recount(run)
     assert run.num_charged == run.counts[ACTIVE]
+
+
+@pytest.mark.parametrize(
+    "state, linked, warming, health",
+    [
+        (UNPROVISIONED, True, False, (HEALTH_RESTARTING, 1.0)),
+        (BOOTING, True, False, (HEALTH_RESTARTING, 1.0)),
+        (IDLE, False, False, (HEALTH_HEALTHY, 1.0)),
+        (IDLE, True, False, (HEALTH_DEGRADED, 3.0)),
+        (ACTIVE, True, False, (HEALTH_DEGRADED, 3.0)),
+        (DEAD, True, False, (HEALTH_DEAD, 1.0)),
+        (DEAD, True, True, (HEALTH_RESTARTING, 1.0)),
+    ],
+)
+def test_one_health_function_reads_the_state(
+    state, linked, warming, health, cache, small_chip, fast_constraints
+):
+    """The router's health view of each state: unprovisioned and booting
+    replicas read restarting, live ones their link state, dead ones dead
+    (restarting while a restarted chip warms)."""
+    window = [link_degradation(0.0, 10.0, 3.0)] if linked else [chip_death(20.0, 0)]
+    engine = fleet(cache, small_chip, fast_constraints)
+    run = _FleetRun(engine, [], FaultSchedule.of(window), Watchdog(), None)
+    replica = run.replicas[0]
+    for step in PATHS[state]:
+        run.transition(replica, step, 0.0)
+    if warming:
+        run.chips.warming.add(0)
+    assert run.describe(replica, 1.0) == health
 
 
 # --------------------------------------------------------------------------- #
