@@ -5,7 +5,10 @@ checked against a committed snapshot in ``tests/golden/``:
 
 * the **row schema** (ordered union of column names) must match exactly, and
 * the **key columns** — identity and deterministic-count columns, never
-  wall-clock timings — must match value-for-value, row-for-row.
+  wall-clock timings — must match value-for-value, row-for-row.  The
+  serving figures (fig25–fig32) pin every column except their wall-clock
+  compile timings, derived rates and percentiles included: their rows are
+  pure virtual time.
 
 On top of the snapshots, per-experiment **invariants** re-assert the headline
 qualitative claim of the corresponding paper figure (e.g. fig18's
@@ -309,7 +312,7 @@ class GoldenSpec:
 
     runner: Callable[[], list[dict]]
     key_columns: tuple[str, ...]
-    """Columns snapshotted by value (identity/count columns, never timings)."""
+    """Columns snapshotted by value (never wall-clock timings)."""
     invariant: Callable[[list[dict]], None] | None = None
 
 
@@ -390,12 +393,44 @@ SPECS: dict[str, GoldenSpec] = {
     ),
     "fig25": GoldenSpec(
         lambda: fig25_serving.run(quick=True),
-        ("model", "chips", "load_x", "window_x", "completed"),
+        (
+            "model",
+            "chips",
+            "load_x",
+            "window_x",
+            "offered_rps",
+            "window_ms",
+            "completed",
+            "throughput_rps",
+            "p50_ms",
+            "p99_ms",
+            "mean_batch",
+            "utilization",
+            "max_queue",
+            "warm_compiles",
+            "recompiles",
+            "hit_rate",
+        ),
         invariant_fig25,
     ),
     "fig26": GoldenSpec(
         lambda: fig26_multichip.run(quick=True),
-        ("model", "batch", "operators", "chips", "micro_batches", "status", "stage_ops"),
+        (
+            "model",
+            "batch",
+            "operators",
+            "chips",
+            "micro_batches",
+            "status",
+            "stage_ops",
+            "latency_ms",
+            "fill_ms",
+            "drain_ms",
+            "bottleneck_ms",
+            "transfer_ms",
+            "throughput_rps",
+            "plans_match",
+        ),
         invariant_fig26,
     ),
     "fig27": GoldenSpec(
@@ -404,6 +439,8 @@ SPECS: dict[str, GoldenSpec] = {
             "model",
             "policy",
             "chips",
+            "load_x",
+            "slo_x",
             "requests",
             "completed",
             "shed",
@@ -412,7 +449,20 @@ SPECS: dict[str, GoldenSpec] = {
             "tokens",
             "iterations",
             "scale_ups",
+            "scale_downs",
+            "goodput_rps",
+            "throughput_rps",
+            "token_tps",
+            "ttft_p50_ms",
+            "ttft_p99_ms",
+            "tpot_p99_ms",
+            "latency_p99_ms",
+            "slo_attainment",
+            "utilization",
+            "mean_active_chips",
+            "peak_active_chips",
             "warm_compiles",
+            "recompiles",
         ),
         invariant_fig27,
     ),
@@ -438,6 +488,12 @@ SPECS: dict[str, GoldenSpec] = {
             "lost_tokens",
             "lost_iterations",
             "degraded_sheds",
+            "goodput_rps",
+            "throughput_rps",
+            "slo_attainment",
+            "pre_fault_goodput_rps",
+            "dip_depth",
+            "recovery_ms",
             "warm_compiles",
             "recompiles",
         ),
@@ -458,6 +514,11 @@ SPECS: dict[str, GoldenSpec] = {
             "tokens",
             "preempted",
             "rebinds",
+            "goodput_rps",
+            "goodput_per_chip",
+            "slo_attainment",
+            "fairness_floor",
+            "fairness",
             "warm_compiles",
             "recompiles",
             "placements",
@@ -485,7 +546,13 @@ SPECS: dict[str, GoldenSpec] = {
             "retry_drops",
             "brownout_sheds",
             "degraded_sheds",
+            "goodput_rps",
+            "slo_attainment",
+            "fairness_floor",
             "floor_violations",
+            "pre_fault_goodput_rps",
+            "dip_depth",
+            "recovery_ms",
             "warm_compiles",
             "recompiles",
             "placements",
@@ -508,6 +575,10 @@ SPECS: dict[str, GoldenSpec] = {
             "provision_ups",
             "provision_downs",
             "peak_provisioned",
+            "provisioned_chip_seconds",
+            "goodput_rps",
+            "goodput_per_chip",
+            "slo_attainment",
             "warm_compiles",
             "recompiles",
             "placements",
