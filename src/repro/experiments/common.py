@@ -83,6 +83,24 @@ def checked(report: ContinuousReport, requests: Sequence[DecodeRequest]) -> Cont
     return report
 
 
+def layer_overrides(
+    model_name: str, *, quick: bool = False, num_layers: int | None = None
+) -> dict[str, int]:
+    """Registry-builder keywords that truncate a model's layer stack.
+
+    ``num_layers`` overrides the layer count outright (it wins over the
+    quick-mode truncation); otherwise quick runs keep two encoder layers
+    and one decoder layer, and full runs keep the whole stack.
+    """
+    if num_layers is not None:
+        return {"num_layers": num_layers}
+    if quick and model_name.startswith(("bert", "vit")):
+        return {"num_layers": QUICK_NUM_LAYERS}
+    if quick and model_name.startswith(("opt", "llama")):
+        return {"num_layers": 1}
+    return {}
+
+
 def build_workload(
     model_name: str,
     batch_size: int,
@@ -92,18 +110,12 @@ def build_workload(
 ) -> OperatorGraph:
     """Build a registered model, optionally truncated for quick runs.
 
-    ``num_layers`` overrides the layer count outright (it wins over the
-    quick-mode truncation) — the multi-chip experiment uses it to build
-    stacks that deliberately exceed one chip's SRAM.
+    ``num_layers`` overrides the layer count outright — the multi-chip
+    experiment uses it to build stacks that deliberately exceed one chip's
+    SRAM (see :func:`layer_overrides`).
     """
-    kwargs: dict[str, object] = {}
-    if num_layers is not None:
-        kwargs["num_layers"] = num_layers
-    elif quick and model_name.startswith(("bert", "vit")):
-        kwargs["num_layers"] = QUICK_NUM_LAYERS
-    elif quick and model_name.startswith(("opt", "llama")):
-        kwargs["num_layers"] = 1
-    return build_model(model_name, batch_size, **kwargs)
+    overrides = layer_overrides(model_name, quick=quick, num_layers=num_layers)
+    return build_model(model_name, batch_size, **overrides)
 
 
 def batch_sizes_for(model_name: str, *, quick: bool = False) -> tuple[int, ...]:

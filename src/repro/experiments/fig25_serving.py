@@ -20,15 +20,8 @@ factor above 1 therefore saturates a single chip for every model.
 
 from __future__ import annotations
 
-from typing import Sequence
-
-from repro.core.constraints import (
-    DEFAULT_CONSTRAINTS,
-    FAST_CONSTRAINTS,
-    SearchConstraints,
-)
-from repro.experiments.common import QUICK_NUM_LAYERS, print_table
-from repro.hw.spec import IPU_MK2, ChipSpec
+from repro.experiments.common import layer_overrides, print_table
+from repro.experiments.serving_common import CHIP, SEED, constraints_for, warm
 from repro.serving import (
     PlanCache,
     ServedModel,
@@ -39,30 +32,22 @@ from repro.serving import (
 #: The serving workload mix: one encoder, one CNN, one LLM decoder stack.
 SERVING_MODELS: tuple[str, ...] = ("bert", "resnet", "llama2-7b")
 
+#: Batch windows swept, in multiples of the model's batch-1 latency.
+WINDOW_FACTORS: tuple[float, ...] = (0.5, 2.0, 8.0)
 
-def _served_model(name: str, max_batch_size: int, *, quick: bool) -> ServedModel:
-    """Registry-backed served model, truncated in quick mode like the figures."""
-    kwargs: dict[str, object] = {}
-    if quick and name in ("bert", "vit"):
-        kwargs["num_layers"] = QUICK_NUM_LAYERS
-    if quick and (name.startswith("opt") or name.startswith("llama")):
-        kwargs["num_layers"] = 1
-    return ServedModel.from_registry(name, max_batch_size=max_batch_size, **kwargs)
+#: Largest batch a model is served at.
+MAX_BATCH_SIZE = 8
+
+#: Fleet sizes, offered loads (multiples of one chip's batch-1 capacity)
+#: and requests per configuration: the full grid, then the quick grid.
+#: The quick grid keeps only the saturating load: the batching effect on
+#: throughput is invisible while the fleet is arrival-limited.
+FLEET_SIZES, QUICK_FLEET_SIZES = (1, 2, 4), (1, 2)
+LOAD_FACTORS, QUICK_LOAD_FACTORS = (0.8, 4.0), (4.0,)
+NUM_REQUESTS, QUICK_NUM_REQUESTS = 200, 100
 
 
-def run(
-    *,
-    chip: ChipSpec = IPU_MK2,
-    models: Sequence[str] = SERVING_MODELS,
-    fleet_sizes: Sequence[int] = (1, 2, 4),
-    window_factors: Sequence[float] = (0.5, 2.0, 8.0),
-    load_factors: Sequence[float] = (0.8, 4.0),
-    num_requests: int = 200,
-    max_batch_size: int = 8,
-    constraints: SearchConstraints | None = None,
-    quick: bool = False,
-    seed: int = 0,
-) -> list[dict]:
+def run(*, quick: bool = False) -> list[dict]:
     """One row per (model, fleet size, batch window, offered load).
 
     A single plan cache is shared by every configuration, so each
@@ -70,39 +55,36 @@ def run(
     column is non-zero only the first time a model appears, and the
     ``recompiles`` column (misses during serving) is always zero.
     """
-    if constraints is None:
-        constraints = FAST_CONSTRAINTS if quick else DEFAULT_CONSTRAINTS
-    if quick:
-        fleet_sizes = tuple(fleet_sizes)[:2]
-        # Keep only the saturating load: the batching effect on throughput
-        # is invisible while the fleet is arrival-limited.
-        load_factors = tuple(factor for factor in load_factors if factor > 1.0)[-1:]
-        num_requests = min(num_requests, 100)
+    fleet_sizes = QUICK_FLEET_SIZES if quick else FLEET_SIZES
+    load_factors = QUICK_LOAD_FACTORS if quick else LOAD_FACTORS
+    num_requests = QUICK_NUM_REQUESTS if quick else NUM_REQUESTS
     cache = PlanCache()
     rows: list[dict] = []
-    for model_name in models:
-        served = _served_model(model_name, max_batch_size, quick=quick)
+    for model_name in SERVING_MODELS:
+        served = ServedModel.from_registry(
+            model_name,
+            max_batch_size=MAX_BATCH_SIZE,
+            **layer_overrides(model_name, quick=quick),
+        )
         for fleet in fleet_sizes:
-            for window_factor in window_factors:
+            for window_factor in WINDOW_FACTORS:
                 for load_factor in load_factors:
                     scheduler = ServingScheduler(
                         [served],
-                        chip=chip,
+                        chip=CHIP,
                         num_chips=fleet,
                         batch_window=1.0,  # placeholder, set below
-                        constraints=constraints,
+                        constraints=constraints_for(quick),
                         plan_cache=cache,
                     )
-                    before = cache.stats.snapshot()
-                    scheduler.warm()
-                    warmed = cache.stats.since(before)
+                    warmed = warm(cache, scheduler)
                     # Model-relative units: batch-1 latency sets the scale of
                     # both the offered load and the batch window.
                     unit = scheduler.batch_latency(model_name, 1)
                     scheduler.batch_window = window_factor * unit
                     offered = load_factor / unit
                     requests = poisson_workload(
-                        {model_name: offered}, num_requests=num_requests, seed=seed
+                        {model_name: offered}, num_requests=num_requests, seed=SEED
                     )
                     report = scheduler.serve(requests)
                     stats = report.per_model[model_name]

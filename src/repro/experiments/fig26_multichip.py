@@ -20,17 +20,10 @@ determinism guarantee of :mod:`repro.core.parallel`.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from repro.core import default_cost_model
-from repro.core.constraints import (
-    DEFAULT_CONSTRAINTS,
-    FAST_CONSTRAINTS,
-    SearchConstraints,
-)
 from repro.dist import ShardedCompiler, ShardedModel
 from repro.experiments.common import build_workload, print_table
-from repro.hw.spec import IPU_MK2, ChipSpec
+from repro.experiments.serving_common import CHIP, constraints_for
 
 #: (model, batch, num_layers override): one workload that fits a single chip
 #: at every chip count, and one that only fits once sharded.
@@ -42,8 +35,10 @@ FIG26_WORKLOADS: tuple[tuple[str, int, int | None], ...] = (
 #: Chip-group sizes swept (1 is the unsharded single-chip reference).
 CHIP_COUNTS: tuple[int, ...] = (1, 2, 4)
 
-#: Micro-batch counts streamed through the pipeline per cell.
+#: Micro-batch counts streamed through the pipeline per cell: the full
+#: grid, then the quick grid.
 MICRO_BATCHES: tuple[int, ...] = (1, 8)
+QUICK_MICRO_BATCHES: tuple[int, ...] = (8,)
 
 
 def _row(
@@ -85,47 +80,33 @@ def _row(
     return row
 
 
-def run(
-    *,
-    chip: ChipSpec = IPU_MK2,
-    workloads: Sequence[tuple[str, int, int | None]] = FIG26_WORKLOADS,
-    chip_counts: Sequence[int] = CHIP_COUNTS,
-    micro_batches: Sequence[int] = MICRO_BATCHES,
-    constraints: SearchConstraints | None = None,
-    quick: bool = False,
-    check_determinism: bool = True,
-    jobs: int | None = 1,
-) -> list[dict]:
+def run(*, quick: bool = False, jobs: int | None = 1) -> list[dict]:
     """One row per (workload, chip count, micro-batch count).
 
     ``throughput_rps`` is samples per virtual second over the whole
-    pipelined execution (micro-batches × batch / end-to-end latency).  With
-    ``check_determinism`` every (workload, chip count) is compiled a second
-    time from a cold cache and compared stage-by-stage (``plans_match``) —
-    the comparison holds for every ``jobs`` width, like fig16p.
+    pipelined execution (micro-batches × batch / end-to-end latency).
+    Every (workload, chip count) is compiled a second time from a cold
+    cache and compared stage-by-stage (``plans_match``) — the comparison
+    holds for every ``jobs`` width, like fig16p.
     """
-    if constraints is None:
-        constraints = FAST_CONSTRAINTS if quick else DEFAULT_CONSTRAINTS
-    if quick:
-        micro_batches = tuple(micro_batches)[-1:]
-    cost_model = default_cost_model(chip)
+    constraints = constraints_for(quick)
+    micro_batches = QUICK_MICRO_BATCHES if quick else MICRO_BATCHES
+    cost_model = default_cost_model(CHIP)
     rows: list[dict] = []
-    for model_name, batch, num_layers in workloads:
+    for model_name, batch, num_layers in FIG26_WORKLOADS:
         graph = build_workload(model_name, batch, quick=quick, num_layers=num_layers)
         # One compiler per workload: stage programs are cached under
         # stage-slice scoped keys, so different chip counts never collide
         # while intra-op searches of repeated layers are still shared.
         with ShardedCompiler(
-            chip, cost_model=cost_model, constraints=constraints, jobs=jobs
+            CHIP, cost_model=cost_model, constraints=constraints, jobs=jobs
         ) as compiler:
-            for num_chips in chip_counts:
+            for num_chips in CHIP_COUNTS:
                 sharded = compiler.compile(graph, num_chips)
-                plans_match = True
-                if check_determinism:
-                    with ShardedCompiler(
-                        chip, cost_model=cost_model, constraints=constraints, jobs=jobs
-                    ) as fresh:
-                        plans_match = sharded.plans_equal(fresh.compile(graph, num_chips))
+                with ShardedCompiler(
+                    CHIP, cost_model=cost_model, constraints=constraints, jobs=jobs
+                ) as fresh:
+                    plans_match = sharded.plans_equal(fresh.compile(graph, num_chips))
                 for micro in micro_batches:
                     rows.append(
                         _row(

@@ -33,47 +33,41 @@ batching policy is what differs).
 
 from __future__ import annotations
 
-from typing import Sequence
-
-from repro.core.constraints import (
-    DEFAULT_CONSTRAINTS,
-    FAST_CONSTRAINTS,
-    SearchConstraints,
-)
 from repro.experiments.common import checked, print_table
-from repro.hw.spec import IPU_MK2, ChipSpec
-from repro.models import opt_decode_session
+from repro.experiments.serving_common import (
+    CHIP,
+    constraints_for,
+    decode_stream,
+    opt_deployment,
+    warm,
+)
 from repro.serving import (
     POLICY_CONTINUOUS,
     POLICY_STATIC,
     ContinuousEngine,
-    DecodeModel,
     PlanCache,
     StaticEngine,
-    decode_workload,
 )
 
+#: Fleet sizes compared.
+FLEET_SIZES: tuple[int, ...] = (1, 2)
 
-def run(
-    *,
-    chip: ChipSpec = IPU_MK2,
-    size: str = "125m",
-    num_layers: int | None = None,
-    kv_len: int = 1024,
-    fleet_sizes: Sequence[int] = (1, 2),
-    max_batch_size: int = 8,
-    prefill_chunk: int = 64,
-    num_requests: int = 150,
-    load_factor: float = 10.0,
-    slo_factor: float = 1.5,
-    interactive_fraction: float = 0.75,
-    prompt_tokens: tuple[int, int] = (16, 128),
-    output_tokens: tuple[int, int] = (4, 48),
-    constraints: SearchConstraints | None = None,
-    quick: bool = False,
-    jobs: int = 1,
-    seed: int = 0,
-) -> list[dict]:
+#: Offered load in multiples of the fleet's unbatched capacity, and
+#: deadlines in multiples of each request's ideal service time.
+LOAD_FACTOR = 10.0
+SLO_FACTOR = 1.5
+
+#: Share of requests that carry a deadline.
+INTERACTIVE_FRACTION = 0.75
+
+#: Decoder layers (``None``: the whole stack), KV length and requests per
+#: run: the full grid, then the quick grid.
+NUM_LAYERS, QUICK_NUM_LAYERS = None, 1
+KV_LEN, QUICK_KV_LEN = 1024, 256
+NUM_REQUESTS, QUICK_NUM_REQUESTS = 150, 120
+
+
+def run(*, quick: bool = False, jobs: int = 1) -> list[dict]:
     """One row per (fleet size, batching policy) on an identical workload.
 
     Both policies share one plan cache, so each batch bucket compiles
@@ -82,60 +76,40 @@ def run(
     (``recompiles`` is always zero).  All reported times are virtual, which
     makes rows bit-for-bit reproducible at any ``jobs`` width.
     """
-    if constraints is None:
-        constraints = FAST_CONSTRAINTS if quick else DEFAULT_CONSTRAINTS
-    if quick:
-        num_layers = 1 if num_layers is None else num_layers
-        kv_len = min(kv_len, 256)
-        num_requests = min(num_requests, 120)
-        fleet_sizes = tuple(fleet_sizes)[:2]
-    model = DecodeModel(
-        name=f"opt-{size}",
-        decode_builder=opt_decode_session(size, num_layers=num_layers, kv_len=kv_len),
-        max_batch_size=max_batch_size,
-        prefill_chunk=prefill_chunk,
+    num_requests = QUICK_NUM_REQUESTS if quick else NUM_REQUESTS
+    model = opt_deployment(
+        num_layers=QUICK_NUM_LAYERS if quick else NUM_LAYERS,
+        kv_len=QUICK_KV_LEN if quick else KV_LEN,
     )
-
-    ideal_iterations = model.ideal_iterations
     cache = PlanCache(jobs=jobs)
     rows: list[dict] = []
     try:
-        for fleet in fleet_sizes:
+        for fleet in FLEET_SIZES:
             engines = {
                 POLICY_STATIC: StaticEngine(
-                    model, chip=chip, num_chips=fleet, constraints=constraints,
-                    plan_cache=cache,
+                    model, chip=CHIP, num_chips=fleet,
+                    constraints=constraints_for(quick), plan_cache=cache,
                 ),
                 POLICY_CONTINUOUS: ContinuousEngine(
-                    model, chip=chip, num_chips=fleet, constraints=constraints,
-                    plan_cache=cache,
+                    model, chip=CHIP, num_chips=fleet,
+                    constraints=constraints_for(quick), plan_cache=cache,
                 ),
             }
-            warm_misses: dict[str, int] = {}
-            for policy in (POLICY_STATIC, POLICY_CONTINUOUS):
-                before = cache.stats.snapshot()
-                engines[policy].warm()
-                warm_misses[policy] = cache.stats.since(before).misses
+            warm_misses = {
+                policy: warm(cache, engines[policy]).misses
+                for policy in (POLICY_STATIC, POLICY_CONTINUOUS)
+            }
             unit = engines[POLICY_CONTINUOUS].iteration_latency(1)
-            mean_iterations = ideal_iterations(
-                (prompt_tokens[0] + prompt_tokens[1]) // 2,
-                (output_tokens[0] + output_tokens[1]) // 2,
-            )
-            # load_factor 1.0 saturates the fleet serving one request at a
+            # LOAD_FACTOR 1.0 saturates the fleet serving one request at a
             # time; batching raises capacity by up to max_batch_size, so
             # values around max_batch_size stress the scheduling policy.
-            rate = load_factor * fleet / (mean_iterations * unit)
-            workload = decode_workload(
-                model.name,
+            workload = decode_stream(
+                model,
+                unit,
+                load=LOAD_FACTOR * fleet,
+                slo_factor=SLO_FACTOR,
                 num_requests=num_requests,
-                rate=rate,
-                seed=seed,
-                prompt_tokens=prompt_tokens,
-                output_tokens=output_tokens,
-                interactive_fraction=interactive_fraction,
-                slo_seconds=lambda prompt, output: (
-                    slo_factor * ideal_iterations(prompt, output) * unit
-                ),
+                interactive_fraction=INTERACTIVE_FRACTION,
             )
             for policy in (POLICY_STATIC, POLICY_CONTINUOUS):
                 report = checked(engines[policy].run(workload), workload)
@@ -147,8 +121,8 @@ def run(
                         "model": model.name,
                         "policy": policy,
                         "chips": fleet,
-                        "load_x": load_factor,
-                        "slo_x": slo_factor,
+                        "load_x": LOAD_FACTOR,
+                        "slo_x": SLO_FACTOR,
                         "requests": num_requests,
                         "completed": report.total_completed,
                         "shed": report.shed,

@@ -36,26 +36,51 @@ shape stresses any model size.
 
 from __future__ import annotations
 
-import math
-
-from repro.core.constraints import (
-    DEFAULT_CONSTRAINTS,
-    FAST_CONSTRAINTS,
-    SearchConstraints,
-)
 from repro.experiments.common import checked, print_table
-from repro.hw.spec import IPU_MK2, ChipSpec
-from repro.models import opt_decode_session
+from repro.experiments.serving_common import (
+    CHIP,
+    constraints_for,
+    decode_rate,
+    decode_stream,
+    dip_columns,
+    opt_deployment,
+    warm,
+)
 from repro.serving import (
     ContinuousEngine,
     DecodeModel,
     FaultSchedule,
     PlanCache,
     Watchdog,
-    decode_workload,
-    dip_and_recovery,
     link_degradation,
 )
+
+#: Offered load in multiples of the fleet's unbatched capacity, and
+#: deadlines in multiples of each request's ideal service time.
+LOAD_FACTOR = 8.0
+SLO_FACTOR = 2.0
+
+#: Share of requests that carry a deadline.
+INTERACTIVE_FRACTION = 0.6
+
+#: The kill lands this far through the arrival span, and the chip stays
+#: down for this share of it.
+KILL_FRACTION = 0.4
+DOWNTIME_FRACTION = 0.2
+
+#: Watchdog: detection delay in batch-1 decode iterations (a heartbeat
+#: interval) and the queue depth above which a degraded fleet sheds.
+DETECTION_UNITS = 2.0
+DEGRADED_SHED_QUEUE = 2
+
+#: Slow-down of the stage-boundary link around the sharded kill.
+LINK_FACTOR = 2.5
+
+#: Decoder layers (``None``: the whole stack), KV length and requests per
+#: run: the full grid, then the quick grid.
+NUM_LAYERS, QUICK_NUM_LAYERS = None, 1
+KV_LEN, QUICK_KV_LEN = 1024, 256
+NUM_REQUESTS, QUICK_NUM_REQUESTS = 120, 90
 
 
 def _scenario_rows(
@@ -70,18 +95,10 @@ def _scenario_rows(
     dip_window: float,
 ) -> dict:
     report = checked(engine.run(workload, faults=schedule, watchdog=watchdog), workload)
-    fault_time = schedule.first_death_time if schedule is not None else math.inf
-    if math.isfinite(fault_time):
-        baseline, dip_depth, recovery = dip_and_recovery(
-            report.completed, fault_time=fault_time, window=dip_window
-        )
-    else:
-        baseline, dip_depth, recovery = float("nan"), 0.0, 0.0
-    # NaN (nothing completed before the fault) becomes None so rows stay
-    # comparable with plain ``==`` (the reproducibility tests rely on it).
-    def clean(value: float) -> float | None:
-        return None if math.isnan(value) else value
-
+    fault_time = schedule.first_death_time if schedule is not None else float("inf")
+    pre_fault, dip_depth, recovery_ms = dip_columns(
+        report, fault_time=fault_time, window=dip_window
+    )
     faults = report.faults
     return {
         "scenario": scenario,
@@ -106,70 +123,38 @@ def _scenario_rows(
         "goodput_rps": report.goodput,
         "throughput_rps": report.throughput,
         "slo_attainment": report.slo_attainment,
-        "pre_fault_goodput_rps": clean(baseline),
-        "dip_depth": clean(dip_depth),
-        "recovery_ms": recovery * 1e3 if math.isfinite(recovery) else float("inf"),
+        "pre_fault_goodput_rps": pre_fault,
+        "dip_depth": dip_depth,
+        "recovery_ms": recovery_ms,
         "warm_compiles": warm_compiles,
         "recompiles": report.cache.misses,
         "restart_compile_s": faults.restart_compile_seconds,
     }
 
 
-def run(
-    *,
-    chip: ChipSpec = IPU_MK2,
-    size: str = "125m",
-    num_layers: int | None = None,
-    kv_len: int = 1024,
-    max_batch_size: int = 8,
-    prefill_chunk: int = 64,
-    num_requests: int = 120,
-    load_factor: float = 8.0,
-    slo_factor: float = 2.0,
-    interactive_fraction: float = 0.6,
-    kill_fraction: float = 0.4,
-    downtime_fraction: float = 0.2,
-    detection_units: float = 2.0,
-    degraded_shed_queue: int = 2,
-    link_factor: float = 2.5,
-    constraints: SearchConstraints | None = None,
-    quick: bool = False,
-    jobs: int = 1,
-    seed: int = 0,
-) -> list[dict]:
+def run(*, quick: bool = False, jobs: int = 1) -> list[dict]:
     """One row per chaos scenario on an identical arrival process.
 
-    The kill lands ``kill_fraction`` of the way through the arrival span and
-    the chip stays down for ``downtime_fraction`` of it, so the fault always
-    strikes a busy fleet and the restart always lands while requests are
-    still arriving, regardless of model size; the watchdog's
-    ``detection_units`` is in units of the batch-1 decode-iteration latency
-    (a heartbeat interval).  All reported times are virtual except
-    ``restart_compile_s`` (the wall-clock cost of re-warming a cold plan
-    cache after a restart), which never enters virtual time — rows are
-    bit-for-bit reproducible at any ``jobs`` width.
+    The kill lands ``KILL_FRACTION`` of the way through the arrival span
+    and the chip stays down for ``DOWNTIME_FRACTION`` of it, so the fault
+    always strikes a busy fleet and the restart always lands while
+    requests are still arriving, regardless of model size.  All reported
+    times are virtual except ``restart_compile_s`` (the wall-clock cost of
+    re-warming a cold plan cache after a restart), which never enters
+    virtual time — rows are bit-for-bit reproducible at any ``jobs`` width.
     """
-    if constraints is None:
-        constraints = FAST_CONSTRAINTS if quick else DEFAULT_CONSTRAINTS
-    if quick:
-        num_layers = 1 if num_layers is None else num_layers
-        kv_len = min(kv_len, 256)
-        num_requests = min(num_requests, 90)
-    flat = DecodeModel(
-        name=f"opt-{size}",
-        decode_builder=opt_decode_session(size, num_layers=num_layers, kv_len=kv_len),
-        max_batch_size=max_batch_size,
-        prefill_chunk=prefill_chunk,
+    num_requests = QUICK_NUM_REQUESTS if quick else NUM_REQUESTS
+    flat = opt_deployment(
+        num_layers=QUICK_NUM_LAYERS if quick else NUM_LAYERS,
+        kv_len=QUICK_KV_LEN if quick else KV_LEN,
     )
     sharded = DecodeModel(
-        name=f"opt-{size}-2stage",
+        name=f"{flat.name}-2stage",
         decode_builder=flat.decode_builder,
-        max_batch_size=max_batch_size,
-        prefill_chunk=prefill_chunk,
+        max_batch_size=flat.max_batch_size,
+        prefill_chunk=flat.prefill_chunk,
         num_stages=2,
     )
-    ideal_iterations = flat.ideal_iterations
-    prompt_tokens, output_tokens = (16, 128), (4, 48)
 
     cache = PlanCache(jobs=jobs)
     rows: list[dict] = []
@@ -177,52 +162,42 @@ def run(
         def build(model: DecodeModel, num_chips: int, **kwargs) -> ContinuousEngine:
             return ContinuousEngine(
                 model,
-                chip=chip,
+                chip=CHIP,
                 num_chips=num_chips,
-                constraints=constraints,
+                constraints=constraints_for(quick),
                 plan_cache=cache,
                 **kwargs,
             )
 
-        def measure_warm(engine: ContinuousEngine) -> int:
-            before = cache.stats.snapshot()
-            engine.warm()
-            return cache.stats.since(before).misses
-
         def make_workload(model: DecodeModel, unit: float, capacity: int):
-            mean_iterations = ideal_iterations(
-                (prompt_tokens[0] + prompt_tokens[1]) // 2,
-                (output_tokens[0] + output_tokens[1]) // 2,
-            )
-            rate = load_factor * capacity / (mean_iterations * unit)
-            workload = decode_workload(
-                model.name,
+            workload = decode_stream(
+                model,
+                unit,
+                load=LOAD_FACTOR * capacity,
+                slo_factor=SLO_FACTOR,
                 num_requests=num_requests,
-                rate=rate,
-                seed=seed,
-                prompt_tokens=prompt_tokens,
-                output_tokens=output_tokens,
-                interactive_fraction=interactive_fraction,
-                slo_seconds=lambda prompt, output: (
-                    slo_factor * ideal_iterations(prompt, output) * unit
-                ),
+                interactive_fraction=INTERACTIVE_FRACTION,
             )
-            return workload, num_requests / rate
+            span = num_requests / decode_rate(model, unit, LOAD_FACTOR * capacity)
+            return workload, span
+
+        def make_watchdog(unit: float) -> Watchdog:
+            return Watchdog(
+                detection_delay=DETECTION_UNITS * unit,
+                degraded_shed_queue=DEGRADED_SHED_QUEUE,
+            )
 
         # ---- flat fleet: 2 single-chip replicas, both always active ------ #
         flat_engines = {
             "flat/baseline": build(flat, 2, min_replicas=2),
             "flat/chaos": build(flat, 2, min_replicas=2),
         }
-        warm = {name: measure_warm(eng) for name, eng in flat_engines.items()}
+        warm_misses = {name: warm(cache, eng).misses for name, eng in flat_engines.items()}
         unit = flat_engines["flat/baseline"].iteration_latency(1)
         workload, span = make_workload(flat, unit, capacity=2)
-        watchdog = Watchdog(
-            detection_delay=detection_units * unit,
-            degraded_shed_queue=degraded_shed_queue,
-        )
+        watchdog = make_watchdog(unit)
         flat_schedule = FaultSchedule.kill_and_restart(
-            0, at=kill_fraction * span, downtime=downtime_fraction * span
+            0, at=KILL_FRACTION * span, downtime=DOWNTIME_FRACTION * span
         )
         for name, schedule in (("flat/baseline", None), ("flat/chaos", flat_schedule)):
             rows.append(
@@ -233,26 +208,26 @@ def run(
                     num_requests=num_requests,
                     schedule=schedule,
                     watchdog=watchdog if schedule is not None else None,
-                    warm_compiles=warm[name],
+                    warm_compiles=warm_misses[name],
                     dip_window=span / 10.0,
                 )
             )
 
         # ---- sharded fleet: one 2-stage replica plus a spare chip -------- #
         engine = build(sharded, 3)
-        warm_sharded = measure_warm(engine)
+        warm_sharded = warm(cache, engine).misses
         unit = engine.iteration_latency(1)
         workload, span = make_workload(sharded, unit, capacity=1)
-        kill_at = kill_fraction * span
+        kill_at = KILL_FRACTION * span
         schedule = FaultSchedule.kill_and_restart(
-            1, at=kill_at, downtime=downtime_fraction * span
+            1, at=kill_at, downtime=DOWNTIME_FRACTION * span
         ).merged(
             # A flapping link brackets the death: transfers between pipeline
             # stages run slower from just before the kill until well after
             # the failover, so recovery happens under degraded bandwidth.
             [
                 link_degradation(
-                    kill_at - 0.05 * span, kill_at + 0.3 * span, link_factor
+                    kill_at - 0.05 * span, kill_at + 0.3 * span, LINK_FACTOR
                 )
             ]
         )
@@ -263,10 +238,7 @@ def run(
                 workload=workload,
                 num_requests=num_requests,
                 schedule=schedule,
-                watchdog=Watchdog(
-                    detection_delay=detection_units * unit,
-                    degraded_shed_queue=degraded_shed_queue,
-                ),
+                watchdog=make_watchdog(unit),
                 warm_compiles=warm_sharded,
                 dip_window=span / 10.0,
             )

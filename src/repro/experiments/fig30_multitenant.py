@@ -36,27 +36,25 @@ comparison as ``jobs2_identical``.
 
 from __future__ import annotations
 
-import hashlib
-import math
-
-from repro.core.constraints import (
-    DEFAULT_CONSTRAINTS,
-    FAST_CONSTRAINTS,
-    SearchConstraints,
-)
 from repro.experiments.common import checked, print_table
-from repro.hw.spec import A100_CHIP, IPU_MK2, ChipSpec
-from repro.obs import Tracer, use_tracer
-from repro.models import build_bert, build_vit, opt_decode_session
+from repro.experiments.serving_common import (
+    MIX_FLOORS,
+    MIX_NUM_CHIPS,
+    attainment,
+    identical_at_jobs2,
+    mix_engine,
+    mix_models,
+    mix_streams,
+    placement_digest,
+    tenant_scopes,
+    warm,
+)
+from repro.hw.spec import A100_CHIP
 from repro.serving import (
     ContinuousReport,
     CostAwareRouter,
-    DecodeModel,
-    FleetEngine,
     PlanCache,
     StaticPartitionRouter,
-    TenantSpec,
-    decode_workload,
     merge_decode_workloads,
 )
 
@@ -64,118 +62,32 @@ from repro.serving import (
 SCHEME_PARTITION = "partition"
 SCHEME_FLEET = "fleet"
 
-
-def placement_digest(report: ContinuousReport) -> str:
-    """Deterministic fingerprint of every request's fate: replica placement,
-    tokens generated and virtual completion time.  Two runs of the same
-    workload agree on this digest iff they made identical scheduling
-    decisions — the bit-identity the jobs sweep asserts."""
-    payload = ";".join(
-        f"{record.request.request_id}:{record.replica}:"
-        f"{record.tokens_generated}:{record.completion_time!r}"
-        for record in report.completed
-    )
-    return hashlib.sha256(payload.encode()).hexdigest()[:16]
+#: The fleet's last chip is recast as the fig22 GPU class.
+CHIP_CLASSES = {MIX_NUM_CHIPS - 1: A100_CHIP}
 
 
-def _deployments(
-    *, num_layers: int | None, kv_len: int, seq_len: int
-) -> list[DecodeModel]:
-    """The three models the tenants drive.
-
-    BERT and ViT are single-forward-pass models wrapped as one-iteration
-    :class:`DecodeModel` deployments (prompt within one prefill chunk,
-    one output token), which is what lets autoregressive and single-pass
-    traffic share one engine, one pool and one report schema.
-    """
-    return [
-        DecodeModel(
-            name="opt-125m",
-            decode_builder=opt_decode_session(
-                "125m", num_layers=num_layers, kv_len=kv_len
-            ),
-            max_batch_size=8,
-            prefill_chunk=64,
-        ),
-        DecodeModel(
-            name="bert",
-            decode_builder=lambda batch: build_bert(
-                batch, seq_len=seq_len, num_layers=num_layers
-            ),
-            max_batch_size=4,
-            prefill_chunk=64,
-        ),
-        DecodeModel(
-            name="vit",
-            decode_builder=lambda batch: build_vit(batch, num_layers=num_layers),
-            max_batch_size=4,
-            prefill_chunk=64,
-        ),
-    ]
-
-
-def run(
-    *,
-    chip: ChipSpec = IPU_MK2,
-    gpu_chip: ChipSpec = A100_CHIP,
-    num_chips: int = 4,
-    num_layers: int | None = 2,
-    kv_len: int = 1024,
-    seq_len: int = 64,
-    num_requests: tuple[int, int, int] = (90, 40, 20),
-    load_factors: tuple[float, float, float] = (11.0, 2.0, 1.0),
-    slo_factor: float = 1.5,
-    single_pass_slo_factor: float = 8.0,
-    fairness_floors: tuple[float, float, float] = (0.35, 0.6, 0.6),
-    constraints: SearchConstraints | None = None,
-    quick: bool = False,
-    jobs: int = 1,
-    seed: int = 0,
-) -> list[dict]:
+def run(*, quick: bool = False, jobs: int = 1) -> list[dict]:
     """One row per (scheme, tenant) plus a fleet-wide row per scheme.
 
-    The fleet is ``num_chips`` chips with the last one recast as the fig22
-    GPU class; the partition baseline pins opt to replicas 0..n-3, bert to
-    n-2 and vit to the GPU.  ``load_factors`` express each tenant's offered
-    load relative to its *partition share's* unbatched capacity, so the
-    ``chat`` tenant is overloaded inside its partition while the fleet as a
-    whole has headroom — exactly the imbalance routing can harvest and a
-    static carve cannot.
+    The fleet is ``MIX_NUM_CHIPS`` chips with the last one recast as the
+    fig22 GPU class; the partition baseline pins opt to replicas 0..n-3,
+    bert to n-2 and vit to the GPU.  The tenants' load factors express
+    each one's offered load relative to its *partition share's* unbatched
+    capacity, so the ``chat`` tenant is overloaded inside its partition
+    while the fleet as a whole has headroom — exactly the imbalance
+    routing can harvest and a static carve cannot.
     """
-    if constraints is None:
-        constraints = FAST_CONSTRAINTS if quick else DEFAULT_CONSTRAINTS
-    if quick:
-        num_layers = 1 if num_layers is None else min(num_layers, 1)
-        kv_len = min(kv_len, 256)
-        seq_len = min(seq_len, 32)
-        num_requests = tuple(min(n, cap) for n, cap in zip(num_requests, (70, 30, 15)))
-    if num_chips < 4:
-        raise ValueError(f"fig30 needs at least 4 chips, got {num_chips}")
-    deployments = _deployments(num_layers=num_layers, kv_len=kv_len, seq_len=seq_len)
-    opt, bert, vit = deployments
-    chip_classes = {num_chips - 1: gpu_chip}
+    models = mix_models(quick)
+    opt, bert, vit = models.values()
     partition = {
-        opt.name: list(range(num_chips - 2)),
-        bert.name: [num_chips - 2],
-        vit.name: [num_chips - 1],
+        opt.name: list(range(MIX_NUM_CHIPS - 2)),
+        bert.name: [MIX_NUM_CHIPS - 2],
+        vit.name: [MIX_NUM_CHIPS - 1],
     }
-    tenants = [
-        TenantSpec("chat", fairness_floor=fairness_floors[0]),
-        TenantSpec("search", fairness_floor=fairness_floors[1]),
-        TenantSpec("vision", fairness_floor=fairness_floors[2]),
-    ]
-    tenant_models = {"chat": opt, "search": bert, "vision": vit}
 
-    def build_engine(router, cache) -> FleetEngine:
-        return FleetEngine(
-            deployments,
-            tenants=tenants,
-            chip=chip,
-            num_chips=num_chips,
-            chip_classes=chip_classes,
-            router=router,
-            constraints=constraints,
-            plan_cache=cache,
+    def build_engine(router, cache):
+        return mix_engine(
+            models, router, cache, chip_classes=CHIP_CLASSES, quick=quick
         )
 
     cache = PlanCache(jobs=jobs)
@@ -185,43 +97,10 @@ def run(
             SCHEME_PARTITION: build_engine(StaticPartitionRouter(partition), cache),
             SCHEME_FLEET: build_engine(CostAwareRouter(), cache),
         }
-        warm_misses: dict[str, int] = {}
-        for scheme, engine in engines.items():
-            before = cache.stats.snapshot()
-            engine.warm()
-            warm_misses[scheme] = cache.stats.since(before).misses
-
-        # Offered load in model-relative units (the fig27 convention): each
-        # tenant's rate is load_factor times its partition share's unbatched
-        # capacity, deadlines are slo_factor times ideal service time.
-        reference = engines[SCHEME_FLEET]
-        streams = []
-        for spec, tenant in zip(tenants, ("chat", "search", "vision")):
-            model = tenant_models[tenant]
-            index = list(tenant_models).index(tenant)
-            unit = reference.iteration_latency(model.name, 1)
-            mean_iterations = model.ideal_iterations(
-                (16 + 64) // 2, (4 + 48) // 2 if model is opt else 1
-            )
-            share = len(partition[model.name])
-            rate = load_factors[index] * share / (mean_iterations * unit)
-            factor = slo_factor if model is opt else single_pass_slo_factor
-            streams.append(
-                decode_workload(
-                    model.name,
-                    num_requests=num_requests[index],
-                    rate=rate,
-                    seed=seed + index,
-                    prompt_tokens=(16, 64),
-                    output_tokens=(4, 48) if model is opt else (1, 1),
-                    interactive_fraction=0.75 if model is opt else 1.0,
-                    slo_seconds=lambda prompt, output, u=unit, f=factor, m=model: (
-                        f * m.ideal_iterations(prompt, output) * u
-                    ),
-                    tenant=spec.name,
-                )
-            )
-        workload = merge_decode_workloads(*streams)
+        warm_misses = {scheme: warm(cache, engine).misses for scheme, engine in engines.items()}
+        workload = merge_decode_workloads(
+            *mix_streams(engines[SCHEME_FLEET], models, quick=quick)
+        )
 
         digests: dict[str, str] = {}
         reports: dict[str, ContinuousReport] = {}
@@ -230,18 +109,11 @@ def run(
             digests[scheme] = placement_digest(reports[scheme])
         # Bit-identity across compile parallelism: a fresh engine on a cold
         # jobs=2 cache must reproduce every placement of the routed scheme.
-        # The recheck is internal verification, not part of the figure, so
-        # its events go to a throwaway tracer instead of the figure's lanes.
-        recheck_cache = PlanCache(jobs=2)
-        try:
-            with use_tracer(Tracer()):
-                recheck = build_engine(CostAwareRouter(), recheck_cache)
-                recheck.warm()
-                fleet_jobs2_identical = (
-                    placement_digest(recheck.run(workload)) == digests[SCHEME_FLEET]
-                )
-        finally:
-            recheck_cache.close()
+        fleet_jobs2_identical = identical_at_jobs2(
+            lambda recheck_cache: build_engine(CostAwareRouter(), recheck_cache),
+            lambda engine: engine.run(workload),
+            digests[SCHEME_FLEET],
+        )
         # Goodput-per-chip is normalised over the *common* serving window —
         # the longer of the two schemes' event spans — so a scheme cannot
         # inflate its rate by shedding late requests and ending early.
@@ -251,20 +123,13 @@ def run(
             jobs2_identical = (
                 fleet_jobs2_identical if scheme == SCHEME_FLEET else None
             )
-            slices = report.per_tenant()
-            scoped = [("all", report)] + [
-                (tenant, slices[tenant]) for tenant in report.tenants
-            ]
-            for tenant, scope in scoped:
-                attainment = scope.slo_attainment
+            for tenant, scope in tenant_scopes(report):
                 rows.append(
                     {
                         "scheme": scheme,
                         "tenant": tenant,
-                        "model": (
-                            tenant_models[tenant].name if tenant != "all" else "mixed"
-                        ),
-                        "chips": num_chips,
+                        "model": models[tenant].name if tenant != "all" else "mixed",
+                        "chips": MIX_NUM_CHIPS,
                         "gpu_chips": 1,
                         "requests": len(scope.completed),
                         "completed": scope.total_completed,
@@ -274,15 +139,9 @@ def run(
                         "preempted": scope.preemptions,
                         "rebinds": report.rebinds if tenant == "all" else 0,
                         "goodput_rps": scope.goodput,
-                        "goodput_per_chip": scope.slo_met / (window * num_chips),
-                        "slo_attainment": (
-                            -1.0 if math.isnan(attainment) else attainment
-                        ),
-                        "fairness_floor": (
-                            next(t.fairness_floor for t in tenants if t.name == tenant)
-                            if tenant != "all"
-                            else 0.0
-                        ),
+                        "goodput_per_chip": scope.slo_met / (window * MIX_NUM_CHIPS),
+                        "slo_attainment": attainment(scope),
+                        "fairness_floor": MIX_FLOORS.get(tenant, 0.0),
                         "fairness": report.fairness if tenant == "all" else None,
                         "warm_compiles": warm_misses[scheme],
                         "recompiles": report.cache.misses,

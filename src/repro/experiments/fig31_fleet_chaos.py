@@ -42,25 +42,27 @@ from __future__ import annotations
 
 import math
 
-from repro.core.constraints import (
-    DEFAULT_CONSTRAINTS,
-    FAST_CONSTRAINTS,
-    SearchConstraints,
-)
 from repro.experiments.common import checked, print_table
-from repro.experiments.fig30_multitenant import _deployments, placement_digest
-from repro.hw.spec import A100_CHIP, IPU_MK2, ChipSpec
-from repro.obs import Tracer, use_tracer
+from repro.experiments.serving_common import (
+    MIX_FLOORS,
+    MIX_NUM_CHIPS,
+    attainment,
+    dip_columns,
+    identical_at_jobs2,
+    mix_engine,
+    mix_models,
+    mix_streams,
+    placement_digest,
+    tenant_scopes,
+    warm,
+)
+from repro.hw.spec import A100_CHIP
 from repro.serving import (
     ContinuousReport,
     CostAwareRouter,
     FaultSchedule,
-    FleetEngine,
     PlanCache,
-    TenantSpec,
     Watchdog,
-    decode_workload,
-    dip_and_recovery,
     merge_decode_workloads,
 )
 
@@ -70,83 +72,50 @@ SCHEME_WATCHDOG = "watchdog"
 SCHEME_HEALTH = "health-aware"
 SCHEMES = (SCHEME_BASELINE, SCHEME_WATCHDOG, SCHEME_HEALTH)
 
+#: The fleet's last two chips form the fig22 GPU class the outage kills.
+GPU_CLASS = (MIX_NUM_CHIPS - 2, MIX_NUM_CHIPS - 1)
+CHIP_CLASSES = {index: A100_CHIP for index in GPU_CLASS}
 
-def run(
-    *,
-    chip: ChipSpec = IPU_MK2,
-    gpu_chip: ChipSpec = A100_CHIP,
-    num_chips: int = 4,
-    num_layers: int | None = 2,
-    kv_len: int = 1024,
-    seq_len: int = 64,
-    num_requests: tuple[int, int, int] = (90, 40, 20),
-    load_factors: tuple[float, float, float] = (11.0, 2.0, 1.0),
-    slo_factor: float = 1.5,
-    single_pass_slo_factor: float = 8.0,
-    fairness_floors: tuple[float, float, float] = (0.35, 0.6, 0.6),
-    kill_fraction: float = 0.45,
-    downtime_fraction: float = 0.2,
-    detection_units: float = 2.0,
-    warmup_units: float = 2.0,
-    degraded_shed_queue: int = 4,
-    retry_budget: int = 4,
-    brownout_watermark: float = 0.9,
-    constraints: SearchConstraints | None = None,
-    quick: bool = False,
-    jobs: int = 1,
-    seed: int = 0,
-) -> list[dict]:
+#: The kill lands this far through the shortest tenant stream; the class
+#: stays down for this share of the merged span.
+KILL_FRACTION = 0.45
+DOWNTIME_FRACTION = 0.2
+
+#: Watchdog detection delay and restart warmup, in batch-1 OPT decode
+#: iterations (a heartbeat interval).
+DETECTION_UNITS = 2.0
+WARMUP_UNITS = 2.0
+
+#: Degraded-mode policy of both chaos schemes: the queue depth above which
+#: a degraded fleet sheds, per-tenant retry budgets, and the
+#: surviving-capacity watermark below which brownout admission engages.
+DEGRADED_SHED_QUEUE = 4
+RETRY_BUDGET = 4
+BROWNOUT_WATERMARK = 0.9
+
+
+def run(*, quick: bool = False, jobs: int = 1) -> list[dict]:
     """One row per (scheme, tenant) plus a fleet-wide row per scheme.
 
     The fault is a **hardware-class outage**: the fleet's GPU class (the
-    last two chips, fig30's heterogeneous class) dies ``kill_fraction`` of
+    last two chips, fig30's heterogeneous class) dies ``KILL_FRACTION`` of
     the way through the *shortest* tenant stream — so every tenant is
     still arriving when it strikes — and restarts cold after
-    ``downtime_fraction`` of the merged span, with the watchdog's
-    detection delay and the restart warmup expressed in units of the
-    batch-1 OPT decode iteration (a heartbeat interval).  Half the fleet
-    dying drops surviving capacity below the brownout watermark, so both
-    chaos schemes shed best-effort at arrival; with no spares, watchdog-only
-    recovery must wait out the downtime, while the health-aware router
-    fails the displaced traffic over to the surviving IPU replicas
-    (cross-model failover, full re-prefill) and routes new arrivals around
-    the dead class.  The dip is measured over the outage window only
-    (``horizon``): past the restart both schemes drain the same backlog
-    and the end-of-run decay carries no routing signal.
+    ``DOWNTIME_FRACTION`` of the merged span.  Half the fleet dying drops
+    surviving capacity below the brownout watermark, so both chaos schemes
+    shed best-effort at arrival; with no spares, watchdog-only recovery
+    must wait out the downtime, while the health-aware router fails the
+    displaced traffic over to the surviving IPU replicas (cross-model
+    failover, full re-prefill) and routes new arrivals around the dead
+    class.  The dip is measured over the outage window only (``horizon``):
+    past the restart both schemes drain the same backlog and the
+    end-of-run decay carries no routing signal.
     """
-    if constraints is None:
-        constraints = FAST_CONSTRAINTS if quick else DEFAULT_CONSTRAINTS
-    if quick:
-        num_layers = 1 if num_layers is None else min(num_layers, 1)
-        kv_len = min(kv_len, 256)
-        seq_len = min(seq_len, 32)
-        num_requests = tuple(min(n, cap) for n, cap in zip(num_requests, (70, 30, 15)))
-    if num_chips < 4:
-        raise ValueError(f"fig31 needs at least 4 chips, got {num_chips}")
-    deployments = _deployments(num_layers=num_layers, kv_len=kv_len, seq_len=seq_len)
-    opt, bert, vit = deployments
-    gpu_class = [num_chips - 2, num_chips - 1]
-    chip_classes = {index: gpu_chip for index in gpu_class}
-    #: fig30's partition shares, reused only to express each tenant's
-    #: offered load in the same units as fig30 (the mix is identical).
-    shares = {opt.name: num_chips - 2, bert.name: 1, vit.name: 1}
-    tenants = [
-        TenantSpec("chat", fairness_floor=fairness_floors[0]),
-        TenantSpec("search", fairness_floor=fairness_floors[1]),
-        TenantSpec("vision", fairness_floor=fairness_floors[2]),
-    ]
-    tenant_models = {"chat": opt, "search": bert, "vision": vit}
+    models = mix_models(quick)
 
-    def build_engine(router, cache) -> FleetEngine:
-        return FleetEngine(
-            deployments,
-            tenants=tenants,
-            chip=chip,
-            num_chips=num_chips,
-            chip_classes=chip_classes,
-            router=router,
-            constraints=constraints,
-            plan_cache=cache,
+    def build_engine(router, cache):
+        return mix_engine(
+            models, router, cache, chip_classes=CHIP_CLASSES, quick=quick
         )
 
     cache = PlanCache(jobs=jobs)
@@ -157,39 +126,9 @@ def run(
             SCHEME_WATCHDOG: build_engine(CostAwareRouter(health_aware=False), cache),
             SCHEME_HEALTH: build_engine(CostAwareRouter(), cache),
         }
-        warm_misses: dict[str, int] = {}
-        for scheme, engine in engines.items():
-            before = cache.stats.snapshot()
-            engine.warm()
-            warm_misses[scheme] = cache.stats.since(before).misses
-
-        # The fig30 three-tenant mix, verbatim: offered load in
-        # model-relative units, deadlines scaled by ideal service time.
+        warm_misses = {scheme: warm(cache, engine).misses for scheme, engine in engines.items()}
         reference = engines[SCHEME_HEALTH]
-        streams = []
-        for index, spec in enumerate(tenants):
-            model = tenant_models[spec.name]
-            unit = reference.iteration_latency(model.name, 1)
-            mean_iterations = model.ideal_iterations(
-                (16 + 64) // 2, (4 + 48) // 2 if model is opt else 1
-            )
-            rate = load_factors[index] * shares[model.name] / (mean_iterations * unit)
-            factor = slo_factor if model is opt else single_pass_slo_factor
-            streams.append(
-                decode_workload(
-                    model.name,
-                    num_requests=num_requests[index],
-                    rate=rate,
-                    seed=seed + index,
-                    prompt_tokens=(16, 64),
-                    output_tokens=(4, 48) if model is opt else (1, 1),
-                    interactive_fraction=0.75 if model is opt else 1.0,
-                    slo_seconds=lambda prompt, output, u=unit, f=factor, m=model: (
-                        f * m.ideal_iterations(prompt, output) * u
-                    ),
-                    tenant=spec.name,
-                )
-            )
+        streams = mix_streams(reference, models, quick=quick)
         workload = merge_decode_workloads(*streams)
 
         # Hardware-class outage: kill the GPU class mid-run, restart it cold
@@ -197,25 +136,25 @@ def run(
         # every tenant still has arrivals in flight when it strikes — timed
         # off the merged span it would land after the single-pass streams
         # have already drained and no routing decision would differ.
-        opt_unit = reference.iteration_latency(opt.name, 1)
+        opt_unit = reference.iteration_latency(models["chat"].name, 1)
         span = max(request.arrival_time for request in workload)
         min_span = min(
             max(request.arrival_time for request in stream) for stream in streams
         )
-        kill_at = kill_fraction * min_span
-        downtime = downtime_fraction * span
+        kill_at = KILL_FRACTION * min_span
+        downtime = DOWNTIME_FRACTION * span
         schedule = FaultSchedule.class_outage(
-            gpu_class,
+            GPU_CLASS,
             at=kill_at,
             downtime=downtime,
             cold_cache=True,
-            warmup_delay=warmup_units * opt_unit,
+            warmup_delay=WARMUP_UNITS * opt_unit,
         )
         watchdog = Watchdog(
-            detection_delay=detection_units * opt_unit,
-            degraded_shed_queue=degraded_shed_queue,
-            retry_budget=retry_budget,
-            brownout_watermark=brownout_watermark,
+            detection_delay=DETECTION_UNITS * opt_unit,
+            degraded_shed_queue=DEGRADED_SHED_QUEUE,
+            retry_budget=RETRY_BUDGET,
+            brownout_watermark=BROWNOUT_WATERMARK,
         )
         plans = {
             SCHEME_BASELINE: (None, None),
@@ -233,62 +172,38 @@ def run(
             digests[scheme] = placement_digest(reports[scheme])
         # Bit-identity across compile parallelism: a fresh engine on a cold
         # jobs=2 cache must reproduce every placement of the chaos run.
-        # The recheck is internal verification, not part of the figure, so
-        # its events go to a throwaway tracer instead of the figure's lanes.
-        recheck_cache = PlanCache(jobs=2)
-        try:
-            with use_tracer(Tracer()):
-                recheck = build_engine(CostAwareRouter(), recheck_cache)
-                recheck.warm()
-                jobs2_identical = (
-                    placement_digest(
-                        recheck.run(workload, faults=schedule, watchdog=watchdog)
-                    )
-                    == digests[SCHEME_HEALTH]
-                )
-        finally:
-            recheck_cache.close()
+        jobs2_identical = identical_at_jobs2(
+            lambda recheck_cache: build_engine(CostAwareRouter(), recheck_cache),
+            lambda engine: engine.run(workload, faults=schedule, watchdog=watchdog),
+            digests[SCHEME_HEALTH],
+        )
 
         # Dip/recovery over the outage window only: five windows across the
         # downtime, horizon one window past the restart.
         dip_window = downtime / 5.0
         for scheme in SCHEMES:
             report = reports[scheme]
-            if plans[scheme][0] is not None:
-                baseline_rate, dip_depth, recovery = dip_and_recovery(
-                    report.completed,
-                    fault_time=kill_at,
-                    window=dip_window,
-                    horizon=kill_at + downtime + dip_window,
-                )
-            else:
-                baseline_rate, dip_depth, recovery = float("nan"), 0.0, 0.0
-
-            def clean(value: float) -> float | None:
-                return None if math.isnan(value) else value
-
+            pre_fault, dip_depth, recovery_ms = dip_columns(
+                report,
+                fault_time=kill_at if plans[scheme][0] is not None else math.inf,
+                window=dip_window,
+                horizon=kill_at + downtime + dip_window,
+            )
             faults_stats = report.faults
-            slices = report.per_tenant()
-            floor_by_tenant = {spec.name: spec.fairness_floor for spec in tenants}
+            scopes = tenant_scopes(report)
             violations = sum(
                 1
-                for tenant, scope in slices.items()
+                for tenant, scope in scopes[1:]
                 if not math.isnan(scope.slo_attainment)
-                and scope.slo_attainment < floor_by_tenant.get(tenant, 0.0)
+                and scope.slo_attainment < MIX_FLOORS.get(tenant, 0.0)
             )
-            scoped = [("all", report)] + [
-                (tenant, slices[tenant]) for tenant in report.tenants
-            ]
-            for tenant, scope in scoped:
-                attainment = scope.slo_attainment
+            for tenant, scope in scopes:
                 rows.append(
                     {
                         "scheme": scheme,
                         "tenant": tenant,
-                        "model": (
-                            tenant_models[tenant].name if tenant != "all" else "mixed"
-                        ),
-                        "chips": num_chips,
+                        "model": models[tenant].name if tenant != "all" else "mixed",
+                        "chips": MIX_NUM_CHIPS,
                         "requests": len(scope.completed),
                         "completed": scope.total_completed,
                         "shed": scope.shed,
@@ -311,20 +226,12 @@ def run(
                             faults_stats.degraded_sheds if tenant == "all" else 0
                         ),
                         "goodput_rps": scope.goodput,
-                        "slo_attainment": (
-                            -1.0 if math.isnan(attainment) else attainment
-                        ),
-                        "fairness_floor": floor_by_tenant.get(tenant, 0.0),
+                        "slo_attainment": attainment(scope),
+                        "fairness_floor": MIX_FLOORS.get(tenant, 0.0),
                         "floor_violations": violations if tenant == "all" else None,
-                        "pre_fault_goodput_rps": (
-                            clean(baseline_rate) if tenant == "all" else None
-                        ),
-                        "dip_depth": clean(dip_depth) if tenant == "all" else None,
-                        "recovery_ms": (
-                            (recovery * 1e3 if math.isfinite(recovery) else float("inf"))
-                            if tenant == "all"
-                            else None
-                        ),
+                        "pre_fault_goodput_rps": pre_fault if tenant == "all" else None,
+                        "dip_depth": dip_depth if tenant == "all" else None,
+                        "recovery_ms": recovery_ms if tenant == "all" else None,
                         "warm_compiles": warm_misses[scheme],
                         "recompiles": report.cache.misses,
                         "restart_compile_s": (

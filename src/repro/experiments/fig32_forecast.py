@@ -40,23 +40,24 @@ must reproduce every placement bit-for-bit (``jobs2_identical``).
 
 from __future__ import annotations
 
-import hashlib
-import math
-
-from repro.core.constraints import (
-    DEFAULT_CONSTRAINTS,
-    FAST_CONSTRAINTS,
-    SearchConstraints,
-)
 from repro.experiments.common import checked, print_table
-from repro.hw.spec import IPU_MK2, ChipSpec
-from repro.obs import Tracer, use_tracer
-from repro.models import opt_decode_session
+from repro.experiments.serving_common import (
+    CHIP,
+    OUTPUT_TOKENS,
+    PROMPT_TOKENS,
+    SEED,
+    attainment,
+    constraints_for,
+    identical_at_jobs2,
+    opt_deployment,
+    placement_digest,
+    tenant_scopes,
+    warm,
+)
 from repro.serving import (
     BlueprintPlanner,
     ContinuousReport,
     CostAwareRouter,
-    DecodeModel,
     FleetEngine,
     FleetScaler,
     ForecastScaler,
@@ -77,81 +78,55 @@ SCHEME_FORECAST = "forecast"
 SCHEME_INSTANT = "instant"
 SCHEMES = (SCHEME_REACTIVE, SCHEME_FORECAST, SCHEME_INSTANT)
 
-MODEL = "opt-125m"
-PROMPT_TOKENS = (16, 128)
-OUTPUT_TOKENS = (4, 48)
-MEAN_PROMPT = (16 + 128) // 2
-MEAN_OUTPUT = (4 + 48) // 2
+MEAN_PROMPT = (PROMPT_TOKENS[0] + PROMPT_TOKENS[1]) // 2
+MEAN_OUTPUT = (OUTPUT_TOKENS[0] + OUTPUT_TOKENS[1]) // 2
+
+#: Chips the scalers provision from.
+NUM_CHIPS = 6
+
+#: Virtual-time knobs, in units of the model's batch-1 iteration latency:
+#: the scaler ticks every ``INTERVAL_ITERATIONS`` units, provisioning takes
+#: ``PROVISION_DELAY_INTERVALS`` ticks and the trace spans
+#: ``HORIZON_INTERVALS`` ticks.
+INTERVAL_ITERATIONS = 24
+PROVISION_DELAY_INTERVALS = 8
+HORIZON_INTERVALS = 100
+
+#: Deadlines over ideal service time, the blueprint planner's capacity
+#: headroom and the forecaster's window (in ticks).
+SLO_FACTOR = 1.25
+HEADROOM = 1.2
+FORECAST_WINDOW = 8
+
+#: Decoder layers and KV length: the full grid, then the quick grid.
+NUM_LAYERS, QUICK_NUM_LAYERS = 2, 1
+KV_LEN, QUICK_KV_LEN = 1024, 256
 
 
-def placement_digest(report: ContinuousReport) -> str:
-    """Deterministic fingerprint of every request's fate: replica placement,
-    tokens generated and virtual completion time.  Two runs of the same
-    workload agree on this digest iff they made identical scheduling
-    decisions — the bit-identity the jobs sweep asserts."""
-    payload = ";".join(
-        f"{record.request.request_id}:{record.replica}:"
-        f"{record.tokens_generated}:{record.completion_time!r}"
-        for record in report.completed
-    )
-    return hashlib.sha256(payload.encode()).hexdigest()[:16]
-
-
-def _deployment(*, num_layers: int | None, kv_len: int) -> DecodeModel:
-    return DecodeModel(
-        name=MODEL,
-        decode_builder=opt_decode_session("125m", num_layers=num_layers, kv_len=kv_len),
-        max_batch_size=4,
-        prefill_chunk=64,
-    )
-
-
-def run(
-    *,
-    chip: ChipSpec = IPU_MK2,
-    num_chips: int = 6,
-    num_layers: int | None = 2,
-    kv_len: int = 1024,
-    horizon_intervals: int = 100,
-    interval_iterations: int = 24,
-    provision_delay_intervals: int = 8,
-    slo_factor: float = 1.25,
-    headroom: float = 1.2,
-    forecast_window: int = 8,
-    constraints: SearchConstraints | None = None,
-    quick: bool = False,
-    jobs: int = 1,
-    seed: int = 0,
-) -> list[dict]:
+def run(*, quick: bool = False, jobs: int = 1) -> list[dict]:
     """One row per (scheme, tenant) plus a fleet-wide row per scheme.
 
-    All virtual-time knobs are expressed in units of the model's batch-1
-    iteration latency: the scaler ticks every ``interval_iterations``
-    units, provisioning takes ``provision_delay_intervals`` ticks, and the
-    trace spans ``horizon_intervals`` ticks.  Offered load is expressed in
-    replica-capacity units (one replica's sustained full-batch rate), so
-    the quiet fleet needs ~1 replica and the coincident peaks need ~4 —
-    exactly the regime where provisioning ahead matters.
+    Offered load is expressed in replica-capacity units (one replica's
+    sustained full-batch rate), so the quiet fleet needs ~1 replica and the
+    coincident peaks need ~4 — exactly the regime where provisioning ahead
+    matters.
     """
-    if constraints is None:
-        constraints = FAST_CONSTRAINTS if quick else DEFAULT_CONSTRAINTS
-    if quick:
-        num_layers = 1 if num_layers is None else min(num_layers, 1)
-        kv_len = min(kv_len, 256)
-        horizon_intervals = min(horizon_intervals, 100)
-    if num_chips < 4:
-        raise ValueError(f"fig32 needs at least 4 chips, got {num_chips}")
-    deployment = _deployment(num_layers=num_layers, kv_len=kv_len)
+    deployment = opt_deployment(
+        num_layers=QUICK_NUM_LAYERS if quick else NUM_LAYERS,
+        kv_len=QUICK_KV_LEN if quick else KV_LEN,
+        max_batch_size=4,
+    )
+    model = deployment.name
     tenants = [TenantSpec("steady"), TenantSpec("spiky"), TenantSpec("flash")]
 
     def build_engine(cache: PlanCache) -> FleetEngine:
         return FleetEngine(
             [deployment],
             tenants=tenants,
-            chip=chip,
-            num_chips=num_chips,
+            chip=CHIP,
+            num_chips=NUM_CHIPS,
             router=CostAwareRouter(),
-            constraints=constraints,
+            constraints=constraints_for(quick),
             plan_cache=cache,
         )
 
@@ -159,26 +134,22 @@ def run(
     rows: list[dict] = []
     try:
         engines = {scheme: build_engine(cache) for scheme in SCHEMES}
-        warm_misses: dict[str, int] = {}
-        for scheme, engine in engines.items():
-            before = cache.stats.snapshot()
-            engine.warm()
-            warm_misses[scheme] = cache.stats.since(before).misses
+        warm_misses = {scheme: warm(cache, engine).misses for scheme, engine in engines.items()}
 
         # Time and load units come from the priced cost model: ``unit`` is
         # the batch-1 iteration latency, ``replica_rate`` one replica's
         # sustained full-batch capacity for the mean request shape.
         reference = engines[SCHEME_FORECAST]
-        unit = reference.iteration_latency(MODEL, 1)
+        unit = reference.iteration_latency(model, 1)
         mean_iterations = deployment.ideal_iterations(MEAN_PROMPT, MEAN_OUTPUT)
         replica_rate = deployment.max_batch_size / (
-            mean_iterations * reference.iteration_latency(MODEL, deployment.max_batch_size)
+            mean_iterations * reference.iteration_latency(model, deployment.max_batch_size)
         )
-        interval = interval_iterations * unit
-        provision_delay = provision_delay_intervals * interval
-        horizon = horizon_intervals * interval
+        interval = INTERVAL_ITERATIONS * unit
+        provision_delay = PROVISION_DELAY_INTERVALS * interval
+        horizon = HORIZON_INTERVALS * interval
         slo_seconds = lambda prompt, output: (  # noqa: E731
-            slo_factor * deployment.ideal_iterations(prompt, output) * unit
+            SLO_FACTOR * deployment.ideal_iterations(prompt, output) * unit
         )
         shared = dict(
             prompt_tokens=PROMPT_TOKENS,
@@ -188,28 +159,28 @@ def run(
         )
         workload = merge_decode_workloads(
             diurnal_workload(
-                MODEL,
+                model,
                 base_rate=0.9 * replica_rate,
                 period=0.6 * horizon,
                 amplitude=0.7,
                 duration=horizon,
-                seed=seed + 1,
+                seed=SEED + 1,
                 tenant="steady",
                 **shared,
             ),
             bursty_workload(
-                MODEL,
+                model,
                 quiet_rate=0.15 * replica_rate,
                 burst_rate=2.2 * replica_rate,
                 mean_quiet=20 * interval,
                 mean_burst=7 * interval,
                 duration=horizon,
-                seed=seed + 2,
+                seed=SEED + 2,
                 tenant="spiky",
                 **shared,
             ),
             flash_crowd_workload(
-                MODEL,
+                model,
                 base_rate=0.15 * replica_rate,
                 start=0.3 * horizon,
                 ramp=12 * interval,
@@ -217,17 +188,17 @@ def run(
                 decay=8 * interval,
                 peak_multiplier=16.0,
                 duration=horizon,
-                seed=seed + 3,
+                seed=SEED + 3,
                 tenant="flash",
                 **shared,
             ),
         )
 
         shapes = {
-            MODEL: TrafficShape(
+            model: TrafficShape(
                 mean_prompt=MEAN_PROMPT,
                 mean_output=MEAN_OUTPUT,
-                slo_seconds=slo_factor * mean_iterations * unit,
+                slo_seconds=SLO_FACTOR * mean_iterations * unit,
             )
         }
 
@@ -241,13 +212,11 @@ def run(
                 )
             if scheme == SCHEME_FORECAST:
                 return ForecastScaler(
-                    BlueprintPlanner.for_engine(engine, headroom=headroom),
+                    BlueprintPlanner.for_engine(engine, headroom=HEADROOM),
                     shapes,
                     interval=interval,
                     provision_delay=provision_delay,
-                    make_forecaster=lambda: LinearTrendForecaster(
-                        window=forecast_window
-                    ),
+                    make_forecaster=lambda: LinearTrendForecaster(window=FORECAST_WINDOW),
                 )
             return None
 
@@ -261,34 +230,24 @@ def run(
             digests[scheme] = placement_digest(reports[scheme])
         # Bit-identity across compile parallelism: a fresh engine on a cold
         # jobs=2 cache (and a fresh scaler) must reproduce every placement
-        # of the forecast scheme.  Internal verification, not part of the
-        # figure — its events go to a throwaway tracer.
-        recheck_cache = PlanCache(jobs=2)
-        try:
-            with use_tracer(Tracer()):
-                recheck = build_engine(recheck_cache)
-                recheck.warm()
-                report = recheck.run(
-                    workload, scaler=make_scaler(SCHEME_FORECAST, recheck)
-                )
-                jobs2_identical = placement_digest(report) == digests[SCHEME_FORECAST]
-        finally:
-            recheck_cache.close()
+        # of the forecast scheme.
+        jobs2_identical = identical_at_jobs2(
+            build_engine,
+            lambda engine: engine.run(
+                workload, scaler=make_scaler(SCHEME_FORECAST, engine)
+            ),
+            digests[SCHEME_FORECAST],
+        )
 
         for scheme in SCHEMES:
             report = reports[scheme]
-            slices = report.per_tenant()
-            scoped = [("all", report)] + [
-                (tenant, slices[tenant]) for tenant in report.tenants
-            ]
-            for tenant, scope in scoped:
-                attainment = scope.slo_attainment
+            for tenant, scope in tenant_scopes(report):
                 rows.append(
                     {
                         "scheme": scheme,
                         "tenant": tenant,
-                        "model": MODEL,
-                        "chips": num_chips,
+                        "model": model,
+                        "chips": NUM_CHIPS,
                         "requests": len(scope.completed),
                         "completed": scope.total_completed,
                         "shed": scope.shed,
@@ -313,9 +272,7 @@ def run(
                             if report.provisioned_chip_seconds > 0
                             else 0.0
                         ),
-                        "slo_attainment": (
-                            -1.0 if math.isnan(attainment) else attainment
-                        ),
+                        "slo_attainment": attainment(scope),
                         "warm_compiles": warm_misses[scheme],
                         "recompiles": report.cache.misses,
                         "placements": digests[scheme] if tenant == "all" else "",
