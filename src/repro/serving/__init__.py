@@ -122,6 +122,7 @@ from repro.serving.request import (
     merge_decode_workloads,
     merge_workloads,
     poisson_workload,
+    trace_workload,
     uniform_workload,
 )
 from repro.serving.router import (
@@ -147,7 +148,6 @@ from repro.serving.traffic import (
     flash_crowd_workload,
     mmpp_arrivals,
     poisson_arrivals,
-    trace_workload,
     windowed_rates,
 )
 from repro.serving.worker import BatchExecution, IterationCost, WorkerPool

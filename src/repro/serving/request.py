@@ -312,42 +312,44 @@ class CompletedDecode:
         return deadline is None or self.completion_time <= deadline
 
 
-def decode_workload(
+def trace_workload(
+    arrival_times: Iterable[float],
     model: str,
     *,
-    num_requests: int,
-    rate: float,
-    seed: int = 0,
+    rng: random.Random,
     prompt_tokens: tuple[int, int] = (16, 128),
     output_tokens: tuple[int, int] = (4, 48),
     interactive_fraction: float = 0.75,
     slo_seconds: Callable[[int, int], float] | float | None = None,
     tenant: str = "",
+    max_requests: int | None = None,
 ) -> list[DecodeRequest]:
-    """A deterministic Poisson stream of autoregressive requests.
+    """Attach request attributes to a stream of arrival times.
 
-    Prompt lengths and output budgets are drawn uniformly from the given
-    inclusive ranges; a coin with ``interactive_fraction`` bias picks the SLO
-    class.  ``slo_seconds`` sets each interactive request's deadline relative
-    to its arrival — a constant, or a callable ``(prompt, output) -> seconds``
-    so deadlines can scale with the work requested (the fig27 experiment
-    passes ``slo_factor × ideal-service-time``).  ``None`` leaves interactive
-    requests deadline-free.  ``tenant`` tags every request with its traffic
-    source; merge per-tenant streams with :func:`merge_decode_workloads`.
+    Per request, in arrival order: a uniform prompt length and output
+    budget from the given inclusive ranges, then an ``interactive_fraction``
+    coin for the SLO class.  ``slo_seconds`` sets each interactive
+    request's deadline relative to its arrival — a constant, or a callable
+    ``(prompt, output) -> seconds`` so deadlines can scale with the work
+    requested; ``None`` leaves interactive requests deadline-free.
+    ``tenant`` tags every request with its traffic source.  ``rng`` is the
+    caller's seeded stream: :func:`decode_workload` and the
+    :mod:`repro.serving.traffic` generators share one generator between
+    arrivals and attributes, so a trace is one deterministic draw sequence.
     """
-    if num_requests <= 0:
-        raise ValueError(f"num_requests must be positive, got {num_requests}")
-    if rate <= 0:
-        raise ValueError(f"rate must be positive, got {rate}")
     if not 0.0 <= interactive_fraction <= 1.0:
         raise ValueError(
             f"interactive_fraction must be in [0, 1], got {interactive_fraction}"
         )
-    rng = random.Random(seed)
-    clock = 0.0
+    if max_requests is not None and max_requests < 1:
+        raise ValueError(f"max_requests must be >= 1, got {max_requests}")
     requests: list[DecodeRequest] = []
-    for index in range(num_requests):
-        clock += rng.expovariate(rate)
+    times = (
+        arrival_times
+        if max_requests is None
+        else itertools.islice(arrival_times, max_requests)
+    )
+    for index, clock in enumerate(times):
         prompt = rng.randint(*prompt_tokens)
         output = rng.randint(*output_tokens)
         interactive = rng.random() < interactive_fraction
@@ -370,6 +372,47 @@ def decode_workload(
             )
         )
     return requests
+
+
+def decode_workload(
+    model: str,
+    *,
+    num_requests: int,
+    rate: float,
+    seed: int = 0,
+    prompt_tokens: tuple[int, int] = (16, 128),
+    output_tokens: tuple[int, int] = (4, 48),
+    interactive_fraction: float = 0.75,
+    slo_seconds: Callable[[int, int], float] | float | None = None,
+    tenant: str = "",
+) -> list[DecodeRequest]:
+    """A deterministic Poisson stream of autoregressive requests.
+
+    :func:`trace_workload` over a stationary Poisson clock at ``rate``: the
+    clock and the request attributes draw from one generator seeded with
+    ``seed``.  The fig27 experiment passes ``slo_seconds`` as ``slo_factor
+    × ideal-service-time``; merge per-tenant streams with
+    :func:`merge_decode_workloads`.
+    """
+    if num_requests <= 0:
+        raise ValueError(f"num_requests must be positive, got {num_requests}")
+    if rate <= 0:
+        raise ValueError(f"rate must be positive, got {rate}")
+    rng = random.Random(seed)
+    # The Poisson clock sums exponential gaps drawn lazily, one per request,
+    # so each gap precedes that request's attribute draws on ``rng``.
+    clock = itertools.accumulate(map(rng.expovariate, itertools.repeat(rate)))
+    return trace_workload(
+        clock,
+        model,
+        rng=rng,
+        prompt_tokens=prompt_tokens,
+        output_tokens=output_tokens,
+        interactive_fraction=interactive_fraction,
+        slo_seconds=slo_seconds,
+        tenant=tenant,
+        max_requests=num_requests,
+    )
 
 
 def merge_decode_workloads(

@@ -34,17 +34,12 @@ the forecasters of :mod:`repro.serving.forecast` consume.
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
-from repro.serving.request import (
-    SLO_BEST_EFFORT,
-    SLO_INTERACTIVE,
-    DecodeRequest,
-)
+from repro.serving.request import DecodeRequest, trace_workload
 
 
 # --------------------------------------------------------------------------- #
@@ -239,67 +234,9 @@ def mmpp_arrivals(
 
 
 # --------------------------------------------------------------------------- #
-# Trace synthesis: arrival times -> DecodeRequest streams
+# Trace synthesis: arrival processes -> DecodeRequest streams (the request
+# attributes are drawn by :func:`~repro.serving.request.trace_workload`)
 # --------------------------------------------------------------------------- #
-def trace_workload(
-    arrival_times: Iterable[float],
-    model: str,
-    *,
-    rng: random.Random,
-    prompt_tokens: tuple[int, int] = (16, 128),
-    output_tokens: tuple[int, int] = (4, 48),
-    interactive_fraction: float = 0.75,
-    slo_seconds: Callable[[int, int], float] | float | None = None,
-    tenant: str = "",
-    max_requests: int | None = None,
-) -> list[DecodeRequest]:
-    """Attach request attributes to a stream of arrival times.
-
-    Mirrors :func:`~repro.serving.request.decode_workload` exactly — uniform
-    prompt/output draws, an ``interactive_fraction`` coin for the SLO class,
-    a ``slo_seconds`` deadline rule (constant or ``(prompt, output) ->
-    seconds``) and a ``tenant`` tag — but over *any* arrival process instead
-    of a stationary Poisson clock.  ``rng`` is the caller's seeded stream
-    (the ``*_workload`` wrappers share one generator between arrivals and
-    attributes, so a trace is one deterministic draw sequence).
-    """
-    if not 0.0 <= interactive_fraction <= 1.0:
-        raise ValueError(
-            f"interactive_fraction must be in [0, 1], got {interactive_fraction}"
-        )
-    if max_requests is not None and max_requests < 1:
-        raise ValueError(f"max_requests must be >= 1, got {max_requests}")
-    requests: list[DecodeRequest] = []
-    times = (
-        arrival_times
-        if max_requests is None
-        else itertools.islice(arrival_times, max_requests)
-    )
-    for index, clock in enumerate(times):
-        prompt = rng.randint(*prompt_tokens)
-        output = rng.randint(*output_tokens)
-        interactive = rng.random() < interactive_fraction
-        deadline: float | None = None
-        if interactive and slo_seconds is not None:
-            relative = (
-                slo_seconds(prompt, output) if callable(slo_seconds) else slo_seconds
-            )
-            deadline = clock + relative
-        requests.append(
-            DecodeRequest(
-                request_id=index,
-                model=model,
-                arrival_time=clock,
-                prompt_tokens=prompt,
-                max_new_tokens=output,
-                slo_class=SLO_INTERACTIVE if interactive else SLO_BEST_EFFORT,
-                deadline=deadline,
-                tenant=tenant,
-            )
-        )
-    return requests
-
-
 def diurnal_workload(
     model: str,
     *,
