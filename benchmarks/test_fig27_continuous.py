@@ -1,16 +1,9 @@
 """Benchmark regenerating Figure 27: continuous vs static decode batching."""
 
-from conftest import run_once
+from conftest import replay_across_jobs, run_once
 
 from repro.experiments import fig27_continuous
-from repro.obs import (
-    KIND_ASYNC,
-    KIND_SPAN,
-    Tracer,
-    to_chrome_trace,
-    use_tracer,
-    validate_chrome_trace,
-)
+from repro.obs import KIND_ASYNC, KIND_SPAN, to_chrome_trace, validate_chrome_trace
 
 
 def by_policy(rows):
@@ -60,14 +53,7 @@ def test_fig27_reproducible_across_jobs():
     virtual-domain event stream is a pure function of the workload (only
     wall-domain compile/cache events may differ between widths).
     """
-    serial_tracer, parallel_tracer = Tracer(), Tracer()
-    with use_tracer(serial_tracer):
-        serial = fig27_continuous.run(quick=True, jobs=1)
-    with use_tracer(parallel_tracer):
-        parallel = fig27_continuous.run(quick=True, jobs=2)
-    assert serial == parallel
-    assert serial_tracer.virtual_events() == parallel_tracer.virtual_events()
-    assert len(serial_tracer.virtual_events()) > 0
+    serial, serial_tracer = replay_across_jobs(fig27_continuous.run)
 
     # The trace carries exactly one request-lifecycle span per request of
     # each engine run (completed and shed alike), on that run's request lane.

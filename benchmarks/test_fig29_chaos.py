@@ -1,15 +1,9 @@
 """Benchmark regenerating Figure 29: goodput under deterministic chaos."""
 
-from conftest import run_once
+from conftest import replay_across_jobs, run_once
 
 from repro.experiments import fig29_chaos
-from repro.obs import (
-    KIND_INSTANT,
-    Tracer,
-    to_chrome_trace,
-    use_tracer,
-    validate_chrome_trace,
-)
+from repro.obs import KIND_INSTANT, to_chrome_trace, validate_chrome_trace
 
 
 def by_scenario(rows):
@@ -54,24 +48,16 @@ def test_fig29_reproducible_across_jobs():
     floats included — and the virtual-domain event stream must match exactly
     at any compilation parallelism.
     """
-    serial_tracer, parallel_tracer = Tracer(), Tracer()
-    with use_tracer(serial_tracer):
-        serial = fig29_chaos.run(quick=True, jobs=1)
-    with use_tracer(parallel_tracer):
-        parallel = fig29_chaos.run(quick=True, jobs=2)
     # restart_compile_s is the one wall-clock column; everything else is
     # virtual and must be bit-identical.
-    def strip(rows):
-        return [
-            {k: v for k, v in row.items() if k != "restart_compile_s"} for row in rows
-        ]
-    assert strip(serial) == strip(parallel)
+    serial, serial_tracer = replay_across_jobs(
+        fig29_chaos.run, wall_clock=("restart_compile_s",)
+    )
     assert all(
         v is None or v >= 0
         for row in serial
         for v in (row["pre_fault_goodput_rps"], row["dip_depth"])
     )
-    assert serial_tracer.virtual_events() == parallel_tracer.virtual_events()
 
     # The fault instants land on each chaos run's fleet lane: one death, one
     # detection, at least one failover, one restart and one chip-online per

@@ -1,15 +1,9 @@
 """Benchmark regenerating Figure 30: fleet routing vs static partitioning."""
 
-from conftest import run_once
+from conftest import replay_across_jobs, run_once
 
 from repro.experiments import fig30_multitenant
-from repro.obs import (
-    KIND_ASYNC,
-    Tracer,
-    to_chrome_trace,
-    use_tracer,
-    validate_chrome_trace,
-)
+from repro.obs import KIND_ASYNC, to_chrome_trace, validate_chrome_trace
 
 
 def by_key(rows):
@@ -55,14 +49,7 @@ def test_fig30_reproducible_across_jobs():
     compilation parallelism only changes wall-clock compile time, so the
     whole report (floats, placement digests and all) must match exactly.
     """
-    serial_tracer, parallel_tracer = Tracer(), Tracer()
-    with use_tracer(serial_tracer):
-        serial = fig30_multitenant.run(quick=True, jobs=1)
-    with use_tracer(parallel_tracer):
-        parallel = fig30_multitenant.run(quick=True, jobs=2)
-    assert serial == parallel
-    assert serial_tracer.virtual_events() == parallel_tracer.virtual_events()
-    assert len(serial_tracer.virtual_events()) > 0
+    serial, serial_tracer = replay_across_jobs(fig30_multitenant.run)
     # The experiment's own built-in recheck agrees.
     assert by_key(serial)[("fleet", "all")]["jobs2_identical"] is True
 

@@ -1,9 +1,9 @@
 """Benchmark regenerating Figure 31: fleet chaos under a GPU-class outage."""
 
-from conftest import run_once
+from conftest import replay_across_jobs, run_once
 
 from repro.experiments import fig31_fleet_chaos
-from repro.obs import Tracer, to_chrome_trace, use_tracer, validate_chrome_trace
+from repro.obs import to_chrome_trace, validate_chrome_trace
 
 
 def by_key(rows):
@@ -50,23 +50,11 @@ def test_fig31_reproducible_across_jobs():
     compilation parallelism only moves wall-clock compile time, so the whole
     report must match exactly.
     """
-    serial_tracer, parallel_tracer = Tracer(), Tracer()
-    with use_tracer(serial_tracer):
-        serial = fig31_fleet_chaos.run(quick=True, jobs=1)
-    with use_tracer(parallel_tracer):
-        parallel = fig31_fleet_chaos.run(quick=True, jobs=2)
-
     # restart_compile_s is the one wall-clock column; everything else is
     # virtual time and must be bit-identical.
-    def scrub(rows):
-        return [
-            {k: v for k, v in row.items() if k != "restart_compile_s"}
-            for row in rows
-        ]
-
-    assert scrub(serial) == scrub(parallel)
-    assert serial_tracer.virtual_events() == parallel_tracer.virtual_events()
-    assert len(serial_tracer.virtual_events()) > 0
+    serial, serial_tracer = replay_across_jobs(
+        fig31_fleet_chaos.run, wall_clock=("restart_compile_s",)
+    )
     # The experiment's own built-in recheck agrees.
     assert by_key(serial)[("health-aware", "all")]["jobs2_identical"] is True
 

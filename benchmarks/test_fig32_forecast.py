@@ -1,9 +1,9 @@
 """Benchmark regenerating Figure 32: forecast-ahead vs reactive provisioning."""
 
-from conftest import run_once
+from conftest import replay_across_jobs, run_once
 
 from repro.experiments import fig32_forecast
-from repro.obs import Tracer, to_chrome_trace, use_tracer, validate_chrome_trace
+from repro.obs import to_chrome_trace, validate_chrome_trace
 
 
 def by_key(rows):
@@ -41,15 +41,7 @@ def test_fig32_reproducible_across_jobs():
     all pure virtual time — compilation parallelism only moves wall-clock
     compile time — so the whole report must match exactly.
     """
-    serial_tracer, parallel_tracer = Tracer(), Tracer()
-    with use_tracer(serial_tracer):
-        serial = fig32_forecast.run(quick=True, jobs=1)
-    with use_tracer(parallel_tracer):
-        parallel = fig32_forecast.run(quick=True, jobs=2)
-
-    assert serial == parallel
-    assert serial_tracer.virtual_events() == parallel_tracer.virtual_events()
-    assert len(serial_tracer.virtual_events()) > 0
+    serial, serial_tracer = replay_across_jobs(fig32_forecast.run)
     # The experiment's own built-in recheck agrees.
     assert by_key(serial)[("forecast", "all")]["jobs2_identical"] is True
 
