@@ -448,16 +448,6 @@ class ContinuousReport:
             return 0.0
         return self.provisioned_chip_seconds / self.active_span
 
-    @property
-    def goodput_per_chip_second(self) -> float:
-        """SLO-met completions per provisioned chip-second — the capacity
-        planner's figure of merit: how much good work each chip-second the
-        fleet *paid for* actually produced.  ``nan`` when nothing was
-        provisioned (empty run)."""
-        if self.provisioned_chip_seconds <= 0:
-            return float("nan")
-        return self.slo_met / self.provisioned_chip_seconds
-
     # ------------------------------------------------------------------ #
     # Per-tenant slices (multi-tenant fleet runs)
     # ------------------------------------------------------------------ #
