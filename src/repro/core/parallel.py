@@ -48,7 +48,7 @@ from repro.ir.operator import Operator
 from repro.obs.trace import get_tracer
 
 #: Executor backends the engine can fan out over.
-BACKENDS = ("auto", "process", "thread", "serial")
+BACKENDS = ("auto", "process", "thread")
 
 
 def default_jobs() -> int:
@@ -214,7 +214,6 @@ class ParallelCompilationEngine:
       available);
     * ``"thread"`` — a :class:`ThreadPoolExecutor`; no extra processes, used
       as the portable fallback;
-    * ``"serial"`` — inline execution regardless of ``jobs`` (debugging aid);
     * ``"auto"`` — ``process`` when available, else ``thread``.
     """
 
@@ -332,7 +331,7 @@ class ParallelCompilationEngine:
             jobs=self.jobs,
             dispatched=len(pending),
         ):
-            if len(pending) > 1 and self.jobs > 1 and self.backend != "serial":
+            if len(pending) > 1 and self.jobs > 1:
                 self._search_parallel(pending, intra_op, errors)
             else:
                 self._search_inline(pending, intra_op, errors)

@@ -35,7 +35,6 @@ def run(
     batch_sizes: Sequence[int] | None = None,
     jobs_grid: Sequence[int] = DEFAULT_JOBS_GRID,
     constraints: SearchConstraints = DEFAULT_CONSTRAINTS,
-    backend: str = "auto",
     quick: bool = False,
 ) -> list[dict]:
     """One row per (model, batch, jobs) with compile time and divergence check.
@@ -71,7 +70,6 @@ def run(
                     cost_model=cost_model,
                     constraints=constraints,
                     jobs=jobs,
-                    parallel_backend=backend,
                 ) as compiler:
                     compiled = compiler.compile(graph)
                 if jobs == 1:

@@ -64,7 +64,7 @@ class TestDeterminism:
         serial, parallel = compile_pair(ipu_chip, ipu_cost_model, graph, jobs=4)
         assert_identical(serial, parallel)
 
-    @pytest.mark.parametrize("backend", ["process", "thread", "serial"])
+    @pytest.mark.parametrize("backend", ["process", "thread"])
     def test_backends_agree(self, small_chip, small_cost_model, backend):
         graph = build_workload("nerf", 1, quick=True)
         serial, parallel = compile_pair(
