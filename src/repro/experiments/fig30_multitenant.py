@@ -40,6 +40,7 @@ from repro.experiments.common import checked, print_table
 from repro.experiments.serving_common import (
     MIX_FLOORS,
     MIX_NUM_CHIPS,
+    MIX_PARTITION,
     attainment,
     identical_at_jobs2,
     mix_engine,
@@ -78,12 +79,7 @@ def run(*, quick: bool = False, jobs: int = 1) -> list[dict]:
     routing can harvest and a static carve cannot.
     """
     models = mix_models(quick)
-    opt, bert, vit = models.values()
-    partition = {
-        opt.name: list(range(MIX_NUM_CHIPS - 2)),
-        bert.name: [MIX_NUM_CHIPS - 2],
-        vit.name: [MIX_NUM_CHIPS - 1],
-    }
+    partition = {models[tenant].name: chips for tenant, chips in MIX_PARTITION.items()}
 
     def build_engine(router, cache):
         return mix_engine(

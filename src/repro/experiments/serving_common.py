@@ -214,10 +214,17 @@ MIX_TENANTS = (
 #: Declared fairness floor per tenant (the fleet-wide ``"all"`` row has none).
 MIX_FLOORS = {spec.name: spec.fairness_floor for spec in MIX_TENANTS}
 
-#: Each tenant's offered load, relative to its fig30 partition share's
-#: unbatched capacity (``MIX_SHARES`` chips).
+#: fig30's static partition: the chips each tenant's model is pinned to,
+#: the GPU last.  Offered load is expressed in these shares in fig31 too.
+MIX_PARTITION = {
+    "chat": list(range(MIX_NUM_CHIPS - 2)),
+    "search": [MIX_NUM_CHIPS - 2],
+    "vision": [MIX_NUM_CHIPS - 1],
+}
+
+#: Each tenant's offered load, relative to its partition share's unbatched
+#: capacity.
 MIX_LOAD_FACTORS = (11.0, 2.0, 1.0)
-MIX_SHARES = (MIX_NUM_CHIPS - 2, 1, 1)
 
 #: Deadlines over ideal service time: decode traffic, then single-pass.
 MIX_SLO_FACTOR = 1.5
@@ -301,7 +308,7 @@ def mix_streams(
             decode_stream(
                 model,
                 reference.iteration_latency(model.name, 1),
-                load=MIX_LOAD_FACTORS[index] * MIX_SHARES[index],
+                load=MIX_LOAD_FACTORS[index] * len(MIX_PARTITION[spec.name]),
                 slo_factor=MIX_SLO_FACTOR if decodes else MIX_SINGLE_PASS_SLO_FACTOR,
                 num_requests=num_requests[index],
                 interactive_fraction=0.75 if decodes else 1.0,
