@@ -18,6 +18,12 @@ from hypothesis import given, settings, strategies as st
 from repro.core import CostModel, IntraOpOptimizer
 from repro.core import intra_op
 from repro.core.constraints import DEFAULT_CONSTRAINTS, FAST_CONSTRAINTS
+from repro.core.partition import (
+    sub_extents,
+    temporal_factor_choices,
+    tensor_sharing_degree,
+    tensor_sub_shape,
+)
 from repro.core.plan import (
     FopCandidates,
     fop_geometry,
@@ -29,6 +35,7 @@ from repro.experiments.common import build_workload
 from repro.hw.spec import A100_CHIP, IPU_MK2
 from repro.ir import conv2d, matmul
 from repro.models import list_models
+from repro.utils import prod
 
 
 @pytest.fixture(scope="module")
@@ -50,10 +57,8 @@ def check_block(expr, chip, cost_model, entries, limit):
     ]
     assert block.factors.tolist() == [list(temporal.values()) for _, _, temporal in candidates]
     assert [entries[i].fop for i in block.fop_index.tolist()] == [c[0] for c in candidates]
-    sketches = [
-        sketch_plan(expr, chip, fop, temporal, geometry)
-        for fop, geometry, temporal in candidates
-    ]
+    # Each candidate's own geometry: a wrong shared one must not pass unseen.
+    sketches = [sketch_plan(expr, chip, fop, temporal) for fop, _, temporal in candidates]
     assert block.feasible.tolist() == [sketch is not None for sketch in sketches]
 
     live = [sketch for sketch in sketches if sketch is not None]
@@ -82,6 +87,54 @@ def check_operator(optimizer, expr):
     return live
 
 
+def fop_rows(optimizer, expr):
+    """``(fop, geometry, choices)`` of every ``F_op`` the search derives."""
+    for entry in optimizer._enumerate_candidates(expr):
+        yield entry.fop, entry.geometry, entry.choices
+
+
+def check_geometry(optimizer, expr):
+    """Assert the search's per-``F_op`` geometry and temporal choices equal the
+    scalar derivations of :mod:`repro.core.partition`.  Returns the F_op count."""
+    budget = optimizer._per_tensor_choice_budget(len(expr.all_tensors))
+    count = 0
+    for fop, geometry, choices in fop_rows(optimizer, expr):
+        count += 1
+        assert geometry.cores_used == prod(fop.values())
+        assert geometry.extents == sub_extents(expr, fop)
+        assert [tensor.spec for tensor in geometry.tensors] == list(expr.all_tensors)
+        for tensor, factors in zip(geometry.tensors, choices):
+            spec = tensor.spec
+            assert tensor.sharing == tensor_sharing_degree(expr, spec, fop)
+            assert tensor.sub_shape == tensor_sub_shape(expr, spec, fop)
+            assert tensor.elements == prod(tensor.sub_shape)
+            assert list(factors) == temporal_factor_choices(expr, spec, fop, max_choices=budget)
+    return count
+
+
+def registry_operators():
+    """Every distinct searched operator of the registry models."""
+    seen: set[tuple] = set()
+    for model_name in list_models():
+        for operator in build_workload(model_name, 1, quick=True).operators:
+            if operator.expr.library_fallback or operator.signature() in seen:
+                continue
+            seen.add(operator.signature())
+            yield operator
+
+
+@pytest.mark.parametrize("chip_name", ["ipu", "a100"])
+def test_registry_geometry_matches_scalar_derivation(
+    chip_name, ipu_cost_model, a100_cost_model
+):
+    chip, cost_model = {
+        "ipu": (IPU_MK2, ipu_cost_model),
+        "a100": (A100_CHIP, a100_cost_model),
+    }[chip_name]
+    optimizer = IntraOpOptimizer(chip, cost_model, DEFAULT_CONSTRAINTS)
+    assert sum(check_geometry(optimizer, operator.expr) for operator in registry_operators()) > 1000
+
+
 @pytest.mark.parametrize("chip_name", ["ipu", "a100"])
 def test_registry_models_match_scalar_sketches(
     chip_name, ipu_cost_model, a100_cost_model
@@ -91,27 +144,22 @@ def test_registry_models_match_scalar_sketches(
         "a100": (A100_CHIP, a100_cost_model),
     }[chip_name]
     optimizer = IntraOpOptimizer(chip, cost_model, DEFAULT_CONSTRAINTS)
-    seen: set[tuple] = set()
     checked = compound_rotated = multi_axis = 0
-    for model_name in list_models():
-        for operator in build_workload(model_name, 1, quick=True).operators:
-            expr = operator.expr
-            if expr.library_fallback or operator.signature() in seen:
-                continue
-            seen.add(operator.signature())
-            compound_dims = [
-                dim for spec in expr.all_tensors for dim in spec.dims if dim.is_compound
-            ]
-            for sketch in check_operator(optimizer, expr):
-                checked += 1
-                paces = sketch.rotation_paces
-                # Conv inputs index ``h + kh``: a rotated axis there changes
-                # that dim's per-step length.
-                compound_rotated += any(
-                    not paces.keys().isdisjoint(dim.axes) for dim in compound_dims
-                )
-                # Two rotated axes exercise the loop-nest order of the shifts.
-                multi_axis += len(paces) >= 2
+    for operator in registry_operators():
+        expr = operator.expr
+        compound_dims = [
+            dim for spec in expr.all_tensors for dim in spec.dims if dim.is_compound
+        ]
+        for sketch in check_operator(optimizer, expr):
+            checked += 1
+            paces = sketch.rotation_paces
+            # Conv inputs index ``h + kh``: a rotated axis there changes
+            # that dim's per-step length.
+            compound_rotated += any(
+                not paces.keys().isdisjoint(dim.axes) for dim in compound_dims
+            )
+            # Two rotated axes exercise the loop-nest order of the shifts.
+            multi_axis += len(paces) >= 2
     assert checked > 10_000
     assert compound_rotated > 0
     assert multi_axis > 0
@@ -240,6 +288,32 @@ def test_random_shapes_match_scalar_sketches(
     check_operator(optimizer, operator.expr)
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(["matmul", "conv"]),
+    a=st.integers(1, 300),
+    b=st.integers(1, 200),
+    c=st.integers(1, 100),
+    kernel=st.sampled_from([1, 3, 5]),
+    num_cores=st.sampled_from([6, 64, 1472]),
+)
+def test_random_shapes_geometry_matches_scalar_derivation(
+    small_chip, small_cost_model, kind, a, b, c, kernel, num_cores
+):
+    """Conv inputs carry compound ``h + kh`` dims, whose sub-length keeps the halo."""
+    if kind == "matmul":
+        operator = matmul("mm", m=a, k=b, n=c)
+    else:
+        size = max(kernel, a % 40 + 1)
+        operator = conv2d(
+            "c", batch=b % 4 + 1, in_channels=b % 32 + 1, out_channels=c % 32 + 1,
+            height=size, width=max(kernel, c % 24 + 1), kernel=kernel,
+        )
+    chip = replace(small_chip, num_cores=num_cores)
+    optimizer = IntraOpOptimizer(chip, small_cost_model, DEFAULT_CONSTRAINTS)
+    assert check_geometry(optimizer, operator.expr)
+
+
 def test_huge_operator_uses_exact_python_ints(small_chip, small_cost_model):
     """Past 2**53 the columns hold Python ints, still equal to the scalar path."""
     expr = matmul("huge", m=2**20, k=2**18, n=2**20).expr
@@ -247,3 +321,4 @@ def test_huge_operator_uses_exact_python_ints(small_chip, small_cost_model):
     run = next(iter(optimizer._fop_runs(expr)))
     assert sketch_block(expr, small_chip, run, 16).memory_bytes.dtype == object
     assert check_block(expr, small_chip, small_cost_model, run, 16)
+    assert check_geometry(optimizer, expr)
