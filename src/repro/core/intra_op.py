@@ -4,13 +4,16 @@ This is the first stage of T10's two-level optimisation (paper §4.3.1).  For
 one operator it:
 
 1. enumerates candidate operator partition factors under the parallelism and
-   padding constraints (:mod:`repro.core.partition`), with the per-tensor
-   temporal-factor choices of each,
-2. **sketches** every temporal combination of a run of operator partitions
-   at once as numpy columns (:func:`repro.core.plan.sketch_block`) — exact
-   feasibility, memory footprint, step structure and shift schedule from
-   divisor arithmetic alone — on sub-extents, sharing degrees and
-   sub-shapes derived once per ``F_op`` (:func:`repro.core.plan.fop_geometry`),
+   padding constraints (:mod:`repro.core.partition`),
+2. derives the geometry of every ``F_op`` in one array pass
+   (:func:`repro.core.plan.fop_columns`) — sub-extents, cores used, and per
+   tensor the sharing degree, sub-shape, element count and longest dim — and
+   each tensor's temporal-factor choices, thinned once per distinct
+   ``(sharing degree, longest dim)`` pair; then **sketches** every temporal
+   combination of a run of these rows at once as numpy columns
+   (:func:`repro.core.plan.sketch_block`) — exact feasibility, memory
+   footprint, step structure and shift schedule from divisor arithmetic
+   alone,
 3. drops SRAM-infeasible candidates, prices the survivors' exact execution
    time as arrays, and keeps the Pareto frontier of ``(memory, bound)``
    pairs (:class:`repro.core.pareto.ParetoAccumulator`) — a candidate's
@@ -37,8 +40,7 @@ layers of a transformer, say) are searched once and share one frontier.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -48,16 +50,18 @@ from repro.core.pareto import ParetoAccumulator, pareto_front
 from repro.core.partition import (
     complete_space_size,
     enumerate_operator_partitions,
+    enumerate_partition_rows,
     temporal_factor_choices,
 )
 from repro.core.plan import (
-    FopCandidates,
+    FopColumns,
     FopGeometry,
     OperatorPlan,
     PlanFrontier,
     PlanSketch,
     build_library_plan,
     build_plan,
+    fop_columns,
     fop_geometry,
     sketch_block,
     sketch_plan,
@@ -66,7 +70,6 @@ from repro.core.plan import (
 from repro.hw.spec import ChipSpec
 from repro.ir.operator import Operator
 from repro.obs.trace import get_tracer
-from repro.utils import prod
 
 #: Candidates per block: whole operator partitions join a block until it holds
 #: at least this many temporal combinations, and each block is sketched,
@@ -74,8 +77,8 @@ from repro.utils import prod
 #: sweep (docs/performance.md, "Block sketching").
 SKETCH_BLOCK = 1024
 
-#: ``(memory, priced time bound, fop, geometry, temporal)`` of one candidate.
-_Candidate = tuple[int, float, dict[str, int], FopGeometry, dict[str, int]]
+#: ``(memory, priced time bound, F_op row, temporal factors)`` of one candidate.
+_Candidate = tuple[int, float, int, tuple[int, ...]]
 
 
 @dataclass(frozen=True)
@@ -265,7 +268,7 @@ class IntraOpOptimizer:
             fitting = len(frontier)
             materialized = 1
         else:
-            # (memory, priced time bound, fop, geometry, temporal) per
+            # (memory, priced time bound, F_op row, temporal factors) per
             # candidate: the bound is the built plan's ``time_est`` bit for
             # bit, so this is the plan frontier.
             accumulator: ParetoAccumulator[_Candidate] = ParetoAccumulator(
@@ -274,15 +277,23 @@ class IntraOpOptimizer:
             tracer = get_tracer()
             limit = self.constraints.max_temporal_combos
             remaining = self.constraints.max_plans  # feasible candidates still allowed
-            runs = self._fop_runs(expr)
-            for run in runs:
+            with tracer.wall_span(
+                "fop-geometry",
+                track="compiler/intra-op",
+                cat="compile",
+                op=operator.name,
+            ) as span:
+                columns = self._fop_columns(expr)
+                runs = self._fop_runs(columns)
+                span.set(fops=len(columns))
+            for rows in runs:
                 with tracer.wall_span(
                     "sketch-flush",
                     track="compiler/intra-op",
                     cat="compile",
                     op=operator.name,
                 ) as span:
-                    block = sketch_block(expr, self.chip, run, limit)
+                    block = sketch_block(expr, self.chip, columns, rows, limit)
                     feasible = block.feasible
                     taken = np.cumsum(feasible)
                     end = len(block)
@@ -318,13 +329,14 @@ class IntraOpOptimizer:
                 # The cut filled ``max_plans`` on a block's last feasible
                 # candidate: look for a further feasible one candidate at a
                 # time, as the reference search does, rather than by blocks.
+                later = [columns.fop(row) for row in range(rows.stop, len(columns))]
                 truncated = any(
                     sketch_plan(expr, self.chip, fop, temporal, geometry) is not None
-                    for fop, geometry, temporal in self._scalar_candidates(
-                        expr, chain.from_iterable(runs)
-                    )
+                    for fop, geometry, temporal in self._scalar_candidates(expr, later)
                 )
-            frontier = [self._verified(expr, *candidate) for candidate in accumulator.items()]
+            frontier = [
+                self._verified(expr, columns, *candidate) for candidate in accumulator.items()
+            ]
             materialized = len(frontier)
 
         stats = SearchSpaceStats(
@@ -341,11 +353,11 @@ class IntraOpOptimizer:
     def _verified(
         self,
         expr,
+        columns: FopColumns,
         memory: int,
         bound: float,
-        fop: dict[str, int],
-        geometry: FopGeometry,
-        temporal: dict[str, int],
+        row: int,
+        factors: tuple[int, ...],
     ) -> PlanSketch:
         """Re-sketch one frontier member with :func:`sketch_plan` and price it.
 
@@ -353,7 +365,8 @@ class IntraOpOptimizer:
         the block's feasibility, memory or priced bound: the frontier was
         chosen on the block's values, so any drift would silently change it.
         """
-        sketch = sketch_plan(expr, self.chip, fop, temporal, geometry)
+        temporal = dict(zip((spec.name for spec in expr.all_tensors), factors))
+        sketch = sketch_plan(expr, self.chip, columns.fop(row), temporal, columns.geometry(row))
         if sketch is None:
             raise RuntimeError("block sketch accepted a candidate sketch_plan rejects")
         sketch.price(expr.op_type, self.cost_model)
@@ -433,64 +446,54 @@ class IntraOpOptimizer:
             if produced >= self.constraints.max_plans:
                 return
 
-    def _enumerate_candidates(self, expr) -> Iterator[FopCandidates]:
-        """Yield every ``F_op`` with its geometry and temporal-factor choices.
+    def _scalar_candidates(
+        self, expr, fops: Sequence[dict[str, int]] | None = None
+    ) -> Iterator[tuple[dict[str, int], FopGeometry, dict[str, int]]]:
+        """Every ``(F_op, geometry, temporal)`` candidate of ``fops``, one at a time.
 
-        The single source of the enumeration order: the block search, the
-        eager reference and the plan-space studies all consume this and
-        expand each ``F_op``'s choice lists with
-        :func:`~repro.core.plan.temporal_combos`, so the "bit-identical
-        frontiers" invariant cannot be broken by the loops drifting apart.
-        ``geometry`` is :func:`~repro.core.plan.fop_geometry` of the
-        ``F_op``, derived once and shared by all its temporal combinations.
-        Feasibility capping (``max_plans``) stays with the callers — it
-        counts *feasible* candidates, which only they know.
+        ``fops`` defaults to every ``F_op`` of the operator.  Each ``F_op``'s
+        geometry and temporal choices come from the scalar derivations
+        (:func:`~repro.core.plan.fop_geometry`,
+        :func:`~repro.core.partition.temporal_factor_choices`), so the eager
+        reference search stays an independent check of
+        :meth:`_fop_columns`.  Both paths expand the choices in one order
+        (:func:`~repro.core.plan.temporal_combos`).  Feasibility capping
+        (``max_plans``) stays with the callers — it counts *feasible*
+        candidates, which only they know.
         """
-        fops = enumerate_operator_partitions(expr, self.chip.num_cores, self.constraints)
-        per_tensor_choices = self._per_tensor_choice_budget(len(expr.all_tensors))
+        if fops is None:
+            fops = enumerate_operator_partitions(expr, self.chip.num_cores, self.constraints)
+        names = [spec.name for spec in expr.all_tensors]
+        budget = self._per_tensor_choice_budget(len(names))
+        limit = self.constraints.max_temporal_combos
         for fop in fops:
             geometry = fop_geometry(expr, fop)
-            choices = tuple(
-                temporal_factor_choices(
-                    expr,
-                    tensor.spec,
-                    fop,
-                    max_choices=per_tensor_choices,
-                    sharing=tensor.sharing,
-                    sub_shape=tensor.sub_shape,
-                )
-                for tensor in geometry.tensors
-            )
-            yield FopCandidates(fop, geometry, choices)
-
-    def _scalar_candidates(
-        self, expr, entries: Iterable[FopCandidates] | None = None
-    ) -> Iterator[tuple[dict[str, int], FopGeometry, dict[str, int]]]:
-        """Every ``(F_op, geometry, temporal)`` candidate of ``entries``, one at a time.
-
-        ``entries`` defaults to all of :meth:`_enumerate_candidates`.
-        """
-        names = [spec.name for spec in expr.all_tensors]
-        limit = self.constraints.max_temporal_combos
-        if entries is None:
-            entries = self._enumerate_candidates(expr)
-        for fop, geometry, choices in entries:
+            choices = [
+                temporal_factor_choices(expr, spec, fop, max_choices=budget)
+                for spec in expr.all_tensors
+            ]
             for combo in temporal_combos(choices, limit):
                 yield fop, geometry, dict(zip(names, combo))
 
-    def _fop_runs(self, expr) -> Iterator[list[FopCandidates]]:
-        """Group the operator partitions into runs of about :data:`SKETCH_BLOCK` candidates."""
-        limit = self.constraints.max_temporal_combos
-        run: list[FopCandidates] = []
-        size = 0
-        for entry in self._enumerate_candidates(expr):
-            run.append(entry)
-            size += min(prod(len(factors) for factors in entry.choices), limit)
+    def _fop_columns(self, expr) -> FopColumns:
+        """Every ``F_op`` of ``expr`` with its geometry and temporal choices, as columns."""
+        partitions = enumerate_partition_rows(expr, self.chip.num_cores, self.constraints)
+        budget = self._per_tensor_choice_budget(len(expr.all_tensors))
+        return fop_columns(expr, self.chip, partitions, budget)
+
+    def _fop_runs(self, columns: FopColumns) -> list[range]:
+        """Group the ``F_op`` rows into runs of about :data:`SKETCH_BLOCK` candidates."""
+        runs = []
+        start = size = 0
+        counts = columns.combo_counts(self.constraints.max_temporal_combos).tolist()
+        for row, count in enumerate(counts):
+            size += count
             if size >= SKETCH_BLOCK:
-                yield run
-                run, size = [], 0
-        if run:
-            yield run
+                runs.append(range(start, row + 1))
+                start, size = row + 1, 0
+        if start < len(counts):
+            runs.append(range(start, len(counts)))
+        return runs
 
     def _per_tensor_choice_budget(self, num_tensors: int) -> int:
         """How many temporal factors to consider per tensor."""

@@ -113,8 +113,6 @@ def temporal_factor_choices(
     fop: Mapping[str, int],
     *,
     max_choices: int = 6,
-    sharing: int | None = None,
-    sub_shape: tuple[int, ...] | None = None,
 ) -> list[int]:
     """Feasible temporal factors for ``spec`` under ``F_op``.
 
@@ -122,21 +120,17 @@ def temporal_factor_choices(
     is an integer, §4.2) and must not exceed the longest sub-tensor dimension
     (otherwise some partition would be empty).  The list is thinned to at most
     ``max_choices`` values spanning the full replicate-to-fully-split range so
-    the cross-product over tensors stays tractable.  ``sharing`` and
-    ``sub_shape`` may pass a precomputed :func:`tensor_sharing_degree` and
-    :func:`tensor_sub_shape` (the plan search derives both once per ``F_op``).
+    the cross-product over tensors stays tractable.  The thinning always keeps
+    both extremes, so ``max_choices`` below 2 raises :class:`ValueError`.
     """
-    if sharing is None:
-        sharing = tensor_sharing_degree(expr, spec, fop)
-    if sharing <= 1:
-        return [1]
-    shape = tensor_sub_shape(expr, spec, fop) if sub_shape is None else sub_shape
+    shape = tensor_sub_shape(expr, spec, fop)
     longest = max(shape) if shape else 1
-    return list(_thinned_temporal_choices(sharing, longest, max_choices))
+    sharing = tensor_sharing_degree(expr, spec, fop)
+    return list(thinned_temporal_choices(sharing, longest, max_choices))
 
 
 @lru_cache(maxsize=None)
-def _thinned_temporal_choices(
+def thinned_temporal_choices(
     sharing: int, longest: int, max_choices: int
 ) -> tuple[int, ...]:
     """The divisor thinning of :func:`temporal_factor_choices`, memoised.
@@ -144,8 +138,13 @@ def _thinned_temporal_choices(
     The choice list depends only on the sharing degree, the longest sub-tensor
     dimension and the thinning budget — three small integers that recur
     constantly across the candidates of one search — so the divisor filtering
-    runs once per distinct combination.
+    runs once per distinct combination.  The block search
+    (:func:`~repro.core.plan.fop_columns`) calls it directly on its columns.
     """
+    if max_choices < 2:
+        raise ValueError(
+            f"max_choices must be at least 2 (both extremes are kept), got {max_choices}"
+        )
     feasible = [d for d in divisors(sharing) if d <= longest]
     if not feasible:
         feasible = [1]
@@ -318,6 +317,18 @@ def enumerate_operator_partitions(
     sample of total core counts is enumerated and factored over the axes
     (largest axes first, which is where meaningful splits live).
     """
+    axes = list(expr.axes)
+    return [
+        dict(zip(axes, row)) for row in enumerate_partition_rows(expr, num_cores, constraints)
+    ]
+
+
+def enumerate_partition_rows(
+    expr: TensorExpression,
+    num_cores: int,
+    constraints: SearchConstraints,
+) -> list[tuple[int, ...]]:
+    """:func:`enumerate_operator_partitions` as rows of factors in ``expr.axes`` order."""
     axes = list(expr.axes.keys())
     lengths = [expr.axes[a] for a in axes]
     limits = [_axis_limit(length, num_cores) for length in lengths]
@@ -331,7 +342,7 @@ def enumerate_operator_partitions(
 
     targets = _sample_targets(low, usable, constraints.core_count_samples)
     seen: set[tuple[int, ...]] = set()
-    candidates: list[dict[str, int]] = []
+    candidates: list[tuple[int, ...]] = []
     for target in targets:
         factorizations = _factorizations_with_limits(
             target,
@@ -348,11 +359,11 @@ def enumerate_operator_partitions(
             if key in seen:
                 continue
             seen.add(key)
-            candidates.append(dict(zip(axes, fop_items)))
+            candidates.append(key)
             if len(candidates) >= constraints.max_plans:
                 return candidates
     if not candidates:
-        candidates.append(_greedy_partition(expr, num_cores))
+        candidates.append(tuple(_greedy_partition(expr, num_cores).values()))
     return candidates
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterator, Mapping, NamedTuple, Sequence, TypeVar
 
 import numpy as np
@@ -25,6 +26,7 @@ from repro.core.partition import (
     derive_rtensor,
     sub_extents,
     tensor_sharing_degree,
+    thinned_temporal_choices,
 )
 from repro.core.rtensor import RTensorConfig
 from repro.hw.spec import ChipSpec
@@ -411,9 +413,11 @@ class TensorGeometry(NamedTuple):
 class FopGeometry(NamedTuple):
     """Everything a sketch needs that depends only on ``(expr, F_op)``.
 
-    All temporal combinations of one ``F_op`` share it, so the search derives
-    it once per ``F_op`` (:func:`fop_geometry`) and hands it to every
-    :func:`sketch_plan` call of that ``F_op``.
+    All temporal combinations of one ``F_op`` share it, so the scalar search
+    paths derive it once per ``F_op`` (:func:`fop_geometry`) and hand it to
+    every :func:`sketch_plan` call of that ``F_op``.  The block search reads
+    it off its :class:`FopColumns` (:meth:`FopColumns.geometry`), only for
+    the frontier members it re-sketches.
     """
 
     cores_used: int
@@ -587,13 +591,193 @@ def temporal_combos(
     return itertools.islice(itertools.product(*choices), limit)
 
 
-class FopCandidates(NamedTuple):
-    """One ``F_op`` with its geometry and per-tensor temporal-factor choices."""
+@dataclass(frozen=True)
+class FopColumns:
+    """The temporal-independent geometry of every ``F_op`` of one operator.
 
-    fop: dict[str, int]
-    geometry: FopGeometry
-    choices: tuple[Sequence[int], ...]
-    """One factor list per tensor, in ``expr.all_tensors`` order."""
+    Row ``i`` holds, as columns, what :func:`fop_geometry` derives for the
+    ``i``-th ``F_op``, each tensor's longest sub-tensor dim and the
+    temporal-factor choices of each tensor
+    (:func:`~repro.core.partition.temporal_factor_choices`).  Per-tensor
+    columns are ``(F_ops, tensors)`` in ``expr.all_tensors`` order.
+    Integer columns are int64 while float64 holds every integer of the
+    operator exactly (below :data:`_EXACT_FLOAT_INT`), and Python ints
+    (object) otherwise.
+    """
+
+    expr: TensorExpression
+    bound: int
+    """Bounds every integer of these columns and of their :func:`sketch_block`
+    columns on the chip they were derived for."""
+    fops: np.ndarray
+    """``(F_ops, axes)`` partition factors, in ``expr.axes`` order."""
+    extents: np.ndarray
+    """``(F_ops, axes)`` sub-operator extents."""
+    cores_used: np.ndarray
+    sharing: np.ndarray
+    sub_shapes: np.ndarray
+    """``(F_ops, tensors, largest rank)`` sub-shapes, halo included, padded
+    with zeros past each tensor's rank."""
+    elements: np.ndarray
+    longest: np.ndarray
+    """Length of the longest sub-tensor dim (0 for a scalar tensor)."""
+    longest_axis: np.ndarray
+    """``expr.axes`` index of the longest dim's primary axis (first dim on
+    ties, as :func:`~repro.core.partition.choose_rotation_dim`)."""
+    choice_factors: np.ndarray
+    """Every distinct choice list, concatenated."""
+    choice_start: np.ndarray
+    """``(F_ops, tensors)`` offset of each tensor's choices in ``choice_factors``."""
+    choice_count: np.ndarray
+    """``(F_ops, tensors)`` number of choices of each tensor."""
+
+    def __len__(self) -> int:
+        return len(self.fops)
+
+    def fop(self, row: int) -> dict[str, int]:
+        """``F_op`` of ``row``."""
+        return dict(zip(self.expr.axes, self.fops[row].tolist()))
+
+    def geometry(self, row: int) -> FopGeometry:
+        """:func:`fop_geometry` of ``row``, read off the columns."""
+        tensors = tuple(
+            TensorGeometry(spec, sharing, tuple(shape[: spec.rank]), elements)
+            for spec, sharing, shape, elements in zip(
+                self.expr.all_tensors,
+                self.sharing[row].tolist(),
+                self.sub_shapes[row].tolist(),
+                self.elements[row].tolist(),
+            )
+        )
+        extents = dict(zip(self.expr.axes, self.extents[row].tolist()))
+        return FopGeometry(int(self.cores_used[row]), extents, tensors)
+
+    def choices(self, row: int) -> tuple[tuple[int, ...], ...]:
+        """Each tensor's temporal-factor choices under ``row``'s ``F_op``."""
+        return tuple(
+            tuple(self.choice_factors[start : start + count].tolist())
+            for start, count in zip(
+                self.choice_start[row].tolist(), self.choice_count[row].tolist()
+            )
+        )
+
+    def combo_counts(self, limit: int) -> np.ndarray:
+        """Temporal combinations of each ``F_op`` (:func:`temporal_combos`)."""
+        return np.minimum(self.choice_count.prod(axis=1), limit)
+
+
+def fop_columns(
+    expr: TensorExpression,
+    chip: ChipSpec,
+    partitions: Sequence[Sequence[int]],
+    max_choices: int,
+) -> FopColumns:
+    """Derive :class:`FopColumns` for ``partitions`` (``F_op`` rows in
+    ``expr.axes`` order) in one array pass.
+
+    Each tensor's temporal choices are thinned to ``max_choices``; the
+    thinning runs once per distinct ``(sharing degree, longest dim)`` pair.
+    """
+    bound = max(
+        prod(expr.axes.values()), expr.total_bytes + chip.shift_buffer_bytes, chip.num_cores
+    )
+    ints = np.int64 if bound < _EXACT_FLOAT_INT else object
+    fops = np.array(partitions, dtype=ints).reshape(-1, len(expr.axes))
+    extents = _ceil_div(np.array(list(expr.axes.values()), dtype=ints), fops)
+    layout = _tensor_layout(tuple(expr.axes), expr.all_tensors)
+    # Every dim of every tensor at once: the sum of its axes' sub-extents,
+    # minus the halo of a compound dim; past a tensor's rank, zero.
+    dims = extents @ layout.dim_axes.astype(ints) - layout.halo.astype(ints)
+    sub_shapes = np.where(layout.padding, 0, dims[:, layout.tensor_dims])
+    dim = sub_shapes.argmax(axis=2)
+    sharing = np.where(layout.missing, fops[:, None, :], 1).prod(axis=2)
+
+    # One thinning per distinct (sharing, longest) pair.  The choices are
+    # divisors of the sharing degree, so a longest dim past it is clipped to
+    # it; a scalar tensor's longest dim counts as 1, as in
+    # ``temporal_factor_choices``.
+    longest = sub_shapes.max(axis=2)
+    pair_sharing = sharing.ravel()
+    pair_reach = np.minimum(np.maximum(longest, 1), sharing).ravel()
+    top = int(pair_sharing.max()) + 1
+    if top >= 2**31:  # keep the pair keys exact
+        pair_sharing = pair_sharing.astype(object)
+    _, first, choice_id = np.unique(
+        pair_sharing * top + pair_reach, return_index=True, return_inverse=True
+    )
+    lists = [
+        thinned_temporal_choices(degree, reach, max_choices)
+        for degree, reach in zip(pair_sharing[first].tolist(), pair_reach[first].tolist())
+    ]
+    sizes = np.array([len(factors) for factors in lists], dtype=np.intp)
+    starts = np.cumsum(sizes) - sizes
+    return FopColumns(
+        expr=expr,
+        bound=bound,
+        fops=fops,
+        extents=extents,
+        cores_used=fops.prod(axis=1),
+        sharing=sharing,
+        sub_shapes=sub_shapes,
+        elements=np.where(layout.padding, 1, sub_shapes).prod(axis=2),
+        longest=longest,
+        longest_axis=layout.primary[np.arange(sharing.shape[1]), dim],
+        choice_factors=np.array([f for factors in lists for f in factors], dtype=ints),
+        choice_start=starts[choice_id].reshape(sharing.shape),
+        choice_count=sizes[choice_id].reshape(sharing.shape),
+    )
+
+
+class _TensorLayout(NamedTuple):
+    """Which axes make up each tensor dim of one expression, as index arrays."""
+
+    dim_axes: np.ndarray
+    """``(axes, dims)``: 1 where the axis is part of the dim; dims of every
+    tensor, in ``expr.all_tensors`` order."""
+    halo: np.ndarray
+    """``(dims,)`` axes per dim, minus 1."""
+    tensor_dims: np.ndarray
+    """``(tensors, largest rank)`` dim of each tensor position (0 past the rank)."""
+    padding: np.ndarray
+    """``(tensors, largest rank)`` set past each tensor's rank."""
+    primary: np.ndarray
+    """``(tensors, largest rank)`` axis index of each dim's primary axis."""
+    missing: np.ndarray
+    """``(tensors, axes)`` set where the tensor lacks the axis."""
+
+
+@lru_cache(maxsize=None)
+def _tensor_layout(axes: tuple[str, ...], tensors: tuple[TensorSpec, ...]) -> _TensorLayout:
+    """The :class:`_TensorLayout` of an expression's axes and tensors (memoised:
+    operators of one kind share it)."""
+    rank = max(1, *(spec.rank for spec in tensors))
+    all_dims = [dim for spec in tensors for dim in spec.dims]
+    dim_axes = np.zeros((len(axes), max(len(all_dims), 1)), dtype=np.int64)
+    for index, dim in enumerate(all_dims):
+        dim_axes[[axes.index(axis) for axis in dim.axes], index] = 1
+    tensor_dims = np.zeros((len(tensors), rank), dtype=np.intp)
+    padding = np.ones((len(tensors), rank), dtype=bool)
+    primary = np.zeros((len(tensors), rank), dtype=np.intp)
+    first = 0
+    for position, spec in enumerate(tensors):
+        tensor_dims[position, : spec.rank] = range(first, first + spec.rank)
+        padding[position, : spec.rank] = False
+        primary[position, : spec.rank] = [axes.index(dim.primary) for dim in spec.dims]
+        first += spec.rank
+    missing = np.array([[not spec.has_axis(axis) for axis in axes] for spec in tensors])
+    halo = np.array([len(dim.axes) - 1 for dim in all_dims] or [0])
+    return _TensorLayout(dim_axes, halo, tensor_dims, padding, primary, missing)
+
+
+@lru_cache(maxsize=None)
+def _combo_offsets(lengths: tuple[int, ...], limit: int) -> np.ndarray:
+    """``(combinations, tensors)`` choice positions of one choice-length tuple,
+    in :func:`temporal_combos` order."""
+    offsets = np.array(
+        list(temporal_combos([range(length) for length in lengths], limit)), dtype=np.intp
+    ).reshape(-1, len(lengths))
+    offsets.flags.writeable = False
+    return offsets
 
 
 @dataclass(frozen=True)
@@ -609,10 +793,8 @@ class SketchBlock:
     their integers exactly.
     """
 
-    entries: list[FopCandidates]
-    tensor_names: tuple[str, ...]
     fop_index: np.ndarray
-    """Entry of each candidate."""
+    """:class:`FopColumns` row of each candidate."""
     factors: np.ndarray
     """``(candidates, tensors)`` temporal factor of every tensor."""
     feasible: np.ndarray
@@ -629,11 +811,9 @@ class SketchBlock:
     def __len__(self) -> int:
         return len(self.fop_index)
 
-    def candidate(self, index: int) -> tuple[dict[str, int], FopGeometry, dict[str, int]]:
-        """``(fop, geometry, temporal_factors)`` of candidate ``index``."""
-        entry = self.entries[int(self.fop_index[index])]
-        temporal = dict(zip(self.tensor_names, self.factors[index].tolist()))
-        return entry.fop, entry.geometry, temporal
+    def candidate(self, index: int) -> tuple[int, tuple[int, ...]]:
+        """``(F_op row, temporal factors)`` of candidate ``index``."""
+        return int(self.fop_index[index]), tuple(self.factors[index].tolist())
 
     def time_bound(
         self, cost_model: CostModel, op_type: str, index: np.ndarray
@@ -672,12 +852,13 @@ def _ceil_div(numerator: np.ndarray, denominator: np.ndarray) -> np.ndarray:
 def sketch_block(
     expr: TensorExpression,
     chip: ChipSpec,
-    entries: Sequence[FopCandidates],
+    columns: FopColumns,
+    rows: range,
     limit: int,
 ) -> SketchBlock:
-    """Sketch every temporal combination of ``entries`` at once.
+    """Sketch every temporal combination of the ``F_op`` ``rows`` of ``columns``.
 
-    The array counterpart of :func:`sketch_plan`: each ``entry`` contributes
+    The array counterpart of :func:`sketch_plan`: each ``F_op`` contributes
     its first ``limit`` combinations (:func:`temporal_combos`), and the
     block's columns equal ``sketch_plan`` on each of them, bit for bit.
 
@@ -694,50 +875,39 @@ def sketch_block(
     axes = list(expr.axes)
     axis_index = {axis: index for index, axis in enumerate(axes)}
     dtype_bytes = expr.dtype.bytes
-    bound = max(
-        prod(expr.axes.values()), expr.total_bytes + chip.shift_buffer_bytes, chip.num_cores
-    )
-    ints = np.int64 if bound < _EXACT_FLOAT_INT else object
-    big = max(2**62, bound + 1)  # larger than any pace, byte count or step count
+    ints = columns.fops.dtype
+    big = max(2**62, columns.bound + 1)  # larger than any pace, byte count or step count
 
-    # Per (F_op, tensor) quantities, flattened as ``entry * num_tensors + tensor``.
-    sharing: list[int] = []
-    elements: list[int] = []
-    longest: list[int] = []
-    longest_axis: list[int] = []
-    # Rotation rows: one per (F_op, tensor, factor).
-    row_factor: list[int] = []
-    row_owner: list[int] = []
-    combos: list[tuple[int, ...]] = []
-    fop_ok: list[bool] = []
-    extents: list[list[int]] = []
-    for entry in entries:
-        geometry = entry.geometry
-        fop_ok.append(geometry.cores_used <= chip.num_cores)
-        extents.append([geometry.extents[axis] for axis in axes])
-        ranges = []
-        for tensor, factors in zip(geometry.tensors, entry.choices):
-            length = max(tensor.sub_shape, default=0)
-            dim = tensor.sub_shape.index(length) if tensor.sub_shape else None
-            owner = len(sharing)
-            sharing.append(tensor.sharing)
-            elements.append(tensor.elements)
-            longest.append(length)
-            longest_axis.append(0 if dim is None else axis_index[tensor.spec.dims[dim].primary])
-            start = len(row_factor)
-            row_factor.extend(factors)
-            row_owner.extend([owner] * len(factors))
-            ranges.append(range(start, len(row_factor)))
-        combos.extend(temporal_combos(ranges, limit))
-
-    rows = np.array(combos, dtype=np.intp).reshape(-1, num_tensors)
-    count = len(rows)
-    owner = np.array(row_owner, dtype=np.intp)
-    factor = np.array(row_factor, dtype=ints)
-    sharing_col = np.array(sharing, dtype=ints)
-    elements_col = np.array(elements, dtype=ints)
+    # Per (F_op, tensor) slot, flattened as ``F_op * num_tensors + tensor``.
+    span = slice(rows.start, rows.stop)
+    sharing_col = columns.sharing[span].ravel()
+    elements_col = columns.elements[span].ravel()
     sub_bytes_col = elements_col * dtype_bytes
-    longest_col = np.array(longest, dtype=ints)
+    longest_col = columns.longest[span].ravel()
+    lengths = columns.choice_count[span]
+    slot_rows = lengths.ravel()
+
+    # Rotation rows: one per (F_op, tensor, factor), slot after slot.
+    owner = np.repeat(np.arange(len(slot_rows)), slot_rows)
+    slot_first = np.cumsum(slot_rows) - slot_rows
+    within = np.arange(len(owner)) - slot_first[owner]
+    factor = columns.choice_factors[columns.choice_start[span].ravel()[owner] + within]
+
+    # Each F_op's combinations, as rotation-row indices: one cached table of
+    # choice positions per choice-length tuple, offset by the F_op's slots.
+    radix = int(lengths.max()) + 1
+    _, first_fop, key_of = np.unique(
+        lengths @ radix ** np.arange(num_tensors), return_index=True, return_inverse=True
+    )
+    tables = [_combo_offsets(tuple(lengths[fop].tolist()), limit) for fop in first_fop.tolist()]
+    table_sizes = np.array([len(table) for table in tables], dtype=np.intp)
+    table_first = np.cumsum(table_sizes) - table_sizes
+    combos_per_fop = table_sizes[key_of]
+    fop_local = np.repeat(np.arange(len(lengths)), combos_per_fop)
+    offset = np.arange(len(fop_local)) - (np.cumsum(combos_per_fop) - combos_per_fop)[fop_local]
+    picks = np.concatenate(tables)[table_first[key_of][fop_local] + offset]
+    picks += slot_first.reshape(lengths.shape)[fop_local]
+    count = len(picks)
 
     # Rotation rows.
     row_sharing = sharing_col[owner]
@@ -752,11 +922,10 @@ def sketch_block(
         rotates, row_elements // np.maximum(row_longest, 1) * partition_len, row_elements
     ) * dtype_bytes
     row_pace = np.maximum(partition_len, 1)
-    row_axis = np.where(rotates, np.array(longest_axis, dtype=np.intp)[owner], -1)
+    row_axis = np.where(rotates, columns.longest_axis[span].ravel()[owner], -1)
 
     # Per candidate: the rows it picks and what they add up to.
-    fop_index = owner[rows[:, 0]] // num_tensors
-    feasible = np.array(fop_ok, dtype=bool)[fop_index]
+    feasible = (columns.cores_used[span] <= chip.num_cores)[fop_local]
     memory = np.full(count, chip.shift_buffer_bytes, dtype=ints)
     axis_ids = np.arange(len(axes))[:, None]
     pace = np.full((len(axes), count), big, dtype=ints)  # min pace per axis
@@ -764,7 +933,7 @@ def sketch_block(
     first = np.full((len(axes), count), num_tensors)  # first tensor rotating on it
     rotated: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     for position in range(num_tensors):
-        picked = rows[:, position]
+        picked = picks[:, position]
         feasible &= row_ok[picked]
         memory += row_bytes[picked]
         tensor_axis = row_axis[picked]
@@ -775,7 +944,7 @@ def sketch_block(
         first = np.where(hit, np.minimum(first, position), first)
         rotated.append((tensor_axis, longest_col[tensor_owner], sub_bytes_col[tensor_owner]))
 
-    fop_extents = np.array(extents, dtype=ints).reshape(-1, len(axes))[fop_index].T
+    fop_extents = columns.extents[span][fop_local].T
     rotating = pace != big
     safe_pace = np.where(rotating, pace, 1)
     steps = np.where(rotating, np.maximum(_ceil_div(fop_extents, safe_pace), 1), 1)
@@ -804,10 +973,10 @@ def sketch_block(
         (axis_bytes[:, None] == axis_bytes[None, :]) & (first[:, None] < first[None, :])
     )
     outer_iters = np.where(outside, steps[:, None], 1).prod(axis=0)
-    columns = np.arange(count)
+    candidates = np.arange(count)
     shift_terms = []
     for tensor_axis, dim_len, sub_bytes in rotated:
-        at = np.maximum(tensor_axis, 0), columns
+        at = np.maximum(tensor_axis, 0), candidates
         steps_k = steps[at]
         present = (tensor_axis >= 0) & (steps_k > 1)
         rotation_steps = np.maximum(_ceil_div(dim_len, safe_pace[at]), 1)
@@ -818,7 +987,7 @@ def sketch_block(
             )
         )
     # The reduction merge of a replicated, spatially split output.
-    output = rows[:, num_tensors - 1]
+    output = picks[:, num_tensors - 1]
     output_sharing = row_sharing[output]
     merge = (output_sharing > 1) & (factor[output] <= 1)
     shift_terms.append(
@@ -829,10 +998,8 @@ def sketch_block(
     )
 
     return SketchBlock(
-        entries=list(entries),
-        tensor_names=tuple(spec.name for spec in tensors),
-        fop_index=fop_index,
-        factors=factor[rows],
+        fop_index=fop_local + rows.start,
+        factors=factor[picks],
         feasible=feasible,
         memory_bytes=memory,
         num_steps=steps.prod(axis=0),

@@ -149,6 +149,17 @@ class TestTemporalChoices:
         b = mm.inputs[0]
         assert len(temporal_factor_choices(mm, b, fop, max_choices=2)) <= 2
 
+    @pytest.mark.parametrize("max_choices", [1, 0, -1])
+    def test_rejects_a_budget_below_both_extremes(self, max_choices):
+        """The thinning keeps the smallest and largest factor, so it cannot
+        honour a budget below 2 (1 used to divide by zero, 0 returned two)."""
+        expr = matmul("mm", m=64, k=64, n=64).expr
+        b = expr.inputs[1]
+        fop = {"m": 16, "k": 1, "n": 1}
+        assert len(temporal_factor_choices(expr, b, fop)) > 2
+        with pytest.raises(ValueError, match="max_choices"):
+            temporal_factor_choices(expr, b, fop, max_choices=max_choices)
+
 
 class TestEnumeration:
     def test_parallelism_constraint(self, small_chip):

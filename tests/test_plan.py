@@ -349,8 +349,9 @@ class TestBytesPerStepOracle:
             compound_axes = [
                 dim.axes for spec in expr.all_tensors for dim in spec.dims if dim.is_compound
             ]
-            for run in optimizer._fop_runs(expr):
-                block = sketch_block(expr, ipu_chip, run, limit)
+            fops = optimizer._fop_columns(expr)
+            for rows in optimizer._fop_runs(fops):
+                block = sketch_block(expr, ipu_chip, fops, rows, limit)
                 index = np.flatnonzero(block.feasible)
                 columns = {axis: block.subtask_shape[axis][index].tolist() for axis in expr.axes}
                 for position, nbytes in enumerate(block.bytes_per_step[index].tolist()):
@@ -360,10 +361,9 @@ class TestBytesPerStepOracle:
                     )
                     # An axis whose step extent differs from its
                     # sub-operator extent rotates.
-                    entry = run[int(block.fop_index[index[position]])]
+                    extents = fops.geometry(int(block.fop_index[index[position]])).extents
                     rotated = {
-                        axis for axis, extent in shape.items()
-                        if extent != entry.geometry.extents[axis]
+                        axis for axis, extent in shape.items() if extent != extents[axis]
                     }
                     compound += bool(compound_axes)
                     compound_rotated += any(not rotated.isdisjoint(axes) for axes in compound_axes)

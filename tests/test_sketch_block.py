@@ -19,13 +19,12 @@ from repro.core import CostModel, IntraOpOptimizer
 from repro.core import intra_op
 from repro.core.constraints import DEFAULT_CONSTRAINTS, FAST_CONSTRAINTS
 from repro.core.partition import (
-    sub_extents,
+    choose_rotation_dim,
+    enumerate_operator_partitions,
     temporal_factor_choices,
-    tensor_sharing_degree,
-    tensor_sub_shape,
 )
 from repro.core.plan import (
-    FopCandidates,
+    fop_columns,
     fop_geometry,
     sketch_block,
     sketch_plan,
@@ -35,7 +34,6 @@ from repro.experiments.common import build_workload
 from repro.hw.spec import A100_CHIP, IPU_MK2
 from repro.ir import conv2d, matmul
 from repro.models import list_models
-from repro.utils import prod
 
 
 @pytest.fixture(scope="module")
@@ -43,22 +41,20 @@ def a100_cost_model() -> CostModel:
     return CostModel.fit(A100_CHIP, samples_per_type=24)
 
 
-def check_block(expr, chip, cost_model, entries, limit):
-    """Assert the block of ``entries`` equals ``sketch_plan`` on every candidate.
-
-    Returns the feasible candidates' scalar sketches, in candidate order.
-    """
-    block = sketch_block(expr, chip, entries, limit)
+def check_block(expr, chip, cost_model, columns, rows, limit):
+    """Assert the block of ``columns``' ``rows`` equals ``sketch_plan`` on every
+    candidate.  Returns the feasible candidates' scalar sketches, in order."""
+    block = sketch_block(expr, chip, columns, rows, limit)
     names = [spec.name for spec in expr.all_tensors]
     candidates = [
-        (entry.fop, entry.geometry, dict(zip(names, combo)))
-        for entry in entries
-        for combo in temporal_combos(entry.choices, limit)
+        (row, columns.fop(row), dict(zip(names, combo)))
+        for row in rows
+        for combo in temporal_combos(columns.choices(row), limit)
     ]
     assert block.factors.tolist() == [list(temporal.values()) for _, _, temporal in candidates]
-    assert [entries[i].fop for i in block.fop_index.tolist()] == [c[0] for c in candidates]
+    assert block.fop_index.tolist() == [row for row, _, _ in candidates]
     # Each candidate's own geometry: a wrong shared one must not pass unseen.
-    sketches = [sketch_plan(expr, chip, fop, temporal) for fop, _, temporal in candidates]
+    sketches = [sketch_plan(expr, chip, fop, temporal) for _, fop, temporal in candidates]
     assert block.feasible.tolist() == [sketch is not None for sketch in sketches]
 
     live = [sketch for sketch in sketches if sketch is not None]
@@ -81,35 +77,40 @@ def check_block(expr, chip, cost_model, entries, limit):
 def check_operator(optimizer, expr):
     """Check every block the search would sketch for ``expr``."""
     limit = optimizer.constraints.max_temporal_combos
+    columns = optimizer._fop_columns(expr)
     live = []
-    for run in optimizer._fop_runs(expr):
-        live += check_block(expr, optimizer.chip, optimizer.cost_model, run, limit)
+    for rows in optimizer._fop_runs(columns):
+        live += check_block(expr, optimizer.chip, optimizer.cost_model, columns, rows, limit)
     return live
 
 
-def fop_rows(optimizer, expr):
-    """``(fop, geometry, choices)`` of every ``F_op`` the search derives."""
-    for entry in optimizer._enumerate_candidates(expr):
-        yield entry.fop, entry.geometry, entry.choices
-
-
 def check_geometry(optimizer, expr):
-    """Assert the search's per-``F_op`` geometry and temporal choices equal the
-    scalar derivations of :mod:`repro.core.partition`.  Returns the F_op count."""
+    """Assert the search's ``F_op`` columns equal the scalar derivations:
+    :func:`fop_geometry`, the longest dim :func:`choose_rotation_dim` picks and
+    :func:`temporal_factor_choices`.  Returns the ``F_op`` count."""
+    columns = optimizer._fop_columns(expr)
+    fops = enumerate_operator_partitions(expr, optimizer.chip.num_cores, optimizer.constraints)
+    assert [columns.fop(row) for row in range(len(columns))] == fops
+    axes = list(expr.axes)
     budget = optimizer._per_tensor_choice_budget(len(expr.all_tensors))
-    count = 0
-    for fop, geometry, choices in fop_rows(optimizer, expr):
-        count += 1
-        assert geometry.cores_used == prod(fop.values())
-        assert geometry.extents == sub_extents(expr, fop)
-        assert [tensor.spec for tensor in geometry.tensors] == list(expr.all_tensors)
-        for tensor, factors in zip(geometry.tensors, choices):
+    for row, fop in enumerate(fops):
+        geometry = columns.geometry(row)
+        assert geometry == fop_geometry(expr, fop)
+        assert type(geometry.cores_used) is int
+        assert all(type(extent) is int for extent in geometry.extents.values())
+        for position, (tensor, factors) in enumerate(zip(geometry.tensors, columns.choices(row))):
             spec = tensor.spec
-            assert tensor.sharing == tensor_sharing_degree(expr, spec, fop)
-            assert tensor.sub_shape == tensor_sub_shape(expr, spec, fop)
-            assert tensor.elements == prod(tensor.sub_shape)
+            assert all(type(length) is int for length in tensor.sub_shape)
+            assert type(tensor.sharing) is type(tensor.elements) is int
+            longest = max(tensor.sub_shape, default=0)
+            assert columns.longest[row, position] == longest
+            # The first dim of the longest length is the only one that can host
+            # a split of that many parts.
+            dim = choose_rotation_dim(expr, spec, fop, longest) if longest > 1 else 0
+            primary = spec.dims[dim].primary if spec.dims else axes[0]
+            assert columns.longest_axis[row, position] == axes.index(primary)
             assert list(factors) == temporal_factor_choices(expr, spec, fop, max_choices=budget)
-    return count
+    return len(fops)
 
 
 def registry_operators():
@@ -169,19 +170,26 @@ def test_infeasible_factors_and_partitions(small_chip, small_cost_model):
     """Factors that do not divide the sharing degree, that exceed it, that no
     dim can host, and an ``F_op`` using more cores than the chip has."""
     expr = matmul("mm", m=96, k=4, n=4).expr
-
-    def entry(fop, choices):
-        return FopCandidates(fop, fop_geometry(expr, fop), choices)
-
-    entries = [
+    fops = [(16, 1, 1), (8, 1, 4), (96, 1, 1)]  # (m, k, n)
+    choices = [
         # B[k, n] is shared by the 16 m-parts: 3 does not divide 16, 32
         # exceeds it, and 8 divides it but exceeds both of B's 4-long dims.
-        entry({"m": 16, "k": 1, "n": 1}, ((1,), (1, 2, 3, 8, 32), (1,))),
-        entry({"m": 8, "k": 1, "n": 4}, ((1, 2, 4), (1, 2, 8), (1,))),
-        entry({"m": 96, "k": 1, "n": 1}, ((1,), (1, 2), (1,))),
+        ((1,), (1, 2, 3, 8, 32), (1,)),
+        ((1, 2, 4), (1, 2, 8), (1,)),
+        ((1,), (1, 2), (1,)),
     ]
-    live = check_block(expr, small_chip, small_cost_model, entries, limit=64)
-    block = sketch_block(expr, small_chip, entries, limit=64)
+    # Hand-made choice lists replace the thinned ones, F_op by F_op.
+    lists = [factors for per_fop in choices for factors in per_fop]
+    counts = np.array([len(factors) for factors in lists]).reshape(3, 3)
+    columns = replace(
+        fop_columns(expr, small_chip, fops, max_choices=2),
+        choice_factors=np.array([f for factors in lists for f in factors]),
+        choice_start=(np.cumsum(counts) - counts.ravel()).reshape(3, 3),
+        choice_count=counts,
+    )
+    assert [columns.choices(row) for row in range(3)] == choices
+    live = check_block(expr, small_chip, small_cost_model, columns, range(3), limit=64)
+    block = sketch_block(expr, small_chip, columns, range(3), limit=64)
     assert 0 < len(live) < len(block)
     assert not block.feasible[-2:].any()  # the 96-core F_op
 
@@ -318,7 +326,9 @@ def test_huge_operator_uses_exact_python_ints(small_chip, small_cost_model):
     """Past 2**53 the columns hold Python ints, still equal to the scalar path."""
     expr = matmul("huge", m=2**20, k=2**18, n=2**20).expr
     optimizer = IntraOpOptimizer(small_chip, small_cost_model, FAST_CONSTRAINTS)
-    run = next(iter(optimizer._fop_runs(expr)))
-    assert sketch_block(expr, small_chip, run, 16).memory_bytes.dtype == object
-    assert check_block(expr, small_chip, small_cost_model, run, 16)
+    columns = optimizer._fop_columns(expr)
+    assert columns.elements.dtype == object
+    rows = optimizer._fop_runs(columns)[0]
+    assert sketch_block(expr, small_chip, columns, rows, 16).memory_bytes.dtype == object
+    assert check_block(expr, small_chip, small_cost_model, columns, rows, 16)
     assert check_geometry(optimizer, expr)
