@@ -688,7 +688,7 @@ def fop_columns(
     # Every dim of every tensor at once: the sum of its axes' sub-extents,
     # minus the halo of a compound dim; past a tensor's rank, zero.
     dims = extents @ layout.dim_axes.astype(ints) - layout.halo.astype(ints)
-    sub_shapes = np.where(layout.padding, 0, dims[:, layout.tensor_dims])
+    sub_shapes = dims[:, layout.tensor_dims]
     dim = sub_shapes.argmax(axis=2)
     sharing = np.where(layout.missing, fops[:, None, :], 1).prod(axis=2)
 
@@ -719,7 +719,7 @@ def fop_columns(
         cores_used=fops.prod(axis=1),
         sharing=sharing,
         sub_shapes=sub_shapes,
-        elements=np.where(layout.padding, 1, sub_shapes).prod(axis=2),
+        elements=np.maximum(sub_shapes, 1).prod(axis=2),  # every dim is >= 1
         longest=longest,
         longest_axis=layout.primary[np.arange(sharing.shape[1]), dim],
         choice_factors=np.array([f for factors in lists for f in factors], dtype=ints),
@@ -732,14 +732,13 @@ class _TensorLayout(NamedTuple):
     """Which axes make up each tensor dim of one expression, as index arrays."""
 
     dim_axes: np.ndarray
-    """``(axes, dims)``: 1 where the axis is part of the dim; dims of every
-    tensor, in ``expr.all_tensors`` order."""
+    """``(axes, dims + 1)``: 1 where the axis is part of the dim.  Dims of
+    every tensor, in ``expr.all_tensors`` order, then an empty one."""
     halo: np.ndarray
-    """``(dims,)`` axes per dim, minus 1."""
+    """``(dims + 1,)`` axes per dim, minus 1 (0 for the empty dim)."""
     tensor_dims: np.ndarray
-    """``(tensors, largest rank)`` dim of each tensor position (0 past the rank)."""
-    padding: np.ndarray
-    """``(tensors, largest rank)`` set past each tensor's rank."""
+    """``(tensors, largest rank)`` dim of each tensor position; the empty
+    dim past the tensor's rank."""
     primary: np.ndarray
     """``(tensors, largest rank)`` axis index of each dim's primary axis."""
     missing: np.ndarray
@@ -752,21 +751,19 @@ def _tensor_layout(axes: tuple[str, ...], tensors: tuple[TensorSpec, ...]) -> _T
     operators of one kind share it)."""
     rank = max(1, *(spec.rank for spec in tensors))
     all_dims = [dim for spec in tensors for dim in spec.dims]
-    dim_axes = np.zeros((len(axes), max(len(all_dims), 1)), dtype=np.int64)
+    dim_axes = np.zeros((len(axes), len(all_dims) + 1), dtype=np.int64)
     for index, dim in enumerate(all_dims):
         dim_axes[[axes.index(axis) for axis in dim.axes], index] = 1
-    tensor_dims = np.zeros((len(tensors), rank), dtype=np.intp)
-    padding = np.ones((len(tensors), rank), dtype=bool)
+    tensor_dims = np.full((len(tensors), rank), len(all_dims), dtype=np.intp)
     primary = np.zeros((len(tensors), rank), dtype=np.intp)
     first = 0
     for position, spec in enumerate(tensors):
         tensor_dims[position, : spec.rank] = range(first, first + spec.rank)
-        padding[position, : spec.rank] = False
         primary[position, : spec.rank] = [axes.index(dim.primary) for dim in spec.dims]
         first += spec.rank
     missing = np.array([[not spec.has_axis(axis) for axis in axes] for spec in tensors])
-    halo = np.array([len(dim.axes) - 1 for dim in all_dims] or [0])
-    return _TensorLayout(dim_axes, halo, tensor_dims, padding, primary, missing)
+    halo = np.array([len(dim.axes) - 1 for dim in all_dims] + [0])
+    return _TensorLayout(dim_axes, halo, tensor_dims, primary, missing)
 
 
 @lru_cache(maxsize=None)
