@@ -892,18 +892,9 @@ def sketch_block(
 
     # Each F_op's combinations, as rotation-row indices: one cached table of
     # choice positions per choice-length tuple, offset by the F_op's slots.
-    radix = int(lengths.max()) + 1
-    _, first_fop, key_of = np.unique(
-        lengths @ radix ** np.arange(num_tensors), return_index=True, return_inverse=True
-    )
-    tables = [_combo_offsets(tuple(lengths[fop].tolist()), limit) for fop in first_fop.tolist()]
-    table_sizes = np.array([len(table) for table in tables], dtype=np.intp)
-    table_first = np.cumsum(table_sizes) - table_sizes
-    combos_per_fop = table_sizes[key_of]
-    fop_local = np.repeat(np.arange(len(lengths)), combos_per_fop)
-    offset = np.arange(len(fop_local)) - (np.cumsum(combos_per_fop) - combos_per_fop)[fop_local]
-    picks = np.concatenate(tables)[table_first[key_of][fop_local] + offset]
-    picks += slot_first.reshape(lengths.shape)[fop_local]
+    tables = [_combo_offsets(tuple(row), limit) for row in lengths.tolist()]
+    fop_local = np.repeat(np.arange(len(tables)), [len(table) for table in tables])
+    picks = np.concatenate(tables) + slot_first.reshape(lengths.shape)[fop_local]
     count = len(picks)
 
     # Rotation rows.
