@@ -51,7 +51,7 @@ from repro.core.partition import (
     complete_space_size,
     enumerate_operator_partitions,
     enumerate_partition_rows,
-    temporal_factor_choices,
+    thinned_temporal_choices,
 )
 from repro.core.plan import (
     FopColumns,
@@ -293,7 +293,7 @@ class IntraOpOptimizer:
                     cat="compile",
                     op=operator.name,
                 ) as span:
-                    block = sketch_block(expr, self.chip, columns, rows, limit)
+                    block = sketch_block(self.chip, columns, rows, limit)
                     feasible = block.feasible
                     taken = np.cumsum(feasible)
                     end = len(block)
@@ -452,12 +452,12 @@ class IntraOpOptimizer:
         """Every ``(F_op, geometry, temporal)`` candidate of ``fops``, one at a time.
 
         ``fops`` defaults to every ``F_op`` of the operator.  Each ``F_op``'s
-        geometry and temporal choices come from the scalar derivations
-        (:func:`~repro.core.plan.fop_geometry`,
-        :func:`~repro.core.partition.temporal_factor_choices`), so the eager
-        reference search stays an independent check of
-        :meth:`_fop_columns`.  Both paths expand the choices in one order
-        (:func:`~repro.core.plan.temporal_combos`).  Feasibility capping
+        geometry comes from the scalar derivation
+        (:func:`~repro.core.plan.fop_geometry`) and its temporal choices from
+        that geometry, as :func:`~repro.core.partition.temporal_factor_choices`
+        derives them, so the eager reference search stays an independent
+        check of :meth:`_fop_columns`.  Both paths expand the choices in one
+        order (:func:`~repro.core.plan.temporal_combos`).  Feasibility capping
         (``max_plans``) stays with the callers — it counts *feasible*
         candidates, which only they know.
         """
@@ -469,8 +469,10 @@ class IntraOpOptimizer:
         for fop in fops:
             geometry = fop_geometry(expr, fop)
             choices = [
-                temporal_factor_choices(expr, spec, fop, max_choices=budget)
-                for spec in expr.all_tensors
+                thinned_temporal_choices(
+                    tensor.sharing, max(tensor.sub_shape, default=1), budget
+                )
+                for tensor in geometry.tensors
             ]
             for combo in temporal_combos(choices, limit):
                 yield fop, geometry, dict(zip(names, combo))

@@ -652,15 +652,6 @@ class FopColumns:
         extents = dict(zip(self.expr.axes, self.extents[row].tolist()))
         return FopGeometry(int(self.cores_used[row]), extents, tensors)
 
-    def choices(self, row: int) -> tuple[tuple[int, ...], ...]:
-        """Each tensor's temporal-factor choices under ``row``'s ``F_op``."""
-        return tuple(
-            tuple(self.choice_factors[start : start + count].tolist())
-            for start, count in zip(
-                self.choice_start[row].tolist(), self.choice_count[row].tolist()
-            )
-        )
-
     def combo_counts(self, limit: int) -> np.ndarray:
         """Temporal combinations of each ``F_op`` (:func:`temporal_combos`)."""
         return np.minimum(self.choice_count.prod(axis=1), limit)
@@ -847,7 +838,6 @@ def _ceil_div(numerator: np.ndarray, denominator: np.ndarray) -> np.ndarray:
 
 
 def sketch_block(
-    expr: TensorExpression,
     chip: ChipSpec,
     columns: FopColumns,
     rows: range,
@@ -867,6 +857,7 @@ def sketch_block(
     candidate then picks one row per tensor, and the per-axis paces, step
     counts, sub-task shape and shift schedule follow as array arithmetic.
     """
+    expr = columns.expr
     tensors = expr.all_tensors
     num_tensors = len(tensors)
     axes = list(expr.axes)

@@ -351,7 +351,7 @@ class TestBytesPerStepOracle:
             ]
             fops = optimizer._fop_columns(expr)
             for rows in optimizer._fop_runs(fops):
-                block = sketch_block(expr, ipu_chip, fops, rows, limit)
+                block = sketch_block(ipu_chip, fops, rows, limit)
                 index = np.flatnonzero(block.feasible)
                 columns = {axis: block.subtask_shape[axis][index].tolist() for axis in expr.axes}
                 for position, nbytes in enumerate(block.bytes_per_step[index].tolist()):

@@ -41,15 +41,26 @@ def a100_cost_model() -> CostModel:
     return CostModel.fit(A100_CHIP, samples_per_type=24)
 
 
+def column_choices(columns, row):
+    """Each tensor's temporal-factor choices under ``row``'s ``F_op``, read
+    back from the flat choice columns."""
+    return tuple(
+        tuple(columns.choice_factors[start : start + count].tolist())
+        for start, count in zip(
+            columns.choice_start[row].tolist(), columns.choice_count[row].tolist()
+        )
+    )
+
+
 def check_block(expr, chip, cost_model, columns, rows, limit):
     """Assert the block of ``columns``' ``rows`` equals ``sketch_plan`` on every
     candidate.  Returns the feasible candidates' scalar sketches, in order."""
-    block = sketch_block(expr, chip, columns, rows, limit)
+    block = sketch_block(chip, columns, rows, limit)
     names = [spec.name for spec in expr.all_tensors]
     candidates = [
         (row, columns.fop(row), dict(zip(names, combo)))
         for row in rows
-        for combo in temporal_combos(columns.choices(row), limit)
+        for combo in temporal_combos(column_choices(columns, row), limit)
     ]
     assert block.factors.tolist() == [list(temporal.values()) for _, _, temporal in candidates]
     assert block.fop_index.tolist() == [row for row, _, _ in candidates]
@@ -98,7 +109,8 @@ def check_geometry(optimizer, expr):
         assert geometry == fop_geometry(expr, fop)
         assert type(geometry.cores_used) is int
         assert all(type(extent) is int for extent in geometry.extents.values())
-        for position, (tensor, factors) in enumerate(zip(geometry.tensors, columns.choices(row))):
+        choices = column_choices(columns, row)
+        for position, (tensor, factors) in enumerate(zip(geometry.tensors, choices)):
             spec = tensor.spec
             assert all(type(length) is int for length in tensor.sub_shape)
             assert type(tensor.sharing) is type(tensor.elements) is int
@@ -187,9 +199,9 @@ def test_infeasible_factors_and_partitions(small_chip, small_cost_model):
         choice_start=(np.cumsum(counts) - counts.ravel()).reshape(3, 3),
         choice_count=counts,
     )
-    assert [columns.choices(row) for row in range(3)] == choices
+    assert [column_choices(columns, row) for row in range(3)] == choices
     live = check_block(expr, small_chip, small_cost_model, columns, range(3), limit=64)
-    block = sketch_block(expr, small_chip, columns, range(3), limit=64)
+    block = sketch_block(small_chip, columns, range(3), limit=64)
     assert 0 < len(live) < len(block)
     assert not block.feasible[-2:].any()  # the 96-core F_op
 
@@ -329,6 +341,6 @@ def test_huge_operator_uses_exact_python_ints(small_chip, small_cost_model):
     columns = optimizer._fop_columns(expr)
     assert columns.elements.dtype == object
     rows = optimizer._fop_runs(columns)[0]
-    assert sketch_block(expr, small_chip, columns, rows, 16).memory_bytes.dtype == object
+    assert sketch_block(small_chip, columns, rows, 16).memory_bytes.dtype == object
     assert check_block(expr, small_chip, small_cost_model, columns, rows, 16)
     assert check_geometry(optimizer, expr)
