@@ -7,10 +7,11 @@ embarrassingly parallel fan-out.  This module provides the three pieces the
 rest of the system builds on:
 
 * :class:`ParallelCompilationEngine` — de-duplicates a graph's operators by
-  signature, dispatches each unique search to a process (or thread) pool of
-  ``jobs`` workers, and merges results back **in graph order**, so the output
-  is bit-for-bit identical to a serial compile (same plan ordering, same
-  error on the same operator);
+  signature, dispatches each unique search to ``jobs`` workers — processes
+  forked once and shared by every engine of the process, or a thread pool —
+  and merges results back **in graph order**, so the output is bit-for-bit
+  identical to a serial compile (same plan ordering, same error on the same
+  operator);
 * :class:`SingleFlight` — a per-key in-flight guard; concurrent callers of
   the same key run the underlying function exactly once and all receive its
   result.  The serving plan cache uses it so concurrent cache misses for one
@@ -26,11 +27,18 @@ and the merge step re-imposes graph order regardless of completion order.
 
 from __future__ import annotations
 
+import atexit
+import itertools
 import multiprocessing
 import os
+import pickle
+import signal
 import threading
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
+from multiprocessing.connection import Connection, wait
+from multiprocessing.process import BaseProcess
 from typing import Any, Callable
 
 from repro.core.constraints import SearchConstraints
@@ -45,7 +53,7 @@ from repro.hw.memory import OutOfChipMemoryError
 from repro.hw.spec import ChipSpec
 from repro.ir.graph import OperatorGraph
 from repro.ir.operator import Operator
-from repro.obs.trace import get_tracer
+from repro.obs.trace import get_tracer, set_tracer
 
 #: Executor backends the engine can fan out over.
 BACKENDS = ("auto", "process", "thread")
@@ -125,22 +133,10 @@ class SingleFlight:
 
 
 # --------------------------------------------------------------------------- #
-# Worker-side machinery
+# Process workers, forked once per process
 # --------------------------------------------------------------------------- #
-#: Per-process optimizer built once by the pool initializer; worker tasks are
-#: pure, so the only state is the (deterministic) per-signature cache.
-_WORKER_OPTIMIZER: IntraOpOptimizer | None = None
-
-
-def _init_worker(
-    chip: ChipSpec, cost_model: CostModel, constraints: SearchConstraints
-) -> None:
-    global _WORKER_OPTIMIZER
-    _WORKER_OPTIMIZER = IntraOpOptimizer(chip, cost_model, constraints)
-
-
 def _search_task(
-    operator: Operator,
+    optimizer: IntraOpOptimizer, operator: Operator
 ) -> tuple[list[PlanSketch | OperatorPlan], SearchSpaceStats | None, str | None]:
     """Search one operator in a worker process.
 
@@ -150,12 +146,147 @@ def _search_task(
     compiler treats as an OOM diagnosis travel back as the error string
     instead of crossing the process boundary as exceptions.
     """
-    assert _WORKER_OPTIMIZER is not None, "worker pool not initialised"
     try:
-        frontier, stats = _WORKER_OPTIMIZER.search_frontier(operator)
+        frontier, stats = optimizer.search_frontier(operator)
     except (OutOfChipMemoryError, ValueError) as error:
         return [], None, str(error)
     return list(frontier.members), stats, None
+
+
+def _worker_main(conn: Connection, inherited: list[Connection]) -> None:
+    """Serve searches on ``conn`` until the parent sends ``None`` or hangs up.
+
+    A task is ``(engine_token, setup, operator)``.  ``setup`` is the pickled
+    ``(chip, cost_model, constraints)`` of the engine, sent with an engine's
+    first task on this worker only (``None`` afterwards).  Each engine gets
+    a fresh optimizer, so a worker never answers one engine's search from
+    another's cache.
+    """
+    for other in inherited:
+        # The parent's ends of this and the other workers' pipes: holding
+        # them would keep the workers alive after the parent dies.
+        other.close()
+    # Worker processes never trace: their events could not reach the parent.
+    set_tracer(None)
+    # A Ctrl-C reaches the whole process group; the parent handles it and
+    # stops the workers it was waiting on.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    token: int | None = None
+    optimizer: IntraOpOptimizer | None = None
+    while True:
+        try:
+            message = conn.recv_bytes()
+        except (EOFError, OSError):
+            return
+        try:
+            task = pickle.loads(message)
+            if task is None:
+                return
+            task_token, setup, operator = task
+            if task_token != token:
+                optimizer = IntraOpOptimizer(*pickle.loads(setup))
+                token = task_token
+            assert optimizer is not None
+            reply: Any = _search_task(optimizer, operator)
+        except Exception as error:  # travels back and is re-raised there
+            reply = error
+        try:
+            conn.send(reply)
+        except Exception as error:  # the reply itself did not pickle
+            conn.send(RuntimeError(f"compile worker reply failed: {error!r}"))
+
+
+@dataclass
+class _Worker:
+    """One forked search process and the parent's end of its pipe."""
+
+    process: BaseProcess
+    conn: Connection
+    token: int | None = None
+    """Engine whose setup this worker holds (see :func:`_worker_main`)."""
+
+
+class _ProcessWorkers:
+    """The process's search workers: forked on first need, then reused.
+
+    Forking a worker costs milliseconds, and its first searches run slower
+    while it copies the parent's pages it touches; a pool forked per compile
+    paid both on every compile.  Here every engine checks idle workers out
+    for one fan-out and returns them, and forks only when it needs more
+    than are idle.  The parent side runs no helper thread (a
+    :class:`~concurrent.futures.ProcessPoolExecutor` runs two), so while
+    workers live the ``auto`` backend's fork-safety test still sees only
+    the caller's threads.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._idle: list[_Worker] = []
+        self._all: list[_Worker] = []
+
+    def checkout(self, count: int) -> list[_Worker]:
+        """Up to ``count`` live idle workers."""
+        with self._lock:
+            for worker in [w for w in self._idle if not w.process.is_alive()]:
+                self._drop(worker)
+            taken, self._idle = self._idle[:count], self._idle[count:]
+            return taken
+
+    def fork(self) -> _Worker:
+        """A new worker, checked out to the caller."""
+        with self._lock:
+            parent_end, child_end = multiprocessing.Pipe()
+            inherited = [worker.conn for worker in self._all] + [parent_end]
+            process = multiprocessing.get_context("fork").Process(
+                target=_worker_main,
+                args=(child_end, inherited),
+                name="t10-compile",
+                daemon=True,
+            )
+            process.start()
+            child_end.close()
+            worker = _Worker(process, parent_end)
+            self._all.append(worker)
+            return worker
+
+    def checkin(self, workers: list[_Worker]) -> None:
+        """Return workers that have no reply pending."""
+        with self._lock:
+            self._idle.extend(workers)
+
+    def discard(self, workers: list[_Worker]) -> None:
+        """Stop workers whose state is unknown (reply pending, or dead)."""
+        with self._lock:
+            for worker in workers:
+                worker.process.terminate()
+                self._drop(worker)
+
+    def shutdown(self) -> None:
+        """Stop the idle workers (at interpreter exit)."""
+        with self._lock:
+            idle, self._idle = self._idle, []
+            for worker in idle:
+                try:
+                    worker.conn.send(None)
+                except OSError:
+                    pass
+            for worker in idle:
+                worker.process.join(timeout=5)
+                if worker.process.is_alive():
+                    worker.process.terminate()
+                self._drop(worker)
+
+    def _drop(self, worker: _Worker) -> None:
+        worker.conn.close()
+        worker.process.join(timeout=5)
+        self._all.remove(worker)
+
+
+_WORKERS = _ProcessWorkers()
+atexit.register(_WORKERS.shutdown)
+
+#: Distinguishes engines to the workers they share (see :func:`_worker_main`).
+_ENGINE_TOKENS = itertools.count()
 
 
 # --------------------------------------------------------------------------- #
@@ -202,16 +333,17 @@ class GraphSearchResult:
 class ParallelCompilationEngine:
     """Fan a graph's intra-op plan searches out over ``jobs`` workers.
 
-    The engine owns (lazily) one executor and can be shared by repeated
-    compiles; ``close()`` releases the pool.  With ``jobs=1`` — or when a
-    graph needs at most one fresh search — no pool is created and the search
-    runs inline, so the serial path stays allocation-free.
+    The engine can be shared by repeated compiles; ``close()`` releases its
+    thread pool.  With ``jobs=1`` — or when a graph needs at most one fresh
+    search — no worker is used and the search runs inline, so the serial
+    path stays allocation-free.
 
     Backends:
 
-    * ``"process"`` — a fork-based :class:`ProcessPoolExecutor`; true CPU
-      parallelism for the pure-Python search (the default where ``fork`` is
-      available);
+    * ``"process"`` — forked worker processes, shared by every engine of the
+      process and kept between compiles (:class:`_ProcessWorkers`); at most
+      ``jobs`` of them search for one fan-out.  True CPU parallelism for the
+      pure-Python search (the default where ``fork`` is available);
     * ``"thread"`` — a :class:`ThreadPoolExecutor`; no extra processes, used
       as the portable fallback;
     * ``"auto"`` — ``process`` when available, else ``thread``.
@@ -233,52 +365,65 @@ class ParallelCompilationEngine:
         self.constraints = constraints
         self.jobs = resolve_jobs(jobs)
         self.backend = backend
-        self._pool: Executor | None = None
+        self._token = next(_ENGINE_TOKENS)
+        self._setup: bytes | None = None
+        self._pool: ThreadPoolExecutor | None = None
         self._pool_backend: str | None = None
         self._pool_lock = threading.Lock()
 
     def _resolve_backend(self) -> str:
-        """Pick the pool kind at creation time.
+        """Pick the backend at the engine's first fan-out.
 
-        ``auto`` prefers a fork-based process pool (true CPU parallelism for
+        ``auto`` prefers forked worker processes (true CPU parallelism for
         the pure-Python search) but falls back to threads when other threads
-        are already running: forking a multithreaded process can copy
-        arbitrary held locks into the child and deadlock it (and is
-        deprecated on newer CPythons), and the serving path compiles from
-        worker threads.  An explicit ``backend="process"`` is honoured as
-        given.
+        are already running (:func:`_fork_is_safe`).  An explicit
+        ``backend="process"`` is honoured as given.
         """
         if self.backend != "auto":
             return self.backend
-        fork_ok = "fork" in multiprocessing.get_all_start_methods()
-        if fork_ok and threading.active_count() == 1:
+        if _fork_is_safe():
             return "process"
         return "thread"
 
     # ------------------------------------------------------------------ #
     # Pool lifecycle
     # ------------------------------------------------------------------ #
-    def _executor(self) -> tuple[Executor, str]:
+    def _pool_kind(self) -> str:
+        """The backend, resolved once at the engine's first fan-out.
+
+        Process workers outlive the engine, so they receive its chip, cost
+        model and constraints pickled.  A setup that does not pickle (say, a
+        cost model with a custom cost function defined in a closure) fans
+        out over threads instead.
+        """
+        with self._pool_lock:
+            if self._pool_backend is None:
+                backend = self._resolve_backend()
+                if backend == "process":
+                    try:
+                        self._setup = pickle.dumps(
+                            (self.chip, self.cost_model, self.constraints)
+                        )
+                    except (pickle.PicklingError, AttributeError, TypeError):
+                        backend = "thread"
+                self._pool_backend = backend
+            return self._pool_backend
+
+    def _thread_pool(self) -> ThreadPoolExecutor:
         with self._pool_lock:
             if self._pool is None:
-                self._pool_backend = self._resolve_backend()
-                if self._pool_backend == "process":
-                    self._pool = ProcessPoolExecutor(
-                        max_workers=self.jobs,
-                        mp_context=multiprocessing.get_context("fork"),
-                        initializer=_init_worker,
-                        initargs=(self.chip, self.cost_model, self.constraints),
-                    )
-                else:
-                    self._pool = ThreadPoolExecutor(
-                        max_workers=self.jobs,
-                        thread_name_prefix="t10-compile",
-                    )
-            assert self._pool_backend is not None
-            return self._pool, self._pool_backend
+                self._pool = ThreadPoolExecutor(
+                    max_workers=self.jobs,
+                    thread_name_prefix="t10-compile",
+                )
+            return self._pool
 
     def close(self) -> None:
-        """Shut the worker pool down (idempotent)."""
+        """Shut the thread pool down (idempotent).
+
+        Process workers are shared by every engine and stop at interpreter
+        exit.
+        """
         with self._pool_lock:
             pool, self._pool = self._pool, None
             self._pool_backend = None
@@ -332,7 +477,10 @@ class ParallelCompilationEngine:
             dispatched=len(pending),
         ):
             if len(pending) > 1 and self.jobs > 1:
-                self._search_parallel(pending, intra_op, errors)
+                if self._pool_kind() == "process":
+                    self._search_processes(pending, intra_op, errors)
+                else:
+                    self._search_threads(pending, intra_op, errors)
             else:
                 self._search_inline(pending, intra_op, errors)
 
@@ -402,46 +550,113 @@ class ParallelCompilationEngine:
                 errors[signature] = str(error)
                 return
 
-    def _search_parallel(
+    def _search_processes(
         self,
         pending: dict[tuple, Operator],
         intra_op: IntraOpOptimizer,
         errors: dict[tuple, str],
     ) -> None:
-        pool, backend = self._executor()
-        # Results are consumed in dispatch (= graph first-appearance) order,
-        # so stopping at the first error mirrors the serial compiler: sigs
-        # after the failure stay unsearched (the merge discards them anyway).
-        # Still-queued searches are cancelled so a failing compile neither
-        # burns the pool on doomed work nor makes close() wait for it.
-        if backend == "process":
-            futures = [
-                pool.submit(_search_task, operator) for operator in pending.values()
-            ]
-            for index, ((signature, operator), future) in enumerate(
-                zip(pending.items(), futures)
-            ):
-                members, stats, error = future.result()
-                if error is not None:
-                    errors[signature] = error
-                    for queued in futures[index + 1 :]:
-                        queued.cancel()
-                    return
-                assert stats is not None
-                intra_op.seed(operator, members, stats)
-        else:
-            # Threads write straight into the shared optimizer cache; each
-            # completed search is published as one atomic dict assignment.
-            def task(operator: Operator) -> None:
-                try:
-                    intra_op.search_frontier(operator)
-                except (OutOfChipMemoryError, ValueError) as error:
-                    errors[operator.signature()] = str(error)
+        assert self._setup is not None
+        limit = min(self.jobs, len(pending))
+        idle = _WORKERS.checkout(limit)
+        # An ``auto`` engine forks only while no other thread runs (see
+        # ``_resolve_backend``); with no worker at all it searches inline.
+        may_fork = self.backend == "process" or _fork_is_safe()
+        if not idle and not may_fork:
+            self._search_inline(pending, intra_op, errors)
+            return
+        owned = len(idle)
+        tasks = list(pending.items())
+        replies: list[Any] = [None] * len(tasks)
+        busy: dict[Connection, tuple[_Worker, int]] = {}
+        sent = 0
+        stop = False
+        failure: BaseException | None = None
+        try:
+            # Keep at most ``jobs`` searches in flight, handing the next
+            # operator (graph first-appearance order) to whichever worker
+            # answers first; a worker forked here starts searching before
+            # the next one is forked.  Once a search errors nothing more is
+            # sent: the merge discards everything after the first failure.
+            while busy or (sent < len(tasks) and not stop):
+                while sent < len(tasks) and not stop and (
+                    idle or (may_fork and owned < limit)
+                ):
+                    if idle:
+                        worker = idle.pop()
+                    else:
+                        worker = _WORKERS.fork()
+                        owned += 1
+                    busy[worker.conn] = (worker, sent)
+                    setup = None if worker.token == self._token else self._setup
+                    worker.conn.send((self._token, setup, tasks[sent][1]))
+                    worker.token = self._token
+                    sent += 1
+                for conn in wait(list(busy)):
+                    worker, index = busy.pop(conn)
+                    try:
+                        reply = conn.recv()
+                    except EOFError:
+                        busy[conn] = (worker, index)
+                        raise BrokenProcessPool("a compile worker died") from None
+                    idle.append(worker)
+                    if isinstance(reply, BaseException):
+                        failure = failure or reply
+                        stop = True
+                    else:
+                        replies[index] = reply
+                        stop = stop or reply[2] is not None
+        except BaseException:
+            _WORKERS.discard([worker for worker, _ in busy.values()])
+            raise
+        finally:
+            _WORKERS.checkin(idle)
+        if failure is not None:
+            raise failure
+        # Every operator before the first failure was sent, and all sent
+        # searches have answered: seed them in dispatch order.
+        for (signature, operator), reply in zip(tasks, replies):
+            members, stats, error = reply
+            if error is not None:
+                errors[signature] = error
+                return
+            assert stats is not None
+            intra_op.seed(operator, members, stats)
 
-            futures = [pool.submit(task, operator) for operator in pending.values()]
-            for index, future in enumerate(futures):
-                future.result()
-                if errors:
-                    for queued in futures[index + 1 :]:
-                        queued.cancel()
-                    return
+    def _search_threads(
+        self,
+        pending: dict[tuple, Operator],
+        intra_op: IntraOpOptimizer,
+        errors: dict[tuple, str],
+    ) -> None:
+        pool = self._thread_pool()
+
+        # Threads write straight into the shared optimizer cache; each
+        # completed search is published as one atomic dict assignment.
+        # Stopping at the first failure mirrors the serial compiler, and
+        # still-queued searches are cancelled so a failing compile neither
+        # burns the pool on doomed work nor makes close() wait for it.
+        def task(operator: Operator) -> None:
+            try:
+                intra_op.search_frontier(operator)
+            except (OutOfChipMemoryError, ValueError) as error:
+                errors[operator.signature()] = str(error)
+
+        futures = [pool.submit(task, operator) for operator in pending.values()]
+        for index, future in enumerate(futures):
+            future.result()
+            if errors:
+                for queued in futures[index + 1 :]:
+                    queued.cancel()
+                return
+
+
+def _fork_is_safe() -> bool:
+    """Whether this process may fork a worker now.
+
+    Forking a multithreaded process can copy arbitrary held locks into the
+    child and deadlock it (and is deprecated on newer CPythons); the serving
+    path compiles from worker threads.
+    """
+    fork_ok = "fork" in multiprocessing.get_all_start_methods()
+    return fork_ok and threading.active_count() == 1

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -88,9 +90,12 @@ class TestCostModel:
         assert small_cost_model.compute_time("fft", {"n": 64}, 1e5, 1024) > 0
 
     def test_custom_cost_function(self, small_cost_model):
-        small_cost_model.register_custom("mykernel", lambda shape, flops, nbytes: 42.0)
-        assert small_cost_model.has_model("mykernel")
-        assert small_cost_model.compute_time("mykernel", {}, 1.0, 1.0) == 42.0
+        # On a copy: the session-wide model must stay picklable for the
+        # process workers of later compiles.
+        cost_model = copy.deepcopy(small_cost_model)
+        cost_model.register_custom("mykernel", lambda shape, flops, nbytes: 42.0)
+        assert cost_model.has_model("mykernel")
+        assert cost_model.compute_time("mykernel", {}, 1.0, 1.0) == 42.0
 
     def test_shift_and_setup_consistent(self, small_cost_model):
         assert small_cost_model.shift_time(1024) == small_cost_model.setup_time(1024)

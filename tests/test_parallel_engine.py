@@ -10,8 +10,11 @@ on.
 
 from __future__ import annotations
 
+import copy
+import os
 import threading
 import time
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -23,6 +26,8 @@ from repro.core import (
     default_jobs,
     resolve_jobs,
 )
+from repro.core import parallel
+from repro.core.intra_op import IntraOpOptimizer
 from repro.core.parallel import BACKENDS
 from repro.experiments.common import build_workload
 from repro.hw.spec import ChipSpec, KiB
@@ -230,6 +235,169 @@ class TestEngine:
             small_chip, cost_model=small_cost_model, jobs=2, parallel_backend="thread"
         ) as compiler:
             assert compiler.jobs == 2
+
+
+def distinct_matmuls(name: str, count: int, first: int = 1) -> OperatorGraph:
+    """A graph of ``count`` matmuls of distinct shapes (one search each),
+    ``m`` running over multiples of 64 from ``64 * first``."""
+    graph = OperatorGraph(name=name)
+    for i in range(count):
+        graph.add(matmul(f"{name}{i}", m=64 * (first + i), k=64, n=128))
+    return graph
+
+
+class _ExitOnArrival:
+    """A task that ends the worker process unpickling it."""
+
+    def __reduce__(self):
+        return (os._exit, (3,))
+
+
+class _FailOnArrival:
+    """A task whose unpickling raises in the worker."""
+
+    def __reduce__(self):
+        return (_raise_runtime_error, ())
+
+
+def _raise_runtime_error():
+    raise RuntimeError("task could not be read")
+
+
+class TestProcessWorkers:
+    """Process workers are forked once per process and shared by engines."""
+
+    def test_later_engines_reuse_the_forked_workers(
+        self, small_chip, small_cost_model, fast_constraints
+    ):
+        graph = distinct_matmuls("reuse", 4)
+        serial = T10Compiler(
+            small_chip, cost_model=small_cost_model, constraints=fast_constraints
+        ).compile(graph)
+        pids = []
+        for _ in range(2):
+            with T10Compiler(
+                small_chip,
+                cost_model=small_cost_model,
+                constraints=fast_constraints,
+                jobs=2,
+                parallel_backend="process",
+            ) as compiler:
+                assert_identical(serial, compiler.compile(graph))
+            pids.append(sorted(worker.process.pid for worker in parallel._WORKERS._all))
+        assert len(pids[0]) >= 2
+        assert pids[1] == pids[0]
+
+    def test_an_engine_searches_on_at_most_jobs_workers(
+        self, small_chip, small_cost_model, fast_constraints
+    ):
+        graph = distinct_matmuls("window", 4)
+        with T10Compiler(
+            small_chip,
+            cost_model=small_cost_model,
+            constraints=fast_constraints,
+            jobs=4,
+            parallel_backend="process",
+        ) as wide:
+            wide.compile(graph)
+        assert len(parallel._WORKERS._all) >= 4
+        with T10Compiler(
+            small_chip,
+            cost_model=small_cost_model,
+            constraints=fast_constraints,
+            jobs=2,
+            parallel_backend="process",
+        ) as narrow:
+            assert narrow.compile(distinct_matmuls("narrow", 4)).ok
+            token = narrow.engine._token
+        used = [worker for worker in parallel._WORKERS._all if worker.token == token]
+        assert 1 <= len(used) <= 2
+
+    def test_auto_engine_does_not_fork_beside_other_threads(
+        self, small_chip, small_cost_model, fast_constraints
+    ):
+        """An engine that resolved to processes searches inline once other
+        threads run and no worker is idle, rather than forking then."""
+        compiler = T10Compiler(
+            small_chip,
+            cost_model=small_cost_model,
+            constraints=fast_constraints,
+            jobs=2,
+        )
+        assert compiler.compile(distinct_matmuls("first", 2)).ok
+        assert compiler.engine._pool_kind() == "process"
+        graph = distinct_matmuls("second", 3, first=3)
+        serial = T10Compiler(
+            small_chip, cost_model=small_cost_model, constraints=fast_constraints
+        ).compile(graph)
+        held = parallel._WORKERS.checkout(1 << 10)
+        forked = len(parallel._WORKERS._all)
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            compiled = compiler.compile(graph)
+        finally:
+            release.set()
+            other.join()
+            parallel._WORKERS.checkin(held)
+        assert len(parallel._WORKERS._all) == forked
+        assert_identical(serial, compiled)
+
+    def test_a_setup_that_does_not_pickle_fans_out_over_threads(
+        self, small_chip, small_cost_model, fast_constraints
+    ):
+        cost_model = copy.deepcopy(small_cost_model)
+        cost_model.register_custom("mykernel", lambda shape, flops, nbytes: 42.0)
+        graph = distinct_matmuls("closure", 3)
+        serial = T10Compiler(
+            small_chip, cost_model=cost_model, constraints=fast_constraints
+        ).compile(graph)
+        with T10Compiler(
+            small_chip,
+            cost_model=cost_model,
+            constraints=fast_constraints,
+            jobs=2,
+            parallel_backend="process",
+        ) as compiler:
+            assert_identical(serial, compiler.compile(graph))
+            assert compiler.engine._pool_kind() == "thread"
+
+    def test_a_worker_error_is_raised_and_the_workers_kept(
+        self, small_chip, small_cost_model, fast_constraints
+    ):
+        engine = ParallelCompilationEngine(
+            small_chip, small_cost_model, fast_constraints, jobs=2, backend="process"
+        )
+        assert engine._pool_kind() == "process"
+        intra_op = IntraOpOptimizer(small_chip, small_cost_model, fast_constraints)
+        pending = {("a",): _FailOnArrival(), ("b",): _FailOnArrival()}
+        with pytest.raises(RuntimeError, match="task could not be read"):
+            engine._search_processes(pending, intra_op, {})
+        idle = parallel._WORKERS.checkout(1 << 10)
+        parallel._WORKERS.checkin(idle)
+        assert {worker.token for worker in idle} >= {engine._token}
+        assert all(worker.process.is_alive() for worker in idle)
+
+    def test_a_worker_dying_breaks_only_its_fan_out(
+        self, small_chip, small_cost_model, fast_constraints
+    ):
+        engine = ParallelCompilationEngine(
+            small_chip, small_cost_model, fast_constraints, jobs=2, backend="process"
+        )
+        assert engine._pool_kind() == "process"
+        intra_op = IntraOpOptimizer(small_chip, small_cost_model, fast_constraints)
+        pending = {("a",): _ExitOnArrival(), ("b",): _ExitOnArrival()}
+        with pytest.raises(BrokenProcessPool):
+            engine._search_processes(pending, intra_op, {})
+        assert all(worker.process.is_alive() for worker in parallel._WORKERS._all)
+        # Dead workers are dropped; a wider fan-out forks replacements.
+        graph = distinct_matmuls("after", 4)
+        serial, compiled = compile_pair(
+            small_chip, small_cost_model, graph, jobs=4, backend="process"
+        )
+        assert_identical(serial, compiled)
+        assert len(parallel._WORKERS._all) >= 4
 
 
 class TestSingleFlight:
