@@ -27,7 +27,6 @@ and the merge step re-imposes graph order regardless of completion order.
 
 from __future__ import annotations
 
-import atexit
 import itertools
 import multiprocessing
 import os
@@ -154,7 +153,7 @@ def _search_task(
 
 
 def _worker_main(conn: Connection, inherited: list[Connection]) -> None:
-    """Serve searches on ``conn`` until the parent sends ``None`` or hangs up.
+    """Serve searches on ``conn`` until the parent hangs up.
 
     A task is ``(engine_token, setup, operator)``.  ``setup`` is the pickled
     ``(chip, cost_model, constraints)`` of the engine, sent with an engine's
@@ -179,10 +178,7 @@ def _worker_main(conn: Connection, inherited: list[Connection]) -> None:
         except (EOFError, OSError):
             return
         try:
-            task = pickle.loads(message)
-            if task is None:
-                return
-            task_token, setup, operator = task
+            task_token, setup, operator = pickle.loads(message)
             if task_token != token:
                 optimizer = IntraOpOptimizer(*pickle.loads(setup))
                 token = task_token
@@ -261,29 +257,14 @@ class _ProcessWorkers:
                 worker.process.terminate()
                 self._drop(worker)
 
-    def shutdown(self) -> None:
-        """Stop the idle workers (at interpreter exit)."""
-        with self._lock:
-            idle, self._idle = self._idle, []
-            for worker in idle:
-                try:
-                    worker.conn.send(None)
-                except OSError:
-                    pass
-            for worker in idle:
-                worker.process.join(timeout=5)
-                if worker.process.is_alive():
-                    worker.process.terminate()
-                self._drop(worker)
-
     def _drop(self, worker: _Worker) -> None:
         worker.conn.close()
         worker.process.join(timeout=5)
         self._all.remove(worker)
 
 
+#: Daemon processes: they are stopped when the interpreter exits.
 _WORKERS = _ProcessWorkers()
-atexit.register(_WORKERS.shutdown)
 
 #: Distinguishes engines to the workers they share (see :func:`_worker_main`).
 _ENGINE_TOKENS = itertools.count()
@@ -421,8 +402,8 @@ class ParallelCompilationEngine:
     def close(self) -> None:
         """Shut the thread pool down (idempotent).
 
-        Process workers are shared by every engine and stop at interpreter
-        exit.
+        Process workers are shared by every engine and stop when the
+        interpreter exits.
         """
         with self._pool_lock:
             pool, self._pool = self._pool, None
