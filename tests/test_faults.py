@@ -6,6 +6,7 @@ import math
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import T10Compiler
 from repro.ir import OperatorGraph, elementwise, matmul
@@ -215,6 +216,75 @@ class TestFaultSchedule:
         assert stats.any
         assert "1 chip death(s)" in stats.summary()
         assert "7 tokens lost" in stats.summary()
+
+
+# --------------------------------------------------------------------------- #
+# link_factor against a reference scan of the events
+# --------------------------------------------------------------------------- #
+def reference_link_factor(events, now: float, chips=None) -> float:
+    """The link factor by a scan of every event: the worst window active at
+    ``now`` that is fleet-wide or overlaps ``chips`` (every window when
+    ``chips`` is None), 1.0 when none is."""
+    scope = None if chips is None else set(chips)
+    return max(
+        (
+            ev.factor
+            for ev in events
+            if ev.kind == FAULT_LINK_DEGRADATION
+            and ev.time <= now < ev.until
+            and (scope is None or not ev.chips or scope.intersection(ev.chips))
+        ),
+        default=1.0,
+    )
+
+
+#: Windows on a coarse grid, so that edges coincide and windows overlap.
+link_windows = st.lists(
+    st.tuples(
+        st.integers(0, 8),
+        st.one_of(st.integers(1, 6), st.none()),
+        st.sampled_from([1.0, 1.5, 2.0, 3.0, 6.0]),
+        st.sets(st.integers(0, 3), max_size=3),
+    ).map(
+        lambda drawn: FaultEvent(
+            time=float(drawn[0]),
+            kind=FAULT_LINK_DEGRADATION,
+            factor=drawn[2],
+            until=math.inf if drawn[1] is None else float(drawn[0] + drawn[1]),
+            chips=tuple(drawn[3]),
+        )
+    ),
+    max_size=6,
+)
+
+
+def query_times(events) -> list[float]:
+    """Every window edge, the midpoints between consecutive edges, and a
+    time before the first and after the last."""
+    edges = sorted({ev.time for ev in events} | {ev.until for ev in events} - {math.inf})
+    if not edges:
+        return [0.0, 1.0]
+    between = [(a + b) / 2 for a, b in zip(edges, edges[1:])]
+    return [-1.0, *edges, *between, edges[-1] + 1.0, math.inf]
+
+
+@settings(max_examples=150, deadline=None)
+@given(windows=link_windows, chips=st.sets(st.integers(0, 3)), deaths=st.booleans())
+def test_link_factor_matches_a_scan_of_the_events(windows, chips, deaths):
+    """``link_factor`` equals the reference scan at every window edge and
+    between edges, with no chip set, an empty one, one drawn at random, one
+    overlapping each scoped window and one disjoint from all of them."""
+    events = list(windows)
+    if deaths:
+        events += [chip_death(2.0, 1), restart(4.0, 1)]
+    schedule = FaultSchedule.of(events)
+    scopes = [None, (), tuple(chips), (9,)]
+    scopes += [ev.chips[:1] for ev in windows if ev.chips]
+    for now in query_times(windows):
+        for scope in scopes:
+            assert schedule.link_factor(now, scope) == reference_link_factor(
+                schedule.events, now, scope
+            ), (now, scope)
 
 
 # --------------------------------------------------------------------------- #
