@@ -49,6 +49,7 @@ virtual time.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -93,16 +94,20 @@ class FaultEvent:
     fleet-wide, the default and the pre-fleet behaviour)."""
 
     def __post_init__(self) -> None:
+        # Comparisons are written so that NaN fails them: a NaN time would
+        # sort unpredictably and a NaN factor would poison every max().
         if self.kind not in _KINDS:
             raise ValueError(f"kind must be one of {_KINDS}, got {self.kind!r}")
-        if self.time < 0:
+        if not self.time >= 0:
             raise ValueError(f"fault time must be >= 0, got {self.time}")
         if self.kind in (FAULT_CHIP_DEATH, FAULT_RESTART) and self.chip < 0:
             raise ValueError(f"{self.kind} needs a chip index >= 0, got {self.chip}")
+        if not (math.isfinite(self.factor) and self.factor >= 1.0):
+            raise ValueError(f"link factor must be finite and >= 1, got {self.factor}")
+        if math.isnan(self.until):
+            raise ValueError("a degradation window cannot end at NaN")
         if self.kind == FAULT_LINK_DEGRADATION:
-            if self.factor < 1.0:
-                raise ValueError(f"link factor must be >= 1, got {self.factor}")
-            if self.until <= self.time:
+            if not self.until > self.time:
                 raise ValueError(
                     f"degradation window must end after it starts: "
                     f"[{self.time}, {self.until})"
@@ -115,7 +120,7 @@ class FaultEvent:
             object.__setattr__(self, "chips", tuple(sorted(set(self.chips))))
             if any(chip < 0 for chip in self.chips):
                 raise ValueError(f"chip indices must be >= 0, got {self.chips}")
-        if self.warmup_delay < 0:
+        if not self.warmup_delay >= 0:
             raise ValueError(f"warmup_delay must be >= 0, got {self.warmup_delay}")
 
 
@@ -163,7 +168,15 @@ def group_link_degradation(
 
 @dataclass(frozen=True)
 class FaultSchedule:
-    """A validated, time-ordered set of fault events for one serving run."""
+    """A validated, time-ordered set of fault events for one serving run.
+
+    The link-degradation windows are also laid out once, at construction,
+    as a timeline: the sorted window edges cut virtual time into segments,
+    and each segment keeps the windows active over all of it.  A
+    :meth:`link_factor` query is then a bisect plus a max over one
+    segment's windows, and :meth:`next_link_edge` says how long its answer
+    holds.
+    """
 
     events: tuple[FaultEvent, ...] = ()
 
@@ -172,6 +185,24 @@ class FaultSchedule:
             sorted(self.events, key=lambda ev: (ev.time, _KINDS.index(ev.kind), ev.chip))
         )
         object.__setattr__(self, "events", ordered)
+        windows = [ev for ev in ordered if ev.kind == FAULT_LINK_DEGRADATION]
+        # Every end counts as an edge, ``inf`` included, so the segment
+        # after the last edge has no window active.
+        edges = sorted({ev.time for ev in windows} | {ev.until for ev in windows})
+        segments = []
+        for start in edges:
+            active = [ev for ev in windows if ev.time <= start < ev.until]
+            segments.append(
+                (
+                    # The worst window of all, of the fleet-wide ones, and
+                    # the chip-scoped windows with their chip sets.
+                    max((ev.factor for ev in active), default=1.0),
+                    max((ev.factor for ev in active if not ev.chips), default=1.0),
+                    tuple((ev.factor, frozenset(ev.chips)) for ev in active if ev.chips),
+                )
+            )
+        object.__setattr__(self, "_link_edges", tuple(edges))
+        object.__setattr__(self, "_link_segments", tuple(segments))
 
     def __len__(self) -> int:
         return len(self.events)
@@ -291,17 +322,26 @@ class FaultSchedule:
         applies.  Overlapping windows do not stack; the worst one wins — a
         single saturated/flapping link is the bottleneck either way.
         """
-        scope = None if chips is None else set(chips)
-        return max(
-            (
-                ev.factor
-                for ev in self.events
-                if ev.kind == FAULT_LINK_DEGRADATION
-                and ev.time <= now < ev.until
-                and (scope is None or not ev.chips or scope.intersection(ev.chips))
-            ),
-            default=1.0,
-        )
+        segment = bisect_right(self._link_edges, now) - 1
+        if segment < 0:
+            return 1.0
+        every, factor, scoped = self._link_segments[segment]
+        if chips is None:
+            return every
+        if scoped:
+            members = tuple(chips)
+            for window_factor, window_chips in scoped:
+                if window_factor > factor and not window_chips.isdisjoint(members):
+                    factor = window_factor
+        return factor
+
+    def next_link_edge(self, now: float) -> float:
+        """The first link-window edge after ``now`` (``inf`` when none is
+        left): :meth:`link_factor` returns the same value for any chip set
+        at every time in ``[now, next_link_edge(now))``."""
+        edges = self._link_edges
+        position = bisect_right(edges, now)
+        return edges[position] if position < len(edges) else math.inf
 
     @property
     def deaths(self) -> tuple[FaultEvent, ...]:

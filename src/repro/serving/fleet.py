@@ -84,6 +84,7 @@ from repro.serving.continuous import (
     IDLE,
     UNPROVISIONED,
     DecodeModel,
+    ReplicaState,
     _DecodeEngineBase,
     _DecodeRun,
     _Queues,
@@ -120,13 +121,20 @@ class _ViewMemo:
     ``states[i]`` is the routing-visible state of replica ``i`` — bound
     model, chip class, queued and resident counts, busy, health and link
     factor — when its ``views[i]`` was built; ``snapshot`` is the tuple of
-    those views.  ``callbacks`` holds each tenant's view callbacks.
+    those views.  ``health[i]`` is replica ``i``'s ``(health, link_factor)``
+    as last read, and ``stale`` the replicas whose health the run has since
+    marked for a re-read.  ``prices[i]`` maps a model to its full-batch
+    iteration latency on replica ``i``'s chip class.  ``callbacks`` holds
+    each tenant's view callbacks.
     """
 
     def __init__(self, size: int) -> None:
         self.states: list[tuple | None] = [None] * size
         self.views: list[ReplicaView | None] = [None] * size
         self.snapshot: tuple[ReplicaView, ...] = ()
+        self.health: list[tuple[str, float]] = [(HEALTH_HEALTHY, 1.0)] * size
+        self.stale: set[int] = set(range(size))
+        self.prices: list[dict[str, float]] = [{} for _ in range(size)]
         self.callbacks: dict[str, tuple] = {}
 
 
@@ -205,16 +213,19 @@ class FleetEngine(_DecodeEngineBase):
         ``(replica, now) -> (state, link_factor)`` callback supplied by a
         chaos or scaler run; without it every replica reports healthy.
 
-        ``memo`` carries the run's previous snapshot: a replica's
+        ``memo`` carries the run's previous snapshot: ``health`` is asked
+        only for the replicas the run marked stale, a replica's
         :class:`ReplicaView` is rebuilt only when its routing-visible state
         changed since the last route, and each tenant's callbacks are built
         once per run."""
-        states, views = memo.states, memo.views
+        states, views, healths = memo.states, memo.views, memo.health
+        if health is not None and memo.stale:
+            for position in memo.stale:
+                healths[position] = health(replicas[position], now)
+            memo.stale.clear()
         changed = False
         for position, replica in enumerate(replicas):
-            health_state, link_factor = (
-                (HEALTH_HEALTHY, 1.0) if health is None else health(replica, now)
-            )
+            health_state, link_factor = healths[position]
             # ReplicaView's fields after ``index``, in declaration order.
             state = (
                 replica.model,
@@ -233,7 +244,9 @@ class FleetEngine(_DecodeEngineBase):
             memo.snapshot = tuple(views)
         callbacks = memo.callbacks.get(tenant)
         if callbacks is None:
-            callbacks = memo.callbacks[tenant] = self._view_callbacks(replicas, tenant)
+            callbacks = memo.callbacks[tenant] = self._view_callbacks(
+                replicas, memo.prices, tenant
+            )
         latency, ideal_iterations, max_batch = callbacks
         return FleetView(
             now=now,
@@ -243,16 +256,23 @@ class FleetEngine(_DecodeEngineBase):
             max_batch=max_batch,
         )
 
-    def _view_callbacks(self, replicas: list[_Replica], tenant: str) -> tuple:
+    def _view_callbacks(
+        self, replicas: list[_Replica], prices: list[dict[str, float]], tenant: str
+    ) -> tuple:
         """A run's ``(iteration_latency, ideal_iterations, max_batch)`` view
-        callbacks for ``tenant``, who is charged any first-touch compile the
-        latency lookup triggers."""
+        callbacks for ``tenant``.  The latency callback reads the run's
+        ``prices`` table, filling a missing entry through :meth:`_cost` —
+        so a first-touch compile is charged to ``tenant``."""
         deployments = self._deployments
 
         def iteration_latency(model: str, index: int) -> float:
-            return self._cost(
-                model, replicas[index].chip_class, deployments[model].max_batch_size, tenant
-            ).latency
+            row = prices[index]
+            latency = row.get(model)
+            if latency is None:
+                latency = row[model] = self._cost(
+                    model, replicas[index].chip_class, deployments[model].max_batch_size, tenant
+                ).latency
+            return latency
 
         def ideal_iterations(model: str, prompt: int, output: int) -> int:
             return deployments[model].ideal_iterations(prompt, output)
@@ -437,6 +457,15 @@ class _FleetRun(_DecodeRun):
         # per-replica health call on every route.
         self.health = self.describe if self.chaos or scaler is not None else None
         self.view_memo = _ViewMemo(len(replicas))
+        #: Health is event-driven: a lifecycle transition marks its replica
+        #: stale, and :meth:`watch_health` marks every replica stale once
+        #: ``now`` reaches the next link-window edge or the warming chip set
+        #: empties or fills (dead replicas read it).
+        self.link_edge = -math.inf
+        self.warming = False
+        #: The (tenant, model, chip-class fingerprint) keys whose bucket
+        #: programs ``place`` has touched in this run.
+        self.touched: set[tuple[str, str, str]] = set()
         if scaler is not None and requests:
             # First capacity decision one interval after traffic starts (the
             # first window of arrivals is its observation).
@@ -491,6 +520,20 @@ class _FleetRun(_DecodeRun):
             if factor > 1.0:
                 return HEALTH_DEGRADED, factor
         return HEALTH_HEALTHY, 1.0
+
+    def transition(self, replica: _Replica, state: ReplicaState, now: float) -> None:
+        super().transition(replica, state, now)
+        self.view_memo.stale.add(replica.index)
+
+    def watch_health(self, now: float) -> None:
+        """Mark every replica's health stale when it may have changed
+        without a transition: a link window opened or closed at or before
+        ``now``, or the warming chip set emptied or filled."""
+        warming = bool(self.chips.warming)
+        if now >= self.link_edge or warming != self.warming:
+            self.link_edge = self.schedule.next_link_edge(now)
+            self.warming = warming
+            self.view_memo.stale.update(range(len(self.replicas)))
 
     def brownout(self) -> bool:
         """Whether surviving capacity is below the brownout watermark."""
@@ -587,6 +630,8 @@ class _FleetRun(_DecodeRun):
         the limbo health-aware routing avoids."""
         engine = self.engine
         replicas = self.replicas
+        if self.health is not None:
+            self.watch_health(now)
         view = engine._view(now, replicas, self.view_memo, request.tenant, health=self.health)
         index = engine.router.route(request, view)
         if index is None:
@@ -599,7 +644,10 @@ class _FleetRun(_DecodeRun):
         replica = replicas[index]
         if replica.model != request.model:
             self.bind(replica, request.model, now)
-        engine._bucket_costs(request.model, replica.chip_class, request.tenant)
+        touch = (request.tenant, request.model, replica.chip_class.fingerprint())
+        if touch not in self.touched:
+            engine._bucket_costs(request.model, replica.chip_class, request.tenant)
+            self.touched.add(touch)
         replica.queues.push(request)
         if replica.state is not DEAD:
             self.activate(replica, now)
@@ -668,6 +716,8 @@ class _FleetRun(_DecodeRun):
     # Faults
     # ------------------------------------------------------------------ #
     def placed(self, replica: _Replica, now: float) -> None:
+        # The replica may have moved to another chip class: re-price it.
+        self.view_memo.prices[replica.index].clear()
         # Under a scaler, which owns paid capacity, a re-placed replica waits
         # to be provisioned again (its queues are empty: health-aware routing
         # never queues on a dead replica, and detection emptied them).

@@ -111,6 +111,26 @@ class TestFaultSchedule:
         with pytest.raises(ValueError, match="warmup"):
             restart(1.0, 0, warmup_delay=-0.1)
 
+    def test_event_validation_rejects_nan_and_infinite_values(self):
+        nan = math.nan
+        with pytest.raises(ValueError, match=">= 0"):
+            chip_death(nan, 0)
+        with pytest.raises(ValueError, match=">= 0"):
+            link_degradation(nan, 1.0, 2.0)
+        with pytest.raises(ValueError, match="window"):
+            link_degradation(0.0, nan, 2.0)
+        for factor in (nan, math.inf):
+            with pytest.raises(ValueError, match="factor"):
+                link_degradation(0.0, 1.0, factor)
+        with pytest.raises(ValueError, match="factor"):
+            group_link_degradation(0.0, 1.0, nan, [0])
+        with pytest.raises(ValueError, match="warmup"):
+            restart(1.0, 0, warmup_delay=nan)
+        # An open-ended window stays legal.
+        schedule = FaultSchedule.of([link_degradation(1.0, math.inf, 2.0)])
+        assert schedule.link_factor(1e9) == 2.0
+        assert schedule.link_factor(0.5) == 1.0
+
     def test_schedule_sorts_and_iterates(self):
         schedule = FaultSchedule.of(
             [restart(5.0, 0), chip_death(1.0, 0), chip_death(1.0, 1)]
@@ -273,18 +293,28 @@ def query_times(events) -> list[float]:
 def test_link_factor_matches_a_scan_of_the_events(windows, chips, deaths):
     """``link_factor`` equals the reference scan at every window edge and
     between edges, with no chip set, an empty one, one drawn at random, one
-    overlapping each scoped window and one disjoint from all of them."""
+    overlapping each scoped window and one disjoint from all of them; and
+    ``next_link_edge`` never skips an edge."""
     events = list(windows)
     if deaths:
         events += [chip_death(2.0, 1), restart(4.0, 1)]
     schedule = FaultSchedule.of(events)
     scopes = [None, (), tuple(chips), (9,)]
     scopes += [ev.chips[:1] for ev in windows if ev.chips]
+    edges = sorted({ev.time for ev in windows} | {ev.until for ev in windows})
     for now in query_times(windows):
         for scope in scopes:
             assert schedule.link_factor(now, scope) == reference_link_factor(
                 schedule.events, now, scope
             ), (now, scope)
+        assert schedule.next_link_edge(now) == min(
+            (edge for edge in edges if edge > now), default=math.inf
+        ), now
+    # Walking the edges one at a time visits every finite edge, in order.
+    walked, now = [], -1.0
+    while (now := schedule.next_link_edge(now)) != math.inf:
+        walked.append(now)
+    assert walked == [edge for edge in edges if edge != math.inf]
 
 
 # --------------------------------------------------------------------------- #

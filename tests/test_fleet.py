@@ -30,6 +30,7 @@ from repro.serving import (
     check_report,
     chip_death,
     decode_workload,
+    group_link_degradation,
     link_degradation,
     merge_decode_workloads,
     restart,
@@ -547,13 +548,27 @@ def rebuilt_view(replicas, now: float, health) -> tuple[ReplicaView, ...]:
     return tuple(views)
 
 
-@pytest.mark.parametrize("scenario", ["fault-free", "chaos", "scaler", "scaler-chaos"])
+@pytest.mark.parametrize(
+    "scenario",
+    [
+        "fault-free",
+        "chaos",
+        "scaler",
+        "scaler-chaos",
+        "edge-arrival",
+        "scoped-overlap",
+        "class-failover",
+    ],
+)
 def test_every_route_view_matches_a_rebuild(
     scenario, cache, small_chip, fast_constraints, fat_chip, monkeypatch
 ):
     """The view a route sees — reused replica views included — equals one
     rebuilt from scratch, in a fault-free run, a chaos run (a link window
-    plus a chip death and restart), a scaler run and both together."""
+    plus a chip death and restart), a scaler run and both together, a run
+    whose link window opens and closes exactly on arrivals, one with two
+    overlapping chip-scoped windows, and one whose failovers move replicas
+    to the other chip class."""
     deployments = [make_model("alpha"), make_model("beta", width=96)]
     engine = make_engine(
         cache,
@@ -598,9 +613,41 @@ def test_every_route_view_matches_a_rebuild(
         run_kwargs["scaler"] = ReactiveScaler(
             interval=3 * unit, provision_delay=2 * unit, scale_up_queue=2
         )
+    edges = set()
+    if scenario == "edge-arrival":
+        edges = {workload[4].arrival_time, workload[12].arrival_time}
+        run_kwargs["faults"] = FaultSchedule.of([link_degradation(*sorted(edges), 4.0)])
+    if scenario == "scoped-overlap":
+        # Chip i backs replica i: replica 1 sits under both windows.
+        run_kwargs["faults"] = FaultSchedule.of(
+            [
+                group_link_degradation(2 * unit, 12 * unit, 3.0, [0, 1]),
+                group_link_degradation(6 * unit, 20 * unit, 5.0, [1, 2]),
+            ]
+        )
+
+    if scenario == "class-failover":
+        # Replica 1 (test chip) fails over onto restarted chip 3 (fat chip),
+        # then replica 3 onto restarted chip 1.
+        run_kwargs["faults"] = FaultSchedule.of(
+            [
+                chip_death(6 * unit, 1),
+                chip_death(6 * unit, 3),
+                restart(10 * unit, 3, warmup_delay=2 * unit),
+                restart(16 * unit, 1, warmup_delay=2 * unit),
+            ]
+        )
+        run_kwargs["watchdog"] = Watchdog(detection_delay=unit)
 
     original = FleetEngine._view
-    seen = {"routes": 0, "reused": 0, "health": set()}
+    seen = {
+        "routes": 0,
+        "reused": 0,
+        "health": set(),
+        "factors": set(),
+        "times": set(),
+        "classes": set(),
+    }
 
     def checked(self, now, replicas, memo, tenant="", health=None):
         previous = list(memo.views)
@@ -619,6 +666,9 @@ def test_every_route_view_matches_a_rebuild(
         seen["routes"] += 1
         seen["reused"] += sum(a is b for a, b in zip(previous, snapshot.replicas))
         seen["health"].update(view.health for view in snapshot.replicas)
+        seen["factors"].update(view.link_factor for view in snapshot.replicas)
+        seen["times"].add(now)
+        seen["classes"].update((view.index, view.chip_class) for view in snapshot.replicas)
         return snapshot
 
     monkeypatch.setattr(FleetEngine, "_view", checked)
@@ -633,3 +683,11 @@ def test_every_route_view_matches_a_rebuild(
     if "scaler" in scenario:
         assert HEALTH_RESTARTING in seen["health"]
         assert report.provision_ups > 0
+    if scenario == "edge-arrival":
+        assert edges <= seen["times"]  # routes ran exactly on both edges
+        assert HEALTH_DEGRADED in seen["health"]
+    if scenario == "scoped-overlap":
+        assert {1.0, 3.0, 5.0} <= seen["factors"]
+    if scenario == "class-failover":
+        assert report.faults.failovers == 2
+        assert {(1, "fat-chip"), (3, small_chip.name)} <= seen["classes"]
