@@ -457,10 +457,9 @@ class _FleetRun(_DecodeRun):
         # per-replica health call on every route.
         self.health = self.describe if self.chaos or scaler is not None else None
         self.view_memo = _ViewMemo(len(replicas))
-        #: Health is event-driven: a lifecycle transition marks its replica
-        #: stale, and :meth:`watch_health` marks every replica stale once
-        #: ``now`` reaches the next link-window edge or the warming chip set
-        #: empties or fills (dead replicas read it).
+        #: :meth:`watch_health` marks every replica's health stale once
+        #: ``now`` reaches ``link_edge`` or ``bool(chips.warming)`` stops
+        #: equalling ``warming``.
         self.link_edge = -math.inf
         self.warming = False
         #: The (tenant, model, chip-class fingerprint) keys whose bucket
@@ -527,8 +526,9 @@ class _FleetRun(_DecodeRun):
 
     def watch_health(self, now: float) -> None:
         """Mark every replica's health stale when it may have changed
-        without a transition: a link window opened or closed at or before
-        ``now``, or the warming chip set emptied or filled."""
+        without a transition (which marks its own replica): a link window
+        opened or closed at or before ``now``, or the warming chip set,
+        which dead replicas read, emptied or filled."""
         warming = bool(self.chips.warming)
         if now >= self.link_edge or warming != self.warming:
             self.link_edge = self.schedule.next_link_edge(now)
