@@ -23,10 +23,10 @@ from repro.models import get_entry
 #: The transformer workload the speedup target is defined on.
 TRANSFORMER_MODEL = "bert"
 #: Large enough for the speedup to show over the process pool's fixed cost
-#: (forking the workers, shipping plans back): a quick BERT compile searches
-#: for only ~0.2 s, so on a 2-core host that cost decided its ratio.  The
-#: full model at its largest batch, with denser core-count sampling, searches
-#: for ~0.6 s.
+#: (forking the workers, shipping plans back): the full model at its largest
+#: batch, with denser core-count sampling.  Its operators dedupe to 11
+#: searches of 7-16 ms each, 0.09-0.12 s in all, so on a 2-core host that
+#: fixed cost still weighs on the ratio.
 WORKLOAD = dict(
     models=(TRANSFORMER_MODEL,),
     batch_sizes=(max(get_entry(TRANSFORMER_MODEL).batch_sizes),),

@@ -12,8 +12,8 @@ run to run, their ordering varies with thread scheduling).
 The :class:`Tracer` is thread-safe (compilation traces from worker threads)
 and designed so a *disabled* tracer is near-zero-cost: every emit method
 checks ``enabled`` first and returns without allocating, so the hot paths —
-the decode-engine event loop, ``WorkerPool.place``, plan-cache lookups —
-can stay instrumented unconditionally.  ``python -m repro.obs overhead``
+the decode-engine event loop and plan-cache lookups — can stay
+instrumented unconditionally.  ``python -m repro.obs overhead``
 measures and bounds that cost.
 
 A module-level *ambient* tracer (disabled by default) lets instrumentation

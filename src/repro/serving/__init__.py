@@ -1,24 +1,30 @@
-"""Model-serving subsystem: plan caching, batching, multi-chip pool.
+"""Model-serving subsystem: plan caching, batching, multi-chip fleets.
 
 This layer sits on top of the compiler and simulator and answers the
 questions a production deployment asks: how many requests per second does a
 fleet of N chips sustain, what are the tail latencies under a given batching
 policy, and how much compile time does the plan cache amortise away.
 
-Quick start::
+Every engine serves :class:`DecodeRequest` streams through one event loop
+and reports a :class:`ContinuousReport` that :func:`check_report` audits.
+A single-forward-pass request (an encoder or CNN inference) is a decode
+request with a one-token prompt and one output token: one iteration of the
+model's bucketed program.  Static batching with a batch window::
 
-    from repro.serving import PlanCache, ServedModel, ServingScheduler, poisson_workload
+    from repro.models import build_bert
+    from repro.serving import DecodeModel, StaticEngine, decode_workload
 
-    scheduler = ServingScheduler(
-        [ServedModel.from_registry("bert", num_layers=2, max_batch_size=8)],
+    engine = StaticEngine(
+        DecodeModel("bert", lambda batch: build_bert(batch, num_layers=2)),
         num_chips=2,
         batch_window=2e-3,
     )
-    scheduler.warm()                       # compile every batch bucket once
-    report = scheduler.serve(
-        poisson_workload({"bert": 2000.0}, num_requests=200, seed=0)
+    engine.warm()                          # compile every batch bucket once
+    requests = decode_workload(
+        "bert", num_requests=200, rate=2000.0,
+        prompt_tokens=(1, 1), output_tokens=(1, 1), interactive_fraction=0.0,
     )
-    print(report.summary())
+    print(engine.run(requests).summary())
 
 Autoregressive traffic is served by the continuous-batching engine
 (:mod:`repro.serving.continuous`), where requests join a running batch at
@@ -45,14 +51,7 @@ budgets with deadline-aware drops, and brownout admission control — see
 ``docs/continuous.md``.
 """
 
-from repro.serving.batcher import (
-    Batch,
-    BatchReplay,
-    DynamicBatcher,
-    ReplayStats,
-    batch_buckets,
-    bucket_for,
-)
+from repro.serving.batcher import batch_buckets, bucket_for
 from repro.serving.continuous import (
     POLICY_CONTINUOUS,
     POLICY_STATIC,
@@ -82,9 +81,6 @@ from repro.serving.forecast import (
 from repro.serving.metrics import (
     ContinuousReport,
     FaultStats,
-    ModelStats,
-    ServingReport,
-    build_model_stats,
     check_report,
     dip_and_recovery,
     goodput_timeline,
@@ -114,16 +110,11 @@ from repro.serving.request import (
     SLO_BEST_EFFORT,
     SLO_INTERACTIVE,
     CompletedDecode,
-    CompletedRequest,
     DecodeRequest,
-    InferenceRequest,
     TenantSpec,
     decode_workload,
     merge_decode_workloads,
-    merge_workloads,
-    poisson_workload,
     trace_workload,
-    uniform_workload,
 )
 from repro.serving.router import (
     HEALTH_DEAD,
@@ -137,7 +128,6 @@ from repro.serving.router import (
     Router,
     StaticPartitionRouter,
 )
-from repro.serving.scheduler import ServedModel, ServingScheduler
 from repro.serving.traffic import (
     DiurnalPattern,
     FlashCrowdPattern,
@@ -150,19 +140,15 @@ from repro.serving.traffic import (
     poisson_arrivals,
     windowed_rates,
 )
-from repro.serving.worker import BatchExecution, IterationCost, WorkerPool
+from repro.serving.worker import IterationCost, WorkerPool
 
 __all__ = [
-    "Batch",
-    "BatchExecution",
-    "BatchReplay",
     "Blueprint",
     "BlueprintPlanner",
     "COMPILE",
     "CacheLookup",
     "CacheStats",
     "CompletedDecode",
-    "CompletedRequest",
     "ContinuousEngine",
     "ContinuousReport",
     "CostAwareRouter",
@@ -171,7 +157,6 @@ __all__ = [
     "DecodeModel",
     "DecodeRequest",
     "DiurnalPattern",
-    "DynamicBatcher",
     "FAULT_CHIP_DEATH",
     "FAULT_LINK_DEGRADATION",
     "FAULT_RESTART",
@@ -190,11 +175,9 @@ __all__ = [
     "HEALTH_RESTARTING",
     "HIT_DISK",
     "HIT_MEMORY",
-    "InferenceRequest",
     "IterationCost",
     "LeastLoadedRouter",
     "LinearTrendForecaster",
-    "ModelStats",
     "MovingAverageForecaster",
     "POLICY_CONTINUOUS",
     "POLICY_FLEET",
@@ -202,15 +185,11 @@ __all__ = [
     "PlanCache",
     "RateTracker",
     "ReactiveScaler",
-    "ReplayStats",
     "ReplicaView",
     "Router",
     "SLO_BEST_EFFORT",
     "SLO_INTERACTIVE",
     "ScalerObservation",
-    "ServedModel",
-    "ServingReport",
-    "ServingScheduler",
     "StaticEngine",
     "StaticPartitionRouter",
     "TenantSpec",
@@ -219,7 +198,6 @@ __all__ = [
     "WorkerPool",
     "batch_buckets",
     "bucket_for",
-    "build_model_stats",
     "check_report",
     "burstiness",
     "bursty_workload",
@@ -234,13 +212,10 @@ __all__ = [
     "jain_fairness",
     "link_degradation",
     "merge_decode_workloads",
-    "merge_workloads",
     "mmpp_arrivals",
     "plan_key",
     "poisson_arrivals",
-    "poisson_workload",
     "restart",
     "trace_workload",
-    "uniform_workload",
     "windowed_rates",
 ]

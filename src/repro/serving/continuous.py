@@ -30,7 +30,8 @@ here, and :class:`~repro.serving.fleet.FleetEngine` is the third:
   fleet with queue depth.
 * :class:`StaticEngine` — the classic baseline: FIFO batches that run to
   the completion of their *longest* member before the replica takes new
-  work.  Same fleet, same compiled programs, no iteration-level admission.
+  work, optionally waiting up to a batch window for a batch to fill.  Same
+  fleet, same compiled programs, no iteration-level admission.
 
 The fig27 experiment runs both on identical workloads and fleets; continuous
 batching wins on goodput-under-SLO because head-of-line blocking is gone.
@@ -1765,6 +1766,35 @@ class StaticEngine(_SingleModelEngine):
 
     policy = POLICY_STATIC
 
+    def __init__(
+        self,
+        model: DecodeModel,
+        *,
+        chip: ChipSpec = IPU_MK2,
+        num_chips: int = 1,
+        constraints: SearchConstraints = DEFAULT_CONSTRAINTS,
+        plan_cache: PlanCache | None = None,
+        cache_dir: str | Path | None = None,
+        jobs: int | None = None,
+        batch_window: float = 0.0,
+    ) -> None:
+        """``batch_window`` (seconds) lets a free replica whose queue holds
+        less than a full batch wait until the oldest queued request has
+        waited that long, then take whatever is queued; ``0.0`` starts a
+        batch the moment a replica is free."""
+        if not (math.isfinite(batch_window) and batch_window >= 0.0):
+            raise ValueError(f"batch_window must be finite and >= 0, got {batch_window}")
+        super().__init__(
+            model,
+            chip=chip,
+            num_chips=num_chips,
+            constraints=constraints,
+            plan_cache=plan_cache,
+            cache_dir=cache_dir,
+            jobs=jobs,
+        )
+        self.batch_window = batch_window
+
     def run(self, requests: Sequence[DecodeRequest]) -> ContinuousReport:
         """Replay one decode workload through static batches."""
         ordered = self._check_requests(requests)
@@ -1774,7 +1804,10 @@ class StaticEngine(_SingleModelEngine):
 
 class _StaticRun(_DecodeRun):
     """StaticEngine's policy: every replica is active from the start and
-    takes a FIFO batch only once its previous batch fully retired."""
+    takes a FIFO batch only once its previous batch fully retired.  With a
+    batch window, a free replica facing less than a full batch waits for
+    the window of the oldest queued request; an ``_EV_SCALE`` timer at that
+    instant brings the idle replicas back."""
 
     counter_names = ("iterations", "preemptions", "shed", "scale_ups", "scale_downs")
 
@@ -1784,6 +1817,9 @@ class _StaticRun(_DecodeRun):
         for replica in replicas:
             replica.state = ACTIVE
         self.min_active = len(replicas)
+        self.window = engine.batch_window
+        #: The latest window timer pushed (-inf: none yet).
+        self.timer = -math.inf
         super().__init__(engine, requests, FaultSchedule(), Watchdog(), replicas)
 
     def integrate(self, now: float) -> None:
@@ -1799,11 +1835,24 @@ class _StaticRun(_DecodeRun):
         self.queues.bq.append(request)  # arrival order, deadline-unaware
         self.start_idle(now)
 
+    def on_scale(self, payload: object, now: float) -> None:
+        """A batch window closed: idle replicas take what is queued."""
+        self.start_idle(now)
+
     def admit(self, replica: _Replica, now: float) -> None:
         queue = self.queues.bq
         if replica.running or not queue:
             return
         max_batch = self.engine.model.max_batch_size
+        if self.window and len(queue) < max_batch:
+            closes = queue[0].arrival_time + self.window
+            if now < closes:
+                # FIFO: the oldest queued request only leaves with a batch,
+                # so window timers are pushed in increasing time order.
+                if closes > self.timer:
+                    self.timer = closes
+                    heapq.heappush(self.events, (closes, _EV_SCALE, next(self.seq), None))
+                return
         for _ in range(min(len(queue), max_batch)):
             replica.join(self.admit_one(queue.popleft(), replica, now))
         # The program is fixed for the whole batch lifetime: the bucket

@@ -1,4 +1,4 @@
-"""Serving-level metrics: throughput, tail latency, queueing and cache health.
+"""Serving-level metrics: throughput, tail latency, goodput and cache health.
 
 Builds on the percentile/throughput helpers in :mod:`repro.runtime.metrics`
 so the serving layer reports SLO-style numbers (p50/p95/p99) in the same
@@ -17,7 +17,6 @@ from repro.serving.request import (
     DECODE_OK,
     DECODE_SHED,
     CompletedDecode,
-    CompletedRequest,
     DecodeRequest,
 )
 
@@ -38,118 +37,6 @@ def jain_fairness(values: Sequence[float]) -> float:
     if squares == 0.0:
         return 1.0
     return (total * total) / (len(values) * squares)
-
-
-@dataclass
-class ModelStats:
-    """Serving statistics for one model."""
-
-    model: str
-    completed: int = 0
-    rejected: int = 0
-    throughput: float = 0.0
-    """Completed requests per virtual second."""
-    latency_p50: float = 0.0
-    latency_p95: float = 0.0
-    latency_p99: float = 0.0
-    latency_mean: float = 0.0
-    queue_delay_mean: float = 0.0
-    mean_batch_size: float = 0.0
-    batches: int = 0
-    recompilations: int = 0
-    """Batches whose program had to be compiled (plan-cache misses)."""
-
-    def as_row(self) -> dict[str, object]:
-        """Flat dict for the aligned-table printer (latencies in ms)."""
-        return {
-            "model": self.model,
-            "completed": self.completed,
-            "rejected": self.rejected,
-            "throughput_rps": self.throughput,
-            "p50_ms": self.latency_p50 * 1e3,
-            "p95_ms": self.latency_p95 * 1e3,
-            "p99_ms": self.latency_p99 * 1e3,
-            "mean_batch": self.mean_batch_size,
-            "batches": self.batches,
-            "recompiles": self.recompilations,
-        }
-
-
-@dataclass
-class ServingReport:
-    """Everything one serving run measured."""
-
-    num_chips: int
-    max_batch_size: int
-    batch_window: float
-    completed: tuple[CompletedRequest, ...]
-    per_model: dict[str, ModelStats]
-    cache: CacheStats
-    makespan: float
-    """Virtual seconds from first arrival to last completion."""
-    utilization: float
-    """Fraction of fleet time spent executing batches."""
-    max_queue_depth: int = 0
-    mean_queue_depth: float = 0.0
-
-    # ------------------------------------------------------------------ #
-    @property
-    def ok_requests(self) -> list[CompletedRequest]:
-        """Requests that were actually served."""
-        return [record for record in self.completed if record.ok]
-
-    @property
-    def total_completed(self) -> int:
-        """Served request count across all models."""
-        return len(self.ok_requests)
-
-    @property
-    def overall_throughput(self) -> float:
-        """Served requests per virtual second across all models."""
-        return throughput_rps(self.total_completed, self.makespan)
-
-    @property
-    def overall_percentiles(self) -> dict[str, float]:
-        """p50/p95/p99 latency over every served request (seconds)."""
-        return latency_percentiles([record.latency for record in self.ok_requests])
-
-    @property
-    def recompilations(self) -> int:
-        """Plan-cache misses over the whole run."""
-        return self.cache.misses
-
-    @property
-    def cache_hit_rate(self) -> float:
-        """Fraction of batch lookups served without compiling."""
-        return self.cache.hit_rate
-
-    # ------------------------------------------------------------------ #
-    def rows(self) -> list[dict[str, object]]:
-        """Per-model table rows (sorted by model name)."""
-        return [self.per_model[name].as_row() for name in sorted(self.per_model)]
-
-    def summary(self) -> str:
-        """One-paragraph description of the run."""
-        if not self.ok_requests:
-            # A run that served nothing has no percentiles or throughput to
-            # format — render a defined message instead of "nan req/s".
-            rejected = len(self.completed)
-            return (
-                f"no requests served on {self.num_chips} chip(s) "
-                f"({rejected} rejected, {self.recompilations} compiles)"
-            )
-        tails = self.overall_percentiles
-        return (
-            f"{self.total_completed} requests on {self.num_chips} chip(s) "
-            f"in {self.makespan * 1e3:.2f} ms virtual time: "
-            f"{self.overall_throughput:.0f} req/s, "
-            f"p50 {tails['p50'] * 1e3:.3f} ms, p99 {tails['p99'] * 1e3:.3f} ms, "
-            f"utilization {self.utilization:.0%}, "
-            f"cache hit rate {self.cache_hit_rate:.0%} "
-            f"({self.recompilations} compiles, "
-            f"{self.cache.compile_seconds:.2f}s compiling, "
-            f"{self.cache.saved_seconds:.2f}s saved)"
-        )
 
 
 @dataclass
@@ -619,49 +506,3 @@ def check_report(
         if parts != whole:
             failures.append(f"tenant slices sum {name} to {parts}, report has {whole}")
     return failures
-
-
-def build_model_stats(
-    records: Sequence[CompletedRequest],
-) -> dict[str, ModelStats]:
-    """Aggregate completed-request records into per-model statistics."""
-    by_model: dict[str, list[CompletedRequest]] = {}
-    for record in records:
-        by_model.setdefault(record.request.model, []).append(record)
-    stats: dict[str, ModelStats] = {}
-    for model, group in by_model.items():
-        served = [record for record in group if record.ok]
-        latencies = [record.latency for record in served]
-        tails = latency_percentiles(latencies)
-        batches = {record.batch_id for record in group}
-        compile_batches = {
-            record.batch_id for record in group if record.cache_outcome == "compile"
-        }
-        span = 0.0
-        if served:
-            span = max(r.completion_time for r in served) - min(
-                r.request.arrival_time for r in served
-            )
-        stats[model] = ModelStats(
-            model=model,
-            completed=len(served),
-            rejected=len(group) - len(served),
-            throughput=throughput_rps(len(served), span),
-            latency_p50=tails["p50"] if served else 0.0,
-            latency_p95=tails["p95"] if served else 0.0,
-            latency_p99=tails["p99"] if served else 0.0,
-            latency_mean=sum(latencies) / len(latencies) if latencies else 0.0,
-            queue_delay_mean=(
-                sum(record.queue_delay for record in served) / len(served)
-                if served
-                else 0.0
-            ),
-            mean_batch_size=(
-                sum(record.batch_size for record in served) / len(served)
-                if served
-                else 0.0
-            ),
-            batches=len(batches),
-            recompilations=len(compile_batches),
-        )
-    return stats

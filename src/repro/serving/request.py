@@ -1,8 +1,8 @@
-"""Inference requests, completed-request records and workload generators.
+"""Decode requests, completed-request records and workload generators.
 
 Serving is simulated in **virtual time**: every request carries an arrival
-timestamp, batches are formed and placed deterministically from those
-timestamps, and batch latencies come from the analytical chip simulator.
+timestamp, batches are formed and scheduled deterministically from those
+timestamps, and iteration latencies come from the analytical chip simulator.
 This keeps serving experiments exactly reproducible (no real sleeping, no
 scheduling jitter) while exercising the same queueing dynamics a wall-clock
 server would see.
@@ -11,10 +11,9 @@ server would see.
 from __future__ import annotations
 
 import itertools
-import math
 import random
-from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Callable, Iterable
 
 #: SLO classes of autoregressive requests (continuous batching).
 SLO_INTERACTIVE = "interactive"
@@ -53,142 +52,6 @@ class TenantSpec:
             raise ValueError(f"weight must be positive, got {self.weight}")
 
 
-@dataclass(frozen=True)
-class InferenceRequest:
-    """One inference request for a served model (a single sample)."""
-
-    request_id: int
-    model: str
-    arrival_time: float
-    """Virtual arrival timestamp in seconds."""
-    tenant: str = ""
-    """Traffic source this request belongs to (empty = single-tenant run)."""
-
-    def __post_init__(self) -> None:
-        if self.arrival_time < 0:
-            raise ValueError(f"arrival_time must be >= 0, got {self.arrival_time}")
-
-
-@dataclass(frozen=True)
-class CompletedRequest:
-    """A request together with how it was batched, placed and timed."""
-
-    request: InferenceRequest
-    batch_id: int
-    batch_size: int
-    """Number of real requests in the batch this request rode in."""
-    padded_batch_size: int
-    """Batch size the graph was compiled for (next bucket >= batch_size)."""
-    worker: int
-    """Index of the chip in the worker pool that executed the batch."""
-    dispatch_time: float
-    """When the batcher closed the batch (virtual seconds)."""
-    start_time: float
-    """When the worker began executing it (virtual seconds)."""
-    completion_time: float
-    """When the batch finished (virtual seconds)."""
-    cache_outcome: str
-    """How the batch's program was obtained (hit-memory/hit-disk/compile)."""
-    status: str = "ok"
-    error: str = ""
-
-    @property
-    def ok(self) -> bool:
-        """Whether the request was actually served."""
-        return self.status == "ok"
-
-    @property
-    def latency(self) -> float:
-        """End-to-end latency: arrival to completion (virtual seconds)."""
-        return self.completion_time - self.request.arrival_time
-
-    @property
-    def queue_delay(self) -> float:
-        """Time spent waiting before execution started (virtual seconds)."""
-        return self.start_time - self.request.arrival_time
-
-
-def poisson_workload(
-    model_rates: Mapping[str, float],
-    *,
-    num_requests: int,
-    seed: int = 0,
-) -> list[InferenceRequest]:
-    """A deterministic Poisson arrival stream mixing several models.
-
-    ``model_rates`` maps model name to its offered load in requests per
-    (virtual) second; each model gets an independent exponential
-    inter-arrival process and the streams are merged by arrival time.
-    """
-    if num_requests <= 0:
-        raise ValueError(f"num_requests must be positive, got {num_requests}")
-    total_rate = sum(model_rates.values())
-    if total_rate <= 0:
-        raise ValueError("at least one model needs a positive request rate")
-    rng = random.Random(seed)
-    requests: list[InferenceRequest] = []
-    clocks = dict.fromkeys(model_rates, 0.0)
-    counter = itertools.count()
-    # Draw per-model streams proportionally to their share of the total rate.
-    # Shares are rounded up so the merged stream always has at least
-    # ``num_requests`` entries before trimming.
-    shares = {
-        name: max(1, math.ceil(num_requests * rate / total_rate))
-        for name, rate in model_rates.items()
-        if rate > 0
-    }
-    for name, count in shares.items():
-        rate = model_rates[name]
-        for _ in range(count):
-            clocks[name] += rng.expovariate(rate)
-            requests.append(InferenceRequest(next(counter), name, clocks[name]))
-    requests.sort(key=lambda req: (req.arrival_time, req.request_id))
-    # Renumber in arrival order and trim to the requested total.
-    return [
-        InferenceRequest(index, req.model, req.arrival_time)
-        for index, req in enumerate(requests[:num_requests])
-    ]
-
-
-def uniform_workload(
-    models: Sequence[str],
-    *,
-    num_requests: int,
-    interval: float,
-) -> list[InferenceRequest]:
-    """Requests arriving at a fixed interval, round-robining over ``models``."""
-    if not models:
-        raise ValueError("uniform_workload needs at least one model")
-    if interval < 0:
-        raise ValueError(f"interval must be >= 0, got {interval}")
-    return [
-        InferenceRequest(i, models[i % len(models)], i * interval)
-        for i in range(num_requests)
-    ]
-
-
-def merge_workloads(*streams: Iterable[InferenceRequest]) -> list[InferenceRequest]:
-    """Merge several request streams into one arrival-ordered, renumbered stream.
-
-    Streams from independent generators reuse request ids, so the merged
-    stream is reindexed deterministically: stable by arrival time, then the
-    order the streams were passed in, then position within the stream.
-    Sorting by the *original* ids (the old behaviour) made the merge order
-    depend on ids that collide across streams — two requests with equal
-    ``(arrival_time, request_id)`` tied arbitrarily, corrupting per-request
-    trace flows and retire accounting downstream.
-    """
-    tagged = [
-        (req.arrival_time, stream_index, position, req)
-        for stream_index, stream in enumerate(streams)
-        for position, req in enumerate(stream)
-    ]
-    tagged.sort(key=lambda item: item[:3])
-    return [
-        replace(req, request_id=index) for index, (_, _, _, req) in enumerate(tagged)
-    ]
-
-
 # --------------------------------------------------------------------------- #
 # Autoregressive (decode) requests — continuous batching
 # --------------------------------------------------------------------------- #
@@ -196,9 +59,10 @@ def merge_workloads(*streams: Iterable[InferenceRequest]) -> list[InferenceReque
 class DecodeRequest:
     """One autoregressive generation request (prompt + output-token budget).
 
-    Unlike :class:`InferenceRequest` (a single forward pass), a decode request
-    occupies a batch slot for many iterations: prefill over the prompt, then
-    one decode iteration per generated token.  Interactive requests carry an
+    A decode request occupies a batch slot for one or more iterations:
+    prefill over the prompt, then one decode iteration per generated token
+    after the first.  A single forward pass (an encoder or CNN inference)
+    is a one-token prompt with one output token: one iteration.  Interactive requests carry an
     absolute ``deadline`` (virtual seconds) stating their SLO; best-effort
     requests have none and may be preempted.
     """

@@ -1,27 +1,23 @@
-"""Multi-chip worker pool placing batches onto simulated accelerators.
+"""The simulated chip fleet the decode engines price their iterations on.
 
-The pool models ``num_chips`` identical chips, each running one batch at a
-time.  Placement is earliest-free-worker in virtual time: a batch starts at
-``max(dispatch_time, worker_free_time)`` and occupies the worker for the
-batch's simulated latency plus — on a plan-cache miss — the wall-clock
-compile time, which is how the experiments make the cost of a cold cache
-visible in the latency distribution.
+The pool models ``num_chips`` chips — one default hardware class plus
+optional per-chip overrides — and answers one question per compiled
+program: what does running it once cost?  :meth:`WorkerPool.profile`
+compiles through the shared plan cache on first use and returns the
+simulated latency together with the compile time that lookup paid.
 
-Models sharded across a chip group (:mod:`repro.dist`) place the same way,
-except a batch occupies ``num_stages`` chips simultaneously — the earliest
-free group — for the pipelined latency of the sharded program, and the
-compile penalty covers every stage that missed the plan cache.
+Models sharded across a chip group (:mod:`repro.dist`) are priced the same
+way, except the latency is the pipelined one of the sharded program and the
+compile time covers every stage that missed the plan cache.
 
-Batch latencies come from the analytical simulator.  Since the same compiled
+Latencies come from the analytical simulator.  Since the same compiled
 program yields the same latency every run, measurements are memoised per
 plan-cache key.
 """
 
 from __future__ import annotations
 
-import heapq
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -32,8 +28,6 @@ from repro.hw.interconnect import InterconnectModel, default_interconnect
 from repro.hw.simulator import ChipSimulator, measure_compilation
 from repro.hw.spec import ChipSpec
 from repro.ir.graph import OperatorGraph
-from repro.obs.trace import Tracer, get_tracer
-from repro.serving.batcher import Batch
 from repro.serving.plan_cache import (
     COMPILE,
     HIT_DISK,
@@ -68,33 +62,8 @@ class IterationCost:
         return self.status == "ok"
 
 
-@dataclass(frozen=True)
-class BatchExecution:
-    """Outcome of placing one batch on the pool."""
-
-    batch: Batch
-    worker: int
-    start_time: float
-    completion_time: float
-    latency: float
-    """Simulated execution latency of the batch alone (seconds)."""
-    compile_penalty: float
-    """Extra seconds the worker was held compiling (0 on a cache hit)."""
-    cache_outcome: str
-    status: str = "ok"
-    error: str = ""
-    workers: tuple[int, ...] = ()
-    """Every chip the batch occupied (the whole group for sharded models;
-    equals ``(worker,)`` for single-chip placements)."""
-
-    @property
-    def ok(self) -> bool:
-        """Whether the batch actually executed."""
-        return self.status == "ok"
-
-
 class WorkerPool:
-    """Earliest-free placement of batches over N simulated chips."""
+    """N simulated chips and the cost of running a program on them."""
 
     def __init__(
         self,
@@ -140,49 +109,6 @@ class WorkerPool:
         self._sharded_memo: dict[tuple[str, int], ShardedModel] = {}
         self._sharded_lock = threading.Lock()
         self._sharded_flight = SingleFlight()
-        self.reset()
-
-    def reset(self) -> None:
-        """Restart virtual time: all workers free at t=0, counters cleared."""
-        # Heap of (free_time, worker_index); ties resolve to the lowest index.
-        self._free: list[tuple[float, int]] = [(0.0, i) for i in range(self.num_chips)]
-        heapq.heapify(self._free)
-        self.busy_seconds = 0.0
-
-    # ------------------------------------------------------------------ #
-    def warm(
-        self,
-        graphs: list[OperatorGraph],
-        *,
-        max_workers: int | None = None,
-    ) -> list[CacheLookup]:
-        """Precompile ``graphs`` for this pool's chip via the shared plan cache.
-
-        Compilation runs on a thread pool — the concurrency the plan cache
-        and the compiler's cost-model cache are locked for.
-        """
-        return self.plan_cache.warm(
-            graphs, self.chip, self.constraints, max_workers=max_workers
-        )
-
-    def warm_sharded(
-        self,
-        items: list[tuple[OperatorGraph, int]],
-        *,
-        max_workers: int | None = None,
-    ) -> list[ShardedModel]:
-        """Precompile sharded models for this pool's chip groups.
-
-        ``items`` pairs each graph with its stage count.  Same fan-out
-        policy as :meth:`warm`; stage compiles are single-flighted by the
-        shared plan cache, and failed shardings come back as non-``ok``
-        models rather than raising.
-        """
-        if not items:
-            return []
-        workers = max_workers or min(8, len(items))
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(lambda item: self.sharded_model(*item), items))
 
     def chip_for(self, index: int) -> ChipSpec:
         """The hardware class of chip ``index`` (the default unless overridden)."""
@@ -209,29 +135,13 @@ class WorkerPool:
         return simulator
 
     def _measure(
-        self, key: str, lookup: CacheLookup, simulator: ChipSimulator | None = None
+        self, key: str, lookup: CacheLookup, simulator: ChipSimulator
     ) -> tuple[str, str, float]:
         """(status, error, latency) of one compiled program, memoised by key."""
         memo = self._latency_memo.get(key)
         if memo is None:
-            memo = self._latency_memo[key] = measure_compilation(
-                simulator if simulator is not None else self.simulator, lookup.compiled
-            )
+            memo = self._latency_memo[key] = measure_compilation(simulator, lookup.compiled)
         return memo
-
-    def measure(self, graph: OperatorGraph) -> tuple[str, str, float]:
-        """(status, error, latency) of ``graph`` on this pool's chip.
-
-        Compiles through the plan cache on first use; useful for sizing
-        offered load relative to a model's single-batch capacity.  Failed
-        compilations report ``float("inf")`` latency (zero capacity),
-        matching :func:`measure_compilation`'s contract —
-        :class:`IterationCost` instead zeroes the latency of a failed
-        bucket so virtual-time accounting never adds infinities.
-        """
-        cost = self.profile(graph)
-        latency = cost.latency if cost.status == "ok" else float("inf")
-        return cost.status, cost.error, latency
 
     def profile(
         self,
@@ -353,118 +263,3 @@ class WorkerPool:
         """The compiled sharding of ``graph`` over a group of ``num_stages`` chips."""
         model, _, _ = self._sharded(graph, num_stages)
         return model
-
-    def measure_sharded(self, graph: OperatorGraph, num_stages: int) -> tuple[str, str, float]:
-        """(status, error, pipelined latency) of ``graph`` sharded over a group."""
-        model, _, _ = self._sharded(graph, num_stages)
-        if not model.ok:
-            return model.status, model.error, float("inf")
-        return "ok", "", model.latency
-
-    # ------------------------------------------------------------------ #
-    def _trace_place(self, tracer: Tracer, execution: BatchExecution) -> None:
-        """One virtual-time occupancy span per chip the batch held."""
-        args = {
-            "batch": execution.batch.batch_id,
-            "requests": len(execution.batch.requests),
-            "padded": execution.batch.padded_size,
-            "outcome": execution.cache_outcome,
-            "status": execution.status,
-        }
-        for worker in execution.workers:
-            tracer.span(
-                "batch",
-                ts=execution.start_time,
-                dur=execution.completion_time - execution.start_time,
-                track=f"pool/chip{worker}",
-                cat="serving",
-                args=args,
-            )
-
-    def place(
-        self, batch: Batch, graph: OperatorGraph, *, num_stages: int = 1
-    ) -> BatchExecution:
-        """Place one batch (with its padded-size graph) on the earliest free worker.
-
-        With ``num_stages > 1`` the batch runs the pipeline-sharded program
-        and occupies the ``num_stages`` earliest-free chips as one group
-        until the whole pipeline drains.
-        """
-        if num_stages > 1:
-            return self._place_sharded(batch, graph, num_stages)
-        cost = self.profile(graph)
-        free_time, worker = heapq.heappop(self._free)
-        start = max(batch.dispatch_time, free_time)
-        # A rejected batch (e.g. the padded graph does not fit the chip) only
-        # charges the worker the diagnosis time; ``cost.latency`` is already
-        # zero in that case.
-        completion = start + cost.compile_seconds + cost.latency
-        heapq.heappush(self._free, (completion, worker))
-        self.busy_seconds += completion - start
-        execution = BatchExecution(
-            batch=batch,
-            worker=worker,
-            start_time=start,
-            completion_time=completion,
-            latency=cost.latency,
-            compile_penalty=cost.compile_seconds,
-            cache_outcome=cost.cache_outcome,
-            status=cost.status,
-            error=cost.error,
-            workers=(worker,),
-        )
-        tracer = get_tracer()
-        if tracer.enabled:
-            self._trace_place(tracer, execution)
-        return execution
-
-    def _place_sharded(
-        self, batch: Batch, graph: OperatorGraph, num_stages: int
-    ) -> BatchExecution:
-        model, compile_penalty, cache_outcome = self._sharded(graph, num_stages)
-        if model.ok:
-            status, error, latency = "ok", "", model.latency
-        else:
-            status, error, latency = model.status, model.error, 0.0
-        group = [heapq.heappop(self._free) for _ in range(num_stages)]
-        start = max(batch.dispatch_time, max(free for free, _ in group))
-        completion = start + compile_penalty + (latency if status == "ok" else 0.0)
-        workers = tuple(sorted(worker for _, worker in group))
-        for worker in workers:
-            heapq.heappush(self._free, (completion, worker))
-        self.busy_seconds += (completion - start) * num_stages
-        execution = BatchExecution(
-            batch=batch,
-            worker=workers[0],
-            start_time=start,
-            completion_time=completion,
-            latency=latency,
-            compile_penalty=compile_penalty,
-            cache_outcome=cache_outcome,
-            status=status,
-            error=error,
-            workers=workers,
-        )
-        tracer = get_tracer()
-        if tracer.enabled:
-            self._trace_place(tracer, execution)
-        return execution
-
-    # ------------------------------------------------------------------ #
-    @property
-    def makespan(self) -> float:
-        """Virtual time at which the last worker goes idle."""
-        return max(free for free, _ in self._free) if self._free else 0.0
-
-    def utilization(self, span: float | None = None) -> float:
-        """Fraction of fleet time spent executing batches.
-
-        Deliberately *not* clamped to 1.0: a ratio above ``1 + eps`` means
-        busy-seconds double-accounting (e.g. a sharded group charged per
-        stage *and* per group), and clamping would silently mask exactly
-        that bug.  Tests assert the raw ratio instead.
-        """
-        span = self.makespan if span is None else span
-        if span <= 0:
-            return 0.0
-        return self.busy_seconds / (span * self.num_chips)

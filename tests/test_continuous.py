@@ -21,7 +21,6 @@ from repro.serving import (
     ContinuousReport,
     DecodeModel,
     DecodeRequest,
-    DynamicBatcher,
     FaultSchedule,
     FleetEngine,
     PlanCache,
@@ -35,9 +34,8 @@ from repro.serving import (
     link_degradation,
     merge_decode_workloads,
     restart,
-    uniform_workload,
 )
-from repro.serving.continuous import _DecodeRun, _Replica, _Running
+from repro.serving.continuous import _DecodeRun, _Replica, _Running, _StaticRun
 
 
 def tiny_decode_builder(batch_size: int, *, width: int = 64) -> OperatorGraph:
@@ -554,6 +552,28 @@ class TestStaticEngine:
         assert report.scale_ups == 0
         assert report.total_completed == 2
 
+    @pytest.mark.parametrize("window", [-1e-3, math.nan, math.inf])
+    def test_rejects_bad_batch_window(self, window, cache, small_chip, fast_constraints):
+        with pytest.raises(ValueError, match="batch_window"):
+            StaticEngine(
+                make_model(),
+                chip=small_chip,
+                constraints=fast_constraints,
+                plan_cache=cache,
+                batch_window=window,
+            )
+
+    def test_zero_window_sets_no_timer(self, cache, small_chip, fast_constraints):
+        """At the default window a free replica never waits, so the run
+        never schedules a window timer."""
+        engine = StaticEngine(
+            make_model(), chip=small_chip, constraints=fast_constraints, plan_cache=cache
+        )
+        workload = [request(i, 1e-6 * i, tokens=2) for i in range(9)]
+        with mock.patch.object(_StaticRun, "on_scale", side_effect=AssertionError):
+            report = engine.run(workload)
+        assert check_report(report, workload) == []
+
     def test_same_cache_as_continuous(self, cache, small_chip, fast_constraints):
         """Both engines share per-bucket programs through one plan cache."""
         continuous = make_engine(cache, small_chip, fast_constraints)
@@ -727,28 +747,6 @@ class TestAccountingFixes:
         assert report.busy_chip_seconds > 0
         assert report.provisioned_chip_seconds == report.active_chip_seconds
         assert report.peak_provisioned_chips == report.peak_active_chips > 0
-
-    def test_pool_utilization_is_raw_and_bounded(
-        self, cache, small_chip, fast_constraints
-    ):
-        """utilization() reports the raw busy/span ratio: legitimately <= 1
-        (+ float eps) after any run, and deliberately unclamped so that
-        busy-seconds double-accounting would surface as > 1 instead of being
-        silently masked."""
-        pool = WorkerPool(
-            small_chip, num_chips=2, plan_cache=cache, constraints=fast_constraints
-        )
-        batcher = DynamicBatcher(max_batch_size=1, batch_window=0.0)
-        graph = tiny_decode_builder(1)
-        for batch in batcher.batches(
-            uniform_workload(["tiny"], num_requests=6, interval=0.0)
-        ):
-            pool.place(batch, graph)
-        assert 0.0 < pool.utilization() <= 1.0 + 1e-9
-        # The clamp is really gone: inject double-accounted busy seconds and
-        # the ratio must read above 1 rather than saturating at it.
-        pool.busy_seconds += pool.makespan * pool.num_chips
-        assert pool.utilization() > 1.0
 
     def test_autoscale_hysteresis_at_scale_up_queue_boundary(
         self, cache, small_chip, fast_constraints
@@ -968,36 +966,108 @@ def test_continuous_loop_matches_reference(
     assert check_report(report, workload) == []
 
 
-@settings(max_examples=15, deadline=None)
+@pytest.fixture(scope="module")
+def shared_cache_jobs2(small_cost_model, fast_constraints):
+    store = PlanCache(
+        compiler_factory=lambda chip, constraints: T10Compiler(
+            chip, cost_model=small_cost_model, constraints=constraints, jobs=2
+        ),
+    )
+    yield store
+    store.close()
+
+
+def assert_batch_window_kept(report: ContinuousReport, max_batch: int, window: float) -> None:
+    """The static batch-window contract, read off the records.
+
+    A static batch is the set of requests a replica admitted together; it
+    holds the replica from that start until its last member retires.  No
+    batch starts short of ``max_batch`` before its oldest member's window
+    closes, and no request waits past its window while a replica is idle.
+    """
+    batches: dict[tuple[int, float], list[CompletedDecode]] = {}
+    for record in report.completed:
+        batches.setdefault((record.replica, record.admitted_time), []).append(record)
+    busy: dict[int, list[tuple[float, float]]] = {}
+    for (replica, start), members in batches.items():
+        if len(members) < max_batch:
+            oldest = min(member.request.arrival_time for member in members)
+            assert start >= oldest + window, f"batch on {replica} started early"
+        end = max(member.completion_time for member in members)
+        busy.setdefault(replica, []).append((start, end))
+    for record in report.completed:
+        closes = record.request.arrival_time + window
+        for replica in range(report.num_chips // report.num_stages):
+            covered = closes
+            for start, end in sorted(busy.get(replica, ())):
+                if start > covered:
+                    break
+                covered = max(covered, end)
+            assert covered >= record.admitted_time, (
+                f"request {record.request.request_id} waited past its window "
+                f"while replica {replica} was idle"
+            )
+
+
+@settings(max_examples=60, deadline=None)
 @given(
     num_chips=st.integers(1, 2),
     max_batch=st.sampled_from([1, 2, 4]),
     num_requests=st.integers(1, 30),
     load=st.floats(0.5, 4.0),
     seed=st.integers(0, 10_000),
+    one_shot=st.booleans(),
+    window=st.one_of(st.just(0.0), st.floats(0.1, 8.0)),
 )
 def test_static_loop_matches_reference(
-    num_chips, max_batch, num_requests, load, seed, shared_cache, small_chip, fast_constraints
+    num_chips,
+    max_batch,
+    num_requests,
+    load,
+    seed,
+    one_shot,
+    window,
+    shared_cache,
+    shared_cache_jobs2,
+    small_chip,
+    fast_constraints,
 ):
-    """StaticEngine batches retire member by member on their own ticks."""
+    """StaticEngine batches retire member by member on their own ticks, keep
+    the batch-window contract on one-shot and multi-token traffic, and
+    replay identically when the programs compile at ``jobs=2``."""
     model = make_model(max_batch_size=max_batch, prefill_chunk=8)
-    engine = StaticEngine(
-        model,
-        chip=small_chip,
-        constraints=fast_constraints,
-        plan_cache=shared_cache,
-        num_chips=num_chips,
-    )
-    workload = mixed_workload(
-        model,
-        engine.iteration_latency(1),
-        num_requests=num_requests,
-        load=load,
-        seed=seed,
-        interactive=0.5,
-    )
-    report = assert_matches_reference(lambda: engine.run(workload))
+
+    def engine(cache: PlanCache, unit: float = 0.0) -> StaticEngine:
+        return StaticEngine(
+            model,
+            chip=small_chip,
+            constraints=fast_constraints,
+            plan_cache=cache,
+            num_chips=num_chips,
+            batch_window=window * unit,
+        )
+
+    unit = engine(shared_cache).iteration_latency(1)
+    if one_shot:
+        workload = decode_workload(
+            "tiny",
+            num_requests=num_requests,
+            rate=load * max_batch / unit,
+            seed=seed,
+            prompt_tokens=(1, 1),
+            output_tokens=(1, 1),
+            interactive_fraction=0.0,
+        )
+    else:
+        workload = mixed_workload(
+            model, unit, num_requests=num_requests, load=load, seed=seed, interactive=0.5
+        )
+    windowed = engine(shared_cache, unit)
+    report = assert_matches_reference(lambda: windowed.run(workload))
     assert check_report(report, workload) == []
+    assert_batch_window_kept(report, max_batch, windowed.batch_window)
+    parallel = engine(shared_cache_jobs2, unit).run(workload)
+    assert repr(parallel.completed) == repr(report.completed)
 
 
 @settings(max_examples=20, deadline=None)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -17,14 +18,15 @@ from repro.hw.interconnect import InterconnectConfig, InterconnectModel
 from repro.ir import OperatorGraph, elementwise, matmul
 from repro.serving import (
     COMPILE,
+    HIT_DISK,
     HIT_MEMORY,
-    DynamicBatcher,
+    DecodeModel,
+    DecodeRequest,
     PlanCache,
-    ServedModel,
-    ServingScheduler,
+    StaticEngine,
     WorkerPool,
+    check_report,
     plan_key,
-    uniform_workload,
 )
 
 
@@ -324,35 +326,51 @@ def dist_cache(small_cost_model):
     cache.close()
 
 
+def one_shot_stream(model: str, count: int, interval: float) -> list[DecodeRequest]:
+    """``count`` one-forward-pass requests arriving ``interval`` apart."""
+    return [
+        DecodeRequest(i, model, i * interval, prompt_tokens=1, max_new_tokens=1)
+        for i in range(count)
+    ]
+
+
+def sharded_engine(small_chip, fast_constraints, cache, model: DecodeModel, **kwargs):
+    return StaticEngine(
+        model, chip=small_chip, constraints=fast_constraints, plan_cache=cache, **kwargs
+    )
+
+
 class TestShardedServing:
     def test_pool_places_sharded_batches_on_chip_groups(
         self, small_chip, fast_constraints, dist_cache
     ):
-        pool = WorkerPool(
-            small_chip, num_chips=2, plan_cache=dist_cache, constraints=fast_constraints
+        engine = sharded_engine(
+            small_chip,
+            fast_constraints,
+            dist_cache,
+            DecodeModel("mlp", lambda batch: mlp_graph(4), max_batch_size=1, num_stages=2),
+            num_chips=5,
         )
-        graph = mlp_graph(4)
-        batcher = DynamicBatcher(max_batch_size=1, batch_window=0.0)
-        batches = list(
-            batcher.batches(uniform_workload(["mlp"], num_requests=3, interval=0.0))
-        )
-        executions = [pool.place(b, graph, num_stages=2) for b in batches]
-        for execution in executions:
-            assert execution.ok
-            assert execution.workers == (0, 1)
-        # The whole group is held: batches on the same group never overlap.
-        for earlier, later in zip(executions, executions[1:]):
-            assert later.start_time >= earlier.completion_time
-        assert executions[0].cache_outcome == COMPILE
-        assert executions[0].compile_penalty > 0
-        assert executions[1].cache_outcome == HIT_MEMORY
-        assert executions[1].compile_penalty == 0.0
+        # Two 2-chip replicas; the fifth chip is a spare.
+        assert engine.num_replicas == 2
+        requests = one_shot_stream("mlp", 6, 0.0)
+        report = engine.run(requests)
+        assert check_report(report, requests) == []
+        assert {record.replica for record in report.completed} == {0, 1}
+        # A group runs one batch at a time: batches on it never overlap,
+        # and every group is charged as two busy chips.
+        by_replica: dict[int, list] = {}
+        for record in sorted(report.completed, key=lambda r: r.admitted_time):
+            by_replica.setdefault(record.replica, []).append(record)
+        for runs in by_replica.values():
+            for earlier, later in zip(runs, runs[1:]):
+                assert later.admitted_time >= earlier.completion_time
+        latency = engine.iteration_latency(1)
+        assert report.busy_chip_seconds == pytest.approx(6 * latency * 2)
 
     def test_sharded_outcome_reports_disk_hits(
         self, small_chip, small_cost_model, fast_constraints, tmp_path
     ):
-        from repro.serving import HIT_DISK
-
         def make_pool():
             cache = PlanCache(
                 tmp_path / "plans",
@@ -365,30 +383,39 @@ class TestShardedServing:
             )
 
         graph = mlp_graph(4)
-        batcher = DynamicBatcher(max_batch_size=1, batch_window=0.0)
-        batch, = batcher.batches(uniform_workload(["mlp"], num_requests=1, interval=0.0))
-        cold = make_pool().place(batch, graph, num_stages=2)
+        pool = make_pool()
+        cold = pool.profile(graph, num_stages=2)
         assert cold.cache_outcome == COMPILE
+        assert cold.compile_seconds > 0
+        again = pool.profile(graph, num_stages=2)
+        assert again.cache_outcome == HIT_MEMORY
+        assert again.compile_seconds == 0.0
         # A fresh pool over the same cache dir restores every stage from
-        # disk: the batch outcome must say so, not claim a memory hit.
-        warm = make_pool().place(batch, graph, num_stages=2)
+        # disk: the outcome must say so, not claim a memory hit.
+        warm = make_pool().profile(graph, num_stages=2)
         assert warm.cache_outcome == HIT_DISK
-        assert warm.compile_penalty == 0.0
+        assert warm.compile_seconds == 0.0
+        assert warm.latency == cold.latency
 
     def test_warm_sharded_compiles_concurrently(
         self, small_chip, fast_constraints, dist_cache
     ):
-        pool = WorkerPool(
-            small_chip, num_chips=2, plan_cache=dist_cache, constraints=fast_constraints
-        )
-        models = pool.warm_sharded(
-            [(mlp_graph(4), 2), (heavy_chain(8), 2)], max_workers=2
-        )
-        assert [model.ok for model in models] == [True, True]
-        assert pool.warm_sharded([]) == []
-        # Warmed models serve without further compiles.
-        status, _, latency = pool.measure_sharded(heavy_chain(8), 2)
-        assert status == "ok" and latency > 0
+        # Engines warming sharded models on threads over one cache compile
+        # every stage program once, and all serve afterwards.
+        models = [
+            DecodeModel("mlp", lambda batch: mlp_graph(4), max_batch_size=1, num_stages=2),
+            DecodeModel("heavy", lambda batch: heavy_chain(8), max_batch_size=1, num_stages=2),
+        ]
+        engines = [
+            sharded_engine(small_chip, fast_constraints, dist_cache, model, num_chips=2)
+            for model in models * 2
+        ]
+        with ThreadPoolExecutor(max_workers=len(engines)) as pool:
+            list(pool.map(lambda engine: engine.warm(), engines))
+        # Two stage programs per model, each compiled exactly once.
+        assert dist_cache.stats.misses == 2 * len(models)
+        for engine in engines:
+            assert engine.iteration_latency(1) > 0
 
     def test_pool_rejects_oversized_groups(
         self, small_chip, fast_constraints, dist_cache
@@ -397,74 +424,40 @@ class TestShardedServing:
             small_chip, num_chips=2, plan_cache=dist_cache, constraints=fast_constraints
         )
         with pytest.raises(ValueError):
-            pool.measure_sharded(mlp_graph(4), 3)
+            pool.profile(mlp_graph(4), num_stages=3)
 
     def test_scheduler_serves_sharded_model_that_ooms_unsharded(
         self, small_chip, fast_constraints, dist_cache
     ):
-        scheduler = ServingScheduler(
-            [
-                ServedModel(
-                    "heavy",
-                    lambda batch: heavy_chain(8),
-                    max_batch_size=1,
-                    num_stages=2,
-                )
-            ],
-            chip=small_chip,
+        pool = WorkerPool(
+            small_chip, num_chips=2, plan_cache=dist_cache, constraints=fast_constraints
+        )
+        assert pool.profile(heavy_chain(8)).status == "oom"
+        engine = sharded_engine(
+            small_chip,
+            fast_constraints,
+            dist_cache,
+            DecodeModel("heavy", lambda batch: heavy_chain(8), max_batch_size=1, num_stages=2),
             num_chips=2,
-            batch_window=0.0,
-            constraints=fast_constraints,
-            plan_cache=dist_cache,
         )
-        scheduler.warm()
-        # The unsharded graph would OOM; sharded it has a real latency.
-        unit = scheduler.batch_latency("heavy", 1)
+        engine.warm()
+        # The unsharded graph OOMs; sharded it has a real latency.
+        unit = engine.iteration_latency(1)
         assert unit > 0
-        report = scheduler.serve(
-            uniform_workload(["heavy"], num_requests=6, interval=unit)
-        )
+        requests = one_shot_stream("heavy", 6, unit)
+        report = engine.run(requests)
+        assert check_report(report, requests) == []
         assert report.total_completed == 6
-        assert report.recompilations == 0
-        assert report.overall_throughput > 0
+        assert report.cache.misses == 0
+        assert report.throughput > 0
 
     def test_scheduler_rejects_model_larger_than_fleet(
         self, small_chip, fast_constraints
     ):
         with pytest.raises(ValueError, match="group of 4 chips"):
-            ServingScheduler(
-                [ServedModel("mlp", lambda batch: mlp_graph(2), num_stages=4)],
+            StaticEngine(
+                DecodeModel("mlp", lambda batch: mlp_graph(2), num_stages=4),
                 chip=small_chip,
                 num_chips=2,
                 constraints=fast_constraints,
             )
-
-    def test_mixed_fleet_serves_sharded_and_unsharded(
-        self, small_chip, fast_constraints, dist_cache
-    ):
-        scheduler = ServingScheduler(
-            [
-                ServedModel(
-                    "mlp",
-                    lambda batch: mlp_graph(2, name=f"mlp-b{batch}"),
-                    max_batch_size=2,
-                ),
-                ServedModel(
-                    "heavy",
-                    lambda batch: heavy_chain(8),
-                    max_batch_size=1,
-                    num_stages=2,
-                ),
-            ],
-            chip=small_chip,
-            num_chips=3,
-            batch_window=0.0,
-            constraints=fast_constraints,
-            plan_cache=dist_cache,
-        )
-        scheduler.warm()
-        requests = uniform_workload(["mlp", "heavy"], num_requests=8, interval=1e-5)
-        report = scheduler.serve(requests)
-        assert report.total_completed == 8
-        heavy = [r for r in report.ok_requests if r.request.model == "heavy"]
-        assert heavy and all(record.ok for record in heavy)

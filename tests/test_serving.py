@@ -1,4 +1,10 @@
-"""Tests for the model-serving subsystem (plan cache, batcher, pool, scheduler)."""
+"""Tests for the model-serving subsystem: plan cache, batch buckets, the
+worker pool's pricing, and one-shot serving on the decode engines.
+
+A one-shot request (one forward pass) is a :class:`DecodeRequest` with a
+one-token prompt and one output token: one iteration of the model's
+bucketed program.
+"""
 
 from __future__ import annotations
 
@@ -13,18 +19,19 @@ from repro.serving import (
     COMPILE,
     HIT_DISK,
     HIT_MEMORY,
-    DynamicBatcher,
-    InferenceRequest,
+    SLO_BEST_EFFORT,
+    DecodeModel,
+    DecodeRequest,
+    FleetEngine,
     PlanCache,
-    ServedModel,
-    ServingScheduler,
+    StaticEngine,
     WorkerPool,
     batch_buckets,
     bucket_for,
-    merge_workloads,
+    check_report,
+    decode_workload,
+    merge_decode_workloads,
     plan_key,
-    poisson_workload,
-    uniform_workload,
 )
 
 
@@ -49,6 +56,59 @@ def cache(small_cost_model, fast_constraints, tmp_path):
             chip, cost_model=small_cost_model, constraints=constraints
         ),
     )
+
+
+def one_shot(request_id: int, arrival: float, model: str = "tiny") -> DecodeRequest:
+    """One forward pass: a one-token prompt and one output token."""
+    return DecodeRequest(request_id, model, arrival, prompt_tokens=1, max_new_tokens=1)
+
+
+def one_shot_stream(
+    rate: float, *, num_requests: int, seed: int, model: str = "tiny"
+) -> list[DecodeRequest]:
+    """A Poisson stream of one-shot requests for ``model``."""
+    return decode_workload(
+        model,
+        num_requests=num_requests,
+        rate=rate,
+        seed=seed,
+        prompt_tokens=(1, 1),
+        output_tokens=(1, 1),
+        interactive_fraction=0.0,
+        tenant=model,
+    )
+
+
+def one_shot_mix(rates: dict[str, float], *, num_requests: int, seed: int):
+    """``num_requests`` one-shot requests per model, merged by arrival."""
+    return merge_decode_workloads(
+        *(
+            one_shot_stream(rate, num_requests=num_requests, seed=seed, model=model)
+            for model, rate in rates.items()
+        )
+    )
+
+
+def static_engine(cache, small_chip, fast_constraints, *, max_batch_size=8, **kwargs):
+    """A StaticEngine serving ``build_tiny`` one-shot (two chips by default)."""
+    kwargs.setdefault("num_chips", 2)
+    return StaticEngine(
+        DecodeModel("tiny", build_tiny, max_batch_size=max_batch_size),
+        chip=small_chip,
+        constraints=fast_constraints,
+        plan_cache=cache,
+        **kwargs,
+    )
+
+
+def batch_starts(report) -> dict[tuple[int, float], list[int]]:
+    """Request ids per static batch, keyed by (replica, start time) in start
+    order: a static batch's members are admitted together."""
+    starts: dict[tuple[int, float], list[int]] = {}
+    for record in sorted(report.completed, key=lambda r: (r.admitted_time, r.replica)):
+        key = (record.replica, record.admitted_time)
+        starts.setdefault(key, []).append(record.request.request_id)
+    return starts
 
 
 # --------------------------------------------------------------------------- #
@@ -187,9 +247,11 @@ class TestPlanCache:
 
 
 # --------------------------------------------------------------------------- #
-# Dynamic batcher
+# Batch buckets and the batch window
 # --------------------------------------------------------------------------- #
 class TestDynamicBatcher:
+    """Batch buckets, and how a static batch fills under a batch window."""
+
     def test_buckets_are_powers_of_two_up_to_max(self):
         assert batch_buckets(8) == (1, 2, 4, 8)
         assert batch_buckets(6) == (1, 2, 4, 6)
@@ -232,120 +294,67 @@ class TestDynamicBatcher:
         with pytest.raises(ValueError):
             batch_buckets(-3)
 
-    def test_full_batch_closes_immediately(self):
-        batcher = DynamicBatcher(max_batch_size=4, batch_window=1.0)
-        requests = [InferenceRequest(i, "m", 0.001 * i) for i in range(8)]
-        batches = list(batcher.batches(requests))
-        assert [len(batch) for batch in batches] == [4, 4]
-        # Closed by the size trigger at the fourth arrival, not the window.
-        assert batches[0].dispatch_time == pytest.approx(0.003)
+    def test_full_batch_closes_immediately(self, cache, small_chip, fast_constraints):
+        engine = static_engine(cache, small_chip, fast_constraints, max_batch_size=4,
+                               num_chips=1, batch_window=1.0)
+        requests = [one_shot(i, 0.001 * i) for i in range(8)]
+        starts = batch_starts(engine.run(requests))
+        assert [len(members) for members in starts.values()] == [4, 4]
+        # Started by the size trigger at the fourth arrival, not the window.
+        assert list(starts)[0] == (0, 0.003)
 
-    def test_window_flushes_partial_batch(self):
-        batcher = DynamicBatcher(max_batch_size=8, batch_window=0.010)
+    def test_window_flushes_partial_batch(self, cache, small_chip, fast_constraints):
+        engine = static_engine(cache, small_chip, fast_constraints, num_chips=1,
+                               batch_window=0.010)
         requests = [
-            InferenceRequest(0, "m", 0.000),
-            InferenceRequest(1, "m", 0.001),
-            InferenceRequest(2, "m", 0.100),  # arrives after the window
+            one_shot(0, 0.000),
+            one_shot(1, 0.001),
+            one_shot(2, 0.100),  # arrives after the window
         ]
-        batches = list(batcher.batches(requests))
-        assert [len(batch) for batch in batches] == [2, 1]
-        assert batches[0].dispatch_time == pytest.approx(0.010)
-        assert batches[0].padded_size == 2
+        report = engine.run(requests)
+        starts = batch_starts(report)
+        assert [len(members) for members in starts.values()] == [2, 1]
+        # Each partial batch waits out its oldest request's window.
+        assert [start for _, start in starts] == pytest.approx([0.010, 0.110])
+        assert report.iterations == 2
 
-    def test_models_batch_independently(self):
-        batcher = DynamicBatcher(max_batch_size={"a": 2, "b": 8}, batch_window=0.5)
-        requests = merge_workloads(
-            uniform_workload(["a"], num_requests=4, interval=0.001),
-            [InferenceRequest(100, "b", 0.0005)],
+    def test_models_batch_independently(self, cache, small_chip, fast_constraints):
+        # A fleet never co-batches two models, and caps each model's batch
+        # at its own max_batch_size.
+        fleet = FleetEngine(
+            [
+                DecodeModel("a", build_tiny, max_batch_size=2),
+                DecodeModel("b", lambda batch: build_tiny(batch, width=96), max_batch_size=8),
+            ],
+            chip=small_chip,
+            constraints=fast_constraints,
+            plan_cache=cache,
+            num_chips=2,
         )
-        batches = list(batcher.batches(requests))
-        by_model = {}
-        for batch in batches:
-            by_model.setdefault(batch.model, []).append(len(batch))
-        assert by_model == {"a": [2, 2], "b": [1]}
+        requests = merge_decode_workloads(
+            [one_shot(i, 0.0, "a") for i in range(4)],
+            [one_shot(i, 0.0, "b") for i in range(6)],
+        )
+        report = fleet.run(requests)
+        assert check_report(report, requests) == []
+        limits = {"a": 2, "b": 8}
+        model_of = {r.request.request_id: r.request.model for r in report.completed}
+        for members in batch_starts(report).values():
+            models = {model_of[request_id] for request_id in members}
+            assert len(models) == 1
+            assert len(members) <= limits[models.pop()]
 
-    def test_queue_depth_is_sampled(self):
-        batcher = DynamicBatcher(max_batch_size=8, batch_window=1.0)
-        replay = batcher.batches(uniform_workload(["m"], num_requests=5, interval=0.0))
-        list(replay)
-        assert replay.stats.max_queue_depth == 5
-        assert replay.stats.mean_queue_depth == pytest.approx(3.0)
-
-    def test_replay_stats_are_local_to_each_replay(self):
-        # Regression: stats used to live on the batcher and were only reset
-        # when a new generator was first advanced, so a consumed replay's
-        # numbers survived — and a created-but-unconsumed replay read stale
-        # data from the previous one.
-        batcher = DynamicBatcher(max_batch_size=8, batch_window=1.0)
-        first = batcher.batches(uniform_workload(["m"], num_requests=5, interval=0.0))
-        list(first)
-        second = batcher.batches([])  # created but never consumed
-        assert second.stats.max_queue_depth == 0
-        assert second.stats.mean_queue_depth == 0.0
-        # The consumed replay keeps its own numbers untouched.
-        assert first.stats.max_queue_depth == 5
-        assert first.stats.mean_queue_depth == pytest.approx(3.0)
-        third = batcher.batches(uniform_workload(["m"], num_requests=2, interval=0.0))
-        list(third)
-        assert third.stats.max_queue_depth == 2
-        assert first.stats.max_queue_depth == 5
-
-    def test_empty_replay_yields_nothing_and_zero_stats(self):
-        # An empty workload is a legal replay: no batches, and the stats
-        # read as an idle queue rather than raising on empty samples.
-        batcher = DynamicBatcher(max_batch_size=8, batch_window=1.0)
-        replay = batcher.batches([])
-        assert list(replay) == []
-        assert replay.stats.queue_depth_samples == []
-        assert replay.stats.max_queue_depth == 0
-        assert replay.stats.mean_queue_depth == 0.0
-
-
-# --------------------------------------------------------------------------- #
-# Batcher properties (hypothesis)
-# --------------------------------------------------------------------------- #
-arrival_streams = st.lists(
-    st.tuples(
-        st.floats(min_value=0.0, max_value=10.0, allow_nan=False, allow_infinity=False),
-        st.sampled_from(["a", "b", "c"]),
-    ),
-    max_size=50,
-)
-
-
-class TestBatcherProperties:
-    @given(
-        stream=arrival_streams,
-        max_batch=st.integers(min_value=1, max_value=6),
-        window=st.floats(min_value=0.0, max_value=2.0, allow_nan=False),
-    )
-    @settings(deadline=None, max_examples=200)
-    def test_batches_partition_requests_in_dispatch_order(
-        self, stream, max_batch, window
+    def test_empty_replay_yields_nothing_and_zero_stats(
+        self, cache, small_chip, fast_constraints
     ):
-        """Every request lands in exactly one batch; dispatch never rewinds."""
-        requests = [
-            InferenceRequest(request_id=i, model=model, arrival_time=arrival)
-            for i, (arrival, model) in enumerate(stream)
-        ]
-        batcher = DynamicBatcher(max_batch_size=max_batch, batch_window=window)
-        batches = list(batcher.batches(requests))
-
-        batched_ids = [req.request_id for batch in batches for req in batch.requests]
-        assert len(batched_ids) == len(set(batched_ids)), "a request was batched twice"
-        assert sorted(batched_ids) == sorted(req.request_id for req in requests)
-
-        dispatch_times = [batch.dispatch_time for batch in batches]
-        assert all(
-            earlier <= later
-            for earlier, later in zip(dispatch_times, dispatch_times[1:])
-        ), f"dispatch times rewound: {dispatch_times}"
-
-        for batch in batches:
-            assert 1 <= len(batch) <= batcher.max_batch_for(batch.model)
-            assert batch.padded_size >= len(batch)
-            # A batch never dispatches before its requests exist.
-            assert batch.dispatch_time >= max(r.arrival_time for r in batch.requests)
+        # An empty workload is a legal replay: no records, no iterations,
+        # and the books still balance.
+        engine = static_engine(cache, small_chip, fast_constraints, batch_window=1.0)
+        report = engine.run([])
+        assert report.completed == ()
+        assert report.iterations == 0
+        assert report.busy_chip_seconds == 0.0
+        assert check_report(report, []) == []
 
 
 # --------------------------------------------------------------------------- #
@@ -353,52 +362,25 @@ class TestBatcherProperties:
 # --------------------------------------------------------------------------- #
 class TestWorkloads:
     def test_poisson_workload_is_deterministic_and_sorted(self):
-        a = poisson_workload({"x": 100.0, "y": 50.0}, num_requests=60, seed=7)
-        b = poisson_workload({"x": 100.0, "y": 50.0}, num_requests=60, seed=7)
-        assert a == b
+        # The one-shot stream fig25 serves: a Poisson clock of one-iteration,
+        # deadline-free requests.
+        def draw():
+            return decode_workload(
+                "x", num_requests=60, rate=100.0, seed=7, prompt_tokens=(1, 1),
+                output_tokens=(1, 1), interactive_fraction=0.0,
+            )
+
+        a = draw()
+        assert a == draw()
         assert len(a) == 60
         times = [req.arrival_time for req in a]
         assert times == sorted(times)
         assert [req.request_id for req in a] == list(range(60))
-        assert {req.model for req in a} == {"x", "y"}
-
-    def test_poisson_workload_count_is_exact_for_uneven_mixes(self):
-        # Independent per-model rounding must not lose requests (a 3-way
-        # even split used to yield 99 of 100).
-        mix = {"a": 1.0, "b": 1.0, "c": 1.0}
-        assert len(poisson_workload(mix, num_requests=100, seed=0)) == 100
-
-    def test_poisson_workload_rejects_bad_inputs(self):
-        with pytest.raises(ValueError):
-            poisson_workload({"x": 0.0}, num_requests=10)
-        with pytest.raises(ValueError):
-            poisson_workload({"x": 1.0}, num_requests=0)
-
-    def test_merge_workloads_renumbers_colliding_ids(self):
-        # Regression: independent generators both number from 0, and the old
-        # merge sorted by (arrival_time, original id) — requests with equal
-        # keys tied arbitrarily and the duplicated ids corrupted per-request
-        # accounting downstream.  The merge must renumber deterministically.
-        a = poisson_workload({"x": 100.0}, num_requests=20, seed=1)
-        b = poisson_workload({"y": 100.0}, num_requests=20, seed=1)
-        assert {req.request_id for req in a} == {req.request_id for req in b}
-        merged = merge_workloads(a, b)
-        ids = [req.request_id for req in merged]
-        assert ids == list(range(40))
-        times = [req.arrival_time for req in merged]
-        assert times == sorted(times)
-
-    def test_merge_workloads_breaks_arrival_ties_by_stream_order(self):
-        # Same seed, same rate: every arrival time collides pairwise.  Ties
-        # must resolve to the order the streams were passed in, stably.
-        a = poisson_workload({"x": 50.0}, num_requests=10, seed=3)
-        b = poisson_workload({"y": 50.0}, num_requests=10, seed=3)
-        merged = merge_workloads(a, b)
-        for first, second in zip(merged, merged[1:]):
-            if first.arrival_time == second.arrival_time:
-                assert (first.model, second.model) == ("x", "y")
-        # Deterministic: merging again gives the identical stream.
-        assert merge_workloads(a, b) == merged
+        assert all(
+            (req.prompt_tokens, req.max_new_tokens, req.slo_class, req.deadline)
+            == (1, 1, SLO_BEST_EFFORT, None)
+            for req in a
+        )
 
 
 # --------------------------------------------------------------------------- #
@@ -408,42 +390,29 @@ class TestWorkerPool:
     def test_batches_spread_across_free_workers(
         self, cache, small_chip, fast_constraints
     ):
-        pool = WorkerPool(
-            small_chip, num_chips=2, plan_cache=cache, constraints=fast_constraints
-        )
-        batcher = DynamicBatcher(max_batch_size=1, batch_window=0.0)
-        graph = build_tiny(1)
-        executions = [
-            pool.place(batch, graph)
-            for batch in batcher.batches(
-                uniform_workload(["tiny"], num_requests=4, interval=0.0)
-            )
-        ]
-        assert {execution.worker for execution in executions} == {0, 1}
-        # On any single worker, batches run back to back, never overlapping.
-        by_worker: dict[int, list] = {}
-        for execution in executions:
-            by_worker.setdefault(execution.worker, []).append(execution)
-        for runs in by_worker.values():
+        engine = static_engine(cache, small_chip, fast_constraints, max_batch_size=1)
+        report = engine.run([one_shot(i, 0.0) for i in range(4)])
+        assert {record.replica for record in report.completed} == {0, 1}
+        # On any single replica, batches run back to back, never overlapping.
+        by_replica: dict[int, list] = {}
+        for record in sorted(report.completed, key=lambda r: r.admitted_time):
+            by_replica.setdefault(record.replica, []).append(record)
+        for runs in by_replica.values():
             for earlier, later in zip(runs, runs[1:]):
-                assert later.start_time >= earlier.completion_time
+                assert later.admitted_time >= earlier.completion_time
 
     def test_compile_penalty_only_on_miss(self, cache, small_chip, fast_constraints):
-        pool = WorkerPool(
-            small_chip, num_chips=1, plan_cache=cache, constraints=fast_constraints
-        )
-        batcher = DynamicBatcher(max_batch_size=1, batch_window=0.0)
-        graph = build_tiny(1)
-        batches = list(
-            batcher.batches(uniform_workload(["tiny"], num_requests=2, interval=10.0))
-        )
-        cold = pool.place(batches[0], graph)
-        warm = pool.place(batches[1], graph)
-        assert cold.cache_outcome == COMPILE
-        assert cold.compile_penalty > 0
-        assert warm.cache_outcome == HIT_MEMORY
-        assert warm.compile_penalty == 0.0
-        assert warm.latency == pytest.approx(cold.latency)
+        # The first engine compiles its buckets at warm-up; a second engine
+        # on the same cache pays nothing, and neither run compiles.
+        requests = [one_shot(i, 1e-4 * i) for i in range(6)]
+        cold = static_engine(cache, small_chip, fast_constraints)
+        cold_report = cold.run(requests)
+        warm = static_engine(cache, small_chip, fast_constraints)
+        warm_report = warm.run(requests)
+        assert cold.warm_compile_seconds > 0
+        assert warm.warm_compile_seconds == 0.0
+        assert cold_report.cache.misses == warm_report.cache.misses == 0
+        assert repr(warm_report.completed) == repr(cold_report.completed)
 
     def test_oversized_graph_is_rejected_not_crashed(
         self, cache, tiny_chip, fast_constraints
@@ -451,28 +420,25 @@ class TestWorkerPool:
         pool = WorkerPool(
             tiny_chip, num_chips=1, plan_cache=cache, constraints=fast_constraints
         )
-        batcher = DynamicBatcher(max_batch_size=1, batch_window=0.0)
-        huge = build_tiny(64, width=4096)
-        [batch] = batcher.batches([InferenceRequest(0, "huge", 0.0)])
-        execution = pool.place(batch, huge)
-        assert not execution.ok
-        assert execution.status == "oom"
+        cost = pool.profile(build_tiny(64, width=4096))
+        assert not cost.ok
+        assert cost.status == "oom"
+        assert cost.latency == 0.0
 
 
 # --------------------------------------------------------------------------- #
-# End-to-end scheduler
+# End-to-end one-shot serving
 # --------------------------------------------------------------------------- #
 class TestServingScheduler:
-    def make_scheduler(self, cache, small_chip, fast_constraints, **kwargs):
+    """One-shot serving end to end on the decode engines."""
+
+    def make_fleet(self, cache, small_chip, fast_constraints, **kwargs):
         models = [
-            ServedModel("tiny", build_tiny, max_batch_size=8),
-            ServedModel(
-                "wide", lambda batch: build_tiny(batch, width=96), max_batch_size=4
-            ),
+            DecodeModel("tiny", build_tiny, max_batch_size=8),
+            DecodeModel("wide", lambda batch: build_tiny(batch, width=96), max_batch_size=4),
         ]
         kwargs.setdefault("num_chips", 2)
-        kwargs.setdefault("batch_window", 1e-3)
-        return ServingScheduler(
+        return FleetEngine(
             models,
             chip=small_chip,
             constraints=fast_constraints,
@@ -483,68 +449,59 @@ class TestServingScheduler:
     def test_warm_cache_serves_100_requests_with_zero_recompiles(
         self, cache, small_chip, fast_constraints
     ):
-        scheduler = self.make_scheduler(cache, small_chip, fast_constraints)
-        warm = scheduler.warm()
+        fleet = self.make_fleet(cache, small_chip, fast_constraints)
+        fleet.warm()
         # Every (model, bucket) combination compiled exactly once: 4 + 3.
-        assert [lookup.outcome for lookup in warm] == [COMPILE] * 7
-        requests = poisson_workload(
-            {"tiny": 3000.0, "wide": 1000.0}, num_requests=100, seed=3
-        )
-        report = scheduler.serve(requests)
+        assert cache.stats.misses == 7
+        requests = one_shot_mix({"tiny": 3000.0, "wide": 1000.0}, num_requests=50, seed=3)
+        report = fleet.run(requests)
+        assert check_report(report, requests) == []
         assert report.total_completed == 100
-        assert report.recompilations == 0
-        assert report.cache_hit_rate == 1.0
-        assert report.cache.saved_seconds > 0
+        assert report.cache.misses == 0
+        assert cache.stats.misses == 7
         # SLO metrics are present and ordered.
-        tails = report.overall_percentiles
+        tails = report.latency_percentiles
         assert 0 < tails["p50"] <= tails["p95"] <= tails["p99"]
-        assert report.overall_throughput > 0
-        for stats in report.per_model.values():
-            assert stats.recompilations == 0
-            assert stats.completed > 0
-            assert stats.throughput > 0
+        assert report.throughput > 0
+        for tenant in report.per_tenant().values():
+            assert tenant.total_completed == 50
+            assert tenant.throughput > 0
 
     def test_cold_serve_compiles_each_bucket_once(
         self, cache, small_chip, fast_constraints
     ):
-        scheduler = self.make_scheduler(cache, small_chip, fast_constraints)
-        requests = poisson_workload({"tiny": 3000.0}, num_requests=50, seed=1)
-        report = scheduler.serve(requests)
-        buckets_used = {
-            record.padded_batch_size for record in report.completed if record.ok
-        }
-        assert report.recompilations == len(buckets_used)
-        # A second identical run is fully cached.
-        rerun = scheduler.serve(requests)
-        assert rerun.recompilations == 0
-        assert rerun.cache_hit_rate == 1.0
+        engine = static_engine(cache, small_chip, fast_constraints, batch_window=1e-3)
+        requests = one_shot_stream(3000.0, num_requests=50, seed=1)
+        report = engine.run(requests)
+        # The run warmed first: every bucket compiled once, none while serving.
+        assert cache.stats.misses == len(batch_buckets(8))
+        assert report.cache.misses == 0
+        assert engine.warm_compile_seconds > 0
+        # A second identical run is fully cached and replays identically.
+        rerun = engine.run(requests)
+        assert cache.stats.misses == len(batch_buckets(8))
+        assert repr(rerun.completed) == repr(report.completed)
 
     def test_more_chips_do_not_hurt_throughput_under_load(
         self, cache, small_chip, fast_constraints
     ):
-        requests = poisson_workload({"tiny": 50_000.0}, num_requests=80, seed=2)
-        single = self.make_scheduler(cache, small_chip, fast_constraints, num_chips=1)
-        single.warm(["tiny"])
-        one = single.serve(requests)
-        double = self.make_scheduler(cache, small_chip, fast_constraints, num_chips=4)
-        four = double.serve(requests)
-        assert four.overall_throughput >= one.overall_throughput
-        assert four.overall_percentiles["p99"] <= one.overall_percentiles["p99"]
+        requests = one_shot_stream(50_000.0, num_requests=80, seed=2)
+        one = static_engine(cache, small_chip, fast_constraints, num_chips=1).run(requests)
+        four = static_engine(cache, small_chip, fast_constraints, num_chips=4).run(requests)
+        assert four.throughput >= one.throughput
+        assert four.latency_percentiles["p99"] <= one.latency_percentiles["p99"]
 
     def test_unknown_model_is_rejected(self, cache, small_chip, fast_constraints):
-        scheduler = self.make_scheduler(cache, small_chip, fast_constraints)
+        engine = static_engine(cache, small_chip, fast_constraints)
         with pytest.raises(ValueError, match="unserved"):
-            scheduler.serve([InferenceRequest(0, "nope", 0.0)])
+            engine.run([DecodeRequest(0, "nope", 0.0, 1, 1)])
 
     def test_duplicate_served_model_is_rejected(
         self, cache, small_chip, fast_constraints
     ):
         with pytest.raises(ValueError, match="duplicate"):
-            ServingScheduler(
-                [
-                    ServedModel("tiny", build_tiny),
-                    ServedModel("tiny", build_tiny),
-                ],
+            FleetEngine(
+                [DecodeModel("tiny", build_tiny), DecodeModel("tiny", build_tiny)],
                 chip=small_chip,
                 plan_cache=cache,
             )
@@ -552,13 +509,15 @@ class TestServingScheduler:
     def test_report_rows_render_as_table(self, cache, small_chip, fast_constraints):
         from repro.experiments.common import format_table
 
-        scheduler = self.make_scheduler(cache, small_chip, fast_constraints)
-        scheduler.warm()
-        report = scheduler.serve(
-            poisson_workload({"tiny": 2000.0, "wide": 500.0}, num_requests=40, seed=5)
+        fleet = self.make_fleet(cache, small_chip, fast_constraints)
+        report = fleet.run(
+            one_shot_mix({"tiny": 2000.0, "wide": 500.0}, num_requests=20, seed=5)
         )
-        rows = report.rows()
-        assert [row["model"] for row in rows] == ["tiny", "wide"]
+        rows = [
+            {"tenant": tenant, "completed": scope.total_completed, "rps": scope.throughput}
+            for tenant, scope in report.per_tenant().items()
+        ]
+        assert [row["tenant"] for row in rows] == ["tiny", "wide"]
         table = format_table(rows, title="serving")
         assert "tiny" in table and "wide" in table
-        assert "requests on 2 chip(s)" in report.summary()
+        assert "40 requests (40 tokens) on 2 chip(s)" in report.summary()

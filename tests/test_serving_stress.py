@@ -1,6 +1,7 @@
 """Concurrency stress tests for the serving stack's compilation path.
 
-N threads push M graphs through schedulers sharing one plan cache and assert
+N threads push M graphs through serving engines sharing one plan cache and
+assert
 the two properties the single-flight design promises under contention:
 
 * every fingerprint is compiled **exactly once** across all threads, and
@@ -22,10 +23,12 @@ from repro.core import SearchConstraints, T10Compiler
 from repro.hw.spec import ChipSpec
 from repro.ir import OperatorGraph, elementwise, matmul
 from repro.serving import (
-    InferenceRequest,
+    DecodeModel,
+    DecodeRequest,
     PlanCache,
-    ServedModel,
-    ServingScheduler,
+    StaticEngine,
+    batch_buckets,
+    check_report,
 )
 from repro.serving.plan_cache import plan_key
 
@@ -83,8 +86,17 @@ def counting_cache(small_chip, small_cost_model, fast_constraints, tmp_path):
     return build
 
 
-def stress_models() -> list[ServedModel]:
-    return [ServedModel("stress", build_stress_model, max_batch_size=4)]
+def stress_model() -> DecodeModel:
+    return DecodeModel("stress", build_stress_model, max_batch_size=4)
+
+
+def stress_graphs() -> list[OperatorGraph]:
+    """One graph per batch bucket of the stress model (M = 3: 1, 2, 4)."""
+    return [build_stress_model(size) for size in batch_buckets(4)]
+
+
+def one_shot(request_id: int, arrival: float) -> DecodeRequest:
+    return DecodeRequest(request_id, "stress", arrival, prompt_tokens=1, max_new_tokens=1)
 
 
 def run_threads(target: Callable[[int], None], count: int = N_THREADS) -> None:
@@ -102,8 +114,7 @@ class TestSingleFlightCompilation:
     ):
         """N threads x M graphs: every unique fingerprint compiles exactly once."""
         cache, compilers = counting_cache()
-        models = stress_models()
-        graphs = models[0].bucket_graphs()  # M = 3 bucket graphs (1, 2, 4)
+        graphs = stress_graphs()
         errors: list[BaseException] = []
 
         def worker(_: int) -> None:
@@ -126,29 +137,28 @@ class TestSingleFlightCompilation:
     def test_schedulers_sharing_cache_lose_no_requests(
         self, small_chip, fast_constraints, counting_cache
     ):
-        """Each thread serves its own workload; all requests are accounted for."""
+        """Each thread serves its own workload on its own engine; all requests
+        are accounted for."""
         cache, compilers = counting_cache()
         reports: dict[int, object] = {}
+        workloads: dict[int, list[DecodeRequest]] = {}
         errors: list[BaseException] = []
 
         def worker(thread_index: int) -> None:
             try:
-                scheduler = ServingScheduler(
-                    stress_models(),
+                engine = StaticEngine(
+                    stress_model(),
                     chip=small_chip,
                     num_chips=2,
                     constraints=fast_constraints,
                     plan_cache=cache,
+                    batch_window=2e-3,
                 )
-                requests = [
-                    InferenceRequest(
-                        request_id=thread_index * REQUESTS_PER_THREAD + i,
-                        model="stress",
-                        arrival_time=i * 1e-3,
-                    )
+                requests = workloads[thread_index] = [
+                    one_shot(thread_index * REQUESTS_PER_THREAD + i, i * 1e-3)
                     for i in range(REQUESTS_PER_THREAD)
                 ]
-                reports[thread_index] = scheduler.serve(requests)
+                reports[thread_index] = engine.run(requests)
             except BaseException as exc:
                 errors.append(exc)
 
@@ -165,7 +175,8 @@ class TestSingleFlightCompilation:
             }
             assert served_ids == expected, "requests were lost or duplicated"
             assert all(record.ok for record in completed)
-        # Across all 8 schedulers, each padded bucket compiled exactly once.
+            assert check_report(report, workloads[thread_index]) == []
+        # Across all 8 engines, each padded bucket compiled exactly once.
         fingerprints = [
             fp for compiler in compilers for fp in compiler.compiled_fingerprints
         ]
@@ -179,9 +190,8 @@ class TestSingleFlightCompilation:
         """Corrupt disk entries degrade to a recompile, never an error."""
         cache_dir = tmp_path / "poisoned"
         cache_dir.mkdir()
-        models = stress_models()
-        graphs = models[0].bucket_graphs()
-        # Poison the exact keys the scheduler will look up, plus a stray file.
+        graphs = stress_graphs()
+        # Poison the exact keys an engine will look up, plus a stray file.
         for graph in graphs:
             key = plan_key(graph, small_chip, fast_constraints)
             (cache_dir / f"{key}.plan.pkl").write_bytes(b"not a pickle at all")
@@ -218,8 +228,7 @@ class TestSingleFlightCompilation:
     ):
         """Single-flight holds when misses themselves compile with jobs>1."""
         cache, compilers = counting_cache(jobs=2)
-        models = stress_models()
-        graphs = models[0].bucket_graphs()
+        graphs = stress_graphs()
         errors: list[BaseException] = []
 
         def worker(_: int) -> None:
@@ -238,39 +247,38 @@ class TestSingleFlightCompilation:
 
 class TestDefaultJobsIntegration:
     def test_scheduler_default_jobs_serves_correctly(self, small_chip, fast_constraints):
-        """The scheduler's auto-jobs default produces a clean serving run."""
-        scheduler = ServingScheduler(
-            stress_models(),
+        """An engine's auto-jobs default produces a clean serving run."""
+        engine = StaticEngine(
+            stress_model(),
             chip=small_chip,
             constraints=fast_constraints,
         )
-        assert scheduler.plan_cache.jobs is None  # auto policy
-        requests = [
-            InferenceRequest(request_id=i, model="stress", arrival_time=i * 1e-3)
-            for i in range(8)
-        ]
-        report = scheduler.serve(requests)
+        assert engine.plan_cache.jobs is None  # auto policy
+        requests = [one_shot(i, i * 1e-3) for i in range(8)]
+        report = engine.run(requests)
         assert len(report.completed) == 8
         assert all(record.ok for record in report.completed)
-        scheduler.close()
+        assert check_report(report, requests) == []
+        engine.close()
 
     def test_close_leaves_caller_supplied_cache_usable(
         self, small_chip, fast_constraints, counting_cache
     ):
-        """Closing one scheduler must not tear down a shared cache's compilers."""
+        """Closing one engine must not tear down a shared cache's compilers."""
         cache, compilers = counting_cache(jobs=2)
-        first = ServingScheduler(
-            stress_models(), chip=small_chip, constraints=fast_constraints,
+        first = StaticEngine(
+            DecodeModel("stress", build_stress_model, max_batch_size=2),
+            chip=small_chip, constraints=fast_constraints, plan_cache=cache,
+        )
+        first.iteration_latency(1)
+        first.close()  # no-op: the cache is not owned by this engine
+        # A second engine sharing the cache still compiles fresh buckets.
+        second = StaticEngine(
+            stress_model(), chip=small_chip, constraints=fast_constraints,
             plan_cache=cache,
         )
-        first.batch_latency("stress", 1)
-        first.close()  # no-op: the cache is not owned by this scheduler
-        # A second scheduler sharing the cache still compiles fresh buckets.
-        second = ServingScheduler(
-            stress_models(), chip=small_chip, constraints=fast_constraints,
-            plan_cache=cache,
-        )
-        assert second.batch_latency("stress", 4) > 0
+        assert second.iteration_latency(4) > 0
+        assert sum(compiler.compile_count for compiler in compilers) == 3
         cache.close()  # the owner releases the pools once everyone is done
 
     def test_jobs_with_supplied_cache_rejected(
@@ -279,7 +287,7 @@ class TestDefaultJobsIntegration:
         """jobs cannot retune a caller-supplied cache's compilers."""
         cache, _ = counting_cache()
         with pytest.raises(ValueError, match="jobs has no effect"):
-            ServingScheduler(
-                stress_models(), chip=small_chip, constraints=fast_constraints,
+            StaticEngine(
+                stress_model(), chip=small_chip, constraints=fast_constraints,
                 plan_cache=cache, jobs=8,
             )
