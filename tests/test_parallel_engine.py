@@ -31,7 +31,7 @@ from repro.core.intra_op import IntraOpOptimizer
 from repro.core.parallel import BACKENDS
 from repro.experiments.common import build_workload
 from repro.hw.spec import ChipSpec, KiB
-from repro.ir import OperatorGraph, matmul
+from repro.ir import OperatorGraph, elementwise, matmul
 from repro.models import list_models
 
 
@@ -79,25 +79,48 @@ class TestDeterminism:
 
     def test_oom_failure_is_identical(self, small_cost_model):
         """Infeasible graphs produce the same diagnosis, serial or parallel."""
-        cramped = ChipSpec(
-            name="cramped",
-            num_cores=64,
-            sram_per_core=32 * KiB,
-            core_flops=100e9,
-            link_bandwidth=5.5e9,
-            link_latency=0.4e-6,
-            offchip_bandwidth=8e9,
-        )
         graph = OperatorGraph(name="too-big")
         graph.add(matmul("ok-ish", m=64, k=64, n=64))
         graph.add(matmul("huge", m=4096, k=4096, n=4096))
-        serial, parallel = compile_pair(cramped, small_cost_model, graph, jobs=4)
+        serial, parallel = compile_pair(cramped_chip(), small_cost_model, graph, jobs=4)
         assert serial.status == "oom"
         assert parallel.status == "oom"
         assert parallel.error == serial.error
         # The partial frontier state stops at the same operator.
         assert parallel.pareto_plans == serial.pareto_plans
         assert parallel.search_stats == serial.search_stats
+
+    def test_oom_names_the_first_failure_in_graph_order(self, small_cost_model):
+        """The process fan-out sends the 3-axis matmul before the 2-axis
+        element-wise operator ahead of it; the diagnosis still names the
+        element-wise one, as the serial compile does."""
+        graph = OperatorGraph(name="too-big-twice")
+        graph.add(elementwise("wide", {"r": 4096, "c": 4096}))
+        graph.add(matmul("huge", m=4096, k=4096, n=4096))
+        pending = {op.signature(): op for op in graph.operators}
+        assert [op.name for op in parallel._largest_first(pending).values()] == [
+            "huge",
+            "wide",
+        ]
+        serial, compiled = compile_pair(
+            cramped_chip(), small_cost_model, graph, jobs=2, backend="process"
+        )
+        assert serial.status == "oom"
+        assert "wide" in serial.error
+        assert_identical(serial, compiled)
+
+
+def cramped_chip() -> ChipSpec:
+    """A chip too small for a 4096-wide operator."""
+    return ChipSpec(
+        name="cramped",
+        num_cores=64,
+        sram_per_core=32 * KiB,
+        core_flops=100e9,
+        link_bandwidth=5.5e9,
+        link_latency=0.4e-6,
+        offchip_bandwidth=8e9,
+    )
 
 
 class TestStreamingMatchesReference:
@@ -266,6 +289,39 @@ def _raise_runtime_error():
 
 class TestProcessWorkers:
     """Process workers are forked once per process and shared by engines."""
+
+    def test_dispatch_sends_most_axes_first_ties_in_graph_order(self):
+        graph = OperatorGraph(name="mixed")
+        graph.add(elementwise("act", {"r": 64, "c": 64}))
+        graph.add(matmul("fc", m=64, k=64, n=64))
+        graph.add(matmul("bmm", m=64, k=64, n=64, batch=4))
+        graph.add(matmul("fc2", m=128, k=64, n=64))
+        pending = {op.signature(): op for op in graph.operators}
+        order = [op.name for op in parallel._largest_first(pending).values()]
+        assert order == ["bmm", "fc", "fc2", "act"]
+
+    def test_a_fan_out_pins_its_workers_to_distinct_cpus(
+        self, small_chip, small_cost_model, fast_constraints
+    ):
+        with T10Compiler(
+            small_chip,
+            cost_model=small_cost_model,
+            constraints=fast_constraints,
+            jobs=2,
+            parallel_backend="process",
+        ) as compiler:
+            assert compiler.compile(distinct_matmuls("pinned", 4)).ok
+            token = compiler.engine._token
+        used = [worker for worker in parallel._WORKERS._all if worker.token == token]
+        assert used
+        cpus = parallel._allowed_cpus()
+        if not cpus:
+            # One allowed CPU (or no affinity support): nothing to spread.
+            assert all(worker.cpu is None for worker in used)
+            return
+        assert sorted(worker.cpu for worker in used) == sorted(cpus[: len(used)])
+        for worker in used:
+            assert os.sched_getaffinity(worker.process.pid) == {worker.cpu}
 
     def test_later_engines_reuse_the_forked_workers(
         self, small_chip, small_cost_model, fast_constraints

@@ -358,6 +358,76 @@ class TestDynamicBatcher:
 
 
 # --------------------------------------------------------------------------- #
+# Batch-window properties (hypothesis)
+# --------------------------------------------------------------------------- #
+@pytest.fixture(scope="module")
+def shared_cache(small_cost_model, fast_constraints):
+    """An in-memory plan cache shared by every Hypothesis example."""
+    store = PlanCache(
+        compiler_factory=lambda chip, constraints: T10Compiler(
+            chip, cost_model=small_cost_model, constraints=constraints
+        ),
+    )
+    yield store
+    store.close()
+
+
+#: Arrival times in units of one batch-of-one iteration.
+arrival_streams = st.lists(
+    st.floats(min_value=0.0, max_value=10.0, allow_nan=False, allow_infinity=False),
+    max_size=50,
+)
+
+
+class TestBatcherProperties:
+    @given(
+        stream=arrival_streams,
+        max_batch=st.integers(min_value=1, max_value=6),
+        window=st.floats(min_value=0.0, max_value=2.0, allow_nan=False),
+        num_chips=st.integers(min_value=1, max_value=2),
+    )
+    @settings(deadline=None, max_examples=200)
+    def test_batches_partition_requests_in_dispatch_order(
+        self, stream, max_batch, window, num_chips, shared_cache, small_chip,
+        fast_constraints,
+    ):
+        """Every request lands in exactly one batch; dispatch never rewinds."""
+        engine = static_engine(shared_cache, small_chip, fast_constraints,
+                               max_batch_size=max_batch, num_chips=num_chips)
+        unit = engine.iteration_latency(1)
+        engine = static_engine(shared_cache, small_chip, fast_constraints,
+                               max_batch_size=max_batch, num_chips=num_chips,
+                               batch_window=window * unit)
+        requests = [
+            one_shot(i, arrival * unit) for i, arrival in enumerate(sorted(stream))
+        ]
+        report = engine.run(requests)
+        assert check_report(report, requests) == []
+
+        starts = batch_starts(report)
+        batched_ids = [request_id for members in starts.values() for request_id in members]
+        assert len(batched_ids) == len(set(batched_ids)), "a request was batched twice"
+        assert sorted(batched_ids) == [req.request_id for req in requests]
+
+        # FIFO dispatch: batches taken in start order (ties between replicas
+        # by their oldest member) cut the arrival order into consecutive runs.
+        dispatched = sorted(starts.items(), key=lambda item: (item[0][1], min(item[1])))
+        in_dispatch_order = [i for _, members in dispatched for i in sorted(members)]
+        assert in_dispatch_order == [req.request_id for req in requests], (
+            "dispatch rewound past an earlier arrival"
+        )
+
+        arrival = {req.request_id: req.arrival_time for req in requests}
+        for (_, start), members in starts.items():
+            assert 1 <= len(members) <= max_batch
+            # A batch never dispatches before its requests exist.
+            assert start >= max(arrival[i] for i in members)
+            if len(members) < max_batch:
+                # A partial batch waits out its oldest member's window.
+                assert start >= min(arrival[i] for i in members) + engine.batch_window
+
+
+# --------------------------------------------------------------------------- #
 # Workload generators
 # --------------------------------------------------------------------------- #
 class TestWorkloads:
