@@ -75,7 +75,6 @@ def main() -> None:
         "at the next decode iteration and interactive requests are never stuck "
         "behind a long best-effort generation."
     )
-    cache.close()
 
 
 if __name__ == "__main__":

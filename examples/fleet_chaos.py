@@ -158,7 +158,6 @@ def main() -> None:
         "brownout admission spends the shrunken fleet on interactive "
         "traffic first — so every tenant's fairness floor holds."
     )
-    cache.close()
 
 
 if __name__ == "__main__":

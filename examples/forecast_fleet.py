@@ -168,7 +168,6 @@ def main() -> None:
         "experiment replays a larger three-tenant trace where the win is a "
         "strict double one (goodput per chip-second AND SLO attainment)."
     )
-    cache.close()
 
 
 if __name__ == "__main__":

@@ -135,7 +135,6 @@ def main() -> None:
         "on the GPU class are served on the IPUs instead, and chat gives up "
         "only the slack above its fairness floor in exchange."
     )
-    cache.close()
 
 
 if __name__ == "__main__":

@@ -91,11 +91,8 @@ def serve(cache: PlanCache, label: str) -> None:
 
 def main() -> None:
     cache = PlanCache()
-    try:
-        serve(cache, "First run: the warm-up compiles every batch bucket")
-        serve(cache, "Second run: every bucket is already in the plan cache")
-    finally:
-        cache.close()
+    serve(cache, "First run: the warm-up compiles every batch bucket")
+    serve(cache, "Second run: every bucket is already in the plan cache")
 
 
 if __name__ == "__main__":

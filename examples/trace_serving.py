@@ -74,7 +74,6 @@ def main() -> None:
     problems = validate_chrome_trace(to_chrome_trace(tracer))
     assert not problems, problems
     print(f"\nopen {OUT} in https://ui.perfetto.dev")
-    cache.close()
 
 
 if __name__ == "__main__":

@@ -183,10 +183,7 @@ def run_bench(config: BenchConfig) -> BenchReport:
     cache_totals = CacheStats()
     for model in config.models:
         cache = PlanCache(jobs=config.jobs)
-        try:
-            report.rows.append(_bench_model(model, config, cache))
-        finally:
-            cache.close()
+        report.rows.append(_bench_model(model, config, cache))
         stats = cache.stats
         cache_totals = CacheStats(
             hits_memory=cache_totals.hits_memory + stats.hits_memory,

@@ -35,9 +35,10 @@ from repro.obs.trace import get_tracer
 
 #: Cost models are expensive enough to fit that sharing them across compiler
 #: instances targeting the same chip is worthwhile (they are deterministic).
-#: The serving worker pool compiles from several threads, so the cache is
-#: guarded by a lock; fitting happens outside it (a duplicate concurrent fit
-#: is wasted work but harmless — both threads produce the same model).
+#: Compiles may run on several threads (the plan cache is thread-safe), so
+#: this cache is guarded by a lock; fitting happens outside it (a duplicate
+#: concurrent fit is wasted work but harmless — both threads produce the
+#: same model).
 _COST_MODEL_CACHE: dict[tuple[str, int], CostModel] = {}
 _COST_MODEL_LOCK = threading.Lock()
 
@@ -128,7 +129,6 @@ class T10Compiler:
         cost_model: CostModel | None = None,
         constraints: SearchConstraints = DEFAULT_CONSTRAINTS,
         jobs: int | None = 1,
-        parallel_backend: str = "auto",
     ) -> None:
         """``jobs`` controls intra-op search parallelism: 1 compiles serially,
         N fans unique-operator searches out over N workers, and ``None`` picks
@@ -140,13 +140,7 @@ class T10Compiler:
         self.constraints = constraints
         self.intra_op = IntraOpOptimizer(chip, self.cost_model, constraints)
         self.inter_op = InterOpScheduler(chip, self.cost_model)
-        self.engine = ParallelCompilationEngine(
-            chip,
-            self.cost_model,
-            constraints,
-            jobs=jobs,
-            backend=parallel_backend,
-        )
+        self.engine = ParallelCompilationEngine(chip, self.cost_model, constraints, jobs=jobs)
 
     @property
     def jobs(self) -> int:
@@ -154,14 +148,9 @@ class T10Compiler:
         return self.engine.jobs
 
     def close(self) -> None:
-        """Release the engine's worker pool (idempotent; no-op for jobs=1)."""
-        self.engine.close()
-
-    def __enter__(self) -> "T10Compiler":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
+        """No-op (idempotent): a compiler holds nothing to release.  Its
+        search workers are process-wide daemons that stop with the
+        interpreter (see :mod:`repro.core.parallel`)."""
 
     # ------------------------------------------------------------------ #
     def compile(self, graph: OperatorGraph) -> CompiledModel:

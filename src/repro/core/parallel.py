@@ -1,4 +1,4 @@
-"""Parallel compilation engine: fan intra-op searches out over worker pools.
+"""Parallel compilation engine: fan intra-op searches out over forked workers.
 
 The intra-operator Pareto search of §4.3.1 is a pure function of the operator
 signature, the chip, the cost model and the search constraints — searches of
@@ -7,11 +7,11 @@ embarrassingly parallel fan-out.  This module provides the three pieces the
 rest of the system builds on:
 
 * :class:`ParallelCompilationEngine` — de-duplicates a graph's operators by
-  signature, dispatches each unique search to ``jobs`` workers — processes
-  forked once and shared by every engine of the process, or a thread pool —
-  and merges results back **in graph order**, so the output is bit-for-bit
-  identical to a serial compile (same plan ordering, same error on the same
-  operator);
+  signature, dispatches each unique search to ``jobs`` worker processes
+  (forked once and shared by every engine of the process) or searches it
+  inline, and merges results back **in graph order**, so the output is
+  bit-for-bit identical to a serial compile (same plan ordering, same error
+  on the same operator);
 * :class:`SingleFlight` — a per-key in-flight guard; concurrent callers of
   the same key run the underlying function exactly once and all receive its
   result.  The serving plan cache uses it so concurrent cache misses for one
@@ -21,8 +21,9 @@ rest of the system builds on:
 
 Determinism guarantee: for a fixed (graph, chip, cost model, constraints),
 ``search_graph`` returns the same frontiers in the same order for every
-``jobs`` value and backend, because each per-signature search is deterministic
-and the merge step re-imposes graph order regardless of completion order.
+``jobs`` value, forked or inline, because each per-signature search is
+deterministic and the merge step re-imposes graph order regardless of
+completion order.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ import os
 import pickle
 import signal
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from multiprocessing.connection import Connection, wait
@@ -53,9 +53,6 @@ from repro.hw.spec import ChipSpec
 from repro.ir.graph import OperatorGraph
 from repro.ir.operator import Operator
 from repro.obs.trace import get_tracer, set_tracer
-
-#: Executor backends the engine can fan out over.
-BACKENDS = ("auto", "process", "thread")
 
 
 def default_jobs() -> int:
@@ -252,8 +249,8 @@ class _ProcessWorkers:
     for one fan-out and returns them, and forks only when it needs more
     than are idle.  The parent side runs no helper thread (a
     :class:`~concurrent.futures.ProcessPoolExecutor` runs two), so while
-    workers live the ``auto`` backend's fork-safety test still sees only
-    the caller's threads.
+    workers live the fork-safety test (:func:`_fork_is_safe`) still sees
+    only the caller's threads.
     """
 
     def __init__(self) -> None:
@@ -353,22 +350,15 @@ class GraphSearchResult:
 
 
 class ParallelCompilationEngine:
-    """Fan a graph's intra-op plan searches out over ``jobs`` workers.
+    """Fan a graph's intra-op plan searches out over ``jobs`` forked workers.
 
-    The engine can be shared by repeated compiles; ``close()`` releases its
-    thread pool.  With ``jobs=1`` — or when a graph needs at most one fresh
-    search — no worker is used and the search runs inline, so the serial
-    path stays allocation-free.
-
-    Backends:
-
-    * ``"process"`` — forked worker processes, shared by every engine of the
-      process and kept between compiles (:class:`_ProcessWorkers`); at most
-      ``jobs`` of them search for one fan-out.  True CPU parallelism for the
-      pure-Python search (the default where ``fork`` is available);
-    * ``"thread"`` — a :class:`ThreadPoolExecutor`; no extra processes, used
-      as the portable fallback;
-    * ``"auto"`` — ``process`` when available, else ``thread``.
+    The workers are processes shared by every engine of the process and kept
+    between compiles (:class:`_ProcessWorkers`); at most ``jobs`` of them
+    search for one fan-out, which gives the pure-Python search true CPU
+    parallelism.  A graph searches inline instead — the serial compiler's
+    own path — when ``jobs=1``, when it needs at most one fresh search, when
+    other threads run (:func:`_fork_is_safe`) or when the engine's setup
+    does not pickle (:meth:`_worker_setup`).
     """
 
     def __init__(
@@ -378,91 +368,37 @@ class ParallelCompilationEngine:
         constraints: SearchConstraints,
         *,
         jobs: int | None = 1,
-        backend: str = "auto",
     ) -> None:
-        if backend not in BACKENDS:
-            raise ValueError(f"unknown backend {backend!r}; known: {BACKENDS}")
         self.chip = chip
         self.cost_model = cost_model
         self.constraints = constraints
         self.jobs = resolve_jobs(jobs)
-        self.backend = backend
         self._token = next(_ENGINE_TOKENS)
         self._setup: bytes | None = None
-        self._pool: ThreadPoolExecutor | None = None
-        self._pool_backend: str | None = None
-        self._pool_lock = threading.Lock()
 
-    def _resolve_backend(self) -> str:
-        """Pick the backend at the engine's first fan-out.
+    def _worker_setup(self) -> bytes | None:
+        """The pickled ``(chip, cost_model, constraints)`` workers receive.
 
-        ``auto`` prefers forked worker processes (true CPU parallelism for
-        the pure-Python search) but falls back to threads when other threads
-        are already running (:func:`_fork_is_safe`).  An explicit
-        ``backend="process"`` is honoured as given.
+        Workers outlive the engine, so its setup travels to them pickled;
+        ``None`` when it does not pickle (say, a cost model with a custom
+        cost function defined in a closure).  Pickled once per engine.
         """
-        if self.backend != "auto":
-            return self.backend
-        if _fork_is_safe():
-            return "process"
-        return "thread"
+        if self._setup is None:
+            try:
+                self._setup = pickle.dumps((self.chip, self.cost_model, self.constraints))
+            except (pickle.PicklingError, AttributeError, TypeError):
+                self._setup = b""
+        return self._setup or None
 
-    # ------------------------------------------------------------------ #
-    # Pool lifecycle
-    # ------------------------------------------------------------------ #
-    def _pool_kind(self) -> str:
-        """The backend, resolved once at the engine's first fan-out.
-
-        Process workers outlive the engine, so they receive its chip, cost
-        model and constraints pickled.  A setup that does not pickle (say, a
-        cost model with a custom cost function defined in a closure) fans
-        out over threads instead.
-        """
-        with self._pool_lock:
-            if self._pool_backend is None:
-                backend = self._resolve_backend()
-                if backend == "process":
-                    try:
-                        self._setup = pickle.dumps(
-                            (self.chip, self.cost_model, self.constraints)
-                        )
-                    except (pickle.PicklingError, AttributeError, TypeError):
-                        backend = "thread"
-                self._pool_backend = backend
-            return self._pool_backend
-
-    def _thread_pool(self) -> ThreadPoolExecutor:
-        with self._pool_lock:
-            if self._pool is None:
-                self._pool = ThreadPoolExecutor(
-                    max_workers=self.jobs,
-                    thread_name_prefix="t10-compile",
-                )
-            return self._pool
-
-    def close(self) -> None:
-        """Shut the thread pool down (idempotent).
-
-        Process workers are shared by every engine and stop when the
-        interpreter exits.
-        """
-        with self._pool_lock:
-            pool, self._pool = self._pool, None
-            self._pool_backend = None
-        if pool is not None:
-            pool.shutdown(wait=True)
-
-    def __enter__(self) -> "ParallelCompilationEngine":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-    def __del__(self) -> None:  # pragma: no cover - interpreter-shutdown path
-        try:
-            self.close()
-        except Exception:
-            pass
+    def _fan_out_path(self, pending: dict[tuple, Operator]) -> str:
+        """``"process"`` when ``pending`` goes to forked workers, else ``"inline"``."""
+        forks = (
+            self.jobs > 1
+            and len(pending) > 1
+            and _fork_is_safe()
+            and self._worker_setup() is not None
+        )
+        return "process" if forks else "inline"
 
     # ------------------------------------------------------------------ #
     # Graph search
@@ -485,24 +421,22 @@ class ParallelCompilationEngine:
         }
 
         errors: dict[tuple, str] = {}
+        path = self._fan_out_path(pending)
         # The fan-out span covers dispatch plus the wait for every worker;
-        # per-operator searches emit their own spans (inline and threaded
-        # backends only — process workers run with the disabled tracer, so
-        # their per-operator spans are deliberately absent from traces).
+        # per-operator searches emit their own spans on the inline path only
+        # (process workers run with the disabled tracer, so their
+        # per-operator spans are deliberately absent from traces).
         with get_tracer().wall_span(
             "search-fan-out",
             track="compiler/graph",
             cat="compile",
             graph=graph.name,
-            backend=self.backend,
+            path=path,
             jobs=self.jobs,
             dispatched=len(pending),
         ):
-            if len(pending) > 1 and self.jobs > 1:
-                if self._pool_kind() == "process":
-                    self._search_processes(_largest_first(pending), intra_op, errors)
-                else:
-                    self._search_threads(pending, intra_op, errors)
+            if path == "process":
+                self._search_processes(_largest_first(pending), intra_op, errors)
             else:
                 self._search_inline(pending, intra_op, errors)
 
@@ -578,15 +512,9 @@ class ParallelCompilationEngine:
         intra_op: IntraOpOptimizer,
         errors: dict[tuple, str],
     ) -> None:
-        assert self._setup is not None
+        assert self._worker_setup() is not None
         limit = min(self.jobs, len(pending))
         idle = _WORKERS.checkout(limit)
-        # An ``auto`` engine forks only while no other thread runs (see
-        # ``_resolve_backend``); with no worker at all it searches inline.
-        may_fork = self.backend == "process" or _fork_is_safe()
-        if not idle and not may_fork:
-            self._search_inline(pending, intra_op, errors)
-            return
         cpus = _allowed_cpus()
         if cpus:
             for position, worker in enumerate(idle):
@@ -606,9 +534,7 @@ class ParallelCompilationEngine:
             # graph-order merge searches what was not sent and stops at the
             # first failure.
             while busy or (sent < len(tasks) and not stop):
-                while sent < len(tasks) and not stop and (
-                    idle or (may_fork and owned < limit)
-                ):
+                while sent < len(tasks) and not stop and (idle or owned < limit):
                     if idle:
                         worker = idle.pop()
                     else:
@@ -654,40 +580,13 @@ class ParallelCompilationEngine:
             assert stats is not None
             intra_op.seed(operator, members, stats)
 
-    def _search_threads(
-        self,
-        pending: dict[tuple, Operator],
-        intra_op: IntraOpOptimizer,
-        errors: dict[tuple, str],
-    ) -> None:
-        pool = self._thread_pool()
-
-        # Threads write straight into the shared optimizer cache; each
-        # completed search is published as one atomic dict assignment.
-        # Stopping at the first failure mirrors the serial compiler, and
-        # still-queued searches are cancelled so a failing compile neither
-        # burns the pool on doomed work nor makes close() wait for it.
-        def task(operator: Operator) -> None:
-            try:
-                intra_op.search_frontier(operator)
-            except (OutOfChipMemoryError, ValueError) as error:
-                errors[operator.signature()] = str(error)
-
-        futures = [pool.submit(task, operator) for operator in pending.values()]
-        for index, future in enumerate(futures):
-            future.result()
-            if errors:
-                for queued in futures[index + 1 :]:
-                    queued.cancel()
-                return
-
 
 def _fork_is_safe() -> bool:
     """Whether this process may fork a worker now.
 
     Forking a multithreaded process can copy arbitrary held locks into the
-    child and deadlock it (and is deprecated on newer CPythons); the serving
-    path compiles from worker threads.
+    child and deadlock it (and is deprecated on newer CPythons); the plan
+    cache is thread-safe, so a caller may compile from several threads.
     """
     fork_ok = "fork" in multiprocessing.get_all_start_methods()
     return fork_ok and threading.active_count() == 1

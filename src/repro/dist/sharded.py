@@ -191,16 +191,6 @@ class ShardedCompiler:
         self._simulator = ChipSimulator(chip)
         self._measurements: dict[str, tuple[str, str, float]] = {}
 
-    def close(self) -> None:
-        """Release the plan cache's compiler worker pools (idempotent)."""
-        self.plan_cache.close()
-
-    def __enter__(self) -> "ShardedCompiler":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
     # ------------------------------------------------------------------ #
     def partition(self, graph: OperatorGraph, num_stages: int) -> StagePartition:
         """The stage partition ``compile`` would use (no compilation)."""

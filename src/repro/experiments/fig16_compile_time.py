@@ -35,13 +35,12 @@ def run(
         sizes = batch_sizes if batch_sizes is not None else batch_sizes_for(model_name, quick=quick)
         for batch in sizes:
             graph = build_workload(model_name, batch, quick=quick)
-            with T10Compiler(
+            compiled = T10Compiler(
                 chip,
                 cost_model=default_cost_model(chip),
                 constraints=constraints,
                 jobs=jobs,
-            ) as compiler:
-                compiled = compiler.compile(graph)
+            ).compile(graph)
             rows.append(
                 {
                     "model": model_name,

@@ -65,13 +65,9 @@ def run(
             for jobs in grid:
                 # A fresh compiler per cell: each timing must start from a
                 # cold intra-op cache, or later cells would measure lookups.
-                with T10Compiler(
-                    chip,
-                    cost_model=cost_model,
-                    constraints=constraints,
-                    jobs=jobs,
-                ) as compiler:
-                    compiled = compiler.compile(graph)
+                compiled = T10Compiler(
+                    chip, cost_model=cost_model, constraints=constraints, jobs=jobs
+                ).compile(graph)
                 if jobs == 1:
                     reference = compiled
                     serial_time = compiled.compile_time_seconds

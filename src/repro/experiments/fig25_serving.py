@@ -75,64 +75,61 @@ def run(*, quick: bool = False) -> list[dict]:
     num_requests = QUICK_NUM_REQUESTS if quick else NUM_REQUESTS
     cache = PlanCache()
     rows: list[dict] = []
-    try:
-        for model_name in SERVING_MODELS:
-            model = deployment(model_name, quick=quick)
+    for model_name in SERVING_MODELS:
+        model = deployment(model_name, quick=quick)
+        before = cache.stats.snapshot()
+        # Model-relative units: batch-1 latency sets the scale of both
+        # the offered load and the batch window.  Measuring it compiles
+        # the model's buckets, charged to its first configuration.
+        unit = StaticEngine(
+            model, chip=CHIP, constraints=constraints_for(quick), plan_cache=cache
+        ).iteration_latency(1)
+        for fleet, window_factor, load_factor in itertools.product(
+            fleet_sizes, WINDOW_FACTORS, LOAD_FACTORS
+        ):
+            engine = StaticEngine(
+                model,
+                chip=CHIP,
+                num_chips=fleet,
+                constraints=constraints_for(quick),
+                plan_cache=cache,
+                batch_window=window_factor * unit,
+            )
+            engine.warm()
+            warmed = cache.stats.since(before)
             before = cache.stats.snapshot()
-            # Model-relative units: batch-1 latency sets the scale of both
-            # the offered load and the batch window.  Measuring it compiles
-            # the model's buckets, charged to its first configuration.
-            unit = StaticEngine(
-                model, chip=CHIP, constraints=constraints_for(quick), plan_cache=cache
-            ).iteration_latency(1)
-            for fleet, window_factor, load_factor in itertools.product(
-                fleet_sizes, WINDOW_FACTORS, LOAD_FACTORS
-            ):
-                engine = StaticEngine(
-                    model,
-                    chip=CHIP,
-                    num_chips=fleet,
-                    constraints=constraints_for(quick),
-                    plan_cache=cache,
-                    batch_window=window_factor * unit,
-                )
-                engine.warm()
-                warmed = cache.stats.since(before)
-                before = cache.stats.snapshot()
-                offered = load_factor / unit
-                requests = decode_workload(
-                    model_name,
-                    num_requests=num_requests,
-                    rate=offered,
-                    seed=SEED,
-                    prompt_tokens=(1, 1),
-                    output_tokens=(1, 1),
-                    interactive_fraction=0.0,
-                )
-                report = checked(engine.run(requests), requests)
-                tails = report.latency_percentiles
-                rows.append(
-                    {
-                        "model": model_name,
-                        "chips": fleet,
-                        "load_x": load_factor,
-                        "window_x": window_factor,
-                        "offered_rps": offered,
-                        "window_ms": engine.batch_window * 1e3,
-                        "completed": report.total_completed,
-                        "throughput_rps": report.throughput,
-                        "p50_ms": tails["p50"] * 1e3,
-                        "p99_ms": tails["p99"] * 1e3,
-                        "batches": report.iterations,
-                        "mean_batch": report.total_completed / report.iterations,
-                        "utilization": report.utilization,
-                        "warm_compiles": warmed.misses,
-                        "warm_compile_s": warmed.compile_seconds,
-                        "recompiles": report.cache.misses,
-                    }
-                )
-    finally:
-        cache.close()
+            offered = load_factor / unit
+            requests = decode_workload(
+                model_name,
+                num_requests=num_requests,
+                rate=offered,
+                seed=SEED,
+                prompt_tokens=(1, 1),
+                output_tokens=(1, 1),
+                interactive_fraction=0.0,
+            )
+            report = checked(engine.run(requests), requests)
+            tails = report.latency_percentiles
+            rows.append(
+                {
+                    "model": model_name,
+                    "chips": fleet,
+                    "load_x": load_factor,
+                    "window_x": window_factor,
+                    "offered_rps": offered,
+                    "window_ms": engine.batch_window * 1e3,
+                    "completed": report.total_completed,
+                    "throughput_rps": report.throughput,
+                    "p50_ms": tails["p50"] * 1e3,
+                    "p99_ms": tails["p99"] * 1e3,
+                    "batches": report.iterations,
+                    "mean_batch": report.total_completed / report.iterations,
+                    "utilization": report.utilization,
+                    "warm_compiles": warmed.misses,
+                    "warm_compile_s": warmed.compile_seconds,
+                    "recompiles": report.cache.misses,
+                }
+            )
     return rows
 
 

@@ -98,27 +98,27 @@ def run(*, quick: bool = False, jobs: int | None = 1) -> list[dict]:
         # One compiler per workload: stage programs are cached under
         # stage-slice scoped keys, so different chip counts never collide
         # while intra-op searches of repeated layers are still shared.
-        with ShardedCompiler(
+        compiler = ShardedCompiler(
             CHIP, cost_model=cost_model, constraints=constraints, jobs=jobs
-        ) as compiler:
-            for num_chips in CHIP_COUNTS:
-                sharded = compiler.compile(graph, num_chips)
-                with ShardedCompiler(
-                    CHIP, cost_model=cost_model, constraints=constraints, jobs=jobs
-                ) as fresh:
-                    plans_match = sharded.plans_equal(fresh.compile(graph, num_chips))
-                for micro in micro_batches:
-                    rows.append(
-                        _row(
-                            model_name,
-                            batch,
-                            len(graph),
-                            num_chips,
-                            micro,
-                            sharded,
-                            plans_match,
-                        )
+        )
+        for num_chips in CHIP_COUNTS:
+            sharded = compiler.compile(graph, num_chips)
+            fresh = ShardedCompiler(
+                CHIP, cost_model=cost_model, constraints=constraints, jobs=jobs
+            )
+            plans_match = sharded.plans_equal(fresh.compile(graph, num_chips))
+            for micro in micro_batches:
+                rows.append(
+                    _row(
+                        model_name,
+                        batch,
+                        len(graph),
+                        num_chips,
+                        micro,
+                        sharded,
+                        plans_match,
                     )
+                )
     return rows
 
 

@@ -83,72 +83,69 @@ def run(*, quick: bool = False, jobs: int = 1) -> list[dict]:
     )
     cache = PlanCache(jobs=jobs)
     rows: list[dict] = []
-    try:
-        for fleet in FLEET_SIZES:
-            engines = {
-                POLICY_STATIC: StaticEngine(
-                    model, chip=CHIP, num_chips=fleet,
-                    constraints=constraints_for(quick), plan_cache=cache,
-                ),
-                POLICY_CONTINUOUS: ContinuousEngine(
-                    model, chip=CHIP, num_chips=fleet,
-                    constraints=constraints_for(quick), plan_cache=cache,
-                ),
-            }
-            warm_misses = {
-                policy: warm(cache, engines[policy]).misses
-                for policy in (POLICY_STATIC, POLICY_CONTINUOUS)
-            }
-            unit = engines[POLICY_CONTINUOUS].iteration_latency(1)
-            # LOAD_FACTOR 1.0 saturates the fleet serving one request at a
-            # time; batching raises capacity by up to max_batch_size, so
-            # values around max_batch_size stress the scheduling policy.
-            workload = decode_stream(
-                model,
-                unit,
-                load=LOAD_FACTOR * fleet,
-                slo_factor=SLO_FACTOR,
-                num_requests=num_requests,
-                interactive_fraction=INTERACTIVE_FRACTION,
+    for fleet in FLEET_SIZES:
+        engines = {
+            POLICY_STATIC: StaticEngine(
+                model, chip=CHIP, num_chips=fleet,
+                constraints=constraints_for(quick), plan_cache=cache,
+            ),
+            POLICY_CONTINUOUS: ContinuousEngine(
+                model, chip=CHIP, num_chips=fleet,
+                constraints=constraints_for(quick), plan_cache=cache,
+            ),
+        }
+        warm_misses = {
+            policy: warm(cache, engines[policy]).misses
+            for policy in (POLICY_STATIC, POLICY_CONTINUOUS)
+        }
+        unit = engines[POLICY_CONTINUOUS].iteration_latency(1)
+        # LOAD_FACTOR 1.0 saturates the fleet serving one request at a
+        # time; batching raises capacity by up to max_batch_size, so
+        # values around max_batch_size stress the scheduling policy.
+        workload = decode_stream(
+            model,
+            unit,
+            load=LOAD_FACTOR * fleet,
+            slo_factor=SLO_FACTOR,
+            num_requests=num_requests,
+            interactive_fraction=INTERACTIVE_FRACTION,
+        )
+        for policy in (POLICY_STATIC, POLICY_CONTINUOUS):
+            report = checked(engines[policy].run(workload), workload)
+            ttft = report.ttft_percentiles
+            tpot = report.tpot_percentiles
+            tails = report.latency_percentiles
+            rows.append(
+                {
+                    "model": model.name,
+                    "policy": policy,
+                    "chips": fleet,
+                    "load_x": LOAD_FACTOR,
+                    "slo_x": SLO_FACTOR,
+                    "requests": num_requests,
+                    "completed": report.total_completed,
+                    "shed": report.shed,
+                    "preempted": report.preemptions,
+                    "slo_met": report.slo_met,
+                    "tokens": report.total_tokens,
+                    "iterations": report.iterations,
+                    "scale_ups": report.scale_ups,
+                    "scale_downs": report.scale_downs,
+                    "goodput_rps": report.goodput,
+                    "throughput_rps": report.throughput,
+                    "token_tps": report.token_throughput,
+                    "ttft_p50_ms": ttft["p50"] * 1e3,
+                    "ttft_p99_ms": ttft["p99"] * 1e3,
+                    "tpot_p99_ms": tpot["p99"] * 1e3,
+                    "latency_p99_ms": tails["p99"] * 1e3,
+                    "slo_attainment": report.slo_attainment,
+                    "utilization": report.utilization,
+                    "mean_active_chips": report.mean_active_chips,
+                    "peak_active_chips": report.peak_active_chips,
+                    "warm_compiles": warm_misses[policy],
+                    "recompiles": report.cache.misses,
+                }
             )
-            for policy in (POLICY_STATIC, POLICY_CONTINUOUS):
-                report = checked(engines[policy].run(workload), workload)
-                ttft = report.ttft_percentiles
-                tpot = report.tpot_percentiles
-                tails = report.latency_percentiles
-                rows.append(
-                    {
-                        "model": model.name,
-                        "policy": policy,
-                        "chips": fleet,
-                        "load_x": LOAD_FACTOR,
-                        "slo_x": SLO_FACTOR,
-                        "requests": num_requests,
-                        "completed": report.total_completed,
-                        "shed": report.shed,
-                        "preempted": report.preemptions,
-                        "slo_met": report.slo_met,
-                        "tokens": report.total_tokens,
-                        "iterations": report.iterations,
-                        "scale_ups": report.scale_ups,
-                        "scale_downs": report.scale_downs,
-                        "goodput_rps": report.goodput,
-                        "throughput_rps": report.throughput,
-                        "token_tps": report.token_throughput,
-                        "ttft_p50_ms": ttft["p50"] * 1e3,
-                        "ttft_p99_ms": ttft["p99"] * 1e3,
-                        "tpot_p99_ms": tpot["p99"] * 1e3,
-                        "latency_p99_ms": tails["p99"] * 1e3,
-                        "slo_attainment": report.slo_attainment,
-                        "utilization": report.utilization,
-                        "mean_active_chips": report.mean_active_chips,
-                        "peak_active_chips": report.peak_active_chips,
-                        "warm_compiles": warm_misses[policy],
-                        "recompiles": report.cache.misses,
-                    }
-                )
-    finally:
-        cache.close()
     return rows
 
 

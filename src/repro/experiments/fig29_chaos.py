@@ -158,93 +158,90 @@ def run(*, quick: bool = False, jobs: int = 1) -> list[dict]:
 
     cache = PlanCache(jobs=jobs)
     rows: list[dict] = []
-    try:
-        def build(model: DecodeModel, num_chips: int, **kwargs) -> ContinuousEngine:
-            return ContinuousEngine(
-                model,
-                chip=CHIP,
-                num_chips=num_chips,
-                constraints=constraints_for(quick),
-                plan_cache=cache,
-                **kwargs,
-            )
-
-        def make_workload(model: DecodeModel, unit: float, capacity: int):
-            workload = decode_stream(
-                model,
-                unit,
-                load=LOAD_FACTOR * capacity,
-                slo_factor=SLO_FACTOR,
-                num_requests=num_requests,
-                interactive_fraction=INTERACTIVE_FRACTION,
-            )
-            span = num_requests / decode_rate(model, unit, LOAD_FACTOR * capacity)
-            return workload, span
-
-        def make_watchdog(unit: float) -> Watchdog:
-            return Watchdog(
-                detection_delay=DETECTION_UNITS * unit,
-                degraded_shed_queue=DEGRADED_SHED_QUEUE,
-            )
-
-        # ---- flat fleet: 2 single-chip replicas, both always active ------ #
-        flat_engines = {
-            "flat/baseline": build(flat, 2, min_replicas=2),
-            "flat/chaos": build(flat, 2, min_replicas=2),
-        }
-        warm_misses = {name: warm(cache, eng).misses for name, eng in flat_engines.items()}
-        unit = flat_engines["flat/baseline"].iteration_latency(1)
-        workload, span = make_workload(flat, unit, capacity=2)
-        watchdog = make_watchdog(unit)
-        flat_schedule = FaultSchedule.kill_and_restart(
-            0, at=KILL_FRACTION * span, downtime=DOWNTIME_FRACTION * span
+    def build(model: DecodeModel, num_chips: int, **kwargs) -> ContinuousEngine:
+        return ContinuousEngine(
+            model,
+            chip=CHIP,
+            num_chips=num_chips,
+            constraints=constraints_for(quick),
+            plan_cache=cache,
+            **kwargs,
         )
-        for name, schedule in (("flat/baseline", None), ("flat/chaos", flat_schedule)):
-            rows.append(
-                _scenario_rows(
-                    scenario=name,
-                    engine=flat_engines[name],
-                    workload=workload,
-                    num_requests=num_requests,
-                    schedule=schedule,
-                    watchdog=watchdog if schedule is not None else None,
-                    warm_compiles=warm_misses[name],
-                    dip_window=span / 10.0,
-                )
-            )
 
-        # ---- sharded fleet: one 2-stage replica plus a spare chip -------- #
-        engine = build(sharded, 3)
-        warm_sharded = warm(cache, engine).misses
-        unit = engine.iteration_latency(1)
-        workload, span = make_workload(sharded, unit, capacity=1)
-        kill_at = KILL_FRACTION * span
-        schedule = FaultSchedule.kill_and_restart(
-            1, at=kill_at, downtime=DOWNTIME_FRACTION * span
-        ).merged(
-            # A flapping link brackets the death: transfers between pipeline
-            # stages run slower from just before the kill until well after
-            # the failover, so recovery happens under degraded bandwidth.
-            [
-                link_degradation(
-                    kill_at - 0.05 * span, kill_at + 0.3 * span, LINK_FACTOR
-                )
-            ]
+    def make_workload(model: DecodeModel, unit: float, capacity: int):
+        workload = decode_stream(
+            model,
+            unit,
+            load=LOAD_FACTOR * capacity,
+            slo_factor=SLO_FACTOR,
+            num_requests=num_requests,
+            interactive_fraction=INTERACTIVE_FRACTION,
         )
+        span = num_requests / decode_rate(model, unit, LOAD_FACTOR * capacity)
+        return workload, span
+
+    def make_watchdog(unit: float) -> Watchdog:
+        return Watchdog(
+            detection_delay=DETECTION_UNITS * unit,
+            degraded_shed_queue=DEGRADED_SHED_QUEUE,
+        )
+
+    # ---- flat fleet: 2 single-chip replicas, both always active ------ #
+    flat_engines = {
+        "flat/baseline": build(flat, 2, min_replicas=2),
+        "flat/chaos": build(flat, 2, min_replicas=2),
+    }
+    warm_misses = {name: warm(cache, eng).misses for name, eng in flat_engines.items()}
+    unit = flat_engines["flat/baseline"].iteration_latency(1)
+    workload, span = make_workload(flat, unit, capacity=2)
+    watchdog = make_watchdog(unit)
+    flat_schedule = FaultSchedule.kill_and_restart(
+        0, at=KILL_FRACTION * span, downtime=DOWNTIME_FRACTION * span
+    )
+    for name, schedule in (("flat/baseline", None), ("flat/chaos", flat_schedule)):
         rows.append(
             _scenario_rows(
-                scenario="sharded/chaos",
-                engine=engine,
+                scenario=name,
+                engine=flat_engines[name],
                 workload=workload,
                 num_requests=num_requests,
                 schedule=schedule,
-                watchdog=make_watchdog(unit),
-                warm_compiles=warm_sharded,
+                watchdog=watchdog if schedule is not None else None,
+                warm_compiles=warm_misses[name],
                 dip_window=span / 10.0,
             )
         )
-    finally:
-        cache.close()
+
+    # ---- sharded fleet: one 2-stage replica plus a spare chip -------- #
+    engine = build(sharded, 3)
+    warm_sharded = warm(cache, engine).misses
+    unit = engine.iteration_latency(1)
+    workload, span = make_workload(sharded, unit, capacity=1)
+    kill_at = KILL_FRACTION * span
+    schedule = FaultSchedule.kill_and_restart(
+        1, at=kill_at, downtime=DOWNTIME_FRACTION * span
+    ).merged(
+        # A flapping link brackets the death: transfers between pipeline
+        # stages run slower from just before the kill until well after
+        # the failover, so recovery happens under degraded bandwidth.
+        [
+            link_degradation(
+                kill_at - 0.05 * span, kill_at + 0.3 * span, LINK_FACTOR
+            )
+        ]
+    )
+    rows.append(
+        _scenario_rows(
+            scenario="sharded/chaos",
+            engine=engine,
+            workload=workload,
+            num_requests=num_requests,
+            schedule=schedule,
+            watchdog=make_watchdog(unit),
+            warm_compiles=warm_sharded,
+            dip_window=span / 10.0,
+        )
+    )
     return rows
 
 

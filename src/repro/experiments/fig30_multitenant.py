@@ -88,67 +88,64 @@ def run(*, quick: bool = False, jobs: int = 1) -> list[dict]:
 
     cache = PlanCache(jobs=jobs)
     rows: list[dict] = []
-    try:
-        engines = {
-            SCHEME_PARTITION: build_engine(StaticPartitionRouter(partition), cache),
-            SCHEME_FLEET: build_engine(CostAwareRouter(), cache),
-        }
-        warm_misses = {scheme: warm(cache, engine).misses for scheme, engine in engines.items()}
-        workload = merge_decode_workloads(
-            *mix_streams(engines[SCHEME_FLEET], models, quick=quick)
-        )
+    engines = {
+        SCHEME_PARTITION: build_engine(StaticPartitionRouter(partition), cache),
+        SCHEME_FLEET: build_engine(CostAwareRouter(), cache),
+    }
+    warm_misses = {scheme: warm(cache, engine).misses for scheme, engine in engines.items()}
+    workload = merge_decode_workloads(
+        *mix_streams(engines[SCHEME_FLEET], models, quick=quick)
+    )
 
-        digests: dict[str, str] = {}
-        reports: dict[str, ContinuousReport] = {}
-        for scheme in (SCHEME_PARTITION, SCHEME_FLEET):
-            reports[scheme] = checked(engines[scheme].run(workload), workload)
-            digests[scheme] = placement_digest(reports[scheme])
-        # Bit-identity across compile parallelism: a fresh engine on a cold
-        # jobs=2 cache must reproduce every placement of the routed scheme.
-        fleet_jobs2_identical = identical_at_jobs2(
-            lambda recheck_cache: build_engine(CostAwareRouter(), recheck_cache),
-            lambda engine: engine.run(workload),
-            digests[SCHEME_FLEET],
+    digests: dict[str, str] = {}
+    reports: dict[str, ContinuousReport] = {}
+    for scheme in (SCHEME_PARTITION, SCHEME_FLEET):
+        reports[scheme] = checked(engines[scheme].run(workload), workload)
+        digests[scheme] = placement_digest(reports[scheme])
+    # Bit-identity across compile parallelism: a fresh engine on a cold
+    # jobs=2 cache must reproduce every placement of the routed scheme.
+    fleet_jobs2_identical = identical_at_jobs2(
+        lambda recheck_cache: build_engine(CostAwareRouter(), recheck_cache),
+        lambda engine: engine.run(workload),
+        digests[SCHEME_FLEET],
+    )
+    # Goodput-per-chip is normalised over the *common* serving window —
+    # the longer of the two schemes' event spans — so a scheme cannot
+    # inflate its rate by shedding late requests and ending early.
+    window = max(report.active_span for report in reports.values())
+    for scheme in (SCHEME_PARTITION, SCHEME_FLEET):
+        report = reports[scheme]
+        jobs2_identical = (
+            fleet_jobs2_identical if scheme == SCHEME_FLEET else None
         )
-        # Goodput-per-chip is normalised over the *common* serving window —
-        # the longer of the two schemes' event spans — so a scheme cannot
-        # inflate its rate by shedding late requests and ending early.
-        window = max(report.active_span for report in reports.values())
-        for scheme in (SCHEME_PARTITION, SCHEME_FLEET):
-            report = reports[scheme]
-            jobs2_identical = (
-                fleet_jobs2_identical if scheme == SCHEME_FLEET else None
+        for tenant, scope in tenant_scopes(report):
+            rows.append(
+                {
+                    "scheme": scheme,
+                    "tenant": tenant,
+                    "model": models[tenant].name if tenant != "all" else "mixed",
+                    "chips": MIX_NUM_CHIPS,
+                    "gpu_chips": 1,
+                    "requests": len(scope.completed),
+                    "completed": scope.total_completed,
+                    "shed": scope.shed,
+                    "slo_met": scope.slo_met,
+                    "tokens": scope.total_tokens,
+                    "preempted": scope.preemptions,
+                    "rebinds": report.rebinds if tenant == "all" else 0,
+                    "goodput_rps": scope.goodput,
+                    "goodput_per_chip": scope.slo_met / (window * MIX_NUM_CHIPS),
+                    "slo_attainment": attainment(scope),
+                    "fairness_floor": MIX_FLOORS.get(tenant, 0.0),
+                    "fairness": report.fairness if tenant == "all" else None,
+                    "warm_compiles": warm_misses[scheme],
+                    "recompiles": report.cache.misses,
+                    "placements": digests[scheme] if tenant == "all" else "",
+                    "jobs2_identical": (
+                        jobs2_identical if tenant == "all" else None
+                    ),
+                }
             )
-            for tenant, scope in tenant_scopes(report):
-                rows.append(
-                    {
-                        "scheme": scheme,
-                        "tenant": tenant,
-                        "model": models[tenant].name if tenant != "all" else "mixed",
-                        "chips": MIX_NUM_CHIPS,
-                        "gpu_chips": 1,
-                        "requests": len(scope.completed),
-                        "completed": scope.total_completed,
-                        "shed": scope.shed,
-                        "slo_met": scope.slo_met,
-                        "tokens": scope.total_tokens,
-                        "preempted": scope.preemptions,
-                        "rebinds": report.rebinds if tenant == "all" else 0,
-                        "goodput_rps": scope.goodput,
-                        "goodput_per_chip": scope.slo_met / (window * MIX_NUM_CHIPS),
-                        "slo_attainment": attainment(scope),
-                        "fairness_floor": MIX_FLOORS.get(tenant, 0.0),
-                        "fairness": report.fairness if tenant == "all" else None,
-                        "warm_compiles": warm_misses[scheme],
-                        "recompiles": report.cache.misses,
-                        "placements": digests[scheme] if tenant == "all" else "",
-                        "jobs2_identical": (
-                            jobs2_identical if tenant == "all" else None
-                        ),
-                    }
-                )
-    finally:
-        cache.close()
     return rows
 
 

@@ -120,135 +120,132 @@ def run(*, quick: bool = False, jobs: int = 1) -> list[dict]:
 
     cache = PlanCache(jobs=jobs)
     rows: list[dict] = []
-    try:
-        engines = {
-            SCHEME_BASELINE: build_engine(CostAwareRouter(), cache),
-            SCHEME_WATCHDOG: build_engine(CostAwareRouter(health_aware=False), cache),
-            SCHEME_HEALTH: build_engine(CostAwareRouter(), cache),
-        }
-        warm_misses = {scheme: warm(cache, engine).misses for scheme, engine in engines.items()}
-        reference = engines[SCHEME_HEALTH]
-        streams = mix_streams(reference, models, quick=quick)
-        workload = merge_decode_workloads(*streams)
+    engines = {
+        SCHEME_BASELINE: build_engine(CostAwareRouter(), cache),
+        SCHEME_WATCHDOG: build_engine(CostAwareRouter(health_aware=False), cache),
+        SCHEME_HEALTH: build_engine(CostAwareRouter(), cache),
+    }
+    warm_misses = {scheme: warm(cache, engine).misses for scheme, engine in engines.items()}
+    reference = engines[SCHEME_HEALTH]
+    streams = mix_streams(reference, models, quick=quick)
+    workload = merge_decode_workloads(*streams)
 
-        # Hardware-class outage: kill the GPU class mid-run, restart it cold
-        # after a downtime.  The kill is timed off the *shortest* stream so
-        # every tenant still has arrivals in flight when it strikes — timed
-        # off the merged span it would land after the single-pass streams
-        # have already drained and no routing decision would differ.
-        opt_unit = reference.iteration_latency(models["chat"].name, 1)
-        span = max(request.arrival_time for request in workload)
-        min_span = min(
-            max(request.arrival_time for request in stream) for stream in streams
-        )
-        kill_at = KILL_FRACTION * min_span
-        downtime = DOWNTIME_FRACTION * span
-        schedule = FaultSchedule.class_outage(
-            GPU_CLASS,
-            at=kill_at,
-            downtime=downtime,
-            cold_cache=True,
-            warmup_delay=WARMUP_UNITS * opt_unit,
-        )
-        watchdog = Watchdog(
-            detection_delay=DETECTION_UNITS * opt_unit,
-            degraded_shed_queue=DEGRADED_SHED_QUEUE,
-            retry_budget=RETRY_BUDGET,
-            brownout_watermark=BROWNOUT_WATERMARK,
-        )
-        plans = {
-            SCHEME_BASELINE: (None, None),
-            SCHEME_WATCHDOG: (schedule, watchdog),
-            SCHEME_HEALTH: (schedule, watchdog),
-        }
+    # Hardware-class outage: kill the GPU class mid-run, restart it cold
+    # after a downtime.  The kill is timed off the *shortest* stream so
+    # every tenant still has arrivals in flight when it strikes — timed
+    # off the merged span it would land after the single-pass streams
+    # have already drained and no routing decision would differ.
+    opt_unit = reference.iteration_latency(models["chat"].name, 1)
+    span = max(request.arrival_time for request in workload)
+    min_span = min(
+        max(request.arrival_time for request in stream) for stream in streams
+    )
+    kill_at = KILL_FRACTION * min_span
+    downtime = DOWNTIME_FRACTION * span
+    schedule = FaultSchedule.class_outage(
+        GPU_CLASS,
+        at=kill_at,
+        downtime=downtime,
+        cold_cache=True,
+        warmup_delay=WARMUP_UNITS * opt_unit,
+    )
+    watchdog = Watchdog(
+        detection_delay=DETECTION_UNITS * opt_unit,
+        degraded_shed_queue=DEGRADED_SHED_QUEUE,
+        retry_budget=RETRY_BUDGET,
+        brownout_watermark=BROWNOUT_WATERMARK,
+    )
+    plans = {
+        SCHEME_BASELINE: (None, None),
+        SCHEME_WATCHDOG: (schedule, watchdog),
+        SCHEME_HEALTH: (schedule, watchdog),
+    }
 
-        digests: dict[str, str] = {}
-        reports: dict[str, ContinuousReport] = {}
-        for scheme in SCHEMES:
-            faults, wd = plans[scheme]
-            reports[scheme] = checked(
-                engines[scheme].run(workload, faults=faults, watchdog=wd), workload
-            )
-            digests[scheme] = placement_digest(reports[scheme])
-        # Bit-identity across compile parallelism: a fresh engine on a cold
-        # jobs=2 cache must reproduce every placement of the chaos run.
-        jobs2_identical = identical_at_jobs2(
-            lambda recheck_cache: build_engine(CostAwareRouter(), recheck_cache),
-            lambda engine: engine.run(workload, faults=schedule, watchdog=watchdog),
-            digests[SCHEME_HEALTH],
+    digests: dict[str, str] = {}
+    reports: dict[str, ContinuousReport] = {}
+    for scheme in SCHEMES:
+        faults, wd = plans[scheme]
+        reports[scheme] = checked(
+            engines[scheme].run(workload, faults=faults, watchdog=wd), workload
         )
+        digests[scheme] = placement_digest(reports[scheme])
+    # Bit-identity across compile parallelism: a fresh engine on a cold
+    # jobs=2 cache must reproduce every placement of the chaos run.
+    jobs2_identical = identical_at_jobs2(
+        lambda recheck_cache: build_engine(CostAwareRouter(), recheck_cache),
+        lambda engine: engine.run(workload, faults=schedule, watchdog=watchdog),
+        digests[SCHEME_HEALTH],
+    )
 
-        # Dip/recovery over the outage window only: five windows across the
-        # downtime, horizon one window past the restart.
-        dip_window = downtime / 5.0
-        for scheme in SCHEMES:
-            report = reports[scheme]
-            pre_fault, dip_depth, recovery_ms = dip_columns(
-                report,
-                fault_time=kill_at if plans[scheme][0] is not None else math.inf,
-                window=dip_window,
-                horizon=kill_at + downtime + dip_window,
+    # Dip/recovery over the outage window only: five windows across the
+    # downtime, horizon one window past the restart.
+    dip_window = downtime / 5.0
+    for scheme in SCHEMES:
+        report = reports[scheme]
+        pre_fault, dip_depth, recovery_ms = dip_columns(
+            report,
+            fault_time=kill_at if plans[scheme][0] is not None else math.inf,
+            window=dip_window,
+            horizon=kill_at + downtime + dip_window,
+        )
+        faults_stats = report.faults
+        scopes = tenant_scopes(report)
+        violations = sum(
+            1
+            for tenant, scope in scopes[1:]
+            if not math.isnan(scope.slo_attainment)
+            and scope.slo_attainment < MIX_FLOORS.get(tenant, 0.0)
+        )
+        for tenant, scope in scopes:
+            rows.append(
+                {
+                    "scheme": scheme,
+                    "tenant": tenant,
+                    "model": models[tenant].name if tenant != "all" else "mixed",
+                    "chips": MIX_NUM_CHIPS,
+                    "requests": len(scope.completed),
+                    "completed": scope.total_completed,
+                    "shed": scope.shed,
+                    "slo_met": scope.slo_met,
+                    "tokens": scope.total_tokens,
+                    "requeued": scope.faults.requeued,
+                    "migrations": scope.migrations,
+                    "lost_tokens": scope.faults.lost_tokens,
+                    "chip_deaths": (
+                        faults_stats.chip_deaths if tenant == "all" else 0
+                    ),
+                    "failovers": faults_stats.failovers if tenant == "all" else 0,
+                    "retry_drops": (
+                        faults_stats.retry_drops if tenant == "all" else 0
+                    ),
+                    "brownout_sheds": (
+                        faults_stats.brownout_sheds if tenant == "all" else 0
+                    ),
+                    "degraded_sheds": (
+                        faults_stats.degraded_sheds if tenant == "all" else 0
+                    ),
+                    "goodput_rps": scope.goodput,
+                    "slo_attainment": attainment(scope),
+                    "fairness_floor": MIX_FLOORS.get(tenant, 0.0),
+                    "floor_violations": violations if tenant == "all" else None,
+                    "pre_fault_goodput_rps": pre_fault if tenant == "all" else None,
+                    "dip_depth": dip_depth if tenant == "all" else None,
+                    "recovery_ms": recovery_ms if tenant == "all" else None,
+                    "warm_compiles": warm_misses[scheme],
+                    "recompiles": report.cache.misses,
+                    "restart_compile_s": (
+                        faults_stats.restart_compile_seconds
+                        if tenant == "all"
+                        else 0.0
+                    ),
+                    "placements": digests[scheme] if tenant == "all" else "",
+                    "jobs2_identical": (
+                        jobs2_identical
+                        if scheme == SCHEME_HEALTH and tenant == "all"
+                        else None
+                    ),
+                }
             )
-            faults_stats = report.faults
-            scopes = tenant_scopes(report)
-            violations = sum(
-                1
-                for tenant, scope in scopes[1:]
-                if not math.isnan(scope.slo_attainment)
-                and scope.slo_attainment < MIX_FLOORS.get(tenant, 0.0)
-            )
-            for tenant, scope in scopes:
-                rows.append(
-                    {
-                        "scheme": scheme,
-                        "tenant": tenant,
-                        "model": models[tenant].name if tenant != "all" else "mixed",
-                        "chips": MIX_NUM_CHIPS,
-                        "requests": len(scope.completed),
-                        "completed": scope.total_completed,
-                        "shed": scope.shed,
-                        "slo_met": scope.slo_met,
-                        "tokens": scope.total_tokens,
-                        "requeued": scope.faults.requeued,
-                        "migrations": scope.migrations,
-                        "lost_tokens": scope.faults.lost_tokens,
-                        "chip_deaths": (
-                            faults_stats.chip_deaths if tenant == "all" else 0
-                        ),
-                        "failovers": faults_stats.failovers if tenant == "all" else 0,
-                        "retry_drops": (
-                            faults_stats.retry_drops if tenant == "all" else 0
-                        ),
-                        "brownout_sheds": (
-                            faults_stats.brownout_sheds if tenant == "all" else 0
-                        ),
-                        "degraded_sheds": (
-                            faults_stats.degraded_sheds if tenant == "all" else 0
-                        ),
-                        "goodput_rps": scope.goodput,
-                        "slo_attainment": attainment(scope),
-                        "fairness_floor": MIX_FLOORS.get(tenant, 0.0),
-                        "floor_violations": violations if tenant == "all" else None,
-                        "pre_fault_goodput_rps": pre_fault if tenant == "all" else None,
-                        "dip_depth": dip_depth if tenant == "all" else None,
-                        "recovery_ms": recovery_ms if tenant == "all" else None,
-                        "warm_compiles": warm_misses[scheme],
-                        "recompiles": report.cache.misses,
-                        "restart_compile_s": (
-                            faults_stats.restart_compile_seconds
-                            if tenant == "all"
-                            else 0.0
-                        ),
-                        "placements": digests[scheme] if tenant == "all" else "",
-                        "jobs2_identical": (
-                            jobs2_identical
-                            if scheme == SCHEME_HEALTH and tenant == "all"
-                            else None
-                        ),
-                    }
-                )
-    finally:
-        cache.close()
     return rows
 
 

@@ -132,159 +132,156 @@ def run(*, quick: bool = False, jobs: int = 1) -> list[dict]:
 
     cache = PlanCache(jobs=jobs)
     rows: list[dict] = []
-    try:
-        engines = {scheme: build_engine(cache) for scheme in SCHEMES}
-        warm_misses = {scheme: warm(cache, engine).misses for scheme, engine in engines.items()}
+    engines = {scheme: build_engine(cache) for scheme in SCHEMES}
+    warm_misses = {scheme: warm(cache, engine).misses for scheme, engine in engines.items()}
 
-        # Time and load units come from the priced cost model: ``unit`` is
-        # the batch-1 iteration latency, ``replica_rate`` one replica's
-        # sustained full-batch capacity for the mean request shape.
-        reference = engines[SCHEME_FORECAST]
-        unit = reference.iteration_latency(model, 1)
-        mean_iterations = deployment.ideal_iterations(MEAN_PROMPT, MEAN_OUTPUT)
-        replica_rate = deployment.max_batch_size / (
-            mean_iterations * reference.iteration_latency(model, deployment.max_batch_size)
-        )
-        interval = INTERVAL_ITERATIONS * unit
-        provision_delay = PROVISION_DELAY_INTERVALS * interval
-        horizon = HORIZON_INTERVALS * interval
-        slo_seconds = lambda prompt, output: (  # noqa: E731
-            SLO_FACTOR * deployment.ideal_iterations(prompt, output) * unit
-        )
-        shared = dict(
-            prompt_tokens=PROMPT_TOKENS,
-            output_tokens=OUTPUT_TOKENS,
-            interactive_fraction=0.9,
-            slo_seconds=slo_seconds,
-        )
-        workload = merge_decode_workloads(
-            diurnal_workload(
-                model,
-                base_rate=0.9 * replica_rate,
-                period=0.6 * horizon,
-                amplitude=0.7,
-                duration=horizon,
-                seed=SEED + 1,
-                tenant="steady",
-                **shared,
-            ),
-            bursty_workload(
-                model,
-                quiet_rate=0.15 * replica_rate,
-                burst_rate=2.2 * replica_rate,
-                mean_quiet=20 * interval,
-                mean_burst=7 * interval,
-                duration=horizon,
-                seed=SEED + 2,
-                tenant="spiky",
-                **shared,
-            ),
-            flash_crowd_workload(
-                model,
-                base_rate=0.15 * replica_rate,
-                start=0.3 * horizon,
-                ramp=12 * interval,
-                hold=12 * interval,
-                decay=8 * interval,
-                peak_multiplier=16.0,
-                duration=horizon,
-                seed=SEED + 3,
-                tenant="flash",
-                **shared,
-            ),
-        )
+    # Time and load units come from the priced cost model: ``unit`` is
+    # the batch-1 iteration latency, ``replica_rate`` one replica's
+    # sustained full-batch capacity for the mean request shape.
+    reference = engines[SCHEME_FORECAST]
+    unit = reference.iteration_latency(model, 1)
+    mean_iterations = deployment.ideal_iterations(MEAN_PROMPT, MEAN_OUTPUT)
+    replica_rate = deployment.max_batch_size / (
+        mean_iterations * reference.iteration_latency(model, deployment.max_batch_size)
+    )
+    interval = INTERVAL_ITERATIONS * unit
+    provision_delay = PROVISION_DELAY_INTERVALS * interval
+    horizon = HORIZON_INTERVALS * interval
+    slo_seconds = lambda prompt, output: (  # noqa: E731
+        SLO_FACTOR * deployment.ideal_iterations(prompt, output) * unit
+    )
+    shared = dict(
+        prompt_tokens=PROMPT_TOKENS,
+        output_tokens=OUTPUT_TOKENS,
+        interactive_fraction=0.9,
+        slo_seconds=slo_seconds,
+    )
+    workload = merge_decode_workloads(
+        diurnal_workload(
+            model,
+            base_rate=0.9 * replica_rate,
+            period=0.6 * horizon,
+            amplitude=0.7,
+            duration=horizon,
+            seed=SEED + 1,
+            tenant="steady",
+            **shared,
+        ),
+        bursty_workload(
+            model,
+            quiet_rate=0.15 * replica_rate,
+            burst_rate=2.2 * replica_rate,
+            mean_quiet=20 * interval,
+            mean_burst=7 * interval,
+            duration=horizon,
+            seed=SEED + 2,
+            tenant="spiky",
+            **shared,
+        ),
+        flash_crowd_workload(
+            model,
+            base_rate=0.15 * replica_rate,
+            start=0.3 * horizon,
+            ramp=12 * interval,
+            hold=12 * interval,
+            decay=8 * interval,
+            peak_multiplier=16.0,
+            duration=horizon,
+            seed=SEED + 3,
+            tenant="flash",
+            **shared,
+        ),
+    )
 
-        shapes = {
-            model: TrafficShape(
-                mean_prompt=MEAN_PROMPT,
-                mean_output=MEAN_OUTPUT,
-                slo_seconds=SLO_FACTOR * mean_iterations * unit,
+    shapes = {
+        model: TrafficShape(
+            mean_prompt=MEAN_PROMPT,
+            mean_output=MEAN_OUTPUT,
+            slo_seconds=SLO_FACTOR * mean_iterations * unit,
+        )
+    }
+
+    def make_scaler(scheme: str, engine: FleetEngine) -> FleetScaler | None:
+        """Fresh per run: forecasters carry state across ticks."""
+        if scheme == SCHEME_REACTIVE:
+            return ReactiveScaler(
+                interval=interval,
+                provision_delay=provision_delay,
+                scale_up_queue=deployment.max_batch_size,
             )
-        }
-
-        def make_scaler(scheme: str, engine: FleetEngine) -> FleetScaler | None:
-            """Fresh per run: forecasters carry state across ticks."""
-            if scheme == SCHEME_REACTIVE:
-                return ReactiveScaler(
-                    interval=interval,
-                    provision_delay=provision_delay,
-                    scale_up_queue=deployment.max_batch_size,
-                )
-            if scheme == SCHEME_FORECAST:
-                return ForecastScaler(
-                    BlueprintPlanner.for_engine(engine, headroom=HEADROOM),
-                    shapes,
-                    interval=interval,
-                    provision_delay=provision_delay,
-                    make_forecaster=lambda: LinearTrendForecaster(window=FORECAST_WINDOW),
-                )
-            return None
-
-        digests: dict[str, str] = {}
-        reports: dict[str, ContinuousReport] = {}
-        for scheme in SCHEMES:
-            engine = engines[scheme]
-            reports[scheme] = checked(
-                engine.run(workload, scaler=make_scaler(scheme, engine)), workload
+        if scheme == SCHEME_FORECAST:
+            return ForecastScaler(
+                BlueprintPlanner.for_engine(engine, headroom=HEADROOM),
+                shapes,
+                interval=interval,
+                provision_delay=provision_delay,
+                make_forecaster=lambda: LinearTrendForecaster(window=FORECAST_WINDOW),
             )
-            digests[scheme] = placement_digest(reports[scheme])
-        # Bit-identity across compile parallelism: a fresh engine on a cold
-        # jobs=2 cache (and a fresh scaler) must reproduce every placement
-        # of the forecast scheme.
-        jobs2_identical = identical_at_jobs2(
-            build_engine,
-            lambda engine: engine.run(
-                workload, scaler=make_scaler(SCHEME_FORECAST, engine)
-            ),
-            digests[SCHEME_FORECAST],
-        )
+        return None
 
-        for scheme in SCHEMES:
-            report = reports[scheme]
-            for tenant, scope in tenant_scopes(report):
-                rows.append(
-                    {
-                        "scheme": scheme,
-                        "tenant": tenant,
-                        "model": model,
-                        "chips": NUM_CHIPS,
-                        "requests": len(scope.completed),
-                        "completed": scope.total_completed,
-                        "shed": scope.shed,
-                        "slo_met": scope.slo_met,
-                        "tokens": scope.total_tokens,
-                        "provision_ups": report.provision_ups if tenant == "all" else 0,
-                        "provision_downs": (
-                            report.provision_downs if tenant == "all" else 0
-                        ),
-                        "peak_provisioned": (
-                            report.peak_provisioned_chips if tenant == "all" else 0
-                        ),
-                        "provisioned_chip_seconds": (
-                            report.provisioned_chip_seconds if tenant == "all" else 0.0
-                        ),
-                        "goodput_rps": scope.goodput,
-                        # Per-tenant slices zero fleet-level resource
-                        # integrals, so every row normalises its slo_met by
-                        # the *fleet's* paid chip-seconds.
-                        "goodput_per_chip": (
-                            scope.slo_met / report.provisioned_chip_seconds
-                            if report.provisioned_chip_seconds > 0
-                            else 0.0
-                        ),
-                        "slo_attainment": attainment(scope),
-                        "warm_compiles": warm_misses[scheme],
-                        "recompiles": report.cache.misses,
-                        "placements": digests[scheme] if tenant == "all" else "",
-                        "jobs2_identical": (
-                            jobs2_identical
-                            if tenant == "all" and scheme == SCHEME_FORECAST
-                            else None
-                        ),
-                    }
-                )
-    finally:
-        cache.close()
+    digests: dict[str, str] = {}
+    reports: dict[str, ContinuousReport] = {}
+    for scheme in SCHEMES:
+        engine = engines[scheme]
+        reports[scheme] = checked(
+            engine.run(workload, scaler=make_scaler(scheme, engine)), workload
+        )
+        digests[scheme] = placement_digest(reports[scheme])
+    # Bit-identity across compile parallelism: a fresh engine on a cold
+    # jobs=2 cache (and a fresh scaler) must reproduce every placement
+    # of the forecast scheme.
+    jobs2_identical = identical_at_jobs2(
+        build_engine,
+        lambda engine: engine.run(
+            workload, scaler=make_scaler(SCHEME_FORECAST, engine)
+        ),
+        digests[SCHEME_FORECAST],
+    )
+
+    for scheme in SCHEMES:
+        report = reports[scheme]
+        for tenant, scope in tenant_scopes(report):
+            rows.append(
+                {
+                    "scheme": scheme,
+                    "tenant": tenant,
+                    "model": model,
+                    "chips": NUM_CHIPS,
+                    "requests": len(scope.completed),
+                    "completed": scope.total_completed,
+                    "shed": scope.shed,
+                    "slo_met": scope.slo_met,
+                    "tokens": scope.total_tokens,
+                    "provision_ups": report.provision_ups if tenant == "all" else 0,
+                    "provision_downs": (
+                        report.provision_downs if tenant == "all" else 0
+                    ),
+                    "peak_provisioned": (
+                        report.peak_provisioned_chips if tenant == "all" else 0
+                    ),
+                    "provisioned_chip_seconds": (
+                        report.provisioned_chip_seconds if tenant == "all" else 0.0
+                    ),
+                    "goodput_rps": scope.goodput,
+                    # Per-tenant slices zero fleet-level resource
+                    # integrals, so every row normalises its slo_met by
+                    # the *fleet's* paid chip-seconds.
+                    "goodput_per_chip": (
+                        scope.slo_met / report.provisioned_chip_seconds
+                        if report.provisioned_chip_seconds > 0
+                        else 0.0
+                    ),
+                    "slo_attainment": attainment(scope),
+                    "warm_compiles": warm_misses[scheme],
+                    "recompiles": report.cache.misses,
+                    "placements": digests[scheme] if tenant == "all" else "",
+                    "jobs2_identical": (
+                        jobs2_identical
+                        if tenant == "all" and scheme == SCHEME_FORECAST
+                        else None
+                    ),
+                }
+            )
     return rows
 
 

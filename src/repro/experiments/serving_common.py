@@ -145,13 +145,10 @@ def identical_at_jobs2(
     events go to a throwaway tracer instead of the figure's lanes.
     """
     cache = PlanCache(jobs=2)
-    try:
-        with use_tracer(Tracer()):
-            engine = build(cache)
-            engine.warm()
-            return placement_digest(replay(engine)) == digest
-    finally:
-        cache.close()
+    with use_tracer(Tracer()):
+        engine = build(cache)
+        engine.warm()
+        return placement_digest(replay(engine)) == digest
 
 
 def tenant_scopes(report: ContinuousReport) -> list[tuple[str, ContinuousReport]]:

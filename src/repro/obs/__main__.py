@@ -23,6 +23,11 @@ from repro.obs.trace import disabled_overhead_ns
 
 
 def _cmd_summary(args: argparse.Namespace) -> int:
+    if not args.path.endswith(".jsonl"):
+        # ``--trace OUT`` writes Chrome-trace JSON unless OUT ends in .jsonl.
+        args.usage_error(
+            f"{args.path} is not a JSONL event log; record one with --trace OUT.jsonl"
+        )
     events, metrics = read_jsonl(args.path)
     print(summarize(events, metrics))
     return 0
@@ -50,7 +55,7 @@ def main(argv: list[str] | None = None) -> int:
 
     summary = sub.add_parser("summary", help="summarize a JSONL event log")
     summary.add_argument("path", help="JSONL event log written by --trace OUT.jsonl")
-    summary.set_defaults(fn=_cmd_summary)
+    summary.set_defaults(fn=_cmd_summary, usage_error=summary.error)
 
     overhead = sub.add_parser("overhead", help="measure disabled-tracer per-call cost")
     overhead.add_argument("--iterations", type=int, default=200_000)

@@ -404,7 +404,6 @@ class _DecodeEngineBase:
             )
         self._deployments = {deployment.name: deployment for deployment in deployments}
         self.num_chips = num_chips
-        self._owns_cache = plan_cache is None
         cache = plan_cache if plan_cache is not None else PlanCache(cache_dir, jobs=jobs)
         self.pool = WorkerPool(
             chip,
@@ -437,11 +436,6 @@ class _DecodeEngineBase:
     def deployments(self) -> tuple[DecodeModel, ...]:
         """The served models, in declaration order."""
         return tuple(self._deployments.values())
-
-    def close(self) -> None:
-        """Release compiler worker pools held by the engine's own cache."""
-        if self._owns_cache:
-            self.plan_cache.close()
 
     def _graph(self, model: str, bucket: int) -> OperatorGraph:
         key = (model, bucket)

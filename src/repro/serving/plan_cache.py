@@ -13,9 +13,9 @@ tiers:
 * an optional **on-disk tier** (one pickle per program) surviving process
   restarts, so a redeployed server never recompiles either.
 
-All entry points are thread-safe: the worker pool compiles from several
-threads, and a :class:`~repro.core.parallel.SingleFlight` guard guarantees a
-program is compiled at most once even when many threads miss on the same key
+All entry points are thread-safe: a
+:class:`~repro.core.parallel.SingleFlight` guard guarantees a program is
+compiled at most once even when many threads miss on the same key
 simultaneously.
 """
 
@@ -24,7 +24,6 @@ from __future__ import annotations
 import pickle
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -161,7 +160,7 @@ class PlanCache:
         """``jobs`` is forwarded to compilers the cache builds itself (the
         default factory); a custom ``compiler_factory`` decides its own
         parallelism.  Compilers are memoised per (chip, constraints) so one
-        worker pool and one intra-op plan cache serve all misses.
+        intra-op plan cache serves all misses.
         """
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
         if self.cache_dir is not None:
@@ -197,8 +196,6 @@ class PlanCache:
             built = self._compiler_factory(chip, constraints)
             with self._lock:
                 compiler = self._compilers.setdefault(key, built)
-            if compiler is not built and hasattr(built, "close"):
-                built.close()  # lost the race; don't leak its worker pool
         return compiler
 
     # ------------------------------------------------------------------ #
@@ -256,11 +253,10 @@ class PlanCache:
         return path is not None and path.exists()
 
     def close(self) -> None:
-        """Release the worker pools of memoised compilers (idempotent)."""
+        """Forget the memoised compilers and their intra-op search caches
+        (idempotent); compiled programs stay cached."""
         with self._lock:
-            compilers, self._compilers = list(self._compilers.values()), {}
-        for compiler in compilers:
-            compiler.close()
+            self._compilers.clear()
 
     def evict_scope(self, prefix: str) -> int:
         """Drop every entry cached under scope ``prefix`` (both tiers).
@@ -425,20 +421,3 @@ class PlanCache:
         if tracer.enabled:
             self._trace_lookup(tracer, followed, start, waited=True)
         return followed
-
-    def warm(
-        self,
-        graphs: list[OperatorGraph],
-        chip: ChipSpec,
-        constraints: SearchConstraints = DEFAULT_CONSTRAINTS,
-        *,
-        max_workers: int | None = None,
-    ) -> list[CacheLookup]:
-        """Precompile ``graphs`` concurrently (exercises the thread-safe path)."""
-        if not graphs:
-            return []
-        workers = max_workers or min(8, len(graphs))
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(
-                pool.map(lambda g: self.get_or_compile(g, chip, constraints), graphs)
-            )

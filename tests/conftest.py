@@ -17,7 +17,7 @@ from repro.runtime import Executor
 
 #: Parallel-compilation width for the shared compiler fixture.  CI runs a
 #: second matrix leg with ``REPRO_TEST_JOBS=4`` so the compiles going through
-#: ``small_compiler`` exercise the worker-pool path (results are identical by
+#: ``small_compiler`` exercise the forked-worker path (results are identical by
 #: design; see docs/testing.md).  Tests building their own compilers choose
 #: their own width.
 TEST_JOBS = int(os.environ.get("REPRO_TEST_JOBS", "1"))
@@ -89,13 +89,12 @@ def fast_constraints() -> SearchConstraints:
 @pytest.fixture()
 def small_compiler(small_chip, small_cost_model, fast_constraints) -> T10Compiler:
     """A T10 compiler bound to the small test chip."""
-    with T10Compiler(
+    return T10Compiler(
         small_chip,
         cost_model=small_cost_model,
         constraints=fast_constraints,
         jobs=TEST_JOBS,
-    ) as compiler:
-        yield compiler
+    )
 
 
 @pytest.fixture()

@@ -55,19 +55,18 @@ def heavy_chain(num_layers: int = 8, *, width: int = 1024) -> OperatorGraph:
 
 
 #: Like tests/conftest.py's TEST_JOBS: CI's multi-chip leg sets this to 2 so
-#: stage compiles exercise the parallel engine's worker-pool path.
+#: stage compiles exercise the parallel engine's forked-worker path.
 TEST_JOBS = int(os.environ.get("REPRO_TEST_JOBS", "1"))
 
 
 @pytest.fixture()
 def sharded_compiler(small_chip, small_cost_model, fast_constraints):
-    with ShardedCompiler(
+    return ShardedCompiler(
         small_chip,
         cost_model=small_cost_model,
         constraints=fast_constraints,
         jobs=TEST_JOBS,
-    ) as compiler:
-        yield compiler
+    )
 
 
 # --------------------------------------------------------------------------- #

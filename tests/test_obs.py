@@ -45,6 +45,7 @@ from repro.obs import (
     write_chrome_trace,
     write_jsonl,
 )
+from repro.obs.__main__ import main as obs_main
 from repro.serving import StaticEngine, decode_workload
 
 from test_continuous import make_engine, make_model, request
@@ -350,6 +351,20 @@ class TestJsonlExport:
         assert "eng/chip0" in text
         assert "cache.hits" in text
         assert "metrics:" in text
+
+    def test_summary_cli_reads_a_jsonl_log(self, tmp_path, capsys):
+        path = write_jsonl(sample_tracer(), tmp_path / "trace.jsonl")
+        assert obs_main(["summary", str(path)]) == 0
+        assert "eng/chip0" in capsys.readouterr().out
+
+    def test_summary_cli_rejects_a_chrome_export(self, tmp_path, capsys):
+        path = write_chrome_trace(sample_tracer(), tmp_path / "trace.json")
+        with pytest.raises(SystemExit) as exited:
+            obs_main(["summary", str(path)])
+        assert exited.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err
+        assert "--trace OUT.jsonl" in err
 
     def test_summary_totals_spans_by_name(self):
         tracer = sample_tracer()

@@ -3,9 +3,9 @@
 The engine's contract is *bit-for-bit determinism*: for any graph, chip and
 constraint setting, ``jobs=N`` must produce exactly the serial compile's
 frontiers, schedule, program and error behaviour.  These tests check that
-contract on every registry model (quick mode), on both pool backends, and on
-the failure paths, plus the SingleFlight semantics the serving cache relies
-on.
+contract on every registry model (quick mode), on both fan-out paths (forked
+workers and inline), and on the failure paths, plus the SingleFlight
+semantics the serving cache relies on.
 """
 
 from __future__ import annotations
@@ -28,24 +28,33 @@ from repro.core import (
 )
 from repro.core import parallel
 from repro.core.intra_op import IntraOpOptimizer
-from repro.core.parallel import BACKENDS
 from repro.experiments.common import build_workload
 from repro.hw.spec import ChipSpec, KiB
 from repro.ir import OperatorGraph, elementwise, matmul
 from repro.models import list_models
+from repro.obs import Tracer, use_tracer
 
 
-def compile_pair(chip, cost_model, graph, *, jobs, backend="auto"):
+def compile_pair(chip, cost_model, graph, *, jobs):
     """Compile ``graph`` serially and with ``jobs`` workers; return both."""
     serial = T10Compiler(chip, cost_model=cost_model, constraints=FAST_CONSTRAINTS)
-    with T10Compiler(
-        chip,
-        cost_model=cost_model,
-        constraints=FAST_CONSTRAINTS,
-        jobs=jobs,
-        parallel_backend=backend,
-    ) as parallel:
-        return serial.compile(graph), parallel.compile(graph)
+    parallel = T10Compiler(
+        chip, cost_model=cost_model, constraints=FAST_CONSTRAINTS, jobs=jobs
+    )
+    return serial.compile(graph), parallel.compile(graph)
+
+
+def compile_traced(compiler, graph):
+    """Compile ``graph``; return the result and each fan-out's ``path``."""
+    tracer = Tracer()
+    with use_tracer(tracer):
+        compiled = compiler.compile(graph)
+    paths = [
+        dict(event.args)["path"]
+        for event in tracer.events()
+        if event.name == "search-fan-out"
+    ]
+    return compiled, paths
 
 
 def assert_identical(serial, parallel):
@@ -69,13 +78,31 @@ class TestDeterminism:
         serial, parallel = compile_pair(ipu_chip, ipu_cost_model, graph, jobs=4)
         assert_identical(serial, parallel)
 
-    @pytest.mark.parametrize("backend", ["process", "thread"])
-    def test_backends_agree(self, small_chip, small_cost_model, backend):
+    @pytest.mark.parametrize(
+        "other_thread", [False, True], ids=["fork-safe", "another-thread-alive"]
+    )
+    def test_fan_out_paths_agree(self, small_chip, small_cost_model, other_thread):
+        """Forked workers, and the inline search a live thread falls back
+        to, both compile exactly what the serial compiler does."""
         graph = build_workload("nerf", 1, quick=True)
-        serial, parallel = compile_pair(
-            small_chip, small_cost_model, graph, jobs=3, backend=backend
+        serial = T10Compiler(
+            small_chip, cost_model=small_cost_model, constraints=FAST_CONSTRAINTS
+        ).compile(graph)
+        compiler = T10Compiler(
+            small_chip, cost_model=small_cost_model, constraints=FAST_CONSTRAINTS, jobs=3
         )
-        assert_identical(serial, parallel)
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        if other_thread:
+            other.start()
+        try:
+            compiled, paths = compile_traced(compiler, graph)
+        finally:
+            release.set()
+            if other_thread:
+                other.join()
+        assert paths == ["inline" if other_thread else "process"]
+        assert_identical(serial, compiled)
 
     def test_oom_failure_is_identical(self, small_cost_model):
         """Infeasible graphs produce the same diagnosis, serial or parallel."""
@@ -102,9 +129,7 @@ class TestDeterminism:
             "huge",
             "wide",
         ]
-        serial, compiled = compile_pair(
-            cramped_chip(), small_cost_model, graph, jobs=2, backend="process"
-        )
+        serial, compiled = compile_pair(cramped_chip(), small_cost_model, graph, jobs=2)
         assert serial.status == "oom"
         assert "wide" in serial.error
         assert_identical(serial, compiled)
@@ -138,15 +163,11 @@ class TestStreamingMatchesReference:
         serial = T10Compiler(
             ipu_chip, cost_model=ipu_cost_model, constraints=FAST_CONSTRAINTS
         )
-        with T10Compiler(
-            ipu_chip,
-            cost_model=ipu_cost_model,
-            constraints=FAST_CONSTRAINTS,
-            jobs=2,
-            parallel_backend="thread",
-        ) as two_jobs:
-            serial_result = serial.engine.search_graph(graph, serial.intra_op)
-            parallel_result = two_jobs.engine.search_graph(graph, two_jobs.intra_op)
+        two_jobs = T10Compiler(
+            ipu_chip, cost_model=ipu_cost_model, constraints=FAST_CONSTRAINTS, jobs=2
+        )
+        serial_result = serial.engine.search_graph(graph, serial.intra_op)
+        parallel_result = two_jobs.engine.search_graph(graph, two_jobs.intra_op)
         assert parallel_result.pareto == serial_result.pareto
         assert parallel_result.stats == serial_result.stats
         assert parallel_result.error == serial_result.error
@@ -227,24 +248,10 @@ class TestEngine:
         with pytest.raises(ValueError):
             resolve_jobs(0)
 
-    def test_unknown_backend_rejected(self, small_chip, small_cost_model):
-        assert "auto" in BACKENDS
-        with pytest.raises(ValueError):
-            ParallelCompilationEngine(
-                small_chip,
-                small_cost_model,
-                FAST_CONSTRAINTS,
-                jobs=2,
-                backend="gpu",
-            )
-
     def test_close_is_idempotent(self, small_chip, small_cost_model, fast_constraints):
+        """``T10Compiler.close`` releases nothing; calling it twice is harmless."""
         compiler = T10Compiler(
-            small_chip,
-            cost_model=small_cost_model,
-            constraints=fast_constraints,
-            jobs=2,
-            parallel_backend="thread",
+            small_chip, cost_model=small_cost_model, constraints=fast_constraints, jobs=2
         )
         graph = OperatorGraph(name="g")
         graph.add(matmul("a", m=128, k=64, n=128))
@@ -252,12 +259,10 @@ class TestEngine:
         assert compiler.compile(graph).ok
         compiler.close()
         compiler.close()
+        assert compiler.compile(graph).ok
 
     def test_compiler_jobs_property(self, small_chip, small_cost_model):
-        with T10Compiler(
-            small_chip, cost_model=small_cost_model, jobs=2, parallel_backend="thread"
-        ) as compiler:
-            assert compiler.jobs == 2
+        assert T10Compiler(small_chip, cost_model=small_cost_model, jobs=2).jobs == 2
 
 
 def distinct_matmuls(name: str, count: int, first: int = 1) -> OperatorGraph:
@@ -303,15 +308,11 @@ class TestProcessWorkers:
     def test_a_fan_out_pins_its_workers_to_distinct_cpus(
         self, small_chip, small_cost_model, fast_constraints
     ):
-        with T10Compiler(
-            small_chip,
-            cost_model=small_cost_model,
-            constraints=fast_constraints,
-            jobs=2,
-            parallel_backend="process",
-        ) as compiler:
-            assert compiler.compile(distinct_matmuls("pinned", 4)).ok
-            token = compiler.engine._token
+        compiler = T10Compiler(
+            small_chip, cost_model=small_cost_model, constraints=fast_constraints, jobs=2
+        )
+        assert compiler.compile(distinct_matmuls("pinned", 4)).ok
+        token = compiler.engine._token
         used = [worker for worker in parallel._WORKERS._all if worker.token == token]
         assert used
         cpus = parallel._allowed_cpus()
@@ -332,14 +333,10 @@ class TestProcessWorkers:
         ).compile(graph)
         pids = []
         for _ in range(2):
-            with T10Compiler(
-                small_chip,
-                cost_model=small_cost_model,
-                constraints=fast_constraints,
-                jobs=2,
-                parallel_backend="process",
-            ) as compiler:
-                assert_identical(serial, compiler.compile(graph))
+            compiler = T10Compiler(
+                small_chip, cost_model=small_cost_model, constraints=fast_constraints, jobs=2
+            )
+            assert_identical(serial, compiler.compile(graph))
             pids.append(sorted(worker.process.pid for worker in parallel._WORKERS._all))
         assert len(pids[0]) >= 2
         assert pids[1] == pids[0]
@@ -348,31 +345,22 @@ class TestProcessWorkers:
         self, small_chip, small_cost_model, fast_constraints
     ):
         graph = distinct_matmuls("window", 4)
-        with T10Compiler(
-            small_chip,
-            cost_model=small_cost_model,
-            constraints=fast_constraints,
-            jobs=4,
-            parallel_backend="process",
-        ) as wide:
-            wide.compile(graph)
+        T10Compiler(
+            small_chip, cost_model=small_cost_model, constraints=fast_constraints, jobs=4
+        ).compile(graph)
         assert len(parallel._WORKERS._all) >= 4
-        with T10Compiler(
-            small_chip,
-            cost_model=small_cost_model,
-            constraints=fast_constraints,
-            jobs=2,
-            parallel_backend="process",
-        ) as narrow:
-            assert narrow.compile(distinct_matmuls("narrow", 4)).ok
-            token = narrow.engine._token
+        narrow = T10Compiler(
+            small_chip, cost_model=small_cost_model, constraints=fast_constraints, jobs=2
+        )
+        assert narrow.compile(distinct_matmuls("narrow", 4)).ok
+        token = narrow.engine._token
         used = [worker for worker in parallel._WORKERS._all if worker.token == token]
         assert 1 <= len(used) <= 2
 
     def test_auto_engine_does_not_fork_beside_other_threads(
         self, small_chip, small_cost_model, fast_constraints
     ):
-        """An engine that resolved to processes searches inline once other
+        """An engine that forked for one compile searches inline once other
         threads run and no worker is idle, rather than forking then."""
         compiler = T10Compiler(
             small_chip,
@@ -380,8 +368,9 @@ class TestProcessWorkers:
             constraints=fast_constraints,
             jobs=2,
         )
-        assert compiler.compile(distinct_matmuls("first", 2)).ok
-        assert compiler.engine._pool_kind() == "process"
+        first, paths = compile_traced(compiler, distinct_matmuls("first", 2))
+        assert first.ok
+        assert paths == ["process"]
         graph = distinct_matmuls("second", 3, first=3)
         serial = T10Compiler(
             small_chip, cost_model=small_cost_model, constraints=fast_constraints
@@ -392,15 +381,16 @@ class TestProcessWorkers:
         other = threading.Thread(target=release.wait)
         other.start()
         try:
-            compiled = compiler.compile(graph)
+            compiled, paths = compile_traced(compiler, graph)
         finally:
             release.set()
             other.join()
             parallel._WORKERS.checkin(held)
+        assert paths == ["inline"]
         assert len(parallel._WORKERS._all) == forked
         assert_identical(serial, compiled)
 
-    def test_a_setup_that_does_not_pickle_fans_out_over_threads(
+    def test_a_setup_that_does_not_pickle_searches_inline(
         self, small_chip, small_cost_model, fast_constraints
     ):
         cost_model = copy.deepcopy(small_cost_model)
@@ -409,23 +399,24 @@ class TestProcessWorkers:
         serial = T10Compiler(
             small_chip, cost_model=cost_model, constraints=fast_constraints
         ).compile(graph)
-        with T10Compiler(
-            small_chip,
-            cost_model=cost_model,
-            constraints=fast_constraints,
-            jobs=2,
-            parallel_backend="process",
-        ) as compiler:
-            assert_identical(serial, compiler.compile(graph))
-            assert compiler.engine._pool_kind() == "thread"
+        compiler = T10Compiler(
+            small_chip, cost_model=cost_model, constraints=fast_constraints, jobs=2
+        )
+        forked = len(parallel._WORKERS._all)
+        compiled, paths = compile_traced(compiler, graph)
+        assert paths == ["inline"]
+        assert len(parallel._WORKERS._all) == forked
+        assert all(
+            worker.token != compiler.engine._token for worker in parallel._WORKERS._all
+        )
+        assert_identical(serial, compiled)
 
     def test_a_worker_error_is_raised_and_the_workers_kept(
         self, small_chip, small_cost_model, fast_constraints
     ):
         engine = ParallelCompilationEngine(
-            small_chip, small_cost_model, fast_constraints, jobs=2, backend="process"
+            small_chip, small_cost_model, fast_constraints, jobs=2
         )
-        assert engine._pool_kind() == "process"
         intra_op = IntraOpOptimizer(small_chip, small_cost_model, fast_constraints)
         pending = {("a",): _FailOnArrival(), ("b",): _FailOnArrival()}
         with pytest.raises(RuntimeError, match="task could not be read"):
@@ -439,9 +430,8 @@ class TestProcessWorkers:
         self, small_chip, small_cost_model, fast_constraints
     ):
         engine = ParallelCompilationEngine(
-            small_chip, small_cost_model, fast_constraints, jobs=2, backend="process"
+            small_chip, small_cost_model, fast_constraints, jobs=2
         )
-        assert engine._pool_kind() == "process"
         intra_op = IntraOpOptimizer(small_chip, small_cost_model, fast_constraints)
         pending = {("a",): _ExitOnArrival(), ("b",): _ExitOnArrival()}
         with pytest.raises(BrokenProcessPool):
@@ -449,9 +439,7 @@ class TestProcessWorkers:
         assert all(worker.process.is_alive() for worker in parallel._WORKERS._all)
         # Dead workers are dropped; a wider fan-out forks replacements.
         graph = distinct_matmuls("after", 4)
-        serial, compiled = compile_pair(
-            small_chip, small_cost_model, graph, jobs=4, backend="process"
-        )
+        serial, compiled = compile_pair(small_chip, small_cost_model, graph, jobs=4)
         assert_identical(serial, compiled)
         assert len(parallel._WORKERS._all) >= 4
 

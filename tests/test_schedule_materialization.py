@@ -54,14 +54,8 @@ def cost_models():
 def compile_both(chip, cost_model, graph):
     """``graph`` compiled serially and with two process workers."""
     serial = T10Compiler(chip, cost_model=cost_model, constraints=FAST_CONSTRAINTS)
-    with T10Compiler(
-        chip,
-        cost_model=cost_model,
-        constraints=FAST_CONSTRAINTS,
-        jobs=2,
-        parallel_backend="process",
-    ) as two_jobs:
-        return {"serial": serial.compile(graph), "jobs=2": two_jobs.compile(graph)}
+    two_jobs = T10Compiler(chip, cost_model=cost_model, constraints=FAST_CONSTRAINTS, jobs=2)
+    return {"serial": serial.compile(graph), "jobs=2": two_jobs.compile(graph)}
 
 
 def assert_schedule_matches_eager(compiled, chip, cost_model):

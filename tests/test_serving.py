@@ -186,8 +186,15 @@ class TestPlanCache:
 
     def test_warm_compiles_in_parallel(self, cache, small_chip, fast_constraints):
         graphs = [build_tiny(size) for size in (1, 2, 4, 8)]
-        lookups = cache.warm(graphs, small_chip, fast_constraints)
+        with ThreadPoolExecutor(max_workers=len(graphs)) as pool:
+            lookups = list(
+                pool.map(
+                    lambda graph: cache.get_or_compile(graph, small_chip, fast_constraints),
+                    graphs,
+                )
+            )
         assert [lookup.outcome for lookup in lookups] == [COMPILE] * 4
+        assert cache.stats.misses == 4
         assert len(cache) == 4
 
     def test_stats_snapshot_and_since(self, cache, small_chip, fast_constraints):
