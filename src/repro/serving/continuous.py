@@ -995,6 +995,7 @@ class _DecodeRun:
         """Drain the event heap, sweep the queues and build the report."""
         events = self.events
         replicas = self.replicas
+        traced = self.traced
         while events:
             now, kind, _, payload = heapq.heappop(events)
             self.integrate(now)
@@ -1008,12 +1009,12 @@ class _DecodeRun:
                 replica.busy = False
                 self.retire(replica, now)
                 self.start_iteration(replica, now)
-                self.after_iteration(now)
+                self.after_iteration(replica, now)
             elif kind == _EV_FAULT:
                 self.chips.handle(payload, now)
             else:
                 self.on_scale(payload, now)
-            if self.traced:
+            if traced:
                 self.sample(now)
         self.sweep()
         return self.report()
@@ -1331,7 +1332,7 @@ class _DecodeRun:
             # Iterations started inside a link-degradation window pay the
             # slowdown; windows scoped to a chip set only tax replicas backed
             # by those chips.
-            factor = self.schedule.link_factor(now, replica.chips)
+            factor = self.link_factor(replica, now)
             if factor > 1.0:
                 latency = self.degraded(replica, latency, factor)
         replica.busy = True
@@ -1397,15 +1398,15 @@ class _DecodeRun:
             args={"request": request.request_id, "lost_tokens": lost},
         )
 
-    def degraded_shed(self, now: float) -> None:
+    def degraded_shed(self, now: float) -> bool:
         """Degraded-mode admission: while any replica is dead, cap the
         best-effort backlog at ``degraded_shed_queue`` per surviving active
         replica, shedding newest-first across every queue set and parked
         request (the oldest backlog keeps its slot; interactive traffic is
-        governed by its own deadline check)."""
+        governed by its own deadline check).  Returns whether it shed."""
         watchdog = self.watchdog
         if watchdog.degraded_shed_queue is None or not self.chips.degraded:
-            return
+            return False
         cap = watchdog.degraded_shed_queue * max(1, self.counts[ACTIVE])
         unrouted = self.unrouted
         total = sum(len(queues.bq) for queues in self.queue_sets) + sum(
@@ -1439,6 +1440,7 @@ class _DecodeRun:
             dropped = True
         if dropped and self.traced:
             self.chips.sample(now)
+        return dropped
 
     def sweep(self) -> None:
         """Shed whatever is still queued, preempted or parked.
@@ -1490,8 +1492,8 @@ class _DecodeRun:
     def on_scale(self, payload: object, now: float) -> None:
         """An ``_EV_SCALE`` event (provisioning runs only)."""
 
-    def after_iteration(self, now: float) -> None:
-        """After an iteration end retired, admitted and restarted a replica."""
+    def after_iteration(self, replica: _Replica, now: float) -> None:
+        """After an iteration end retired, admitted and restarted ``replica``."""
 
     def sample(self, now: float) -> None:
         """Counter samples after each event (traced runs only)."""
@@ -1501,6 +1503,10 @@ class _DecodeRun:
 
     def on_retire(self, record: CompletedDecode, now: float) -> None:
         """A request was served (called after its record is traced)."""
+
+    def link_factor(self, replica: _Replica, now: float) -> float:
+        """How many times slower ``replica``'s links run at ``now``."""
+        return self.schedule.link_factor(now, replica.chips)
 
     def degraded(self, replica: _Replica, latency: float, factor: float) -> float:
         """``latency`` of an iteration whose links run ``factor``x slower."""

@@ -115,27 +115,43 @@ POLICY_FLEET = "fleet"
 _SCALE_TICK = object()
 
 
+#: Builds a named tuple from one tuple of all its fields, in C.
+_new = tuple.__new__
+
+
 class _ViewMemo:
     """One run's router snapshot, kept from route to route.
 
     ``states[i]`` is the routing-visible state of replica ``i`` — bound
     model, chip class, queued and resident counts, busy, health and link
     factor — when its ``views[i]`` was built; ``snapshot`` is the tuple of
-    those views.  ``health[i]`` is replica ``i``'s ``(health, link_factor)``
-    as last read, and ``stale`` the replicas whose health the run has since
-    marked for a re-read.  ``prices[i]`` maps a model to its full-batch
-    iteration latency on replica ``i``'s chip class.  ``callbacks`` holds
-    each tenant's view callbacks.
+    those views.  ``marked`` holds the replicas whose state may have changed
+    since the last route: the run marks a replica at every event that can
+    touch it (:class:`_FleetRun` lists the sites), and only marked replicas
+    are read again.  ``health[i]`` is replica ``i``'s ``(health,
+    link_factor)`` as last read, and ``stale`` the replicas whose health the
+    run has since marked for a re-read; a re-read marks the replica too.
+    ``prices[i]`` maps a model to its full-batch iteration latency on
+    replica ``i``'s chip class, and ``class_keys[i]`` is that class's
+    fingerprint (the first-touch key).  ``callbacks`` holds each tenant's
+    view callbacks.
     """
 
-    def __init__(self, size: int) -> None:
+    def __init__(self, replicas: list[_Replica]) -> None:
+        size = len(replicas)
         self.states: list[tuple | None] = [None] * size
         self.views: list[ReplicaView | None] = [None] * size
         self.snapshot: tuple[ReplicaView, ...] = ()
+        self.marked: set[int] = set(range(size))
         self.health: list[tuple[str, float]] = [(HEALTH_HEALTHY, 1.0)] * size
         self.stale: set[int] = set(range(size))
         self.prices: list[dict[str, float]] = [{} for _ in range(size)]
+        self.class_keys = [replica.chip_class.fingerprint() for replica in replicas]
         self.callbacks: dict[str, tuple] = {}
+
+    def mark_all(self) -> None:
+        """Mark every replica (the rare events that may touch any)."""
+        self.marked.update(range(len(self.views)))
 
 
 class FleetEngine(_DecodeEngineBase):
@@ -214,47 +230,50 @@ class FleetEngine(_DecodeEngineBase):
         chaos or scaler run; without it every replica reports healthy.
 
         ``memo`` carries the run's previous snapshot: ``health`` is asked
-        only for the replicas the run marked stale, a replica's
+        only for the replicas the run marked stale, only the replicas the
+        run marked since the last route are read, a replica's
         :class:`ReplicaView` is rebuilt only when its routing-visible state
-        changed since the last route, and each tenant's callbacks are built
-        once per run."""
-        states, views, healths = memo.states, memo.views, memo.health
-        if health is not None and memo.stale:
-            for position in memo.stale:
+        changed, and each tenant's callbacks are built once per run."""
+        marked, stale = memo.marked, memo.stale
+        if health is not None and stale:
+            healths = memo.health
+            for position in stale:
                 healths[position] = health(replicas[position], now)
-            memo.stale.clear()
-        changed = False
-        for position, replica in enumerate(replicas):
-            health_state, link_factor = healths[position]
-            # ReplicaView's fields after ``index``, in declaration order.
-            state = (
-                replica.model,
-                replica.chip_class.name,
-                len(replica.queues),
-                len(replica.running),
-                replica.busy,
-                health_state,
-                link_factor,
-            )
-            if state != states[position]:
-                states[position] = state
-                views[position] = ReplicaView(replica.index, *state)
-                changed = True
-        if changed:
-            memo.snapshot = tuple(views)
+            marked |= stale
+            stale.clear()
+        if marked:
+            states, views, healths = memo.states, memo.views, memo.health
+            changed = False
+            for position in marked:
+                replica = replicas[position]
+                queues = replica.queues
+                health_state, link_factor = healths[position]
+                # ReplicaView's fields after ``index``, in declaration order
+                # (``queued`` is ``len(queues)``, summed here without a call).
+                state = (
+                    replica.model,
+                    replica.chip_class.name,
+                    len(queues.iq) + len(queues.bq) + len(queues.preempted),
+                    len(replica.running),
+                    replica.busy,
+                    health_state,
+                    link_factor,
+                )
+                if state != states[position]:
+                    states[position] = state
+                    views[position] = _new(ReplicaView, (replica.index,) + state)
+                    changed = True
+            marked.clear()
+            if changed:
+                memo.snapshot = tuple(views)
         callbacks = memo.callbacks.get(tenant)
         if callbacks is None:
             callbacks = memo.callbacks[tenant] = self._view_callbacks(
                 replicas, memo.prices, tenant
             )
-        latency, ideal_iterations, max_batch = callbacks
-        return FleetView(
-            now=now,
-            replicas=memo.snapshot,
-            iteration_latency=latency,
-            ideal_iterations=ideal_iterations,
-            max_batch=max_batch,
-        )
+        # FleetView(now, replicas, iteration_latency, ideal_iterations,
+        # max_batch), built in one allocation.
+        return _new(FleetView, (now, memo.snapshot) + callbacks)
 
     def _view_callbacks(
         self, replicas: list[_Replica], prices: list[dict[str, float]], tenant: str
@@ -266,21 +285,19 @@ class FleetEngine(_DecodeEngineBase):
         deployments = self._deployments
 
         def iteration_latency(model: str, index: int) -> float:
-            row = prices[index]
-            latency = row.get(model)
-            if latency is None:
-                latency = row[model] = self._cost(
+            try:
+                return prices[index][model]
+            except KeyError:
+                latency = prices[index][model] = self._cost(
                     model, replicas[index].chip_class, deployments[model].max_batch_size, tenant
                 ).latency
-            return latency
+                return latency
 
         def ideal_iterations(model: str, prompt: int, output: int) -> int:
             return deployments[model].ideal_iterations(prompt, output)
 
-        def max_batch(model: str) -> int:
-            return deployments[model].max_batch_size
-
-        return iteration_latency, ideal_iterations, max_batch
+        batch_sizes = {name: model.max_batch_size for name, model in deployments.items()}
+        return iteration_latency, ideal_iterations, batch_sizes.__getitem__
 
     # ------------------------------------------------------------------ #
     # Tracing: the shared span taxonomy with one request lane *per tenant*,
@@ -410,6 +427,22 @@ class _FleetRun(_DecodeRun):
     orders interactive admission by fairness floor; degraded links multiply
     the iteration latency.  An optional scaler provisions replicas ahead of
     routing.
+
+    The router's view is rebuilt only for *marked* replicas (see
+    :class:`_ViewMemo`).  A replica is marked by every event that can change
+    what the router sees of it, before the next route:
+
+    * an iteration end (:meth:`after_iteration`) and a :meth:`place` mark
+      their own replica;
+    * a lifecycle :meth:`transition` (activation, scale-down, provisioning,
+      death, failover) marks its replica, through its health re-read;
+    * :meth:`watch_health` marks every replica once a link edge passes or
+      the warming chip set changes, through their health re-reads;
+    * :meth:`displace` marks its replica after emptying its batch and again
+      after emptying its queues, since re-routes run in between;
+    * a :meth:`degraded_shed` that shed and the end of a :meth:`detect`
+      (whose ``start_idle`` runs after its re-routes) mark every replica.
+      They are rare.
     """
 
     counter_names = (
@@ -456,7 +489,8 @@ class _FleetRun(_DecodeRun):
         # Without faults or a scaler every replica reads healthy: skip the
         # per-replica health call on every route.
         self.health = self.describe if self.chaos or scaler is not None else None
-        self.view_memo = _ViewMemo(len(replicas))
+        self.view_memo = _ViewMemo(replicas)
+        self.marked = self.view_memo.marked
         #: :meth:`watch_health` marks every replica's health stale once
         #: ``now`` reaches ``link_edge`` or ``bool(chips.warming)`` stops
         #: equalling ``warming``.
@@ -534,6 +568,22 @@ class _FleetRun(_DecodeRun):
             self.link_edge = self.schedule.next_link_edge(now)
             self.warming = warming
             self.view_memo.stale.update(range(len(self.replicas)))
+
+    def link_factor(self, replica: _Replica, now: float) -> float:
+        """The live ``replica``'s link factor from the health memo, re-read
+        (and the replica marked) only when stale.  The memo is otherwise
+        refreshed on routes, so a link edge passed since the last one is
+        caught first, as a route catches it.  (The warming chip set only
+        changes how dead replicas read.)"""
+        if now >= self.link_edge:
+            self.watch_health(now)
+        memo = self.view_memo
+        index = replica.index
+        if index in memo.stale:
+            memo.stale.discard(index)
+            memo.health[index] = self.describe(replica, now)
+            self.marked.add(index)
+        return memo.health[index][1]
 
     def brownout(self) -> bool:
         """Whether surviving capacity is below the brownout watermark."""
@@ -642,16 +692,21 @@ class _FleetRun(_DecodeRun):
                 f"fleet has {len(replicas)}"
             )
         replica = replicas[index]
-        if replica.model != request.model:
-            self.bind(replica, request.model, now)
-        touch = (request.tenant, request.model, replica.chip_class.fingerprint())
+        model = request.model
+        if replica.model != model:
+            self.bind(replica, model, now)
+        touch = (request.tenant, model, self.view_memo.class_keys[index])
         if touch not in self.touched:
-            engine._bucket_costs(request.model, replica.chip_class, request.tenant)
+            engine._bucket_costs(model, replica.chip_class, request.tenant)
             self.touched.add(touch)
         replica.queues.push(request)
-        if replica.state is not DEAD:
-            self.activate(replica, now)
-            self.start_iteration(replica, now)
+        self.marked.add(index)
+        state = replica.state
+        if state is not DEAD:
+            if state is not ACTIVE:
+                self.activate(replica, now)
+            if not replica.busy:
+                self.start_iteration(replica, now)
         return True
 
     def bind(self, replica: _Replica, model: str, now: float) -> None:
@@ -706,7 +761,8 @@ class _FleetRun(_DecodeRun):
         if self.traced:
             self.tenant_sample(tenant, now)
 
-    def after_iteration(self, now: float) -> None:
+    def after_iteration(self, replica: _Replica, now: float) -> None:
+        self.marked.add(replica.index)
         if self.unrouted:
             self.drain_unrouted(now)
         if self.traced:
@@ -717,7 +773,9 @@ class _FleetRun(_DecodeRun):
     # ------------------------------------------------------------------ #
     def placed(self, replica: _Replica, now: float) -> None:
         # The replica may have moved to another chip class: re-price it.
-        self.view_memo.prices[replica.index].clear()
+        memo = self.view_memo
+        memo.prices[replica.index].clear()
+        memo.class_keys[replica.index] = replica.chip_class.fingerprint()
         # Under a scaler, which owns paid capacity, a re-placed replica waits
         # to be provisioned again (its queues are empty: health-aware routing
         # never queues on a dead replica, and detection emptied them).
@@ -781,14 +839,28 @@ class _FleetRun(_DecodeRun):
             )
         displaced = replica.clear() + list(queues.preempted)
         queues.preempted.clear()
+        # Re-routes run between the two clears: mark the replica after each.
+        self.marked.add(replica.index)
         for running in displaced:
             self.requeue(running, replica, now)
         parked = [entry[3] for entry in sorted(queues.iq)] + list(queues.bq)
         queues.iq.clear()
         queues.bq.clear()
+        self.marked.add(replica.index)
         for request in parked:
             if not self.place(request, now):
                 self.unrouted.append(request)
+
+    def detect(self, replica: _Replica, now: float) -> None:
+        super().detect(replica, now)
+        # Its start_idle runs after the last re-route.
+        self.view_memo.mark_all()
+
+    def degraded_shed(self, now: float) -> bool:
+        shed = super().degraded_shed(now)
+        if shed:
+            self.view_memo.mark_all()
+        return shed
 
     # ------------------------------------------------------------------ #
     # Provisioning

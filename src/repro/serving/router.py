@@ -33,10 +33,10 @@ for failover; ``health_aware=False`` restores the health-blind behaviour
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from repro.serving.request import DecodeRequest
 
@@ -54,8 +54,22 @@ HEALTH_DEAD = "dead"
 failover re-placement (or are re-routed by a health-aware router)."""
 
 
-@dataclass(frozen=True)
-class ReplicaView:
+def _frozen_record(cls):
+    """Register the named tuple ``cls`` as a frozen dataclass as well.
+
+    The views are tuples so that building one is a single allocation (the
+    fleet builds one per changed replica and one per route).  They were
+    frozen dataclasses before, so ``dataclasses.replace``/``fields``/
+    ``asdict`` keep working on them, and assigning to one still raises
+    :class:`dataclasses.FrozenInstanceError`."""
+    dataclasses.dataclass(frozen=True, init=False, repr=False, eq=False)(cls)
+    for name, default in cls._field_defaults.items():
+        cls.__dataclass_fields__[name].default = default
+    return cls
+
+
+@_frozen_record
+class ReplicaView(NamedTuple):
     """Immutable snapshot of one replica, as the router sees it."""
 
     index: int
@@ -98,8 +112,8 @@ class ReplicaView:
         )
 
 
-@dataclass(frozen=True)
-class FleetView:
+@_frozen_record
+class FleetView(NamedTuple):
     """Immutable fleet snapshot a router decides against.
 
     The cost callbacks are supplied by the engine and are memoised lookups
@@ -145,11 +159,6 @@ class Router(ABC):
     @abstractmethod
     def route(self, request: DecodeRequest, view: FleetView) -> int | None:
         """The replica index ``request`` should queue on (``None`` = park)."""
-
-
-def _cheapest(candidates: Sequence[tuple[float, int]]) -> int:
-    """Index with the lowest score, ties to the lowest replica index."""
-    return min(candidates)[1]
 
 
 class LeastLoadedRouter(Router):
@@ -236,60 +245,61 @@ class CostAwareRouter(Router):
     def name(self) -> str:  # noqa: D102 - documented on the class
         return "cost-aware" if self.health_aware else "cost-aware-blind"
 
-    def _projection(
-        self, view: FleetView, model: str, replica: ReplicaView, work: int, max_batch: int
-    ) -> float:
-        """Projected finish of ``work`` ideal iterations of ``model`` queued
-        on ``replica``, whose deployment batches ``max_batch`` requests."""
-        latency = view.iteration_latency(model, replica.index)
-        if self.health_aware and replica.link_factor > 1.0:
-            # A degraded replica's iterations really run this much slower;
-            # pricing it in is what steers deadline traffic off the sick
-            # group while still letting it soak best-effort overflow.
-            latency *= replica.link_factor
-        rounds = math.ceil(replica.load / max_batch)
-        projected = (rounds + work) * latency
-        if replica.model != model:
-            projected += self.rebind_cost_iterations * latency
-        return projected
-
     def route(self, request: DecodeRequest, view: FleetView) -> int | None:
-        model = request.model
-        # One pass splits the candidates.  Health-aware routing skips dead
+        # One pass prices each candidate once and keeps the cheapest in-time
+        # bound candidate and the cheapest candidate of all, ties to the
+        # lowest index.  Health-aware routing skips dead
         # and restarting bound replicas: their queue sits in limbo until
         # failover re-places it, so nothing new should land there while
         # live candidates exist.
-        bound: list[ReplicaView] = []
-        idle: list[ReplicaView] = []
-        for replica in view.replicas:
-            if replica.model == model:
-                if replica.alive or not self.health_aware:
-                    bound.append(replica)
-            elif replica.rebindable:
-                idle.append(replica)
-        if not bound and not idle:
-            return None
+        model = request.model
+        deadline = request.deadline
+        now = view.now
+        health_aware = self.health_aware
+        rebind = self.rebind_cost_iterations
+        latency_of = view.iteration_latency
+        ceil = math.ceil
         work = view.ideal_iterations(model, request.prompt_tokens, request.max_new_tokens)
         max_batch = view.max_batch(model)
-
-        def scored(replicas: list[ReplicaView]) -> list[tuple[float, int]]:
-            return [
-                (self._projection(view, model, replica, work, max_batch), replica.index)
-                for replica in replicas
-            ]
-
-        # Each candidate is priced once: the bound scores serve both the
-        # deadline check and the fall-through.
-        bound_scores = scored(bound)
-        if request.deadline is not None and bound_scores:
-            in_time = [
-                (score, index)
-                for score, index in bound_scores
-                if view.now + score <= request.deadline
-            ]
-            if in_time:
-                return _cheapest(in_time)
-        return _cheapest(bound_scores + scored(idle))
+        best = in_time = None
+        best_score = in_time_score = math.inf
+        for index, bound_model, _, queued, resident, busy, health, factor in view.replicas:
+            if bound_model == model:
+                if health != HEALTH_HEALTHY and health_aware and health != HEALTH_DEGRADED:
+                    continue
+            elif busy or queued or resident or (
+                health != HEALTH_HEALTHY and health != HEALTH_DEGRADED
+            ):
+                continue  # neither bound nor rebindable
+            latency = latency_of(model, index)
+            if factor > 1.0 and health_aware:
+                # A degraded replica's iterations really run this much
+                # slower; pricing it in is what steers deadline traffic off
+                # the sick group while still letting it soak best-effort
+                # overflow.
+                latency *= factor
+            # Projected finish: the committed backlog in full-batch rounds
+            # plus this request's ideal iterations, plus the re-bind
+            # surcharge on an idle replica of another model.
+            projected = (ceil((queued + resident) / max_batch) + work) * latency
+            if bound_model != model:
+                projected += rebind * latency
+            elif (
+                deadline is not None
+                and now + projected <= deadline
+                and (
+                    projected < in_time_score
+                    or (projected == in_time_score and (in_time is None or index < in_time))
+                )
+            ):
+                in_time_score, in_time = projected, index
+            if projected < best_score or (
+                projected == best_score and (best is None or index < best)
+            ):
+                best_score, best = projected, index
+        # A deadlined request stays on the cheapest bound replica that
+        # still meets its deadline; otherwise the cheapest candidate wins.
+        return best if in_time is None else in_time
 
 
 class StaticPartitionRouter(Router):
@@ -319,14 +329,20 @@ class StaticPartitionRouter(Router):
                         f"and {model!r}; partitions must be disjoint"
                     )
                 seen[index] = model
-        self.partition = {model: tuple(indices) for model, indices in partition.items()}
+        self.partition = {model: frozenset(indices) for model, indices in partition.items()}
 
     def route(self, request: DecodeRequest, view: FleetView) -> int:
-        indices = self.partition.get(request.model)
+        model = request.model
+        indices = self.partition.get(model)
         if indices is None:
             raise ValueError(
-                f"model {request.model!r} has no partition; partitioned: "
-                f"{sorted(self.partition)}"
+                f"model {model!r} has no partition; partitioned: {sorted(self.partition)}"
             )
         owned = [replica for replica in view.replicas if replica.index in indices]
+        if len(owned) != len(indices):
+            missing = sorted(indices - {replica.index for replica in owned})
+            raise ValueError(
+                f"model {model!r} owns replicas {missing}, which the fleet lacks "
+                f"(it has {len(view.replicas)} replicas)"
+            )
         return min(owned, key=lambda replica: (replica.load, replica.index)).index

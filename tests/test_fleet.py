@@ -35,6 +35,7 @@ from repro.serving import (
     merge_decode_workloads,
     restart,
 )
+from repro.serving.fleet import _FleetRun
 from repro.utils.fingerprint import stable_hash
 
 
@@ -691,3 +692,101 @@ def test_every_route_view_matches_a_rebuild(
     if scenario == "class-failover":
         assert report.faults.failovers == 2
         assert {(1, "fat-chip"), (3, small_chip.name)} <= seen["classes"]
+
+
+@pytest.mark.parametrize("scenario", ["fault-free", "chaos", "chaos-blind"])
+def test_route_views_cost_only_what_changed(
+    scenario, cache, small_chip, fast_constraints, fat_chip, monkeypatch
+):
+    """On a 32-replica fleet every route's view equals a from-scratch
+    rebuild, and the replica views built since the previous route are no
+    more than the replicas whose routing-visible state changed in between:
+    a route costs what changed, not the fleet size.  The chaos runs add
+    link windows whose edges fall between routes, degraded-mode shedding,
+    and a failover onto the other chip class; their iterations' link factor
+    (read from the health memo) must equal the schedule's, and each
+    replica's first-touch key must track its chip class.  The health-blind
+    router queues onto dead replicas, so failover re-places a replica with
+    work waiting."""
+    num_chips = 32
+    deployments = [make_model("alpha"), make_model("beta", width=96), make_model("gamma")]
+    kwargs = {}
+    if scenario == "chaos-blind":
+        kwargs["router"] = CostAwareRouter(health_aware=False)
+    engine = make_engine(
+        cache,
+        small_chip,
+        fast_constraints,
+        deployments=deployments,
+        num_chips=num_chips,
+        chip_classes={chip: fat_chip for chip in range(8)},
+        tenants=[TenantSpec("chat"), TenantSpec("search")],
+        **kwargs,
+    )
+    engine.warm()
+    unit = engine.iteration_latency("alpha")
+    workload = merge_decode_workloads(
+        *(
+            decode_workload(
+                model.name,
+                num_requests=60,
+                rate=6.0 / unit,
+                seed=seed,
+                tenant=("chat", "search")[seed % 2],
+                slo_seconds=40 * unit,
+            )
+            for seed, model in enumerate(deployments)
+        )
+    )
+    run_kwargs = {}
+    if scenario != "fault-free":
+        # Replica 1 (fat chip) fails over onto restarted chip 20 (test chip).
+        run_kwargs["faults"] = FaultSchedule.of(
+            [
+                link_degradation(2.5 * unit, 12.5 * unit, 4.0),
+                group_link_degradation(4.5 * unit, 9.5 * unit, 3.0, [3, 4, 20]),
+                chip_death(5 * unit, 1),
+                chip_death(5 * unit, 20),
+                restart(7 * unit, 20, warmup_delay=unit),
+            ]
+        )
+        run_kwargs["watchdog"] = Watchdog(detection_delay=unit, degraded_shed_queue=1)
+
+    original = FleetEngine._view
+    seen = {"routes": 0, "built": 0, "link_factors": 0}
+    last_rebuild: list = [None] * num_chips
+
+    def checked(self, now, replicas, memo, tenant="", health=None):
+        previous = list(memo.views)
+        snapshot = original(self, now, replicas, memo, tenant, health)
+        rebuilt = rebuilt_view(replicas, now, health)
+        assert snapshot.replicas == rebuilt
+        built = sum(new is not old for new, old in zip(snapshot.replicas, previous))
+        changed = sum(new != old for new, old in zip(rebuilt, last_rebuild))
+        assert built <= changed
+        assert memo.class_keys == [replica.chip_class.fingerprint() for replica in replicas]
+        last_rebuild[:] = rebuilt
+        seen["routes"] += 1
+        seen["built"] += built
+        return snapshot
+
+    original_factor = _FleetRun.link_factor
+
+    def checked_factor(self, replica, now):
+        factor = original_factor(self, replica, now)
+        assert factor == self.schedule.link_factor(now, replica.chips)
+        seen["link_factors"] += factor > 1.0
+        return factor
+
+    monkeypatch.setattr(FleetEngine, "_view", checked)
+    monkeypatch.setattr(_FleetRun, "link_factor", checked_factor)
+    report = engine.run(workload, **run_kwargs)
+    assert check_report(report, workload) == []
+    assert seen["routes"] >= len(workload)
+    # Most replicas hold still between two routes.
+    assert seen["built"] < seen["routes"] * num_chips // 4
+    if scenario != "fault-free":
+        assert report.faults.chip_deaths == 2
+        assert report.faults.failovers == 1
+        assert report.faults.degraded_sheds > 0
+        assert seen["link_factors"] > 0

@@ -6,6 +6,7 @@ against hand-built :class:`FleetView` snapshots — no compilation, no engine.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from collections import Counter
 from dataclasses import replace
@@ -104,6 +105,73 @@ class TestReplicaView:
         snapshot = view(replica(0, "a"), replica(1, "b"), replica(2, "a", busy=True))
         assert [r.index for r in snapshot.compatible("a")] == [0, 2]
         assert [r.index for r in snapshot.rebindable()] == [0, 1]
+
+
+class TestViewContract:
+    """Routers are pure functions of their views, so the views must stay
+    immutable values whatever their representation."""
+
+    def test_replica_view_fields_and_defaults(self):
+        assert [f.name for f in dataclasses.fields(ReplicaView)] == [
+            "index",
+            "model",
+            "chip_class",
+            "queued",
+            "resident",
+            "busy",
+            "health",
+            "link_factor",
+        ]
+        bare = ReplicaView(index=3, model="m", chip_class="ipu", queued=1, resident=2, busy=True)
+        assert (bare.health, bare.link_factor) == (HEALTH_HEALTHY, 1.0)
+        defaults = {f.name: f.default for f in dataclasses.fields(ReplicaView)}
+        assert (defaults["health"], defaults["link_factor"]) == (HEALTH_HEALTHY, 1.0)
+        assert bare == ReplicaView(3, "m", "ipu", 1, 2, True, HEALTH_HEALTHY, 1.0)
+        assert (bare.load, bare.alive, bare.rebindable) == (3, True, False)
+
+    def test_fleet_view_fields(self):
+        assert [f.name for f in dataclasses.fields(FleetView)] == [
+            "now",
+            "replicas",
+            "iteration_latency",
+            "ideal_iterations",
+            "max_batch",
+        ]
+
+    def test_views_compare_and_hash_by_value(self):
+        first, second = replica(0, queued=2), replica(0, queued=2)
+        assert first == second and first is not second
+        assert hash(first) == hash(second)
+        assert first != replica(0, queued=3)
+        assert replace(first, queued=3) == replica(0, queued=3)
+        latency = lambda model, index: 1.0  # noqa: E731
+        ideal = lambda model, prompt, output: 4  # noqa: E731
+        batch = lambda model: 2  # noqa: E731
+        snapshot = FleetView(
+            now=1.0,
+            replicas=(first,),
+            iteration_latency=latency,
+            ideal_iterations=ideal,
+            max_batch=batch,
+        )
+        assert snapshot == FleetView(1.0, (second,), latency, ideal, batch)
+        assert snapshot != replace(snapshot, now=2.0)
+
+    @pytest.mark.parametrize("field", ["queued", "health", "index", "load", "other"])
+    def test_replica_view_is_immutable(self, field):
+        snapshot = replica(0)
+        with pytest.raises(AttributeError):
+            setattr(snapshot, field, 1)
+        with pytest.raises(AttributeError):
+            delattr(snapshot, field)
+        assert snapshot == replica(0)
+
+    @pytest.mark.parametrize("field", ["now", "replicas", "max_batch", "other"])
+    def test_fleet_view_is_immutable(self, field):
+        snapshot = view(replica(0))
+        with pytest.raises(AttributeError):
+            setattr(snapshot, field, None)
+        assert snapshot.now == 0.0 and snapshot.replicas == (replica(0),)
 
 
 class TestLeastLoadedRouter:
@@ -262,6 +330,14 @@ class TestStaticPartitionRouter:
         router = StaticPartitionRouter({"a": [0]})
         with pytest.raises(ValueError, match="no partition"):
             router.route(request(model="zzz"), view(replica(0, "a")))
+
+    def test_partition_naming_a_missing_replica_raises(self):
+        router = StaticPartitionRouter({"a": [5], "b": [0]})
+        with pytest.raises(ValueError, match=r"'a' owns replicas \[5\], which the fleet lacks"):
+            router.route(request(model="a"), view(replica(0, "b")))
+        partial_owner = StaticPartitionRouter({"a": [0, 3, 7]})
+        with pytest.raises(ValueError, match=r"\[3, 7\]"):
+            partial_owner.route(request(model="a"), view(replica(0, "a"), replica(1, "a")))
 
     def test_partition_validation(self):
         with pytest.raises(ValueError):
