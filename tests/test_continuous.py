@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import MISSING, fields, replace
 from unittest import mock
@@ -23,6 +24,7 @@ from repro.serving import (
     DecodeRequest,
     FaultSchedule,
     FleetEngine,
+    FleetScaler,
     PlanCache,
     StaticEngine,
     TenantSpec,
@@ -35,7 +37,17 @@ from repro.serving import (
     merge_decode_workloads,
     restart,
 )
-from repro.serving.continuous import _DecodeRun, _Replica, _Running, _StaticRun
+from repro.serving.continuous import (
+    _EV_ARRIVAL,
+    _EV_FAULT,
+    _EV_ITER_END,
+    ACTIVE,
+    IDLE,
+    _DecodeRun,
+    _Replica,
+    _Running,
+    _StaticRun,
+)
 
 
 def tiny_decode_builder(batch_size: int, *, width: int = 64) -> OperatorGraph:
@@ -848,15 +860,149 @@ def reference_victim(self, replica: _Replica) -> _Running | None:
     return None
 
 
+def reference_execute(self) -> ContinuousReport:
+    """One heap for every event: each arrival is an ``_EV_ARRIVAL`` event
+    beside the timers, and the event kind orders same-instant events."""
+    events = self.events
+    events[:] = [event for event in events if event[1] != _EV_ARRIVAL]
+    events += [
+        (request.arrival_time, _EV_ARRIVAL, position, request)
+        for position, request in enumerate(self.requests)
+    ]
+    heapq.heapify(events)
+    self.arrived = 0
+    replicas = self.replicas
+    while events:
+        now, kind, _, payload = heapq.heappop(events)
+        self.integrate(now)
+        if kind == _EV_ARRIVAL:
+            self.arrived += 1
+            self.on_arrival(payload, now)
+        elif kind == _EV_ITER_END:
+            index, epoch = payload
+            replica = replicas[index]
+            if replica.epoch != epoch:
+                continue
+            replica.busy = False
+            self.retire(replica, now)
+            self.start_iteration(replica, now)
+            self.after_iteration(replica, now)
+        elif kind == _EV_FAULT:
+            self.chips.handle(payload, now)
+        else:
+            self.on_scale(payload, now)
+        if self.traced:
+            self.sample(now)
+    self.sweep()
+    return self.report()
+
+
+def reference_start_iteration(self, replica: _Replica, now: float) -> None:
+    """Admit at every boundary, whatever the queues hold."""
+    if replica.busy or replica.state is not ACTIVE:
+        return
+    self.admit(replica, now)
+    running = replica.running
+    if not running:
+        if self.counts[ACTIVE] > self.min_active:
+            self.counters["scale_downs"] += 1
+            self.scale(replica, IDLE, now, "scale-down", **self.engine._replica_args(replica))
+        return
+    size = replica.bucket or len(running)
+    latency = (replica.latencies or self.latencies(replica))[size]
+    if self.links_priced:
+        factor = self.link_factor(replica, now)
+        if factor > 1.0:
+            latency = self.degraded(replica, latency, factor)
+    replica.busy = True
+    replica.iter_end = now + latency
+    self.counters["iterations"] += 1
+    self.busy_chip_seconds += latency * self.stages
+    if self.traced:
+        self.engine._trace_iteration(self.tracer, replica, now, latency)
+    heapq.heappush(
+        self.events,
+        (replica.iter_end, _EV_ITER_END, next(self.seq), (replica.index, replica.epoch)),
+    )
+
+
+def reference_admit(self, replica: _Replica, now: float) -> None:
+    """Walk every admission stage, even with a full batch that nothing
+    waiting can preempt."""
+    queues = replica.queues
+    iq, bq, preempted = queues.iq, queues.bq, queues.preempted
+    running = replica.running
+    deployment = self.deployments[replica.model]
+    max_batch = deployment.max_batch_size
+    while iq and len(running) < max_batch:
+        request = self.pop_interactive(queues)[3]
+        if self.hopeless(request, replica, now):
+            self.shed(request, now)
+            continue
+        replica.join(self.admit_one(request, replica, now))
+    while iq and len(running) >= max_batch:
+        victim = self.victim(replica)
+        if victim is None:
+            break
+        request = self.pop_interactive(queues)[3]
+        if self.hopeless(request, replica, now):
+            self.shed(request, now)
+            continue
+        replica.leave(victim)
+        victim.preemptions += 1
+        self.counters["preemptions"] += 1
+        preempted.appendleft(victim)
+        if self.traced:
+            self.tracer.instant(
+                "preempt",
+                ts=now,
+                track=self.engine._chip_tracks(replica)[0],
+                cat="lifecycle",
+                args={"victim": victim.request.request_id, "for": request.request_id},
+            )
+        replica.join(self.admit_one(request, replica, now))
+    while preempted and len(running) < max_batch:
+        resumed = preempted.popleft()
+        migrated = resumed.origin not in (-1, replica.index)
+        resumed.origin = replica.index
+        if migrated:
+            self.counters["migrations"] += 1
+            resumed.requeues += 1
+            resumed.migrations += 1
+            resumed.restart(deployment.prefill_iterations(resumed.request.prompt_tokens))
+        if self.traced:
+            self.tracer.instant(
+                "migrate" if migrated else "resume",
+                ts=now,
+                track=self.engine._chip_tracks(replica)[0],
+                cat="lifecycle",
+                args={"request": resumed.request.request_id},
+            )
+        replica.join(resumed)
+    while bq and len(running) < max_batch:
+        replica.join(self.admit_one(bq.popleft(), replica, now))
+
+
 def assert_matches_reference(run) -> ContinuousReport:
     """``run()`` under the tick loop equals ``run()`` under the reference
-    loop, record for record and counter for counter."""
+    loop, record for record and counter for counter.
+
+    The reference keeps every request's progress current on every
+    iteration, scans the batch for a preemption victim, holds arrivals in
+    the event heap beside the timers and walks the whole admission routine
+    at every iteration boundary."""
     actual = run()
     # The reference keeps progress current on every iteration, so catching
     # it up on leaving a batch has nothing to do.
     with mock.patch.object(_DecodeRun, "retire", reference_retire), mock.patch.object(
         _DecodeRun, "victim", reference_victim
-    ), mock.patch.object(_Running, "sync", lambda self, tick: None):
+    ), mock.patch.object(_Running, "sync", lambda self, tick: None), mock.patch.object(
+        _DecodeRun, "execute", reference_execute
+    ), mock.patch.object(
+        _DecodeRun, "start_iteration", reference_start_iteration
+    ), mock.patch.object(
+        _DecodeRun, "admit", reference_admit
+    ):
         expected = run()
     assert repr(actual.completed) == repr(expected.completed)
     assert (
@@ -1236,3 +1382,91 @@ class TestIterationTicks:
         assert migrated.first_token_time == pytest.approx(3.5 * unit)
         assert migrated.completion_time == pytest.approx(12.5 * unit)
         assert migrated.tokens_generated == 10
+
+
+class RecordingScaler(FleetScaler):
+    """Keeps the provisioned count and records what each tick observed."""
+
+    name = "recording"
+
+    def __init__(self, **kwargs) -> None:
+        super().__init__(**kwargs)
+        self.seen = []
+
+    def plan(self, obs):
+        self.seen.append(obs)
+        return obs.provisioned
+
+
+class TestSameInstantOrder:
+    """Events at one instant run in a fixed order: faults, then arrivals,
+    then iteration ends and scaler or batch-window timers.  Each case puts
+    an arrival exactly on another event's timestamp and checks the outcome
+    the order implies, and that the reference loop agrees."""
+
+    def test_arrival_at_an_iteration_end_joins_at_that_boundary(
+        self, cache, small_chip, fast_constraints
+    ):
+        engine = make_engine(cache, small_chip, fast_constraints)
+        unit = engine.iteration_latency(1)
+        workload = [request(0, 0.0, tokens=4), request(1, unit, tokens=2)]
+        report = assert_matches_reference(lambda: engine.run(workload))
+        first, second = report.completed
+        assert first.admitted_time == 0.0
+        assert second.admitted_time == unit
+        assert report.iterations == 4
+
+    def test_chip_death_at_an_arrival_strikes_first(self, cache, small_chip, fast_constraints):
+        engine = make_engine(cache, small_chip, fast_constraints)
+        unit = engine.iteration_latency(1)
+        workload = [request(0, 2 * unit)]
+        faults = FaultSchedule.of([chip_death(2 * unit, 0)])
+        report = assert_matches_reference(
+            lambda: engine.run(workload, faults=faults, watchdog=Watchdog(detection_delay=unit))
+        )
+        (record,) = report.completed
+        assert check_report(report, workload) == []
+        assert record.status == DECODE_SHED
+        assert math.isnan(record.admitted_time)
+        assert (report.iterations, report.faults.lost_iterations) == (0, 0)
+
+    def test_batch_window_closing_at_an_arrival_takes_it(
+        self, cache, small_chip, fast_constraints
+    ):
+        model = make_model()
+        unit = make_engine(cache, small_chip, fast_constraints, model=model).iteration_latency(1)
+        window = 2 * unit
+        engine = StaticEngine(
+            model,
+            chip=small_chip,
+            constraints=fast_constraints,
+            plan_cache=cache,
+            batch_window=window,
+        )
+        workload = [request(0, 0.0, tokens=3), request(1, window, tokens=3)]
+        report = assert_matches_reference(lambda: engine.run(workload))
+        assert [record.admitted_time for record in report.completed] == [window, window]
+        assert report.iterations == 3
+
+    def test_scaler_tick_at_an_arrival_observes_it(self, cache, small_chip, fast_constraints):
+        engine = FleetEngine(
+            [make_model()],
+            chip=small_chip,
+            constraints=fast_constraints,
+            plan_cache=cache,
+            num_chips=2,
+        )
+        interval = 0.5 * engine.iteration_latency("tiny")
+        workload = [request(0, 0.0, tokens=4), request(1, interval, tokens=2)]
+        scalers = []
+
+        def run() -> ContinuousReport:
+            scalers.append(RecordingScaler(interval=interval))
+            return engine.run(workload, scaler=scalers[-1])
+
+        report = assert_matches_reference(run)
+        assert check_report(report, workload) == []
+        actual, expected = scalers
+        tick = actual.seen[0]
+        assert (tick.now, tick.arrivals, tick.queued) == (interval, {"tiny": 2}, 1)
+        assert repr(actual.seen) == repr(expected.seen)
