@@ -43,6 +43,7 @@ import enum
 import heapq
 import itertools
 import math
+import operator
 import sys
 from collections import deque
 from dataclasses import dataclass, field
@@ -188,6 +189,9 @@ _NEVER_ADMITTED = _Running(request=None, admitted_time=float("nan"), prefill_rem
 
 #: ``_Replica.wake`` of a batch with no token due.
 _NEVER = sys.maxsize
+
+#: A request's place in arrival order.
+_ARRIVAL_ORDER = operator.attrgetter("arrival_time", "request_id")
 
 
 @dataclass(eq=False)
@@ -336,6 +340,8 @@ class _Replica:
 #: kills the in-flight iteration, and a request arriving exactly at a
 #: boundary is admissible there.  Scaler ticks come last: a capacity
 #: decision taken at time t observes everything that happened at t.
+#: Arrivals never enter the event heap: the loop reads them from the
+#: arrival-ordered trace and ranks them against the heap's timers by kind.
 _EV_FAULT = 0
 _EV_ARRIVAL = 1
 _EV_ITER_END = 2
@@ -549,7 +555,7 @@ class _DecodeEngineBase:
                 "duplicate request ids in workload; compose per-tenant "
                 "streams with merge_decode_workloads, which renumbers them"
             )
-        return sorted(requests, key=lambda req: (req.arrival_time, req.request_id))
+        return sorted(requests, key=_ARRIVAL_ORDER)
 
     # ------------------------------------------------------------------ #
     # Tracing (see docs/observability.md for the span taxonomy).  All
@@ -904,7 +910,9 @@ class _DecodeRun:
     """One replay of a decode workload: the run state and the event loop
     every decode engine shares.
 
-    The loop owns the event heap, the records and counters, the replica
+    The loop owns the timer heap (iteration ends, faults, scaler and
+    batch-window timers), merged with the arrival-ordered trace, the
+    records and counters, the replica
     lifecycle (:meth:`transition`, with per-state counts that the busy,
     active and provisioned chip-second integrals read), and the Orca-style
     iteration scheduler:
@@ -964,12 +972,12 @@ class _DecodeRun:
         self.stages = engine.num_stages
         self.shed_enabled = engine.shed_enabled
         self.deployments = engine._deployments
+        #: The timer heap: ``(time, kind, seq, payload)``; ``seq`` keeps
+        #: same-instant timers of one kind in the order they were set.
         self.seq = itertools.count()
         self.events: list[tuple[float, int, int, object]] = []
-        for request in requests:
-            heapq.heappush(
-                self.events, (request.arrival_time, _EV_ARRIVAL, next(self.seq), request)
-            )
+        #: Requests delivered so far: the cursor into ``requests``.
+        self.arrived = 0
         self.records: list[CompletedDecode] = []
         self.counters = dict.fromkeys(self.counter_names, 0)
         #: The requeue carry: the progress record of every request displaced
@@ -992,28 +1000,52 @@ class _DecodeRun:
 
     # ------------------------------------------------------------------ #
     def execute(self) -> ContinuousReport:
-        """Drain the event heap, sweep the queues and build the report."""
+        """Run every event, sweep the queues and build the report.
+
+        Arrivals come from ``requests`` through the ``arrived`` cursor and
+        merge with the timer heap's head: at one instant a fault runs before
+        an arrival, and an arrival before an iteration end or a scaler or
+        batch-window timer."""
         events = self.events
         replicas = self.replicas
         traced = self.traced
-        while events:
-            now, kind, _, payload = heapq.heappop(events)
-            self.integrate(now)
-            if kind == _EV_ARRIVAL:
-                self.on_arrival(payload, now)
-            elif kind == _EV_ITER_END:
-                index, epoch = payload
-                replica = replicas[index]
-                if replica.epoch != epoch:
-                    continue  # the iteration was aborted by a chip death
-                replica.busy = False
-                self.retire(replica, now)
-                self.start_iteration(replica, now)
-                self.after_iteration(replica, now)
-            elif kind == _EV_FAULT:
-                self.chips.handle(payload, now)
+        requests = self.requests
+        count = len(requests)
+        heappop = heapq.heappop
+        arrived = 0
+        arrival = requests[0].arrival_time if count else math.inf
+        while True:
+            if events and (
+                events[0][0] < arrival
+                or events[0][0] == arrival
+                and (events[0][1] < _EV_ARRIVAL or arrived == count)
+            ):
+                now, kind, _, payload = heappop(events)
+                if now != self.last_time:
+                    self.integrate(now)
+                if kind == _EV_ITER_END:
+                    index, epoch = payload
+                    replica = replicas[index]
+                    if replica.epoch != epoch:
+                        continue  # the iteration was aborted by a chip death
+                    replica.busy = False
+                    self.retire(replica, now)
+                    self.start_iteration(replica, now)
+                    self.after_iteration(replica, now)
+                elif kind == _EV_FAULT:
+                    self.chips.handle(payload, now)
+                else:
+                    self.on_scale(payload, now)
+            elif arrived < count:
+                now = arrival
+                request = requests[arrived]
+                arrived = self.arrived = arrived + 1
+                arrival = requests[arrived].arrival_time if arrived < count else math.inf
+                if now != self.last_time:
+                    self.integrate(now)
+                self.on_arrival(request, now)
             else:
-                self.on_scale(payload, now)
+                break
             if traced:
                 self.sample(now)
         self.sweep()
@@ -1251,10 +1283,13 @@ class _DecodeRun:
         """Fill ``replica``'s batch from its queue set at an iteration
         boundary."""
         queues = replica.queues
-        iq, bq, preempted = queues.iq, queues.bq, queues.preempted
+        iq = queues.iq
         running = replica.running
         deployment = self.deployments[replica.model]
         max_batch = deployment.max_batch_size
+        if len(running) >= max_batch and not (iq and replica.best_effort):
+            return  # a full batch admits only by preempting a best-effort resident
+        bq, preempted = queues.bq, queues.preempted
         traced = self.traced
         # Interactive first, earliest deadline first.
         while iq and len(running) < max_batch:
@@ -1317,7 +1352,9 @@ class _DecodeRun:
     def start_iteration(self, replica: _Replica, now: float) -> None:
         if replica.busy or replica.state is not ACTIVE:
             return
-        self.admit(replica, now)
+        queues = replica.queues
+        if queues.iq or queues.bq or queues.preempted:
+            self.admit(replica, now)
         running = replica.running
         if not running:
             # Drained: release the chips unless that breaches the floor.
@@ -1416,17 +1453,17 @@ class _DecodeRun:
         while total > cap:
             newest_queued = max(
                 (queues for queues in self.queue_sets if queues.bq),
-                key=lambda queues: _arrival_key(queues.bq[-1]),
+                key=lambda queues: _ARRIVAL_ORDER(queues.bq[-1]),
                 default=None,
             )
             newest_parked = max(
                 (request for request in unrouted if not request.interactive),
-                key=_arrival_key,
+                key=_ARRIVAL_ORDER,
                 default=None,
             )
             if newest_parked is not None and (
                 newest_queued is None
-                or _arrival_key(newest_parked) > _arrival_key(newest_queued.bq[-1])
+                or _ARRIVAL_ORDER(newest_parked) > _ARRIVAL_ORDER(newest_queued.bq[-1])
             ):
                 unrouted.remove(newest_parked)
                 victim = newest_parked
@@ -1511,10 +1548,6 @@ class _DecodeRun:
     def degraded(self, replica: _Replica, latency: float, factor: float) -> float:
         """``latency`` of an iteration whose links run ``factor``x slower."""
         return latency * factor
-
-
-def _arrival_key(request: DecodeRequest) -> tuple[float, int]:
-    return request.arrival_time, request.request_id
 
 
 class _SingleModelEngine(_DecodeEngineBase):

@@ -133,8 +133,9 @@ class _ViewMemo:
     run has since marked for a re-read; a re-read marks the replica too.
     ``prices[i]`` maps a model to its full-batch iteration latency on
     replica ``i``'s chip class, and ``class_keys[i]`` is that class's
-    fingerprint (the first-touch key).  ``callbacks`` holds each tenant's
-    view callbacks.
+    fingerprint (the first-touch key).  ``iterations`` memoises
+    ``ideal_iterations`` by ``(model, prompt, output)``, and ``callbacks``
+    holds each tenant's view callbacks.
     """
 
     def __init__(self, replicas: list[_Replica]) -> None:
@@ -147,6 +148,7 @@ class _ViewMemo:
         self.stale: set[int] = set(range(size))
         self.prices: list[dict[str, float]] = [{} for _ in range(size)]
         self.class_keys = [replica.chip_class.fingerprint() for replica in replicas]
+        self.iterations: dict[tuple[str, int, int], int] = {}
         self.callbacks: dict[str, tuple] = {}
 
     def mark_all(self) -> None:
@@ -269,19 +271,25 @@ class FleetEngine(_DecodeEngineBase):
         callbacks = memo.callbacks.get(tenant)
         if callbacks is None:
             callbacks = memo.callbacks[tenant] = self._view_callbacks(
-                replicas, memo.prices, tenant
+                replicas, memo.prices, memo.iterations, tenant
             )
         # FleetView(now, replicas, iteration_latency, ideal_iterations,
         # max_batch), built in one allocation.
         return _new(FleetView, (now, memo.snapshot) + callbacks)
 
     def _view_callbacks(
-        self, replicas: list[_Replica], prices: list[dict[str, float]], tenant: str
+        self,
+        replicas: list[_Replica],
+        prices: list[dict[str, float]],
+        iterations: dict[tuple[str, int, int], int],
+        tenant: str,
     ) -> tuple:
         """A run's ``(iteration_latency, ideal_iterations, max_batch)`` view
         callbacks for ``tenant``.  The latency callback reads the run's
         ``prices`` table, filling a missing entry through :meth:`_cost` —
-        so a first-touch compile is charged to ``tenant``."""
+        so a first-touch compile is charged to ``tenant``.  The iteration
+        count is a pure function of its arguments, memoised in
+        ``iterations`` (one table per run)."""
         deployments = self._deployments
 
         def iteration_latency(model: str, index: int) -> float:
@@ -294,7 +302,12 @@ class FleetEngine(_DecodeEngineBase):
                 return latency
 
         def ideal_iterations(model: str, prompt: int, output: int) -> int:
-            return deployments[model].ideal_iterations(prompt, output)
+            key = (model, prompt, output)
+            try:
+                return iterations[key]
+            except KeyError:
+                count = iterations[key] = deployments[model].ideal_iterations(prompt, output)
+                return count
 
         batch_sizes = {name: model.max_batch_size for name, model in deployments.items()}
         return iteration_latency, ideal_iterations, batch_sizes.__getitem__
@@ -482,10 +495,12 @@ class _FleetRun(_DecodeRun):
         self.deadlined_total: dict[str, int] = {}
         self.deadlined_met: dict[str, int] = {}
         self.served_by_tenant: dict[str, int] = {}
-        # Scaler state: per-model arrivals since the last tick and arrivals
-        # still in the event heap (the tick-rescheduling fuel gauge).
+        #: Whether brownout can fire: without a watermark no arrival is shed
+        #: at the door and interactive admission stays EDF, so the deadline
+        #: books the fairness order reads are not kept.
+        self.books = watchdog.brownout_watermark is not None
+        # Scaler state: per-model arrivals since the last tick.
         self.window_counts: dict[str, int] = {}
-        self.arrivals_remaining = len(requests)
         # Without faults or a scaler every replica reads healthy: skip the
         # per-replica health call on every route.
         self.health = self.describe if self.chaos or scaler is not None else None
@@ -596,7 +611,7 @@ class _FleetRun(_DecodeRun):
 
     def note_outcome(self, request: DecodeRequest, met: bool) -> None:
         """Track per-tenant deadline attainment (drives brownout order)."""
-        if request.deadline is None:
+        if not self.books or request.deadline is None:
             return
         tenant = request.tenant
         self.deadlined_total[tenant] = self.deadlined_total.get(tenant, 0) + 1
@@ -621,7 +636,7 @@ class _FleetRun(_DecodeRun):
         the scarce surviving capacity goes to restoring broken promises
         before improving already-met ones."""
         iq = queues.iq
-        if not self.brownout() or len(iq) <= 1:
+        if not self.books or len(iq) <= 1 or not self.brownout():
             return heapq.heappop(iq)
         best = min(
             range(len(iq)),
@@ -642,13 +657,12 @@ class _FleetRun(_DecodeRun):
     # Routing
     # ------------------------------------------------------------------ #
     def on_arrival(self, request: DecodeRequest, now: float) -> None:
-        self.arrivals_remaining -= 1
         if self.scaler is not None:
             self.window_counts[request.model] = self.window_counts.get(request.model, 0) + 1
         traced = self.traced
         if traced:
             self.engine._trace_enqueue(self.tracer, request)
-        if self.brownout() and not request.interactive:
+        if self.books and not request.interactive and self.brownout():
             # Brownout admission control: below the surviving-capacity
             # watermark, best-effort traffic is shed at the door so the
             # remaining chips serve deadline traffic.
@@ -755,7 +769,8 @@ class _FleetRun(_DecodeRun):
     refill = online = drain_unrouted
 
     def on_retire(self, record: CompletedDecode, now: float) -> None:
-        self.note_outcome(record.request, record.met_slo)
+        if self.books:
+            self.note_outcome(record.request, record.met_slo)
         tenant = record.request.tenant
         self.served_by_tenant[tenant] = self.served_by_tenant.get(tenant, 0) + 1
         if self.traced:
@@ -961,8 +976,10 @@ class _FleetRun(_DecodeRun):
         # Keep ticking while anything can still need a decision; once
         # arrivals, queues, residents and boots are all drained the clock
         # stops advancing and the run can end.  So does a fleet dead for
-        # good: no replica lives and no pending event can revive one.
-        waiting = self.arrivals_remaining or queued_total or resident_total
-        revivable = self.events or self.counts[DEAD] < len(replicas)
+        # good: no replica lives, and neither a timer (which may revive one)
+        # nor an arrival is still pending.
+        pending = len(self.requests) - self.arrived
+        waiting = pending or queued_total or resident_total
+        revivable = self.events or pending or self.counts[DEAD] < len(replicas)
         if (waiting or self.counts[BOOTING]) and revivable:
             self.push_scale(now + scaler.interval, _SCALE_TICK)

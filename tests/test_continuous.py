@@ -1470,3 +1470,28 @@ class TestSameInstantOrder:
         tick = actual.seen[0]
         assert (tick.now, tick.arrivals, tick.queued) == (interval, {"tiny": 2}, 1)
         assert repr(actual.seen) == repr(expected.seen)
+
+
+def test_event_heap_holds_only_timers(cache, small_chip, fast_constraints):
+    """Arrivals stay in the trace, so a fault-free continuous replay's heap
+    holds at most one iteration end per replica, at any request count."""
+    peaks: list[int] = []
+    original = _DecodeRun.start_iteration
+
+    def start_iteration(self, replica, now):
+        original(self, replica, now)
+        peaks[-1] = max(peaks[-1], len(self.events))
+
+    model = make_model()
+    engine = make_engine(cache, small_chip, fast_constraints, model=model, num_chips=4)
+    unit = engine.iteration_latency(1)
+    with mock.patch.object(_DecodeRun, "start_iteration", start_iteration):
+        for num_requests in (100, 2000):
+            workload = mixed_workload(
+                model, unit, num_requests=num_requests, load=6.0, seed=0, interactive=0.5
+            )
+            peaks.append(0)
+            report = engine.run(workload)
+            assert check_report(report, workload) == []
+    assert 1 < peaks[0] <= engine.num_replicas
+    assert 1 < peaks[1] <= engine.num_replicas

@@ -398,6 +398,53 @@ def test_a_fleet_dead_for_good_ends_the_run(cache, small_chip, fast_constraints,
     assert len(scaler.seen) == 2
 
 
+def test_a_dead_fleet_ticks_until_the_last_arrival(cache, small_chip, fast_constraints, unit):
+    """The whole fleet dies for good while arrivals are still pending: the
+    scaler keeps ticking while any arrival is to come, and its first tick
+    after the last arrival is its last."""
+    scaler = ScriptedScaler(2, interval=unit)
+    engine = make_engine(
+        cache, small_chip, fast_constraints, num_chips=2, router=CostAwareRouter()
+    )
+    workload = [request(i, (3 + 1.3 * i) * unit) for i in range(4)]
+    schedule = FaultSchedule.of([chip_death(unit, 0), chip_death(unit, 1)])
+    report = engine.run(workload, scaler=scaler, faults=schedule)
+    assert check_report(report, workload) == []
+    assert report.shed == len(workload)
+    ticks = [obs.now for obs in scaler.seen]
+    assert ticks == pytest.approx([4 * unit, 5 * unit, 6 * unit, 7 * unit])
+    assert ticks[-2] < workload[-1].arrival_time < ticks[-1]
+    assert [obs.provisioned for obs in scaler.seen] == [0] * 4
+
+
+def test_a_dead_fleet_ticks_while_a_restart_is_pending(
+    cache, small_chip, fast_constraints, unit
+):
+    """Every replica is dead and every request has arrived, but a restart is
+    still pending: the scaler keeps ticking, re-provisions the revived
+    replica, and the parked requests are served."""
+    scaler = ScriptedScaler(2, interval=unit)
+    engine = make_engine(
+        cache, small_chip, fast_constraints, num_chips=2, router=CostAwareRouter()
+    )
+    workload = [request(i, (3 + 0.1 * i) * unit) for i in range(3)]
+    schedule = FaultSchedule.of(
+        [
+            chip_death(unit, 0),
+            chip_death(unit, 1),
+            restart(5.5 * unit, 0, cold_cache=False, warmup_delay=0.5 * unit),
+        ]
+    )
+    report = engine.run(workload, scaler=scaler, faults=schedule)
+    assert check_report(report, workload) == []
+    assert report.shed == 0
+    assert report.faults.failovers == 1
+    # The tick at the chip's return observes the fleet before re-provisioning.
+    dead_ticks = [obs.now for obs in scaler.seen if obs.provisioned == 0]
+    assert dead_ticks == pytest.approx([4 * unit, 5 * unit, 6 * unit])
+    assert min(record.admitted_time for record in report.completed) >= 6 * unit
+
+
 # --------------------------------------------------------------------------- #
 # Scaler plus faults: the composition property
 # --------------------------------------------------------------------------- #
