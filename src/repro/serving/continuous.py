@@ -44,7 +44,6 @@ import heapq
 import itertools
 import math
 import operator
-import sys
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -187,9 +186,6 @@ class _Running:
 #: The requeue carry's stand-in for a request that was never admitted.
 _NEVER_ADMITTED = _Running(request=None, admitted_time=float("nan"), prefill_remaining=0)
 
-#: ``_Replica.wake`` of a batch with no token due.
-_NEVER = sys.maxsize
-
 #: A request's place in arrival order.
 _ARRIVAL_ORDER = operator.attrgetter("arrival_time", "request_id")
 
@@ -295,33 +291,43 @@ class _Replica:
     scope) and on fleet re-binds to a different model."""
     tick: int = 0
     """Iterations completed (one aborted by a chip death never counts)."""
-    wake: int = _NEVER
-    """No resident's first or last token is due before this tick, so the
-    batch is scanned only once ``tick`` reaches it."""
+    due: dict[int, list[_Running]] = field(default_factory=dict)
+    """Residents by the ticks whose iterations emit their first and last
+    tokens, each list in batch order, so ``retire`` visits only the
+    residents due at a tick."""
     best_effort: int = 0
     """Best-effort requests in ``running``."""
 
     def join(self, entry: _Running) -> None:
-        """Add ``entry`` to the batch, stamping its first- and last-token
-        ticks."""
+        """Add ``entry`` to the batch, stamping and listing its first- and
+        last-token ticks."""
         tick = self.tick
         prefill = entry.prefill_remaining
+        due = self.due
         if prefill:
-            entry.first_tick = due = tick + prefill
-            entry.finish_tick = due + entry.request.max_new_tokens - 1
+            entry.first_tick = first = tick + prefill
+            entry.finish_tick = finish = first + entry.request.max_new_tokens - 1
+            if first != finish:
+                due.setdefault(first, []).append(entry)
         else:
             entry.first_tick = -1
-            entry.finish_tick = due = tick + entry.request.max_new_tokens - entry.tokens_done
-        if due < self.wake:
-            self.wake = due
+            entry.finish_tick = finish = tick + entry.request.max_new_tokens - entry.tokens_done
+        due.setdefault(finish, []).append(entry)
         if not entry.request.interactive:
             self.best_effort += 1
         self.running.append(entry)
 
     def leave(self, entry: _Running) -> None:
-        """Take ``entry`` out of the batch with its progress synced."""
+        """Take ``entry`` out of the batch, and its pending ticks off the
+        ``due`` lists, with its progress synced."""
         self.running.remove(entry)
-        entry.sync(self.tick)
+        tick = self.tick
+        first, finish = entry.first_tick, entry.finish_tick
+        if finish > tick:
+            self.due[finish].remove(entry)
+            if tick < first < finish:
+                self.due[first].remove(entry)
+        entry.sync(tick)
         if not entry.request.interactive:
             self.best_effort -= 1
 
@@ -331,7 +337,7 @@ class _Replica:
         for entry in members:
             entry.sync(self.tick)
         self.best_effort = 0
-        self.wake = _NEVER
+        self.due = {}
         return members
 
 
@@ -993,6 +999,10 @@ class _DecodeRun:
         #: step by :meth:`transition`), with their peaks.
         self.counts = [[r.state for r in replicas].count(state) for state in ReplicaState]
         self.num_charged = self.peak_charged = sum(self.counts[s] for s in self.charged)
+        #: Whether states other than ACTIVE are charged; when not, the
+        #: provisioned integral equals the active one bit for bit, so only
+        #: the active one is accrued.
+        self.paid = self.charged != (ACTIVE,)
         self.peak_active = self.counts[ACTIVE]
         self.last_time = requests[0].arrival_time if requests else 0.0
         self.stats_before = engine.plan_cache.stats.snapshot()
@@ -1015,6 +1025,10 @@ class _DecodeRun:
         arrived = 0
         arrival = requests[0].arrival_time if count else math.inf
         while True:
+            # The head timer runs first when it is earlier than the next
+            # arrival, or at its instant ranks before arrivals; once the
+            # trace is spent ``arrival`` is inf, and a timer set at inf
+            # still runs.
             if events and (
                 events[0][0] < arrival
                 or events[0][0] == arrival
@@ -1093,7 +1107,9 @@ class _DecodeRun:
             rebinds=counters.get("rebinds", 0),
             migrations=counters.get("migrations", 0),
             faults=self.chips.stats,
-            provisioned_chip_seconds=self.provisioned_chip_seconds,
+            provisioned_chip_seconds=(
+                self.provisioned_chip_seconds if self.paid else self.active_chip_seconds
+            ),
             peak_provisioned_chips=self.peak_charged * stages,
             provision_ups=counters.get("provision_ups", 0),
             provision_downs=counters.get("provision_downs", 0),
@@ -1131,26 +1147,23 @@ class _DecodeRun:
         if now > self.last_time:
             elapsed = now - self.last_time
             self.active_chip_seconds += elapsed * self.counts[ACTIVE] * self.stages
-            self.provisioned_chip_seconds += elapsed * self.num_charged * self.stages
+            if self.paid:
+                self.provisioned_chip_seconds += elapsed * self.num_charged * self.stages
             self.last_time = now
 
     def retire(self, replica: _Replica, now: float) -> None:
-        """Count one finished iteration on ``replica``; once its tick reaches
-        ``wake``, stamp the first tokens and retire the done requests, in
+        """Count one finished iteration on ``replica``; stamp the first
+        tokens due at its new tick and retire the requests it finishes, in
         batch order."""
         tick = replica.tick = replica.tick + 1
-        if tick < replica.wake:
+        due = replica.due.pop(tick, None)
+        if due is None:
             return
-        wake = _NEVER
-        for running in list(replica.running):
-            first, finish = running.first_tick, running.finish_tick
-            if first == tick:
+        for running in due:
+            if running.first_tick == tick:
                 running.first_token_time = now
-            if finish != tick:
-                due = first if first > tick else finish
-                if due < wake:
-                    wake = due
-                continue
+                if running.finish_tick != tick:
+                    continue
             replica.leave(running)
             record = CompletedDecode(
                 request=running.request,
@@ -1169,7 +1182,6 @@ class _DecodeRun:
             if self.traced:
                 self.engine._trace_done(self.tracer, record, replica, now)
             self.on_retire(record, now)
-        replica.wake = wake
 
     def start_idle(self, now: float) -> None:
         """Start an iteration on every active replica that has none."""
