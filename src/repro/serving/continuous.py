@@ -917,11 +917,10 @@ class _DecodeRun:
     every decode engine shares.
 
     The loop owns the timer heap (iteration ends, faults, scaler and
-    batch-window timers), merged with the arrival-ordered trace, the
-    records and counters, the replica
-    lifecycle (:meth:`transition`, with per-state counts that the busy,
-    active and provisioned chip-second integrals read), and the Orca-style
-    iteration scheduler:
+    batch-window timers), which it merges with the arrival-ordered trace,
+    the records and counters, the replica lifecycle (:meth:`transition`,
+    with per-state counts that the busy, active and provisioned chip-second
+    integrals read), and the Orca-style iteration scheduler:
     at each iteration boundary a replica retires its finished requests and
     admits from its queue set — interactive requests earliest-deadline-first,
     then priority preemption of best-effort residents, then resumed

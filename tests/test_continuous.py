@@ -24,7 +24,6 @@ from repro.serving import (
     DecodeRequest,
     FaultSchedule,
     FleetEngine,
-    FleetScaler,
     PlanCache,
     StaticEngine,
     TenantSpec,
@@ -48,6 +47,8 @@ from repro.serving.continuous import (
     _Running,
     _StaticRun,
 )
+
+from test_lifecycle import ScriptedScaler
 
 
 def tiny_decode_builder(batch_size: int, *, width: int = 64) -> OperatorGraph:
@@ -1384,20 +1385,6 @@ class TestIterationTicks:
         assert migrated.tokens_generated == 10
 
 
-class RecordingScaler(FleetScaler):
-    """Keeps the provisioned count and records what each tick observed."""
-
-    name = "recording"
-
-    def __init__(self, **kwargs) -> None:
-        super().__init__(**kwargs)
-        self.seen = []
-
-    def plan(self, obs):
-        self.seen.append(obs)
-        return obs.provisioned
-
-
 class TestSameInstantOrder:
     """Events at one instant run in a fixed order: faults, then arrivals,
     then iteration ends and scaler or batch-window timers.  Each case puts
@@ -1461,7 +1448,7 @@ class TestSameInstantOrder:
         scalers = []
 
         def run() -> ContinuousReport:
-            scalers.append(RecordingScaler(interval=interval))
+            scalers.append(ScriptedScaler(1, interval=interval))
             return engine.run(workload, scaler=scalers[-1])
 
         report = assert_matches_reference(run)
