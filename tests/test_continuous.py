@@ -865,7 +865,6 @@ def reference_execute(self) -> ContinuousReport:
     """One heap for every event: each arrival is an ``_EV_ARRIVAL`` event
     beside the timers, and the event kind orders same-instant events."""
     events = self.events
-    events[:] = [event for event in events if event[1] != _EV_ARRIVAL]
     events += [
         (request.arrival_time, _EV_ARRIVAL, position, request)
         for position, request in enumerate(self.requests)
