@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import MISSING, fields, replace
+import pickle
+from dataclasses import MISSING, FrozenInstanceError, asdict, fields, replace
 from unittest import mock
 
 import pytest
@@ -195,6 +196,115 @@ class TestTenantSpec:
         spec = TenantSpec("t", fairness_floor=0.5, weight=2.0)
         assert (spec.name, spec.fairness_floor, spec.weight) == ("t", 0.5, 2.0)
 
+
+
+class TestRecordContract:
+    """Reports, tests and figures read records by field, compare their
+    ``repr`` and replace fields on copies, so a record must stay the same
+    immutable value whatever its representation."""
+
+    def served(self) -> CompletedDecode:
+        return CompletedDecode(
+            request=DecodeRequest(7, "opt", 0.5, 16, 3, deadline=2.0, tenant="chat"),
+            status=DECODE_OK,
+            admitted_time=0.75,
+            first_token_time=1.0,
+            completion_time=1.5,
+            tokens_generated=3,
+            preemptions=1,
+            replica=2,
+        )
+
+    def test_fields_and_defaults(self):
+        assert [(f.name, f.default) for f in fields(CompletedDecode)] == [
+            ("request", MISSING),
+            ("status", MISSING),
+            ("admitted_time", MISSING),
+            ("first_token_time", MISSING),
+            ("completion_time", MISSING),
+            ("tokens_generated", MISSING),
+            ("preemptions", 0),
+            ("replica", -1),
+            ("requeues", 0),
+            ("migrations", 0),
+            ("lost_tokens", 0),
+        ]
+        record = self.served()
+        assert (record.requeues, record.migrations, record.lost_tokens) == (0, 0, 0)
+        assert record == CompletedDecode(
+            record.request, DECODE_OK, 0.75, 1.0, 1.5, 3, 1, 2, 0, 0, 0
+        )
+        assert (record.ok, record.met_slo, record.latency) == (True, True, 1.0)
+        assert (record.time_to_first_token, record.time_per_output_token) == (0.5, 0.25)
+
+    def test_repr_is_the_dataclass_repr(self):
+        request_repr = (
+            "DecodeRequest(request_id=7, model='opt', arrival_time=0.5, "
+            "prompt_tokens=16, max_new_tokens=3, slo_class='interactive', "
+            "deadline=2.0, tenant='chat')"
+        )
+        record = self.served()
+        assert repr(record) == (
+            f"CompletedDecode(request={request_repr}, status='ok', "
+            "admitted_time=0.75, first_token_time=1.0, completion_time=1.5, "
+            "tokens_generated=3, preemptions=1, replica=2, requeues=0, "
+            "migrations=0, lost_tokens=0)"
+        )
+        shed = CompletedDecode(record.request, DECODE_SHED, math.nan, math.nan, 0.5, 0)
+        assert repr(shed) == (
+            f"CompletedDecode(request={request_repr}, status='shed', "
+            "admitted_time=nan, first_token_time=nan, completion_time=0.5, "
+            "tokens_generated=0, preemptions=0, replica=-1, requeues=0, "
+            "migrations=0, lost_tokens=0)"
+        )
+
+    def test_compares_and_hashes_by_value(self):
+        first, second = self.served(), self.served()
+        assert first == second and first is not second
+        assert hash(first) == hash(second)
+        assert hash(first) == hash(tuple(getattr(first, f.name) for f in fields(first)))
+        assert first != replace(first, replica=3)
+        assert len({first, second, replace(first, replica=3)}) == 2
+
+    @pytest.mark.parametrize("name", ["status", "replica", "ok", "latency", "other"])
+    def test_is_immutable(self, name):
+        record = self.served()
+        with pytest.raises(FrozenInstanceError):
+            setattr(record, name, 1)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+        assert record == self.served()
+
+    def test_replace_fields_and_asdict(self):
+        record = self.served()
+        shed = replace(record, status=DECODE_SHED, replica=-1)
+        assert (shed.status, shed.replica, shed.request) == (
+            DECODE_SHED,
+            -1,
+            record.request,
+        )
+        assert not shed.ok and not shed.met_slo
+        assert record.status == DECODE_OK  # the original is untouched
+        assert asdict(record) == {
+            "request": asdict(record.request),
+            "status": DECODE_OK,
+            "admitted_time": 0.75,
+            "first_token_time": 1.0,
+            "completion_time": 1.5,
+            "tokens_generated": 3,
+            "preemptions": 1,
+            "replica": 2,
+            "requeues": 0,
+            "migrations": 0,
+            "lost_tokens": 0,
+        }
+
+    def test_pickle_round_trip(self):
+        record = self.served()
+        copy = pickle.loads(pickle.dumps(record))
+        assert copy == record and type(copy) is CompletedDecode
+        shed = CompletedDecode(record.request, DECODE_SHED, math.nan, math.nan, 0.5, 0)
+        assert repr(pickle.loads(pickle.dumps(shed))) == repr(shed)
 
 class TestMergeDecodeWorkloads:
     def streams(self):
