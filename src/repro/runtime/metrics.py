@@ -92,7 +92,16 @@ def percentile(values: Sequence[float], q: float) -> float:
     """
     if not 0.0 <= q <= 100.0:
         raise ValueError(f"percentile must be in [0, 100], got {q}")
-    ordered = sorted(value for value in values if not math.isnan(value))
+    return _ranked(_ordered(values), q)
+
+
+def _ordered(values: Sequence[float]) -> list[float]:
+    """``values`` without its ``nan`` entries, sorted."""
+    return sorted(value for value in values if not math.isnan(value))
+
+
+def _ranked(ordered: list[float], q: float) -> float:
+    """The ``q``-th percentile of the sorted, ``nan``-free ``ordered``."""
     if not ordered:
         return float("nan")
     if len(ordered) == 1:
@@ -110,11 +119,13 @@ def percentile(values: Sequence[float], q: float) -> float:
 
 
 def latency_percentiles(latencies: Sequence[float]) -> dict[str, float]:
-    """The p50/p95/p99 summary a serving SLO is stated against."""
+    """The p50/p95/p99 summary a serving SLO is stated against (the same
+    values as three :func:`percentile` calls, from one sort)."""
+    ordered = _ordered(latencies)
     return {
-        "p50": percentile(latencies, 50.0),
-        "p95": percentile(latencies, 95.0),
-        "p99": percentile(latencies, 99.0),
+        "p50": _ranked(ordered, 50.0),
+        "p95": _ranked(ordered, 95.0),
+        "p99": _ranked(ordered, 99.0),
     }
 
 

@@ -189,6 +189,12 @@ _NEVER_ADMITTED = _Running(request=None, admitted_time=float("nan"), prefill_rem
 #: A request's place in arrival order.
 _ARRIVAL_ORDER = operator.attrgetter("arrival_time", "request_id")
 
+#: A record's place in the report: by request id.
+_REQUEST_ID = operator.attrgetter("request.request_id")
+
+#: Builds a named tuple from one tuple of all its fields, in C.
+_new = tuple.__new__
+
 
 @dataclass(eq=False)
 class _Queues:
@@ -297,6 +303,8 @@ class _Replica:
     residents due at a tick."""
     best_effort: int = 0
     """Best-effort requests in ``running``."""
+    max_batch: int = 0
+    """``model``'s max batch size (0 while unbound)."""
 
     def join(self, entry: _Running) -> None:
         """Add ``entry`` to the batch, stamping and listing its first- and
@@ -535,10 +543,12 @@ class _DecodeEngineBase:
         Chips beyond ``num_replicas * num_stages`` start as spares.  Every
         replica admits from ``queues`` when given, else from its own set."""
         stages = self.num_stages
+        max_batch = self._deployments[model].max_batch_size if model else 0
         return [
             _Replica(
                 index=i,
                 model=model,
+                max_batch=max_batch,
                 chips=tuple(range(i * stages, (i + 1) * stages)),
                 chip_class=self.pool.chip_for(i * stages),
                 queues=queues if queues is not None else _Queues(),
@@ -1073,9 +1083,9 @@ class _DecodeRun:
         were shed.
         """
         engine, records, counters = self.engine, self.records, self.counters
-        records.sort(key=lambda record: record.request.request_id)
+        records.sort(key=_REQUEST_ID)
         first_arrival = self.requests[0].arrival_time if self.requests else 0.0
-        served = [record for record in records if record.ok]
+        served = [record for record in records if record.status == DECODE_OK]
         makespan = 0.0
         if served:
             makespan = max(r.completion_time for r in served) - min(
@@ -1164,18 +1174,25 @@ class _DecodeRun:
                 if running.finish_tick != tick:
                     continue
             replica.leave(running)
-            record = CompletedDecode(
-                request=running.request,
-                status=DECODE_OK,
-                admitted_time=running.admitted_time,
-                first_token_time=running.first_token_time,
-                completion_time=now,
-                tokens_generated=running.tokens_done,
-                preemptions=running.preemptions,
-                replica=replica.index,
-                requeues=running.requeues,
-                migrations=running.migrations,
-                lost_tokens=running.lost_tokens,
+            # CompletedDecode(request, status, admitted_time,
+            # first_token_time, completion_time, tokens_generated,
+            # preemptions, replica, requeues, migrations, lost_tokens),
+            # built in one allocation.
+            record = _new(
+                CompletedDecode,
+                (
+                    running.request,
+                    DECODE_OK,
+                    running.admitted_time,
+                    running.first_token_time,
+                    now,
+                    running.tokens_done,
+                    running.preemptions,
+                    replica.index,
+                    running.requeues,
+                    running.migrations,
+                    running.lost_tokens,
+                ),
             )
             self.records.append(record)
             if self.traced:
@@ -1294,13 +1311,10 @@ class _DecodeRun:
         """Fill ``replica``'s batch from its queue set at an iteration
         boundary."""
         queues = replica.queues
-        iq = queues.iq
+        iq, bq, preempted = queues.iq, queues.bq, queues.preempted
         running = replica.running
         deployment = self.deployments[replica.model]
-        max_batch = deployment.max_batch_size
-        if len(running) >= max_batch and not (iq and replica.best_effort):
-            return  # a full batch admits only by preempting a best-effort resident
-        bq, preempted = queues.bq, queues.preempted
+        max_batch = replica.max_batch
         traced = self.traced
         # Interactive first, earliest deadline first.
         while iq and len(running) < max_batch:
@@ -1364,9 +1378,13 @@ class _DecodeRun:
         if replica.busy or replica.state is not ACTIVE:
             return
         queues = replica.queues
-        if queues.iq or queues.bq or queues.preempted:
-            self.admit(replica, now)
         running = replica.running
+        if len(running) < replica.max_batch:
+            if queues.iq or queues.bq or queues.preempted:
+                self.admit(replica, now)
+        elif queues.iq and replica.best_effort:
+            # A full batch admits only by preempting a best-effort resident.
+            self.admit(replica, now)
         if not running:
             # Drained: release the chips unless that breaches the floor.
             if self.counts[ACTIVE] > self.min_active:

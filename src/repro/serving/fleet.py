@@ -90,6 +90,7 @@ from repro.serving.continuous import (
     _Queues,
     _Replica,
     _Running,
+    _new,
 )
 from repro.serving.faults import FaultEvent, FaultSchedule, Watchdog
 from repro.serving.metrics import ContinuousReport
@@ -113,10 +114,6 @@ POLICY_FLEET = "fleet"
 #: Payload of a periodic scaler tick (_EV_SCALE); any other payload is the
 #: index of a replica whose boot completes at the event's time.
 _SCALE_TICK = object()
-
-
-#: Builds a named tuple from one tuple of all its fields, in C.
-_new = tuple.__new__
 
 
 class _ViewMemo:
@@ -735,6 +732,7 @@ class _FleetRun(_DecodeRun):
             )
         previous = replica.model
         replica.model = model
+        replica.max_batch = self.deployments[model].max_batch_size
         replica.latencies = None
         if previous:
             replica.generation += 1

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from functools import cached_property
+from typing import NamedTuple, Sequence
 
 from repro.runtime.metrics import goodput_rps, latency_percentiles, throughput_rps
 from repro.serving.plan_cache import CacheStats
@@ -177,7 +178,20 @@ def dip_and_recovery(
     return baseline, dip_depth, recovery
 
 
-@dataclass
+class _Tally(NamedTuple):
+    """What one pass over a report's records counts."""
+
+    served: tuple[CompletedDecode, ...]
+    """The records served to completion, in report order."""
+    deadlined: int
+    """Records carrying a deadline, shed ones included."""
+    deadlines_met: int
+    """Served records that met their deadline."""
+    slo_met: int
+    """Served records that met their deadline or carried none."""
+
+
+@dataclass(frozen=True)
 class ContinuousReport:
     """Everything one continuous-batching (or static-baseline) run measured.
 
@@ -185,6 +199,10 @@ class ContinuousReport:
     wall-clock field is ``warm_compile_seconds`` (the one-off cost of
     compiling the batch buckets), which is deliberately kept out of virtual
     time so runs are bit-for-bit reproducible.
+
+    A report is frozen: the request-derived reads share one cached pass
+    over ``completed`` (:attr:`_tally`), which can therefore never go
+    stale.
     """
 
     policy: str
@@ -230,20 +248,39 @@ class ContinuousReport:
     """Replica releases (including cancelled boots) taken by the scaler."""
 
     # ------------------------------------------------------------------ #
+    @cached_property
+    def _tally(self) -> _Tally:
+        """The served records and the deadline counts, in one pass."""
+        served = []
+        deadlined = met = free = 0
+        for record in self.completed:
+            deadline = record.request.deadline
+            if record.status == DECODE_OK:
+                served.append(record)
+                if deadline is None:
+                    free += 1
+                else:
+                    deadlined += 1
+                    if record.completion_time <= deadline:
+                        met += 1
+            elif deadline is not None:
+                deadlined += 1
+        return _Tally(tuple(served), deadlined, met, met + free)
+
     @property
     def ok_requests(self) -> list[CompletedDecode]:
         """Requests served to completion."""
-        return [record for record in self.completed if record.ok]
+        return list(self._tally.served)
 
     @property
     def total_completed(self) -> int:
         """Served request count."""
-        return len(self.ok_requests)
+        return len(self._tally.served)
 
     @property
     def total_tokens(self) -> int:
         """Output tokens generated across all served requests."""
-        return sum(record.tokens_generated for record in self.ok_requests)
+        return sum(record.tokens_generated for record in self._tally.served)
 
     @property
     def slo_met(self) -> int:
@@ -253,7 +290,7 @@ class ContinuousReport:
         means none can be missed — so this is *not* the numerator of
         :attr:`slo_attainment`, which conditions on carrying a deadline.
         """
-        return sum(1 for record in self.ok_requests if record.met_slo)
+        return self._tally.slo_met
 
     @property
     def slo_attainment(self) -> float:
@@ -263,13 +300,10 @@ class ContinuousReport:
         attainment, only goodput.  ``nan`` when no request carried a
         deadline.
         """
-        deadlined = [
-            record for record in self.completed if record.request.deadline is not None
-        ]
-        if not deadlined:
+        tally = self._tally
+        if not tally.deadlined:
             return float("nan")
-        met = sum(1 for record in deadlined if record.met_slo)
-        return met / len(deadlined)
+        return tally.deadlines_met / tally.deadlined
 
     @property
     def goodput(self) -> float:
@@ -280,12 +314,12 @@ class ContinuousReport:
         :attr:`throughput`; read it alongside :attr:`slo_attainment`, the
         deadline-conditioned view, when the mix is mostly best-effort.
         """
-        return goodput_rps(self.slo_met, self.makespan)
+        return goodput_rps(self._tally.slo_met, self.makespan)
 
     @property
     def throughput(self) -> float:
         """Served requests per virtual second (deadline-blind)."""
-        return throughput_rps(self.total_completed, self.makespan)
+        return throughput_rps(len(self._tally.served), self.makespan)
 
     @property
     def token_throughput(self) -> float:
@@ -296,23 +330,33 @@ class ContinuousReport:
     def ttft_percentiles(self) -> dict[str, float]:
         """p50/p95/p99 time-to-first-token over served requests (seconds)."""
         return latency_percentiles(
-            [record.time_to_first_token for record in self.ok_requests]
+            [
+                record.first_token_time - record.request.arrival_time
+                for record in self._tally.served
+            ]
         )
 
     @property
     def tpot_percentiles(self) -> dict[str, float]:
         """p50/p95/p99 time-per-output-token over served multi-token requests."""
-        gaps = [
-            record.time_per_output_token
-            for record in self.ok_requests
-            if not math.isnan(record.time_per_output_token)
-        ]
-        return latency_percentiles(gaps)
+        return latency_percentiles(
+            [
+                (record.completion_time - record.first_token_time)
+                / (record.tokens_generated - 1)
+                for record in self._tally.served
+                if record.tokens_generated >= 2
+            ]
+        )
 
     @property
     def latency_percentiles(self) -> dict[str, float]:
         """p50/p95/p99 end-to-end latency over served requests (seconds)."""
-        return latency_percentiles([record.latency for record in self.ok_requests])
+        return latency_percentiles(
+            [
+                record.completion_time - record.request.arrival_time
+                for record in self._tally.served
+            ]
+        )
 
     @property
     def utilization(self) -> float:
@@ -359,10 +403,21 @@ class ContinuousReport:
         *mechanism* counters (chip deaths, restarts, failovers, degraded/
         brownout sheds) stay fleet-level and are zeroed in slices.
         """
-        records = tuple(
-            record for record in self.completed if record.request.tenant == tenant
+        return self._slice(
+            tuple(record for record in self.completed if record.request.tenant == tenant)
         )
-        served = [record for record in records if record.ok]
+
+    def per_tenant(self) -> dict[str, "ContinuousReport"]:
+        """One :meth:`tenant_slice` per tenant, keyed by tenant name (sorted),
+        grouped in one pass over ``completed``."""
+        groups: dict[str, list[CompletedDecode]] = {}
+        for record in self.completed:
+            groups.setdefault(record.request.tenant, []).append(record)
+        return {tenant: self._slice(tuple(groups[tenant])) for tenant in sorted(groups)}
+
+    def _slice(self, records: tuple[CompletedDecode, ...]) -> "ContinuousReport":
+        """This report restricted to ``records`` (see :meth:`tenant_slice`)."""
+        served = [record for record in records if record.status == DECODE_OK]
         makespan = 0.0
         if served:
             makespan = max(r.completion_time for r in served) - min(
@@ -383,7 +438,7 @@ class ContinuousReport:
             cache=CacheStats(),
             warm_compile_seconds=0.0,
             preemptions=sum(record.preemptions for record in records),
-            shed=sum(1 for record in records if not record.ok),
+            shed=len(records) - len(served),
             scale_ups=0,
             scale_downs=0,
             peak_active_chips=0,
@@ -393,10 +448,6 @@ class ContinuousReport:
                 lost_tokens=sum(record.lost_tokens for record in records),
             ),
         )
-
-    def per_tenant(self) -> dict[str, "ContinuousReport"]:
-        """One :meth:`tenant_slice` per tenant, keyed by tenant name."""
-        return {tenant: self.tenant_slice(tenant) for tenant in self.tenants}
 
     @property
     def fairness(self) -> float:

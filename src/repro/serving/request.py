@@ -10,10 +10,11 @@ server would see.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 #: SLO classes of autoregressive requests (continuous batching).
 SLO_INTERACTIVE = "interactive"
@@ -107,8 +108,24 @@ DECODE_OK = "ok"
 DECODE_SHED = "shed"
 
 
-@dataclass(frozen=True)
-class CompletedDecode:
+def _frozen_record(cls):
+    """Register the named tuple ``cls`` as a frozen dataclass as well.
+
+    Records and router views are tuples so that building one is a single
+    allocation (a replay builds one record per request; the fleet builds
+    one view per changed replica and one per route).  They were frozen
+    dataclasses before, so ``dataclasses.replace``/``fields``/``asdict``
+    keep working on them, the fields keep their defaults (``MISSING`` for
+    the required ones), and assigning to one still raises
+    :class:`dataclasses.FrozenInstanceError`."""
+    dataclasses.dataclass(frozen=True, init=False, repr=False, eq=False)(cls)
+    for name, spec in cls.__dataclass_fields__.items():
+        spec.default = cls._field_defaults.get(name, dataclasses.MISSING)
+    return cls
+
+
+@_frozen_record
+class CompletedDecode(NamedTuple):
     """A decode request together with how the engine served (or shed) it."""
 
     request: DecodeRequest

@@ -33,12 +33,11 @@ for failover; ``health_aware=False`` restores the health-blind behaviour
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from abc import ABC, abstractmethod
 from typing import Callable, Mapping, NamedTuple, Sequence
 
-from repro.serving.request import DecodeRequest
+from repro.serving.request import DecodeRequest, _frozen_record
 
 #: Health states a replica can report to the router, from best to worst.
 HEALTH_HEALTHY = "healthy"
@@ -52,20 +51,6 @@ replica will return, but cannot serve right now."""
 HEALTH_DEAD = "dead"
 """Dead with no recovery in sight — requests queued here wait for a
 failover re-placement (or are re-routed by a health-aware router)."""
-
-
-def _frozen_record(cls):
-    """Register the named tuple ``cls`` as a frozen dataclass as well.
-
-    The views are tuples so that building one is a single allocation (the
-    fleet builds one per changed replica and one per route).  They were
-    frozen dataclasses before, so ``dataclasses.replace``/``fields``/
-    ``asdict`` keep working on them, and assigning to one still raises
-    :class:`dataclasses.FrozenInstanceError`."""
-    dataclasses.dataclass(frozen=True, init=False, repr=False, eq=False)(cls)
-    for name, default in cls._field_defaults.items():
-        cls.__dataclass_fields__[name].default = default
-    return cls
 
 
 @_frozen_record
