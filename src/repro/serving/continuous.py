@@ -130,7 +130,8 @@ class DecodeModel:
         in iteration units.  Deadlines and offered-load calculations (fig27,
         examples) must price work with this exact formula or their SLOs drift
         from what the engines actually execute."""
-        return self.prefill_iterations(prompt_tokens) + output_tokens - 1
+        # prefill_iterations inlined: every SLO callback of a trace calls this.
+        return max(1, math.ceil(prompt_tokens / self.prefill_chunk)) + output_tokens - 1
 
 
 @dataclass(eq=False)
@@ -1013,6 +1014,12 @@ class _DecodeRun:
         #: the active one is accrued.
         self.paid = self.charged != (ACTIVE,)
         self.peak_active = self.counts[ACTIVE]
+        #: Whether some ACTIVE replica may have no iteration in flight; while
+        #: it is false :meth:`start_idle` has nothing to start.  A replica
+        #: becomes such only by a move to ACTIVE (:meth:`transition`) or an
+        #: iteration end that starts no next iteration (:meth:`after_iteration`),
+        #: so those set it, and the walk in :meth:`start_idle` recomputes it.
+        self.maybe_idle = self.any_idle()
         self.last_time = requests[0].arrival_time if requests else 0.0
         self.stats_before = engine.plan_cache.stats.snapshot()
         self.chips = _ChipFaults(self)
@@ -1143,6 +1150,8 @@ class _DecodeRun:
         counts[old] -= 1
         counts[state] += 1
         replica.state = state
+        if state is ACTIVE:
+            self.maybe_idle = True
         self.num_charged = sum(counts[s] for s in self.charged)
         self.peak_charged = max(self.peak_charged, self.num_charged)
         self.peak_active = max(self.peak_active, counts[ACTIVE])
@@ -1201,9 +1210,17 @@ class _DecodeRun:
 
     def start_idle(self, now: float) -> None:
         """Start an iteration on every active replica that has none."""
+        if not self.maybe_idle:
+            return
         for replica in self.replicas:
             if replica.state is ACTIVE and not replica.busy:
                 self.start_iteration(replica, now)
+        # Those still idle drained with the scale-down floor reached.
+        self.maybe_idle = self.any_idle()
+
+    def any_idle(self) -> bool:
+        """Whether some ACTIVE replica has no iteration in flight."""
+        return any(r.state is ACTIVE and not r.busy for r in self.replicas)
 
     # ------------------------------------------------------------------ #
     # Admission
@@ -1560,6 +1577,8 @@ class _DecodeRun:
 
     def after_iteration(self, replica: _Replica, now: float) -> None:
         """After an iteration end retired, admitted and restarted ``replica``."""
+        if not replica.busy and replica.state is ACTIVE:
+            self.maybe_idle = True
 
     def sample(self, now: float) -> None:
         """Counter samples after each event (traced runs only)."""

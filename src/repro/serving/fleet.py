@@ -775,6 +775,9 @@ class _FleetRun(_DecodeRun):
             self.tenant_sample(tenant, now)
 
     def after_iteration(self, replica: _Replica, now: float) -> None:
+        # The base hook's check, inlined: it runs on every iteration end.
+        if not replica.busy and replica.state is ACTIVE:
+            self.maybe_idle = True
         self.marked.add(replica.index)
         if self.unrouted:
             self.drain_unrouted(now)

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
+import operator
 import random
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple
@@ -56,7 +58,11 @@ class TenantSpec:
 # --------------------------------------------------------------------------- #
 # Autoregressive (decode) requests — continuous batching
 # --------------------------------------------------------------------------- #
-@dataclass(frozen=True)
+#: How a frozen dataclass sets its own fields.
+_store = object.__setattr__
+
+
+@dataclass(frozen=True, init=False)
 class DecodeRequest:
     """One autoregressive generation request (prompt + output-token budget).
 
@@ -80,22 +86,48 @@ class DecodeRequest:
     tenant: str = ""
     """Traffic source this request belongs to (empty = single-tenant run)."""
 
-    def __post_init__(self) -> None:
-        if self.arrival_time < 0:
-            raise ValueError(f"arrival_time must be >= 0, got {self.arrival_time}")
-        if self.prompt_tokens < 1:
-            raise ValueError(f"prompt_tokens must be >= 1, got {self.prompt_tokens}")
-        if self.max_new_tokens < 1:
-            raise ValueError(f"max_new_tokens must be >= 1, got {self.max_new_tokens}")
-        if self.slo_class not in (SLO_INTERACTIVE, SLO_BEST_EFFORT):
+    def __init__(
+        self,
+        request_id: int,
+        model: str,
+        arrival_time: float,
+        prompt_tokens: int,
+        max_new_tokens: int,
+        slo_class: str = SLO_INTERACTIVE,
+        deadline: float | None = None,
+        tenant: str = "",
+    ) -> None:
+        # The generated frozen ``__init__`` plus ``__post_init__`` in one
+        # frame: traces build one request per arrival.  Fields are stored as
+        # the generated one stores them, so instances share their key table.
+        # One chained comparison rejects negative, infinite and NaN arrivals
+        # (every comparison with NaN is false).
+        if not 0 <= arrival_time < math.inf:
+            if arrival_time < 0:
+                raise ValueError(f"arrival_time must be >= 0, got {arrival_time}")
+            raise ValueError(f"arrival_time must be finite, got {arrival_time}")
+        if prompt_tokens < 1:
+            raise ValueError(f"prompt_tokens must be >= 1, got {prompt_tokens}")
+        if max_new_tokens < 1:
+            raise ValueError(f"max_new_tokens must be >= 1, got {max_new_tokens}")
+        if slo_class not in (SLO_INTERACTIVE, SLO_BEST_EFFORT):
             raise ValueError(
                 f"slo_class must be {SLO_INTERACTIVE!r} or {SLO_BEST_EFFORT!r}, "
-                f"got {self.slo_class!r}"
+                f"got {slo_class!r}"
             )
-        if self.deadline is not None and self.deadline < self.arrival_time:
-            raise ValueError(
-                f"deadline {self.deadline} precedes arrival {self.arrival_time}"
-            )
+        if deadline is not None and not deadline >= arrival_time:
+            if deadline != deadline:
+                raise ValueError("deadline must not be NaN")
+            raise ValueError(f"deadline {deadline} precedes arrival {arrival_time}")
+        store = _store
+        store(self, "request_id", request_id)
+        store(self, "model", model)
+        store(self, "arrival_time", arrival_time)
+        store(self, "prompt_tokens", prompt_tokens)
+        store(self, "max_new_tokens", max_new_tokens)
+        store(self, "slo_class", slo_class)
+        store(self, "deadline", deadline)
+        store(self, "tenant", tenant)
 
     @property
     def interactive(self) -> bool:
@@ -193,6 +225,16 @@ class CompletedDecode(NamedTuple):
         return deadline is None or self.completion_time <= deadline
 
 
+def _token_range(name: str, bounds: tuple[int, int]) -> tuple[int, int]:
+    """``(low, width)`` of an inclusive token range, checked up front: a
+    range that could draw a zero-token request fails on every seed, not
+    only on the seeds that happen to draw the zero."""
+    low, high = map(operator.index, bounds)
+    if low < 1 or high < low:
+        raise ValueError(f"{name} must satisfy 1 <= low <= high, got {tuple(bounds)}")
+    return low, high - low + 1
+
+
 def trace_workload(
     arrival_times: Iterable[float],
     model: str,
@@ -208,8 +250,8 @@ def trace_workload(
     """Attach request attributes to a stream of arrival times.
 
     Per request, in arrival order: a uniform prompt length and output
-    budget from the given inclusive ranges, then an ``interactive_fraction``
-    coin for the SLO class.  ``slo_seconds`` sets each interactive
+    budget from the given inclusive ranges (each needs ``1 <= low <=
+    high``), then an ``interactive_fraction`` coin for the SLO class.  ``slo_seconds`` sets each interactive
     request's deadline relative to its arrival — a constant, or a callable
     ``(prompt, output) -> seconds`` so deadlines can scale with the work
     requested; ``None`` leaves interactive requests deadline-free.
@@ -224,34 +266,36 @@ def trace_workload(
         )
     if max_requests is not None and max_requests < 1:
         raise ValueError(f"max_requests must be >= 1, got {max_requests}")
-    requests: list[DecodeRequest] = []
+    prompt_low, prompt_width = _token_range("prompt_tokens", prompt_tokens)
+    output_low, output_width = _token_range("output_tokens", output_tokens)
     times = (
         arrival_times
         if max_requests is None
         else itertools.islice(arrival_times, max_requests)
     )
+    # ``rng.randint(low, high)`` is ``low + rng._randbelow(high - low + 1)``:
+    # calling that directly draws the same values without two wrapper frames.
+    below = rng._randbelow
+    coin = rng.random
+    scaled = callable(slo_seconds)
+    new = DecodeRequest
+    requests: list[DecodeRequest] = []
+    append = requests.append
     for index, clock in enumerate(times):
-        prompt = rng.randint(*prompt_tokens)
-        output = rng.randint(*output_tokens)
-        interactive = rng.random() < interactive_fraction
-        deadline: float | None = None
-        if interactive and slo_seconds is not None:
-            relative = (
-                slo_seconds(prompt, output) if callable(slo_seconds) else slo_seconds
-            )
-            deadline = clock + relative
-        requests.append(
-            DecodeRequest(
-                request_id=index,
-                model=model,
-                arrival_time=clock,
-                prompt_tokens=prompt,
-                max_new_tokens=output,
-                slo_class=SLO_INTERACTIVE if interactive else SLO_BEST_EFFORT,
-                deadline=deadline,
-                tenant=tenant,
-            )
-        )
+        prompt = prompt_low + below(prompt_width)
+        output = output_low + below(output_width)
+        if coin() < interactive_fraction:
+            if slo_seconds is None:
+                deadline = None
+            elif scaled:
+                deadline = clock + slo_seconds(prompt, output)
+            else:
+                deadline = clock + slo_seconds
+            # DecodeRequest(request_id, model, arrival_time, prompt_tokens,
+            # max_new_tokens, slo_class, deadline, tenant)
+            append(new(index, model, clock, prompt, output, SLO_INTERACTIVE, deadline, tenant))
+        else:
+            append(new(index, model, clock, prompt, output, SLO_BEST_EFFORT, None, tenant))
     return requests
 
 
@@ -296,6 +340,10 @@ def decode_workload(
     )
 
 
+#: The merge order of :func:`merge_decode_workloads`.
+_MERGE_KEY = operator.attrgetter("arrival_time", "tenant", "model", "request_id")
+
+
 def merge_decode_workloads(
     *streams: Iterable[DecodeRequest],
 ) -> list[DecodeRequest]:
@@ -310,17 +358,15 @@ def merge_decode_workloads(
     numbers them uniquely).
     """
     merged = [req for stream in streams for req in stream]
-    keyed = sorted(
-        merged,
-        key=lambda req: (req.arrival_time, req.tenant, req.model, req.request_id),
-    )
-    for first, second in zip(keyed, keyed[1:]):
-        if (
-            first.arrival_time == second.arrival_time
-            and first.tenant == second.tenant
-            and first.model == second.model
-            and first.request_id == second.request_id
-        ):
+    keyed = sorted(merged, key=_MERGE_KEY)
+    # Sorted by key, so requests sharing one are neighbours with one arrival
+    # time; the times are compared first because they allocate nothing.
+    times = list(map(operator.attrgetter("arrival_time"), keyed))
+    for position in itertools.compress(
+        itertools.count(), map(operator.eq, times, times[1:])
+    ):
+        first = keyed[position]
+        if _MERGE_KEY(first) == _MERGE_KEY(keyed[position + 1]):
             raise ValueError(
                 "indistinguishable requests in merge_decode_workloads: two "
                 f"requests with id {first.request_id} for tenant "
@@ -328,18 +374,20 @@ def merge_decode_workloads(
                 f"{first.arrival_time}; draw each (tenant, model) stream "
                 "from a single generator call"
             )
-    # A keyword constructor rather than ``dataclasses.replace``: half the cost
-    # on long merged traces, and ``__post_init__`` still validates each copy.
+    # A positional constructor rather than ``dataclasses.replace``: a fraction
+    # of the cost on long merged traces, and ``__init__`` still validates
+    # each copy.
+    new = DecodeRequest
     return [
-        DecodeRequest(
-            request_id=index,
-            model=req.model,
-            arrival_time=req.arrival_time,
-            prompt_tokens=req.prompt_tokens,
-            max_new_tokens=req.max_new_tokens,
-            slo_class=req.slo_class,
-            deadline=req.deadline,
-            tenant=req.tenant,
+        new(
+            index,
+            req.model,
+            req.arrival_time,
+            req.prompt_tokens,
+            req.max_new_tokens,
+            req.slo_class,
+            req.deadline,
+            req.tenant,
         )
         for index, req in enumerate(keyed)
     ]

@@ -132,6 +132,18 @@ class TestDecodeRequest:
         with pytest.raises(ValueError):
             request(0, 5.0, deadline=4.0)
 
+    @pytest.mark.parametrize("arrival", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_arrivals(self, arrival):
+        """A NaN arrival compares false with everything, so it used to pass
+        the ``< 0`` check and break the engines' arrival ordering."""
+        with pytest.raises(ValueError, match="arrival_time"):
+            request(0, arrival)
+
+    def test_rejects_a_nan_deadline_but_not_an_infinite_one(self):
+        with pytest.raises(ValueError, match="deadline"):
+            request(0, 1.0, deadline=math.nan)
+        assert request(0, 1.0, deadline=math.inf).deadline == math.inf
+
     def test_interactive_flag(self):
         assert request(0, 0.0).interactive
         assert not request(0, 0.0, slo_class=SLO_BEST_EFFORT).interactive
@@ -371,6 +383,18 @@ class TestMergeDecodeWorkloads:
 
 
 class TestDecodeModel:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        prefill_chunk=st.integers(1, 200),
+        prompt=st.integers(1, 5000),
+        output=st.integers(1, 500),
+    )
+    def test_ideal_iterations_is_prefill_plus_decode(self, prefill_chunk, prompt, output):
+        model = make_model(prefill_chunk=prefill_chunk)
+        assert model.ideal_iterations(prompt, output) == (
+            model.prefill_iterations(prompt) + output - 1
+        )
+
     def test_prefill_iterations(self):
         model = make_model(prefill_chunk=64)
         assert model.prefill_iterations(1) == 1
@@ -1591,3 +1615,80 @@ def test_event_heap_holds_only_timers(cache, small_chip, fast_constraints):
             assert check_report(report, workload) == []
     assert 1 < peaks[0] <= engine.num_replicas
     assert 1 < peaks[1] <= engine.num_replicas
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    kind=st.sampled_from(["continuous", "static", "fleet", "fleet-scaled"]),
+    num_requests=st.integers(1, 30),
+    load=st.floats(0.2, 4.0),
+    seed=st.integers(0, 10_000),
+    death=st.one_of(st.none(), st.floats(0.1, 0.9)),
+)
+def test_maybe_idle_covers_every_idle_replica(
+    kind, num_requests, load, seed, death, shared_cache, small_chip, fast_constraints
+):
+    """``start_idle`` skips its walk only when no ACTIVE replica lacks an
+    iteration: at every call, through scale-downs, chip deaths, restarts
+    and a provisioning scaler, ``maybe_idle`` is set whenever a walk would
+    find an idle replica."""
+    model = make_model(max_batch_size=2, prefill_chunk=8)
+    common = dict(chip=small_chip, constraints=fast_constraints, plan_cache=shared_cache)
+    if kind.startswith("fleet"):
+        engine = FleetEngine([model], num_chips=3, **common)
+        unit = engine.iteration_latency("tiny")
+    elif kind == "static":
+        engine = StaticEngine(model, num_chips=2, **common)
+        unit = engine.iteration_latency(1)
+    else:
+        engine = ContinuousEngine(model, num_chips=3, **common)
+        unit = engine.iteration_latency(1)
+    workload = mixed_workload(
+        model, unit, num_requests=num_requests, load=load, seed=seed, interactive=0.5
+    )
+    kwargs = {}
+    if kind == "fleet-scaled":
+        kwargs["scaler"] = ScriptedScaler(2, interval=3 * unit)
+    if death is not None and kind != "static":
+        span = workload[-1].arrival_time + 10 * unit
+        kwargs["faults"] = FaultSchedule.of(
+            [
+                chip_death(death * span, 0),
+                restart(death * span + 5 * unit, 0, cold_cache=False, warmup_delay=unit),
+            ]
+        )
+        kwargs["watchdog"] = Watchdog(detection_delay=unit)
+    checks = []
+    original = _DecodeRun.start_idle
+
+    def start_idle(self, now):
+        checks.append((self.maybe_idle, self.any_idle()))
+        original(self, now)
+
+    with mock.patch.object(_DecodeRun, "start_idle", start_idle):
+        report = engine.run(workload, **kwargs)
+    assert check_report(report, workload) == []
+    # Single-model engines call it on every arrival; the fleet on detection.
+    assert len(checks) >= (0 if kind.startswith("fleet") else len(workload))
+    assert all(flagged for flagged, idle in checks if idle)
+
+
+def test_an_overloaded_replay_skips_the_idle_walk(cache, small_chip, fast_constraints):
+    """Under overload every replica is busy at almost every arrival, so
+    almost every arrival's ``start_idle`` returns without a walk."""
+    flags = []
+    original = _DecodeRun.start_idle
+
+    def start_idle(self, now):
+        flags.append(self.maybe_idle)
+        original(self, now)
+
+    model = make_model()
+    engine = make_engine(cache, small_chip, fast_constraints, model=model, num_chips=4)
+    unit = engine.iteration_latency(1)
+    workload = mixed_workload(model, unit, num_requests=2000, load=6.0, seed=0, interactive=0.5)
+    with mock.patch.object(_DecodeRun, "start_idle", start_idle):
+        report = engine.run(workload)
+    assert check_report(report, workload) == []
+    assert len(flags) == len(workload)
+    assert flags.count(True) < len(workload) // 10

@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.serving import (
     SLO_BEST_EFFORT,
     SLO_INTERACTIVE,
+    DecodeRequest,
     DiurnalPattern,
     FlashCrowdPattern,
     burstiness,
@@ -269,6 +273,267 @@ class TestTraceWorkload:
             trace_workload([0.0], "alpha", rng=random.Random(0), interactive_fraction=2.0)
         with pytest.raises(ValueError, match="max_requests"):
             trace_workload([0.0], "alpha", rng=random.Random(0), max_requests=0)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize(
+        "bounds", [(0, 64), (-3, 4), (0, 0), (5, 4), (8, 1)], ids=str
+    )
+    @pytest.mark.parametrize("name", ["prompt_tokens", "output_tokens"])
+    def test_token_ranges_are_checked_on_every_seed(self, name, bounds, seed):
+        """A range that could draw a zero-token request, or is empty, fails
+        up front whatever the seed, not only when a zero is drawn."""
+        with pytest.raises(ValueError, match=name):
+            decode_workload("alpha", num_requests=5, rate=1.0, seed=seed, **{name: bounds})
+        with pytest.raises(ValueError, match=name):
+            trace_workload([], "alpha", rng=random.Random(seed), **{name: bounds})
+
+    def test_single_value_ranges_are_legal(self):
+        trace = decode_workload(
+            "alpha", num_requests=5, rate=1.0, prompt_tokens=(1, 1), output_tokens=(7, 7)
+        )
+        assert {(req.prompt_tokens, req.max_new_tokens) for req in trace} == {(1, 7)}
+
+
+# --------------------------------------------------------------------------- #
+# Reference oracle: the per-request generator and merge as first written
+# --------------------------------------------------------------------------- #
+def reference_trace_workload(
+    arrival_times,
+    model,
+    *,
+    rng,
+    prompt_tokens=(16, 128),
+    output_tokens=(4, 48),
+    interactive_fraction=0.75,
+    slo_seconds=None,
+    tenant="",
+    max_requests=None,
+):
+    """``trace_workload`` as first written: ``randint`` draws, keyword
+    construction, every choice made again per request."""
+    if not 0.0 <= interactive_fraction <= 1.0:
+        raise ValueError(
+            f"interactive_fraction must be in [0, 1], got {interactive_fraction}"
+        )
+    if max_requests is not None and max_requests < 1:
+        raise ValueError(f"max_requests must be >= 1, got {max_requests}")
+    requests = []
+    times = (
+        arrival_times
+        if max_requests is None
+        else itertools.islice(arrival_times, max_requests)
+    )
+    for index, clock in enumerate(times):
+        prompt = rng.randint(*prompt_tokens)
+        output = rng.randint(*output_tokens)
+        interactive = rng.random() < interactive_fraction
+        deadline = None
+        if interactive and slo_seconds is not None:
+            relative = (
+                slo_seconds(prompt, output) if callable(slo_seconds) else slo_seconds
+            )
+            deadline = clock + relative
+        requests.append(
+            DecodeRequest(
+                request_id=index,
+                model=model,
+                arrival_time=clock,
+                prompt_tokens=prompt,
+                max_new_tokens=output,
+                slo_class=SLO_INTERACTIVE if interactive else SLO_BEST_EFFORT,
+                deadline=deadline,
+                tenant=tenant,
+            )
+        )
+    return requests
+
+
+def reference_merge_decode_workloads(*streams):
+    """``merge_decode_workloads`` as first written: a lambda key, a field
+    by field duplicate scan and keyword construction."""
+    merged = [req for stream in streams for req in stream]
+    keyed = sorted(
+        merged,
+        key=lambda req: (req.arrival_time, req.tenant, req.model, req.request_id),
+    )
+    for first, second in zip(keyed, keyed[1:]):
+        if (
+            first.arrival_time == second.arrival_time
+            and first.tenant == second.tenant
+            and first.model == second.model
+            and first.request_id == second.request_id
+        ):
+            raise ValueError("indistinguishable requests in merge_decode_workloads")
+    return [
+        DecodeRequest(
+            request_id=index,
+            model=req.model,
+            arrival_time=req.arrival_time,
+            prompt_tokens=req.prompt_tokens,
+            max_new_tokens=req.max_new_tokens,
+            slo_class=req.slo_class,
+            deadline=req.deadline,
+            tenant=req.tenant,
+        )
+        for index, req in enumerate(keyed)
+    ]
+
+
+def referenced(generate):
+    """``generate()`` with every generator attaching attributes through the
+    reference ``trace_workload``."""
+    with mock.patch(
+        "repro.serving.request.trace_workload", reference_trace_workload
+    ), mock.patch("repro.serving.traffic.trace_workload", reference_trace_workload):
+        return generate()
+
+
+#: Inclusive token ranges: width 1, powers of two (where ``_randbelow``
+#: never rejects a draw) and widths just past them (where it rejects most).
+token_ranges = st.tuples(
+    st.integers(1, 100),
+    st.one_of(st.sampled_from([1, 2, 4, 8, 64, 128, 3, 5, 65, 129]), st.integers(1, 300)),
+).map(lambda low_width: (low_width[0], low_width[0] + low_width[1] - 1))
+
+#: ``slo_seconds`` as None, a constant or a callable of the work requested.
+slo_rules = st.sampled_from(
+    [None, 0.0, 0.25, 3.5, lambda p, o: 0.001 * (p + 2 * o), lambda p, o: 0.5 * math.ceil(p / 7) + o]
+)
+
+request_kwargs = st.fixed_dictionaries(
+    {
+        "prompt_tokens": token_ranges,
+        "output_tokens": token_ranges,
+        "interactive_fraction": st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+        "slo_seconds": slo_rules,
+        "tenant": st.sampled_from(["", "acme", "globex"]),
+    }
+)
+
+
+def generator_call(kind, seed, kwargs, max_requests):
+    """A zero-argument call of the generator ``kind`` on small traces."""
+    capped = {} if max_requests is None else {"max_requests": max_requests}
+    if kind == "decode":
+        return lambda: decode_workload(
+            "alpha", num_requests=max_requests or 40, rate=5.0, seed=seed, **kwargs
+        )
+    if kind == "diurnal":
+        return lambda: diurnal_workload(
+            "alpha", base_rate=8.0, period=5.0, duration=6.0, seed=seed, **kwargs, **capped
+        )
+    if kind == "bursty":
+        return lambda: bursty_workload(
+            "alpha",
+            quiet_rate=2.0,
+            burst_rate=20.0,
+            mean_quiet=2.0,
+            mean_burst=1.0,
+            duration=6.0,
+            seed=seed,
+            **kwargs,
+            **capped,
+        )
+    return lambda: flash_crowd_workload(
+        "alpha",
+        base_rate=3.0,
+        start=1.0,
+        ramp=1.0,
+        hold=1.0,
+        decay=1.0,
+        duration=6.0,
+        seed=seed,
+        **kwargs,
+        **capped,
+    )
+
+
+generator_kinds = st.sampled_from(["decode", "diurnal", "bursty", "flash"])
+
+
+class TestTraceOracle:
+    """Every generator draws the same trace as the reference
+    ``trace_workload``, and merges of them equal the reference merge."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        kind=generator_kinds,
+        seed=st.integers(0, 2**32),
+        kwargs=request_kwargs,
+        max_requests=st.one_of(st.none(), st.integers(1, 30)),
+    )
+    def test_generators_match_reference(self, kind, seed, kwargs, max_requests):
+        generate = generator_call(kind, seed, kwargs, max_requests)
+        actual = generate()
+        assert repr(actual) == repr(referenced(generate))
+        if max_requests is not None:
+            assert len(actual) <= max_requests
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        streams=st.lists(
+            st.tuples(generator_kinds, st.integers(0, 2**32), request_kwargs),
+            min_size=1,
+            max_size=4,
+        ),
+        model_per_stream=st.booleans(),
+    )
+    def test_merges_match_reference(self, streams, model_per_stream):
+        calls = []
+        for position, (kind, seed, kwargs) in enumerate(streams):
+            # Distinct (tenant, model) streams: a merge rejects two copies
+            # of one stream.
+            kwargs = {**kwargs, "tenant": f"{kwargs['tenant']}{position}"}
+            calls.append(generator_call(kind, seed, kwargs, None))
+        traces = [generate() for generate in calls]
+        if model_per_stream:
+            traces = [
+                [
+                    DecodeRequest(
+                        req.request_id,
+                        f"m{position % 2}",
+                        req.arrival_time,
+                        req.prompt_tokens,
+                        req.max_new_tokens,
+                        req.slo_class,
+                        req.deadline,
+                        req.tenant,
+                    )
+                    for req in trace
+                ]
+                for position, trace in enumerate(traces)
+            ]
+        expected = reference_merge_decode_workloads(*traces)
+        assert repr(merge_decode_workloads(*traces)) == repr(expected)
+        assert repr(merge_decode_workloads(*reversed(traces))) == repr(expected)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        times=st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0]), min_size=1, max_size=8),
+        labels=st.lists(
+            st.tuples(st.sampled_from(["", "a", "b"]), st.sampled_from(["x", "y", "z"])),
+            min_size=2,
+            max_size=4,
+            unique=True,
+        ),
+        seed=st.integers(0, 2**32),
+    )
+    def test_merges_break_arrival_ties_like_the_reference(self, times, labels, seed):
+        """Streams on one clock tie on every arrival, so the rest of the
+        key (tenant, then model, then id) orders the merge."""
+        traces = [
+            trace_workload(sorted(times), model, rng=random.Random(seed + i), tenant=tenant)
+            for i, (tenant, model) in enumerate(labels)
+        ]
+        expected = reference_merge_decode_workloads(*traces)
+        assert repr(merge_decode_workloads(*traces)) == repr(expected)
+        assert repr(merge_decode_workloads(*reversed(traces))) == repr(expected)
+
+    def test_merge_rejects_what_the_reference_rejects(self):
+        stream = decode_workload("alpha", num_requests=3, rate=1.0, seed=1, tenant="acme")
+        for merge in (merge_decode_workloads, reference_merge_decode_workloads):
+            with pytest.raises(ValueError, match="indistinguishable"):
+                merge(stream, [], stream)
 
 
 # --------------------------------------------------------------------------- #
