@@ -46,7 +46,6 @@ import math
 import operator
 from collections import deque
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
 from repro.core.constraints import DEFAULT_CONSTRAINTS, SearchConstraints
@@ -388,8 +387,6 @@ class _DecodeEngineBase:
         num_chips: int,
         constraints: SearchConstraints,
         plan_cache: PlanCache | None,
-        cache_dir: str | Path | None,
-        jobs: int | None,
         chip_classes: dict[int, ChipSpec] | None = None,
     ) -> None:
         if not deployments:
@@ -416,20 +413,12 @@ class _DecodeEngineBase:
                 f"model {names[0]!r} needs a group of {self.num_stages} "
                 f"chips but the fleet has only {num_chips}"
             )
-        if plan_cache is not None and cache_dir is not None:
-            raise ValueError("pass either plan_cache or cache_dir, not both")
-        if plan_cache is not None and jobs is not None:
-            raise ValueError(
-                "jobs has no effect on a caller-supplied plan_cache; set jobs "
-                "when building the cache instead"
-            )
         self._deployments = {deployment.name: deployment for deployment in deployments}
         self.num_chips = num_chips
-        cache = plan_cache if plan_cache is not None else PlanCache(cache_dir, jobs=jobs)
         self.pool = WorkerPool(
             chip,
             num_chips=num_chips,
-            plan_cache=cache,
+            plan_cache=plan_cache if plan_cache is not None else PlanCache(jobs=None),
             constraints=constraints,
             chip_classes=chip_classes,
         )
@@ -1609,8 +1598,6 @@ class _SingleModelEngine(_DecodeEngineBase):
         num_chips: int = 1,
         constraints: SearchConstraints = DEFAULT_CONSTRAINTS,
         plan_cache: PlanCache | None = None,
-        cache_dir: str | Path | None = None,
-        jobs: int | None = None,
     ) -> None:
         super().__init__(
             [model],
@@ -1618,8 +1605,6 @@ class _SingleModelEngine(_DecodeEngineBase):
             num_chips=num_chips,
             constraints=constraints,
             plan_cache=plan_cache,
-            cache_dir=cache_dir,
-            jobs=jobs,
         )
         self.model = model
 
@@ -1658,8 +1643,6 @@ class ContinuousEngine(_SingleModelEngine):
         num_chips: int = 1,
         constraints: SearchConstraints = DEFAULT_CONSTRAINTS,
         plan_cache: PlanCache | None = None,
-        cache_dir: str | Path | None = None,
-        jobs: int | None = None,
         min_replicas: int = 1,
         scale_up_queue: int | None = None,
         shed: bool = True,
@@ -1670,8 +1653,6 @@ class ContinuousEngine(_SingleModelEngine):
             num_chips=num_chips,
             constraints=constraints,
             plan_cache=plan_cache,
-            cache_dir=cache_dir,
-            jobs=jobs,
         )
         if not 1 <= min_replicas <= self.num_replicas:
             raise ValueError(
@@ -1855,8 +1836,6 @@ class StaticEngine(_SingleModelEngine):
         num_chips: int = 1,
         constraints: SearchConstraints = DEFAULT_CONSTRAINTS,
         plan_cache: PlanCache | None = None,
-        cache_dir: str | Path | None = None,
-        jobs: int | None = None,
         batch_window: float = 0.0,
     ) -> None:
         """``batch_window`` (seconds) lets a free replica whose queue holds
@@ -1871,8 +1850,6 @@ class StaticEngine(_SingleModelEngine):
             num_chips=num_chips,
             constraints=constraints,
             plan_cache=plan_cache,
-            cache_dir=cache_dir,
-            jobs=jobs,
         )
         self.batch_window = batch_window
 

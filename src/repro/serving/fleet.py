@@ -67,7 +67,6 @@ from __future__ import annotations
 import heapq
 import math
 from collections import deque
-from pathlib import Path
 from typing import Sequence
 
 from repro.core.constraints import DEFAULT_CONSTRAINTS, SearchConstraints
@@ -179,8 +178,6 @@ class FleetEngine(_DecodeEngineBase):
         router: Router | None = None,
         constraints: SearchConstraints = DEFAULT_CONSTRAINTS,
         plan_cache: PlanCache | None = None,
-        cache_dir: str | Path | None = None,
-        jobs: int | None = None,
         shed: bool = True,
     ) -> None:
         tenants = tenants or ()
@@ -193,8 +190,6 @@ class FleetEngine(_DecodeEngineBase):
             num_chips=num_chips,
             constraints=constraints,
             plan_cache=plan_cache,
-            cache_dir=cache_dir,
-            jobs=jobs,
             chip_classes=chip_classes,
         )
         self.tenants = {tenant.name: tenant for tenant in tenants}
@@ -450,9 +445,13 @@ class _FleetRun(_DecodeRun):
       the warming chip set changes, through their health re-reads;
     * :meth:`displace` marks its replica after emptying its batch and again
       after emptying its queues, since re-routes run in between;
-    * a :meth:`degraded_shed` that shed and the end of a :meth:`detect`
-      (whose ``start_idle`` runs after its re-routes) mark every replica.
-      They are rare.
+    * a :meth:`degraded_shed` that shed marks every replica.  It is rare.
+
+    Detection needs no mark of its own: its re-routes mark through
+    :meth:`displace` and :meth:`place`, and the ``start_idle`` after them
+    starts nothing, since a fleet replica is never active and idle between
+    events (every activation starts an iteration, and a drained replica
+    scales down at once with ``min_active`` 0).
     """
 
     counter_names = (
@@ -866,11 +865,6 @@ class _FleetRun(_DecodeRun):
         for request in parked:
             if not self.place(request, now):
                 self.unrouted.append(request)
-
-    def detect(self, replica: _Replica, now: float) -> None:
-        super().detect(replica, now)
-        # Its start_idle runs after the last re-route.
-        self.view_memo.mark_all()
 
     def degraded_shed(self, now: float) -> bool:
         shed = super().degraded_shed(now)

@@ -251,8 +251,9 @@ def trace_workload(
 
     Per request, in arrival order: a uniform prompt length and output
     budget from the given inclusive ranges (each needs ``1 <= low <=
-    high``), then an ``interactive_fraction`` coin for the SLO class.  ``slo_seconds`` sets each interactive
-    request's deadline relative to its arrival — a constant, or a callable
+    high``), then an ``interactive_fraction`` coin for the SLO class.
+    ``slo_seconds`` sets each interactive request's deadline relative to
+    its arrival — a constant, or a callable
     ``(prompt, output) -> seconds`` so deadlines can scale with the work
     requested; ``None`` leaves interactive requests deadline-free.
     ``tenant`` tags every request with its traffic source.  ``rng`` is the

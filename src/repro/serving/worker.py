@@ -24,7 +24,7 @@ from typing import Mapping
 from repro.core.constraints import DEFAULT_CONSTRAINTS, SearchConstraints
 from repro.core.parallel import SingleFlight
 from repro.dist.sharded import ShardedCompiler, ShardedModel
-from repro.hw.interconnect import InterconnectModel, default_interconnect
+from repro.hw.interconnect import default_interconnect
 from repro.hw.simulator import ChipSimulator, measure_compilation
 from repro.hw.spec import ChipSpec
 from repro.ir.graph import OperatorGraph
@@ -70,22 +70,19 @@ class WorkerPool:
         chip: ChipSpec,
         *,
         num_chips: int = 1,
-        plan_cache: PlanCache | None = None,
+        plan_cache: PlanCache,
         constraints: SearchConstraints = DEFAULT_CONSTRAINTS,
-        jobs: int | None = 1,
-        interconnect: InterconnectModel | None = None,
         chip_classes: Mapping[int, ChipSpec] | None = None,
     ) -> None:
-        """``jobs`` sets the parallel-compilation width of the pool's own plan
-        cache; it is ignored when an external ``plan_cache`` is supplied (the
-        cache's compilers are configured by whoever built it).
-        ``interconnect`` prices the stage-boundary transfers of sharded
-        models (defaults to the chip's ``inter_chip_bandwidth``).
-        ``chip_classes`` makes the pool heterogeneous: it maps chip index →
-        :class:`ChipSpec` for chips that are *not* the default ``chip``
-        class (e.g. the fig22 GPU baseline joining an IPU fleet).  Programs
-        are compiled per class — the plan cache keys on the chip
-        fingerprint — and priced on that class's own simulator.
+        """``plan_cache`` compiles and holds the pool's programs (its
+        compilers set the parallel-compilation width).  Stage-boundary
+        transfers of sharded models are priced on the chip's
+        ``inter_chip_bandwidth``.  ``chip_classes`` makes the pool
+        heterogeneous: it maps chip index → :class:`ChipSpec` for chips
+        that are *not* the default ``chip`` class (e.g. the fig22 GPU
+        baseline joining an IPU fleet).  Programs are compiled per class —
+        the plan cache keys on the chip fingerprint — and priced on that
+        class's own simulator.
         """
         if num_chips < 1:
             raise ValueError(f"num_chips must be >= 1, got {num_chips}")
@@ -97,11 +94,9 @@ class WorkerPool:
                 raise ValueError(
                     f"chip_classes index {index} outside fleet [0, {num_chips})"
                 )
-        self.plan_cache = plan_cache if plan_cache is not None else PlanCache(jobs=jobs)
+        self.plan_cache = plan_cache
         self.constraints = constraints
-        self.interconnect = (
-            interconnect if interconnect is not None else default_interconnect(chip)
-        )
+        self.interconnect = default_interconnect(chip)
         self.simulator = ChipSimulator(chip)
         self._simulators: dict[str, ChipSimulator] = {chip.fingerprint(): self.simulator}
         self._latency_memo: dict[str, tuple[str, str, float]] = {}

@@ -14,6 +14,9 @@ import pytest
 from repro.core import CostModel, SearchConstraints, T10Compiler
 from repro.hw.spec import IPU_MK2, ChipSpec, KiB
 from repro.runtime import Executor
+from repro.serving import PlanCache
+
+from scenarios import Testbed
 
 #: Parallel-compilation width for the shared compiler fixture.  CI runs a
 #: second matrix leg with ``REPRO_TEST_JOBS=4`` so the compiles going through
@@ -98,6 +101,34 @@ def small_compiler(small_chip, small_cost_model, fast_constraints) -> T10Compile
 
 
 @pytest.fixture()
+def cache(small_cost_model) -> PlanCache:
+    """An in-memory plan cache compiling with the shared test cost model."""
+    return PlanCache(
+        compiler_factory=lambda chip, constraints: T10Compiler(
+            chip, cost_model=small_cost_model, constraints=constraints
+        ),
+    )
+
+
+@pytest.fixture()
 def small_executor(small_chip) -> Executor:
     """Executor bound to the small test chip."""
     return Executor(small_chip)
+
+
+@pytest.fixture(scope="session")
+def testbed(small_chip, small_cost_model, fast_constraints) -> Testbed:
+    """The serving property tests' chip, constraints and shared plan caches
+    (serial and ``jobs=2``): every example after the first replays warm."""
+
+    def cache(jobs: int) -> PlanCache:
+        return PlanCache(
+            compiler_factory=lambda chip, constraints: T10Compiler(
+                chip, cost_model=small_cost_model, constraints=constraints, jobs=jobs
+            ),
+        )
+
+    bed = Testbed(small_chip, fast_constraints, cache(1), cache(2))
+    yield bed
+    bed.cache.close()
+    bed.cache_jobs2.close()

@@ -9,10 +9,8 @@ from dataclasses import MISSING, FrozenInstanceError, asdict, fields, replace
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from repro.core import T10Compiler
-from repro.ir import OperatorGraph, elementwise, matmul
 from repro.serving import (
     DECODE_OK,
     DECODE_SHED,
@@ -25,7 +23,6 @@ from repro.serving import (
     DecodeRequest,
     FaultSchedule,
     FleetEngine,
-    PlanCache,
     StaticEngine,
     TenantSpec,
     Watchdog,
@@ -33,7 +30,6 @@ from repro.serving import (
     check_report,
     chip_death,
     decode_workload,
-    link_degradation,
     merge_decode_workloads,
     restart,
 )
@@ -49,71 +45,21 @@ from repro.serving.continuous import (
     _StaticRun,
 )
 
-from test_lifecycle import ScriptedScaler
+from scenarios import (
+    CONTINUOUS,
+    FLEET,
+    STATIC,
+    Replay,
+    ScriptedScaler,
+    make_engine,
+    make_model,
+    mixed_workload,
+    request,
+    scenarios,
+    tiny_builder,
+)
 
-
-def tiny_decode_builder(batch_size: int, *, width: int = 64) -> OperatorGraph:
-    """A decode-step-shaped graph scaled by batch size (fast to compile)."""
-    graph = OperatorGraph(name=f"tiny-decode-b{batch_size}")
-    fc1 = graph.add(matmul("fc1", m=batch_size * 8, k=width, n=width))
-    act = graph.add(
-        elementwise("act", {"m": batch_size * 8, "n": width}, kind="relu"),
-        inputs=[fc1],
-    )
-    graph.add(matmul("fc2", m=batch_size * 8, k=width, n=32), inputs=[act])
-    return graph
-
-
-@pytest.fixture()
-def cache(small_cost_model, fast_constraints):
-    """A plan cache compiling with the shared test cost model."""
-    return PlanCache(
-        compiler_factory=lambda chip, constraints: T10Compiler(
-            chip, cost_model=small_cost_model, constraints=constraints
-        ),
-    )
-
-
-def make_model(*, max_batch_size: int = 4, prefill_chunk: int = 64) -> DecodeModel:
-    return DecodeModel(
-        name="tiny",
-        decode_builder=tiny_decode_builder,
-        max_batch_size=max_batch_size,
-        prefill_chunk=prefill_chunk,
-    )
-
-
-def make_engine(cache, small_chip, fast_constraints, **kwargs) -> ContinuousEngine:
-    model = kwargs.pop("model", None) or make_model(
-        max_batch_size=kwargs.pop("max_batch_size", 4)
-    )
-    return ContinuousEngine(
-        model,
-        chip=small_chip,
-        constraints=fast_constraints,
-        plan_cache=cache,
-        **kwargs,
-    )
-
-
-def request(
-    request_id: int,
-    arrival: float,
-    *,
-    tokens: int = 4,
-    prompt: int = 16,
-    slo_class: str = SLO_INTERACTIVE,
-    deadline: float | None = None,
-) -> DecodeRequest:
-    return DecodeRequest(
-        request_id=request_id,
-        model="tiny",
-        arrival_time=arrival,
-        prompt_tokens=prompt,
-        max_new_tokens=tokens,
-        slo_class=slo_class,
-        deadline=deadline,
-    )
+tiny_decode_builder = tiny_builder("tiny-decode")
 
 
 # --------------------------------------------------------------------------- #
@@ -578,14 +524,6 @@ class TestContinuousEngine:
         with pytest.raises(ValueError, match="unserved"):
             engine.run(
                 [DecodeRequest(0, "other-model", 0.0, 16, 4)]
-            )
-        with pytest.raises(ValueError, match="jobs"):
-            ContinuousEngine(
-                make_model(),
-                chip=small_chip,
-                constraints=fast_constraints,
-                plan_cache=cache,
-                jobs=2,
             )
         with pytest.raises(ValueError, match="min_replicas"):
             make_engine(cache, small_chip, fast_constraints, min_replicas=5)
@@ -1157,104 +1095,14 @@ def assert_matches_reference(run) -> ContinuousReport:
     return actual
 
 
-@pytest.fixture(scope="module")
-def shared_cache(small_cost_model, fast_constraints):
-    store = PlanCache(
-        compiler_factory=lambda chip, constraints: T10Compiler(
-            chip, cost_model=small_cost_model, constraints=constraints
-        ),
-    )
-    yield store
-    store.close()
-
-
-def mixed_workload(model: DecodeModel, unit: float, *, num_requests, load, seed, interactive):
-    """A preemption-heavy interactive/best-effort stream whose prompts span
-    several ``prefill_chunk`` iterations."""
-    return decode_workload(
-        "tiny",
-        num_requests=num_requests,
-        rate=load * model.max_batch_size / (12 * unit),
-        seed=seed,
-        prompt_tokens=(4, 48),
-        output_tokens=(1, 16),
-        interactive_fraction=interactive,
-        slo_seconds=lambda prompt, output: 4 * model.ideal_iterations(prompt, output) * unit,
-    )
-
-
 @settings(max_examples=30, deadline=None)
-@given(
-    num_chips=st.integers(1, 3),
-    num_stages=st.integers(1, 2),
-    max_batch=st.sampled_from([1, 2, 4]),
-    prefill_chunk=st.sampled_from([4, 8, 16]),
-    num_requests=st.integers(1, 30),
-    load=st.floats(0.5, 4.0),
-    seed=st.integers(0, 10_000),
-    interactive=st.sampled_from([0.3, 0.5, 0.7]),
-    death=st.one_of(st.none(), st.floats(0.1, 0.9)),
-)
-def test_continuous_loop_matches_reference(
-    num_chips,
-    num_stages,
-    max_batch,
-    prefill_chunk,
-    num_requests,
-    load,
-    seed,
-    interactive,
-    death,
-    shared_cache,
-    small_chip,
-    fast_constraints,
-):
-    """ContinuousEngine, sharded or not, with or without a chip death (and
-    its restart) mid-run, replays identically under the reference loop."""
-    assume(num_chips >= num_stages)
-    model = DecodeModel(
-        name="tiny",
-        decode_builder=tiny_decode_builder,
-        max_batch_size=max_batch,
-        num_stages=num_stages,
-        prefill_chunk=prefill_chunk,
-    )
-    engine = ContinuousEngine(
-        model,
-        chip=small_chip,
-        constraints=fast_constraints,
-        plan_cache=shared_cache,
-        num_chips=num_chips,
-    )
-    unit = engine.iteration_latency(1)
-    workload = mixed_workload(
-        model, unit, num_requests=num_requests, load=load, seed=seed, interactive=interactive
-    )
-    faults = FaultSchedule()
-    if death is not None:
-        span = workload[-1].arrival_time + 10 * unit
-        faults = FaultSchedule.of(
-            [
-                link_degradation(0.0, death * span, 3.0),
-                chip_death(death * span, 0),
-                restart(death * span + 5 * unit, 0, cold_cache=False, warmup_delay=unit),
-            ]
-        )
-    report = assert_matches_reference(
-        lambda: engine.run(workload, faults=faults, watchdog=Watchdog(detection_delay=unit))
-    )
-    assert check_report(report, workload) == []
-
-
-@pytest.fixture(scope="module")
-def shared_cache_jobs2(small_cost_model, fast_constraints):
-    store = PlanCache(
-        compiler_factory=lambda chip, constraints: T10Compiler(
-            chip, cost_model=small_cost_model, constraints=constraints, jobs=2
-        ),
-    )
-    yield store
-    store.close()
+@given(scenario=scenarios(engines=(CONTINUOUS,)))
+def test_continuous_loop_matches_reference(scenario, testbed):
+    """ContinuousEngine, sharded or not, through any drawn traffic, faults
+    and watchdog, replays identically under the reference loop."""
+    replay = Replay(scenario, testbed)
+    report = assert_matches_reference(replay.run)
+    assert check_report(report, replay.workload) == []
 
 
 def assert_batch_window_kept(report: ContinuousReport, max_batch: int, window: float) -> None:
@@ -1290,114 +1138,27 @@ def assert_batch_window_kept(report: ContinuousReport, max_batch: int, window: f
 
 
 @settings(max_examples=60, deadline=None)
-@given(
-    num_chips=st.integers(1, 2),
-    max_batch=st.sampled_from([1, 2, 4]),
-    num_requests=st.integers(1, 30),
-    load=st.floats(0.5, 4.0),
-    seed=st.integers(0, 10_000),
-    one_shot=st.booleans(),
-    window=st.one_of(st.just(0.0), st.floats(0.1, 8.0)),
-)
-def test_static_loop_matches_reference(
-    num_chips,
-    max_batch,
-    num_requests,
-    load,
-    seed,
-    one_shot,
-    window,
-    shared_cache,
-    shared_cache_jobs2,
-    small_chip,
-    fast_constraints,
-):
+@given(scenario=scenarios(engines=(STATIC,), chips=(1, 2)))
+def test_static_loop_matches_reference(scenario, testbed):
     """StaticEngine batches retire member by member on their own ticks, keep
     the batch-window contract on one-shot and multi-token traffic, and
     replay identically when the programs compile at ``jobs=2``."""
-    model = make_model(max_batch_size=max_batch, prefill_chunk=8)
-
-    def engine(cache: PlanCache, unit: float = 0.0) -> StaticEngine:
-        return StaticEngine(
-            model,
-            chip=small_chip,
-            constraints=fast_constraints,
-            plan_cache=cache,
-            num_chips=num_chips,
-            batch_window=window * unit,
-        )
-
-    unit = engine(shared_cache).iteration_latency(1)
-    if one_shot:
-        workload = decode_workload(
-            "tiny",
-            num_requests=num_requests,
-            rate=load * max_batch / unit,
-            seed=seed,
-            prompt_tokens=(1, 1),
-            output_tokens=(1, 1),
-            interactive_fraction=0.0,
-        )
-    else:
-        workload = mixed_workload(
-            model, unit, num_requests=num_requests, load=load, seed=seed, interactive=0.5
-        )
-    windowed = engine(shared_cache, unit)
-    report = assert_matches_reference(lambda: windowed.run(workload))
-    assert check_report(report, workload) == []
-    assert_batch_window_kept(report, max_batch, windowed.batch_window)
-    parallel = engine(shared_cache_jobs2, unit).run(workload)
+    replay = Replay(scenario, testbed)
+    report = assert_matches_reference(replay.run)
+    assert check_report(report, replay.workload) == []
+    assert_batch_window_kept(report, scenario.max_batch, scenario.batch_window * replay.unit)
+    parallel = replay.run(testbed.cache_jobs2)
     assert repr(parallel.completed) == repr(report.completed)
 
 
 @settings(max_examples=20, deadline=None)
-@given(
-    max_batch=st.sampled_from([1, 2, 4]),
-    num_requests=st.integers(1, 30),
-    load=st.floats(0.5, 4.0),
-    seed=st.integers(0, 10_000),
-    interactive=st.sampled_from([0.3, 0.5, 0.7]),
-    death=st.floats(0.1, 0.9),
-    victim=st.integers(0, 2),
-)
-def test_fleet_loop_matches_reference(
-    max_batch,
-    num_requests,
-    load,
-    seed,
-    interactive,
-    death,
-    victim,
-    shared_cache,
-    small_chip,
-    fast_constraints,
-):
-    """FleetEngine over three chips, through a link window, a chip death
-    and its restart, replays identically under the reference loop."""
-    model = make_model(max_batch_size=max_batch, prefill_chunk=8)
-    engine = FleetEngine(
-        [model],
-        chip=small_chip,
-        constraints=fast_constraints,
-        plan_cache=shared_cache,
-        num_chips=3,
-    )
-    unit = engine.iteration_latency("tiny")
-    workload = mixed_workload(
-        model, unit, num_requests=num_requests, load=load, seed=seed, interactive=interactive
-    )
-    span = workload[-1].arrival_time + 10 * unit
-    faults = FaultSchedule.of(
-        [
-            link_degradation(0.0, death * span, 2.0),
-            chip_death(death * span, victim),
-            restart(death * span + 5 * unit, victim, cold_cache=False, warmup_delay=unit),
-        ]
-    )
-    report = assert_matches_reference(
-        lambda: engine.run(workload, faults=faults, watchdog=Watchdog(detection_delay=unit))
-    )
-    assert check_report(report, workload) == []
+@given(scenario=scenarios(engines=(FLEET,), chips=(3, 3), faults=(True,)))
+def test_fleet_loop_matches_reference(scenario, testbed):
+    """FleetEngine over three chips, through drawn link windows, chip deaths
+    and restarts, replays identically under the reference loop."""
+    replay = Replay(scenario, testbed)
+    report = assert_matches_reference(replay.run)
+    assert check_report(report, replay.workload) == []
 
 
 class TestIterationTicks:
@@ -1618,46 +1379,13 @@ def test_event_heap_holds_only_timers(cache, small_chip, fast_constraints):
 
 
 @settings(max_examples=25, deadline=None)
-@given(
-    kind=st.sampled_from(["continuous", "static", "fleet", "fleet-scaled"]),
-    num_requests=st.integers(1, 30),
-    load=st.floats(0.2, 4.0),
-    seed=st.integers(0, 10_000),
-    death=st.one_of(st.none(), st.floats(0.1, 0.9)),
-)
-def test_maybe_idle_covers_every_idle_replica(
-    kind, num_requests, load, seed, death, shared_cache, small_chip, fast_constraints
-):
+@given(scenario=scenarios())
+def test_maybe_idle_covers_every_idle_replica(scenario, testbed):
     """``start_idle`` skips its walk only when no ACTIVE replica lacks an
     iteration: at every call, through scale-downs, chip deaths, restarts
     and a provisioning scaler, ``maybe_idle`` is set whenever a walk would
     find an idle replica."""
-    model = make_model(max_batch_size=2, prefill_chunk=8)
-    common = dict(chip=small_chip, constraints=fast_constraints, plan_cache=shared_cache)
-    if kind.startswith("fleet"):
-        engine = FleetEngine([model], num_chips=3, **common)
-        unit = engine.iteration_latency("tiny")
-    elif kind == "static":
-        engine = StaticEngine(model, num_chips=2, **common)
-        unit = engine.iteration_latency(1)
-    else:
-        engine = ContinuousEngine(model, num_chips=3, **common)
-        unit = engine.iteration_latency(1)
-    workload = mixed_workload(
-        model, unit, num_requests=num_requests, load=load, seed=seed, interactive=0.5
-    )
-    kwargs = {}
-    if kind == "fleet-scaled":
-        kwargs["scaler"] = ScriptedScaler(2, interval=3 * unit)
-    if death is not None and kind != "static":
-        span = workload[-1].arrival_time + 10 * unit
-        kwargs["faults"] = FaultSchedule.of(
-            [
-                chip_death(death * span, 0),
-                restart(death * span + 5 * unit, 0, cold_cache=False, warmup_delay=unit),
-            ]
-        )
-        kwargs["watchdog"] = Watchdog(detection_delay=unit)
+    replay = Replay(scenario, testbed)
     checks = []
     original = _DecodeRun.start_idle
 
@@ -1666,10 +1394,10 @@ def test_maybe_idle_covers_every_idle_replica(
         original(self, now)
 
     with mock.patch.object(_DecodeRun, "start_idle", start_idle):
-        report = engine.run(workload, **kwargs)
-    assert check_report(report, workload) == []
+        report = replay.run()
+    assert check_report(report, replay.workload) == []
     # Single-model engines call it on every arrival; the fleet on detection.
-    assert len(checks) >= (0 if kind.startswith("fleet") else len(workload))
+    assert len(checks) >= (0 if scenario.engine == FLEET else len(replay.workload))
     assert all(flagged for flagged, idle in checks if idle)
 
 

@@ -8,20 +8,14 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import T10Compiler
-from repro.ir import OperatorGraph, elementwise, matmul
 from repro.serving import (
     COMPILE,
     DECODE_SHED,
     HIT_MEMORY,
     SLO_BEST_EFFORT,
-    ContinuousEngine,
-    DecodeModel,
-    DecodeRequest,
     FaultEvent,
     FaultSchedule,
     FaultStats,
-    PlanCache,
     Watchdog,
     check_report,
     chip_death,
@@ -31,66 +25,9 @@ from repro.serving import (
 )
 from repro.serving.faults import FAULT_CHIP_DEATH, FAULT_LINK_DEGRADATION
 
+from scenarios import make_engine, make_model, request, tiny_builder
 
-def tiny_decode_builder(batch_size: int, *, width: int = 64) -> OperatorGraph:
-    graph = OperatorGraph(name=f"tiny-decode-b{batch_size}")
-    fc1 = graph.add(matmul("fc1", m=batch_size * 8, k=width, n=width))
-    act = graph.add(
-        elementwise("act", {"m": batch_size * 8, "n": width}, kind="relu"),
-        inputs=[fc1],
-    )
-    graph.add(matmul("fc2", m=batch_size * 8, k=width, n=32), inputs=[act])
-    return graph
-
-
-@pytest.fixture()
-def cache(small_cost_model, fast_constraints):
-    return PlanCache(
-        compiler_factory=lambda chip, constraints: T10Compiler(
-            chip, cost_model=small_cost_model, constraints=constraints
-        ),
-    )
-
-
-def make_model(*, max_batch_size: int = 4, num_stages: int = 1) -> DecodeModel:
-    return DecodeModel(
-        name="tiny",
-        decode_builder=tiny_decode_builder,
-        max_batch_size=max_batch_size,
-        prefill_chunk=64,
-        num_stages=num_stages,
-    )
-
-
-def make_engine(cache, small_chip, fast_constraints, **kwargs) -> ContinuousEngine:
-    model = kwargs.pop("model", None) or make_model(
-        max_batch_size=kwargs.pop("max_batch_size", 4)
-    )
-    return ContinuousEngine(
-        model,
-        chip=small_chip,
-        constraints=fast_constraints,
-        plan_cache=cache,
-        **kwargs,
-    )
-
-
-def request(
-    request_id: int,
-    arrival: float,
-    *,
-    tokens: int = 4,
-    prompt: int = 16,
-    slo_class: str = "interactive",
-) -> DecodeRequest:
-    return DecodeRequest(
-        request_id=request_id,
-        model="tiny",
-        arrival_time=arrival,
-        prompt_tokens=prompt,
-        max_new_tokens=tokens,
-        slo_class=slo_class,
-    )
+tiny_decode_builder = tiny_builder("tiny-decode")
 
 
 # --------------------------------------------------------------------------- #

@@ -2,25 +2,21 @@
 
 from __future__ import annotations
 
-import pytest
-from hypothesis import given, settings, strategies as st
+from dataclasses import replace
+from functools import partial
 
-from repro.core import T10Compiler
-from repro.hw.spec import ChipSpec, KiB
-from repro.ir import OperatorGraph, elementwise, matmul
+import pytest
+from hypothesis import given, settings
+
 from repro.serving import (
     HEALTH_DEGRADED,
     HEALTH_HEALTHY,
     HEALTH_RESTARTING,
     SLO_BEST_EFFORT,
-    SLO_INTERACTIVE,
-    ContinuousEngine,
     CostAwareRouter,
     DecodeModel,
-    DecodeRequest,
     FaultSchedule,
     FleetEngine,
-    PlanCache,
     ReactiveScaler,
     ReplicaView,
     Router,
@@ -38,51 +34,19 @@ from repro.serving import (
 from repro.serving.fleet import _FleetRun
 from repro.utils.fingerprint import stable_hash
 
-
-def tiny_builder(name: str, width: int):
-    def build(batch_size: int) -> OperatorGraph:
-        graph = OperatorGraph(name=f"{name}-b{batch_size}")
-        fc1 = graph.add(matmul("fc1", m=batch_size * 8, k=width, n=width))
-        act = graph.add(
-            elementwise("act", {"m": batch_size * 8, "n": width}, kind="relu"),
-            inputs=[fc1],
-        )
-        graph.add(matmul("fc2", m=batch_size * 8, k=width, n=32), inputs=[act])
-        return graph
-
-    return build
+from scenarios import CONTINUOUS, FAT_CHIP, FLEET, POISSON, Replay, scenarios, tiny_builder
+from scenarios import make_model as any_model
+from scenarios import request as any_request
 
 
 def make_model(name: str = "alpha", *, width: int = 64, max_batch_size: int = 2) -> DecodeModel:
-    return DecodeModel(
-        name=name,
-        decode_builder=tiny_builder(name, width),
-        max_batch_size=max_batch_size,
-        prefill_chunk=64,
-    )
+    return any_model(name, width=width, max_batch_size=max_batch_size)
 
 
 @pytest.fixture()
-def cache(small_cost_model, fast_constraints):
-    return PlanCache(
-        compiler_factory=lambda chip, constraints: T10Compiler(
-            chip, cost_model=small_cost_model, constraints=constraints
-        ),
-    )
-
-
-@pytest.fixture()
-def fat_chip() -> ChipSpec:
+def fat_chip():
     """A second hardware class: fewer, beefier cores than the test chip."""
-    return ChipSpec(
-        name="fat-chip",
-        num_cores=32,
-        sram_per_core=512 * KiB,
-        core_flops=400e9,
-        link_bandwidth=8e9,
-        link_latency=0.2e-6,
-        offchip_bandwidth=16e9,
-    )
+    return FAT_CHIP
 
 
 def make_engine(cache, small_chip, fast_constraints, **kwargs) -> FleetEngine:
@@ -96,27 +60,8 @@ def make_engine(cache, small_chip, fast_constraints, **kwargs) -> FleetEngine:
     )
 
 
-def request(
-    request_id: int,
-    arrival: float,
-    *,
-    model: str = "alpha",
-    tokens: int = 4,
-    prompt: int = 16,
-    slo_class: str = SLO_INTERACTIVE,
-    deadline: float | None = None,
-    tenant: str = "",
-) -> DecodeRequest:
-    return DecodeRequest(
-        request_id=request_id,
-        model=model,
-        arrival_time=arrival,
-        prompt_tokens=prompt,
-        max_new_tokens=tokens,
-        slo_class=slo_class,
-        deadline=deadline,
-        tenant=tenant,
-    )
+#: Requests here are for alpha unless they say otherwise.
+request = partial(any_request, model="alpha")
 
 
 # --------------------------------------------------------------------------- #
@@ -178,12 +123,6 @@ class TestFleetValidation:
                 fast_constraints,
                 tenants=[TenantSpec("t"), TenantSpec("t")],
             )
-
-    def test_jobs_conflicts_with_supplied_cache(
-        self, cache, small_chip, fast_constraints
-    ):
-        with pytest.raises(ValueError, match="jobs has no effect"):
-            make_engine(cache, small_chip, fast_constraints, jobs=2)
 
     def test_unknown_model_in_workload(self, cache, small_chip, fast_constraints):
         engine = make_engine(cache, small_chip, fast_constraints)
@@ -462,62 +401,22 @@ class TestFleetServing:
 # --------------------------------------------------------------------------- #
 # Differential oracle: the fleet's admission path against ContinuousEngine's
 # --------------------------------------------------------------------------- #
-@pytest.fixture(scope="module")
-def shared_cache(small_cost_model, fast_constraints):
-    store = PlanCache(
-        compiler_factory=lambda chip, constraints: T10Compiler(
-            chip, cost_model=small_cost_model, constraints=constraints
-        ),
-    )
-    yield store
-    store.close()
-
-
 @settings(max_examples=40, deadline=None)
 @given(
-    max_batch=st.sampled_from([1, 2, 4]),
-    num_requests=st.integers(1, 24),
-    load=st.floats(0.2, 3.0),
-    seed=st.integers(0, 10_000),
-    interactive=st.sampled_from([0.0, 0.5, 1.0]),
-    slo_factor=st.one_of(st.none(), st.floats(1.0, 6.0)),
+    scenario=scenarios(
+        engines=(CONTINUOUS,),
+        chips=(1, 1),
+        traffic=(POISSON,),
+        faults=(False,),
+        watchdog=(False,),
+    )
 )
-def test_one_chip_fleet_matches_continuous(
-    max_batch,
-    num_requests,
-    load,
-    seed,
-    interactive,
-    slo_factor,
-    shared_cache,
-    small_chip,
-    fast_constraints,
-):
+def test_one_chip_fleet_matches_continuous(scenario, testbed):
     """On one chip, with no faults and one tenant, the fleet (default router)
     and ContinuousEngine run the same admission policy — EDF, preemption,
     resume, best-effort FIFO, shedding — so every record matches exactly."""
-    model = make_model(max_batch_size=max_batch)
-    continuous = ContinuousEngine(
-        model, chip=small_chip, constraints=fast_constraints, plan_cache=shared_cache
-    )
-    unit = continuous.iteration_latency(1)
-    workload = decode_workload(
-        "alpha",
-        num_requests=num_requests,
-        rate=load * max_batch / (12 * unit),
-        seed=seed,
-        prompt_tokens=(16, 160),
-        output_tokens=(1, 16),
-        interactive_fraction=interactive,
-        slo_seconds=None
-        if slo_factor is None
-        else lambda prompt, output: slo_factor * model.ideal_iterations(prompt, output) * unit,
-    )
-    expected = continuous.run(workload)
-    fleet = make_engine(
-        shared_cache, small_chip, fast_constraints, deployments=[model], num_chips=1
-    )
-    actual = fleet.run(workload)
+    expected = Replay(scenario, testbed).run()
+    actual = Replay(replace(scenario, engine=FLEET), testbed).run()
     assert repr(actual.completed) == repr(expected.completed)
     assert (actual.iterations, actual.preemptions, actual.shed) == (
         expected.iterations,

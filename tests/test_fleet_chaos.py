@@ -5,32 +5,26 @@ the fleet-specific robustness layer: health-aware routing around dead
 replicas, cross-model failover of requeued requests, per-tenant retry
 budgets with deadline-aware honest drops, brownout admission control, and
 per-chip-group link degradation.  A seeded Hypothesis harness replays
-randomized fault schedules through both FleetEngine and ContinuousEngine
-and asserts the structural invariants — the books balance, nothing is
-stranded, chip-seconds are ordered busy <= active <= provisioned, retry
-budgets bound per-tenant spend, and every replay is deterministic.
+scenarios drawn from tests/scenarios.py through both FleetEngine and
+ContinuousEngine and asserts the structural invariants — the books
+balance, nothing is stranded, chip-seconds are ordered busy <= active <=
+provisioned, retry budgets bound per-tenant spend, and every replay is
+deterministic.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import T10Compiler
-from repro.ir import OperatorGraph, elementwise, matmul
 from repro.serving import (
     DECODE_SHED,
     SLO_BEST_EFFORT,
     SLO_INTERACTIVE,
-    ContinuousEngine,
-    DecodeModel,
-    DecodeRequest,
     FaultSchedule,
-    FleetEngine,
-    PlanCache,
-    TenantSpec,
     Watchdog,
     check_report,
     chip_death,
@@ -39,82 +33,31 @@ from repro.serving import (
     restart,
 )
 
+from scenarios import (
+    CHAOS,
+    CONTINUOUS,
+    FLEET,
+    Replay,
+    fleet_engine,
+    make_model,
+    scenarios,
+)
+from scenarios import request as any_request
 
-def tiny_builder(name: str, width: int):
-    def build(batch_size: int) -> OperatorGraph:
-        graph = OperatorGraph(name=f"{name}-b{batch_size}")
-        fc1 = graph.add(matmul("fc1", m=batch_size * 8, k=width, n=width))
-        act = graph.add(
-            elementwise("act", {"m": batch_size * 8, "n": width}, kind="relu"),
-            inputs=[fc1],
-        )
-        graph.add(matmul("fc2", m=batch_size * 8, k=width, n=32), inputs=[act])
-        return graph
-
-    return build
-
-
-def make_model(name: str = "alpha", *, width: int = 64) -> DecodeModel:
-    return DecodeModel(
-        name=name,
-        decode_builder=tiny_builder(name, width),
-        max_batch_size=2,
-        prefill_chunk=64,
-    )
+#: Every request here is an alpha request from acme unless it says otherwise.
+request = partial(any_request, model="alpha", tenant="acme")
 
 
 @pytest.fixture(scope="module")
-def cache(small_cost_model, fast_constraints):
-    # Module-scoped: every engine in this file (including each Hypothesis
-    # example) shares one warm plan cache, so chaos replays cost no
-    # recompilation after the first run.
-    store = PlanCache(
-        compiler_factory=lambda chip, constraints: T10Compiler(
-            chip, cost_model=small_cost_model, constraints=constraints
-        ),
-    )
-    yield store
-    store.close()
+def cache(testbed):
+    # Every engine in this file (including each Hypothesis example) shares
+    # one warm plan cache, so chaos replays cost no recompilation.
+    return testbed.cache
 
 
-def make_engine(cache, small_chip, fast_constraints, **kwargs) -> FleetEngine:
-    deployments = kwargs.pop("deployments", None) or [
-        make_model("alpha"),
-        make_model("beta", width=96),
-    ]
-    return FleetEngine(
-        deployments,
-        chip=small_chip,
-        constraints=fast_constraints,
-        plan_cache=cache,
-        tenants=kwargs.pop(
-            "tenants", [TenantSpec("acme"), TenantSpec("globex")]
-        ),
-        **kwargs,
-    )
-
-
-def request(
-    request_id: int,
-    arrival: float,
-    *,
-    model: str = "alpha",
-    tokens: int = 4,
-    prompt: int = 16,
-    slo_class: str = SLO_INTERACTIVE,
-    deadline: float | None = None,
-    tenant: str = "acme",
-) -> DecodeRequest:
-    return DecodeRequest(
-        request_id=request_id,
-        model=model,
-        arrival_time=arrival,
-        prompt_tokens=prompt,
-        max_new_tokens=tokens,
-        slo_class=slo_class,
-        deadline=deadline,
-        tenant=tenant,
-    )
+@pytest.fixture(scope="module")
+def unit(cache, small_chip, fast_constraints) -> float:
+    return fleet_engine(cache, small_chip, fast_constraints).iteration_latency("alpha")
 
 
 def assert_books_balance(report, workload) -> None:
@@ -128,17 +71,14 @@ def assert_books_balance(report, workload) -> None:
 # --------------------------------------------------------------------------- #
 class TestFleetWatchdogEdges:
     def test_death_failover_and_tenant_slices(
-        self, cache, small_chip, fast_constraints
+        self, cache, small_chip, fast_constraints, unit
     ):
-        engine = make_engine(cache, small_chip, fast_constraints, num_chips=2)
-        engine.warm()
-        unit = engine.iteration_latency("alpha")
         workload = [
             request(0, 0.0, tokens=24, tenant="acme"),
             request(1, 0.0, model="beta", tokens=2, tenant="globex"),
         ]
         schedule = FaultSchedule.kill_and_restart(0, at=3 * unit, downtime=6 * unit)
-        report = make_engine(cache, small_chip, fast_constraints, num_chips=2).run(
+        report = fleet_engine(cache, small_chip, fast_constraints, num_chips=2).run(
             workload, faults=schedule, watchdog=Watchdog(detection_delay=unit)
         )
         assert_books_balance(report, workload)
@@ -153,14 +93,11 @@ class TestFleetWatchdogEdges:
         # Fleet-level mechanism counters are zeroed in slices, not divided.
         assert all(s.faults.chip_deaths == 0 for s in slices.values())
 
-    def test_death_at_detection_boundary(self, cache, small_chip, fast_constraints):
+    def test_death_at_detection_boundary(self, cache, small_chip, fast_constraints, unit):
         """detection_delay=0: the watchdog fires at the death instant and the
         requeue happens in the same virtual moment, after the death settles."""
-        engine = make_engine(cache, small_chip, fast_constraints, num_chips=2)
-        engine.warm()
-        unit = engine.iteration_latency("alpha")
         workload = [request(0, 0.0, tokens=20)]
-        report = make_engine(cache, small_chip, fast_constraints, num_chips=2).run(
+        report = fleet_engine(cache, small_chip, fast_constraints, num_chips=2).run(
             workload,
             faults=FaultSchedule.kill_and_restart(0, at=2.5 * unit, downtime=4 * unit),
             watchdog=Watchdog(detection_delay=0.0),
@@ -172,14 +109,11 @@ class TestFleetWatchdogEdges:
         assert record.ok and record.requeues == 1
 
     def test_second_death_during_restart_is_idempotent(
-        self, cache, small_chip, fast_constraints
+        self, cache, small_chip, fast_constraints, unit
     ):
         """A chip reported dead again while its restart warms up is a no-op:
         the chip is still in the dead set, so the fleet counts one death and
         the chip comes online at the originally scheduled time."""
-        engine = make_engine(cache, small_chip, fast_constraints, num_chips=2)
-        engine.warm()
-        unit = engine.iteration_latency("alpha")
         workload = [request(0, 0.0, tokens=24)]
         schedule = FaultSchedule.of(
             [
@@ -189,7 +123,7 @@ class TestFleetWatchdogEdges:
                 chip_death(7 * unit, 0),
             ]
         )
-        report = make_engine(cache, small_chip, fast_constraints, num_chips=2).run(
+        report = fleet_engine(cache, small_chip, fast_constraints, num_chips=2).run(
             workload, faults=schedule, watchdog=Watchdog(detection_delay=unit)
         )
         assert_books_balance(report, workload)
@@ -200,13 +134,11 @@ class TestFleetWatchdogEdges:
     def test_fault_after_last_arrival_changes_nothing_served(
         self, cache, small_chip, fast_constraints
     ):
-        engine = make_engine(cache, small_chip, fast_constraints, num_chips=2)
-        engine.warm()
         workload = [request(i, 0.0, tokens=2) for i in range(4)]
-        clean = make_engine(cache, small_chip, fast_constraints, num_chips=2).run(
+        clean = fleet_engine(cache, small_chip, fast_constraints, num_chips=2).run(
             workload
         )
-        late = make_engine(cache, small_chip, fast_constraints, num_chips=2).run(
+        late = fleet_engine(cache, small_chip, fast_constraints, num_chips=2).run(
             workload,
             faults=FaultSchedule.of([chip_death(1e3, 0)]),
             watchdog=Watchdog(detection_delay=1.0),
@@ -218,16 +150,13 @@ class TestFleetWatchdogEdges:
         assert repr(late.completed) == repr(clean.completed)
 
     def test_all_replicas_dead_sheds_instead_of_stranding(
-        self, cache, small_chip, fast_constraints
+        self, cache, small_chip, fast_constraints, unit
     ):
-        engine = make_engine(cache, small_chip, fast_constraints, num_chips=2)
-        engine.warm()
-        unit = engine.iteration_latency("alpha")
         workload = [
             request(i, 0.0, tokens=12, model="alpha" if i % 2 == 0 else "beta")
             for i in range(6)
         ]
-        report = make_engine(cache, small_chip, fast_constraints, num_chips=2).run(
+        report = fleet_engine(cache, small_chip, fast_constraints, num_chips=2).run(
             workload,
             faults=FaultSchedule.of(
                 [chip_death(1.5 * unit, 0), chip_death(1.5 * unit, 1)]
@@ -249,13 +178,10 @@ class TestFleetWatchdogEdges:
 # --------------------------------------------------------------------------- #
 class TestDegradedModePolicies:
     def test_retry_budget_zero_drops_honestly(
-        self, cache, small_chip, fast_constraints
+        self, cache, small_chip, fast_constraints, unit
     ):
-        engine = make_engine(cache, small_chip, fast_constraints, num_chips=2)
-        engine.warm()
-        unit = engine.iteration_latency("alpha")
         workload = [request(0, 0.0, tokens=24)]
-        report = make_engine(cache, small_chip, fast_constraints, num_chips=2).run(
+        report = fleet_engine(cache, small_chip, fast_constraints, num_chips=2).run(
             workload,
             faults=FaultSchedule.kill_and_restart(0, at=3 * unit, downtime=6 * unit),
             watchdog=Watchdog(detection_delay=unit, retry_budget=0),
@@ -269,15 +195,12 @@ class TestDegradedModePolicies:
         assert record.requeues == 0
 
     def test_requeue_past_deadline_drops_regardless_of_budget(
-        self, cache, small_chip, fast_constraints
+        self, cache, small_chip, fast_constraints, unit
     ):
-        engine = make_engine(cache, small_chip, fast_constraints, num_chips=2)
-        engine.warm()
-        unit = engine.iteration_latency("alpha")
         # Feasible at arrival (24 tokens in ~25 units fits 40), but a late
         # kill forces a full re-prefill that cannot finish by the deadline.
         workload = [request(0, 0.0, tokens=24, deadline=40 * unit)]
-        report = make_engine(cache, small_chip, fast_constraints, num_chips=2).run(
+        report = fleet_engine(cache, small_chip, fast_constraints, num_chips=2).run(
             workload,
             faults=FaultSchedule.kill_and_restart(0, at=20 * unit, downtime=60 * unit),
             watchdog=Watchdog(detection_delay=unit, retry_budget=10),
@@ -287,11 +210,8 @@ class TestDegradedModePolicies:
         assert report.completed[0].status == DECODE_SHED
 
     def test_brownout_sheds_best_effort_at_arrival(
-        self, cache, small_chip, fast_constraints
+        self, cache, small_chip, fast_constraints, unit
     ):
-        engine = make_engine(cache, small_chip, fast_constraints, num_chips=2)
-        engine.warm()
-        unit = engine.iteration_latency("alpha")
         # Half the best-effort stream arrives while chip 0 is down and the
         # surviving capacity (1/2) sits below the watermark.
         workload = [request(0, 0.0, tokens=4)] + [
@@ -303,7 +223,7 @@ class TestDegradedModePolicies:
             )
             for i in range(6)
         ]
-        report = make_engine(cache, small_chip, fast_constraints, num_chips=2).run(
+        report = fleet_engine(cache, small_chip, fast_constraints, num_chips=2).run(
             workload,
             faults=FaultSchedule.kill_and_restart(0, at=3 * unit, downtime=30 * unit),
             watchdog=Watchdog(detection_delay=unit, brownout_watermark=0.75),
@@ -317,21 +237,18 @@ class TestDegradedModePolicies:
                 assert record.request.slo_class == SLO_BEST_EFFORT
 
     def test_cross_model_failover_migrates_to_other_binding(
-        self, cache, small_chip, fast_constraints
+        self, cache, small_chip, fast_constraints, unit
     ):
         """A dead replica's requeued request may land on a replica of a
         different binding: the idle beta replica takes the displaced alpha
         request (full re-prefill) instead of waiting out the downtime."""
-        engine = make_engine(cache, small_chip, fast_constraints, num_chips=2)
-        engine.warm()
-        unit = engine.iteration_latency("alpha")
         workload = [
             # Binds replica 0 to beta, drains quickly, leaves it idle.
             request(0, 0.0, model="beta", tokens=2, tenant="globex"),
             # In flight on replica 1 when the kill lands.
             request(1, 0.0, tokens=24, tenant="acme"),
         ]
-        report = make_engine(cache, small_chip, fast_constraints, num_chips=2).run(
+        report = fleet_engine(cache, small_chip, fast_constraints, num_chips=2).run(
             workload,
             faults=FaultSchedule.kill_and_restart(1, at=6 * unit, downtime=40 * unit),
             watchdog=Watchdog(detection_delay=unit),
@@ -356,11 +273,11 @@ class TestDegradedModePolicies:
         workload = [request(i, 0.0, tokens=6) for i in range(3)]
 
         def run(schedule=None):
-            engine = make_engine(
+            engine = fleet_engine(
                 cache,
                 small_chip,
                 fast_constraints,
-                deployments=[make_model("alpha")],
+                deployments=[make_model("alpha", max_batch_size=2)],
                 num_chips=2,
             )
             engine.warm()
@@ -395,82 +312,23 @@ class TestDegradedModePolicies:
 # --------------------------------------------------------------------------- #
 # Randomized chaos harness (seeded, deterministic per example)
 # --------------------------------------------------------------------------- #
-@st.composite
-def fault_plans(draw, num_chips: int = 2):
-    """An abstract fault plan in iteration-latency units; the test scales it
-    to virtual seconds once the engine's unit price is known."""
-    deaths = draw(
-        st.lists(
-            st.tuples(
-                st.floats(0.5, 12.0),
-                st.integers(0, num_chips - 1),
-                st.one_of(st.none(), st.floats(1.0, 6.0)),  # downtime
-                st.floats(0.0, 2.0),  # warmup
-                st.booleans(),  # cold cache
-            ),
-            max_size=3,
-        )
-    )
-    links = draw(
-        st.lists(
-            st.tuples(
-                st.floats(0.0, 10.0),  # start
-                st.floats(0.5, 5.0),  # length
-                st.floats(1.0, 8.0),  # factor
-                st.sets(st.integers(0, num_chips - 1)),  # chip scope ({} = fleet)
-            ),
-            max_size=2,
-        )
-    )
-    budget = draw(st.one_of(st.none(), st.integers(0, 3)))
-    return deaths, links, budget
-
-
-def build_schedule(plan, unit: float) -> FaultSchedule:
-    deaths, links, _ = plan
-    events = []
-    for at, chip, downtime, warmup, cold in deaths:
-        events.append(chip_death(at * unit, chip))
-        if downtime is not None:
-            events.append(
-                restart(
-                    (at + downtime) * unit,
-                    chip,
-                    cold_cache=cold,
-                    warmup_delay=warmup * unit,
-                )
-            )
-    for start, length, factor, chips in links:
-        if chips:
-            events.append(
-                group_link_degradation(
-                    start * unit, (start + length) * unit, factor, sorted(chips)
-                )
-            )
-        else:
-            events.append(
-                link_degradation(start * unit, (start + length) * unit, factor)
-            )
-    return FaultSchedule.of(events)
-
-
-def check_chaos_invariants(run, workload, plan) -> None:
+def check_chaos_invariants(replay: Replay):
     """Structural invariants of one engine under one fault schedule: the
     books balance, nothing is stranded, chip-seconds are ordered busy <=
     active <= provisioned, fault counts agree with the schedule, and the
-    replay is deterministic.  ``run`` replays the workload on a fresh engine."""
-    report = run()
+    replay is deterministic.  Returns the first run's report."""
+    report = replay.run()
     # Books balance, nothing is stranded, busy <= active <= provisioned and
     # the tenant slices sum to the totals.
-    assert_books_balance(report, workload)
+    assert_books_balance(report, replay.workload)
     # Fault books agree with the schedule: a kill of an already-dead chip is
     # idempotent, so counted deaths never exceed the scheduled kill events
     # (a restarted chip can legitimately die a second time).
-    assert report.faults.chip_deaths <= len(plan[0])
+    assert report.faults.chip_deaths <= len(replay.faults.deaths)
     assert report.faults.requeued >= 0 and report.faults.lost_tokens >= 0
     # Deterministic replay: the same schedule over the same workload gives a
     # bit-identical report (repr-compare — shed records carry NaN fields).
-    again = run()
+    again = replay.run()
     assert repr(report.completed) == repr(again.completed)
     assert replace(report.faults, restart_compile_seconds=0.0) == replace(
         again.faults, restart_compile_seconds=0.0
@@ -479,94 +337,52 @@ def check_chaos_invariants(run, workload, plan) -> None:
     assert report.makespan == again.makespan
     assert report.busy_chip_seconds == again.busy_chip_seconds
     assert report.active_chip_seconds == again.active_chip_seconds
-
-
-def chaos_watchdog(unit: float, budget: int | None) -> Watchdog:
-    return Watchdog(
-        detection_delay=0.5 * unit,
-        degraded_shed_queue=2,
-        retry_budget=budget,
-        brownout_watermark=0.75,
-    )
-
-
-def chaos_workload(unit: float, models: tuple[str, ...]) -> list[DecodeRequest]:
-    return [
-        request(
-            i,
-            (i % 8) * 0.75 * unit,
-            model=models[0] if i % 3 else models[-1],
-            tokens=3 + (i % 4) * 4,
-            slo_class=SLO_BEST_EFFORT if i % 4 == 3 else SLO_INTERACTIVE,
-            deadline=None if i % 4 == 3 else (i % 8) * 0.75 * unit + 30 * unit,
-            tenant="acme" if i % 2 == 0 else "globex",
-        )
-        for i in range(12)
-    ]
+    return report
 
 
 @settings(max_examples=12, deadline=None)
-@given(plan=fault_plans())
-def test_chaos_invariants_hold_for_any_schedule(
-    plan, cache, small_chip, fast_constraints
-):
+@given(
+    scenario=scenarios(
+        engines=(FLEET,),
+        chips=(2, 2),
+        models=(2,),
+        traffic=(CHAOS,),
+        tenants=(True,),
+        faults=(True,),
+        watchdog=(True,),
+    )
+)
+def test_chaos_invariants_hold_for_any_schedule(scenario, testbed):
     """The fleet under arbitrary fault schedules: the shared invariants, plus
     per-tenant requeues respecting the retry budget."""
-    probe = make_engine(cache, small_chip, fast_constraints, num_chips=2)
-    probe.warm()
-    unit = probe.iteration_latency("alpha")
-    schedule = build_schedule(plan, unit)
-    budget = plan[2]
-    watchdog = chaos_watchdog(unit, budget)
-    workload = chaos_workload(unit, ("alpha", "beta"))
-    reports = []
-
-    def run():
-        reports.append(
-            make_engine(cache, small_chip, fast_constraints, num_chips=2).run(
-                workload, faults=schedule, watchdog=watchdog
-            )
-        )
-        return reports[-1]
-
-    check_chaos_invariants(run, workload, plan)
+    report = check_chaos_invariants(Replay(scenario, testbed))
     # Retry budgets bound per-tenant spend: a record's requeue count only
     # grows when the tenant's budget paid for the retry.
+    budget = scenario.watchdog.retry_budget
     if budget is not None:
-        for tenant_slice in reports[0].per_tenant().values():
+        for tenant_slice in report.per_tenant().values():
             spent = sum(rec.requeues for rec in tenant_slice.completed)
             assert spent <= budget
 
 
 @pytest.mark.parametrize("num_stages", [1, 2])
 @settings(max_examples=12, deadline=None)
-@given(plan=fault_plans())
-def test_continuous_chaos_invariants_hold_for_any_schedule(
-    num_stages, plan, cache, small_chip, fast_constraints
-):
+@given(data=st.data())
+def test_continuous_chaos_invariants_hold_for_any_schedule(num_stages, data, testbed):
     """The same harness over ContinuousEngine on a single-model workload.
 
     Two stages put replica 0 on chips 0-1 with chip 2 spare, so deaths fail
     over a whole pipeline group and link windows re-price the degraded
     pipeline; one stage gives two single-chip replicas."""
-    model = replace(make_model("alpha"), num_stages=num_stages)
     num_chips = 2 if num_stages == 1 else 3
-
-    def engine() -> ContinuousEngine:
-        return ContinuousEngine(
-            model,
-            chip=small_chip,
-            constraints=fast_constraints,
-            plan_cache=cache,
-            num_chips=num_chips,
+    scenario = data.draw(
+        scenarios(
+            engines=(CONTINUOUS,),
+            chips=(num_chips, num_chips),
+            stages=(num_stages,),
+            traffic=(CHAOS,),
+            faults=(True,),
+            watchdog=(True,),
         )
-
-    unit = engine().iteration_latency()
-    schedule = build_schedule(plan, unit)
-    watchdog = chaos_watchdog(unit, plan[2])
-    workload = chaos_workload(unit, ("alpha",))
-    check_chaos_invariants(
-        lambda: engine().run(workload, faults=schedule, watchdog=watchdog),
-        workload,
-        plan,
     )
+    check_chaos_invariants(Replay(scenario, testbed))

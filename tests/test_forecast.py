@@ -8,7 +8,6 @@ import math
 import pytest
 
 from repro.serving import (
-    Blueprint,
     BlueprintPlanner,
     CostAwareRouter,
     DecodeModel,
@@ -17,7 +16,6 @@ from repro.serving import (
     LeastLoadedRouter,
     LinearTrendForecaster,
     MovingAverageForecaster,
-    PlanCache,
     RateTracker,
     ReactiveScaler,
     ScalerObservation,
@@ -26,9 +24,8 @@ from repro.serving import (
     decode_workload,
     diurnal_workload,
 )
-from repro.core import T10Compiler
 
-from test_fleet import make_model, tiny_builder
+from scenarios import make_model
 
 
 # --------------------------------------------------------------------------- #
@@ -345,15 +342,6 @@ class TestForecastScaler:
 # --------------------------------------------------------------------------- #
 # FleetEngine integration: the scaler drives paid provisioning
 # --------------------------------------------------------------------------- #
-@pytest.fixture()
-def cache(small_cost_model, fast_constraints):
-    return PlanCache(
-        compiler_factory=lambda chip, constraints: T10Compiler(
-            chip, cost_model=small_cost_model, constraints=constraints
-        ),
-    )
-
-
 def scaled_engine(cache, small_chip, fast_constraints, **kwargs) -> FleetEngine:
     kwargs.setdefault("router", CostAwareRouter())
     kwargs.setdefault("num_chips", 3)

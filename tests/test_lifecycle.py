@@ -10,16 +10,11 @@ chaos faults compose in one ``FleetEngine.run``.
 
 from __future__ import annotations
 
-import hashlib
-from dataclasses import replace
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import T10Compiler
-from repro.obs import Tracer, use_tracer
+from repro.obs import Tracer
 from repro.serving import (
-    BlueprintPlanner,
     ContinuousEngine,
     CostAwareRouter,
     HEALTH_DEAD,
@@ -27,11 +22,7 @@ from repro.serving import (
     HEALTH_HEALTHY,
     HEALTH_RESTARTING,
     FaultSchedule,
-    FleetScaler,
-    ForecastScaler,
-    PlanCache,
     ReactiveScaler,
-    TrafficShape,
     Watchdog,
     check_report,
     chip_death,
@@ -51,44 +42,33 @@ from repro.serving.continuous import (
 )
 from repro.serving.fleet import _FleetRun
 
-from test_fleet_chaos import (
-    build_schedule,
+from scenarios import (
+    CHAOS,
+    FLEET,
+    FORECAST,
+    REACTIVE,
+    ScriptedScaler,
     chaos_watchdog,
     chaos_workload,
-    fault_plans,
-    make_engine,
+    check_scenario,
+    fleet_engine,
     make_model,
     request,
+    scenarios,
+    traced,
 )
 
 NUM_CHIPS = 3
 
 
-def make_cache(small_cost_model, fast_constraints, jobs: int) -> PlanCache:
-    return PlanCache(
-        compiler_factory=lambda chip, constraints: T10Compiler(
-            chip, cost_model=small_cost_model, constraints=constraints, jobs=jobs
-        ),
-    )
-
-
 @pytest.fixture(scope="module")
-def cache(small_cost_model, fast_constraints):
-    store = make_cache(small_cost_model, fast_constraints, jobs=1)
-    yield store
-    store.close()
+def cache(testbed):
+    return testbed.cache
 
 
-@pytest.fixture(scope="module")
-def cache_jobs2(small_cost_model, fast_constraints):
-    store = make_cache(small_cost_model, fast_constraints, jobs=2)
-    yield store
-    store.close()
-
-
-def fleet(cache, small_chip, fast_constraints):
-    return make_engine(
-        cache, small_chip, fast_constraints, num_chips=NUM_CHIPS, router=CostAwareRouter()
+def fleet(cache, small_chip, fast_constraints, num_chips: int = NUM_CHIPS):
+    return fleet_engine(
+        cache, small_chip, fast_constraints, num_chips=num_chips, router=CostAwareRouter()
     )
 
 
@@ -112,22 +92,6 @@ def instants(tracer: Tracer, name: str) -> list[tuple[float, dict]]:
         for event in tracer.virtual_events()
         if event.kind == "instant" and event.name == name
     ]
-
-
-class ScriptedScaler(FleetScaler):
-    """A scaler that always asks for ``target`` replicas and records what
-    it observed at each tick."""
-
-    name = "scripted"
-
-    def __init__(self, target: int, **kwargs) -> None:
-        super().__init__(**kwargs)
-        self.target = target
-        self.seen = []
-
-    def plan(self, obs):
-        self.seen.append(obs)
-        return self.target
 
 
 # --------------------------------------------------------------------------- #
@@ -227,13 +191,6 @@ def checked_samples(monkeypatch):
     return checked
 
 
-def traced(run):
-    tracer = Tracer()
-    with use_tracer(tracer):
-        report = run()
-    return report, tracer
-
-
 def test_counts_match_states_in_a_chaos_run(
     checked_samples, cache, small_chip, fast_constraints, unit
 ):
@@ -272,7 +229,7 @@ def test_counts_match_states_in_a_continuous_autoscaling_run(
     checked_samples, cache, small_chip, fast_constraints, unit
 ):
     engine = ContinuousEngine(
-        make_model("alpha"),
+        make_model("alpha", max_batch_size=2),
         chip=small_chip,
         constraints=fast_constraints,
         plan_cache=cache,
@@ -295,7 +252,7 @@ def test_counts_match_states_in_a_continuous_autoscaling_run(
 # Scaler plus faults: one deterministic test per composition rule
 # --------------------------------------------------------------------------- #
 def burst(count: int = 6) -> list:
-    return [request(i, 0.0, tokens=8, tenant="acme") for i in range(count)]
+    return [request(i, 0.0, model="alpha", tokens=8, tenant="acme") for i in range(count)]
 
 
 def test_death_cancels_a_boot_in_flight(cache, small_chip, fast_constraints, unit):
@@ -326,9 +283,7 @@ def test_dead_time_is_not_charged(cache, small_chip, fast_constraints, unit):
     scaler = ScriptedScaler(2, interval=unit, min_replicas=2)
     death = 2.0 * unit
     workload = burst()
-    engine = make_engine(
-        cache, small_chip, fast_constraints, num_chips=2, router=CostAwareRouter()
-    )
+    engine = fleet(cache, small_chip, fast_constraints, num_chips=2)
     report = engine.run(workload, scaler=scaler, faults=FaultSchedule.of([chip_death(death, 1)]))
     assert check_report(report, workload) == []
     assert report.provision_ups == report.provision_downs == 0
@@ -373,9 +328,7 @@ def test_failover_returns_unprovisioned_under_a_scaler(
     workload = burst(2)
     for scaler, state in ((ScriptedScaler(1, interval=unit), UNPROVISIONED), (None, IDLE)):
         placed.clear()
-        engine = make_engine(
-            cache, small_chip, fast_constraints, num_chips=2, router=CostAwareRouter()
-        )
+        engine = fleet(cache, small_chip, fast_constraints, num_chips=2)
         report = engine.run(workload, scaler=scaler, faults=schedule)
         assert check_report(report, workload) == []
         assert report.faults.failovers == 1
@@ -387,10 +340,8 @@ def test_a_fleet_dead_for_good_ends_the_run(cache, small_chip, fast_constraints,
     stops ticking, so the run ends and sheds the parked requests instead of
     ticking forever."""
     scaler = ScriptedScaler(2, interval=unit)
-    engine = make_engine(
-        cache, small_chip, fast_constraints, num_chips=2, router=CostAwareRouter()
-    )
-    workload = [request(i, (3 + i) * unit) for i in range(3)]
+    engine = fleet(cache, small_chip, fast_constraints, num_chips=2)
+    workload = [request(i, (3 + i) * unit, model="alpha", tenant="acme") for i in range(3)]
     schedule = FaultSchedule.of([chip_death(unit, 0), chip_death(unit, 1)])
     report = engine.run(workload, scaler=scaler, faults=schedule)
     assert check_report(report, workload) == []
@@ -403,10 +354,8 @@ def test_a_dead_fleet_ticks_until_the_last_arrival(cache, small_chip, fast_const
     scaler keeps ticking while any arrival is to come, and its first tick
     after the last arrival is its last."""
     scaler = ScriptedScaler(2, interval=unit)
-    engine = make_engine(
-        cache, small_chip, fast_constraints, num_chips=2, router=CostAwareRouter()
-    )
-    workload = [request(i, (3 + 1.3 * i) * unit) for i in range(4)]
+    engine = fleet(cache, small_chip, fast_constraints, num_chips=2)
+    workload = [request(i, (3 + 1.3 * i) * unit, model="alpha", tenant="acme") for i in range(4)]
     schedule = FaultSchedule.of([chip_death(unit, 0), chip_death(unit, 1)])
     report = engine.run(workload, scaler=scaler, faults=schedule)
     assert check_report(report, workload) == []
@@ -424,10 +373,8 @@ def test_a_dead_fleet_ticks_while_a_restart_is_pending(
     still pending: the scaler keeps ticking, re-provisions the revived
     replica, and the parked requests are served."""
     scaler = ScriptedScaler(2, interval=unit)
-    engine = make_engine(
-        cache, small_chip, fast_constraints, num_chips=2, router=CostAwareRouter()
-    )
-    workload = [request(i, (3 + 0.1 * i) * unit) for i in range(3)]
+    engine = fleet(cache, small_chip, fast_constraints, num_chips=2)
+    workload = [request(i, (3 + 0.1 * i) * unit, model="alpha", tenant="acme") for i in range(3)]
     schedule = FaultSchedule.of(
         [
             chip_death(unit, 0),
@@ -448,76 +395,24 @@ def test_a_dead_fleet_ticks_while_a_restart_is_pending(
 # --------------------------------------------------------------------------- #
 # Scaler plus faults: the composition property
 # --------------------------------------------------------------------------- #
-def outcome(report) -> str:
-    """Everything virtual a run reports (repr: shed records carry NaN)."""
-    return repr(
-        (
-            report.completed,
-            replace(report.faults, restart_compile_seconds=0.0),
-            report.busy_chip_seconds,
-            report.active_chip_seconds,
-            report.provisioned_chip_seconds,
-            report.peak_active_chips,
-            report.peak_provisioned_chips,
-            report.iterations,
-            report.preemptions,
-            report.shed,
-            report.scale_ups,
-            report.scale_downs,
-            report.rebinds,
-            report.migrations,
-            report.provision_ups,
-            report.provision_downs,
+@pytest.mark.parametrize("scaler", [REACTIVE, FORECAST])
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_scaler_and_faults_compose(scaler, data, testbed):
+    """A reactive or a forecast scaler under any fault plan and watchdog:
+    the books balance, serial and ``jobs=2`` runs are bit-identical, and a
+    replay gives the same virtual trace."""
+    scenario = data.draw(
+        scenarios(
+            engines=(FLEET,),
+            chips=(NUM_CHIPS, NUM_CHIPS),
+            models=(2,),
+            traffic=(CHAOS,),
+            tenants=(True,),
+            faults=(True,),
+            watchdog=(True,),
+            scalers=(scaler,),
         )
     )
-
-
-def digest(tracer: Tracer) -> str:
-    whole = hashlib.sha256()
-    for event in tracer.virtual_events():
-        whole.update(repr(event).encode() + b"\n")
-    return whole.hexdigest()
-
-
-@pytest.mark.parametrize("forecast", [False, True], ids=["reactive", "forecast"])
-@settings(max_examples=20, deadline=None)
-@given(
-    plan=fault_plans(num_chips=NUM_CHIPS),
-    delay=st.sampled_from([0.0, 1.0, 3.0]),
-    min_replicas=st.integers(1, 2),
-)
-def test_scaler_and_faults_compose(
-    forecast, plan, delay, min_replicas, cache, cache_jobs2, small_chip, fast_constraints, unit
-):
-    """A reactive or a forecast scaler under any fault plan: the books
-    balance, serial and ``jobs=2`` runs are bit-identical, and a replay
-    gives the same virtual trace."""
-    schedule = build_schedule(plan, unit)
-    watchdog = chaos_watchdog(unit, plan[2])
-    workload = chaos_workload(unit, ("alpha", "beta"))
-
-    def run(plan_cache):
-        engine = fleet(plan_cache, small_chip, fast_constraints)
-        timing = dict(interval=unit, provision_delay=delay * unit, min_replicas=min_replicas)
-        if forecast:
-            shape = TrafficShape(mean_prompt=16, mean_output=9)
-            scaler = ForecastScaler(
-                BlueprintPlanner.for_engine(engine),
-                {"alpha": shape, "beta": shape},
-                hold_ticks=1,
-                **timing,
-            )
-        else:
-            scaler = ReactiveScaler(scale_up_queue=2, **timing)
-        return traced(
-            lambda: engine.run(workload, faults=schedule, watchdog=watchdog, scaler=scaler)
-        )
-
-    report, tracer = run(cache)
-    assert check_report(report, workload) == []
-    again, replay = run(cache)
-    assert digest(replay) == digest(tracer)
-    assert outcome(again) == outcome(report)
-    wide, wide_tracer = run(cache_jobs2)
-    assert outcome(wide) == outcome(report)
-    assert digest(wide_tracer) == digest(tracer)
+    assert scenario.scaler.kind == scaler
+    check_scenario(scenario, testbed)

@@ -45,17 +45,9 @@ from repro.serving import (
 )
 from repro.serving.plan_cache import COMPILE, HIT_DISK, HIT_MEMORY
 
-from test_continuous import make_engine, make_model, tiny_decode_builder
+from scenarios import make_engine, make_model, request, tiny_builder
 
-
-@pytest.fixture()
-def cache(small_cost_model, fast_constraints):
-    """A plan cache compiling with the shared test cost model."""
-    return PlanCache(
-        compiler_factory=lambda chip, constraints: T10Compiler(
-            chip, cost_model=small_cost_model, constraints=constraints
-        ),
-    )
+tiny_decode_builder = tiny_builder("tiny-decode")
 
 
 # --------------------------------------------------------------------------- #
@@ -141,8 +133,6 @@ class TestEmptyRunSummaries:
         assert "nan" not in text
 
     def test_all_shed_run_summary_is_defined(self, cache, small_chip, fast_constraints):
-        from test_continuous import request
-
         engine = make_engine(cache, small_chip, fast_constraints)
         unit = engine.iteration_latency(1)
         report = engine.run([request(0, 0.0, tokens=50, deadline=unit * 0.5)])
@@ -260,8 +250,6 @@ class TestCacheStatsAccumulation:
     def test_engine_run_reports_zero_search_work_when_warm(
         self, cache, small_chip, fast_constraints
     ):
-        from test_continuous import request
-
         engine = make_engine(cache, small_chip, fast_constraints)
         engine.warm()
         warm_sketched = cache.stats.sketched_candidates

@@ -48,19 +48,7 @@ from repro.obs import (
 from repro.obs.__main__ import main as obs_main
 from repro.serving import StaticEngine, decode_workload
 
-from test_continuous import make_engine, make_model, request
-
-
-@pytest.fixture()
-def cache(small_cost_model, fast_constraints):
-    from repro.core import T10Compiler
-    from repro.serving import PlanCache
-
-    return PlanCache(
-        compiler_factory=lambda chip, constraints: T10Compiler(
-            chip, cost_model=small_cost_model, constraints=constraints
-        ),
-    )
+from scenarios import make_engine, make_model, request
 
 
 def sample_tracer() -> Tracer:

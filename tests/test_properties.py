@@ -6,10 +6,8 @@ compute-shift plan must satisfy, independent of the specific shapes.
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.core import T10Compiler
 from repro.core.intra_op import IntraOpOptimizer
 from repro.core.partition import (
     enumerate_operator_partitions,
@@ -17,17 +15,11 @@ from repro.core.partition import (
     temporal_factor_choices,
 )
 from repro.core.plan import build_plan
-from repro.ir import OperatorGraph, elementwise, matmul
-from repro.serving import (
-    CostAwareRouter,
-    DecodeModel,
-    FleetEngine,
-    PlanCache,
-    check_report,
-    decode_workload,
-    merge_decode_workloads,
-)
+from repro.ir import elementwise, matmul
+from repro.serving import merge_decode_workloads
 from repro.utils import prod
+
+from scenarios import FLEET, POISSON, Replay, check_scenario, scenarios
 
 matmul_shapes = st.tuples(
     st.integers(min_value=2, max_value=128),
@@ -117,128 +109,20 @@ def test_pareto_frontier_is_consistent(shape, small_chip, small_cost_model, fast
 # --------------------------------------------------------------------------- #
 # Fleet routing determinism
 # --------------------------------------------------------------------------- #
-def _fleet_builder(name: str, width: int):
-    def build(batch_size: int) -> OperatorGraph:
-        graph = OperatorGraph(name=f"{name}-b{batch_size}")
-        fc1 = graph.add(matmul("fc1", m=batch_size * 8, k=width, n=width))
-        act = graph.add(
-            elementwise("act", {"m": batch_size * 8, "n": width}, kind="relu"),
-            inputs=[fc1],
-        )
-        graph.add(matmul("fc2", m=batch_size * 8, k=width, n=32), inputs=[act])
-        return graph
-
-    return build
-
-
-def _fleet_models() -> list[DecodeModel]:
-    return [
-        DecodeModel(
-            name="alpha",
-            decode_builder=_fleet_builder("alpha", 64),
-            max_batch_size=2,
-            prefill_chunk=64,
-        ),
-        DecodeModel(
-            name="beta",
-            decode_builder=_fleet_builder("beta", 96),
-            max_batch_size=2,
-            prefill_chunk=64,
-        ),
-    ]
-
-
-@pytest.fixture(scope="module")
-def fleet_caches(small_cost_model):
-    """One warm plan cache per compile parallelism; Hypothesis examples after
-    the first hit them warm, so every example is pure simulation."""
-
-    def make(jobs: int) -> PlanCache:
-        return PlanCache(
-            compiler_factory=lambda chip, constraints: T10Compiler(
-                chip, cost_model=small_cost_model, constraints=constraints, jobs=jobs
-            ),
-        )
-
-    return make(1), make(2)
-
-
 @settings(max_examples=6, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(
-    counts=st.tuples(
-        st.integers(min_value=2, max_value=8),
-        st.integers(min_value=2, max_value=8),
-        st.integers(min_value=2, max_value=8),
-    ),
-    seeds=st.tuples(
-        st.integers(min_value=0, max_value=20),
-        st.integers(min_value=0, max_value=20),
-        st.integers(min_value=0, max_value=20),
-    ),
-    order=st.permutations(range(3)),
+    scenario=scenarios(engines=(FLEET,), chips=(2, 2), models=(2,), traffic=(POISSON,)),
+    order=st.permutations(range(2)),
 )
-def test_fleet_routing_is_deterministic(
-    counts, seeds, order, fleet_caches, small_chip, fast_constraints
-):
+def test_fleet_routing_is_deterministic(scenario, order, testbed):
     """Per-request placements and the full report are identical whichever
     order the tenant streams are merged in, across fresh engines, and whether
     plans compiled serially or with a two-worker pool (compile time is
     wall-clock only; the virtual timeline never sees it)."""
-    serial_cache, parallel_cache = fleet_caches
+    replay = Replay(scenario, testbed)
     streams = [
-        decode_workload(
-            "alpha",
-            num_requests=counts[0],
-            rate=2500.0,
-            seed=seeds[0],
-            tenant="acme",
-            slo_seconds=0.05,
-            interactive_fraction=0.6,
-        ),
-        decode_workload(
-            "beta",
-            num_requests=counts[1],
-            rate=1500.0,
-            seed=seeds[1],
-            tenant="globex",
-            slo_seconds=0.08,
-            interactive_fraction=0.4,
-        ),
-        decode_workload(
-            "alpha",
-            num_requests=counts[2],
-            rate=800.0,
-            seed=seeds[2],
-            tenant="initech",
-            interactive_fraction=0.0,
-        ),
+        scenario.traffic.stream(model, index, replay.unit)
+        for index, model in enumerate(replay.models)
     ]
-    merged = merge_decode_workloads(*streams)
-    permuted = merge_decode_workloads(*(streams[i] for i in order))
-    assert merged == permuted
-
-    def placements(cache: PlanCache, workload):
-        engine = FleetEngine(
-            _fleet_models(),
-            chip=small_chip,
-            num_chips=2,
-            constraints=fast_constraints,
-            plan_cache=cache,
-            router=CostAwareRouter(),
-        )
-        report = engine.run(workload)
-        assert check_report(report, workload) == []
-        return [
-            (
-                record.request.request_id,
-                record.status,
-                record.replica,
-                record.tokens_generated,
-                record.completion_time,
-            )
-            for record in report.completed
-        ]
-
-    baseline = placements(serial_cache, merged)
-    assert placements(serial_cache, permuted) == baseline
-    assert placements(parallel_cache, merged) == baseline
+    assert merge_decode_workloads(*(streams[i] for i in order)) == replay.workload
+    check_scenario(scenario, testbed)

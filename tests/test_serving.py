@@ -14,7 +14,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import T10Compiler
-from repro.ir import OperatorGraph, elementwise, matmul
 from repro.serving import (
     COMPILE,
     HIT_DISK,
@@ -34,17 +33,10 @@ from repro.serving import (
     plan_key,
 )
 
+from scenarios import ARRIVALS, STATIC, Replay, scenarios, tiny_builder
 
-def build_tiny(batch_size: int, *, width: int = 64) -> OperatorGraph:
-    """A three-operator MLP-ish graph scaled by batch size."""
-    graph = OperatorGraph(name=f"tiny-b{batch_size}")
-    fc1 = graph.add(matmul("fc1", m=batch_size * 8, k=width, n=width))
-    act = graph.add(
-        elementwise("act", {"m": batch_size * 8, "n": width}, kind="relu"),
-        inputs=[fc1],
-    )
-    graph.add(matmul("fc2", m=batch_size * 8, k=width, n=32), inputs=[act])
-    return graph
+
+build_tiny = tiny_builder("tiny")
 
 
 @pytest.fixture()
@@ -331,7 +323,7 @@ class TestDynamicBatcher:
         fleet = FleetEngine(
             [
                 DecodeModel("a", build_tiny, max_batch_size=2),
-                DecodeModel("b", lambda batch: build_tiny(batch, width=96), max_batch_size=8),
+                DecodeModel("b", tiny_builder("tiny", 96), max_batch_size=8),
             ],
             chip=small_chip,
             constraints=fast_constraints,
@@ -367,48 +359,22 @@ class TestDynamicBatcher:
 # --------------------------------------------------------------------------- #
 # Batch-window properties (hypothesis)
 # --------------------------------------------------------------------------- #
-@pytest.fixture(scope="module")
-def shared_cache(small_cost_model, fast_constraints):
-    """An in-memory plan cache shared by every Hypothesis example."""
-    store = PlanCache(
-        compiler_factory=lambda chip, constraints: T10Compiler(
-            chip, cost_model=small_cost_model, constraints=constraints
-        ),
-    )
-    yield store
-    store.close()
-
-
-#: Arrival times in units of one batch-of-one iteration.
-arrival_streams = st.lists(
-    st.floats(min_value=0.0, max_value=10.0, allow_nan=False, allow_infinity=False),
-    max_size=50,
-)
-
-
 class TestBatcherProperties:
     @given(
-        stream=arrival_streams,
-        max_batch=st.integers(min_value=1, max_value=6),
-        window=st.floats(min_value=0.0, max_value=2.0, allow_nan=False),
-        num_chips=st.integers(min_value=1, max_value=2),
+        scenario=scenarios(
+            engines=(STATIC,),
+            chips=(1, 2),
+            stages=(1,),
+            batches=(1, 2, 3, 4, 5, 6),
+            traffic=(ARRIVALS,),
+        )
     )
     @settings(deadline=None, max_examples=200)
-    def test_batches_partition_requests_in_dispatch_order(
-        self, stream, max_batch, window, num_chips, shared_cache, small_chip,
-        fast_constraints,
-    ):
+    def test_batches_partition_requests_in_dispatch_order(self, scenario, testbed):
         """Every request lands in exactly one batch; dispatch never rewinds."""
-        engine = static_engine(shared_cache, small_chip, fast_constraints,
-                               max_batch_size=max_batch, num_chips=num_chips)
-        unit = engine.iteration_latency(1)
-        engine = static_engine(shared_cache, small_chip, fast_constraints,
-                               max_batch_size=max_batch, num_chips=num_chips,
-                               batch_window=window * unit)
-        requests = [
-            one_shot(i, arrival * unit) for i, arrival in enumerate(sorted(stream))
-        ]
-        report = engine.run(requests)
+        replay = Replay(scenario, testbed)
+        requests = replay.workload
+        report = replay.run()
         assert check_report(report, requests) == []
 
         starts = batch_starts(report)
@@ -425,13 +391,14 @@ class TestBatcherProperties:
         )
 
         arrival = {req.request_id: req.arrival_time for req in requests}
+        window = scenario.batch_window * replay.unit
         for (_, start), members in starts.items():
-            assert 1 <= len(members) <= max_batch
+            assert 1 <= len(members) <= scenario.max_batch
             # A batch never dispatches before its requests exist.
             assert start >= max(arrival[i] for i in members)
-            if len(members) < max_batch:
+            if len(members) < scenario.max_batch:
                 # A partial batch waits out its oldest member's window.
-                assert start >= min(arrival[i] for i in members) + engine.batch_window
+                assert start >= min(arrival[i] for i in members) + window
 
 
 # --------------------------------------------------------------------------- #
@@ -497,7 +464,7 @@ class TestWorkerPool:
         pool = WorkerPool(
             tiny_chip, num_chips=1, plan_cache=cache, constraints=fast_constraints
         )
-        cost = pool.profile(build_tiny(64, width=4096))
+        cost = pool.profile(tiny_builder("tiny", 4096)(64))
         assert not cost.ok
         assert cost.status == "oom"
         assert cost.latency == 0.0
@@ -512,7 +479,7 @@ class TestServingScheduler:
     def make_fleet(self, cache, small_chip, fast_constraints, **kwargs):
         models = [
             DecodeModel("tiny", build_tiny, max_batch_size=8),
-            DecodeModel("wide", lambda batch: build_tiny(batch, width=96), max_batch_size=4),
+            DecodeModel("wide", tiny_builder("tiny", 96), max_batch_size=4),
         ]
         kwargs.setdefault("num_chips", 2)
         return FleetEngine(

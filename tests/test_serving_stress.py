@@ -21,7 +21,7 @@ import pytest
 
 from repro.core import SearchConstraints, T10Compiler
 from repro.hw.spec import ChipSpec
-from repro.ir import OperatorGraph, elementwise, matmul
+from repro.ir import OperatorGraph
 from repro.serving import (
     DecodeModel,
     DecodeRequest,
@@ -32,20 +32,14 @@ from repro.serving import (
 )
 from repro.serving.plan_cache import plan_key
 
+from scenarios import tiny_builder
+
 N_THREADS = 8
 REQUESTS_PER_THREAD = 24
 
 
-def build_stress_model(batch_size: int) -> OperatorGraph:
-    """A three-operator MLP graph that fits the small test chip at any bucket."""
-    graph = OperatorGraph(name=f"stress-b{batch_size}")
-    fc1 = graph.add(matmul("fc1", m=batch_size * 8, k=64, n=64))
-    act = graph.add(
-        elementwise("act", {"m": batch_size * 8, "n": 64}, kind="relu"),
-        inputs=[fc1],
-    )
-    graph.add(matmul("fc2", m=batch_size * 8, k=64, n=32), inputs=[act])
-    return graph
+#: A three-operator MLP graph that fits the small test chip at any bucket.
+build_stress_model = tiny_builder("stress")
 
 
 class CountingCompiler(T10Compiler):
@@ -280,14 +274,3 @@ class TestDefaultJobsIntegration:
         assert second.iteration_latency(4) > 0
         assert sum(compiler.compile_count for compiler in compilers) == 3
         assert len(compilers) == 2
-
-    def test_jobs_with_supplied_cache_rejected(
-        self, small_chip, fast_constraints, counting_cache
-    ):
-        """jobs cannot retune a caller-supplied cache's compilers."""
-        cache, _ = counting_cache()
-        with pytest.raises(ValueError, match="jobs has no effect"):
-            StaticEngine(
-                stress_model(), chip=small_chip, constraints=fast_constraints,
-                plan_cache=cache, jobs=8,
-            )

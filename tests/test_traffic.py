@@ -397,7 +397,14 @@ token_ranges = st.tuples(
 
 #: ``slo_seconds`` as None, a constant or a callable of the work requested.
 slo_rules = st.sampled_from(
-    [None, 0.0, 0.25, 3.5, lambda p, o: 0.001 * (p + 2 * o), lambda p, o: 0.5 * math.ceil(p / 7) + o]
+    [
+        None,
+        0.0,
+        0.25,
+        3.5,
+        lambda p, o: 0.001 * (p + 2 * o),
+        lambda p, o: 0.5 * math.ceil(p / 7) + o,
+    ]
 )
 
 request_kwargs = st.fixed_dictionaries(
