@@ -1,7 +1,7 @@
 """The T10 compiler front door.
 
 ``T10Compiler.compile`` runs the full pipeline of the paper on an operator
-graph:
+graph (``compile_many`` on several, searching their operators as one batch):
 
 1. fit (or reuse) the cost model against the target chip,
 2. search Pareto-optimal compute-shift plans per operator (§4.3.1),
@@ -18,13 +18,14 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from repro.core.codegen import generate_program
 from repro.core.constraints import DEFAULT_CONSTRAINTS, SearchConstraints
 from repro.core.cost_model import CostModel
 from repro.core.inter_op import InterOpScheduler, ModelSchedule
 from repro.core.intra_op import IntraOpOptimizer, SearchSpaceStats
-from repro.core.parallel import ParallelCompilationEngine
+from repro.core.parallel import GraphSearchResult, ParallelCompilationEngine
 from repro.core.plan import OperatorPlan, PlanFrontier
 from repro.hw.memory import OutOfChipMemoryError
 from repro.hw.program import DeviceProgram
@@ -71,6 +72,12 @@ class CompiledModel:
     of which only the scheduled members are built (see :attr:`pareto_plans`)."""
     search_stats: dict[str, SearchSpaceStats] = field(default_factory=dict)
     compile_time_seconds: float = 0.0
+    """Wall-clock seconds of this graph's compile.  A graph compiled alone
+    owns its whole compile.  In a batch (:meth:`T10Compiler.compile_many`)
+    it owns its reconcile and codegen plus a share of the batch's shared
+    plan search, in proportion to the candidates its own fresh searches
+    sketched (equal shares when none did), so the times of a batch sum to
+    its wall time."""
     error: str = ""
     unique_operators: int = 0
     """Distinct operator signatures in the graph (searched at most once)."""
@@ -155,17 +162,52 @@ class T10Compiler:
     # ------------------------------------------------------------------ #
     def compile(self, graph: OperatorGraph) -> CompiledModel:
         """Compile ``graph`` into a device program (or an OOM diagnosis)."""
+        return self.compile_many([graph])[0]
+
+    def compile_many(self, graphs: Sequence[OperatorGraph]) -> list[CompiledModel]:
+        """Compile each of ``graphs``, searching all their operators as one batch.
+
+        Each result equals compiling the graphs one by one, in order
+        (:meth:`ParallelCompilationEngine.search_graphs
+        <repro.core.parallel.ParallelCompilationEngine.search_graphs>`), but
+        operators of one layout across the graphs — a model's batch buckets,
+        say — share their array passes.  See
+        :attr:`CompiledModel.compile_time_seconds` for how the batch's time
+        is split.
+        """
         tracer = get_tracer()
         start = time.perf_counter()
         with tracer.wall_span(
-            "plan-search", track="compiler/graph", cat="compile", graph=graph.name
+            "plan-search",
+            track="compiler/graph",
+            cat="compile",
+            graph=",".join(graph.name for graph in graphs),
         ) as span:
-            search = self.engine.search_graph(graph, self.intra_op)
+            searches = self.engine.search_graphs(graphs, self.intra_op)
             span.set(
-                dispatched=search.dispatched,
-                sketched=search.sketched_candidates,
-                materialized=search.materialized_plans,
+                dispatched=sum(search.dispatched for search in searches),
+                sketched=sum(search.sketched_candidates for search in searches),
+                materialized=sum(search.materialized_plans for search in searches),
             )
+        searched = mark = time.perf_counter()
+        # The shared search time goes to the graphs by the candidates their
+        # own fresh searches sketched (evenly when none did).
+        weights = [search.sketched_candidates for search in searches]
+        total = sum(weights)
+        if not total:
+            weights, total = [1] * len(searches), len(searches)
+        compiled = []
+        for graph, search, weight in zip(graphs, searches, weights):
+            model = self._finish(graph, search)
+            now = time.perf_counter()
+            model.compile_time_seconds = (searched - start) * weight / total + (now - mark)
+            mark = now
+            compiled.append(model)
+        return compiled
+
+    def _finish(self, graph: OperatorGraph, search: GraphSearchResult) -> CompiledModel:
+        """Reconcile and generate ``graph``'s program from its search."""
+        tracer = get_tracer()
         accounting = dict(
             unique_operators=search.unique_operators,
             dispatched_searches=search.dispatched,
@@ -179,7 +221,6 @@ class T10Compiler:
                 status="oom",
                 frontiers=search.frontiers,
                 search_stats=search.stats,
-                compile_time_seconds=time.perf_counter() - start,
                 error=search.error or "",
                 materialized_plans=search.materialized_plans,
                 **accounting,
@@ -201,12 +242,10 @@ class T10Compiler:
                 status="oom",
                 frontiers=search.frontiers,
                 search_stats=search.stats,
-                compile_time_seconds=time.perf_counter() - start,
                 error=str(error),
                 materialized_plans=search.materialized_plans,
                 **accounting,
             )
-        elapsed = time.perf_counter() - start
         return CompiledModel(
             graph=graph,
             chip=self.chip,
@@ -215,7 +254,6 @@ class T10Compiler:
             schedule=schedule,
             frontiers=search.frontiers,
             search_stats=search.stats,
-            compile_time_seconds=elapsed,
             materialized_plans=search.materialized_plans + schedule.materialized_plans,
             **accounting,
         )

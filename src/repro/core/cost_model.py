@@ -16,6 +16,7 @@ for convolution, mirroring Figure 8.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -153,12 +154,16 @@ class CostModel:
         seed: int = 7,
         simulator: ChipSimulator | None = None,
     ) -> "CostModel":
-        """Profile random sub-tasks on one simulated core and fit the models."""
+        """Profile random sub-tasks on one simulated core and fit the models.
+
+        The sub-tasks depend only on ``(op_types, samples_per_type, seed)``,
+        not on the chip, so they are drawn once per key
+        (:func:`drawn_subtasks`) and only timed per chip.
+        """
         simulator = simulator or ChipSimulator(chip)
-        rng = np.random.default_rng(seed)
         kernel_models: dict[str, LinearKernelModel] = {}
-        for op_type in op_types:
-            samples = profile_op_type(simulator, op_type, samples_per_type, rng)
+        for op_type, subtasks in drawn_subtasks(tuple(op_types), samples_per_type, seed):
+            samples = _time_subtasks(simulator, op_type, subtasks)
             if samples:
                 kernel_models[op_type] = LinearKernelModel.fit(op_type, samples)
         comm_model = fit_comm_model(simulator)
@@ -279,6 +284,10 @@ class CostModel:
 # --------------------------------------------------------------------------- #
 # Profiling (sample generation)
 # --------------------------------------------------------------------------- #
+#: One drawn sub-task: its expression's op type, axis extents, FLOPs and bytes.
+_Subtask = tuple[str, tuple[tuple[str, int], ...], float, int]
+
+
 def profile_op_type(
     simulator: ChipSimulator,
     op_type: str,
@@ -286,22 +295,54 @@ def profile_op_type(
     rng: np.random.Generator,
 ) -> list[KernelSample]:
     """Generate random sub-task shapes of ``op_type`` and time them."""
-    samples: list[KernelSample] = []
+    return _time_subtasks(simulator, op_type, _draw_subtasks(op_type, num_samples, rng))
+
+
+@lru_cache(maxsize=None)
+def drawn_subtasks(
+    op_types: tuple[str, ...], samples_per_type: int, seed: int
+) -> tuple[tuple[str, tuple[_Subtask, ...]], ...]:
+    """The random sub-tasks :meth:`CostModel.fit` profiles, per op type.
+
+    One generator seeded with ``seed`` draws ``samples_per_type`` sub-tasks
+    of each op type in turn, so the draws depend on the key alone and are
+    memoised on it: every chip's fit times the same sub-tasks.
+    """
+    rng = np.random.default_rng(seed)
+    return tuple(
+        (op_type, tuple(_draw_subtasks(op_type, samples_per_type, rng)))
+        for op_type in op_types
+    )
+
+
+def _draw_subtasks(op_type: str, num_samples: int, rng: np.random.Generator) -> list[_Subtask]:
+    """``num_samples`` random sub-tasks of ``op_type`` (none for an unknown type)."""
+    subtasks: list[_Subtask] = []
     for _ in range(num_samples):
         operator = _random_subtask(op_type, rng)
         if operator is None:
             return []
         expr = operator.expr
-        shape = dict(expr.axes)
-        flops = expr.total_flops
-        nbytes = float(expr.total_bytes)
-        measured = simulator.compute_task_time(expr.op_type, shape, flops, int(nbytes))
+        subtasks.append(
+            (expr.op_type, tuple(expr.axes.items()), expr.total_flops, expr.total_bytes)
+        )
+    return subtasks
+
+
+def _time_subtasks(
+    simulator: ChipSimulator, op_type: str, subtasks: Iterable[_Subtask]
+) -> list[KernelSample]:
+    """Time each sub-task on one simulated core."""
+    samples: list[KernelSample] = []
+    for kernel, axes, flops, nbytes in subtasks:
+        shape = dict(axes)
+        measured = simulator.compute_task_time(kernel, shape, flops, nbytes)
         samples.append(
             KernelSample(
                 op_type=op_type,
                 shape=shape,
                 flops=flops,
-                nbytes=nbytes,
+                nbytes=float(nbytes),
                 measured_time=measured,
             )
         )

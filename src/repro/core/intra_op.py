@@ -28,9 +28,17 @@ one operator it:
    for the idle and active plans its schedule picks.  Library-fallback
    operators still build their one plan eagerly.
 
-The search holds one block of candidates plus the frontier in memory and
-produces a frontier bit-for-bit identical to the eager implementation it
-replaced (kept as :meth:`IntraOpOptimizer.search_reference`, the executable
+The search is batched.  Operators that differ only in their axis extents
+(one :func:`~repro.core.plan.column_layout`: the buckets of one model, the
+projections of one transformer layer) share step 2's array pass, and their
+candidates are sketched and priced in shared blocks of at most
+:data:`SKETCH_BLOCK`, cut across operator boundaries; each operator keeps
+its own ``max_plans`` cut, frontier and accounting.  A lone operator is a
+batch of one.
+
+The search holds one block of candidates plus the frontiers in memory and
+produces for each operator a frontier bit-for-bit identical to the eager
+implementation it replaced (kept as :meth:`IntraOpOptimizer.search_reference`, the executable
 specification the determinism tests compare against).
 
 Results are cached per operator signature: identical operators (the repeated
@@ -61,20 +69,23 @@ from repro.core.plan import (
     PlanSketch,
     build_library_plan,
     build_plan,
+    column_layout,
     fop_columns,
     fop_geometry,
     sketch_block,
     sketch_plan,
     temporal_combos,
 )
+from repro.hw.memory import OutOfChipMemoryError
 from repro.hw.spec import ChipSpec
+from repro.ir.expr import TensorExpression
 from repro.ir.operator import Operator
 from repro.obs.trace import get_tracer
 
-#: Candidates per block: whole operator partitions join a block until it holds
-#: at least this many temporal combinations, and each block is sketched,
-#: priced and filtered as numpy columns in one go.  Chosen by a block-size
-#: sweep (docs/performance.md, "Block sketching").
+#: Candidates per block: whole operator partitions join a block while it
+#: holds at most this many temporal combinations, and each block is
+#: sketched, priced and filtered as numpy columns in one go.  Chosen by a
+#: block-size sweep (docs/performance.md, "Block sketching").
 SKETCH_BLOCK = 1024
 
 #: ``(memory, priced time bound, F_op row, temporal factors)`` of one candidate.
@@ -187,14 +198,24 @@ class IntraOpOptimizer:
 
         Operators of one signature share the returned frontier object.
         """
-        cached = self._cache.get(operator.signature())
+        signature = operator.signature()
+        cached = self._cache.get(signature)
         if cached is None:
-            cached = self._search(operator)
+            found, errors = self._search([operator])
+            if signature in errors:
+                raise errors[signature]
+            # The search's own result: another thread may already have
+            # dropped the cached one (:meth:`forget`).
+            cached = found[signature]
         return cached
 
     def peek(self, signature: tuple) -> tuple[PlanFrontier, SearchSpaceStats] | None:
         """Cached search result for ``signature``, or ``None`` if not searched."""
         return self._cache.get(signature)
+
+    def forget(self, signature: tuple) -> None:
+        """Drop the cached search result of ``signature``, if any."""
+        self._cache.pop(signature, None)
 
     def seed(
         self,
@@ -225,95 +246,181 @@ class IntraOpOptimizer:
         self._cache.clear()
 
     # ------------------------------------------------------------------ #
-    # Streaming search
+    # Batched streaming search
     # ------------------------------------------------------------------ #
-    def _search(self, operator: Operator) -> tuple[PlanFrontier, SearchSpaceStats]:
-        signature = operator.signature()
-        # One wall-domain span per fresh search (signature-cache misses only).
-        # Worker *processes* see the disabled ambient tracer, so process-pool
-        # searches are silently un-traced; worker threads inherit it and the
-        # tracer is thread-safe.
-        tracer = get_tracer()
-        with tracer.wall_span(
-            "operator-search",
+    def search_many(self, operators: Iterable[Operator]) -> dict[tuple, Exception]:
+        """Search every operator of ``operators`` not cached yet, in one batch.
+
+        Each result is cached as :meth:`search_frontier` caches it.  Returns
+        the error of each operator whose search raised
+        :class:`~repro.hw.memory.OutOfChipMemoryError` or
+        :class:`ValueError`, by signature; such an operator stays uncached.
+        """
+        fresh: dict[tuple, Operator] = {}
+        for operator in operators:
+            signature = operator.signature()
+            if signature not in self._cache:
+                fresh.setdefault(signature, operator)
+        return self._search(list(fresh.values()))[1] if fresh else {}
+
+    def _search(
+        self, operators: Sequence[Operator]
+    ) -> tuple[dict[tuple, tuple[PlanFrontier, SearchSpaceStats]], dict[tuple, Exception]]:
+        """Search ``operators`` (distinct signatures, none cached) as one batch.
+
+        Operators of one :func:`~repro.core.plan.column_layout` are searched
+        together (:meth:`_search_layout`); a library-fallback operator alone.
+        When a layout's search fails, each of its operators is searched
+        alone, so a failure is attributed to the operator that raised it.
+        Returns the results it cached and the errors, by signature.
+        """
+        groups: dict[tuple, list[Operator]] = {}
+        for operator in operators:
+            expr = operator.expr
+            key = (
+                ("library", operator.signature())
+                if expr.library_fallback
+                else column_layout(expr, self.chip)
+            )
+            groups.setdefault(key, []).append(operator)
+        work = list(reversed(groups.values()))
+        found: dict[tuple, tuple[PlanFrontier, SearchSpaceStats]] = {}
+        errors: dict[tuple, Exception] = {}
+        while work:
+            group = work.pop()
+            try:
+                results = self._search_group(group)
+            except (OutOfChipMemoryError, ValueError) as error:
+                if len(group) == 1:
+                    errors[group[0].signature()] = error
+                else:
+                    work.extend([operator] for operator in reversed(group))
+                continue
+            for operator, (members, stats) in zip(group, results):
+                signature = operator.signature()
+                found[signature] = self._cache[signature] = (
+                    self._frontier(operator, members),
+                    stats,
+                )
+        return found, errors
+
+    def _search_group(
+        self, operators: list[Operator]
+    ) -> list[tuple[list[PlanSketch | OperatorPlan], SearchSpaceStats]]:
+        # One wall-domain span per layout searched (signature-cache misses
+        # only).  Worker processes see the disabled ambient tracer, so their
+        # searches are silently un-traced.
+        with get_tracer().wall_span(
+            "layout-search",
             track="compiler/intra-op",
             cat="compile",
-            op=operator.name,
-            op_type=operator.expr.op_type,
+            op_type=operators[0].expr.op_type,
+            operators=len(operators),
         ) as span:
-            members, stats = self._stream_search(operator)
+            if operators[0].expr.library_fallback:
+                results = [self._library_search(operators[0])]
+            else:
+                results = self._search_layout(operators)
             span.set(
-                sketched=stats.sketched,
-                evaluated=stats.evaluated,
-                fitting=int(stats.filtered),
-                materialized=stats.materialized,
-                optimized=stats.optimized,
-                truncated=stats.truncated,
+                sketched=sum(stats.sketched for _, stats in results),
+                evaluated=sum(stats.evaluated for _, stats in results),
+                fitting=int(sum(stats.filtered for _, stats in results)),
+                materialized=sum(stats.materialized for _, stats in results),
+                optimized=sum(stats.optimized for _, stats in results),
+                truncated=sum(stats.truncated for _, stats in results),
             )
-        result = self._cache[signature] = (self._frontier(operator, members), stats)
-        return result
+        return results
 
-    def _stream_search(
+    def _library_search(
         self, operator: Operator
     ) -> tuple[list[PlanSketch | OperatorPlan], SearchSpaceStats]:
+        """A library-fallback operator's one plan, built eagerly."""
         expr = operator.expr
-        sram = self.chip.sram_per_core
-        sketched = evaluated = fitting = 0
-        truncated = False
+        plan = build_library_plan(expr, self.chip, self.cost_model)
+        frontier: list[PlanSketch | OperatorPlan] = (
+            [plan] if plan.memory_bytes <= self.chip.sram_per_core else []
+        )
+        stats = SearchSpaceStats(
+            complete=complete_space_size(expr, self.chip.num_cores),
+            filtered=float(len(frontier)),
+            evaluated=1,
+            optimized=len(frontier),
+            sketched=1,
+            materialized=1,
+        )
+        return frontier, stats
 
-        if expr.library_fallback:
-            plan = build_library_plan(expr, self.chip, self.cost_model)
-            sketched = evaluated = 1
-            frontier = [plan] if plan.memory_bytes <= sram else []
-            fitting = len(frontier)
-            materialized = 1
-        else:
-            # (memory, priced time bound, F_op row, temporal factors) per
-            # candidate: the bound is the built plan's ``time_est`` bit for
-            # bit, so this is the plan frontier.
-            accumulator: ParetoAccumulator[_Candidate] = ParetoAccumulator(
-                memory=_candidate_memory, time=_candidate_time
-            )
-            tracer = get_tracer()
-            limit = self.constraints.max_temporal_combos
-            remaining = self.constraints.max_plans  # feasible candidates still allowed
+    def _search_layout(
+        self, operators: list[Operator]
+    ) -> list[tuple[list[PlanSketch | OperatorPlan], SearchSpaceStats]]:
+        """Search operators of one layout in shared blocks.
+
+        Their ``F_op`` rows are derived in one array pass, then sketched,
+        SRAM-filtered and priced in blocks of whole rows cut across operator
+        boundaries (:func:`_next_block`).  Every operator keeps its own
+        ``max_plans`` cut, Pareto accumulator and accounting, and a
+        candidate's values do not depend on its block, so each operator's
+        frontier and stats are those of a search of it alone.
+        """
+        tracer = get_tracer()
+        sram = self.chip.sram_per_core
+        limit = self.constraints.max_temporal_combos
+        op_type = operators[0].expr.op_type
+        with tracer.wall_span(
+            "fop-geometry", track="compiler/intra-op", cat="compile", operators=len(operators)
+        ) as span:
+            columns = self._fop_columns([operator.expr for operator in operators])
+            span.set(fops=len(columns))
+        counts = columns.combo_counts(limit).tolist()
+        states = [
+            _OperatorState(operator, rows, self.constraints.max_plans)
+            for operator, rows in zip(operators, columns.operator_rows())
+        ]
+        live = states
+        while live:
+            parts = _next_block(live, counts)
             with tracer.wall_span(
-                "fop-geometry",
-                track="compiler/intra-op",
-                cat="compile",
-                op=operator.name,
+                "sketch-flush", track="compiler/intra-op", cat="compile", operators=len(parts)
             ) as span:
-                columns = self._fop_columns(expr)
-                runs = self._fop_runs(columns)
-                span.set(fops=len(columns))
-            for rows in runs:
-                with tracer.wall_span(
-                    "sketch-flush",
-                    track="compiler/intra-op",
-                    cat="compile",
-                    op=operator.name,
-                ) as span:
-                    block = sketch_block(self.chip, columns, rows, limit)
-                    feasible = block.feasible
+                block = sketch_block(
+                    self.chip,
+                    columns,
+                    [row for _, start, stop, _ in parts for row in range(start, stop)],
+                    limit,
+                )
+                # Each operator's ``max_plans`` cut and SRAM filter on its
+                # part of the block; then one pricing call for all of them.
+                first = candidates = 0
+                fitting: list[tuple[_OperatorState, np.ndarray]] = []
+                for state, _, _, size in parts:
+                    feasible = block.feasible[first : first + size]
                     taken = np.cumsum(feasible)
-                    end = len(block)
-                    if end and taken[-1] >= remaining:
-                        # The ``max_plans`` cut falls in this block; it
-                        # truncates the search only if a further feasible
-                        # candidate exists.
-                        end = int(np.searchsorted(taken, remaining)) + 1
-                        truncated = bool(feasible[end:].any())
-                    sketched += end
-                    if end:
-                        evaluated += int(taken[end - 1])
-                        remaining -= int(taken[end - 1])
-                    index = np.flatnonzero(feasible[:end] & (block.memory_bytes[:end] <= sram))
-                    fitting += len(index)
-                    pruned = 0
-                    if len(index):
-                        bounds = block.time_bound(self.cost_model, expr.op_type, index)
+                    end = size
+                    if taken[-1] >= state.remaining:
+                        # The cut falls in this part; it truncates the
+                        # search only if a further feasible candidate exists.
+                        end = int(np.searchsorted(taken, state.remaining)) + 1
+                        state.truncated = bool(feasible[end:].any())
+                    state.sketched += end
+                    candidates += end
+                    state.evaluated += int(taken[end - 1])
+                    state.remaining -= int(taken[end - 1])
+                    fits = block.memory_bytes[first : first + end] <= sram
+                    index = first + np.flatnonzero(feasible[:end] & fits)
+                    state.fitting += len(index)
+                    fitting.append((state, index))
+                    first += size
+                index = np.concatenate([part for _, part in fitting])
+                pruned = 0
+                if len(index):
+                    bounds = block.time_bound(self.cost_model, op_type, index).tolist()
+                    memories = block.memory_bytes[index].tolist()
+                    first = 0
+                    for state, part in fitting:
+                        accumulator = state.accumulator
+                        stop = first + len(part)
                         for position, memory, bound in zip(
-                            index.tolist(), block.memory_bytes[index].tolist(), bounds.tolist()
+                            part.tolist(), memories[first:stop], bounds[first:stop]
                         ):
                             # A candidate matched by a no-larger frontier
                             # member can never join the frontier; the check
@@ -322,31 +429,39 @@ class IntraOpOptimizer:
                                 pruned += 1
                                 continue
                             accumulator.insert((memory, bound, *block.candidate(position)))
-                    span.set(candidates=end, pruned=pruned, frontier=len(accumulator))
-                if not remaining:
-                    break
-            if not remaining and not truncated:
-                # The cut filled ``max_plans`` on a block's last feasible
-                # candidate: look for a further feasible one candidate at a
-                # time, as the reference search does, rather than by blocks.
-                later = [columns.fop(row) for row in range(rows.stop, len(columns))]
-                truncated = any(
-                    sketch_plan(expr, self.chip, fop, temporal, geometry) is not None
-                    for fop, geometry, temporal in self._scalar_candidates(expr, later)
-                )
-            frontier = [
-                self._verified(expr, columns, *candidate) for candidate in accumulator.items()
+                        first = stop
+                span.set(candidates=candidates, pruned=pruned)
+            live = [
+                state for state in live if state.remaining and state.next_row < state.rows.stop
             ]
-            materialized = len(frontier)
+        return [self._finish(state, columns) for state in states]
 
+    def _finish(
+        self, state: _OperatorState, columns: FopColumns
+    ) -> tuple[list[PlanSketch | OperatorPlan], SearchSpaceStats]:
+        """One operator's verified frontier and stats once its rows are done."""
+        expr = state.operator.expr
+        if not state.remaining and not state.truncated:
+            # The cut filled ``max_plans`` on a part's last feasible
+            # candidate: look for a further feasible one candidate at a
+            # time, as the reference search does, rather than by blocks.
+            later = [columns.fop(row) for row in range(state.next_row, state.rows.stop)]
+            state.truncated = any(
+                sketch_plan(expr, self.chip, fop, temporal, geometry) is not None
+                for fop, geometry, temporal in self._scalar_candidates(expr, later)
+            )
+        frontier: list[PlanSketch | OperatorPlan] = [
+            self._verified(expr, columns, *candidate)
+            for candidate in state.accumulator.items()
+        ]
         stats = SearchSpaceStats(
             complete=complete_space_size(expr, self.chip.num_cores),
-            filtered=float(fitting),
-            evaluated=evaluated,
+            filtered=float(state.fitting),
+            evaluated=state.evaluated,
             optimized=len(frontier),
-            sketched=sketched,
-            materialized=materialized,
-            truncated=truncated,
+            sketched=state.sketched,
+            materialized=len(frontier),
+            truncated=state.truncated,
         )
         return frontier, stats
 
@@ -477,28 +592,79 @@ class IntraOpOptimizer:
             for combo in temporal_combos(choices, limit):
                 yield fop, geometry, dict(zip(names, combo))
 
-    def _fop_columns(self, expr) -> FopColumns:
-        """Every ``F_op`` of ``expr`` with its geometry and temporal choices, as columns."""
-        partitions = enumerate_partition_rows(expr, self.chip.num_cores, self.constraints)
-        budget = self._per_tensor_choice_budget(len(expr.all_tensors))
-        return fop_columns(expr, self.chip, partitions, budget)
-
-    def _fop_runs(self, columns: FopColumns) -> list[range]:
-        """Group the ``F_op`` rows into runs of about :data:`SKETCH_BLOCK` candidates."""
-        runs = []
-        start = size = 0
-        counts = columns.combo_counts(self.constraints.max_temporal_combos).tolist()
-        for row, count in enumerate(counts):
-            size += count
-            if size >= SKETCH_BLOCK:
-                runs.append(range(start, row + 1))
-                start, size = row + 1, 0
-        if start < len(counts):
-            runs.append(range(start, len(counts)))
-        return runs
+    def _fop_columns(self, exprs: Sequence[TensorExpression]) -> FopColumns:
+        """Every ``F_op`` of ``exprs`` (operators of one layout) with its
+        geometry and temporal choices, as columns."""
+        # Each operator's rows become an array at once, so only one
+        # operator's row tuples are alive at a time.
+        partitions = [
+            np.array(
+                enumerate_partition_rows(expr, self.chip.num_cores, self.constraints),
+                dtype=np.int64,
+            )
+            for expr in exprs
+        ]
+        budget = self._per_tensor_choice_budget(len(exprs[0].all_tensors))
+        return fop_columns(exprs, self.chip, partitions, budget)
 
     def _per_tensor_choice_budget(self, num_tensors: int) -> int:
         """How many temporal factors to consider per tensor."""
         budget = self.constraints.max_temporal_combos
         per_tensor = max(2, int(round(budget ** (1.0 / max(num_tensors, 1)))))
         return per_tensor
+
+
+class _OperatorState:
+    """One operator's search state inside a batched layout search."""
+
+    __slots__ = (
+        "operator",
+        "rows",
+        "next_row",
+        "remaining",
+        "sketched",
+        "evaluated",
+        "fitting",
+        "truncated",
+        "accumulator",
+    )
+
+    def __init__(self, operator: Operator, rows: range, max_plans: int) -> None:
+        self.operator = operator
+        self.rows = rows
+        """The operator's ``F_op`` rows in its layout's columns."""
+        self.next_row = rows.start
+        """Its first row not sketched yet."""
+        self.remaining = max_plans
+        """Feasible candidates still allowed (the ``max_plans`` cut)."""
+        self.sketched = self.evaluated = self.fitting = 0
+        self.truncated = False
+        # (memory, priced time bound, F_op row, temporal factors) per
+        # candidate: the bound is the built plan's ``time_est`` bit for bit,
+        # so this is the plan frontier.
+        self.accumulator: ParetoAccumulator[_Candidate] = ParetoAccumulator(
+            memory=_candidate_memory, time=_candidate_time
+        )
+
+
+def _next_block(
+    live: list[_OperatorState], counts: list[int]
+) -> list[tuple[_OperatorState, int, int, int]]:
+    """The next shared block, as ``(operator, first row, stop row,
+    candidates)`` parts: whole ``F_op`` rows of the ``live`` operators in row
+    order, at most :data:`SKETCH_BLOCK` candidates in all (one row at least).
+    """
+    parts = []
+    size = 0
+    for state in live:
+        start = row = state.next_row
+        stop = state.rows.stop
+        while row < stop and (size + counts[row] <= SKETCH_BLOCK or not size):
+            size += counts[row]
+            row += 1
+        if row > start:
+            parts.append((state, start, row, sum(counts[start:row])))
+            state.next_row = row
+        if row < stop:
+            break
+    return parts

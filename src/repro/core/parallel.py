@@ -6,12 +6,13 @@ distinct operators share no state, which makes whole-graph compilation an
 embarrassingly parallel fan-out.  This module provides the three pieces the
 rest of the system builds on:
 
-* :class:`ParallelCompilationEngine` — de-duplicates a graph's operators by
-  signature, dispatches each unique search to ``jobs`` worker processes
-  (forked once and shared by every engine of the process) or searches it
-  inline, and merges results back **in graph order**, so the output is
-  bit-for-bit identical to a serial compile (same plan ordering, same error
-  on the same operator);
+* :class:`ParallelCompilationEngine` — de-duplicates the operators of a
+  list of graphs by signature, dispatches each unique search to ``jobs``
+  worker processes (forked once and shared by every engine of the process)
+  or searches them inline as one batch, and merges results back **in graph
+  order**, graph after graph, so the output is bit-for-bit identical to
+  serial compiles of the graphs one by one (same plan ordering, same error
+  on the same operator, same per-graph search accounting);
 * :class:`SingleFlight` — a per-key in-flight guard; concurrent callers of
   the same key run the underlying function exactly once and all receive its
   result.  The serving plan cache uses it so concurrent cache misses for one
@@ -19,8 +20,8 @@ rest of the system builds on:
 * :func:`resolve_jobs` / :func:`default_jobs` — the shared ``jobs=None``
   (auto) policy.
 
-Determinism guarantee: for a fixed (graph, chip, cost model, constraints),
-``search_graph`` returns the same frontiers in the same order for every
+Determinism guarantee: for fixed (graphs, chip, cost model, constraints),
+``search_graphs`` returns the same frontiers in the same order for every
 ``jobs`` value, forked or inline, because each per-signature search is
 deterministic and the merge step re-imposes graph order regardless of
 completion order.
@@ -28,6 +29,7 @@ completion order.
 
 from __future__ import annotations
 
+import gc
 import itertools
 import multiprocessing
 import os
@@ -38,7 +40,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from multiprocessing.connection import Connection, wait
 from multiprocessing.process import BaseProcess
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 from repro.core.constraints import SearchConstraints
 from repro.core.cost_model import CostModel
@@ -90,7 +92,11 @@ class SingleFlight:
     first caller (the *leader*) executes it while followers block and then
     receive the leader's result — or its exception.  Once a call completes,
     the key is forgotten, so later calls run ``fn`` again (the caller is
-    expected to consult its own cache first).
+    expected to consult its own cache first).  :meth:`join`, :meth:`wait`
+    and :meth:`finish` are its steps, for a caller that leads several keys
+    at once (the plan cache's batched lookups): it finishes every call it
+    leads before it waits on another's, so two such callers never wait on
+    each other.
     """
 
     def __init__(self) -> None:
@@ -104,28 +110,49 @@ class SingleFlight:
 
     def do(self, key: Any, fn: Callable[[], Any]) -> tuple[Any, bool]:
         """Run ``fn`` once per key; returns ``(result, leader)``."""
+        call, leader = self.join(key)
+        if not leader:
+            return self.wait(call), False
+        try:
+            value = fn()
+        except BaseException as exc:
+            self.finish(key, call, exception=exc)
+            raise
+        self.finish(key, call, value)
+        return value, True
+
+    def join(self, key: Any) -> tuple[_InFlightCall, bool]:
+        """Join the call of ``key``: ``(call, True)`` when the caller leads
+        it (and must :meth:`finish` it), ``(call, False)`` when another
+        caller does (:meth:`wait` for its result)."""
         with self._lock:
             call = self._calls.get(key)
             if call is None:
                 call = self._calls[key] = _InFlightCall()
-                leader = True
-            else:
-                leader = False
-        if not leader:
-            call.event.wait()
-            if call.exception is not None:
-                raise call.exception
-            return call.value, False
-        try:
-            call.value = fn()
-            return call.value, True
-        except BaseException as exc:
-            call.exception = exc
-            raise
-        finally:
-            call.event.set()
-            with self._lock:
-                self._calls.pop(key, None)
+                return call, True
+        return call, False
+
+    @staticmethod
+    def wait(call: _InFlightCall) -> Any:
+        """The result of a call led by another caller, or its exception."""
+        call.event.wait()
+        if call.exception is not None:
+            raise call.exception
+        return call.value
+
+    def finish(
+        self,
+        key: Any,
+        call: _InFlightCall,
+        value: Any = None,
+        exception: BaseException | None = None,
+    ) -> None:
+        """Publish a led call's result (or exception) and forget the key."""
+        call.value = value
+        call.exception = exception
+        call.event.set()
+        with self._lock:
+            self._calls.pop(key, None)
 
 
 # --------------------------------------------------------------------------- #
@@ -158,6 +185,11 @@ def _worker_main(conn: Connection, inherited: list[Connection]) -> None:
     a fresh optimizer, so a worker never answers one engine's search from
     another's cache.
     """
+    # The heap inherited from the parent stays out of this process's
+    # collections: walking it would write to every inherited object and so
+    # copy the parent's pages (copy-on-write), which made a fresh worker's
+    # first searches slower.
+    gc.freeze()
     for other in inherited:
         # The parent's ends of this and the other workers' pipes: holding
         # them would keep the workers alive after the parent dies.
@@ -349,16 +381,51 @@ class GraphSearchResult:
         return {name: frontier.plans() for name, frontier in self.frontiers.items()}
 
 
+class GraphBatch:
+    """The graphs of one :meth:`ParallelCompilationEngine.search_graphs`
+    call and the state their searches share."""
+
+    def __init__(self, graphs: Sequence[OperatorGraph]) -> None:
+        self.graphs = list(graphs)
+        self.uniques: list[dict[tuple, Operator]] = []
+        """Each graph's operators by signature (first occurrence), in order."""
+        self.fresh: dict[tuple, Operator] | None = None
+        """The signatures the fan-out searched; ``None`` before it ran."""
+        self.errors: dict[tuple, str] = {}
+        """The error of each signature whose search failed."""
+        self.claimed: set[tuple] = set()
+        """Fresh signatures a graph merged so far searched."""
+        self.merged = 0
+        """Graphs merged so far."""
+
+
+def _searched(
+    operator: Operator, intra_op: IntraOpOptimizer, errors: dict[tuple, str]
+) -> tuple[PlanFrontier, SearchSpaceStats] | None:
+    """``operator``'s search result, searching it when none is cached; on
+    failure its error goes to ``errors`` and the result is ``None``."""
+    cached = intra_op.peek(operator.signature())
+    if cached is not None:
+        return cached
+    try:
+        return intra_op.search_frontier(operator)
+    except (OutOfChipMemoryError, ValueError) as error:
+        errors[operator.signature()] = str(error)
+        return None
+
+
 class ParallelCompilationEngine:
-    """Fan a graph's intra-op plan searches out over ``jobs`` forked workers.
+    """Fan the intra-op plan searches of graphs out over ``jobs`` forked workers.
 
     The workers are processes shared by every engine of the process and kept
     between compiles (:class:`_ProcessWorkers`); at most ``jobs`` of them
-    search for one fan-out, which gives the pure-Python search true CPU
-    parallelism.  A graph searches inline instead — the serial compiler's
-    own path — when ``jobs=1``, when it needs at most one fresh search, when
-    other threads run (:func:`_fork_is_safe`) or when the engine's setup
-    does not pickle (:meth:`_worker_setup`).
+    search for one fan-out, one operator per task, which gives the
+    pure-Python search true CPU parallelism.  The graphs search inline
+    instead, as one batch (:meth:`IntraOpOptimizer.search_many
+    <repro.core.intra_op.IntraOpOptimizer.search_many>`) — the serial
+    compiler's own path — when ``jobs=1``, when they need at most one fresh
+    search, when other threads run (:func:`_fork_is_safe`) or when the
+    engine's setup does not pickle (:meth:`_worker_setup`).
     """
 
     def __init__(
@@ -404,108 +471,134 @@ class ParallelCompilationEngine:
     # Graph search
     # ------------------------------------------------------------------ #
     def search_graph(
-        self, graph: OperatorGraph, intra_op: IntraOpOptimizer
+        self,
+        graph: OperatorGraph,
+        intra_op: IntraOpOptimizer,
+        batch: GraphBatch | None = None,
     ) -> GraphSearchResult:
         """Search every operator of ``graph``, reusing ``intra_op``'s caches.
 
-        Results (including worker-computed ones) are seeded back into
-        ``intra_op`` so later compiles — serial or parallel — hit the cache.
+        ``batch`` is the :meth:`search_graphs` batch ``graph`` is the next
+        graph of; alone, the graph is a batch of one.  The batch's one
+        fan-out runs in its first graph's call and each call merges its own
+        graph, so every graph's search is one call of this method (the name
+        t10bench's layer shims time).
         """
-        unique: dict[tuple, Operator] = {}
-        for operator in graph.operators:
-            unique.setdefault(operator.signature(), operator)
-        pending = {
-            signature: operator
-            for signature, operator in unique.items()
-            if intra_op.peek(signature) is None
-        }
+        if batch is None:
+            batch = GraphBatch([graph])
+        assert graph is batch.graphs[batch.merged], "graphs are merged in batch order"
+        if batch.fresh is None:
+            self._fan_out(batch, intra_op)
+        result = self._merge(graph, batch, intra_op)
+        batch.merged += 1
+        if batch.merged == len(batch.graphs):
+            for signature in batch.fresh.keys() - batch.claimed:
+                intra_op.forget(signature)
+        return result
 
-        errors: dict[tuple, str] = {}
-        path = self._fan_out_path(pending)
+    def search_graphs(
+        self, graphs: Sequence[OperatorGraph], intra_op: IntraOpOptimizer
+    ) -> list[GraphSearchResult]:
+        """Search every operator of ``graphs`` in one fan-out, reusing
+        ``intra_op``'s caches.
+
+        The result of each graph is the one searching the graphs one by one,
+        in order, would give: a fresh search is attributed to the first
+        graph that would have run it, and a graph's searches stop at its
+        first failing operator.  A search no graph claims that way (one
+        behind an earlier failure) is dropped from the cache.  Results
+        (including worker-computed ones) are seeded back into ``intra_op``
+        so later compiles — serial or parallel — hit the cache.
+        """
+        batch = GraphBatch(graphs)
+        return [self.search_graph(graph, intra_op, batch) for graph in batch.graphs]
+
+    def _fan_out(self, batch: GraphBatch, intra_op: IntraOpOptimizer) -> None:
+        """Search every signature of ``batch`` not cached yet in one fan-out."""
+        fresh: dict[tuple, Operator] = {}
+        for graph in batch.graphs:
+            unique: dict[tuple, Operator] = {}
+            for operator in graph.operators:
+                unique.setdefault(operator.signature(), operator)
+            batch.uniques.append(unique)
+            for signature, operator in unique.items():
+                if signature not in fresh and intra_op.peek(signature) is None:
+                    fresh[signature] = operator
+        batch.fresh = fresh
+        path = self._fan_out_path(fresh)
         # The fan-out span covers dispatch plus the wait for every worker;
-        # per-operator searches emit their own spans on the inline path only
-        # (process workers run with the disabled tracer, so their
-        # per-operator spans are deliberately absent from traces).
+        # the searches emit their own spans on the inline path only
+        # (process workers run with the disabled tracer, so their spans are
+        # deliberately absent from traces).
         with get_tracer().wall_span(
             "search-fan-out",
             track="compiler/graph",
             cat="compile",
-            graph=graph.name,
+            graph=",".join(graph.name for graph in batch.graphs),
             path=path,
             jobs=self.jobs,
-            dispatched=len(pending),
+            dispatched=len(fresh),
         ):
             if path == "process":
-                self._search_processes(_largest_first(pending), intra_op, errors)
+                self._search_processes(_largest_first(fresh), intra_op, batch.errors)
             else:
-                self._search_inline(pending, intra_op, errors)
+                for signature, error in intra_op.search_many(fresh.values()).items():
+                    batch.errors[signature] = str(error)
 
-        # Deterministic merge: walk the graph in order, exactly like the
-        # serial compiler, stopping at the first infeasible operator.  A
-        # signature the fan-out skipped (the search phase stops early once
-        # any operator errors) is searched inline here, so the failure is
-        # always attributed to the first failing operator in graph order.
-        result = GraphSearchResult(
-            unique_operators=len(unique), dispatched=len(pending)
-        )
-        try:
-            for operator in graph.operators:
-                signature = operator.signature()
-                error = errors.get(signature)
-                if error is not None:
-                    result.failed_op = operator.name
-                    result.error = error
-                    return result
-                cached = intra_op.peek(signature)
-                if cached is None:
-                    try:
-                        cached = intra_op.search_frontier(operator)
-                    except (OutOfChipMemoryError, ValueError) as exc:
-                        result.failed_op = operator.name
-                        result.error = str(exc)
-                        return result
+    def _merge(
+        self, graph: OperatorGraph, batch: GraphBatch, intra_op: IntraOpOptimizer
+    ) -> GraphSearchResult:
+        """``graph``'s result, as compiling it after the batch's graphs before it.
+
+        Alone, the graph would search its fresh signatures no earlier graph
+        searched (``batch.claimed``), in graph order, stopping at the first
+        that fails; this claims them and counts their search effort.  Then
+        the graph is walked in order, exactly like the serial compiler,
+        stopping at the first infeasible operator.  A signature with no
+        cached result — one the fan-out left unsearched (it stops early once
+        any operator errors), or one another thread's batch dropped — is
+        searched inline here.
+        """
+        unique = batch.uniques[batch.merged]
+        errors = batch.errors
+        pending = [
+            (signature, operator)
+            for signature, operator in unique.items()
+            if signature in batch.fresh and signature not in batch.claimed
+        ]
+        result = GraphSearchResult(unique_operators=len(unique), dispatched=len(pending))
+        for signature, operator in pending:
+            cached = None if signature in errors else _searched(operator, intra_op, errors)
+            if cached is None:
+                break
+            batch.claimed.add(signature)
+            _, stats = cached
+            result.sketched_candidates += stats.sketched
+            result.evaluated_candidates += stats.evaluated
+            if operator.expr.library_fallback:
+                result.materialized_plans += stats.materialized
+
+        for operator in graph.operators:
+            signature = operator.signature()
+            cached = None if signature in errors else _searched(operator, intra_op, errors)
+            if cached is None:
+                error = errors[signature]
+            else:
                 frontier, stats = cached
-                if not len(frontier):
-                    result.failed_op = operator.name
-                    result.error = str(
-                        infeasible_plan_error(operator.name, self.chip.name)
-                    )
-                    return result
-                result.frontiers[operator.name] = frontier
-                result.stats[operator.name] = stats
-            return result
-        finally:
-            # Search-effort accounting over the fresh (deduplicated) searches
-            # of this compile — in a ``finally`` so every return path,
-            # including failed compiles, reports the work actually done
-            # (inline merge searches included).  A signature an early error
-            # left unsearched has no cache entry and contributes nothing.
-            for signature, operator in pending.items():
-                cached = intra_op.peek(signature)
-                if cached is None:
-                    continue
-                _, stats = cached
-                result.sketched_candidates += stats.sketched
-                result.evaluated_candidates += stats.evaluated
-                if operator.expr.library_fallback:
-                    result.materialized_plans += stats.materialized
+                error = (
+                    None
+                    if len(frontier)
+                    else str(infeasible_plan_error(operator.name, self.chip.name))
+                )
+            if error is not None:
+                result.failed_op = operator.name
+                result.error = error
+                return result
+            result.frontiers[operator.name] = frontier
+            result.stats[operator.name] = stats
+        return result
 
     # ------------------------------------------------------------------ #
-    def _search_inline(
-        self,
-        pending: dict[tuple, Operator],
-        intra_op: IntraOpOptimizer,
-        errors: dict[tuple, str],
-    ) -> None:
-        for signature, operator in pending.items():
-            try:
-                intra_op.search_frontier(operator)
-            except (OutOfChipMemoryError, ValueError) as error:
-                # Stop at the first failure like the serial compiler did:
-                # the merge discards everything after it anyway.
-                errors[signature] = str(error)
-                return
-
     def _search_processes(
         self,
         pending: dict[tuple, Operator],

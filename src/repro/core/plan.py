@@ -12,6 +12,7 @@ inter-operator scheduler later picks an (idle, active) pair per operator.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -593,19 +594,25 @@ def temporal_combos(
 
 @dataclass(frozen=True)
 class FopColumns:
-    """The temporal-independent geometry of every ``F_op`` of one operator.
+    """The temporal-independent geometry of every ``F_op`` of the operators
+    of one layout (:func:`column_layout`).
 
     Row ``i`` holds, as columns, what :func:`fop_geometry` derives for the
     ``i``-th ``F_op``, each tensor's longest sub-tensor dim and the
     temporal-factor choices of each tensor
-    (:func:`~repro.core.partition.temporal_factor_choices`).  Per-tensor
+    (:func:`~repro.core.partition.temporal_factor_choices`).  The rows of
+    each operator are contiguous, operator after operator.  Per-tensor
     columns are ``(F_ops, tensors)`` in ``expr.all_tensors`` order.
     Integer columns are int64 while float64 holds every integer of the
-    operator exactly (below :data:`_EXACT_FLOAT_INT`), and Python ints
+    operators exactly (below :data:`_EXACT_FLOAT_INT`), and Python ints
     (object) otherwise.
     """
 
-    expr: TensorExpression
+    exprs: tuple[TensorExpression, ...]
+    """The operators' expressions, in row order.  They differ only in their
+    axis extents, which the ``extents`` column holds per row."""
+    ends: tuple[int, ...]
+    """Each operator's stop row: its rows end where the next one's begin."""
     bound: int
     """Bounds every integer of these columns and of their :func:`sketch_block`
     columns on the chip they were derived for."""
@@ -634,16 +641,26 @@ class FopColumns:
     def __len__(self) -> int:
         return len(self.fops)
 
+    @property
+    def expr(self) -> TensorExpression:
+        """The first operator's expression (the layout's names and specs)."""
+        return self.exprs[0]
+
+    def operator_rows(self) -> list[range]:
+        """Each operator's rows, in ``exprs`` order."""
+        return [range(start, end) for start, end in zip((0, *self.ends), self.ends)]
+
     def fop(self, row: int) -> dict[str, int]:
         """``F_op`` of ``row``."""
         return dict(zip(self.expr.axes, self.fops[row].tolist()))
 
     def geometry(self, row: int) -> FopGeometry:
-        """:func:`fop_geometry` of ``row``, read off the columns."""
+        """:func:`fop_geometry` of ``row``, read off the columns; the tensor
+        specs are those of the operator the row belongs to."""
         tensors = tuple(
             TensorGeometry(spec, sharing, tuple(shape[: spec.rank]), elements)
             for spec, sharing, shape, elements in zip(
-                self.expr.all_tensors,
+                self.exprs[bisect.bisect_right(self.ends, row)].all_tensors,
                 self.sharing[row].tolist(),
                 self.sub_shapes[row].tolist(),
                 self.elements[row].tolist(),
@@ -657,24 +674,52 @@ class FopColumns:
         return np.minimum(self.choice_count.prod(axis=1), limit)
 
 
-def fop_columns(
-    expr: TensorExpression,
-    chip: ChipSpec,
-    partitions: Sequence[Sequence[int]],
-    max_choices: int,
-) -> FopColumns:
-    """Derive :class:`FopColumns` for ``partitions`` (``F_op`` rows in
-    ``expr.axes`` order) in one array pass.
-
-    Each tensor's temporal choices are thinned to ``max_choices``; the
-    thinning runs once per distinct ``(sharing degree, longest dim)`` pair.
-    """
-    bound = max(
+def _column_bound(expr: TensorExpression, chip: ChipSpec) -> int:
+    """Bounds every integer of ``expr``'s columns and sketch blocks on ``chip``."""
+    return max(
         prod(expr.axes.values()), expr.total_bytes + chip.shift_buffer_bytes, chip.num_cores
     )
+
+
+def column_layout(expr: TensorExpression, chip: ChipSpec) -> tuple:
+    """Everything :func:`fop_columns` and :func:`sketch_block` read off
+    ``expr`` besides its axis extents, and whether its integers fit int64
+    columns on ``chip``.  Operators of one layout share one
+    :class:`FopColumns` and are sketched and priced in shared blocks."""
+    return (
+        expr.op_type,
+        tuple(expr.axes),
+        expr.all_tensors,
+        expr.dtype,
+        expr.flops_axes,
+        expr.flops_per_point,
+        _column_bound(expr, chip) < _EXACT_FLOAT_INT,
+    )
+
+
+def fop_columns(
+    exprs: Sequence[TensorExpression],
+    chip: ChipSpec,
+    partitions: Sequence[Sequence[Sequence[int]]],
+    max_choices: int,
+) -> FopColumns:
+    """Derive :class:`FopColumns` for operators of one :func:`column_layout`
+    in one array pass: ``partitions[i]`` holds the ``F_op`` rows of
+    ``exprs[i]``, in ``expr.axes`` order.
+
+    Each tensor's temporal choices are thinned to ``max_choices``; the
+    thinning runs once per distinct ``(sharing degree, longest dim)`` pair
+    of all the operators.
+    """
+    expr = exprs[0]
+    bound = max(_column_bound(each, chip) for each in exprs)
     ints = np.int64 if bound < _EXACT_FLOAT_INT else object
-    fops = np.array(partitions, dtype=ints).reshape(-1, len(expr.axes))
-    extents = _ceil_div(np.array(list(expr.axes.values()), dtype=ints), fops)
+    # Factors are at most the core count, so int64 holds them exactly.
+    fops = np.concatenate(
+        [np.asarray(rows, dtype=np.int64).reshape(-1, len(expr.axes)) for rows in partitions]
+    ).astype(ints, copy=False)
+    full = np.array([list(each.axes.values()) for each in exprs], dtype=ints)
+    extents = _ceil_div(np.repeat(full, [len(rows) for rows in partitions], axis=0), fops)
     layout = _tensor_layout(tuple(expr.axes), expr.all_tensors)
     # Every dim of every tensor at once: the sum of its axes' sub-extents,
     # minus the halo of a compound dim; past a tensor's rank, zero.
@@ -703,7 +748,8 @@ def fop_columns(
     sizes = np.array([len(factors) for factors in lists], dtype=np.intp)
     starts = np.cumsum(sizes) - sizes
     return FopColumns(
-        expr=expr,
+        exprs=tuple(exprs),
+        ends=tuple(itertools.accumulate(len(rows) for rows in partitions)),
         bound=bound,
         fops=fops,
         extents=extents,
@@ -840,14 +886,17 @@ def _ceil_div(numerator: np.ndarray, denominator: np.ndarray) -> np.ndarray:
 def sketch_block(
     chip: ChipSpec,
     columns: FopColumns,
-    rows: range,
+    rows: Sequence[int],
     limit: int,
 ) -> SketchBlock:
     """Sketch every temporal combination of the ``F_op`` ``rows`` of ``columns``.
 
     The array counterpart of :func:`sketch_plan`: each ``F_op`` contributes
-    its first ``limit`` combinations (:func:`temporal_combos`), and the
-    block's columns equal ``sketch_plan`` on each of them, bit for bit.
+    its first ``limit`` combinations (:func:`temporal_combos`), in ``rows``
+    order, and the block's columns equal ``sketch_plan`` on each of them,
+    bit for bit.  The rows may belong to several operators of the columns'
+    layout: every row carries its own extents, and nothing else of a
+    candidate depends on its operator.
 
     The work is split by what it depends on.  A *rotation row* per
     ``(F_op, tensor, factor)`` holds the factor's feasibility, the tensor's
@@ -867,19 +916,19 @@ def sketch_block(
     big = max(2**62, columns.bound + 1)  # larger than any pace, byte count or step count
 
     # Per (F_op, tensor) slot, flattened as ``F_op * num_tensors + tensor``.
-    span = slice(rows.start, rows.stop)
-    sharing_col = columns.sharing[span].ravel()
-    elements_col = columns.elements[span].ravel()
+    block_rows = np.asarray(rows, dtype=np.intp)
+    sharing_col = columns.sharing[block_rows].ravel()
+    elements_col = columns.elements[block_rows].ravel()
     sub_bytes_col = elements_col * dtype_bytes
-    longest_col = columns.longest[span].ravel()
-    lengths = columns.choice_count[span]
+    longest_col = columns.longest[block_rows].ravel()
+    lengths = columns.choice_count[block_rows]
     slot_rows = lengths.ravel()
 
     # Rotation rows: one per (F_op, tensor, factor), slot after slot.
     owner = np.repeat(np.arange(len(slot_rows)), slot_rows)
     slot_first = np.cumsum(slot_rows) - slot_rows
     within = np.arange(len(owner)) - slot_first[owner]
-    factor = columns.choice_factors[columns.choice_start[span].ravel()[owner] + within]
+    factor = columns.choice_factors[columns.choice_start[block_rows].ravel()[owner] + within]
 
     # Each F_op's combinations, as rotation-row indices: one cached table of
     # choice positions per choice-length tuple, offset by the F_op's slots.
@@ -901,10 +950,10 @@ def sketch_block(
         rotates, row_elements // np.maximum(row_longest, 1) * partition_len, row_elements
     ) * dtype_bytes
     row_pace = np.maximum(partition_len, 1)
-    row_axis = np.where(rotates, columns.longest_axis[span].ravel()[owner], -1)
+    row_axis = np.where(rotates, columns.longest_axis[block_rows].ravel()[owner], -1)
 
     # Per candidate: the rows it picks and what they add up to.
-    feasible = (columns.cores_used[span] <= chip.num_cores)[fop_local]
+    feasible = (columns.cores_used[block_rows] <= chip.num_cores)[fop_local]
     memory = np.full(count, chip.shift_buffer_bytes, dtype=ints)
     axis_ids = np.arange(len(axes))[:, None]
     pace = np.full((len(axes), count), big, dtype=ints)  # min pace per axis
@@ -923,7 +972,7 @@ def sketch_block(
         first = np.where(hit, np.minimum(first, position), first)
         rotated.append((tensor_axis, longest_col[tensor_owner], sub_bytes_col[tensor_owner]))
 
-    fop_extents = columns.extents[span][fop_local].T
+    fop_extents = columns.extents[block_rows][fop_local].T
     rotating = pace != big
     safe_pace = np.where(rotating, pace, 1)
     steps = np.where(rotating, np.maximum(_ceil_div(fop_extents, safe_pace), 1), 1)
@@ -977,7 +1026,7 @@ def sketch_block(
     )
 
     return SketchBlock(
-        fop_index=fop_local + rows.start,
+        fop_index=block_rows[fop_local],
         factors=factor[picks],
         feasible=feasible,
         memory_bytes=memory,

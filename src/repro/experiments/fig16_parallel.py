@@ -12,6 +12,7 @@ it on real workloads.
 
 from __future__ import annotations
 
+import gc
 import os
 from typing import Sequence
 
@@ -63,6 +64,10 @@ def run(
             reference = None
             serial_time = None
             for jobs in grid:
+                # Untimed: collect the garbage of earlier cells first, so no
+                # cell's time holds a collection another cell's allocations
+                # triggered (a full one took 40-75 ms, half a BERT-large cell).
+                gc.collect()
                 # A fresh compiler per cell: each timing must start from a
                 # cold intra-op cache, or later cells would measure lookups.
                 compiled = T10Compiler(

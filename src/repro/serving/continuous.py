@@ -46,7 +46,7 @@ import math
 import operator
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 from repro.core.constraints import DEFAULT_CONSTRAINTS, SearchConstraints
 from repro.hw.spec import IPU_MK2, ChipSpec
@@ -133,7 +133,10 @@ class DecodeModel:
         return max(1, math.ceil(prompt_tokens / self.prefill_chunk)) + output_tokens - 1
 
 
-@dataclass(eq=False)
+#: A first-token time not stamped yet.
+_NAN = float("nan")
+
+
 class _Running:
     """A request's progress from its first admission on: in a batch,
     preempted, or in the requeue carry.
@@ -141,28 +144,55 @@ class _Running:
     ``prefill_remaining`` and ``tokens_done`` are current only while the
     request is off a batch.  Joining one stamps the replica ticks whose
     iterations emit its first and last token; :meth:`sync` catches the two
-    fields up when it leaves (retired, preempted or displaced)."""
+    fields up when it leaves (retired, preempted or displaced).
 
-    request: DecodeRequest
-    admitted_time: float
-    prefill_remaining: int
-    tokens_done: int = 0
-    first_token_time: float = float("nan")
-    first_tick: int = -1
-    """Replica tick whose iteration emits token one (-1: already emitted)."""
-    finish_tick: int = 0
-    """Replica tick whose iteration emits the last token."""
-    preemptions: int = 0
-    origin: int = -1
-    """Replica whose chips hold this request's KV state.  Progress only
-    survives preemption on *this* replica; resuming anywhere else must
-    re-prefill from scratch (the KV cache never left the original chips)."""
-    requeues: int = 0
-    """Times progress was discarded (dead replica, or cross-replica resume)."""
-    migrations: int = 0
-    """The subset of ``requeues`` caused by cross-replica migration."""
-    lost_tokens: int = 0
-    """Output tokens generated and then discarded across all requeues."""
+    Slotted, with one written-out ``__init__`` called positionally: every
+    first admission builds one."""
+
+    __slots__ = (
+        "request",
+        "admitted_time",
+        "prefill_remaining",
+        "tokens_done",
+        "first_token_time",
+        "first_tick",
+        "finish_tick",
+        "preemptions",
+        "origin",
+        "requeues",
+        "migrations",
+        "lost_tokens",
+    )
+
+    def __init__(
+        self,
+        request: DecodeRequest | None,
+        admitted_time: float,
+        prefill_remaining: int,
+        origin: int = -1,
+    ) -> None:
+        # Attribute notes are comments: a string statement here would cost
+        # a NOP per construction.
+        self.request = request
+        self.admitted_time = admitted_time
+        self.prefill_remaining = prefill_remaining
+        self.tokens_done = 0
+        self.first_token_time = _NAN
+        # Replica tick whose iteration emits token one (-1: already emitted).
+        self.first_tick = -1
+        # Replica tick whose iteration emits the last token.
+        self.finish_tick = 0
+        self.preemptions = 0
+        # Replica whose chips hold this request's KV state.  Progress only
+        # survives preemption on *this* replica; resuming anywhere else must
+        # re-prefill from scratch (the KV cache never left the original chips).
+        self.origin = origin
+        # Times progress was discarded (dead replica, or cross-replica resume).
+        self.requeues = 0
+        # The subset of ``requeues`` caused by cross-replica migration.
+        self.migrations = 0
+        # Output tokens generated and then discarded across all requeues.
+        self.lost_tokens = 0
 
     def sync(self, tick: int) -> None:
         """Catch the progress fields up to tick ``tick`` of the batch being
@@ -184,7 +214,7 @@ class _Running:
 
 
 #: The requeue carry's stand-in for a request that was never admitted.
-_NEVER_ADMITTED = _Running(request=None, admitted_time=float("nan"), prefill_remaining=0)
+_NEVER_ADMITTED = _Running(None, _NAN, 0)
 
 #: A request's place in arrival order.
 _ARRIVAL_ORDER = operator.attrgetter("arrival_time", "request_id")
@@ -496,17 +526,19 @@ class _DecodeEngineBase:
 
     def _profile_buckets(
         self, model: str, chip_class: ChipSpec, **where: str
-    ) -> Iterator[tuple[int, IterationCost]]:
-        """Look up (compiling on a miss) every bucket program of ``model`` on
-        ``chip_class``; ``where`` names the pool ``tenant`` or cache ``scope``."""
+    ) -> list[tuple[int, IterationCost]]:
+        """Look up (compiling the misses as one batch) every bucket program
+        of ``model`` on ``chip_class``; ``where`` names the pool ``tenant``
+        or cache ``scope``."""
         default_class = chip_class.fingerprint() == self.pool.chip.fingerprint()
-        for bucket in batch_buckets(self._deployments[model].max_batch_size):
-            yield bucket, self.pool.profile(
-                self._graph(model, bucket),
-                num_stages=self.num_stages,
-                chip=None if default_class else chip_class,
-                **where,
-            )
+        buckets = batch_buckets(self._deployments[model].max_batch_size)
+        costs = self.pool.profile_many(
+            [self._graph(model, bucket) for bucket in buckets],
+            num_stages=self.num_stages,
+            chip=None if default_class else chip_class,
+            **where,
+        )
+        return list(zip(buckets, costs))
 
     def _cost(
         self, model: str, chip_class: ChipSpec, batch_len: int, tenant: str = ""
@@ -1269,12 +1301,7 @@ class _DecodeRun:
         )
         carried = self.carry.pop(request.request_id, None)
         if carried is None:
-            return _Running(
-                request=request,
-                admitted_time=now,
-                prefill_remaining=prefill,
-                origin=replica.index,
-            )
+            return _Running(request, now, prefill, replica.index)
         if carried.origin not in (-1, replica.index):
             # The requeue landed on a different replica than the one whose
             # death displaced it: a cross-replica (often cross-model)

@@ -26,7 +26,7 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Sequence
 
 from repro.core.compiler import CompiledModel, T10Compiler, default_cost_model
 from repro.core.constraints import DEFAULT_CONSTRAINTS, SearchConstraints
@@ -145,6 +145,18 @@ class CacheLookup:
     def hit(self) -> bool:
         """Whether the program was served without compiling."""
         return self.outcome != COMPILE
+
+
+class LookupBatch:
+    """The graphs of one :meth:`PlanCache.get_or_compile_many` call and
+    their lookups, made together on the first graph's demand."""
+
+    def __init__(self, graphs: Sequence[OperatorGraph]) -> None:
+        self.graphs = list(graphs)
+        self.lookups: list[CacheLookup] | None = None
+        """The lookups in ``graphs`` order; ``None`` before they are made."""
+        self.taken = 0
+        """Lookups returned so far."""
 
 
 class PlanCache:
@@ -353,45 +365,176 @@ class PlanCache:
         *,
         scope: str = "",
         tenant: str = "",
+        batch: LookupBatch | None = None,
     ) -> CacheLookup:
-        """Fetch the compiled program for ``graph`` on ``chip``, compiling on miss.
+        """Fetch the compiled program for ``graph`` on ``chip``, compiling on
+        miss (see :meth:`get_or_compile_many`).
+
+        ``batch`` is the :meth:`get_or_compile_many` batch ``graph`` is the
+        next graph of; alone, the graph is a batch of one.  The batch's
+        lookups are all made in its first graph's call, which compiles its
+        misses together, and each call returns its own graph's lookup, so
+        every lookup is one call of this method (the name t10bench's layer
+        shims count).
+        """
+        if batch is None:
+            batch = LookupBatch([graph])
+        assert graph is batch.graphs[batch.taken], "lookups are taken in batch order"
+        if batch.lookups is None:
+            batch.lookups = self._look_up(batch.graphs, chip, constraints, scope, tenant)
+        lookup = batch.lookups[batch.taken]
+        batch.taken += 1
+        return lookup
+
+    def get_or_compile_many(
+        self,
+        graphs: Sequence[OperatorGraph],
+        chip: ChipSpec,
+        constraints: SearchConstraints = DEFAULT_CONSTRAINTS,
+        *,
+        scope: str = "",
+        tenant: str = "",
+    ) -> list[CacheLookup]:
+        """Fetch the compiled program of each of ``graphs`` on ``chip``,
+        compiling the misses in one batch.
+
+        The lookups, counters and tenant attribution equal those of
+        :meth:`get_or_compile` called on the graphs one by one, in order: a
+        graph repeated in the list is a memory hit after its first lookup.
+        The programs missing from both tiers are compiled by one
+        ``compile_many`` call of the target's compiler; a compiled lookup's
+        ``seconds`` are its program's ``compile_time_seconds`` plus its disk
+        store.
 
         Failed compilations (OOM diagnoses) are cached too: retrying a model
         that cannot fit the chip would waste the same compile time every
         request.  Concurrent misses on one key are single-flighted: exactly
         one caller compiles, the rest receive its program as a memory hit.
-        ``scope`` extends the key (see :func:`plan_key`); ``tenant`` only
-        *attributes* the lookup (see :meth:`tenant_stats`) — it never enters
-        the key, which is exactly what lets tenants share plans.
+        ``scope`` extends the keys (see :func:`plan_key`); ``tenant`` only
+        *attributes* the lookups (see :meth:`tenant_stats`) — it never
+        enters a key, which is exactly what lets tenants share plans.
         """
-        key = plan_key(graph, chip, constraints, scope=scope)
+        batch = LookupBatch(graphs)
+        return [
+            self.get_or_compile(
+                graph, chip, constraints, scope=scope, tenant=tenant, batch=batch
+            )
+            for graph in batch.graphs
+        ]
+
+    def _look_up(
+        self,
+        graphs: list[OperatorGraph],
+        chip: ChipSpec,
+        constraints: SearchConstraints,
+        scope: str,
+        tenant: str,
+    ) -> list[CacheLookup]:
+        """The lookups of :meth:`get_or_compile_many`, in ``graphs`` order."""
+        keys = [plan_key(graph, chip, constraints, scope=scope) for graph in graphs]
         if scope:
             with self._lock:
-                self._scopes.setdefault(scope, set()).add(key)
+                self._scopes.setdefault(scope, set()).update(keys)
         tracer = get_tracer()
-        start = time.perf_counter()
-        hit = self._memory_hit(key, start, tenant)
-        if hit is not None:
+        lookups: list[CacheLookup | None] = [None] * len(graphs)
+        missing: dict[str, int] = {}  # key -> its first position
+        for position, key in enumerate(keys):
+            if key in missing:
+                continue
+            start = time.perf_counter()
+            hit = self._memory_hit(key, start, tenant)
+            if hit is None:
+                missing[key] = position
+                continue
+            lookups[position] = hit
             if tracer.enabled:
                 self._trace_lookup(tracer, hit, start)
-            return hit
 
-        def miss() -> CacheLookup:
-            # Re-check under the flight: we may have become leader just after
-            # the previous leader published the entry.
-            hit = self._memory_hit(key, start, tenant)
-            if hit is not None:
-                return hit
-            compiled = self._load_disk(key)
-            if compiled is not None:
+        calls = {key: self._flight.join(key) for key in missing}
+        led = [key for key, (_, leader) in calls.items() if leader]
+        try:
+            self._fill(led, missing, graphs, chip, constraints, tenant, lookups, tracer)
+        except BaseException as error:
+            for key in led:
+                self._flight.finish(key, calls[key][0], exception=error)
+            raise
+        for key in led:
+            self._flight.finish(key, calls[key][0], lookups[missing[key]].compiled)
+
+        for key, (call, leader) in calls.items():
+            if leader:
+                continue
+            # A follower rode on another caller's compile: by the time it
+            # returns the program is resident, so the lookup counts as a
+            # memory hit (with the follower's own wait time, which is how
+            # the cost of riding shows up in serving latency).
+            start = time.perf_counter()
+            compiled = self._flight.wait(call)
+            with self._lock:
+                self._stats.hits_memory += 1
+                self._stats.saved_seconds += compiled.compile_time_seconds
+                self._attribute(tenant, HIT_MEMORY, compiled)
+            followed = CacheLookup(compiled, HIT_MEMORY, key, time.perf_counter() - start)
+            lookups[missing[key]] = followed
+            if tracer.enabled:
+                self._trace_lookup(tracer, followed, start, waited=True)
+
+        for position, key in enumerate(keys):
+            if lookups[position] is None:  # a repeat of an earlier miss
+                start = time.perf_counter()
+                lookups[position] = self._memory_hit(key, start, tenant)
+                if tracer.enabled:
+                    self._trace_lookup(tracer, lookups[position], start)
+        return lookups
+
+    def _fill(
+        self,
+        led: list[str],
+        missing: dict[str, int],
+        graphs: Sequence[OperatorGraph],
+        chip: ChipSpec,
+        constraints: SearchConstraints,
+        tenant: str,
+        lookups: list[CacheLookup | None],
+        tracer: Tracer,
+    ) -> None:
+        """Serve the keys this caller leads from memory, disk or one batch
+        compile, filling their ``lookups``."""
+        compile_keys = []
+        for key in led:
+            # Re-check under the flight: we may have become leader just
+            # after the previous leader published the entry.
+            start = time.perf_counter()
+            lookup = self._memory_hit(key, start, tenant)
+            if lookup is None:
+                compiled = self._load_disk(key)
+                if compiled is None:
+                    compile_keys.append(key)
+                    continue
                 with self._lock:
                     self._memory[key] = compiled
                     self._stats.hits_disk += 1
                     self._stats.saved_seconds += compiled.compile_time_seconds
                     self._attribute(tenant, HIT_DISK, compiled)
-                return CacheLookup(compiled, HIT_DISK, key, time.perf_counter() - start)
-            compiler = self._compiler_for(chip, constraints)
-            compiled = compiler.compile(graph)
+                lookup = CacheLookup(compiled, HIT_DISK, key, time.perf_counter() - start)
+            lookups[missing[key]] = lookup
+            if tracer.enabled:
+                self._trace_lookup(tracer, lookup, start)
+        if not compile_keys:
+            return
+        compiler = self._compiler_for(chip, constraints)
+        batch = [graphs[missing[key]] for key in compile_keys]
+        start = time.perf_counter()
+        compile_many = getattr(compiler, "compile_many", None)
+        if compile_many is not None:
+            programs = compile_many(batch)
+        else:
+            # A factory's compiler with ``compile`` only: t10bench's
+            # ``_ColdCompiler`` is the one such compiler, and goes once it
+            # has a ``compile_many``.
+            programs = [compiler.compile(graph) for graph in batch]
+        for key, compiled in zip(compile_keys, programs):
+            stored = time.perf_counter()
             self._store_disk(key, compiled)
             with self._lock:
                 self._memory[key] = compiled
@@ -400,24 +543,9 @@ class PlanCache:
                 self._stats.sketched_candidates += compiled.sketched_candidates
                 self._stats.materialized_plans += compiled.materialized_plans
                 self._attribute(tenant, COMPILE, compiled)
-            return CacheLookup(compiled, COMPILE, key, time.perf_counter() - start)
-
-        lookup, leader = self._flight.do(key, miss)
-        if leader:
+            seconds = compiled.compile_time_seconds + time.perf_counter() - stored
+            lookup = lookups[missing[key]] = CacheLookup(compiled, COMPILE, key, seconds)
             if tracer.enabled:
+                # One after another over the batch's wall time.
                 self._trace_lookup(tracer, lookup, start)
-            return lookup
-        # A follower rode on the leader's compile: by the time it returns the
-        # program is resident, so the lookup counts as a memory hit (with the
-        # follower's own wait time, which is how the cost of riding shows up
-        # in serving latency).
-        with self._lock:
-            self._stats.hits_memory += 1
-            self._stats.saved_seconds += lookup.compiled.compile_time_seconds
-            self._attribute(tenant, HIT_MEMORY, lookup.compiled)
-        followed = CacheLookup(
-            lookup.compiled, HIT_MEMORY, key, time.perf_counter() - start
-        )
-        if tracer.enabled:
-            self._trace_lookup(tracer, followed, start, waited=True)
-        return followed
+            start += seconds

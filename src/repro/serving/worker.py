@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from repro.core.constraints import DEFAULT_CONSTRAINTS, SearchConstraints
 from repro.core.parallel import SingleFlight
@@ -147,21 +147,40 @@ class WorkerPool:
         chip: ChipSpec | None = None,
         tenant: str = "",
     ) -> IterationCost:
-        """Full cost of running ``graph`` once: latency plus this lookup's
-        compile penalty and cache outcome.
+        """Full cost of running ``graph`` once: the one-graph case of
+        :meth:`profile_many`."""
+        return self.profile_many(
+            [graph], num_stages=num_stages, scope=scope, chip=chip, tenant=tenant
+        )[0]
 
-        With ``num_stages > 1`` the graph is pipeline-sharded over a chip
-        group and the latency is the pipelined one.  The compile penalty is
-        non-zero only on the call that actually compiled (a cold bucket);
-        repeated calls are cache hits with zero penalty.  ``scope``
-        namespaces the plan-cache entries (see
+    def profile_many(
+        self,
+        graphs: Sequence[OperatorGraph],
+        *,
+        num_stages: int = 1,
+        scope: str = "",
+        chip: ChipSpec | None = None,
+        tenant: str = "",
+    ) -> list[IterationCost]:
+        """Full cost of running each of ``graphs`` once: latency plus the
+        lookup's compile penalty and cache outcome.
+
+        The single-chip programs are looked up together
+        (:meth:`PlanCache.get_or_compile_many
+        <repro.serving.plan_cache.PlanCache.get_or_compile_many>`), so their
+        misses compile as one batch; the results equal profiling the graphs
+        one by one.  With ``num_stages > 1`` each graph is pipeline-sharded
+        over a chip group and the latency is the pipelined one.  The compile
+        penalty is non-zero only on a lookup that actually compiled (a cold
+        bucket); repeated calls are cache hits with zero penalty.
+        ``scope`` namespaces the plan-cache entries (see
         :func:`~repro.serving.plan_cache.plan_key`) — the fault layer passes
         a per-replica scope after a cold restart, so the re-warm recompiles
         even though an identical unscoped program is resident.
 
-        ``chip`` prices the graph on a non-default hardware class of a
+        ``chip`` prices the graphs on a non-default hardware class of a
         heterogeneous pool (single-chip placements only: sharded groups stay
-        on the default class).  ``tenant`` attributes the plan-cache lookup
+        on the default class).  ``tenant`` attributes the plan-cache lookups
         to a traffic source without changing the cache key — how plan
         sharing across tenants stays visible per tenant.
         """
@@ -171,21 +190,25 @@ class WorkerPool:
                     "sharded chip groups run on the pool's default class; "
                     f"cannot shard onto {chip.name!r}"
                 )
-            model, penalty, outcome = self._sharded(graph, num_stages, scope=scope)
-            if model.ok:
-                return IterationCost("ok", "", model.latency, penalty, outcome)
-            return IterationCost(model.status, model.error, 0.0, penalty, outcome)
+            costs = []
+            for graph in graphs:
+                model, penalty, outcome = self._sharded(graph, num_stages, scope=scope)
+                cost = ("ok", "", model.latency) if model.ok else (model.status, model.error, 0.0)
+                costs.append(IterationCost(*cost, penalty, outcome))
+            return costs
         target = chip if chip is not None else self.chip
-        lookup = self.plan_cache.get_or_compile(
-            graph, target, self.constraints, scope=scope, tenant=tenant
+        lookups = self.plan_cache.get_or_compile_many(
+            graphs, target, self.constraints, scope=scope, tenant=tenant
         )
-        status, error, latency = self._measure(
-            lookup.key, lookup, self._simulator_for(target)
-        )
-        penalty = lookup.seconds if lookup.outcome == COMPILE else 0.0
-        if status != "ok":
-            return IterationCost(status, error, 0.0, penalty, lookup.outcome)
-        return IterationCost(status, error, latency, penalty, lookup.outcome)
+        simulator = self._simulator_for(target)
+        costs = []
+        for lookup in lookups:
+            status, error, latency = self._measure(lookup.key, lookup, simulator)
+            penalty = lookup.seconds if lookup.outcome == COMPILE else 0.0
+            if status != "ok":
+                latency = 0.0
+            costs.append(IterationCost(status, error, latency, penalty, lookup.outcome))
+        return costs
 
     # ------------------------------------------------------------------ #
     # Sharded models (repro.dist)

@@ -12,10 +12,12 @@ from repro.core.cost_model import (
     CommModel,
     CostModel,
     LinearKernelModel,
+    drawn_subtasks,
     fit_comm_model,
     profile_op_type,
 )
 from repro.hw.simulator import ChipSimulator
+from repro.hw.spec import A100_CHIP, IPU_MK2
 
 
 class TestProfiling:
@@ -111,6 +113,26 @@ class TestCostModel:
         np.testing.assert_allclose(
             a.kernel_models["matmul"].coefficients, b.kernel_models["matmul"].coefficients
         )
+
+    @pytest.mark.parametrize("order", [("ipu", "a100"), ("a100", "ipu")])
+    def test_fits_share_their_drawn_subtasks_bit_identically(self, order):
+        """The sub-tasks are drawn once per (op types, samples, seed) and only
+        timed per chip: each fit equals a fresh one that draws its own."""
+        chips = {"ipu": IPU_MK2, "a100": A100_CHIP}
+        drawn_subtasks.cache_clear()
+        fits = [CostModel.fit(chips[name]) for name in order]
+        assert drawn_subtasks.cache_info().misses == 1
+        for name, fit in zip(order, fits):
+            simulator = ChipSimulator(chips[name])
+            rng = np.random.default_rng(7)
+            for op_type in DEFAULT_OP_TYPES:
+                fresh = LinearKernelModel.fit(
+                    op_type, profile_op_type(simulator, op_type, 48, rng)
+                )
+                model = fit.kernel_models[op_type]
+                assert model.coefficients.tolist() == fresh.coefficients.tolist()
+                assert model.samples == fresh.samples
+            assert fit.comm_model == fit_comm_model(simulator)
 
     def test_prediction_tracks_simulator(self, small_chip, small_cost_model):
         """Cost-model predictions should track ground truth across task sizes."""

@@ -349,25 +349,24 @@ class TestBytesPerStepOracle:
             compound_axes = [
                 dim.axes for spec in expr.all_tensors for dim in spec.dims if dim.is_compound
             ]
-            fops = optimizer._fop_columns(expr)
-            for rows in optimizer._fop_runs(fops):
-                block = sketch_block(ipu_chip, fops, rows, limit)
-                index = np.flatnonzero(block.feasible)
-                columns = {axis: block.subtask_shape[axis][index].tolist() for axis in expr.axes}
-                for position, nbytes in enumerate(block.bytes_per_step[index].tolist()):
-                    shape = {axis: values[position] for axis, values in columns.items()}
-                    assert nbytes == sum(
-                        expr.tensor_bytes(spec, shape) for spec in expr.all_tensors
-                    )
-                    # An axis whose step extent differs from its
-                    # sub-operator extent rotates.
-                    extents = fops.geometry(int(block.fop_index[index[position]])).extents
-                    rotated = {
-                        axis for axis, extent in shape.items() if extent != extents[axis]
-                    }
-                    compound += bool(compound_axes)
-                    compound_rotated += any(not rotated.isdisjoint(axes) for axes in compound_axes)
-                checked += len(index)
+            fops = optimizer._fop_columns([expr])
+            block = sketch_block(ipu_chip, fops, range(len(fops)), limit)
+            index = np.flatnonzero(block.feasible)
+            columns = {axis: block.subtask_shape[axis][index].tolist() for axis in expr.axes}
+            for position, nbytes in enumerate(block.bytes_per_step[index].tolist()):
+                shape = {axis: values[position] for axis, values in columns.items()}
+                assert nbytes == sum(
+                    expr.tensor_bytes(spec, shape) for spec in expr.all_tensors
+                )
+                # An axis whose step extent differs from its
+                # sub-operator extent rotates.
+                extents = fops.geometry(int(block.fop_index[index[position]])).extents
+                rotated = {
+                    axis for axis, extent in shape.items() if extent != extents[axis]
+                }
+                compound += bool(compound_axes)
+                compound_rotated += any(not rotated.isdisjoint(axes) for axes in compound_axes)
+            checked += len(index)
         assert checked > 0
         if compound:
             assert compound_rotated > 0

@@ -8,12 +8,19 @@ bucketed program.
 
 from __future__ import annotations
 
+import itertools
+import shutil
+import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import T10Compiler
+from repro.core import compiler as compiler_module
+from repro.hw.memory import OutOfChipMemoryError
+from repro.ir import OperatorGraph, matmul
 from repro.serving import (
     COMPILE,
     HIT_DISK,
@@ -243,6 +250,334 @@ class TestPlanCache:
         assert relookup.outcome == HIT_MEMORY
         assert relookup.compiled is shared.compiled
         assert cache.tenant_stats("globex").hits == 1
+
+
+# --------------------------------------------------------------------------- #
+# Batched lookups: get_or_compile_many == get_or_compile one by one
+# --------------------------------------------------------------------------- #
+def oom_graph(batch_size: int) -> OperatorGraph:
+    """A graph whose middle operator admits no plan on the small test chip."""
+    graph = OperatorGraph(name=f"oom-b{batch_size}")
+    first = graph.add(matmul("fc1", m=batch_size * 8, k=64, n=64))
+    huge = graph.add(matmul("huge", m=4096, k=4096, n=4096), inputs=[first])
+    graph.add(matmul("fc2", m=batch_size * 8, k=64, n=48), inputs=[huge])
+    return graph
+
+
+def compiled_view(compiled) -> tuple:
+    """Everything of a compile but its wall-clock time."""
+    return (
+        compiled.graph.name,
+        compiled.status,
+        compiled.error,
+        compiled.program,
+        compiled.schedule,
+        compiled.pareto_plans,
+        compiled.search_stats,
+        compiled.unique_operators,
+        compiled.dispatched_searches,
+        compiled.sketched_candidates,
+        compiled.evaluated_candidates,
+        compiled.materialized_plans,
+    )
+
+
+def counts(stats) -> tuple:
+    return (
+        stats.hits_memory,
+        stats.hits_disk,
+        stats.misses,
+        stats.sketched_candidates,
+        stats.materialized_plans,
+    )
+
+
+class BatchCountingCompiler(T10Compiler):
+    """Records the batches it compiles; optionally holds a batch at a gate."""
+
+    def __init__(self, *args, gate=None, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.batches: list[list[str]] = []
+        self.gate = gate
+
+    def compile_many(self, graphs):  # type: ignore[override]
+        self.batches.append([graph.name for graph in graphs])
+        if self.gate is not None:
+            self.gate(graphs)
+        return super().compile_many(graphs)
+
+
+class TestGetOrCompileMany:
+    def caches(self, small_cost_model, tmp_path, jobs=1):
+        """Two caches over copies of one disk tier holding ``tiny-b2``."""
+        compilers: list[BatchCountingCompiler] = []
+
+        def factory(chip, constraints):
+            compiler = BatchCountingCompiler(
+                chip, cost_model=small_cost_model, constraints=constraints, jobs=jobs
+            )
+            compilers.append(compiler)
+            return compiler
+
+        seed = PlanCache(tmp_path / "seed", compiler_factory=factory)
+        return seed, factory, compilers
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_batch_equals_one_by_one(
+        self, jobs, small_chip, small_cost_model, fast_constraints, tmp_path
+    ):
+        """Memory and disk hits, a repeated graph, a scoped key, an OOM
+        graph mid-batch and a later graph sharing its searches, with tenant
+        attribution, against the same lookups made one at a time."""
+        seed, factory, compilers = self.caches(small_cost_model, tmp_path, jobs)
+        seed.get_or_compile(build_tiny(2), small_chip, fast_constraints, scope="s")
+        graphs = [
+            build_tiny(1), build_tiny(2), oom_graph(1), build_tiny(4), build_tiny(1),
+            oom_graph(2), build_tiny(8),
+        ]
+        sides = []
+        for name in ("one-by-one", "batched"):
+            shutil.copytree(tmp_path / "seed", tmp_path / name)
+            cache = PlanCache(tmp_path / name, compiler_factory=factory)
+            # A warm entry: served from memory on both sides.
+            cache.get_or_compile(build_tiny(4), small_chip, fast_constraints, scope="s")
+            before = cache.stats.snapshot()
+            start = time.perf_counter()
+            if name == "batched":
+                lookups = cache.get_or_compile_many(
+                    graphs, small_chip, fast_constraints, scope="s", tenant="t"
+                )
+            else:
+                lookups = [
+                    cache.get_or_compile(graph, small_chip, fast_constraints, scope="s",
+                                         tenant="t")
+                    for graph in graphs
+                ]
+            wall = time.perf_counter() - start
+            sides.append((cache, lookups, cache.stats.since(before), wall))
+        (serial, serial_lookups, serial_stats, _), (batch, lookups, stats, wall) = sides
+        assert [lookup.outcome for lookup in lookups] == [
+            COMPILE, HIT_DISK, COMPILE, HIT_MEMORY, HIT_MEMORY, COMPILE, COMPILE
+        ]
+        assert [lookup.outcome for lookup in lookups] == [
+            lookup.outcome for lookup in serial_lookups
+        ]
+        assert [lookup.key for lookup in lookups] == [lookup.key for lookup in serial_lookups]
+        assert all(lookup.key.endswith("-s") for lookup in lookups)
+        assert [compiled_view(lookup.compiled) for lookup in lookups] == [
+            compiled_view(lookup.compiled) for lookup in serial_lookups
+        ]
+        assert [lookup.compiled.status for lookup in lookups].count("oom") == 2
+        assert counts(stats) == counts(serial_stats)
+        assert counts(batch.tenant_stats("t")) == counts(serial.tenant_stats("t"))
+        assert batch.tenant_stats("t").misses == 4
+        assert batch.evict_scope("s") == serial.evict_scope("s") == 6
+        # One batch compile on the batched side (after the warm entry's); its
+        # programs' times sum to at most the batch's wall time.
+        assert compilers[-1].batches == [
+            ["tiny-b4"], [graph.name for graph in graphs[:4:2] + graphs[5:]]
+        ]
+        fresh = [lookup.compiled for lookup in lookups if lookup.outcome == COMPILE]
+        assert 0 < sum(compiled.compile_time_seconds for compiled in fresh) <= wall
+
+    def test_batch_times_sum_to_the_batch_wall_time(
+        self, small_chip, small_cost_model, fast_constraints, monkeypatch
+    ):
+        """On a clock that ticks once per read, the shares of a batch with
+        an OOM graph and cache-only graphs add up to its first-to-last read."""
+        ticks = itertools.count()
+
+        class Clock:
+            @staticmethod
+            def perf_counter() -> float:
+                return float(next(ticks))
+
+        monkeypatch.setattr(compiler_module, "time", Clock)
+        compiler = T10Compiler(small_chip, cost_model=small_cost_model,
+                               constraints=fast_constraints)
+        compiler.compile(build_tiny(4))
+        graphs = [build_tiny(1), oom_graph(1), build_tiny(4), build_tiny(2)]
+        before = next(ticks)
+        compiled = compiler.compile_many(graphs)
+        reads = next(ticks) - before - 1
+        shares = [model.compile_time_seconds for model in compiled]
+        assert sum(shares) == pytest.approx(reads - 1)
+        assert all(share > 0 for share in shares)
+        # The graph whose only search was cached owns no search time.
+        assert shares[2] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("leader", ["batch", "single"])
+    def test_concurrent_lookup_of_one_key_compiles_once(
+        self, leader, small_chip, small_cost_model, fast_constraints, tmp_path
+    ):
+        """Another thread's ``get_or_compile`` of a key a batch is compiling
+        (or the batch's lookup of a key another thread compiles) compiles it
+        once; the rider counts a memory hit."""
+        entered = threading.Event()
+        release = threading.Event()
+
+        def gate(graphs):
+            if len(graphs) == (3 if leader == "batch" else 1):
+                entered.set()
+                assert release.wait(timeout=60)
+
+        compiler = BatchCountingCompiler(
+            small_chip, cost_model=small_cost_model, constraints=fast_constraints, gate=gate
+        )
+        cache = PlanCache(compiler_factory=lambda chip, constraints: compiler)
+        graphs = [build_tiny(1), build_tiny(2), build_tiny(4)]
+        results: dict[str, object] = {}
+
+        def batch():
+            results["batch"] = cache.get_or_compile_many(graphs, small_chip, fast_constraints)
+
+        def single():
+            results["single"] = cache.get_or_compile(build_tiny(2), small_chip,
+                                                     fast_constraints)
+
+        first, second = (batch, single) if leader == "batch" else (single, batch)
+        threads = [threading.Thread(target=first)]
+        threads[0].start()
+        assert entered.wait(timeout=60)
+        threads.append(threading.Thread(target=second))
+        threads[1].start()
+        # The second caller reaches the flight while the first compiles.
+        deadline = time.monotonic() + 60
+        while not cache._flight.in_flight(plan_key(graphs[0], small_chip, fast_constraints)):
+            if leader == "batch" or time.monotonic() > deadline:
+                break
+            time.sleep(0.001)
+        time.sleep(0.05)
+        release.set()
+        for thread in threads:
+            thread.join(timeout=120)
+        assert sorted(sum(compiler.batches, [])) == sorted(graph.name for graph in graphs)
+        assert cache.stats.misses == 3
+        assert cache.stats.hits_memory == 1
+        rider = results["single"] if leader == "batch" else results["batch"][1]
+        assert rider.outcome == HIT_MEMORY
+        assert rider.compiled is (
+            results["batch"][1].compiled if leader == "batch" else results["single"].compiled
+        )
+
+    def test_a_search_another_batch_drops_is_searched_again(
+        self, small_chip, small_cost_model, fast_constraints
+    ):
+        """Two threads compile on one compiler.  Thread A's batch fails OOM
+        mid-graph, its search of ``huge`` raising, so it drops the search
+        behind the failing operator; thread B found that search cached
+        before the drop and merges after it.  B searches it again and
+        compiles as it would alone."""
+        compilers: list[T10Compiler] = []
+
+        def factory(chip, constraints):
+            compilers.append(
+                T10Compiler(chip, cost_model=small_cost_model, constraints=constraints)
+            )
+            return compilers[-1]
+
+        cache = PlanCache(compiler_factory=factory)
+        reference = PlanCache(compiler_factory=factory)
+        graph = OperatorGraph(name="after-oom")
+        # oom_graph's ``fc2``: searched by A's fan-out, claimed by no graph.
+        graph.add(matmul("proj", m=8, k=64, n=48))
+        cache.get_or_compile(build_tiny(1), small_chip, fast_constraints)
+        compiler = compilers[0]
+        names = {}
+        forgetting, fanned, forgot = threading.Event(), threading.Event(), threading.Event()
+        forget, fan_out = compiler.intra_op.forget, compiler.engine._fan_out
+
+        def gated_forget(signature):
+            if threading.current_thread() is names["a"]:
+                forgetting.set()
+                assert fanned.wait(timeout=60)
+            forget(signature)
+            forgot.set()
+
+        def gated_fan_out(batch, intra_op):
+            fan_out(batch, intra_op)
+            if threading.current_thread() is names["b"]:
+                fanned.set()
+                assert forgot.wait(timeout=60)
+
+        huge = oom_graph(1).operators[1]
+        search_group = compiler.intra_op._search_group
+
+        too_big = OutOfChipMemoryError(2**30, small_chip.sram_per_core, huge.name)
+
+        def raising_search_group(operators):
+            if any(operator.signature() == huge.signature() for operator in operators):
+                raise too_big
+            return search_group(operators)
+
+        compiler.intra_op._search_group = raising_search_group
+        compiler.intra_op.forget = gated_forget
+        compiler.engine._fan_out = gated_fan_out
+        results: dict[str, object] = {}
+
+        def run(name, graphs):
+            try:
+                results[name] = cache.get_or_compile_many(graphs, small_chip, fast_constraints)
+            except BaseException as error:  # surfaced by the assertions below
+                results[name] = error
+
+        names["a"] = threading.Thread(target=run, args=("a", [oom_graph(1)]))
+        names["b"] = threading.Thread(target=run, args=("b", [graph]))
+        names["a"].start()
+        assert forgetting.wait(timeout=60)
+        names["b"].start()
+        for thread in names.values():
+            thread.join(timeout=120)
+        assert fanned.is_set() and forgot.is_set()
+        (oom,) = results["a"]
+        (alone,) = results["b"]
+        assert oom.compiled.status == "oom"
+        assert oom.compiled.error == str(too_big)
+        expected = reference.get_or_compile(graph, small_chip, fast_constraints)
+        assert alone.compiled.ok
+        assert alone.compiled.program == expected.compiled.program
+        assert alone.compiled.pareto_plans == expected.compiled.pareto_plans
+        # B found the search cached, so it dispatched none of its own.
+        assert alone.compiled.dispatched_searches == 0
+
+    def test_every_graph_of_a_batch_is_one_lookup_and_one_search_call(
+        self, small_chip, small_cost_model, fast_constraints, monkeypatch
+    ):
+        """Profilers time and count the per-graph entry points by name: a
+        batch calls each once per graph, in order, and the first call holds
+        the batch's compile."""
+        from repro.core.parallel import ParallelCompilationEngine
+
+        calls: list[tuple[str, str]] = []
+
+        def spy(owner, name):
+            original = getattr(owner, name)
+
+            def wrapper(self, graph, *args, **kwargs):
+                calls.append((name, graph.name))
+                return original(self, graph, *args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        spy(PlanCache, "get_or_compile")
+        spy(ParallelCompilationEngine, "search_graph")
+        cache = PlanCache(
+            compiler_factory=lambda chip, constraints: T10Compiler(
+                chip, cost_model=small_cost_model, constraints=constraints
+            )
+        )
+        graphs = [build_tiny(1), build_tiny(2), build_tiny(1), build_tiny(4)]
+        lookups = cache.get_or_compile_many(graphs, small_chip, fast_constraints)
+        assert [lookup.outcome for lookup in lookups] == [COMPILE, COMPILE, HIT_MEMORY, COMPILE]
+        names = [graph.name for graph in graphs]
+        unique = ["tiny-b1", "tiny-b2", "tiny-b4"]
+        # The first lookup compiles the batch (its three graph searches)
+        # before the later lookups return theirs.
+        assert calls == (
+            [("get_or_compile", names[0])]
+            + [("search_graph", name) for name in unique]
+            + [("get_or_compile", name) for name in names[1:]]
+        )
 
 
 # --------------------------------------------------------------------------- #

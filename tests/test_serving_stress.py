@@ -43,7 +43,7 @@ build_stress_model = tiny_builder("stress")
 
 
 class CountingCompiler(T10Compiler):
-    """T10 compiler that counts ``compile`` calls (thread-safely)."""
+    """T10 compiler that counts the graphs it compiles (thread-safely)."""
 
     def __init__(self, *args: object, **kwargs: object) -> None:
         super().__init__(*args, **kwargs)  # type: ignore[arg-type]
@@ -51,11 +51,11 @@ class CountingCompiler(T10Compiler):
         self.compiled_fingerprints: list[str] = []
         self._count_lock = threading.Lock()
 
-    def compile(self, graph):  # type: ignore[override]
+    def compile_many(self, graphs):  # type: ignore[override]
         with self._count_lock:
-            self.compile_count += 1
-            self.compiled_fingerprints.append(graph.fingerprint())
-        return super().compile(graph)
+            self.compile_count += len(graphs)
+            self.compiled_fingerprints += [graph.fingerprint() for graph in graphs]
+        return super().compile_many(graphs)
 
 
 @pytest.fixture()

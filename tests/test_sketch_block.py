@@ -10,12 +10,13 @@ frontier on the block's values alone.
 from __future__ import annotations
 
 from dataclasses import replace
+from functools import lru_cache
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import CostModel, IntraOpOptimizer
+from repro.core import CostModel, IntraOpOptimizer, T10Compiler
 from repro.core import intra_op
 from repro.core.constraints import DEFAULT_CONSTRAINTS, FAST_CONSTRAINTS
 from repro.core.partition import (
@@ -24,6 +25,7 @@ from repro.core.partition import (
     temporal_factor_choices,
 )
 from repro.core.plan import (
+    column_layout,
     fop_columns,
     fop_geometry,
     sketch_block,
@@ -32,8 +34,10 @@ from repro.core.plan import (
 )
 from repro.experiments.common import build_workload
 from repro.hw.spec import A100_CHIP, IPU_MK2
-from repro.ir import conv2d, matmul
-from repro.models import list_models
+from repro.ir import conv2d, library_op, matmul
+from repro.models import list_models, opt_decode_session
+from repro.serving import ContinuousEngine, DecodeModel, PlanCache
+from repro.serving.batcher import batch_buckets
 
 
 @pytest.fixture(scope="module")
@@ -86,20 +90,19 @@ def check_block(expr, chip, cost_model, columns, rows, limit):
 
 
 def check_operator(optimizer, expr):
-    """Check every block the search would sketch for ``expr``."""
+    """Check every candidate the search would sketch for ``expr``, as one
+    block (a candidate's values do not depend on its block)."""
     limit = optimizer.constraints.max_temporal_combos
-    columns = optimizer._fop_columns(expr)
-    live = []
-    for rows in optimizer._fop_runs(columns):
-        live += check_block(expr, optimizer.chip, optimizer.cost_model, columns, rows, limit)
-    return live
+    columns = optimizer._fop_columns([expr])
+    rows = range(len(columns))
+    return check_block(expr, optimizer.chip, optimizer.cost_model, columns, rows, limit)
 
 
 def check_geometry(optimizer, expr):
     """Assert the search's ``F_op`` columns equal the scalar derivations:
     :func:`fop_geometry`, the longest dim :func:`choose_rotation_dim` picks and
     :func:`temporal_factor_choices`.  Returns the ``F_op`` count."""
-    columns = optimizer._fop_columns(expr)
+    columns = optimizer._fop_columns([expr])
     fops = enumerate_operator_partitions(expr, optimizer.chip.num_cores, optimizer.constraints)
     assert [columns.fop(row) for row in range(len(columns))] == fops
     axes = list(expr.axes)
@@ -194,7 +197,7 @@ def test_infeasible_factors_and_partitions(small_chip, small_cost_model):
     lists = [factors for per_fop in choices for factors in per_fop]
     counts = np.array([len(factors) for factors in lists]).reshape(3, 3)
     columns = replace(
-        fop_columns(expr, small_chip, fops, max_choices=2),
+        fop_columns([expr], small_chip, [fops], max_choices=2),
         choice_factors=np.array([f for factors in lists for f in factors]),
         choice_start=(np.cumsum(counts) - counts.ravel()).reshape(3, 3),
         choice_count=counts,
@@ -338,9 +341,197 @@ def test_huge_operator_uses_exact_python_ints(small_chip, small_cost_model):
     """Past 2**53 the columns hold Python ints, still equal to the scalar path."""
     expr = matmul("huge", m=2**20, k=2**18, n=2**20).expr
     optimizer = IntraOpOptimizer(small_chip, small_cost_model, FAST_CONSTRAINTS)
-    columns = optimizer._fop_columns(expr)
+    columns = optimizer._fop_columns([expr])
     assert columns.elements.dtype == object
-    rows = optimizer._fop_runs(columns)[0]
+    rows = range(min(len(columns), intra_op.SKETCH_BLOCK // 16))
     assert sketch_block(small_chip, columns, rows, 16).memory_bytes.dtype == object
     assert check_block(expr, small_chip, small_cost_model, columns, rows, 16)
     assert check_geometry(optimizer, expr)
+
+
+# --------------------------------------------------------------------------- #
+# The batched search: every operator as if searched alone
+# --------------------------------------------------------------------------- #
+@lru_cache(maxsize=None)
+def registry_pool() -> tuple:
+    return tuple(registry_operators())
+
+
+def search_outcome(optimizer, operator):
+    """Frontier members, built plans, stats and infeasibility error of one
+    operator (cached by ``optimizer`` if it already searched it)."""
+    frontier, stats = optimizer.search_frontier(operator)
+    plans = frontier.plans()
+    try:
+        optimizer.pareto_plans(operator)
+        error = ""
+    except ValueError as exc:
+        error = str(exc)
+    members = [
+        (plan.fop, getattr(plan, "temporal_factors", None), plan.memory_bytes, plan.time_est)
+        for plan in frontier.members
+    ]
+    return members, plans, stats, error
+
+
+def check_batch(chip, cost_model, constraints, operators):
+    """Search ``operators`` as one batch; each must equal a fresh optimizer's
+    one-operator search and :meth:`IntraOpOptimizer.search_reference`."""
+    batched = IntraOpOptimizer(chip, cost_model, constraints)
+    assert batched.search_many(operators) == {}
+    for operator in operators:
+        alone = IntraOpOptimizer(chip, cost_model, constraints)
+        outcome = search_outcome(batched, operator)
+        assert outcome == search_outcome(alone, operator)
+        _, plans, stats, _ = outcome
+        reference_plans, reference_stats = alone.search_reference(operator)
+        assert plans == reference_plans
+        assert stats == replace(reference_stats, materialized=stats.materialized)
+
+
+def layout_operators():
+    """Three matmuls of one layout with a few dozen candidates each."""
+    return [
+        matmul("a", m=64, k=32, n=48),
+        matmul("b", m=96, k=16, n=32),
+        matmul("c", m=48, k=64, n=16),
+    ]
+
+
+@pytest.mark.parametrize("block_size", [1, 7, 1024])
+def test_batched_max_plans_cuts(
+    block_size, small_chip, small_cost_model, monkeypatch
+):
+    """``max_plans`` cuts inside a block, on a block's last feasible
+    candidate (one-row blocks end on every row), and on each operator's last
+    feasible candidate, which with one shared block (1024) is an operator
+    boundary inside the block."""
+    monkeypatch.setattr(intra_op, "SKETCH_BLOCK", block_size)
+    operators = layout_operators()
+    full = IntraOpOptimizer(small_chip, small_cost_model, FAST_CONSTRAINTS)
+    totals = [full.search_space_stats(operator).evaluated for operator in operators]
+    assert sum(totals) <= 1024 and len(set(totals)) == 3
+    cuts = {1, 2, 3, 7, 12} | {total + step for total in totals for step in (-1, 0, 1)}
+    for max_plans in sorted(cuts):
+        constraints = replace(FAST_CONSTRAINTS, max_plans=max_plans)
+        check_batch(small_chip, small_cost_model, constraints, operators)
+
+
+def test_batched_search_mixes_layouts_and_edge_operators(small_chip, small_cost_model):
+    """Several layouts in one batch, with a library-fallback operator, an
+    operator past 2**53 (object columns) and one with no feasible plan."""
+    huge = matmul("huge", m=2**20, k=2**18, n=2**20)
+    infeasible = matmul("big", m=4096, k=4096, n=4096)
+    sort = library_op("sort", kind="sort", data_bytes=32 * 1024, flops=32 * 1024)
+    operators = [
+        *layout_operators(),
+        conv2d("c", batch=1, in_channels=8, out_channels=16, height=12, width=12, kernel=3),
+        sort,
+        huge,
+        infeasible,
+        conv2d("d", batch=2, in_channels=4, out_channels=8, height=9, width=9, kernel=3),
+    ]
+    optimizer = IntraOpOptimizer(small_chip, small_cost_model, FAST_CONSTRAINTS)
+    assert optimizer._fop_columns([huge.expr]).elements.dtype == object
+    assert len({column_layout(op.expr, small_chip) for op in operators}) == 4
+    check_batch(small_chip, small_cost_model, FAST_CONSTRAINTS, operators)
+    with pytest.raises(ValueError, match="no feasible execution plan"):
+        optimizer.pareto_plans(infeasible)
+
+
+def drawn_operator(data):
+    kind = data.draw(st.sampled_from(["registry", "matmul", "conv", "huge", "library"]))
+    if kind == "registry":
+        return data.draw(st.sampled_from(registry_pool()))
+    if kind == "matmul":
+        m, k, n = (data.draw(st.integers(1, 128)) for _ in range(3))
+        return matmul("mm", m=m, k=k, n=n)
+    if kind == "conv":
+        kernel = data.draw(st.sampled_from([1, 3]))
+        size = data.draw(st.integers(kernel, 20))
+        return conv2d(
+            "cv", batch=data.draw(st.integers(1, 2)),
+            in_channels=data.draw(st.integers(1, 16)),
+            out_channels=data.draw(st.integers(1, 16)),
+            height=size, width=size, kernel=kernel,
+        )
+    if kind == "huge":
+        return matmul("huge", m=2**20, k=2**18, n=2**20)
+    return library_op("sort", kind="sort", data_bytes=data.draw(st.integers(2, 2**16)), flops=1e4)
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_batched_search_matches_single_searches(
+    small_chip, small_cost_model, ipu_cost_model, a100_cost_model, data
+):
+    """Drawn operator lists on three chips, drawn block sizes and
+    ``max_plans`` cuts (including each operator's exact feasible count)."""
+    chip, cost_model = data.draw(
+        st.sampled_from(
+            [(small_chip, small_cost_model), (IPU_MK2, ipu_cost_model),
+             (A100_CHIP, a100_cost_model)]
+        )
+    )
+    operators = [drawn_operator(data) for _ in range(data.draw(st.integers(1, 5)))]
+    full = IntraOpOptimizer(chip, cost_model, FAST_CONSTRAINTS)
+    totals = {full.search_space_stats(operator).evaluated for operator in operators}
+    cuts = sorted({1, 5, 50_000} | totals | {total + 1 for total in totals})
+    constraints = replace(FAST_CONSTRAINTS, max_plans=data.draw(st.sampled_from(cuts)))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(intra_op, "SKETCH_BLOCK", data.draw(st.sampled_from([1, 7, 64, 1024])))
+        check_batch(chip, cost_model, constraints, operators)
+
+
+def test_pair_warm_up_makes_one_pass_per_layout(ipu_cost_model, monkeypatch):
+    """Warming one (model, chip class) pair derives one set of columns per
+    operator layout and sketches one block per run of at most
+    ``SKETCH_BLOCK`` candidates."""
+    passes: list[tuple] = []
+    blocks: list[int] = []
+
+    def counting_fop_columns(exprs, chip, partitions, max_choices):
+        columns = fop_columns(exprs, chip, partitions, max_choices)
+        limit = FAST_CONSTRAINTS.max_temporal_combos
+        passes.append((column_layout(exprs[0], chip), columns.combo_counts(limit).tolist()))
+        return columns
+
+    def counting_sketch_block(chip, columns, rows, limit):
+        block = sketch_block(chip, columns, rows, limit)
+        blocks.append(len(block))
+        return block
+
+    monkeypatch.setattr(intra_op, "fop_columns", counting_fop_columns)
+    monkeypatch.setattr(intra_op, "sketch_block", counting_sketch_block)
+    model = DecodeModel(
+        "opt", opt_decode_session("125m", num_layers=1, kv_len=64), max_batch_size=4
+    )
+    cache = PlanCache(
+        compiler_factory=lambda chip, constraints: T10Compiler(
+            chip, cost_model=ipu_cost_model, constraints=constraints
+        )
+    )
+    engine = ContinuousEngine(
+        model, chip=IPU_MK2, num_chips=1, constraints=FAST_CONSTRAINTS, plan_cache=cache
+    )
+    engine.warm()
+    operators = {
+        op.signature(): op
+        for bucket in batch_buckets(4)
+        for op in model.decode_builder(bucket).operators
+        if not op.expr.library_fallback
+    }
+    layouts = {column_layout(op.expr, IPU_MK2) for op in operators.values()}
+    assert len(layouts) < len(operators)
+    assert sorted(layout for layout, _ in passes) == sorted(layouts)
+    expected = 0
+    for _, counts in passes:
+        size = 0
+        for count in counts:
+            if size and size + count > intra_op.SKETCH_BLOCK:
+                expected += 1
+                size = 0
+            size += count
+        expected += 1
+    assert max(blocks) <= intra_op.SKETCH_BLOCK
+    assert len(blocks) == expected
