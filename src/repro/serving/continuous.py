@@ -1041,7 +1041,10 @@ class _DecodeRun:
         #: iteration end that starts no next iteration (:meth:`after_iteration`),
         #: so those set it, and the walk in :meth:`start_idle` recomputes it.
         self.maybe_idle = self.any_idle()
-        self.last_time = requests[0].arrival_time if requests else 0.0
+        #: The window the books integrate over opens at the first arrival;
+        #: ``accrued`` is the instant they are accrued to, and ``last_time``
+        #: (set once the event loop ends) is where the window closes.
+        self.accrued = self.last_time = requests[0].arrival_time if requests else 0.0
         self.stats_before = engine.plan_cache.stats.snapshot()
         self.chips = _ChipFaults(self)
 
@@ -1061,6 +1064,7 @@ class _DecodeRun:
         heappop = heapq.heappop
         arrived = 0
         arrival = requests[0].arrival_time if count else math.inf
+        now = self.last_time
         while True:
             # The head timer runs first when it is earlier than the next
             # arrival, or at its instant ranks before arrivals; once the
@@ -1072,8 +1076,6 @@ class _DecodeRun:
                 and (events[0][1] < _EV_ARRIVAL or arrived == count)
             ):
                 now, kind, _, payload = heappop(events)
-                if now != self.last_time:
-                    self.integrate(now)
                 if kind == _EV_ITER_END:
                     index, epoch = payload
                     replica = replicas[index]
@@ -1092,15 +1094,21 @@ class _DecodeRun:
                 request = requests[arrived]
                 arrived = self.arrived = arrived + 1
                 arrival = requests[arrived].arrival_time if arrived < count else math.inf
-                if now != self.last_time:
-                    self.integrate(now)
                 self.on_arrival(request, now)
             else:
                 break
             if traced:
                 self.sample(now)
+        self.close(now)
         self.sweep()
         return self.report()
+
+    def close(self, now: float) -> None:
+        """End the event window at the last event's time ``now`` (at the
+        first arrival if every event ran before it) and accrue the books
+        to it."""
+        self.last_time = max(self.last_time, now)
+        self.integrate(self.last_time)
 
     def report(self) -> ContinuousReport:
         """Assemble the run report and publish its metrics when traced.
@@ -1157,9 +1165,10 @@ class _DecodeRun:
 
     def transition(self, replica: _Replica, state: ReplicaState, now: float) -> None:
         """Move ``replica`` to lifecycle ``state`` at ``now``: the one place
-        a replica changes state.  Integrates the chip-second books up to
-        ``now`` at the old counts, then updates the counts and their peaks.
-        A move the transition table does not list is a bug in the caller."""
+        a replica changes state.  Accrues the chip-second books up to
+        ``now`` at the old counts (the counts they multiply change only
+        here), then updates the counts and their peaks.  A move the
+        transition table does not list is a bug in the caller."""
         old = replica.state
         if state not in _TRANSITIONS[old]:
             raise RuntimeError(
@@ -1178,17 +1187,19 @@ class _DecodeRun:
         self.peak_active = max(self.peak_active, counts[ACTIVE])
 
     def integrate(self, now: float) -> None:
-        """Accrue active and provisioned chip-seconds up to ``now`` (a no-op
-        when no time passed since the last call, as for every same-instant
-        re-check, and before the first arrival: the window opens there, so a
-        fault scheduled ahead of the traffic changes state but accrues
-        nothing)."""
-        if now > self.last_time:
-            elapsed = now - self.last_time
+        """Accrue active and provisioned chip-seconds from ``accrued`` up to
+        ``now`` at the current counts.  It runs only at a transition and
+        once when the window closes (:meth:`close`), so the books do not
+        depend on how many events the loop runs.  A no-op when no time
+        passed since the last accrual, and before the first arrival: the
+        window opens there, so a fault scheduled ahead of the traffic
+        changes state but accrues nothing."""
+        if now > self.accrued:
+            elapsed = now - self.accrued
             self.active_chip_seconds += elapsed * self.counts[ACTIVE] * self.stages
             if self.paid:
                 self.provisioned_chip_seconds += elapsed * self.num_charged * self.stages
-            self.last_time = now
+            self.accrued = now
 
     def retire(self, replica: _Replica, now: float) -> None:
         """Count one finished iteration on ``replica``; stamp the first
@@ -1908,11 +1919,10 @@ class _StaticRun(_DecodeRun):
         super().__init__(engine, requests, FaultSchedule(), Watchdog(), replicas)
 
     def integrate(self, now: float) -> None:
-        # The whole fleet is active over the whole event window.
-        first_arrival = self.requests[0].arrival_time
-        self.active_chip_seconds = (now - first_arrival) * (self.counts[ACTIVE] * self.stages)
+        # The whole fleet is active over the whole event window (empty when
+        # the trace is), and nothing transitions: one closed form at the end.
+        self.active_chip_seconds = (now - self.accrued) * (self.counts[ACTIVE] * self.stages)
         self.provisioned_chip_seconds = self.active_chip_seconds
-        self.last_time = now
 
     def on_arrival(self, request: DecodeRequest, now: float) -> None:
         if self.traced:

@@ -219,8 +219,11 @@ class ContinuousReport:
     """Chip-seconds the autoscaler kept replicas active."""
     active_span: float
     """Virtual seconds from first arrival to the last engine event — the
-    window ``active_chip_seconds`` integrates over (it can exceed
-    ``makespan``, which spans only *served* requests)."""
+    window ``active_chip_seconds`` and ``provisioned_chip_seconds``
+    integrate over (it can exceed ``makespan``, which spans only *served*
+    requests).  The run accrues them at each replica transition and once
+    more when the window closes, so neither exceeds its peak chip count
+    times this span."""
     iterations: int
     cache: CacheStats
     warm_compile_seconds: float
@@ -505,10 +508,12 @@ def check_report(
     id); a served record carries all ``max_new_tokens`` tokens and is
     ordered admitted <= first token <= completed, a shed one carries no
     tokens and a NaN first-token time; chip-seconds are ordered busy <=
-    active <= provisioned (a 1e-9 relative slack absorbs the busy-time
-    refunds of aborted iterations); and the per-tenant slices sum to the
-    fleet totals, preemptions and migrations included.  An empty list means
-    the report balances.
+    active <= provisioned, and active and provisioned are at most their
+    peak chip counts held over the whole ``active_span`` (a 1e-9 relative
+    slack absorbs rounding and the busy-time refunds of aborted
+    iterations); and the per-tenant slices sum to the fleet totals,
+    preemptions and migrations included.  An empty list means the report
+    balances.
     """
     failures: list[str] = []
     ids = [record.request.request_id for record in report.completed]
@@ -550,6 +555,16 @@ def check_report(
             f"chip-seconds out of order: busy {busy!r}, active {active!r}, "
             f"provisioned {provisioned!r}"
         )
+    span = report.active_span
+    for name, seconds, peak in (
+        ("active", active, report.peak_active_chips),
+        ("provisioned", provisioned, report.peak_provisioned_chips),
+    ):
+        if seconds > peak * span + slack:
+            failures.append(
+                f"{name} chip-seconds {seconds!r} exceed {peak} peak chips "
+                f"over the {span!r} s active span"
+            )
     slices = report.per_tenant().values()
     for name in _SLICED_TOTALS:
         whole = getattr(report, name)

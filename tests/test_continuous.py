@@ -597,6 +597,27 @@ class TestContinuousEngine:
             assert len(failures) == 1
             assert f"request {broken.request.request_id} " in failures[0]
 
+    def test_check_report_bounds_chip_seconds_by_peak_times_span(
+        self, cache, small_chip, fast_constraints
+    ):
+        """Active and provisioned chip-seconds are each at most their peak
+        chip count over the whole active span.  A report claiming a lower
+        peak, or a shorter span, than its books need is named."""
+        engine = make_engine(cache, small_chip, fast_constraints, num_chips=2)
+        unit = engine.iteration_latency(1)
+        workload = [request(i, i * 0.5 * unit, tokens=6) for i in range(8)]
+        report = engine.run(workload)
+        assert check_report(report, workload) == []
+        assert report.active_chip_seconds > 0.0
+        for broken, names in (
+            (replace(report, peak_active_chips=0), ["active"]),
+            (replace(report, peak_provisioned_chips=0), ["provisioned"]),
+            (replace(report, active_span=0.5 * report.active_span), ["active", "provisioned"]),
+        ):
+            failures = check_report(broken, workload)
+            assert [failure.split()[0] for failure in failures] == names
+            assert all("peak chips over the" in failure for failure in failures)
+
 
 # --------------------------------------------------------------------------- #
 # Static baseline
@@ -935,7 +956,11 @@ def reference_victim(self, replica: _Replica) -> _Running | None:
 
 def reference_execute(self) -> ContinuousReport:
     """One heap for every event: each arrival is an ``_EV_ARRIVAL`` event
-    beside the timers, and the event kind orders same-instant events."""
+    beside the timers, and the event kind orders same-instant events.
+
+    The run accrues its books at transitions only; the reference also keeps
+    the per-event integral they replaced, advancing at every event from
+    the first arrival, and checks that the two agree to rounding."""
     events = self.events
     events += [
         (request.arrival_time, _EV_ARRIVAL, position, request)
@@ -944,9 +969,15 @@ def reference_execute(self) -> ContinuousReport:
     heapq.heapify(events)
     self.arrived = 0
     replicas = self.replicas
+    last = self.last_time
+    shadow_active = shadow_provisioned = 0.0
     while events:
         now, kind, _, payload = heapq.heappop(events)
-        self.integrate(now)
+        if now > last:
+            elapsed = now - last
+            shadow_active += elapsed * self.counts[ACTIVE] * self.stages
+            shadow_provisioned += elapsed * self.num_charged * self.stages
+            last = now
         if kind == _EV_ARRIVAL:
             self.arrived += 1
             self.on_arrival(payload, now)
@@ -965,8 +996,13 @@ def reference_execute(self) -> ContinuousReport:
             self.on_scale(payload, now)
         if self.traced:
             self.sample(now)
+    self.close(last)
+    assert self.last_time == last
     self.sweep()
-    return self.report()
+    report = self.report()
+    assert math.isclose(report.active_chip_seconds, shadow_active, rel_tol=1e-12)
+    assert math.isclose(report.provisioned_chip_seconds, shadow_provisioned, rel_tol=1e-12)
+    return report
 
 
 def reference_start_iteration(self, replica: _Replica, now: float) -> None:
@@ -1062,7 +1098,9 @@ def assert_matches_reference(run) -> ContinuousReport:
     The reference keeps every request's progress current on every
     iteration, scans the batch for a preemption victim, holds arrivals in
     the event heap beside the timers and walks the whole admission routine
-    at every iteration boundary."""
+    at every iteration boundary.  It runs more events than the tick loop
+    but makes the same replica transitions, so equal chip-second books
+    show that they do not depend on the events the loop runs."""
     actual = run()
     # The reference keeps progress current on every iteration, so catching
     # it up on leaving a batch has nothing to do.
@@ -1077,6 +1115,19 @@ def assert_matches_reference(run) -> ContinuousReport:
     ):
         expected = run()
     assert repr(actual.completed) == repr(expected.completed)
+    # Both loops make the same transitions at the same instants, so their
+    # books, accrued at transitions only, agree bit for bit.
+    assert (
+        actual.busy_chip_seconds,
+        actual.active_chip_seconds,
+        actual.provisioned_chip_seconds,
+        actual.active_span,
+    ) == (
+        expected.busy_chip_seconds,
+        expected.active_chip_seconds,
+        expected.provisioned_chip_seconds,
+        expected.active_span,
+    )
     assert (
         actual.iterations,
         actual.preemptions,

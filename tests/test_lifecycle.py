@@ -4,11 +4,15 @@ Every replica is in exactly one state — unprovisioned, booting, idle,
 active or dead — and ``_DecodeRun.transition`` is the only place it changes.
 These tests pin the transition table, check that the per-state counts the
 chip-second books and the scaler read stay equal to a recount of the
-replicas, and cover what the single state buys: a provisioning scaler and
-chaos faults compose in one ``FleetEngine.run``.
+replicas, that the books accrue at transitions only, and cover what the
+single state buys: a provisioning scaler and chaos faults compose in one
+``FleetEngine.run``.
 """
 
 from __future__ import annotations
+
+from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,6 +27,7 @@ from repro.serving import (
     HEALTH_RESTARTING,
     FaultSchedule,
     ReactiveScaler,
+    StaticEngine,
     Watchdog,
     check_report,
     chip_death,
@@ -39,6 +44,7 @@ from repro.serving.continuous import (
     ReplicaState,
     _ContinuousRun,
     _DecodeRun,
+    _StaticRun,
 )
 from repro.serving.fleet import _FleetRun
 
@@ -47,11 +53,13 @@ from scenarios import (
     FLEET,
     FORECAST,
     REACTIVE,
+    Replay,
     ScriptedScaler,
     chaos_watchdog,
     chaos_workload,
     check_scenario,
     fleet_engine,
+    make_engine,
     make_model,
     request,
     scenarios,
@@ -416,3 +424,87 @@ def test_scaler_and_faults_compose(scaler, data, testbed):
     )
     assert scenario.scaler.kind == scaler
     check_scenario(scenario, testbed)
+
+
+# --------------------------------------------------------------------------- #
+# The chip-second books accrue at transitions, and once at the end
+# --------------------------------------------------------------------------- #
+@settings(max_examples=30, deadline=None)
+@given(scenario=scenarios())
+def test_books_accrue_once_per_transition_and_once_at_the_end(scenario, testbed):
+    """The counts the books multiply change only at a transition, so the
+    books accrue there and once when the window closes, never per event:
+    whatever the engine, traffic, faults and scaler, ``integrate`` runs
+    exactly one more time than ``transition``."""
+    calls = Counter()
+
+    def counted(name, method):
+        def wrapper(self, *args):
+            calls[name] += 1
+            return method(self, *args)
+
+        return wrapper
+
+    with mock.patch.object(
+        _DecodeRun, "transition", counted("transition", _DecodeRun.transition)
+    ), mock.patch.object(
+        _DecodeRun, "integrate", counted("integrate", _DecodeRun.integrate)
+    ), mock.patch.object(
+        _StaticRun, "integrate", counted("integrate", _StaticRun.integrate)
+    ):
+        Replay(scenario, testbed).run()
+    assert calls["integrate"] == calls["transition"] + 1
+
+
+#: Faults for an empty trace, at binary-exact instants so the books are exact.
+EMPTY_FAULTS = [
+    chip_death(1.0, 0),
+    restart(2.0, 0, cold_cache=False, warmup_delay=0.5),
+    link_degradation(0.5, 3.0, 2.0),
+    chip_death(4.0, 1),
+]
+
+
+@pytest.mark.parametrize(
+    "engine, faults, scaler, books",
+    [
+        ("static", False, False, (0.0, 0.0, 0.0, 1, 1)),
+        ("continuous", False, False, (0.0, 0.0, 0.0, 1, 1)),
+        ("continuous", True, False, (4.25, 2.75, 2.75, 1, 1)),
+        ("fleet", False, False, (0.0, 0.0, 0.0, 0, 0)),
+        ("fleet", True, False, (4.25, 0.0, 0.0, 0, 0)),
+        ("fleet", False, True, (0.0, 0.0, 0.0, 0, 1)),
+        ("fleet", True, True, (4.25, 0.0, 1.0, 0, 1)),
+    ],
+)
+def test_empty_trace_books(
+    engine, faults, scaler, books, cache, small_chip, fast_constraints
+):
+    """An empty trace opens the window at 0.  Without faults it closes
+    there; faults run the events that close it later, and accrue what the
+    replicas they move hold.  (``active_span``, active and provisioned
+    chip-seconds, and the two peaks.)"""
+    options = {}
+    if faults:
+        options["faults"] = FaultSchedule.of(EMPTY_FAULTS)
+        options["watchdog"] = Watchdog(detection_delay=0.25)
+    if scaler:
+        options["scaler"] = ScriptedScaler(2, interval=1.0, provision_delay=0.5)
+    if engine == "static":
+        runner = StaticEngine(
+            make_model(), chip=small_chip, constraints=fast_constraints, plan_cache=cache
+        )
+    elif engine == "continuous":
+        runner = make_engine(cache, small_chip, fast_constraints, num_chips=NUM_CHIPS)
+    else:
+        runner = fleet_engine(cache, small_chip, fast_constraints)
+    report = runner.run([], **options)
+    assert check_report(report, []) == []
+    assert report.completed == () and report.iterations == 0
+    assert (
+        report.active_span,
+        report.active_chip_seconds,
+        report.provisioned_chip_seconds,
+        report.peak_active_chips,
+        report.peak_provisioned_chips,
+    ) == books
